@@ -18,14 +18,14 @@ Monte-Carlo rollouts before it enters a comparison table.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import meta, net, roa, verify
+from .config import ExperimentConfig, MetaBlock, NlfBlock, RoaBlock, VerifyBlock
 from .control import NotStabilizing, is_hurwitz, linearize, solve_lyapunov
-from .dynamics import ClosedLoopSystem, ParamVector, build_dataset, build_system, sample_tasks
+from .dynamics import ClosedLoopSystem, TaskDataset, build_dataset, build_system, sample_tasks
 from .loss import TightenedLossConfig
 
 METHODS = ("META_NLF", "NLF_TS", "T_NLF", "QLF_TS")
@@ -52,46 +52,6 @@ class QuadraticLyapunov:
         return 2.0 * (np.atleast_2d(X) @ self.P)
 
 
-@dataclass(frozen=True)
-class VerifySettings:
-    """Shared grid/Lipschitz configuration; identical for all methods in a run."""
-
-    radius: float
-    nodes_per_axis: int
-    lipschitz_mode: str = "local"
-    safety: float = 1.2
-    exempt_radius: float = 0.0
-
-    def fingerprint(self) -> tuple:
-        return (round(self.radius, 12), self.nodes_per_axis, self.lipschitz_mode,
-                round(self.safety, 12), round(self.exempt_radius, 12))
-
-
-@dataclass(frozen=True)
-class MetaTaskSetup:
-    """Task sampling plus test-time adaptation budget for the meta pipeline."""
-
-    sigma_diag: tuple
-    n_tasks: int = 6
-    m_batches: int = 25
-    k_train: int = 32
-    j_test: int = 32
-    task_seed: int = 0
-    adapt_alpha: float = 0.02
-    adapt_samples: int = TEST_TIME_SAMPLES
-    adapt_seed: int = 123
-
-
-@dataclass(frozen=True)
-class NlfBudget:
-    """Training budget of the plain NLF baselines."""
-
-    n_samples: int = 20000
-    n_steps: int = 5000
-    lr: float = 0.01
-    batch_size: int = 128
-
-
 @dataclass(frozen=True, eq=False)
 class BaselineReport:
     method: str
@@ -102,14 +62,12 @@ class BaselineReport:
     gradient_steps_used: int
     test_samples_used: int
     test_steps_used: int
-    wall_time: float
-    settings_fingerprint: tuple
     mc_fraction: float | None = None
     error: str | None = None
 
 
 def certify_candidate(candidate, system: ClosedLoopSystem, grid: verify.GridSpec,
-                      settings: VerifySettings,
+                      settings: VerifyBlock,
                       plane: tuple[int, int] | None = None) -> tuple[verify.ValidityMap, roa.RoaResult]:
     constants = verify.estimate_lipschitz(candidate, system, grid,
                                           safety=settings.safety, mode=settings.lipschitz_mode)
@@ -120,8 +78,7 @@ def certify_candidate(candidate, system: ClosedLoopSystem, grid: verify.GridSpec
 
 
 def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
-              loss_cfg: TightenedLossConfig, n_samples: int, n_steps: int,
-              lr: float, batch_size: int, seed: int,
+              loss_cfg: TightenedLossConfig, budget: NlfBlock, seed: int,
               theta0: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
     """Plain minibatch gradient descent on one system's data (no meta-learning).
 
@@ -129,23 +86,23 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
     Returns (theta, samples_used, steps_used).
     """
     obj = meta.lyapunov_objective(arch, loss_cfg)
-    dataset = build_dataset(system, radius, k_train=n_samples, j_test=1, m_batches=1, seed=seed)
+    dataset = build_dataset(system, radius, k_train=budget.n_samples, j_test=1, m_batches=1,
+                            seed=seed)
     X, Y = dataset.batches[0][0]
     rng = np.random.default_rng(seed + 1)
     theta = net.shaped_init(arch, seed, radius) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    for step in range(n_steps):
-        idx = rng.integers(X.shape[0], size=min(batch_size, X.shape[0]))
+    for step in range(budget.n_steps):
+        idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
         g = obj.grad(theta, (X[idx], Y[idx]))
         if not np.all(np.isfinite(g)):
             raise meta.NonFiniteLoss(step, float("nan"))
-        theta = theta - lr * g
-    return theta, n_samples, n_steps
+        theta = theta - budget.lr * g
+    return theta, budget.n_samples, budget.n_steps
 
 
-def qlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifySettings,
+def qlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifyBlock,
            plane: tuple[int, int] | None = None) -> BaselineReport:
     """Quadratic baseline from the closed-loop linearization at the origin."""
-    start = time.perf_counter()
     A = linearize(system_test.f, np.zeros(system_test.dim))
     if not is_hurwitz(A):
         raise NotHurwitz("test-time closed loop linearization is not Hurwitz")
@@ -156,103 +113,80 @@ def qlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: Verif
         method="QLF_TS", roa=result, vmap=vmap, candidate=candidate,
         train_samples_used=0, gradient_steps_used=0,
         test_samples_used=0, test_steps_used=0,
-        wall_time=time.perf_counter() - start,
-        settings_fingerprint=settings.fingerprint(),
     )
 
 
-def nlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifySettings,
-           arch: net.Architecture, loss_cfg: TightenedLossConfig, seed: int,
-           budget: NlfBudget = NlfBudget(),
+def nlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifyBlock,
+           arch: net.Architecture, loss_cfg: TightenedLossConfig, budget: NlfBlock, seed: int,
            plane: tuple[int, int] | None = None) -> BaselineReport:
     """Fully trained NLF with explicit access to the test-time system."""
-    start = time.perf_counter()
-    theta, samples, steps = train_nlf(system_test, settings.radius, arch, loss_cfg,
-                                      budget.n_samples, budget.n_steps, budget.lr,
-                                      budget.batch_size, seed)
+    theta, samples, steps = train_nlf(system_test, grid.radius, arch, loss_cfg, budget, seed)
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
     return BaselineReport(
         method="NLF_TS", roa=result, vmap=vmap, candidate=candidate,
         train_samples_used=samples, gradient_steps_used=steps,
         test_samples_used=samples, test_steps_used=steps,
-        wall_time=time.perf_counter() - start,
-        settings_fingerprint=settings.fingerprint(),
     )
 
 
 def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem,
-          grid: verify.GridSpec, settings: VerifySettings, arch: net.Architecture,
-          loss_cfg: TightenedLossConfig, seed: int, budget: NlfBudget = NlfBudget(),
-          adapt_lr: float = 0.02, k: int = TEST_TIME_STEPS,
-          n_adapt_samples: int = TEST_TIME_SAMPLES,
+          grid: verify.GridSpec, settings: VerifyBlock, arch: net.Architecture,
+          loss_cfg: TightenedLossConfig, budget: NlfBlock, adapt: MetaBlock, seed: int,
           plane: tuple[int, int] | None = None) -> BaselineReport:
-    """Transfer baseline: full nominal training, then a small test-time update."""
-    start = time.perf_counter()
-    theta, train_samples, train_steps = train_nlf(system_nominal, settings.radius, arch,
-                                                  loss_cfg, budget.n_samples, budget.n_steps,
-                                                  budget.lr, budget.batch_size, seed)
-    adapt_set = build_dataset(system_test, settings.radius, k_train=n_adapt_samples,
+    """Transfer baseline: full nominal training, then a small test-time update
+    (adapt.adapt_samples samples, TEST_TIME_STEPS steps of size adapt.adapt_alpha)."""
+    theta, train_samples, train_steps = train_nlf(system_nominal, grid.radius, arch,
+                                                  loss_cfg, budget, seed)
+    adapt_set = build_dataset(system_test, grid.radius, k_train=adapt.adapt_samples,
                               j_test=1, m_batches=1, seed=seed + 101)
-    s_tr = adapt_set.batches[0][0]
-    theta = meta.test_time_adapt(theta, arch, s_tr, adapt_lr, k, loss_cfg)
+    theta = meta.test_time_adapt(theta, arch, adapt_set.batches[0][0], adapt.adapt_alpha,
+                                 TEST_TIME_STEPS, loss_cfg)
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
     return BaselineReport(
         method="T_NLF", roa=result, vmap=vmap, candidate=candidate,
         train_samples_used=train_samples, gradient_steps_used=train_steps,
-        test_samples_used=n_adapt_samples, test_steps_used=k,
-        wall_time=time.perf_counter() - start,
-        settings_fingerprint=settings.fingerprint(),
+        test_samples_used=adapt.adapt_samples, test_steps_used=TEST_TIME_STEPS,
     )
 
 
-def meta_nlf(theta0_params: ParamVector, system_test: ClosedLoopSystem,
-             grid: verify.GridSpec, settings: VerifySettings, arch: net.Architecture,
-             loss_cfg: TightenedLossConfig, meta_cfg: meta.MetaConfig,
-             setup: MetaTaskSetup, plane: tuple[int, int] | None = None,
-             theta_mnlf: np.ndarray | None = None,
-             network=None) -> BaselineReport:
-    """Meta-train across sampled tasks (unless a meta checkpoint is supplied),
-    then adapt to the test-time system under the 50/10 budget."""
-    start = time.perf_counter()
-    if theta_mnlf is None:
-        theta_mnlf, train_samples, train_steps = meta_train_for(
-            theta0_params, settings.radius, arch, loss_cfg, meta_cfg, setup, network=network)
-    else:
-        train_samples = 0
-        train_steps = 0
-    adapt_set = build_dataset(system_test, settings.radius, k_train=setup.adapt_samples,
-                              j_test=1, m_batches=1, seed=setup.adapt_seed)
-    s_tr = adapt_set.batches[0][0]
-    theta = meta.test_time_adapt(theta_mnlf, arch, s_tr, setup.adapt_alpha,
-                                 meta_cfg.k_test, loss_cfg)
+def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem, grid: verify.GridSpec,
+             plane: tuple[int, int] | None = None) -> BaselineReport:
+    """Meta-train across sampled tasks, then adapt to the test-time system
+    under the 50/10 budget."""
+    report, family = meta_train_for(cfg, grid.radius)
+    m, arch = cfg.meta, cfg.architecture()
+    adapt_set = build_dataset(system_test, grid.radius, k_train=m.adapt_samples,
+                              j_test=1, m_batches=1, seed=cfg.seeds.adapt_seed)
+    theta = meta.test_time_adapt(report.theta_mnlf, arch, adapt_set.batches[0][0],
+                                 m.adapt_alpha, m.k_test, cfg.loss)
     candidate = net.MlpLyapunov(theta, arch)
-    vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
+    vmap, result = certify_candidate(candidate, system_test, grid, cfg.verify, plane)
     return BaselineReport(
         method="META_NLF", roa=result, vmap=vmap, candidate=candidate,
-        train_samples_used=train_samples, gradient_steps_used=train_steps,
-        test_samples_used=setup.adapt_samples, test_steps_used=meta_cfg.k_test,
-        wall_time=time.perf_counter() - start,
-        settings_fingerprint=settings.fingerprint(),
+        train_samples_used=len(family) * (m.k_train + m.j_test) * m.m_batches,
+        gradient_steps_used=m.meta_steps,
+        test_samples_used=m.adapt_samples, test_steps_used=m.k_test,
     )
 
 
-def meta_train_for(theta0_params: ParamVector, radius: float, arch: net.Architecture,
-                   loss_cfg: TightenedLossConfig, meta_cfg: meta.MetaConfig,
-                   setup: MetaTaskSetup, network=None) -> tuple[np.ndarray, int, int]:
-    """Sample tasks around the nominal parameters and meta-train from the
-    shaped init; returns (theta_mnlf, samples_used, steps)."""
-    tasks = sample_tasks(theta0_params, setup.sigma_diag, setup.n_tasks, setup.task_seed)
-    datasets = [
-        build_dataset(build_system(t, network=network), radius, setup.k_train,
-                      setup.j_test, setup.m_batches, setup.task_seed + 7 * i)
-        for i, t in enumerate(tasks)
-    ]
-    theta_init = net.shaped_init(arch, meta_cfg.seed, radius)
-    report = meta.meta_train(datasets, arch, meta_cfg, loss_cfg, theta0=theta_init)
-    samples = sum((setup.k_train + setup.j_test) * setup.m_batches for _ in datasets)
-    return report.theta_mnlf, samples, meta_cfg.meta_steps
+def meta_train_for(cfg: ExperimentConfig, radius: float
+                   ) -> tuple[meta.MetaTrainReport, list[tuple[ClosedLoopSystem, TaskDataset]]]:
+    """Sample the task family around the nominal parameters, build each task's
+    dataset on the ball of the given radius and meta-train from the shaped
+    init. Returns the training report and the (system, dataset) family."""
+    m, task_seed, net_seed = cfg.meta, cfg.seeds.task_seed, cfg.seeds.net_seed
+    family = []
+    for i, params in enumerate(sample_tasks(cfg.system.nominal(), cfg.system.sigma_diag,
+                                            m.n_tasks, task_seed)):
+        system = build_system(params)
+        family.append((system, build_dataset(system, radius, m.k_train, m.j_test,
+                                             m.m_batches, task_seed + 7 * i)))
+    arch = cfg.architecture()
+    report = meta.meta_train([dataset for _, dataset in family], arch, m, cfg.loss, net_seed,
+                             theta0=net.shaped_init(arch, net_seed, radius))
+    return report, family
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +196,6 @@ class ComparisonTable:
     reports: dict = field(default_factory=dict)   # method -> BaselineReport
     errors: dict = field(default_factory=dict)    # method -> message
     sos_note: str = "not implemented"
-
-    def areas(self) -> dict:
-        return {m: (r.roa.area if r.error is None else None) for m, r in self.reports.items()}
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -289,88 +220,52 @@ class ComparisonTable:
 
 
 def _gate_report(report: BaselineReport, system_test: ClosedLoopSystem,
-                 grid: verify.GridSpec, mc_samples: int, mc_h: float, mc_horizon: float,
-                 mc_tol: float, seed: int) -> BaselineReport:
+                 grid: verify.GridSpec, mc: RoaBlock, seed: int) -> BaselineReport:
     """Soundness gate: a nonempty ROA enters the table only if every rollout
     from inside it converges."""
-    check = roa.monte_carlo_convergence(system_test, report.roa, grid, mc_samples,
-                                        mc_h, mc_horizon, mc_tol, seed,
+    check = roa.monte_carlo_convergence(system_test, report.roa, grid, mc.mc_samples,
+                                        mc.mc_step, mc.mc_horizon, mc.mc_tol, seed,
                                         candidate=report.candidate)
-    error = None
-    if not check.vacuous and check.fraction < 1.0:
-        error = f"unsound certificate: mc fraction {check.fraction:.4f}"
-    return BaselineReport(
-        method=report.method, roa=report.roa, vmap=report.vmap, candidate=report.candidate,
-        train_samples_used=report.train_samples_used,
-        gradient_steps_used=report.gradient_steps_used,
-        test_samples_used=report.test_samples_used, test_steps_used=report.test_steps_used,
-        wall_time=report.wall_time, settings_fingerprint=report.settings_fingerprint,
-        mc_fraction=check.fraction if not check.vacuous else None, error=error,
-    )
+    if check.vacuous:
+        return report
+    error = None if check.fraction >= 1.0 else f"unsound certificate: mc fraction {check.fraction:.4f}"
+    return replace(report, mc_fraction=check.fraction, error=error)
 
 
-def compare(theta0_params: ParamVector, theta_test_params: ParamVector,
-            settings: VerifySettings, arch: net.Architecture,
-            loss_cfg: TightenedLossConfig, meta_cfg: meta.MetaConfig,
-            setup: MetaTaskSetup, nlf_budget: NlfBudget = NlfBudget(),
-            seed: int = 0, plane: tuple[int, int] | None = None,
-            mc_samples: int = 1000, mc_h: float = 0.01, mc_horizon: float = 20.0,
-            mc_tol: float = 1e-2, network=None,
-            theta_mnlf: np.ndarray | None = None, workers: int = 1) -> ComparisonTable:
-    """Run every method under its access regime on identical grid settings.
+def compare(cfg: ExperimentConfig) -> ComparisonTable:
+    """Run every method under its access regime on one grid and one `verify` block.
 
     Per-method failures are collected without aborting the others; the
     budget counters of the adaptive methods are asserted against the
-    test-time contract before the table is returned. Methods share no mutable
-    state, so they may run on several worker threads; reports are merged in
-    fixed method order either way.
+    test-time contract before the table is returned.
     """
-    system_nom = build_system(theta0_params, network=network)
-    system_test = build_system(theta_test_params, network=network)
-    grid = verify.build_grid(settings.radius, settings.nodes_per_axis, system_test.dim)
-
-    table = ComparisonTable(system_id=theta_test_params.system_id,
-                            theta_test=theta_test_params.values)
+    system_nom = build_system(cfg.system.nominal())
+    system_test = build_system(cfg.system.test())
+    grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, system_test.dim)
+    plane = tuple(cfg.roa.plane) if system_test.dim > 2 else None
+    seed, arch = cfg.seeds.master, cfg.architecture()
     runners = {
-        "META_NLF": lambda: meta_nlf(theta0_params, system_test, grid, settings, arch,
-                                     loss_cfg, meta_cfg, setup, plane=plane,
-                                     theta_mnlf=theta_mnlf, network=network),
-        "NLF_TS": lambda: nlf_ts(system_test, grid, settings, arch, loss_cfg, seed + 1,
-                                 budget=nlf_budget, plane=plane),
-        "T_NLF": lambda: t_nlf(system_nom, system_test, grid, settings, arch, loss_cfg,
-                               seed + 2, budget=nlf_budget, adapt_lr=setup.adapt_alpha,
-                               n_adapt_samples=setup.adapt_samples, plane=plane),
-        "QLF_TS": lambda: qlf_ts(system_test, grid, settings, plane=plane),
+        "META_NLF": lambda: meta_nlf(cfg, system_test, grid, plane),
+        "NLF_TS": lambda: nlf_ts(system_test, grid, cfg.verify, arch, cfg.loss, cfg.nlf,
+                                 seed + 1, plane),
+        "T_NLF": lambda: t_nlf(system_nom, system_test, grid, cfg.verify, arch, cfg.loss,
+                               cfg.nlf, cfg.meta, seed + 2, plane),
+        "QLF_TS": lambda: qlf_ts(system_test, grid, cfg.verify, plane),
     }
 
-    def run_one(method):
-        try:
-            return runners[method](), None
-        except (NotHurwitz, NotStabilizing, meta.NonFiniteLoss) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(workers, len(METHODS))) as pool:
-            outcomes = dict(zip(METHODS, pool.map(run_one, METHODS)))
-    else:
-        outcomes = {method: run_one(method) for method in METHODS}
-
+    table = ComparisonTable(system_id=cfg.system.system_id,
+                            theta_test=cfg.system.test().values)
     for method in METHODS:
-        report, error = outcomes[method]
-        if report is None:
-            table.errors[method] = error
+        try:
+            report = runners[method]()
+        except (NotHurwitz, NotStabilizing, meta.NonFiniteLoss) as exc:
+            table.errors[method] = f"{type(exc).__name__}: {exc}"
             continue
-        report = _gate_report(report, system_test, grid, mc_samples, mc_h, mc_horizon,
-                              mc_tol, seed + 1000)
+        report = _gate_report(report, system_test, grid, cfg.roa, seed + 1000)
         if method in ("META_NLF", "T_NLF"):
             if report.test_samples_used > TEST_TIME_SAMPLES:
                 raise AssertionError(f"{method} exceeded the test-time sample budget")
             if report.test_steps_used > TEST_TIME_STEPS:
                 raise AssertionError(f"{method} exceeded the test-time step budget")
         table.reports[method] = report
-
-    fingerprints = {r.settings_fingerprint for r in table.reports.values()}
-    if len(fingerprints) > 1:
-        raise AssertionError("methods ran under different verification settings")
     return table

@@ -20,10 +20,12 @@ into artifacts). Exit codes: 0 ok, 2 config error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,21 +40,9 @@ EXIT_VERIFICATION = 3
 EXIT_NUMERIC = 4
 
 
-class MissingArtifact(Exception):
-    """An upstream artifact (checkpoint, map) is absent."""
-
-
-class ArchMismatch(Exception):
-    """Checkpoint architecture does not match the configured system."""
-
-
-def worker_count() -> int:
-    """Worker cap from LYAPCERT_THREADS (default 1, sequential)."""
-    raw = os.environ.get("LYAPCERT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+class BadArtifact(Exception):
+    """An upstream artifact (checkpoint, map) is absent, unreadable or does
+    not fit the configured system."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -81,14 +71,15 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = load_config(args.config)
     else:
         raise ConfigError("either --preset or --config is required")
-    if getattr(args, "mode", None):
-        cfg = ExperimentConfig(**{**cfg.__dict__, "meta": cfg.meta.__class__(
-            **{**cfg.meta.__dict__, "mode": args.mode})})
-    if getattr(args, "seed", None) is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seeds": cfg.seeds.__class__(
-            **{**cfg.seeds.__dict__, "master": args.seed})})
-    if getattr(args, "out", None):
-        cfg = ExperimentConfig(**{**cfg.__dict__, "out_dir": args.out})
+    try:
+        if getattr(args, "mode", None):
+            cfg = replace(cfg, meta=replace(cfg.meta, mode=args.mode))
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, seeds=replace(cfg.seeds, master=args.seed))
+        if getattr(args, "out", None):
+            cfg = replace(cfg, out_dir=args.out)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -103,50 +94,33 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _meta_pipeline_fns(cfg: ExperimentConfig):
-    """train/verify/accept callables for the region-selection loop."""
+    """train/verify/accept callables for the region-selection loop.
+
+    The train step returns the report together with the task family it
+    trained on; the verify step adapts to and certifies those same tasks.
+    """
     arch = cfg.architecture()
-    loss_cfg = cfg.loss.to_loss_config()
-    setup = cfg.task_setup()
-    meta_cfg = cfg.meta.to_meta_config(cfg.seeds.net_seed)
-    theta0 = cfg.system.nominal()
+    grid_for = functools.lru_cache(maxsize=1)(
+        lambda d: verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim))
 
     def train_fn(d):
-        tasks = dynamics.sample_tasks(theta0, setup.sigma_diag, setup.n_tasks, setup.task_seed)
-        datasets = [
-            dynamics.build_dataset(dynamics.build_system(t), d, setup.k_train,
-                                   setup.j_test, setup.m_batches, setup.task_seed + 7 * i)
-            for i, t in enumerate(tasks)
-        ]
-        theta_init = net.shaped_init(arch, meta_cfg.seed, d)
-        report = meta.meta_train(datasets, arch, meta_cfg, loss_cfg, theta0=theta_init)
-        return report
+        return baselines.meta_train_for(cfg, d)
 
-    def verify_fn(report, d):
-        theta = report.theta_mnlf
-        grid = verify.build_grid(d, cfg.verify.nodes_per_axis, theta0.state_dim)
-        settings = cfg.verify.to_settings(radius=d)
-        tasks = dynamics.sample_tasks(theta0, setup.sigma_diag, setup.n_tasks, setup.task_seed)
+    def verify_fn(run, d):
+        report, family = run
         maps = []
-        for i, task in enumerate(tasks):
-            system = dynamics.build_system(task)
-            dataset = dynamics.build_dataset(system, d, setup.k_train, setup.j_test,
-                                             setup.m_batches, setup.task_seed + 7 * i)
-            adapted = meta.test_time_adapt(theta, arch, dataset.batches[0][0],
-                                           setup.adapt_alpha, meta_cfg.k_test, loss_cfg)
+        for system, dataset in family:
+            adapted = meta.test_time_adapt(report.theta_mnlf, arch, dataset.batches[0][0],
+                                           cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
             vmap, _ = baselines.certify_candidate(net.MlpLyapunov(adapted, arch),
-                                                  system, grid, settings)
+                                                  system, grid_for(d), cfg.verify)
             maps.append(vmap)
         return maps
 
     def accept_fn(maps, d):
-        grid = verify.build_grid(d, cfg.verify.nodes_per_axis, theta0.state_dim)
-        interior = ~grid.boundary
-        threshold = cfg.verify.min_green_fraction
-        for m in maps:
-            frac = float(np.mean(m.green[interior]))
-            if frac < threshold:
-                return False
-        return True
+        interior = ~grid_for(d).boundary
+        return all(float(np.mean(m.green[interior])) >= cfg.verify.min_green_fraction
+                   for m in maps)
 
     return train_fn, verify_fn, accept_fn
 
@@ -163,14 +137,13 @@ def cmd_train_meta(args) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    report = selection.artifact
+    report, _ = selection.artifact
     ckpt = out / "meta_checkpoint.json"
     net.save_checkpoint(ckpt, report.theta_mnlf, cfg.architecture(),
                         extra={**_stamp(cfg), "radius": selection.radius,
                                "system_id": cfg.system.system_id,
                                "rounds": selection.rounds})
-    train_report = meta.export_report_json(report, cfg.meta.to_meta_config(cfg.seeds.net_seed),
-                                           checkpoint_ref=ckpt.name)
+    train_report = meta.export_report_json(report, cfg.meta, checkpoint_ref=ckpt.name)
     atomic_write_json(out / "train_report.json", {**_stamp(cfg), **train_report})
     atomic_write_json(out / "region.json",
                       {**_stamp(cfg), "radius": selection.radius, "rounds": selection.rounds})
@@ -182,11 +155,14 @@ def cmd_train_meta(args) -> int:
 
 def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.Architecture, dict]:
     if not Path(path).exists():
-        raise MissingArtifact(f"checkpoint {path} does not exist")
-    theta, arch, extra = net.load_checkpoint(path)
+        raise BadArtifact(f"checkpoint {path} does not exist")
+    try:
+        theta, arch, extra = net.load_checkpoint(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BadArtifact(f"checkpoint {path} is unreadable: {exc!r}") from exc
     if arch.input_dim != cfg.system.nominal().state_dim:
-        raise ArchMismatch(f"checkpoint is {arch.input_dim}-d, system is "
-                           f"{cfg.system.nominal().state_dim}-d")
+        raise BadArtifact(f"checkpoint is {arch.input_dim}-d, system is "
+                          f"{cfg.system.nominal().state_dim}-d")
     return theta, arch, extra
 
 
@@ -195,24 +171,24 @@ def cmd_adapt(args) -> int:
     out = _out_dir(cfg)
     theta, arch, extra = _load_checkpoint_for(cfg, args.checkpoint)
     radius = extra.get("radius", cfg.verify.d0)
-    setup = cfg.task_setup()
     k = args.k if args.k is not None else cfg.meta.k_test
-    n_samples = args.samples if args.samples is not None else setup.adapt_samples
-    if n_samples > baselines.TEST_TIME_SAMPLES or k > baselines.TEST_TIME_STEPS:
-        raise ConfigError(f"test-time budget is {baselines.TEST_TIME_SAMPLES} samples / "
-                          f"{baselines.TEST_TIME_STEPS} steps")
+    n_samples = args.samples if args.samples is not None else cfg.meta.adapt_samples
+    if not (1 <= n_samples <= baselines.TEST_TIME_SAMPLES
+            and 0 <= k <= baselines.TEST_TIME_STEPS):
+        raise ConfigError(f"test-time budget is 1..{baselines.TEST_TIME_SAMPLES} samples / "
+                          f"0..{baselines.TEST_TIME_STEPS} steps")
     system_test = dynamics.build_system(cfg.system.test())
     dataset = dynamics.build_dataset(system_test, radius, n_samples, 1, 1,
                                      cfg.seeds.adapt_seed)
     adapted = meta.test_time_adapt(theta, arch, dataset.batches[0][0],
-                                   setup.adapt_alpha, k, cfg.loss.to_loss_config())
+                                   cfg.meta.adapt_alpha, k, cfg.loss)
     ckpt = out / "adapted_checkpoint.json"
     net.save_checkpoint(ckpt, adapted, arch,
                         extra={**_stamp(cfg), "radius": radius,
                                "system_id": cfg.system.system_id, "adapted": True})
     atomic_write_json(out / "adapt_ledger.json",
                       {**_stamp(cfg), "samples_used": n_samples, "steps_used": k,
-                       "alpha": setup.adapt_alpha})
+                       "alpha": cfg.meta.adapt_alpha})
     print(f"adapted checkpoint written to {ckpt} ({n_samples} samples, {k} steps)")
     return EXIT_OK
 
@@ -222,10 +198,9 @@ def _certify_checkpoint(cfg: ExperimentConfig, checkpoint):
     radius = extra.get("radius", cfg.verify.d0)
     system_test = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, system_test.dim)
-    settings = cfg.verify.to_settings(radius=radius)
     candidate = net.MlpLyapunov(theta, arch)
     plane = tuple(cfg.roa.plane) if system_test.dim > 2 else None
-    vmap, result = baselines.certify_candidate(candidate, system_test, grid, settings, plane)
+    vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, plane)
     return candidate, system_test, grid, vmap, result
 
 
@@ -274,7 +249,16 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     system_test = dynamics.build_system(cfg.system.test())
-    x0 = np.array([float(v) for v in args.x0.split(",")])
+    try:
+        x0 = np.array([float(v) for v in args.x0.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"--x0: {exc}") from exc
+    if x0.size != system_test.dim:
+        raise ConfigError(f"--x0 has {x0.size} entries, the system state has {system_test.dim}")
+    if not (args.h > 0 and args.horizon >= args.h):
+        raise ConfigError("need --h > 0 and --horizon >= --h")
+    if not np.all(np.isfinite(x0)):
+        raise FloatingPointError(f"--x0 is not finite: {args.x0}")
     traj = dynamics.simulate(system_test, x0, args.h, args.horizon)
     rows = ["t," + ",".join(f"x{i + 1}" for i in range(system_test.dim))]
     for t, state in zip(traj.times, traj.states):
@@ -293,7 +277,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    table = _run_compare(cfg)
+    table = baselines.compare(cfg)
     rows = table.to_rows()
     header = ["method", "area", "c", "mc_fraction", "test_samples", "test_steps", "status"]
     canon = _out_table_text(header, rows)
@@ -311,20 +295,6 @@ def _out_table_text(header, rows) -> str:
         lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h])
                               for h in header))
     return "\n".join(lines) + "\n"
-
-
-def _run_compare(cfg: ExperimentConfig) -> baselines.ComparisonTable:
-    plane = tuple(cfg.roa.plane) if cfg.system.nominal().state_dim > 2 else None
-    return baselines.compare(
-        theta0_params=cfg.system.nominal(), theta_test_params=cfg.system.test(),
-        settings=cfg.verify.to_settings(), arch=cfg.architecture(),
-        loss_cfg=cfg.loss.to_loss_config(),
-        meta_cfg=cfg.meta.to_meta_config(cfg.seeds.net_seed),
-        setup=cfg.task_setup(), nlf_budget=cfg.nlf.to_budget(),
-        seed=cfg.seeds.master, plane=plane, mc_samples=cfg.roa.mc_samples,
-        mc_h=cfg.roa.mc_step, mc_horizon=cfg.roa.mc_horizon, mc_tol=cfg.roa.mc_tol,
-        workers=worker_count(),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +351,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissingArtifact, ArchMismatch) as exc:
+    except BadArtifact as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (meta.NonFiniteLoss, FloatingPointError) as exc:

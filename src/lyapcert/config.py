@@ -1,7 +1,10 @@
 """Experiment configuration: typed blocks, JSON parsing, hashing, presets.
 
-A config file is a single JSON object with the blocks below. Unknown keys are
-rejected anywhere in the tree so typos fail loudly. The hash of the canonical
+A config file is a single JSON object with the blocks below. The blocks are
+the settings the library runs on (the `loss` block is the loss module's own
+`TightenedLossConfig`); each one validates its values when it is built, so a
+bad value fails before any training starts. Unknown keys are rejected
+anywhere in the tree so typos fail loudly. The hash of the canonical
 JSON form is embedded in every artifact a run writes; reruns with the same
 hash and seed reproduce artifacts bitwise.
 
@@ -20,18 +23,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .baselines import MetaTaskSetup, NlfBudget, VerifySettings
 from .dynamics import ParamVector
 from .loss import TightenedLossConfig
-from .meta import MetaConfig
 from .net import Architecture
 
 
 class ConfigError(Exception):
     """Malformed configuration; message names the offending field."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,14 @@ class SystemBlock:
     theta0: tuple
     theta_test: tuple
     sigma_diag: tuple
+
+    def __post_init__(self):
+        self.nominal()
+        self.test()
+        _require(len(self.theta_test) == len(self.theta0),
+                 "theta_test must have as many entries as theta0")
+        _require(len(self.sigma_diag) == len(self.theta0) and min(self.sigma_diag) >= 0,
+                 "sigma_diag needs one nonnegative entry per parameter")
 
     def nominal(self) -> ParamVector:
         return ParamVector(self.system_id, self.theta0)
@@ -50,12 +64,14 @@ class SystemBlock:
 
 @dataclass(frozen=True)
 class MetaBlock:
-    inner_lr: float = 0.01
-    meta_lr: float = 0.002
-    tasks_per_step: int = 4
+    """MAML schedule, task family size and the test-time adaptation budget."""
+
+    inner_lr: float = 0.01        # adaptation step size
+    meta_lr: float = 0.002        # meta step size
+    tasks_per_step: int = 4       # meta-batch size P
     meta_steps: int = 2000
-    k_test: int = 10
-    mode: str = "second_order"
+    k_test: int = 10              # test-time adaptation steps
+    mode: str = "second_order"    # or "first_order"
     n_tasks: int = 6
     m_batches: int = 25
     k_train: int = 32
@@ -63,23 +79,20 @@ class MetaBlock:
     adapt_alpha: float = 0.02
     adapt_samples: int = 50
 
-    def to_meta_config(self, seed: int) -> MetaConfig:
-        return MetaConfig(inner_lr=self.inner_lr, meta_lr=self.meta_lr,
-                          tasks_per_step=self.tasks_per_step, meta_steps=self.meta_steps,
-                          k_test=self.k_test, mode=self.mode, seed=seed)
-
-
-@dataclass(frozen=True)
-class LossBlock:
-    eps1: float = 1.0
-    eps2: float = 1.0
-
-    def to_loss_config(self) -> TightenedLossConfig:
-        return TightenedLossConfig(self.eps1, self.eps2)
+    def __post_init__(self):
+        _require(min(self.inner_lr, self.meta_lr, self.adapt_alpha) > 0,
+                 "step sizes must be positive")
+        _require(min(self.tasks_per_step, self.meta_steps, self.n_tasks, self.m_batches,
+                     self.k_train, self.j_test, self.adapt_samples) >= 1 and self.k_test >= 0,
+                 "task, batch, step and sample counts must be >= 1, k_test >= 0")
+        _require(self.mode in ("first_order", "second_order"),
+                 "mode must be 'first_order' or 'second_order'")
 
 
 @dataclass(frozen=True)
 class VerifyBlock:
+    """Region radius schedule and the grid certification settings."""
+
     d0: float = 4.0
     nodes_per_axis: int = 201
     shrink_factor: float = 0.8
@@ -89,11 +102,18 @@ class VerifyBlock:
     exempt_radius: float = 1.0
     min_green_fraction: float = 1.0
 
-    def to_settings(self, radius: float | None = None) -> VerifySettings:
-        return VerifySettings(radius=self.d0 if radius is None else radius,
-                              nodes_per_axis=self.nodes_per_axis,
-                              lipschitz_mode=self.lipschitz_mode, safety=self.safety,
-                              exempt_radius=self.exempt_radius)
+    def __post_init__(self):
+        _require(self.d0 > 0 and self.exempt_radius >= 0,
+                 "d0 must be positive, exempt_radius nonnegative")
+        _require(self.nodes_per_axis >= 3 and self.nodes_per_axis % 2 == 1,
+                 "nodes_per_axis must be odd and >= 3 so the origin is a node")
+        _require(0.0 < self.shrink_factor < 1.0, "shrink_factor must lie in (0, 1)")
+        _require(self.max_rounds >= 1, "max_rounds must be >= 1")
+        _require(self.lipschitz_mode in ("empirical", "analytic", "local"),
+                 "lipschitz_mode must be 'empirical', 'analytic' or 'local'")
+        _require(self.safety >= 1.0, "safety factor must be >= 1")
+        _require(0.0 <= self.min_green_fraction <= 1.0,
+                 "min_green_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -104,17 +124,27 @@ class RoaBlock:
     mc_tol: float = 1e-2
     plane: tuple = (0, 1)
 
+    def __post_init__(self):
+        _require(self.mc_samples >= 1 and self.mc_step > 0 and self.mc_tol > 0,
+                 "mc_samples, mc_step and mc_tol must be positive")
+        _require(self.mc_horizon >= self.mc_step, "mc_horizon must be >= mc_step")
+        _require(len(self.plane) == 2 and self.plane[0] != self.plane[1]
+                 and min(self.plane) >= 0, "plane must name two distinct axes")
+
 
 @dataclass(frozen=True)
 class NlfBlock:
+    """Training budget of the plain NLF baselines."""
+
     n_samples: int = 20000
     n_steps: int = 5000
     lr: float = 0.01
     batch_size: int = 128
 
-    def to_budget(self) -> NlfBudget:
-        return NlfBudget(n_samples=self.n_samples, n_steps=self.n_steps,
-                         lr=self.lr, batch_size=self.batch_size)
+    def __post_init__(self):
+        _require(self.n_samples >= 1 and self.batch_size >= 1 and self.n_steps >= 0,
+                 "n_samples and batch_size must be >= 1, n_steps >= 0")
+        _require(self.lr > 0, "lr must be positive")
 
 
 @dataclass(frozen=True)
@@ -125,13 +155,17 @@ class SeedBlock:
     adapt_seed: int = 123
     fallback: tuple = ()
 
+    def __post_init__(self):
+        _require(min(self.master, self.task_seed, self.net_seed, self.adapt_seed,
+                     *self.fallback) >= 0, "seeds must be nonnegative")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
     system: SystemBlock
     meta: MetaBlock = MetaBlock()
-    loss: LossBlock = LossBlock()
+    loss: TightenedLossConfig = TightenedLossConfig()
     verify: VerifyBlock = VerifyBlock()
     roa: RoaBlock = RoaBlock()
     nlf: NlfBlock = NlfBlock()
@@ -139,21 +173,17 @@ class ExperimentConfig:
     hidden: tuple = (16, 16)
     out_dir: str = "out"
 
+    def __post_init__(self):
+        self.architecture()
+        _require(max(self.roa.plane) < self.system.nominal().state_dim,
+                 "roa.plane names an axis beyond the state dimension")
+
     def architecture(self) -> Architecture:
         return Architecture(input_dim=self.system.nominal().state_dim, hidden=self.hidden)
 
-    def task_setup(self) -> MetaTaskSetup:
-        return MetaTaskSetup(
-            sigma_diag=self.system.sigma_diag, n_tasks=self.meta.n_tasks,
-            m_batches=self.meta.m_batches, k_train=self.meta.k_train,
-            j_test=self.meta.j_test, task_seed=self.seeds.task_seed,
-            adapt_alpha=self.meta.adapt_alpha, adapt_samples=self.meta.adapt_samples,
-            adapt_seed=self.seeds.adapt_seed,
-        )
-
 
 _BLOCK_TYPES = {
-    "system": SystemBlock, "meta": MetaBlock, "loss": LossBlock, "verify": VerifyBlock,
+    "system": SystemBlock, "meta": MetaBlock, "loss": TightenedLossConfig, "verify": VerifyBlock,
     "roa": RoaBlock, "nlf": NlfBlock, "seeds": SeedBlock,
 }
 _TUPLE_FIELDS = {"theta0", "theta_test", "sigma_diag", "plane", "fallback", "hidden"}
@@ -162,12 +192,14 @@ _TUPLE_FIELDS = {"theta0", "theta_test", "sigma_diag", "plane", "fallback", "hid
 def _build_block(cls, payload: dict, path: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(payload) - known
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(payload) - set(known)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in payload.items():
+        if type(known[key].default) is int and type(value) is not int:
+            raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
         kwargs[key] = tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
     try:
         return cls(**kwargs)
@@ -186,17 +218,15 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError("top level: 'name' and 'system' are required")
     kwargs = {"name": payload["name"], "out_dir": payload.get("out_dir", "out")}
     if "hidden" in payload:
-        kwargs["hidden"] = tuple(payload["hidden"])
+        hidden = payload["hidden"]
+        kwargs["hidden"] = tuple(hidden) if isinstance(hidden, list) else hidden
     for key, cls in _BLOCK_TYPES.items():
         if key in payload:
             kwargs[key] = _build_block(cls, payload[key], key)
     try:
-        cfg = ExperimentConfig(**kwargs)
-        cfg.system.nominal()
-        cfg.system.test()
+        return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -227,10 +257,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # Presets: one per benchmark row.
 
@@ -240,7 +266,7 @@ def _pendulum_preset(name, theta_test, sigma, task_seed, fallback, meta_steps=80
         name=name,
         system=SystemBlock("pendulum", (0.5, 0.15, 9.81, 0.1), theta_test, sigma),
         meta=MetaBlock(meta_steps=meta_steps, m_batches=m_batches, k_train=k_train),
-        loss=LossBlock(1.0, 1.0),
+        loss=TightenedLossConfig(1.0, 1.0),
         verify=VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1,
                            min_green_fraction=min_green),
         nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
@@ -255,7 +281,7 @@ def _microgrid_preset(name, n, theta_test, sigma) -> ExperimentConfig:
         name=name,
         system=SystemBlock("microgrid", (2.0,) * n, theta_test, sigma),
         meta=MetaBlock(meta_steps=6000, m_batches=30, k_train=50),
-        loss=LossBlock(0.5, 0.5) if not big else LossBlock(0.3, 0.3),
+        loss=TightenedLossConfig(0.5, 0.5) if not big else TightenedLossConfig(0.3, 0.3),
         verify=VerifyBlock(d0=3.0 if not big else 2.0,
                            nodes_per_axis=41 if not big else 15,
                            exempt_radius=0.8 if not big else 0.7,
@@ -272,7 +298,7 @@ def _fan_preset(name, theta_test, sigma) -> ExperimentConfig:
         name=name,
         system=SystemBlock("fan", (11.2, 0.0462, 0.15, 0.28, 0.1), theta_test, sigma),
         meta=MetaBlock(meta_steps=3000, m_batches=20, k_train=32),
-        loss=LossBlock(0.1, 0.1),
+        loss=TightenedLossConfig(0.1, 0.1),
         verify=VerifyBlock(d0=1.0, nodes_per_axis=9, exempt_radius=0.4,
                            min_green_fraction=0.995),
         roa=RoaBlock(plane=(0, 2), mc_horizon=20.0),

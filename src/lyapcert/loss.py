@@ -25,8 +25,10 @@ class EmptyBatch(Exception):
 
 @dataclass(frozen=True)
 class TightenedLossConfig:
-    eps1: float
-    eps2: float
+    """The loss margins; also the `loss` block of an experiment config."""
+
+    eps1: float = 1.0
+    eps2: float = 1.0
 
     def __post_init__(self):
         if self.eps1 <= 0 or self.eps2 <= 0:

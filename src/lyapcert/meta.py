@@ -14,13 +14,13 @@ objectives in tests; the Lyapunov-specific wrappers bind the network loss.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import net
+from .config import MetaBlock
 from .dynamics import TaskDataset
 from .loss import TightenedLossConfig, empirical_loss
 
@@ -35,32 +35,12 @@ class NonFiniteLoss(Exception):
         self.step = step
 
 
-@dataclass(frozen=True)
-class MetaConfig:
-    inner_lr: float = 0.01        # adaptation step size
-    meta_lr: float = 0.005        # meta step size
-    tasks_per_step: int = 4       # meta-batch size P
-    meta_steps: int = 2000        # total meta-steps
-    k_test: int = 10              # test-time adaptation steps
-    mode: str = "second_order"    # or "first_order"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.inner_lr <= 0 or self.meta_lr <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.tasks_per_step < 1 or self.meta_steps < 1 or self.k_test < 0:
-            raise ValueError("tasks_per_step >= 1, meta_steps >= 1, k_test >= 0")
-        if self.mode not in ("first_order", "second_order"):
-            raise ValueError("mode must be 'first_order' or 'second_order'")
-
-
 @dataclass(frozen=True, eq=False)
 class MetaTrainReport:
     theta_mnlf: np.ndarray
     loss_curve: np.ndarray        # per-meta-step mean adapted loss
     mode: str
     seed: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -115,16 +95,16 @@ def meta_gradient(theta, arch, s_tr: Batch, s_te: Batch, alpha: float,
     return meta_gradient_with(lyapunov_objective(arch, loss_cfg), theta, s_tr, s_te, alpha, mode)
 
 
-def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: MetaConfig,
-               loss_cfg: TightenedLossConfig, theta0: np.ndarray | None = None) -> MetaTrainReport:
+def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: MetaBlock,
+               loss_cfg: TightenedLossConfig, seed: int,
+               theta0: np.ndarray | None = None) -> MetaTrainReport:
     """Full meta-training run over the task datasets, deterministic given the seed."""
     if len(tasks) < 1 or any(t.n_batches < 1 for t in tasks):
         raise ValueError("need at least one task, each with at least one mini-batch")
     obj = lyapunov_objective(arch, loss_cfg)
-    rng = np.random.default_rng(meta_cfg.seed)
-    theta = net.init_params(arch, meta_cfg.seed) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    rng = np.random.default_rng(seed)
+    theta = net.init_params(arch, seed) if theta0 is None else np.asarray(theta0, dtype=float).copy()
 
-    start = time.perf_counter()
     curve = np.empty(meta_cfg.meta_steps)
     for step in range(meta_cfg.meta_steps):
         grad_sum = np.zeros_like(theta)
@@ -143,8 +123,7 @@ def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: M
             raise NonFiniteLoss(step, mean_loss)
         curve[step] = mean_loss
         theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
-    return MetaTrainReport(theta_mnlf=theta, loss_curve=curve, mode=meta_cfg.mode,
-                           seed=meta_cfg.seed, wall_time=time.perf_counter() - start)
+    return MetaTrainReport(theta_mnlf=theta, loss_curve=curve, mode=meta_cfg.mode, seed=seed)
 
 
 def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
@@ -159,7 +138,7 @@ def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
     return theta
 
 
-def export_report_json(report: MetaTrainReport, meta_cfg: MetaConfig,
+def export_report_json(report: MetaTrainReport, meta_cfg: MetaBlock,
                        checkpoint_ref: str) -> dict:
     """JSON-ready view of a training run (timing excluded: artifacts are
     reproducible bitwise, wall time is not)."""
@@ -171,7 +150,7 @@ def export_report_json(report: MetaTrainReport, meta_cfg: MetaConfig,
             "meta_steps": meta_cfg.meta_steps,
             "k_test": meta_cfg.k_test,
             "mode": meta_cfg.mode,
-            "seed": meta_cfg.seed,
+            "seed": report.seed,
         },
         "loss_curve": [float(v) for v in report.loss_curve],
         "checkpoint": checkpoint_ref,

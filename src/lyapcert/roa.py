@@ -1,10 +1,10 @@
 """Region-of-attraction extraction from validity maps.
 
-The certified ROA is the largest sublevel set {Vbar <= c} whose nodes are all
-green, which stays clear of the outer boundary layer of D (so the continuum
+The certified ROA is the largest sublevel set {Vbar <= c} that enters no cell
+of a red node and no cell of the outer boundary layer of D (so the continuum
 set cannot leak out of the verified region), restricted to the face-connected
-component of the origin. Everything is grid-resolution limited: the reported
-c is exact on nodes and conservative by at most one cell ring in between.
+component of the origin. Everything is grid-resolution limited: c is a node
+value, capped below Vbar - K_V * tau over the blocked nodes.
 """
 
 from __future__ import annotations
@@ -64,28 +64,22 @@ def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def largest_level_set(vmap: ValidityMap, grid: GridSpec,
                       plane: tuple[int, int] | None = None) -> RoaResult:
-    """Sort-and-scan extraction of the certified sublevel value.
+    """Extraction of the certified sublevel value.
 
-    Scans nodes by increasing Vbar; the first node that is either not green
-    or sits in the outer boundary layer caps the level strictly below its
-    value. A cap at or below zero yields the empty result (c = 0, area 0).
+    A node is blocked when it is not green or sits in the outer boundary
+    layer. Every point of a blocked node u's cell lies within l1 distance tau
+    of u, so Vbar there is at least Vbar(u) - K_V(u) * tau (the node's local
+    constant when the map has one). The level c is the largest non-exempt
+    node value strictly below the least such bound, so the continuum set
+    {Vbar <= c} enters no blocked cell. A level at or below zero yields the
+    empty result (c = 0, area 0).
     """
-    order = np.argsort(vmap.vbar, kind="stable")
     blocked = (~vmap.green) | grid.boundary
-    cap = None
-    best = None
-    for row in order:
-        if row == grid.origin_row:
-            continue
-        if blocked[row]:
-            cap = vmap.vbar[row]
-            break
-        best = vmap.vbar[row]
-    if cap is None:
-        c = best if best is not None else 0.0
-    else:
-        eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
-        c = float(np.max(eligible)) if eligible.size else 0.0
+    k_v = vmap.constants.k_v if vmap.constants.k_v_node is None else vmap.constants.k_v_node
+    floor = vmap.vbar - k_v * grid.tau
+    cap = np.min(floor[blocked], initial=np.inf)
+    eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
+    c = float(np.max(eligible)) if eligible.size else 0.0
     if c <= 0.0:
         return _empty_result(grid, plane)
 
@@ -105,27 +99,16 @@ def roa_area(result: RoaResult, grid: GridSpec) -> float:
     return float(result.n_cells * grid.cell_volume)
 
 
-def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int],
-                  fixed_values=None) -> np.ndarray:
+def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
     """Shadow of the member cells on the (i, j) plane.
 
     Returns the distinct (lattice_i, lattice_j) pairs, each counted once
-    regardless of depth multiplicity. With `fixed_values`, only member nodes
-    whose remaining coordinates match the nearest lattice values of
-    `fixed_values` contribute (a slice instead of a shadow).
+    regardless of depth multiplicity.
     """
     i, j = axes
     if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
         raise BadAxes(f"invalid projection axes {axes} for dim {grid.dim}")
-    members = grid.lattice[result.member_rows]
-    if fixed_values is not None:
-        rest = [k for k in range(grid.dim) if k not in (i, j)]
-        target = np.asarray(fixed_values, dtype=float) / grid.spacing
-        target = np.round(target).astype(int)
-        mask = np.all(members[:, rest] == target[None, :], axis=1)
-        members = members[mask]
-    pairs = members[:, (i, j)]
-    return np.unique(pairs, axis=0)
+    return np.unique(grid.lattice[result.member_rows][:, (i, j)], axis=0)
 
 
 @dataclass(frozen=True)

@@ -214,14 +214,6 @@ class ValidityMap:
     def fully_green(self) -> bool:
         return bool(np.all(self.green))
 
-    def interior_green(self, grid: "GridSpec") -> bool:
-        """Green at every node that could belong to an extracted sublevel set.
-
-        Boundary-layer nodes are excluded: the containment rule bars them from
-        any ROA, so violations there do not change downstream certificates.
-        """
-        return bool(np.all(self.green | grid.boundary))
-
 
 def check_validity(candidate, system, grid: GridSpec, constants: LipschitzConstants,
                    exempt_radius: float = 0.0) -> ValidityMap:

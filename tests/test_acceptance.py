@@ -8,6 +8,7 @@ tests/test_acceptance.py` to see the per-criterion lines.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def ordering_run(tmp_path_factory):
     """Criterion-7 comparison table on ip_stochastic_lmgb (shipped seed)."""
     out = tmp_path_factory.mktemp("ip_lmgb")
     cfg = PRESETS["ip_stochastic_lmgb"]
-    table = cli._run_compare(cfg)
+    table = baselines.compare(cfg)
     return {"table": table, "cfg": cfg, "out": out}
 
 
@@ -173,8 +174,7 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     system = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
     candidate = net.MlpLyapunov(theta, arch)
-    vmap, result = baselines.certify_candidate(candidate, system, grid,
-                                               cfg.verify.to_settings(radius=radius))
+    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify)
     assert result.c > 0
     chk = roa.monte_carlo_convergence(system, result, grid, 1000, 0.01, 20.0, 1e-2,
                                       seed=4242, candidate=candidate)
@@ -190,7 +190,7 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     mg = PRESETS["mg3_dc12"]
     mg_sys = dynamics.build_system(mg.system.test())
     mg_grid = verify.build_grid(mg.verify.d0, mg.verify.nodes_per_axis, 3)
-    mg_rep = baselines.qlf_ts(mg_sys, mg_grid, mg.verify.to_settings(), plane=(0, 1))
+    mg_rep = baselines.qlf_ts(mg_sys, mg_grid, mg.verify, plane=(0, 1))
     assert mg_rep.roa.c > 0
     mg_chk = roa.monte_carlo_convergence(mg_sys, mg_rep.roa, mg_grid, 1000, 0.01, 20.0,
                                          1e-2, seed=4243, candidate=mg_rep.candidate)
@@ -213,10 +213,9 @@ def test_criterion_5_positive_definite_soundness(stochastic_l_run, ordering_run)
     radius = extra["radius"]
     system = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
-    settings = cfg.verify.to_settings(radius=radius)
     candidate = net.MlpLyapunov(theta, arch)
-    vmap, _ = baselines.certify_candidate(candidate, system, grid, settings)
-    cases.append((candidate, vmap, grid, settings.exempt_radius, "ip_l/META"))
+    vmap, _ = baselines.certify_candidate(candidate, system, grid, cfg.verify)
+    cases.append((candidate, vmap, grid, cfg.verify.exempt_radius, "ip_l/META"))
 
     table = ordering_run["table"]
     tcfg = ordering_run["cfg"]
@@ -270,10 +269,9 @@ def test_criterion_7_area_ordering(ordering_run):
         # seed-sensitive by design: try the documented fallback seeds
         for fb in cfg.seeds.fallback:
             rep = baselines.meta_nlf(
-                cfg.system.nominal(), dynamics.build_system(cfg.system.test()),
-                verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2),
-                cfg.verify.to_settings(), cfg.architecture(), cfg.loss.to_loss_config(),
-                cfg.meta.to_meta_config(fb), cfg.task_setup())
+                replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)),
+                dynamics.build_system(cfg.system.test()),
+                verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2))
             areas["META_NLF"] = rep.roa.area
             ok = areas["NLF_TS"] >= areas["META_NLF"] >= areas["QLF_TS"] > 0
             if ok:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lyapcert import baselines, dynamics, net, verify
+from lyapcert.config import (ExperimentConfig, MetaBlock, NlfBlock, RoaBlock, SeedBlock,
+                             SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
-from lyapcert.meta import MetaConfig
 
 
 class LinearSystem:
@@ -16,8 +19,7 @@ class LinearSystem:
         return -np.asarray(X, dtype=float)
 
 
-SETTINGS = baselines.VerifySettings(radius=2.0, nodes_per_axis=41, exempt_radius=0.4,
-                                    lipschitz_mode="local")
+SETTINGS = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.4, lipschitz_mode="local")
 GRID = verify.build_grid(2.0, 41, 2)
 ARCH = net.Architecture(2, (8,))
 LOSS = TightenedLossConfig(0.5, 0.5)
@@ -45,8 +47,8 @@ class TestQlfTs:
 
     def test_nominal_pendulum_nonempty(self):
         system = dynamics.nominal_system("pendulum")
-        settings = baselines.VerifySettings(radius=4.0, nodes_per_axis=201,
-                                            exempt_radius=1.1, lipschitz_mode="local")
+        settings = VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1,
+                               lipschitz_mode="local")
         grid = verify.build_grid(4.0, 201, 2)
         report = baselines.qlf_ts(system, grid, settings)
         assert report.roa.c > 0.0
@@ -74,19 +76,19 @@ class TestQlfTs:
 class TestNlfTs:
     def test_zero_step_budget_yields_no_certificate(self):
         system = dynamics.nominal_system("pendulum")
-        settings = baselines.VerifySettings(radius=4.0, nodes_per_axis=61,
-                                            exempt_radius=1.1, lipschitz_mode="local")
+        settings = VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1,
+                               lipschitz_mode="local")
         grid = verify.build_grid(4.0, 61, 2)
-        report = baselines.nlf_ts(system, grid, settings, ARCH, LOSS, seed=0,
-                                  budget=baselines.NlfBudget(n_samples=100, n_steps=0))
+        report = baselines.nlf_ts(system, grid, settings, ARCH, LOSS,
+                                  NlfBlock(n_samples=100, n_steps=0), seed=0)
         assert report.roa.c == 0.0
 
     def test_budget_recorded(self):
         system = dynamics.nominal_system("pendulum")
-        settings = baselines.VerifySettings(radius=2.0, nodes_per_axis=41,
-                                            exempt_radius=0.5, lipschitz_mode="local")
-        report = baselines.nlf_ts(system, GRID, settings, ARCH, LOSS, seed=0,
-                                  budget=baselines.NlfBudget(n_samples=500, n_steps=50))
+        settings = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.5,
+                               lipschitz_mode="local")
+        report = baselines.nlf_ts(system, GRID, settings, ARCH, LOSS,
+                                  NlfBlock(n_samples=500, n_steps=50), seed=0)
         assert report.train_samples_used == 500
         assert report.gradient_steps_used == 50
 
@@ -95,36 +97,39 @@ class TestTNlf:
     def test_same_system_transfer_and_budget(self):
         params = dynamics.nominal_params("pendulum")
         system = dynamics.build_system(params)
-        settings = baselines.VerifySettings(radius=4.0, nodes_per_axis=121,
-                                            exempt_radius=1.1, lipschitz_mode="local")
+        settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1,
+                               lipschitz_mode="local")
         grid = verify.build_grid(4.0, 121, 2)
         report = baselines.t_nlf(system, system, grid, settings,
                                  net.Architecture(2, (16, 16)), TightenedLossConfig(1.0, 1.0),
-                                 seed=7, budget=baselines.NlfBudget(4000, 2000, 0.002, 128))
+                                 NlfBlock(4000, 2000, 0.002, 128), MetaBlock(), seed=7)
         assert report.test_samples_used == 50
         assert report.test_steps_used == 10
         # no distribution shift: the fine-tuned NLF still certifies a region
         assert report.roa.c > 0.0
 
 
-def small_setup(task_seed=0):
-    return baselines.MetaTaskSetup(sigma_diag=(0.1, 0.0, 0.0, 0.0), n_tasks=2,
-                                   m_batches=3, k_train=8, j_test=8,
-                                   task_seed=task_seed, adapt_alpha=0.02)
+def small_config():
+    """Pendulum comparison at a tiny budget."""
+    return ExperimentConfig(
+        name="small",
+        system=SystemBlock("pendulum", (0.5, 0.15, 9.81, 0.1), (0.55, 0.15, 9.81, 0.1),
+                           (0.1, 0.0, 0.0, 0.0)),
+        meta=MetaBlock(meta_lr=0.005, meta_steps=50, tasks_per_step=2, n_tasks=2,
+                       m_batches=3, k_train=8, j_test=8, adapt_alpha=0.02),
+        loss=TightenedLossConfig(1.0, 1.0),
+        verify=VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1,
+                           lipschitz_mode="local"),
+        roa=RoaBlock(mc_samples=50),
+        nlf=NlfBlock(400, 100, 0.01, 64),
+        seeds=SeedBlock(master=0, task_seed=0, net_seed=0),
+        hidden=(8,),
+    )
 
 
 @pytest.fixture(scope="module")
 def table():
-    settings = baselines.VerifySettings(radius=4.0, nodes_per_axis=61,
-                                        exempt_radius=1.1, lipschitz_mode="local")
-    return baselines.compare(
-        dynamics.nominal_params("pendulum"),
-        dynamics.ParamVector("pendulum", (0.55, 0.15, 9.81, 0.1)),
-        settings, net.Architecture(2, (8,)), TightenedLossConfig(1.0, 1.0),
-        MetaConfig(meta_steps=50, tasks_per_step=2, seed=0),
-        small_setup(), nlf_budget=baselines.NlfBudget(400, 100, 0.01, 64),
-        seed=0, mc_samples=50,
-    )
+    return baselines.compare(small_config())
 
 
 class TestCompare:
@@ -135,10 +140,6 @@ class TestCompare:
         rows = table.to_rows()
         sos = [r for r in rows if r["method"] == "SOS_LF_TS"]
         assert sos and sos[0]["status"] == "not implemented"
-
-    def test_identical_settings_fingerprints(self, table):
-        prints = {r.settings_fingerprint for r in table.reports.values()}
-        assert len(prints) == 1
 
     def test_mc_gate_recorded_for_nonempty(self, table):
         for report in table.reports.values():
@@ -152,32 +153,10 @@ class TestCompare:
             assert r.test_steps_used <= baselines.TEST_TIME_STEPS
 
     def test_budget_violation_rejected(self):
-        settings = baselines.VerifySettings(radius=2.0, nodes_per_axis=21,
-                                            exempt_radius=0.5, lipschitz_mode="local")
-        bad = baselines.MetaTaskSetup(sigma_diag=(0.1, 0.0, 0.0, 0.0), n_tasks=1,
-                                      m_batches=1, k_train=4, j_test=4,
-                                      adapt_samples=60)
+        cfg = small_config()
+        bad = replace(cfg, meta=replace(cfg.meta, meta_steps=2, tasks_per_step=1, n_tasks=1,
+                                        m_batches=1, k_train=4, j_test=4, adapt_samples=60),
+                      verify=replace(cfg.verify, d0=2.0, nodes_per_axis=21, exempt_radius=0.5),
+                      roa=RoaBlock(mc_samples=10), nlf=NlfBlock(50, 2, 0.01, 16), hidden=(4,))
         with pytest.raises(AssertionError):
-            baselines.compare(
-                dynamics.nominal_params("pendulum"),
-                dynamics.ParamVector("pendulum", (0.55, 0.15, 9.81, 0.1)),
-                settings, net.Architecture(2, (4,)), TightenedLossConfig(1.0, 1.0),
-                MetaConfig(meta_steps=2, tasks_per_step=1, seed=0),
-                bad, nlf_budget=baselines.NlfBudget(50, 2, 0.01, 16),
-                seed=0, mc_samples=10,
-            )
-
-    def test_workers_match_sequential(self, table):
-        settings = baselines.VerifySettings(radius=4.0, nodes_per_axis=61,
-                                            exempt_radius=1.1, lipschitz_mode="local")
-        parallel = baselines.compare(
-            dynamics.nominal_params("pendulum"),
-            dynamics.ParamVector("pendulum", (0.55, 0.15, 9.81, 0.1)),
-            settings, net.Architecture(2, (8,)), TightenedLossConfig(1.0, 1.0),
-            MetaConfig(meta_steps=50, tasks_per_step=2, seed=0),
-            small_setup(), nlf_budget=baselines.NlfBudget(400, 100, 0.01, 64),
-            seed=0, mc_samples=50, workers=4,
-        )
-        for method in baselines.METHODS:
-            assert parallel.reports[method].roa.c == table.reports[method].roa.c
-            assert parallel.reports[method].roa.area == table.reports[method].roa.area
+            baselines.compare(bad)

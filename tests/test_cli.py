@@ -1,11 +1,31 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lyapcert import cli, net
-from lyapcert.config import (ConfigError, PRESETS, config_from_dict, config_hash,
+from lyapcert import baselines, cli, dynamics, meta, net, verify
+from lyapcert.config import (ConfigError, NlfBlock, PRESETS, config_from_dict, config_hash,
                              config_to_dict, load_config)
+from lyapcert.loss import TightenedLossConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PRESET_HASHES = {
+    "ip_stochastic_l": "4f787516d2da2ed7",
+    "ip_stochastic_lb": "c58d324f516a1e41",
+    "ip_stochastic_lmgb": "a5f296f14678d3ac",
+    "mg3_dc12": "1583eb1cf26d1f4a",
+    "mg3_dc123": "678f5adcf6935aab",
+    "mg5_dc12": "b0a102f2d9f012ac",
+    "mg5_dcall": "07969351fd1471e2",
+    "cf_m": "ee71858ca06c0d8b",
+    "cf_mrd": "602243fcfd77a46f",
+}
 
 
 def mini_config(tmp_path, **overrides):
@@ -72,6 +92,56 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_preset_hashes_pinned(self):
+        # the config schema feeds every artifact stamp: a changed hash means
+        # a changed schema or preset
+        assert {name: config_hash(cfg) for name, cfg in PRESETS.items()} == PRESET_HASHES
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("verify", "nodes_per_axis", 40),
+        ("verify", "nodes_per_axis", 1),
+        ("verify", "nodes_per_axis", 41.0),
+        ("verify", "shrink_factor", 1.5),
+        ("verify", "shrink_factor", 0.0),
+        ("verify", "max_rounds", 0),
+        ("verify", "d0", -1.0),
+        ("verify", "exempt_radius", -0.1),
+        ("verify", "min_green_fraction", 1.5),
+        ("verify", "lipschitz_mode", "sampled"),
+        ("verify", "safety", 0.5),
+        ("roa", "mc_samples", 0),
+        ("roa", "mc_step", 0.0),
+        ("roa", "mc_horizon", 0.001),
+        ("roa", "mc_tol", -1.0),
+        ("roa", "plane", [0, 0]),
+        ("roa", "plane", [0, 2]),
+        ("nlf", "n_samples", 0),
+        ("nlf", "n_steps", -1),
+        ("nlf", "lr", 0.0),
+        ("meta", "mode", "third_order"),
+        ("meta", "inner_lr", 0.0),
+        ("meta", "k_test", -1),
+        ("meta", "n_tasks", 0),
+        ("loss", "eps1", 0.0),
+        ("seeds", "master", -1),
+        ("system", "sigma_diag", [0.05, 0.0, 0.0]),
+        ("system", "sigma_diag", [-0.05, 0.0, 0.0, 0.0]),
+    ])
+    def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
+        path = mini_config(tmp_path)
+        payload = json.loads(path.read_text())
+        payload.setdefault(block, {})[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=block):
+            load_config(path)
+        assert cli.main(["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exit_2(self, tmp_path):
+        path = mini_config(tmp_path)
+        assert cli.main(["train-meta", "--config", str(path), "--seed", "-1"]) == cli.EXIT_CONFIG
 
     def test_hash_changes_with_content(self, tmp_path):
         cfg_a = load_config(mini_config(tmp_path))
@@ -179,17 +249,62 @@ class TestCliCommands:
         assert cli.main(["compare", "--config", str(cfg_path)]) == cli.EXIT_OK
         assert (out / "comparison.csv").read_bytes() == first
 
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.delenv("LYAPCERT_THREADS", raising=False)
-        assert cli.worker_count() == 1
-        monkeypatch.setenv("LYAPCERT_THREADS", "4")
-        assert cli.worker_count() == 4
-        monkeypatch.setenv("LYAPCERT_THREADS", "junk")
-        assert cli.worker_count() == 1
-
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "sub" / "file.json"
         cli.atomic_write_json(target, {"a": 1})
         assert json.loads(target.read_text()) == {"a": 1}
         leftovers = [p for p in target.parent.iterdir() if p.name != "file.json"]
         assert not leftovers
+
+
+@pytest.fixture
+def mini_checkpoint(tmp_path):
+    arch = net.Architecture(2, (8,))
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(path, net.init_params(arch, 0), arch)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(path.read_text()[:40])
+    return path, truncated
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["adapt", "--checkpoint", "{ckpt}", "--samples", "0"], cli.EXIT_CONFIG),
+    (["adapt", "--checkpoint", "{ckpt}", "--k", "-1"], cli.EXIT_CONFIG),
+    (["adapt", "--checkpoint", "{truncated}"], cli.EXIT_CONFIG),
+    (["verify", "--checkpoint", "{truncated}"], cli.EXIT_CONFIG),
+    (["roa", "--checkpoint", "{truncated}"], cli.EXIT_CONFIG),
+    (["simulate", "--x0", "0.2,0.0", "--h", "0"], cli.EXIT_CONFIG),
+    (["simulate", "--x0", "1,2,3"], cli.EXIT_CONFIG),
+    (["simulate", "--x0", "1,abc"], cli.EXIT_CONFIG),
+    (["simulate", "--x0", "1,nan"], cli.EXIT_NUMERIC),
+])
+def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expected):
+    ckpt, truncated = mini_checkpoint
+    cfg_path = mini_config(tmp_path)
+    argv = [a.format(ckpt=ckpt, truncated=truncated) for a in argv]
+    assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == expected
+    assert capsys.readouterr().err   # a one-line message, not a traceback
+
+
+def test_benchmark_wrapped_names_resolve():
+    """The benchmark's tracer patches library functions by name and reads some
+    arguments by position; installing it fails if a wrapped name is gone."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                         str(ROOT / "perfbench")])}
+    script = "import traced_cli; traced_cli.install(traced_cli.Recorder())"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(meta.meta_train)[2] == "meta_cfg"
+    assert params(verify.check_validity)[2] == "grid"
+    assert params(net.loss_gradient)[2] == "batch"
+    assert params(dynamics.simulate_batch)[1:4] == ["X0", "h", "horizon"]
+    arch = net.Architecture(2, (4,))
+    trained = baselines.train_nlf(dynamics.nominal_system("pendulum"), 1.0, arch,
+                                  TightenedLossConfig(), NlfBlock(10, 3, 0.01, 4), seed=0,
+                                  theta0=np.zeros(arch.n_params))
+    assert trained[2] == 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lyapcert import dynamics, meta, net
+from lyapcert.config import MetaBlock
 from lyapcert.loss import TightenedLossConfig, empirical_loss
 
 
@@ -101,16 +102,15 @@ class TestMetaTrain:
 
     def test_zero_meta_lr_keeps_init(self):
         task = tiny_task()
-        mc = meta.MetaConfig(inner_lr=0.01, meta_lr=1e-300, tasks_per_step=1,
-                             meta_steps=1, seed=4)
-        report = meta.meta_train([task], self.arch, mc, self.cfg)
+        mc = MetaBlock(inner_lr=0.01, meta_lr=1e-300, tasks_per_step=1, meta_steps=1)
+        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=4)
         np.testing.assert_allclose(report.theta_mnlf, net.init_params(self.arch, 4), atol=1e-250)
 
     def test_single_step_unrolled_definition(self):
         task = tiny_task()
-        mc = meta.MetaConfig(inner_lr=0.02, meta_lr=0.1, tasks_per_step=1,
-                             meta_steps=1, mode="first_order", seed=5)
-        report = meta.meta_train([task], self.arch, mc, self.cfg)
+        mc = MetaBlock(inner_lr=0.02, meta_lr=0.1, tasks_per_step=1,
+                       meta_steps=1, mode="first_order")
+        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=5)
         # replicate the single meta-step by hand with the same rng stream
         theta0 = net.init_params(self.arch, 5)
         rng = np.random.default_rng(5)
@@ -123,17 +123,16 @@ class TestMetaTrain:
 
     def test_deterministic(self):
         task = tiny_task()
-        mc = meta.MetaConfig(inner_lr=0.01, meta_lr=0.01, tasks_per_step=2,
-                             meta_steps=5, seed=6)
-        a = meta.meta_train([task], self.arch, mc, self.cfg)
-        b = meta.meta_train([task], self.arch, mc, self.cfg)
+        mc = MetaBlock(inner_lr=0.01, meta_lr=0.01, tasks_per_step=2, meta_steps=5)
+        a = meta.meta_train([task], self.arch, mc, self.cfg, seed=6)
+        b = meta.meta_train([task], self.arch, mc, self.cfg, seed=6)
         np.testing.assert_array_equal(a.theta_mnlf, b.theta_mnlf)
         np.testing.assert_array_equal(a.loss_curve, b.loss_curve)
 
     def test_loss_curve_length(self):
         task = tiny_task()
-        mc = meta.MetaConfig(meta_steps=7, tasks_per_step=1, seed=0)
-        report = meta.meta_train([task], self.arch, mc, self.cfg)
+        mc = MetaBlock(meta_lr=0.005, meta_steps=7, tasks_per_step=1)
+        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=0)
         assert report.loss_curve.shape == (7,)
         assert report.mode == "second_order"
 
@@ -141,9 +140,9 @@ class TestMetaTrain:
         # one task, alpha -> 0: meta-training is plain SGD on the test halves
         task = tiny_task(seed=8)
         steps = 6
-        mc = meta.MetaConfig(inner_lr=1e-300, meta_lr=0.05, tasks_per_step=1,
-                             meta_steps=steps, mode="first_order", seed=9)
-        report = meta.meta_train([task], self.arch, mc, self.cfg)
+        mc = MetaBlock(inner_lr=1e-300, meta_lr=0.05, tasks_per_step=1,
+                       meta_steps=steps, mode="first_order")
+        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=9)
 
         theta = net.init_params(self.arch, 9)
         rng = np.random.default_rng(9)
@@ -157,10 +156,9 @@ class TestMetaTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_step(self):
         task = tiny_task()
-        mc = meta.MetaConfig(inner_lr=0.01, meta_lr=1e200, tasks_per_step=1,
-                             meta_steps=50, seed=10)
+        mc = MetaBlock(inner_lr=0.01, meta_lr=1e200, tasks_per_step=1, meta_steps=50)
         with pytest.raises(meta.NonFiniteLoss) as info:
-            meta.meta_train([task], self.arch, mc, self.cfg)
+            meta.meta_train([task], self.arch, mc, self.cfg, seed=10)
         assert 0 <= info.value.step < 50
 
     def test_training_makes_progress_on_pendulum(self):
@@ -171,9 +169,8 @@ class TestMetaTrain:
                     for i, t in enumerate(tasks)]
         arch = net.Architecture(2, (16, 16))
         cfg = TightenedLossConfig(1.0, 1.0)
-        mc = meta.MetaConfig(inner_lr=0.01, meta_lr=0.002, tasks_per_step=2,
-                             meta_steps=2000, seed=12)
-        report = meta.meta_train(datasets, arch, mc, cfg,
+        mc = MetaBlock(inner_lr=0.01, meta_lr=0.002, tasks_per_step=2, meta_steps=2000)
+        report = meta.meta_train(datasets, arch, mc, cfg, seed=12,
                                  theta0=net.shaped_init(arch, 12, 4.0))
         curve = report.loss_curve
         assert np.all(np.isfinite(curve))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,35 @@ class TestLargestLevelSet:
         smaller = set(np.nonzero(vbar <= result.c / 2)[0]) & set(result.member_rows.tolist())
         assert smaller <= set(result.member_rows.tolist())
 
+    def test_cap_clears_blocked_cells(self):
+        # red node u = (5, 0) with Vbar(u) = 0.25; with K_V = 1 and tau = 0.1,
+        # points of u's cell reach down to Vbar(u) - K_V * tau = 0.15, below
+        # green node values such as (4, 2) at 0.20, so c must stay below 0.15
+        grid = verify.build_grid(1.0, 21, 2)
+        vbar = np.sum(grid.coords**2, axis=1)
+        green = np.ones(grid.n_nodes, dtype=bool)
+        bad = grid.row_of([5, 0])
+        green[bad] = False
+        vmap = with_flags(grid, vbar, green)
+        vmap = replace(vmap, constants=verify.LipschitzConstants(1.0, 0.1, 0.1, 0.1))
+        floor = vbar[bad] - 1.0 * grid.tau
+        assert vbar[grid.row_of([4, 2])] > floor
+        result = roa.largest_level_set(vmap, grid)
+        assert 0.0 < result.c < floor
+
+    def test_cap_uses_local_constants(self):
+        grid = verify.build_grid(1.0, 21, 2)
+        vbar = np.sum(grid.coords**2, axis=1)
+        green = np.ones(grid.n_nodes, dtype=bool)
+        bad = grid.row_of([5, 0])
+        green[bad] = False
+        k_node = np.full(grid.n_nodes, 0.01)
+        k_node[bad] = 1.0
+        constants = verify.LipschitzConstants(0.01, 0.1, 0.1, 0.1, k_v_node=k_node)
+        vmap = replace(with_flags(grid, vbar, green), constants=constants)
+        result = roa.largest_level_set(vmap, grid)
+        assert 0.0 < result.c < vbar[bad] - 1.0 * grid.tau
+
     def test_monotone_in_green_set(self):
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
@@ -141,14 +172,6 @@ class TestProjectPlane:
         shadow = roa.project_plane(result, grid, (0, 1))
         radius_cells = np.max(np.linalg.norm(shadow * grid.spacing, axis=1))
         assert radius_cells == pytest.approx(np.sqrt(result.c), abs=2 * grid.spacing)
-
-    def test_slice_with_fixed_values(self):
-        grid = verify.build_grid(1.0, 9, 3)
-        vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid, plane=(0, 1))
-        full = roa.project_plane(result, grid, (0, 1))
-        mid = roa.project_plane(result, grid, (0, 1), fixed_values=[0.0])
-        assert mid.shape[0] <= full.shape[0]
 
     def test_bad_axes(self):
         grid = verify.build_grid(1.0, 5, 2)
