@@ -99,16 +99,27 @@ def roa_area(result: RoaResult, grid: GridSpec) -> float:
     return float(result.n_cells * grid.cell_volume)
 
 
-def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
+def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int],
+                  fixed_values=None) -> np.ndarray:
     """Shadow of the member cells on the (i, j) plane.
 
     Returns the distinct (lattice_i, lattice_j) pairs, each counted once
-    regardless of depth multiplicity.
+    regardless of depth multiplicity. With `fixed_values`, only member nodes
+    whose remaining coordinates match the nearest lattice values of
+    `fixed_values` contribute (a slice instead of a shadow).
     """
     i, j = axes
     if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
         raise BadAxes(f"invalid projection axes {axes} for dim {grid.dim}")
-    return np.unique(grid.lattice[result.member_rows][:, (i, j)], axis=0)
+    members = grid.lattice[result.member_rows]
+    if fixed_values is not None:
+        rest = [k for k in range(grid.dim) if k not in (i, j)]
+        target = np.asarray(fixed_values, dtype=float) / grid.spacing
+        target = np.round(target).astype(int)
+        mask = np.all(members[:, rest] == target[None, :], axis=1)
+        members = members[mask]
+    pairs = members[:, (i, j)]
+    return np.unique(pairs, axis=0)
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,17 @@ class TestBuildDataset:
         b = dynamics.build_dataset(system, 1.0, 4, 4, 2, seed=11)
         np.testing.assert_array_equal(a.all_samples()[0], b.all_samples()[0])
 
+    def test_csv_round_trip(self, tmp_path):
+        system = dynamics.nominal_system("pendulum")
+        ds = dynamics.build_dataset(system, 1.0, 3, 2, 2, seed=13)
+        path = tmp_path / "data.csv"
+        dynamics.export_dataset_csv(ds, path, k_train=3, j_test=2)
+        loaded = dynamics.import_dataset_csv(path)
+        assert loaded.params == ds.params
+        np.testing.assert_array_equal(loaded.all_samples()[0], ds.all_samples()[0])
+        np.testing.assert_array_equal(loaded.all_samples()[1], ds.all_samples()[1])
+        assert loaded.n_batches == ds.n_batches
+
 
 class TestSimulate:
     def test_rk4_hand_step(self):

@@ -173,6 +173,14 @@ class TestProjectPlane:
         radius_cells = np.max(np.linalg.norm(shadow * grid.spacing, axis=1))
         assert radius_cells == pytest.approx(np.sqrt(result.c), abs=2 * grid.spacing)
 
+    def test_slice_with_fixed_values(self):
+        grid = verify.build_grid(1.0, 9, 3)
+        vbar = np.sum(grid.coords**2, axis=1)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, plane=(0, 1))
+        full = roa.project_plane(result, grid, (0, 1))
+        mid = roa.project_plane(result, grid, (0, 1), fixed_values=[0.0])
+        assert mid.shape[0] <= full.shape[0]
+
     def test_bad_axes(self):
         grid = verify.build_grid(1.0, 5, 2)
         result = roa.RoaResult(c=1.0, member_rows=np.array([grid.origin_row]),
