@@ -69,8 +69,7 @@ class BaselineReport:
 def certify_candidate(candidate, system: ClosedLoopSystem, grid: verify.GridSpec,
                       settings: VerifyBlock,
                       plane: tuple[int, int] | None = None) -> tuple[verify.ValidityMap, roa.RoaResult]:
-    constants = verify.estimate_lipschitz(candidate, system, grid,
-                                          safety=settings.safety, mode=settings.lipschitz_mode)
+    constants = verify.estimate_lipschitz(candidate, system, grid)
     vmap = verify.check_validity(candidate, system, grid, constants,
                                  exempt_radius=settings.exempt_radius)
     result = roa.largest_level_set(vmap, grid, plane=plane)

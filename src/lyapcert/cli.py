@@ -93,11 +93,18 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def _interior_report(vmap: verify.ValidityMap, grid: verify.GridSpec) -> tuple[float, int, int]:
+    """Off the boundary layer: green fraction, red counts by positivity and by decrease."""
+    interior = ~grid.boundary
+    return (float(np.mean(vmap.green[interior])),
+            int(np.sum(~vmap.positivity_ok[interior])), int(np.sum(~vmap.decrease_ok[interior])))
+
+
 def _meta_pipeline_fns(cfg: ExperimentConfig):
-    """train/verify/accept callables for the region-selection loop.
+    """train/verify/accept callables for the region-selection loop, and its grids.
 
     The train step returns the report together with the task family it
-    trained on; the verify step adapts to and certifies those same tasks.
+    trained on; the verify step adapts to and maps (no ROA) those same tasks.
     """
     arch = cfg.architecture()
     grid_for = functools.lru_cache(maxsize=1)(
@@ -112,29 +119,33 @@ def _meta_pipeline_fns(cfg: ExperimentConfig):
         for system, dataset in family:
             adapted = meta.test_time_adapt(report.theta_mnlf, arch, dataset.batches[0][0],
                                            cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
-            vmap, _ = baselines.certify_candidate(net.MlpLyapunov(adapted, arch),
-                                                  system, grid_for(d), cfg.verify)
-            maps.append(vmap)
+            candidate = net.MlpLyapunov(adapted, arch)
+            constants = verify.estimate_lipschitz(candidate, system, grid_for(d))
+            maps.append(verify.check_validity(candidate, system, grid_for(d), constants,
+                                              exempt_radius=cfg.verify.exempt_radius))
         return maps
 
     def accept_fn(maps, d):
-        interior = ~grid_for(d).boundary
-        return all(float(np.mean(m.green[interior])) >= cfg.verify.min_green_fraction
+        return all(_interior_report(m, grid_for(d))[0] >= cfg.verify.min_green_fraction
                    for m in maps)
 
-    return train_fn, verify_fn, accept_fn
+    return train_fn, verify_fn, accept_fn, grid_for
 
 
 def cmd_train_meta(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    train_fn, verify_fn, accept_fn = _meta_pipeline_fns(cfg)
+    train_fn, verify_fn, accept_fn, grid_for = _meta_pipeline_fns(cfg)
     try:
         selection = verify.select_valid_region(
             train_fn, verify_fn, cfg.verify.d0, cfg.verify.shrink_factor,
             cfg.verify.max_rounds, accept_fn=accept_fn)
     except verify.RegionSelectionFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        for i, vmap in enumerate(exc.maps):
+            green, red_pos, red_dec = _interior_report(vmap, grid_for(exc.last_radius))
+            print(f"task {i}: interior green fraction {green:.4f}, red nodes: "
+                  f"positivity {red_pos}, decrease {red_dec}", file=sys.stderr)
         return EXIT_VERIFICATION
 
     report, _ = selection.artifact
@@ -193,21 +204,21 @@ def cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _certify_checkpoint(cfg: ExperimentConfig, checkpoint):
+def _checkpoint_candidate(cfg: ExperimentConfig, checkpoint):
     theta, arch, extra = _load_checkpoint_for(cfg, checkpoint)
     radius = extra.get("radius", cfg.verify.d0)
     system_test = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, system_test.dim)
-    candidate = net.MlpLyapunov(theta, arch)
-    plane = tuple(cfg.roa.plane) if system_test.dim > 2 else None
-    vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, plane)
-    return candidate, system_test, grid, vmap, result
+    return net.MlpLyapunov(theta, arch), system_test, grid
 
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    candidate, system_test, grid, vmap, _ = _certify_checkpoint(cfg, args.checkpoint)
+    candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
+    constants = verify.estimate_lipschitz(candidate, system_test, grid)
+    vmap = verify.check_validity(candidate, system_test, grid, constants,
+                                 exempt_radius=cfg.verify.exempt_radius)
     verify.export_validity_csv(vmap, grid, out / "validity_map.csv")
     axes = tuple(cfg.roa.plane) if grid.dim > 2 else (0, 1)
     atomic_write_text(out / "validity_map.svg",
@@ -216,10 +227,8 @@ def cmd_verify(args) -> int:
     atomic_write_json(out / "validity_summary.json",
                       {**_stamp(cfg), "green_fraction": green,
                        "fully_green": vmap.fully_green,
-                       "constants": {"k_v": vmap.constants.k_v,
-                                     "k_grad_v": vmap.constants.k_grad_v,
-                                     "k_f": vmap.constants.k_f,
-                                     "k_lie": vmap.constants.k_lie}})
+                       "constants": {"k_v": float(np.max(constants.k_v)),
+                                     "k_lie": float(np.max(constants.k_lie))}})
     print(f"validity map written ({green:.4f} green)")
     return EXIT_OK
 
@@ -227,7 +236,9 @@ def cmd_verify(args) -> int:
 def cmd_roa(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    candidate, system_test, grid, vmap, result = _certify_checkpoint(cfg, args.checkpoint)
+    candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
+    plane = tuple(cfg.roa.plane) if grid.dim > 2 else None
+    vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, plane)
     check = roa.monte_carlo_convergence(system_test, result, grid, cfg.roa.mc_samples,
                                         cfg.roa.mc_step, cfg.roa.mc_horizon,
                                         cfg.roa.mc_tol, cfg.seeds.master,

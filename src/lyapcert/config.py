@@ -97,8 +97,6 @@ class VerifyBlock:
     nodes_per_axis: int = 201
     shrink_factor: float = 0.8
     max_rounds: int = 3
-    lipschitz_mode: str = "local"
-    safety: float = 1.2
     exempt_radius: float = 1.0
     min_green_fraction: float = 1.0
 
@@ -109,9 +107,6 @@ class VerifyBlock:
                  "nodes_per_axis must be odd and >= 3 so the origin is a node")
         _require(0.0 < self.shrink_factor < 1.0, "shrink_factor must lie in (0, 1)")
         _require(self.max_rounds >= 1, "max_rounds must be >= 1")
-        _require(self.lipschitz_mode in ("empirical", "analytic", "local"),
-                 "lipschitz_mode must be 'empirical', 'analytic' or 'local'")
-        _require(self.safety >= 1.0, "safety factor must be >= 1")
         _require(0.0 <= self.min_green_fraction <= 1.0,
                  "min_green_fraction must lie in [0, 1]")
 

@@ -258,25 +258,11 @@ def shaped_init(arch: Architecture, seed: int, radius: float, scale: float = 3.0
     return theta
 
 
-def lipschitz_weight_bound(theta, arch: Architecture) -> float:
-    """Sound l1->|.| Lipschitz upper bound: product of max-column-abs-sums.
-
-    tanh is 1-Lipschitz, so the composition bound is the product of induced
-    l1 operator norms of the weight matrices.
-    """
-    bound = 1.0
-    for W, _b in unpack(theta, arch):
-        bound *= float(np.max(np.sum(np.abs(W), axis=0)))
-    return bound
-
-
 class MlpLyapunov:
     """Batched value/gradient view of one parameter vector, for verification."""
 
     def __init__(self, theta, arch: Architecture):
-        self.theta = np.asarray(theta, dtype=float).copy()
-        self.arch = arch
-        self._weights = unpack(self.theta, arch)
+        self._weights = unpack(np.array(theta, dtype=float), arch)
 
     def value(self, X: np.ndarray) -> np.ndarray:
         V, _ = _forward_sweep(self._weights, np.atleast_2d(X))
@@ -285,9 +271,6 @@ class MlpLyapunov:
     def gradient(self, X: np.ndarray) -> np.ndarray:
         _, acts = _forward_sweep(self._weights, np.atleast_2d(X))
         return _input_gradient_from_acts(self._weights, acts)
-
-    def lipschitz_bound(self) -> float:
-        return lipschitz_weight_bound(self.theta, self.arch)
 
 
 def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> dict:

@@ -42,24 +42,21 @@ def _empty_result(grid: GridSpec, plane) -> RoaResult:
 
 
 def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Restrict member rows to the face-adjacent component containing the origin."""
-    member = set(int(r) for r in rows)
-    if grid.origin_row not in member:
-        member.add(grid.origin_row)
-    seen = {grid.origin_row}
-    stack = [grid.origin_row]
-    while stack:
-        row = stack.pop()
-        point = grid.lattice[row]
-        for axis in range(grid.dim):
-            for step in (-1, 1):
-                neighbor = point.copy()
-                neighbor[axis] += step
-                j = grid.row_of(neighbor)
-                if j is not None and j in member and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-    return np.asarray(sorted(seen), dtype=int)
+    """Restrict member rows to the face-adjacent component containing the origin:
+    grow the reached set over member-member face pairs until no pair has
+    exactly one reached end."""
+    member = np.zeros(grid.n_nodes, dtype=bool)
+    member[rows] = True
+    member[grid.origin_row] = True
+    pairs = grid.neighbor_pairs[member[grid.neighbor_pairs].all(axis=1)]
+    reached = np.zeros(grid.n_nodes, dtype=bool)
+    reached[grid.origin_row] = True
+    while True:
+        ends = reached[pairs]
+        frontier = pairs[ends[:, 0] != ends[:, 1]]
+        if frontier.size == 0:
+            return np.nonzero(reached)[0]
+        reached[frontier] = True
 
 
 def largest_level_set(vmap: ValidityMap, grid: GridSpec,
@@ -68,15 +65,13 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec,
 
     A node is blocked when it is not green or sits in the outer boundary
     layer. Every point of a blocked node u's cell lies within l1 distance tau
-    of u, so Vbar there is at least Vbar(u) - K_V(u) * tau (the node's local
-    constant when the map has one). The level c is the largest non-exempt
-    node value strictly below the least such bound, so the continuum set
-    {Vbar <= c} enters no blocked cell. A level at or below zero yields the
-    empty result (c = 0, area 0).
+    of u, so Vbar there is at least Vbar(u) - K_V(u) * tau. The level c is
+    the largest non-exempt node value strictly below the least such bound,
+    so the continuum set {Vbar <= c} enters no blocked cell. A level at or
+    below zero yields the empty result (c = 0, area 0).
     """
     blocked = (~vmap.green) | grid.boundary
-    k_v = vmap.constants.k_v if vmap.constants.k_v_node is None else vmap.constants.k_v_node
-    floor = vmap.vbar - k_v * grid.tau
+    floor = vmap.vbar - vmap.constants.k_v * grid.tau
     cap = np.min(floor[blocked], initial=np.inf)
     eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
     c = float(np.max(eligible)) if eligible.size else 0.0

@@ -27,14 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SAFETY = 1.2   # inflation of the sampled maxima into the Lipschitz constants
+
 
 class RegionSelectionFailure(Exception):
     """No region radius produced fully green maps within the round budget."""
 
-    def __init__(self, rounds: int, last_radius: float):
+    def __init__(self, rounds: int, last_radius: float, maps: tuple):
         super().__init__(f"no valid region after {rounds} rounds (last radius {last_radius:g})")
-        self.rounds = rounds
         self.last_radius = last_radius
+        self.maps = maps            # the last round's validity maps
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,69 +131,36 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class LipschitzConstants:
-    k_v: float        # of the candidate value, w.r.t. l1 distance
-    k_grad_v: float   # of its gradient field
-    k_f: float        # of the dynamics
-    k_lie: float      # of the Lie derivative field (drives the decrease margin)
-    k_v_node: np.ndarray | None = None    # per-node local constants (local mode)
-    k_lie_node: np.ndarray | None = None
+    k_v: float | np.ndarray     # of the candidate value w.r.t. l1 distance; or one per node
+    k_lie: float | np.ndarray   # of the Lie derivative field (drives the decrease margin)
 
     def __post_init__(self):
-        if min(self.k_v, self.k_grad_v, self.k_f, self.k_lie) < 0:
+        if min(np.min(self.k_v), np.min(self.k_lie)) < 0:
             raise ValueError("Lipschitz constants must be nonnegative")
 
 
-def estimate_lipschitz(candidate, system, grid: GridSpec, safety: float = 1.2,
-                       mode: str = "empirical") -> LipschitzConstants:
-    """Estimate the Lipschitz constants on the grid.
+def estimate_lipschitz(candidate, system, grid: GridSpec) -> LipschitzConstants:
+    """Per-node constants: sampled maxima over each node's cell star, times SAFETY.
 
-    Empirical mode takes grid maxima: the l-infinity gradient norm bounds the
-    value's l1-Lipschitz constant, and nearest-neighbor difference quotients
-    bound the dynamics/gradient/Lie fields; everything is inflated by the
-    safety factor. Analytic mode replaces the value constant with the
-    candidate's own sound weight-norm bound (no safety needed on that one).
-
-    Local mode additionally records per-node constants (the maximum over each
-    node's cell star). The covering argument only ever needs the constant on
-    the cell around a node, so local thresholds certify the same continuum
-    claim while not punishing flat regions for steep ones; a single global
-    constant makes badly conditioned but perfectly valid candidates (e.g. an
-    elongated quadratic) fail everywhere along their flat axis.
+    K_V(u) is the largest l-infinity gradient norm at u and its face neighbors,
+    K_Vdot(u) the largest Lie-derivative difference quotient over u's face
+    pairs. The covering argument only needs the constant on a node's cell, so
+    flat regions are not punished for steep ones (a global constant fails an
+    elongated quadratic all along its flat axis). These are sample estimates,
+    not bounds.
     """
-    if safety < 1.0:
-        raise ValueError("safety factor must be >= 1")
-    if mode not in ("empirical", "analytic", "local"):
-        raise ValueError("mode must be 'empirical', 'analytic' or 'local'")
     grads = candidate.gradient(grid.coords)
-    vel = system.f_batch(grid.coords)
-    lie = np.sum(grads * vel, axis=1)
-
-    k_v = safety * float(np.max(np.abs(grads)))
-    if mode == "analytic":
-        if not hasattr(candidate, "lipschitz_bound"):
-            raise ValueError("candidate has no analytic lipschitz_bound()")
-        k_v = float(candidate.lipschitz_bound())
-
+    lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
     a, b = grid.neighbor_pairs[:, 0], grid.neighbor_pairs[:, 1]
-    inv_h = 1.0 / grid.spacing
-    k_f = safety * float(np.max(np.sum(np.abs(vel[a] - vel[b]), axis=1))) * inv_h
-    k_grad_v = safety * float(np.max(np.sum(np.abs(grads[a] - grads[b]), axis=1))) * inv_h
-    lie_quot = np.abs(lie[a] - lie[b]) * inv_h
-    k_lie = safety * float(np.max(lie_quot))
-
-    k_v_node = k_lie_node = None
-    if mode == "local":
-        grad_inf = np.max(np.abs(grads), axis=1)
-        k_v_node = grad_inf.copy()
-        np.maximum.at(k_v_node, a, grad_inf[b])
-        np.maximum.at(k_v_node, b, grad_inf[a])
-        k_v_node *= safety
-        k_lie_node = np.zeros(grid.n_nodes)
-        np.maximum.at(k_lie_node, a, lie_quot)
-        np.maximum.at(k_lie_node, b, lie_quot)
-        k_lie_node *= safety
-    return LipschitzConstants(k_v=k_v, k_grad_v=k_grad_v, k_f=k_f, k_lie=k_lie,
-                              k_v_node=k_v_node, k_lie_node=k_lie_node)
+    lie_quot = np.abs(lie[a] - lie[b]) * (1.0 / grid.spacing)
+    grad_inf = np.max(np.abs(grads), axis=1)
+    k_v = grad_inf.copy()
+    np.maximum.at(k_v, a, grad_inf[b])
+    np.maximum.at(k_v, b, grad_inf[a])
+    k_lie = np.zeros(grid.n_nodes)
+    np.maximum.at(k_lie, a, lie_quot)
+    np.maximum.at(k_lie, b, lie_quot)
+    return LipschitzConstants(k_v=k_v * SAFETY, k_lie=k_lie * SAFETY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +173,6 @@ class ValidityMap:
     decrease_ok: np.ndarray
     exempt: np.ndarray      # origin + optional near-origin ball, not checked
     constants: LipschitzConstants
-    exempt_radius: float
 
     @property
     def green(self) -> np.ndarray:
@@ -229,16 +197,14 @@ def check_validity(candidate, system, grid: GridSpec, constants: LipschitzConsta
     grads = candidate.gradient(grid.coords)
     lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
 
-    k_v = constants.k_v_node if constants.k_v_node is not None else constants.k_v
-    k_lie = constants.k_lie_node if constants.k_lie_node is not None else constants.k_lie
-    pos_ok = vbar > k_v * grid.tau
-    dec_ok = lie < -k_lie * grid.tau
+    pos_ok = vbar > constants.k_v * grid.tau
+    dec_ok = lie < -constants.k_lie * grid.tau
     exempt = np.linalg.norm(grid.coords, axis=1) <= exempt_radius
     exempt[grid.origin_row] = True
     pos_ok = pos_ok | exempt
     dec_ok = dec_ok | exempt
     return ValidityMap(vbar=vbar, lie=lie, positivity_ok=pos_ok, decrease_ok=dec_ok,
-                       exempt=exempt, constants=constants, exempt_radius=float(exempt_radius))
+                       exempt=exempt, constants=constants)
 
 
 def certify_positive_definite(vmap: ValidityMap, grid: GridSpec) -> tuple[bool, np.ndarray | None]:
@@ -258,7 +224,6 @@ def certify_positive_definite(vmap: ValidityMap, grid: GridSpec) -> tuple[bool, 
 class RegionSelection:
     radius: float
     artifact: object            # whatever train_fn returned for the final radius
-    maps: tuple
     rounds: int
 
 
@@ -271,7 +236,7 @@ def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
     the validity maps of every task-adapted candidate on that region. The
     radius shrinks geometrically until accept_fn(maps, d) holds (default:
     every map fully green); running out of rounds raises
-    RegionSelectionFailure.
+    RegionSelectionFailure with the last round's radius and maps.
     """
     if not (0.0 < shrink_factor < 1.0):
         raise ValueError("shrink_factor must lie in (0, 1)")
@@ -281,12 +246,13 @@ def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
         accept_fn = lambda maps, d: all(m.fully_green for m in maps)
     d = float(d0)
     for round_idx in range(max_rounds):
+        if round_idx:
+            d *= shrink_factor
         artifact = train_fn(d)
         maps = tuple(verify_fn(artifact, d))
         if accept_fn(maps, d):
-            return RegionSelection(radius=d, artifact=artifact, maps=maps, rounds=round_idx + 1)
-        d *= shrink_factor
-    raise RegionSelectionFailure(max_rounds, d / shrink_factor)
+            return RegionSelection(radius=d, artifact=artifact, rounds=round_idx + 1)
+    raise RegionSelectionFailure(max_rounds, d, maps)
 
 
 def export_validity_csv(vmap: ValidityMap, grid: GridSpec, path) -> None:

@@ -19,7 +19,7 @@ class LinearSystem:
         return -np.asarray(X, dtype=float)
 
 
-SETTINGS = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.4, lipschitz_mode="local")
+SETTINGS = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.4)
 GRID = verify.build_grid(2.0, 41, 2)
 ARCH = net.Architecture(2, (8,))
 LOSS = TightenedLossConfig(0.5, 0.5)
@@ -47,8 +47,7 @@ class TestQlfTs:
 
     def test_nominal_pendulum_nonempty(self):
         system = dynamics.nominal_system("pendulum")
-        settings = VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1,
-                               lipschitz_mode="local")
+        settings = VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 201, 2)
         report = baselines.qlf_ts(system, grid, settings)
         assert report.roa.c > 0.0
@@ -76,8 +75,7 @@ class TestQlfTs:
 class TestNlfTs:
     def test_zero_step_budget_yields_no_certificate(self):
         system = dynamics.nominal_system("pendulum")
-        settings = VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1,
-                               lipschitz_mode="local")
+        settings = VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 61, 2)
         report = baselines.nlf_ts(system, grid, settings, ARCH, LOSS,
                                   NlfBlock(n_samples=100, n_steps=0), seed=0)
@@ -85,8 +83,7 @@ class TestNlfTs:
 
     def test_budget_recorded(self):
         system = dynamics.nominal_system("pendulum")
-        settings = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.5,
-                               lipschitz_mode="local")
+        settings = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.5)
         report = baselines.nlf_ts(system, GRID, settings, ARCH, LOSS,
                                   NlfBlock(n_samples=500, n_steps=50), seed=0)
         assert report.train_samples_used == 500
@@ -97,8 +94,7 @@ class TestTNlf:
     def test_same_system_transfer_and_budget(self):
         params = dynamics.nominal_params("pendulum")
         system = dynamics.build_system(params)
-        settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1,
-                               lipschitz_mode="local")
+        settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 121, 2)
         report = baselines.t_nlf(system, system, grid, settings,
                                  net.Architecture(2, (16, 16)), TightenedLossConfig(1.0, 1.0),
@@ -118,8 +114,7 @@ def small_config():
         meta=MetaBlock(meta_lr=0.005, meta_steps=50, tasks_per_step=2, n_tasks=2,
                        m_batches=3, k_train=8, j_test=8, adapt_alpha=0.02),
         loss=TightenedLossConfig(1.0, 1.0),
-        verify=VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1,
-                           lipschitz_mode="local"),
+        verify=VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1),
         roa=RoaBlock(mc_samples=50),
         nlf=NlfBlock(400, 100, 0.01, 64),
         seeds=SeedBlock(master=0, task_seed=0, net_seed=0),

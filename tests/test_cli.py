@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import baselines, cli, dynamics, meta, net, verify
+from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
 from lyapcert.config import (ConfigError, NlfBlock, PRESETS, config_from_dict, config_hash,
                              config_to_dict, load_config)
 from lyapcert.loss import TightenedLossConfig
@@ -16,15 +16,15 @@ from lyapcert.loss import TightenedLossConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 PRESET_HASHES = {
-    "ip_stochastic_l": "4f787516d2da2ed7",
-    "ip_stochastic_lb": "c58d324f516a1e41",
-    "ip_stochastic_lmgb": "a5f296f14678d3ac",
-    "mg3_dc12": "1583eb1cf26d1f4a",
-    "mg3_dc123": "678f5adcf6935aab",
-    "mg5_dc12": "b0a102f2d9f012ac",
-    "mg5_dcall": "07969351fd1471e2",
-    "cf_m": "ee71858ca06c0d8b",
-    "cf_mrd": "602243fcfd77a46f",
+    "ip_stochastic_l": "91f314935e0d58a8",
+    "ip_stochastic_lb": "c02ac2bb9e2e4fa8",
+    "ip_stochastic_lmgb": "bb541566a6955b1e",
+    "mg3_dc12": "8f081436892a78a1",
+    "mg3_dc123": "4b60baf972b8cb02",
+    "mg5_dc12": "bc0bd27fc74e71ca",
+    "mg5_dcall": "b0bfeaefc8331f5b",
+    "cf_m": "42fef6234dfb7402",
+    "cf_mrd": "d580c7f7459cdabc",
 }
 
 
@@ -108,8 +108,8 @@ class TestConfig:
         ("verify", "d0", -1.0),
         ("verify", "exempt_radius", -0.1),
         ("verify", "min_green_fraction", 1.5),
-        ("verify", "lipschitz_mode", "sampled"),
-        ("verify", "safety", 0.5),
+        ("verify", "min_green_fraction", -0.1),
+        ("verify", "d0", 0.0),
         ("roa", "mc_samples", 0),
         ("roa", "mc_step", 0.0),
         ("roa", "mc_horizon", 0.001),
@@ -223,12 +223,31 @@ class TestCliCommands:
         code = cli.main(["verify", "--config", str(cfg_path), "--checkpoint", str(bad)])
         assert code == cli.EXIT_CONFIG
 
-    def test_region_failure_exit_3(self, tmp_path):
+    def test_region_failure_exit_3(self, tmp_path, capsys):
         cfg_path = mini_config(tmp_path, name="hard",
                                verify={"d0": 3.0, "nodes_per_axis": 41,
                                        "exempt_radius": 0.0, "max_rounds": 1,
                                        "min_green_fraction": 1.0})
         assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
+        # one line per task (n_tasks = 2): interior green fraction, red counts by condition
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("task ")]
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            assert line.startswith(f"task {i}: interior green fraction ")
+            assert "positivity" in line and "decrease" in line
+
+    def test_map_only_commands_extract_no_roa(self, tmp_path, monkeypatch):
+        def no_roa(*args, **kwargs):
+            raise AssertionError("roa.largest_level_set called by a map-only command")
+
+        monkeypatch.setattr(roa, "largest_level_set", no_roa)
+        cfg_path = mini_config(tmp_path)
+        out = tmp_path / "out" / "mini"
+        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert cli.main(["verify", "--config", str(cfg_path),
+                         "--checkpoint", str(out / "meta_checkpoint.json")]) == cli.EXIT_OK
+        summary = json.loads((out / "validity_summary.json").read_text())
+        assert set(summary["constants"]) == {"k_v", "k_lie"}
 
     def test_train_meta_rerun_bitwise(self, tmp_path):
         cfg_path = mini_config(tmp_path)

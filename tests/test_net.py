@@ -220,14 +220,3 @@ class TestShapedInit:
                for a in np.linspace(0, 2 * np.pi, 12)]
         assert min(rim) > v0 + 0.5
 
-
-class TestLipschitzBound:
-    def test_dominates_empirical_gradient_norm(self):
-        rng = np.random.default_rng(7)
-        for s in range(50):
-            arch = net.Architecture(2, (6,))
-            theta = net.init_params(arch, s)
-            bound = net.lipschitz_weight_bound(theta, arch)
-            X = rng.normal(size=(100, 2)) * 3
-            grads = net.input_gradient_batch(theta, arch, X)
-            assert bound >= np.max(np.abs(grads)) - 1e-12

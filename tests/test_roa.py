@@ -1,3 +1,4 @@
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ def all_green_map(grid, vbar):
         vbar=np.asarray(vbar, dtype=float), lie=-np.ones(n),
         positivity_ok=np.ones(n, dtype=bool), decrease_ok=np.ones(n, dtype=bool),
         exempt=np.arange(n) == grid.origin_row,
-        constants=verify.LipschitzConstants(0.1, 0.1, 0.1, 0.1), exempt_radius=0.0)
+        constants=verify.LipschitzConstants(0.1, 0.1))
 
 
 def with_flags(grid, vbar, green_mask):
@@ -34,7 +35,26 @@ def with_flags(grid, vbar, green_mask):
         vbar=np.asarray(vbar, dtype=float), lie=-np.ones(n),
         positivity_ok=np.asarray(green_mask, dtype=bool),
         decrease_ok=np.ones(n, dtype=bool), exempt=exempt,
-        constants=verify.LipschitzConstants(0.1, 0.1, 0.1, 0.1), exempt_radius=0.0)
+        constants=verify.LipschitzConstants(0.1, 0.1))
+
+
+def bfs_component(grid, vbar, c):
+    """Reference origin component of {vbar <= c}: breadth-first search over
+    lattice face neighbors. Returns the sorted rows and the largest depth."""
+    member = set(np.nonzero(vbar <= c)[0].tolist()) | {grid.origin_row}
+    depth = {grid.origin_row: 0}
+    queue = deque([grid.origin_row])
+    while queue:
+        row = queue.popleft()
+        for axis in range(grid.dim):
+            for step in (-1, 1):
+                point = grid.lattice[row].copy()
+                point[axis] += step
+                j = grid.row_of(point)
+                if j is not None and j in member and j not in depth:
+                    depth[j] = depth[row] + 1
+                    queue.append(j)
+    return np.array(sorted(depth)), max(depth.values())
 
 
 class TestLargestLevelSet:
@@ -84,7 +104,7 @@ class TestLargestLevelSet:
         bad = grid.row_of([5, 0])
         green[bad] = False
         vmap = with_flags(grid, vbar, green)
-        vmap = replace(vmap, constants=verify.LipschitzConstants(1.0, 0.1, 0.1, 0.1))
+        vmap = replace(vmap, constants=verify.LipschitzConstants(1.0, 0.1))
         floor = vbar[bad] - 1.0 * grid.tau
         assert vbar[grid.row_of([4, 2])] > floor
         result = roa.largest_level_set(vmap, grid)
@@ -98,7 +118,7 @@ class TestLargestLevelSet:
         green[bad] = False
         k_node = np.full(grid.n_nodes, 0.01)
         k_node[bad] = 1.0
-        constants = verify.LipschitzConstants(0.01, 0.1, 0.1, 0.1, k_v_node=k_node)
+        constants = verify.LipschitzConstants(k_node, 0.1)
         vmap = replace(with_flags(grid, vbar, green), constants=constants)
         result = roa.largest_level_set(vmap, grid)
         assert 0.0 < result.c < vbar[bad] - 1.0 * grid.tau
@@ -126,6 +146,40 @@ class TestLargestLevelSet:
         result = roa.largest_level_set(with_flags(grid, vbar, green), grid)
         island_rows = set(np.nonzero(island)[0].tolist())
         assert not (island_rows & set(result.member_rows.tolist()))
+
+    def test_3d_pocket_excluded_like_bfs(self):
+        grid = verify.build_grid(1.0, 21, 3)
+        vbar = np.sum(grid.coords**2, axis=1)
+        dist = np.linalg.norm(grid.coords - np.array([0.6, 0.0, 0.0]), axis=1)
+        pocket = dist < 0.15
+        vbar[pocket] = 0.001
+        green = ~((dist >= 0.15) & (dist < 0.3))     # a red shell seals the pocket
+        result = roa.largest_level_set(with_flags(grid, vbar, green), grid)
+        assert result.c > 0.001
+        expected, _ = bfs_component(grid, vbar, result.c)
+        np.testing.assert_array_equal(result.member_rows, expected)
+        assert not set(np.nonzero(pocket)[0].tolist()) & set(result.member_rows.tolist())
+
+    def test_2d_serpentine_matches_bfs(self):
+        grid = verify.build_grid(1.0, 41, 2)
+        lattice = [tuple(p) for p in grid.lattice.tolist()]
+        # a snake through the origin: rows y = -12, -8, ..., 12 joined at
+        # alternating ends, plus a sealed-off segment at y = 16
+        path = set()
+        for k, y in enumerate(range(-12, 13, 4)):
+            path |= {(x, y) for x in range(-12, 13)}
+            if y < 12:
+                x_end = 12 if k % 2 == 0 else -12
+                path |= {(x_end, y + dy) for dy in range(1, 4)}
+        stray = {(x, 16) for x in range(-8, 9)}
+        vbar = np.full(grid.n_nodes, 10.0)
+        low = [i for i, p in enumerate(lattice) if p in path | stray]
+        vbar[low] = 0.01
+        vbar[grid.origin_row] = 0.0
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        expected, depth = bfs_component(grid, vbar, result.c)
+        np.testing.assert_array_equal(result.member_rows, expected)
+        assert result.n_cells == len(path) and depth > 90   # face steps from the origin
 
 
 class TestRoaArea:

@@ -94,58 +94,23 @@ class TestEstimateLipschitz:
     def test_linear_candidate_exact(self):
         grid = verify.build_grid(1.0, 11, 2)
         cand = LinearCandidate([2.0, -0.5])
-        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid, safety=1.0)
-        assert const.k_v == pytest.approx(2.0)
+        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid)
+        np.testing.assert_allclose(const.k_v, np.full(grid.n_nodes, 1.2 * 2.0))
 
     def test_constant_candidate_zero(self):
         grid = verify.build_grid(1.0, 11, 2)
-        const = verify.estimate_lipschitz(ConstantCandidate(), LinearSystem(2), grid, safety=1.3)
-        assert const.k_v == 0.0
-        assert const.k_lie == 0.0
-
-    def test_dynamics_constant_linear_system(self):
-        grid = verify.build_grid(1.0, 21, 2)
-        const = verify.estimate_lipschitz(ConstantCandidate(), LinearSystem(2), grid, safety=1.0)
-        # |f(a)-f(b)|_1 / |a-b|_1 = 1 for x_dot = -x along axis steps
-        assert const.k_f == pytest.approx(1.0)
-
-    def test_analytic_mode_dominates_empirical(self):
-        from lyapcert import net
-        grid = verify.build_grid(2.0, 15, 2)
-        system = LinearSystem(2)
-        arch = net.Architecture(2, (6,))
-        for seed in range(50):
-            cand = net.MlpLyapunov(net.init_params(arch, seed), arch)
-            emp = verify.estimate_lipschitz(cand, system, grid, safety=1.0)
-            ana = verify.estimate_lipschitz(cand, system, grid, safety=1.0, mode="analytic")
-            assert ana.k_v >= emp.k_v - 1e-12
-
-    def test_analytic_requires_bound(self):
-        grid = verify.build_grid(1.0, 5, 2)
-        with pytest.raises(ValueError):
-            verify.estimate_lipschitz(ConstantCandidate(), LinearSystem(2), grid,
-                                      mode="analytic")
+        const = verify.estimate_lipschitz(ConstantCandidate(), LinearSystem(2), grid)
+        assert np.all(const.k_v == 0.0)
+        assert np.all(const.k_lie == 0.0)
 
     def test_local_mode_fills_node_arrays(self):
         grid = verify.build_grid(1.0, 11, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid, mode="local")
-        assert const.k_v_node.shape == (grid.n_nodes,)
-        assert np.max(const.k_v_node) <= const.k_v + 1e-12
-        assert np.all(const.k_v_node >= 0)
-
-    def test_safety_below_one_rejected(self):
-        grid = verify.build_grid(1.0, 5, 2)
-        with pytest.raises(ValueError):
-            verify.estimate_lipschitz(ConstantCandidate(), LinearSystem(2), grid, safety=0.5)
-
-
-class StubConstants:
-    """Fixed global constants for threshold unit tests."""
-
-    @staticmethod
-    def make(k_v, k_lie):
-        return verify.LipschitzConstants(k_v=k_v, k_grad_v=0.0, k_f=0.0, k_lie=k_lie)
+        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid)
+        assert const.k_v.shape == const.k_lie.shape == (grid.n_nodes,)
+        assert np.all(const.k_v >= 0) and np.all(const.k_lie >= 0)
+        # the largest star maximum is the grid-wide maximum, bit for bit
+        assert np.max(const.k_v) == 1.2 * float(np.max(np.abs(cand.gradient(grid.coords))))
 
 
 class ValueCandidate:
@@ -177,7 +142,7 @@ class TestCheckValidity:
         vals[grid.row_of([0])] = 0.0
         vals[grid.row_of([1])] = 0.12
         cand = ValueCandidate(grid, vals, np.zeros((3, 1)))
-        const = StubConstants.make(k_v=0.2, k_lie=0.0)  # k_v * tau = 0.1
+        const = verify.LipschitzConstants(k_v=0.2, k_lie=0.0)  # k_v * tau = 0.1
         vmap = verify.check_validity(cand, LinearSystem(1), grid, const)
         assert bool(np.all(vmap.positivity_ok))
         vals[grid.row_of([1])] = 0.08
@@ -188,7 +153,7 @@ class TestCheckValidity:
     def test_quadratic_red_core_only_near_origin(self):
         grid = verify.build_grid(1.0, 41, 2)
         cand = QuadraticLyapunov(np.eye(2))       # vbar = |x|^2, lie = -2 |x|^2
-        const = StubConstants.make(k_v=0.0, k_lie=1.0)
+        const = verify.LipschitzConstants(k_v=0.0, k_lie=1.0)
         vmap = verify.check_validity(cand, LinearSystem(2), grid, const)
         # decrease needs 2 |x|^2 > tau: red core is a disk around the origin
         r = np.linalg.norm(grid.coords, axis=1)
@@ -200,7 +165,7 @@ class TestCheckValidity:
     def test_origin_exempt(self):
         grid = verify.build_grid(1.0, 5, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = StubConstants.make(k_v=100.0, k_lie=100.0)
+        const = verify.LipschitzConstants(k_v=100.0, k_lie=100.0)
         vmap = verify.check_validity(cand, LinearSystem(2), grid, const)
         assert vmap.exempt[grid.origin_row]
         assert vmap.green[grid.origin_row]
@@ -208,7 +173,7 @@ class TestCheckValidity:
     def test_exempt_radius(self):
         grid = verify.build_grid(1.0, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = StubConstants.make(k_v=100.0, k_lie=100.0)
+        const = verify.LipschitzConstants(k_v=100.0, k_lie=100.0)
         vmap = verify.check_validity(cand, LinearSystem(2), grid, const, exempt_radius=0.35)
         r = np.linalg.norm(grid.coords, axis=1)
         np.testing.assert_array_equal(vmap.exempt, r <= 0.35)
@@ -221,13 +186,13 @@ class TestCheckValidity:
                 return super().value(X) + 7.5
 
         vmap = verify.check_validity(Shifted(np.eye(2)), LinearSystem(2), grid,
-                                     StubConstants.make(0.0, 0.0))
+                                     verify.LipschitzConstants(0.0, 0.0))
         assert vmap.vbar[grid.origin_row] == 0.0
 
     def test_monotone_under_radius_restriction(self):
         # same spacing, smaller ball: flags on shared nodes are unchanged
         cand = QuadraticLyapunov(np.array([[1.0, 0.2], [0.2, 0.5]]))
-        const = StubConstants.make(k_v=0.5, k_lie=0.5)
+        const = verify.LipschitzConstants(k_v=0.5, k_lie=0.5)
         big = verify.build_grid(1.0, 21, 2)
         small = verify.build_grid(0.5, 11, 2)   # same spacing 0.1
         assert big.spacing == pytest.approx(small.spacing)
@@ -244,7 +209,7 @@ class TestCertifyPositiveDefinite:
             vbar=np.ones(grid.n_nodes), lie=-np.ones(grid.n_nodes),
             positivity_ok=pos_ok, decrease_ok=np.ones(grid.n_nodes, dtype=bool),
             exempt=np.arange(grid.n_nodes) == grid.origin_row,
-            constants=StubConstants.make(0.1, 0.1), exempt_radius=0.0)
+            constants=verify.LipschitzConstants(0.1, 0.1))
 
     def test_all_green_true(self):
         grid = verify.build_grid(1.0, 5, 2)
@@ -266,7 +231,7 @@ class TestCertifyPositiveDefinite:
         # at random off-grid points of the checked annulus
         grid = verify.build_grid(1.0, 41, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid, mode="local")
+        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid)
         vmap = verify.check_validity(cand, LinearSystem(2), grid, const, exempt_radius=0.3)
         ok, _ = verify.certify_positive_definite(vmap, grid)
         assert ok
@@ -279,7 +244,7 @@ class TestSelectValidRegion:
     def test_round_one_success(self):
         grid = verify.build_grid(1.0, 5, 1)
         good = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                     StubConstants.make(0.0, 0.0), exempt_radius=0.3)
+                                     verify.LipschitzConstants(0.0, 0.0), exempt_radius=0.3)
         sel = verify.select_valid_region(lambda d: "artifact", lambda a, d: [good],
                                          d0=2.0, shrink_factor=0.8, max_rounds=3)
         assert sel.radius == 2.0 and sel.rounds == 1
@@ -292,7 +257,7 @@ class TestSelectValidRegion:
             ok = len(calls) >= 3
             grid = verify.build_grid(1.0, 5, 1)
             vmap = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                         StubConstants.make(0.0 if ok else 1e9,
+                                         verify.LipschitzConstants(0.0 if ok else 1e9,
                                                             0.0 if ok else 1e9),
                                          exempt_radius=0.3 if ok else 0.0)
             return [vmap]
@@ -305,7 +270,7 @@ class TestSelectValidRegion:
     def test_failure_after_max_rounds(self):
         grid = verify.build_grid(1.0, 5, 1)
         bad = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                    StubConstants.make(1e9, 1e9))
+                                    verify.LipschitzConstants(1e9, 1e9))
         with pytest.raises(verify.RegionSelectionFailure):
             verify.select_valid_region(lambda d: None, lambda a, d: [bad],
                                        d0=1.0, shrink_factor=0.5, max_rounds=1)
