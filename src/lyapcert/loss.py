@@ -40,6 +40,12 @@ def pointwise_loss(v_x: float, lie: float, v_0: float, cfg: TightenedLossConfig)
     return max(0.0, cfg.eps1 - v_x) + max(0.0, cfg.eps2 + lie) + v_0 * v_0
 
 
+def mean_loss(V, lie, v0, cfg: TightenedLossConfig):
+    """Batch-mean loss from V(x), grad V(x)^T y and V(0), samples on the last
+    axis: a stack of tasks (B, n) with V(0) of shape (B,) gives B losses."""
+    return np.mean(np.maximum(0.0, cfg.eps1 - V) + np.maximum(0.0, cfg.eps2 + lie), axis=-1) + v0 * v0
+
+
 def empirical_loss(theta, arch, batch, cfg: TightenedLossConfig) -> float:
     """Mean pointwise loss over a batch (X, Y) of samples, fixed summation order."""
     X, Y = batch
@@ -50,6 +56,4 @@ def empirical_loss(theta, arch, batch, cfg: TightenedLossConfig) -> float:
     V = net.forward_batch(theta, arch, X)
     lie = np.sum(net.input_gradient_batch(theta, arch, X) * Y, axis=1)
     v0 = net.forward(theta, arch, np.zeros(arch.input_dim))
-    pos = np.maximum(0.0, cfg.eps1 - V)
-    dec = np.maximum(0.0, cfg.eps2 + lie)
-    return float(np.mean(pos + dec) + v0 * v0)
+    return float(mean_loss(V, lie, v0, cfg))

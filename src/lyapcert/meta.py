@@ -5,7 +5,9 @@ take a single inner gradient step on each train half, evaluate the adapted
 parameters on the test half, and descend the mean meta-gradient. The
 second-order mode differentiates through the inner step via a Hessian-vector
 product; the first-order mode drops the inner Jacobian (cheaper, standard
-practice). Plain gradient descent throughout, no optimizer state.
+practice). Plain gradient descent throughout, no optimizer state. Each stage
+of a meta-step (inner gradients at theta, outer gradients and losses at the P
+adapted vectors, HVPs at the 2P points theta +- eps_p g_p) is one stacked call.
 
 The generic entry points (`adapt_with`, `meta_gradient_with`, ...) take a
 TaskObjective so the same machinery runs against closed-form surrogate
@@ -22,7 +24,7 @@ import numpy as np
 from . import net
 from .config import MetaBlock
 from .dynamics import TaskDataset
-from .loss import TightenedLossConfig, empirical_loss
+from .loss import TightenedLossConfig, empirical_loss, mean_loss
 
 Batch = tuple[np.ndarray, np.ndarray]
 
@@ -74,9 +76,13 @@ def meta_gradient_with(obj: TaskObjective, theta, s_tr: Batch, s_te: Batch,
     g_te = obj.grad(adapted, s_te)
     if mode == "first_order" or alpha == 0.0:
         return g_te
-    # chain rule through theta' = theta - alpha * grad(theta):
+    return _through_inner_step(g_te, alpha, obj.hvp(theta, s_tr, g_te))
+
+
+def _through_inner_step(g_te, alpha: float, hv):
+    # chain rule through theta' = theta - alpha * grad(theta), hv = H_tr(theta) g_te:
     # d/dtheta L(theta') = (I - alpha H_tr(theta)) g_te(theta')
-    return g_te - alpha * obj.hvp(theta, s_tr, g_te)
+    return g_te - alpha * hv
 
 
 def adapt_step(theta, arch, s_tr: Batch, alpha: float, loss_cfg: TightenedLossConfig) -> np.ndarray:
@@ -98,30 +104,35 @@ def meta_gradient(theta, arch, s_tr: Batch, s_te: Batch, alpha: float,
 def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: MetaBlock,
                loss_cfg: TightenedLossConfig, seed: int,
                theta0: np.ndarray | None = None) -> MetaTrainReport:
-    """Full meta-training run over the task datasets, deterministic given the seed."""
+    """Full meta-training run over the task datasets, deterministic given the seed.
+    Each task's numbers equal the per-task functions' bit for bit."""
     if len(tasks) < 1 or any(t.n_batches < 1 for t in tasks):
         raise ValueError("need at least one task, each with at least one mini-batch")
-    obj = lyapunov_objective(arch, loss_cfg)
+    if len({(tr[0].shape, te[0].shape) for t in tasks for tr, te in t.batches}) > 1:
+        raise ValueError("every mini-batch of every task needs the same train and test shapes")
     rng = np.random.default_rng(seed)
     theta = net.init_params(arch, seed) if theta0 is None else np.asarray(theta0, dtype=float).copy()
 
     curve = np.empty(meta_cfg.meta_steps)
     for step in range(meta_cfg.meta_steps):
+        # per pick: a task index, then one of its batches; stacked to (P, n, d) arrays
+        picks = [t.batches[rng.integers(t.n_batches)]
+                 for t in (tasks[rng.integers(len(tasks))] for _ in range(meta_cfg.tasks_per_step))]
+        s_tr, s_te = (tuple(np.array(a, dtype=float) for a in zip(*half)) for half in zip(*picks))
+        adapted = theta - meta_cfg.inner_lr * net.loss_gradients(theta, arch, s_tr, loss_cfg)
+        g_te, terms = net.loss_gradients(adapted, arch, s_te, loss_cfg, values=True)
+        if meta_cfg.mode == "second_order" and meta_cfg.inner_lr != 0.0:
+            hv = net.hvps(theta, arch, s_tr, loss_cfg, g_te)
+            g_te = _through_inner_step(g_te, meta_cfg.inner_lr, hv)
         grad_sum = np.zeros_like(theta)
         loss_sum = 0.0
-        for _ in range(meta_cfg.tasks_per_step):
-            task = tasks[rng.integers(len(tasks))]
-            s_tr, s_te = task.batches[rng.integers(task.n_batches)]
-            adapted = adapt_with(obj, theta, s_tr, meta_cfg.inner_lr)
-            g_te = obj.grad(adapted, s_te)
-            if meta_cfg.mode == "second_order" and meta_cfg.inner_lr != 0.0:
-                g_te = g_te - meta_cfg.inner_lr * obj.hvp(theta, s_tr, g_te)
-            grad_sum += g_te
-            loss_sum += obj.loss(adapted, s_te)
-        mean_loss = loss_sum / meta_cfg.tasks_per_step
-        if not np.isfinite(mean_loss):
-            raise NonFiniteLoss(step, mean_loss)
-        curve[step] = mean_loss
+        for g, task_loss in zip(g_te, mean_loss(*terms, loss_cfg).tolist()):
+            grad_sum += g
+            loss_sum += task_loss
+        mean_step_loss = loss_sum / meta_cfg.tasks_per_step
+        if not np.isfinite(mean_step_loss):
+            raise NonFiniteLoss(step, mean_step_loss)
+        curve[step] = mean_step_loss
         theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
     return MetaTrainReport(theta_mnlf=theta, loss_curve=curve, mode=meta_cfg.mode, seed=seed)
 

@@ -8,6 +8,10 @@ by reverse-mode differentiation *through* the forward tangent sweep rather
 than by a general autodiff graph. Hessian-vector products for second-order
 meta-gradients use a central finite difference of the loss gradient.
 
+The sweeps carry a leading task axis (weights (B, out, in), activations
+(B, n, h), per-task reductions over axis 1); the per-task entry points are
+B = 1 views of them, bit for bit equal to each task of a stack.
+
 Conventions: hidden activations are tanh (smooth, globally Lipschitz), the
 output layer is linear and scalar, and the hinge subgradient at an exactly
 zero argument is taken as 0.
@@ -60,10 +64,12 @@ def param_slices(arch: Architecture) -> list[tuple[slice, tuple[int, int], slice
 
 
 def unpack(theta: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != arch.n_params:
-        raise ValueError(f"theta has {theta.size} entries, architecture needs {arch.n_params}")
-    return [(theta[w].reshape(shape), theta[b]) for w, shape, b in param_slices(arch)]
+    """Per-layer views W (..., out, in) and b (..., 1, out) of theta (..., n_params)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (arch.n_params,):
+        raise ValueError(f"theta has {theta.shape[-1:]} entries, architecture needs {arch.n_params}")
+    lead = theta.shape[:-1]
+    return [(theta[..., w].reshape(lead + shape), theta[..., None, b]) for w, shape, b in param_slices(arch)]
 
 
 def pack(layers, arch: Architecture) -> np.ndarray:
@@ -85,22 +91,27 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
     return pack(layers, arch)
 
 
+def _one_task(batch) -> tuple[np.ndarray, np.ndarray]:
+    X, Y = (np.atleast_2d(np.asarray(a, dtype=float))[None] for a in batch)
+    if X.shape[1] == 0:
+        raise ValueError("empty batch")
+    return X, Y
+
+
 def _forward_sweep(weights, X: np.ndarray):
-    """Primal pass; returns (V (n,), activations [A_0..A_{L-1}]) with A_0 = X."""
+    """Primal pass; returns (V (B, n), activations [A_0..A_{L-1}]) with A_0 = X."""
     acts = [X]
     A = X
     for W, b in weights[:-1]:
-        A = np.tanh(A @ W.T + b)
+        A = np.tanh(A @ W.transpose(0, 2, 1) + b)
         acts.append(A)
     W_out, b_out = weights[-1]
-    V = (A @ W_out.T + b_out)[:, 0]
+    V = (A @ W_out.transpose(0, 2, 1) + b_out)[..., 0]
     return V, acts
 
 
 def forward_batch(theta, arch: Architecture, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    V, _ = _forward_sweep(unpack(theta, arch), X)
-    return V
+    return MlpLyapunov(theta, arch).value(np.asarray(X, dtype=float))
 
 
 def forward(theta, arch: Architecture, x) -> float:
@@ -108,7 +119,7 @@ def forward(theta, arch: Architecture, x) -> float:
 
 
 def _input_gradient_from_acts(weights, acts) -> np.ndarray:
-    delta = np.ones((acts[0].shape[0], 1))
+    delta = np.ones(acts[-1].shape[:-1] + (1,))
     for l in range(len(weights) - 1, 0, -1):
         W_l = weights[l][0]
         delta = (delta @ W_l) * (1.0 - acts[l] ** 2)
@@ -116,10 +127,7 @@ def _input_gradient_from_acts(weights, acts) -> np.ndarray:
 
 
 def input_gradient_batch(theta, arch: Architecture, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    weights = unpack(theta, arch)
-    _, acts = _forward_sweep(weights, X)
-    return _input_gradient_from_acts(weights, acts)
+    return MlpLyapunov(theta, arch).gradient(np.asarray(X, dtype=float))
 
 
 def input_gradient(theta, arch: Architecture, x) -> np.ndarray:
@@ -127,7 +135,7 @@ def input_gradient(theta, arch: Architecture, x) -> np.ndarray:
 
 
 def _tangent_sweep(weights, acts, Y: np.ndarray):
-    """Forward-mode pass along direction Y; returns (S (n,), tangents T, U).
+    """Forward-mode pass along direction Y; returns (S (B, n), tangents T, U).
 
     S is the directional derivative grad_x V^T y per row; T_l and U_l are the
     post-/pre-activation tangents needed by the reverse sweep.
@@ -135,27 +143,27 @@ def _tangent_sweep(weights, acts, Y: np.ndarray):
     T = [Y]
     U = [None]
     for l, (W, _b) in enumerate(weights[:-1], start=1):
-        u = T[l - 1] @ W.T
+        u = T[l - 1] @ W.transpose(0, 2, 1)
         U.append(u)
         T.append((1.0 - acts[l] ** 2) * u)
     W_out = weights[-1][0]
-    S = (T[-1] @ W_out.T)[:, 0]
+    S = (T[-1] @ W_out.transpose(0, 2, 1))[..., 0]
     return S, T, U
 
 
 def _value_backprop(weights, acts, out_weights: np.ndarray, grads) -> None:
-    """Accumulate d(sum_b w_b V_b)/dtheta into per-layer grad arrays."""
-    delta = out_weights[:, None]
+    """Accumulate d(sum_b w_b V_b)/dtheta per task into per-layer grad arrays."""
+    delta = out_weights[..., None]
     for l in range(len(weights) - 1, -1, -1):
         gW, gb = grads[l]
-        gW += delta.T @ acts[l]
-        gb += delta.sum(axis=0)
+        gW += delta.transpose(0, 2, 1) @ acts[l]
+        gb += delta.sum(axis=1, keepdims=True)
         if l > 0:
             delta = (delta @ weights[l][0]) * (1.0 - acts[l] ** 2)
 
 
 def _tangent_backprop(weights, acts, T, U, out_weights: np.ndarray, grads) -> None:
-    """Accumulate d(sum_b w_b S_b)/dtheta, S_b = grad_x V(x_b)^T y_b.
+    """Accumulate d(sum_b w_b S_b)/dtheta per task, S_b = grad_x V(x_b)^T y_b.
 
     Reverse sweep through the tangent program: sigma''(z) terms couple the
     primal and tangent chains, which is where the mixed second derivatives
@@ -164,8 +172,8 @@ def _tangent_backprop(weights, acts, T, U, out_weights: np.ndarray, grads) -> No
     L = len(weights)
     W_out = weights[-1][0]
     gW_out, _gb_out = grads[-1]
-    gW_out += out_weights[None, :] @ T[L - 1]
-    T_bar = out_weights[:, None] * W_out
+    gW_out += out_weights[:, None, :] @ T[L - 1]
+    T_bar = out_weights[..., None] * W_out
     A_bar = None
     for l in range(L - 1, 0, -1):
         A_l = acts[l]
@@ -176,32 +184,29 @@ def _tangent_backprop(weights, acts, T, U, out_weights: np.ndarray, grads) -> No
         if A_bar is not None:
             Z_bar += sp * A_bar
         gW, gb = grads[l - 1]
-        gW += U_bar.T @ T[l - 1] + Z_bar.T @ acts[l - 1]
-        gb += Z_bar.sum(axis=0)
+        gW += U_bar.transpose(0, 2, 1) @ T[l - 1] + Z_bar.transpose(0, 2, 1) @ acts[l - 1]
+        gb += Z_bar.sum(axis=1, keepdims=True)
         if l > 1:
             W_l = weights[l - 1][0]
             T_bar = U_bar @ W_l
             A_bar = Z_bar @ W_l
 
 
-def loss_gradient(theta, arch: Architecture, batch, cfg) -> np.ndarray:
-    """Exact gradient of the batch-mean tightened loss w.r.t. theta.
+def loss_gradients(thetas, arch: Architecture, batch, cfg, values: bool = False):
+    """Exact (B, n_params) gradients of the batch-mean tightened loss of B tasks.
 
-    `batch` is an (X, Y) pair of (n, d) arrays; `cfg` carries the margins
-    eps1 (positivity) and eps2 (decrease). Hinge subgradients at exactly
-    zero arguments are 0, so the gradient is the one-sided derivative there.
+    `thetas` is (B, n_params) or one vector for all tasks, `batch` an (X, Y)
+    pair of (B, n, d) arrays. `values` adds the terms (V, grad_x V^T y, V(0))
+    of `loss.mean_loss`. Hinge subgradients at exactly zero arguments are 0.
     """
     X, Y = batch
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    weights = unpack(theta, arch)
+    n = X.shape[1]
+    weights = unpack(np.atleast_2d(thetas), arch)
     V, acts = _forward_sweep(weights, X)
     S, T, U = _tangent_sweep(weights, acts, Y)
 
-    grads = [(np.zeros_like(W), np.zeros_like(b)) for W, b in weights]
+    grad = np.zeros((len(V), arch.n_params))
+    grads = unpack(grad, arch)      # per-layer views, accumulated in place
 
     pos_active = (cfg.eps1 - V) > 0.0
     if np.any(pos_active):
@@ -210,29 +215,48 @@ def loss_gradient(theta, arch: Architecture, batch, cfg) -> np.ndarray:
     if np.any(dec_active):
         _tangent_backprop(weights, acts, T, U, np.where(dec_active, 1.0 / n, 0.0), grads)
 
-    x0 = np.zeros((1, arch.input_dim))
-    V0, acts0 = _forward_sweep(weights, x0)
-    if V0[0] != 0.0:
-        _value_backprop(weights, acts0, np.array([2.0 * V0[0]]), grads)
+    V0, acts0 = _forward_sweep(weights, np.zeros((1, 1, arch.input_dim)))
+    if np.any(V0 != 0.0):
+        _value_backprop(weights, acts0, 2.0 * V0, grads)
 
-    return pack(grads, arch)
+    if not values:
+        return grad
+    lie = np.sum(_input_gradient_from_acts(weights, acts) * Y, axis=2)
+    return grad, (V, lie, V0[:, 0])
+
+
+def loss_gradient(theta, arch: Architecture, batch, cfg) -> np.ndarray:
+    """Exact gradient of the batch-mean tightened loss w.r.t. theta; `batch` is
+    an (X, Y) pair of (n, d) arrays, `cfg` carries the margins eps1 and eps2."""
+    return loss_gradients(theta, arch, _one_task(batch), cfg)[0]
 
 
 def finite_difference_hvp(grad_fn: Callable[[np.ndarray], np.ndarray],
                           theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian-vector product of any gradient field."""
+    """Central-difference Hessian-vector products for v (n,) or (P, n), with one
+    `grad_fn` call on the stacked points theta + eps_p v_p, then theta - eps_p v_p;
+    eps_p = 1e-4 / max(1, |v_p|), and a zero or non-finite v_p gives 0."""
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0.0 or not np.isfinite(norm):
-        return np.zeros_like(theta)
-    eps = 1e-4 / max(1.0, norm)
-    return (grad_fn(theta + eps * v) - grad_fn(theta - eps * v)) / (2.0 * eps)
+    rows = v.reshape(-1, theta.size)
+    # 1-d norms row by row: norm(axis=1) sums in another order
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    usable = ((norms != 0.0) & np.isfinite(norms))[:, None]
+    eps = 1e-4 / np.maximum(1.0, np.where(usable[:, 0], norms, 1.0))[:, None]
+    step = np.where(usable, eps * rows, 0.0)
+    G = grad_fn(np.concatenate([theta + step, theta - step]))
+    return np.where(usable, (G[:len(rows)] - G[len(rows):]) / (2.0 * eps), 0.0).reshape(v.shape)
+
+
+def hvps(theta, arch: Architecture, batch, cfg, v) -> np.ndarray:
+    """H_p v_p at one theta for P task batches (X, Y) of (P, n, d), in one sweep."""
+    twice = tuple(np.concatenate([a, a]) for a in batch)
+    return finite_difference_hvp(lambda points: loss_gradients(points, arch, twice, cfg), theta, v)
 
 
 def hvp(theta, arch: Architecture, batch, cfg, v) -> np.ndarray:
     """H v with H the parameter Hessian of the batch tightened loss."""
-    return finite_difference_hvp(lambda t: loss_gradient(t, arch, batch, cfg), theta, v)
+    return hvps(theta, arch, _one_task(batch), cfg, v)
 
 
 def shaped_init(arch: Architecture, seed: int, radius: float, scale: float = 3.0,
@@ -250,11 +274,11 @@ def shaped_init(arch: Architecture, seed: int, radius: float, scale: float = 3.0
     X = direction * (radius * rng.random(n_points) ** (1.0 / arch.input_dim))[:, None]
     target = scale * (np.linalg.norm(X, axis=1) / radius) ** 2
     for _ in range(steps):
-        weights = unpack(theta, arch)
-        V, acts = _forward_sweep(weights, X)
-        grads = [(np.zeros_like(W), np.zeros_like(b)) for W, b in weights]
-        _value_backprop(weights, acts, 2.0 * (V - target) / n_points, grads)
-        theta = theta - lr * pack(grads, arch)
+        weights = unpack(theta[None], arch)
+        V, acts = _forward_sweep(weights, X[None])
+        grad = np.zeros((1, arch.n_params))
+        _value_backprop(weights, acts, 2.0 * (V - target) / n_points, unpack(grad, arch))
+        theta = theta - lr * grad[0]
     return theta
 
 
@@ -262,15 +286,15 @@ class MlpLyapunov:
     """Batched value/gradient view of one parameter vector, for verification."""
 
     def __init__(self, theta, arch: Architecture):
-        self._weights = unpack(np.array(theta, dtype=float), arch)
+        self._weights = unpack(np.array(theta, dtype=float)[None], arch)
 
     def value(self, X: np.ndarray) -> np.ndarray:
-        V, _ = _forward_sweep(self._weights, np.atleast_2d(X))
-        return V
+        V, _ = _forward_sweep(self._weights, np.atleast_2d(X)[None])
+        return V[0]
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
-        _, acts = _forward_sweep(self._weights, np.atleast_2d(X))
-        return _input_gradient_from_acts(self._weights, acts)
+        _, acts = _forward_sweep(self._weights, np.atleast_2d(X)[None])
+        return _input_gradient_from_acts(self._weights, acts)[0]
 
 
 def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> dict:

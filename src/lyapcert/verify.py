@@ -258,11 +258,10 @@ def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
 def export_validity_csv(vmap: ValidityMap, grid: GridSpec, path) -> None:
     header = [f"x{i + 1}" for i in range(grid.dim)]
     header += ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]
+    # column-wise: tolist() yields Python floats, whose repr round-trips exactly
+    cols = [map(repr, col.tolist()) for col in (*grid.coords.T, vmap.vbar, vmap.lie)]
+    cols += [map(int, flag.tolist()) for flag in (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(grid.n_nodes):
-            row = [repr(float(v)) for v in grid.coords[i]]
-            row += [repr(float(vmap.vbar[i])), repr(float(vmap.lie[i])),
-                    int(vmap.positivity_ok[i]), int(vmap.decrease_ok[i]), int(vmap.exempt[i])]
-            writer.writerow(row)
+        writer.writerows(zip(*cols))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapcert import net
-from lyapcert.loss import TightenedLossConfig, empirical_loss
+from lyapcert.loss import TightenedLossConfig, empirical_loss, mean_loss
 
 
 def identity_1_1_1():
@@ -128,7 +128,7 @@ class TestHvp:
         M = rng.normal(size=(6, 6))
         M = M @ M.T
         v = rng.normal(size=6)
-        hv = net.finite_difference_hvp(lambda t: M @ t, np.zeros(6), v)
+        hv = net.finite_difference_hvp(lambda points: points @ M.T, np.zeros(6), v)
         np.testing.assert_allclose(hv, M @ v, atol=1e-6)
 
     def test_symmetry(self):
@@ -141,6 +141,52 @@ class TestHvp:
         hu = net.hvp(theta, arch, batch, cfg, u)
         hv = net.hvp(theta, arch, batch, cfg, v)
         assert np.dot(v, hu) == pytest.approx(np.dot(u, hv), rel=1e-3)
+
+
+class TestStackedKernel:
+    """B stacked tasks give, bit for bit, what B per-task calls give."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.arch = net.Architecture(2, (16, 16))
+        self.cfg = TightenedLossConfig(1.0, 1.0)
+        self.thetas = np.stack([net.shaped_init(self.arch, s, 3.0, steps=50) for s in range(4)])
+        self.X = rng.uniform(-3.0, 3.0, size=(4, 32, 2))
+        self.Y = rng.normal(scale=3.0, size=(4, 32, 2))
+
+    def per_task(self, theta, p):
+        batch = (self.X[p], self.Y[p])
+        return (net.loss_gradient(theta, self.arch, batch, self.cfg),
+                empirical_loss(theta, self.arch, batch, self.cfg))
+
+    def test_distinct_thetas(self):
+        G, terms = net.loss_gradients(self.thetas, self.arch, (self.X, self.Y), self.cfg,
+                                      values=True)
+        losses = mean_loss(*terms, self.cfg)
+        for p in range(4):
+            g, value = self.per_task(self.thetas[p], p)
+            np.testing.assert_array_equal(G[p], g)
+            assert losses[p] == value
+
+    def test_broadcast_theta(self):
+        G, terms = net.loss_gradients(self.thetas[2], self.arch, (self.X, self.Y), self.cfg,
+                                      values=True)
+        losses = mean_loss(*terms, self.cfg)
+        for p in range(4):
+            g, value = self.per_task(self.thetas[2], p)
+            np.testing.assert_array_equal(G[p], g)
+            assert losses[p] == value
+
+    def test_hvps(self):
+        V = np.random.default_rng(8).normal(size=self.thetas.shape)
+        V[1] = 0.0
+        V[3, 5] = np.inf
+        H = net.hvps(self.thetas[0], self.arch, (self.X, self.Y), self.cfg, V)
+        np.testing.assert_array_equal(H[1], np.zeros(self.arch.n_params))
+        np.testing.assert_array_equal(H[3], np.zeros(self.arch.n_params))
+        for p in range(4):
+            np.testing.assert_array_equal(
+                H[p], net.hvp(self.thetas[0], self.arch, (self.X[p], self.Y[p]), self.cfg, V[p]))
 
 
 class TestInitParams:

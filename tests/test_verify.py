@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,26 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,x2,vbar,lie,positivity_ok,decrease_ok,exempt"
         assert len(lines) == grid.n_nodes + 1
+
+    def test_csv_bytes_match_row_loop(self, tmp_path):
+        # the column-wise writer against a per-row repr(float(...)) reference loop
+        grid = verify.build_grid(1.0, 3, 2)
+        vbar = np.array([-0.0, 5e-324, 1e300, -1.7976931348623157e308, 0.1, 1 / 3, -2.5e-310,
+                         123456789.0, 0.0])
+        lie = -0.5 * vbar[::-1]
+        rng = np.random.default_rng(0)
+        flags = [rng.random(grid.n_nodes) < 0.5 for _ in range(3)]
+        vmap = verify.ValidityMap(vbar, lie, *flags, verify.LipschitzConstants(1.0, 1.0))
+        path = tmp_path / "map.csv"
+        verify.export_validity_csv(vmap, grid, path)
+
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "vbar", "lie", "positivity_ok", "decrease_ok", "exempt"])
+            for i in range(grid.n_nodes):
+                writer.writerow([repr(float(v)) for v in grid.coords[i]]
+                                + [repr(float(vbar[i])), repr(float(lie[i]))]
+                                + [int(f[i]) for f in flags])
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
