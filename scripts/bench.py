@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time the meta-training layers and record them in a BENCH JSON file.
+"""Time the meta-training layers or the Monte-Carlo gate and record them in a BENCH JSON file.
 
 Example, once per source tree to compare (runs under one label accumulate):
 
-    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_meta_step.json
+    PYTHONPATH=src python scripts/bench.py --suite meta_step --label change
+    PYTHONPATH=src python scripts/bench.py --suite gate --label change
 
-Measures, with BLAS pinned to one thread, on the `meta_fit` family (the
-`ip_stochastic_l` preset at 1,000 meta-steps, region radius 3.2):
+The `meta_step` suite (default output `BENCH_meta_step.json`) measures, with
+BLAS pinned to one thread, on the `meta_fit` family (the `ip_stochastic_l`
+preset at 1,000 meta-steps, region radius 3.2):
 
 - `loss_gradient_us`: microseconds per `net.loss_gradient` call on the
   preset's 16x16 network at n = 50, 200 and 800 rows (median of repeats)
@@ -14,6 +16,15 @@ Measures, with BLAS pinned to one thread, on the `meta_fit` family (the
 - `shaped_init_s`: seconds per `net.shaped_init` at that radius
 - `train_meta_s`: wall seconds of one `lyapcert train-meta --seed 101` on that
   config, a fresh interpreter each time
+
+The `gate` suite (default output `BENCH_gate.json`) measures:
+
+- `rollout_ns_per_state_step`: nanoseconds per RK4 state-step of
+  `dynamics.simulate_batch` (500 states, 500 steps of 0.01) on the test
+  systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid)
+- `compare_mg3_s`: wall seconds of one `lyapcert compare --seed 101` on
+  `mg3_dc12` at 300 meta-steps, 800 NLF steps and 500 MC rollouts, a fresh
+  interpreter each time
 
 Each run is stored under its label with the machine's description; `median`
 holds each metric's median over the label's runs.
@@ -42,12 +53,19 @@ from lyapcert.config import PRESETS, config_to_dict
 
 RADIUS = 3.2
 ROWS = (50, 200, 800)
+ROLLOUT_STATES, ROLLOUT_STEPS, ROLLOUT_H = 500, 500, 0.01
 
 
 def meta_fit_config():
     cfg = PRESETS["ip_stochastic_l"]
     return replace(cfg, name="meta_fit", meta=replace(cfg.meta, meta_steps=1000),
                    verify=replace(cfg.verify, d0=RADIUS))
+
+
+def compare_mg3_config():
+    cfg = PRESETS["mg3_dc12"]
+    return replace(cfg, name="compare_mg3", meta=replace(cfg.meta, meta_steps=300),
+                   nlf=replace(cfg.nlf, n_steps=800), roa=replace(cfg.roa, mc_samples=500))
 
 
 def cpu_model() -> str:
@@ -68,7 +86,19 @@ def median_time(fn, repeats: int) -> float:
     return float(np.median(times))
 
 
-def measure(repeats: int) -> dict:
+def cli_seconds(cfg, args: list[str], repeats: int) -> float:
+    """Median wall seconds of one lyapcert command on cfg, a fresh interpreter each time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / f"{cfg.name}.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        argv = [sys.executable, "-m", "lyapcert.cli", *args, "--config", str(cfg_path),
+                "--seed", "101", "--out", str(Path(tmp) / "out")]
+        env = {**os.environ, "PYTHONPATH": str(Path(net.__file__).parents[1])}
+        return median_time(lambda: subprocess.run(argv, env=env, check=True,
+                                                  stdout=subprocess.DEVNULL), repeats)
+
+
+def measure_meta_step(repeats: int) -> dict:
     cfg = meta_fit_config()
     m, arch = cfg.meta, cfg.architecture()
     tasks = [dynamics.build_dataset(dynamics.build_system(p), RADIUS, m.k_train, m.j_test,
@@ -90,41 +120,46 @@ def measure(repeats: int) -> dict:
     step_s = median_time(lambda: meta.meta_train(tasks, arch, m, cfg.loss, cfg.seeds.net_seed,
                                                  theta0=theta0), repeats)
     init_s = median_time(lambda: net.shaped_init(arch, cfg.seeds.net_seed, RADIUS), repeats)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "meta_fit.json"
-        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
-        argv = [sys.executable, "-m", "lyapcert.cli", "train-meta", "--config", str(cfg_path),
-                "--seed", "101", "--out", str(Path(tmp) / "out")]
-        env = {**os.environ, "PYTHONPATH": str(Path(net.__file__).parents[1])}
-        cli_s = median_time(lambda: subprocess.run(argv, env=env, check=True,
-                                                   stdout=subprocess.DEVNULL), repeats)
-
     return {"loss_gradient_us": grad_us,
             "meta_step_ms": round(1e3 * step_s / m.meta_steps, 3),
             "shaped_init_s": round(init_s, 3),
-            "train_meta_s": round(cli_s, 3)}
+            "train_meta_s": round(cli_seconds(cfg, ["train-meta"], repeats), 3)}
 
 
-def median_of(runs: list[dict]) -> dict:
-    def med(values):
-        return round(float(np.median(values)), 3)
-    out = {key: med([r[key] for r in runs]) for key in runs[0] if key != "loss_gradient_us"}
-    out["loss_gradient_us"] = {n: med([r["loss_gradient_us"][n] for r in runs])
-                               for n in runs[0]["loss_gradient_us"]}
-    return out
+def measure_gate(repeats: int) -> dict:
+    rollout_ns = {}
+    for label, preset in (("pendulum", "ip_stochastic_l"), ("mg3_dc12", "mg3_dc12")):
+        system = dynamics.build_system(PRESETS[preset].system.test())
+        X0 = dynamics.sample_ball(np.random.default_rng(0), ROLLOUT_STATES, system.dim,
+                                  PRESETS[preset].verify.d0)
+        run_s = median_time(lambda: dynamics.simulate_batch(system, X0, ROLLOUT_H,
+                                                            ROLLOUT_STEPS * ROLLOUT_H), repeats)
+        rollout_ns[label] = round(1e9 * run_s / (ROLLOUT_STATES * ROLLOUT_STEPS), 1)
+    return {"rollout_ns_per_state_step": rollout_ns,
+            "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
+
+
+SUITES = {"meta_step": measure_meta_step, "gate": measure_gate}
+
+
+def median_of(runs: list) -> dict:
+    """Each metric's median over the runs, nested dicts metric by metric."""
+    if isinstance(runs[0], dict):
+        return {key: median_of([r[key] for r in runs]) for key in runs[0]}
+    return round(float(np.median(runs)), 3)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--suite", choices=sorted(SUITES), default="meta_step")
     parser.add_argument("--label", required=True, help="column name, e.g. parent or change")
-    parser.add_argument("--out", default="BENCH_meta_step.json")
+    parser.add_argument("--out", help="BENCH JSON file (default BENCH_<suite>.json)")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    run = measure(args.repeats)
-    path = Path(args.out)
+    run = SUITES[args.suite](args.repeats)
+    path = Path(args.out or f"BENCH_{args.suite}.json")
     bench = json.loads(path.read_text()) if path.exists() else {
         "script": "scripts/bench.py",
         "machine": {"cpu": cpu_model(),

@@ -13,8 +13,9 @@ Subcommands:
 
 Every artifact embeds the config hash and seed; reruns with identical config
 and seed reproduce all numeric artifacts bitwise (timings are never written
-into artifacts). Exit codes: 0 ok, 2 config error, 3 verification failure,
-4 numeric failure.
+into artifacts). Exit codes: 0 ok, 2 config error, 3 verification failure
+(train-meta: no valid region; roa: a Monte-Carlo rollout from the certified
+set fails, after the artifacts are written), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -120,8 +121,7 @@ def _meta_pipeline_fns(cfg: ExperimentConfig):
             adapted = meta.test_time_adapt(report.theta_mnlf, arch, dataset.batches[0][0],
                                            cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
             candidate = net.MlpLyapunov(adapted, arch)
-            constants = verify.estimate_lipschitz(candidate, system, grid_for(d))
-            maps.append(verify.check_validity(candidate, system, grid_for(d), constants,
+            maps.append(verify.check_validity(candidate, system, grid_for(d),
                                               exempt_radius=cfg.verify.exempt_radius))
         return maps
 
@@ -216,8 +216,7 @@ def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
-    constants = verify.estimate_lipschitz(candidate, system_test, grid)
-    vmap = verify.check_validity(candidate, system_test, grid, constants,
+    vmap = verify.check_validity(candidate, system_test, grid,
                                  exempt_radius=cfg.verify.exempt_radius)
     verify.export_validity_csv(vmap, grid, out / "validity_map.csv")
     axes = tuple(cfg.roa.plane) if grid.dim > 2 else (0, 1)
@@ -227,8 +226,8 @@ def cmd_verify(args) -> int:
     atomic_write_json(out / "validity_summary.json",
                       {**_stamp(cfg), "green_fraction": green,
                        "fully_green": vmap.fully_green,
-                       "constants": {"k_v": float(np.max(constants.k_v)),
-                                     "k_lie": float(np.max(constants.k_lie))}})
+                       "constants": {"k_v": float(np.max(vmap.constants.k_v)),
+                                     "k_lie": float(np.max(vmap.constants.k_lie))}})
     print(f"validity map written ({green:.4f} green)")
     return EXIT_OK
 
@@ -239,10 +238,9 @@ def cmd_roa(args) -> int:
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
     plane = tuple(cfg.roa.plane) if grid.dim > 2 else None
     vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, plane)
-    check = roa.monte_carlo_convergence(system_test, result, grid, cfg.roa.mc_samples,
-                                        cfg.roa.mc_step, cfg.roa.mc_horizon,
-                                        cfg.roa.mc_tol, cfg.seeds.master,
-                                        candidate=candidate)
+    check, = roa.monte_carlo_convergence(system_test, [(result, candidate)], grid,
+                                         cfg.roa.mc_samples, cfg.roa.mc_step,
+                                         cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master)
     roa.export_roa_json(result, grid, out / "roa.json",
                         config_hash=config_hash(cfg), seed=cfg.seeds.master)
     roa.export_boundary_csv(result, grid, out / "roa_boundary.csv")
@@ -251,8 +249,12 @@ def cmd_roa(args) -> int:
                       svg.render_validity_svg(vmap, grid, roa=result, axes=axes))
     atomic_write_json(out / "roa_mc.json",
                       {**_stamp(cfg), "fraction": check.fraction, "vacuous": check.vacuous,
-                       "n_samples": check.n_samples})
+                       "n_samples": check.n_samples, "step": check.step})
     print(f"roa: c={result.c:g} area={result.area:g} mc_fraction={check.fraction:g}")
+    if check.fraction < 1.0:
+        print(f"verification failure: {check.n_samples} rollouts from the certified set at "
+              f"step {check.step:g}, mc fraction {check.fraction:.4f}", file=sys.stderr)
+        return EXIT_VERIFICATION
     return EXIT_OK
 
 

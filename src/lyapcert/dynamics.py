@@ -20,7 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +124,28 @@ class MicrogridNetwork:
         # W[i, k] = E_i E_k Y_ik, the cosine-term weights
         return np.outer(self.E, self.E) * self.Y
 
+    @cached_property
+    def _trig_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        # (W o cos(gamma))^T and (W o sin(gamma))^T, built once per network
+        W = self.coupling()
+        return (np.ascontiguousarray((W * np.cos(self.gamma)).T),
+                np.ascontiguousarray((W * np.sin(self.gamma)).T))
+
+    def power(self, X: np.ndarray) -> np.ndarray:
+        """P_i(x) = sum_k W_ik cos(x_i - x_k - gamma_ik) + E_i^2 G_i for each row of X.
+
+        By the angle-difference identity, with c = cos x and s = sin x,
+        P = c o (c Wc^T - s Ws^T) + s o (s Wc^T + c Ws^T) + E^2 G: 2n trig
+        calls per state instead of n^2.
+        """
+        WcT, WsT = self._trig_weights
+        c, s = np.cos(X), np.sin(X)
+        return c * (c @ WcT - s @ WsT) + s * (s @ WcT + c @ WsT) + self.E**2 * self.G
+
+    @cached_property
     def power_setpoints(self) -> np.ndarray:
-        # P*_i = P_i at ddelta = 0
-        return np.sum(self.coupling() * np.cos(-self.gamma), axis=1) + self.E**2 * self.G
+        # P*_i = P_i at ddelta = 0, by the same expression, so f(0) = 0 exactly
+        return self.power(np.zeros((1, self.n)))[0]
 
 
 def default_network(n: int, line_admittance: float = 1.0) -> MicrogridNetwork:
@@ -206,13 +225,8 @@ class ClosedLoopSystem:
     def _microgrid(self, X):
         dc = np.asarray(self.params.values)
         net = self.network
-        W = net.coupling()
-        # angle differences ddelta_i - ddelta_k, shape (batch, n, n)
-        diff = X[:, :, None] - X[:, None, :]
-        P = np.sum(W[None, :, :] * np.cos(diff - net.gamma[None, :, :]), axis=2)
-        P = P + (net.E**2 * net.G)[None, :]
-        dP = P - net.power_setpoints()[None, :]
-        return (-dc[None, :] * X - dP + net.K[None, :] * X) / net.J[None, :]
+        dP = net.power(X) - net.power_setpoints
+        return (-dc * X - dP + net.K * X) / net.J
 
     def _fan(self, X):
         m, J, r, g, d = self.params.values
@@ -460,23 +474,31 @@ def simulate(system: ClosedLoopSystem, x0, h: float, horizon: float) -> Trajecto
 def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized RK4 over many initial states; returns (final states, diverged mask).
 
-    Diverged rows are frozen at their last finite state.
+    Diverged rows are frozen at their last finite state. While no row has
+    diverged, the whole batch is stepped in place of a gather/scatter.
     """
     if h <= 0 or horizon < h:
         raise ValueError("need h > 0 and horizon >= h")
     X = np.array(X0, dtype=float)
     n_steps = int(round(horizon / h))
-    diverged = np.zeros(X.shape[0], dtype=bool)
+    alive = np.arange(X.shape[0])
     for _ in range(n_steps):
-        alive = ~diverged
-        if not np.any(alive):
+        if alive.size == 0:
             break
-        Xa = X[alive]
+        every = alive.size == X.shape[0]
+        Xa = X if every else X[alive]
         k1 = system.f_batch(Xa)
         k2 = system.f_batch(Xa + 0.5 * h * k1)
         k3 = system.f_batch(Xa + 0.5 * h * k2)
         k4 = system.f_batch(Xa + h * k3)
-        X[alive] = Xa + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = np.linalg.norm(X, axis=1) > DIVERGENCE_NORM
-        diverged |= bad
+        Xa = Xa + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if every:
+            X = Xa
+        else:
+            X[alive] = Xa
+        bad = np.linalg.norm(Xa, axis=1) > DIVERGENCE_NORM
+        if np.any(bad):
+            alive = alive[~bad]
+    diverged = np.ones(X.shape[0], dtype=bool)
+    diverged[alive] = False
     return X, diverged

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .control import linearize
 from .dynamics import ClosedLoopSystem, sample_ball, simulate_batch
 from .verify import GridSpec, ValidityMap
 
@@ -117,27 +119,32 @@ def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int],
     return np.unique(pairs, axis=0)
 
 
+RK4_STEP_LIMIT = 2.5   # largest h * rho(A) the gate integrates at; RK4's real-axis limit is 2.785
+
+
 @dataclass(frozen=True)
 class ConvergenceCheck:
     fraction: float
     n_samples: int
     vacuous: bool
+    step: float                 # RK4 step the rollouts used
 
 
-def monte_carlo_convergence(system: ClosedLoopSystem, result: RoaResult, grid: GridSpec,
-                            n_samples: int, h: float, horizon: float, tol: float,
-                            seed: int, candidate=None) -> ConvergenceCheck:
-    """Roll out RK4 trajectories from inside the certified set.
+def gate_step(system: ClosedLoopSystem, h: float) -> float:
+    """h / m for the least m >= 1 with (h / m) * rho(A) <= RK4_STEP_LIMIT.
 
-    Initial states are uniform over the member cells; when the candidate is
-    supplied, draws are rejection-filtered to the certified sublevel set
-    {Vbar <= c} (cell jitter can otherwise step just over the level). Returns
-    the fraction with |x(horizon)|_2 < tol. An empty ROA is vacuously 1.0.
+    A is the closed loop's linearization at the origin and rho(A) its
+    spectral radius, so the rollouts near the origin stay inside RK4's
+    stability region even where the fast eigenvalue is stiff.
     """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
-    if result.empty:
-        return ConvergenceCheck(fraction=1.0, n_samples=0, vacuous=True)
+    rho = np.max(np.abs(np.linalg.eigvals(linearize(system.f, np.zeros(system.dim)))))
+    return h / max(1, math.ceil(h * rho / RK4_STEP_LIMIT))
+
+
+def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
+                  seed: int) -> np.ndarray:
+    """n_samples states uniform over the member cells, drawn from default_rng(seed);
+    with a candidate, rejection-filtered to {Vbar <= c}."""
     rng = np.random.default_rng(seed)
     centers = grid.coords[result.member_rows]
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0]) if candidate is not None else 0.0
@@ -158,11 +165,37 @@ def monte_carlo_convergence(system: ClosedLoopSystem, result: RoaResult, grid: G
         # jitter keeps landing above the level: fall back to the node centers
         idx = rng.integers(centers.shape[0], size=n_samples - len(points))
         points.extend(centers[idx])
-    X0 = np.asarray(points[:n_samples])
+    return np.asarray(points[:n_samples])
 
-    finals, diverged = simulate_batch(system, X0, h, horizon)
-    converged = (~diverged) & (np.linalg.norm(finals, axis=1) < tol)
-    return ConvergenceCheck(fraction=float(np.mean(converged)), n_samples=n_samples, vacuous=False)
+
+def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSpec,
+                            n_samples: int, h: float, horizon: float, tol: float,
+                            seed: int) -> list[ConvergenceCheck]:
+    """Roll out RK4 trajectories from inside each certified set, in one sweep.
+
+    `certificates` is a list of (RoaResult, candidate or None) pairs; one
+    check is returned per pair. Each nonempty set draws n_samples initial
+    states from its own default_rng(seed), uniform over its member cells and,
+    when the candidate is given, rejection-filtered to {Vbar <= c} (cell
+    jitter can otherwise step just over the level). All draws are then
+    integrated by one simulate_batch call at gate_step(system, h) up to the
+    horizon. A check's fraction is the share of its rollouts with
+    |x(horizon)|_2 < tol; an empty ROA is vacuously 1.0.
+    """
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
+    step = gate_step(system, h)
+    starts = [_start_states(result, candidate, grid, n_samples, seed)
+              for result, candidate in certificates if not result.empty]
+    fractions = iter(())
+    if starts:
+        finals, diverged = simulate_batch(system, np.concatenate(starts), step, horizon)
+        converged = (~diverged) & (np.linalg.norm(finals, axis=1) < tol)
+        fractions = iter(converged.reshape(len(starts), n_samples).mean(axis=1).tolist())
+    return [ConvergenceCheck(fraction=1.0, n_samples=0, vacuous=True, step=step) if result.empty
+            else ConvergenceCheck(fraction=next(fractions), n_samples=n_samples, vacuous=False,
+                                  step=step)
+            for result, _ in certificates]
 
 
 def sample_annulus(rng: np.random.Generator, n: int, dim: int, outer: float,

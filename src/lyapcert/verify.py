@@ -139,18 +139,17 @@ class LipschitzConstants:
             raise ValueError("Lipschitz constants must be nonnegative")
 
 
-def estimate_lipschitz(candidate, system, grid: GridSpec) -> LipschitzConstants:
+def estimate_lipschitz(grads: np.ndarray, lie: np.ndarray, grid: GridSpec) -> LipschitzConstants:
     """Per-node constants: sampled maxima over each node's cell star, times SAFETY.
 
-    K_V(u) is the largest l-infinity gradient norm at u and its face neighbors,
-    K_Vdot(u) the largest Lie-derivative difference quotient over u's face
-    pairs. The covering argument only needs the constant on a node's cell, so
-    flat regions are not punished for steep ones (a global constant fails an
-    elongated quadratic all along its flat axis). These are sample estimates,
-    not bounds.
+    `grads` and `lie` are the candidate's gradient and Lie derivative at every
+    grid node. K_V(u) is the largest l-infinity gradient norm at u and its
+    face neighbors, K_Vdot(u) the largest Lie-derivative difference quotient
+    over u's face pairs. The covering argument only needs the constant on a
+    node's cell, so flat regions are not punished for steep ones (a global
+    constant fails an elongated quadratic all along its flat axis). These
+    are sample estimates, not bounds.
     """
-    grads = candidate.gradient(grid.coords)
-    lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
     a, b = grid.neighbor_pairs[:, 0], grid.neighbor_pairs[:, 1]
     lie_quot = np.abs(lie[a] - lie[b]) * (1.0 / grid.spacing)
     grad_inf = np.max(np.abs(grads), axis=1)
@@ -183,19 +182,23 @@ class ValidityMap:
         return bool(np.all(self.green))
 
 
-def check_validity(candidate, system, grid: GridSpec, constants: LipschitzConstants,
+def check_validity(candidate, system, grid: GridSpec, constants: LipschitzConstants | None = None,
                    exempt_radius: float = 0.0) -> ValidityMap:
     """Evaluate both tightened conditions at every node.
 
     Non-exempt node u is positivity-green when Vbar(u) > K_V * tau and
     decrease-green when the Lie derivative is < -K_Vdot * tau. The origin
     node (where both conditions are excluded by definition) and any node
-    within the exemption radius are marked exempt.
+    within the exemption radius are marked exempt. The gradient and f are
+    evaluated once per node; without `constants`, the per-node constants are
+    estimated from those same arrays.
     """
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
     vbar = candidate.value(grid.coords) - v0
     grads = candidate.gradient(grid.coords)
     lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
+    if constants is None:
+        constants = estimate_lipschitz(grads, lie, grid)
 
     pos_ok = vbar > constants.k_v * grid.tau
     dec_ok = lie < -constants.k_lie * grid.tau

@@ -176,8 +176,8 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify)
     assert result.c > 0
-    chk = roa.monte_carlo_convergence(system, result, grid, 1000, 0.01, 20.0, 1e-2,
-                                      seed=4242, candidate=candidate)
+    chk, = roa.monte_carlo_convergence(system, [(result, candidate)], grid, 1000, 0.01, 20.0,
+                                       1e-2, seed=4242)
     checks.append(("ip_stochastic_l/META", chk.fraction))
 
     # every nonempty certificate in the comparison table (gated at 1000 rollouts)
@@ -192,8 +192,8 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     mg_grid = verify.build_grid(mg.verify.d0, mg.verify.nodes_per_axis, 3)
     mg_rep = baselines.qlf_ts(mg_sys, mg_grid, mg.verify, plane=(0, 1))
     assert mg_rep.roa.c > 0
-    mg_chk = roa.monte_carlo_convergence(mg_sys, mg_rep.roa, mg_grid, 1000, 0.01, 20.0,
-                                         1e-2, seed=4243, candidate=mg_rep.candidate)
+    mg_chk, = roa.monte_carlo_convergence(mg_sys, [(mg_rep.roa, mg_rep.candidate)], mg_grid,
+                                          1000, 0.01, 20.0, 1e-2, seed=4243)
     checks.append(("mg3_dc12/QLF", mg_chk.fraction))
 
     bad = [(name, f) for name, f in checks if f != 1.0]

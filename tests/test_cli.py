@@ -286,6 +286,37 @@ def mini_checkpoint(tmp_path):
     return path, truncated
 
 
+def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsys):
+    """A certificate the rollouts refute exits 3 once its artifacts are written.
+
+    The test pendulum (l = 4) has an unstable origin, and the doctored level
+    set raises c to claim the whole grid ball."""
+    ckpt, _ = mini_checkpoint
+    cfg_path = mini_config(tmp_path, system={"system_id": "pendulum",
+                                             "theta0": [0.5, 0.15, 9.81, 0.1],
+                                             "theta_test": [4.0, 0.15, 9.81, 0.1],
+                                             "sigma_diag": [0.05, 0.0, 0.0, 0.0]})
+    out = tmp_path / "out" / "mini"
+    assert cli.main(["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == cli.EXIT_OK
+    assert json.loads((out / "roa_mc.json").read_text())["vacuous"]
+    for name in ("roa.json", "roa_mc.json"):
+        (out / name).unlink()
+
+    def raised(vmap, grid, plane=None):
+        rows = np.nonzero(~grid.boundary)[0]
+        return roa.RoaResult(c=float(np.max(vmap.vbar[rows])), member_rows=rows,
+                             area=float(rows.size * grid.cell_volume), plane=plane, empty=False)
+
+    monkeypatch.setattr(roa, "largest_level_set", raised)
+    capsys.readouterr()
+    code = cli.main(["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_VERIFICATION
+    assert "verification failure" in capsys.readouterr().err
+    assert not json.loads((out / "roa.json").read_text())["empty"]
+    mc = json.loads((out / "roa_mc.json").read_text())
+    assert mc["fraction"] < 1.0 and mc["step"] == 0.01
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["adapt", "--checkpoint", "{ckpt}", "--samples", "0"], cli.EXIT_CONFIG),
     (["adapt", "--checkpoint", "{ckpt}", "--k", "-1"], cli.EXIT_CONFIG),

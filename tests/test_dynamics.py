@@ -75,6 +75,48 @@ class TestEvalDynamics:
         assert control.is_hurwitz(A)
 
 
+def random_microgrid(n, seed):
+    rng = np.random.default_rng(seed)
+    Y = rng.uniform(0.2, 2.0, (n, n))
+    Y = Y + Y.T
+    np.fill_diagonal(Y, 0.0)
+    network = dynamics.MicrogridNetwork(
+        Y=Y, gamma=rng.uniform(-3.0, 3.0, (n, n)), E=rng.uniform(0.5, 1.5, n),
+        G=rng.uniform(0.0, 1.0, n), J=rng.uniform(0.5, 2.0, n), K=rng.uniform(-1.0, 1.0, n))
+    params = dynamics.ParamVector("microgrid", tuple(rng.uniform(1.0, 4.0, n)))
+    return dynamics.build_system(params, network=network)
+
+
+def pairwise_power(network, X):
+    """P_i = sum_k W_ik cos(x_i - x_k - gamma_ik) + E_i^2 G_i, one cosine per pair."""
+    diff = X[:, :, None] - X[:, None, :]
+    W = network.coupling()
+    return (np.sum(W[None] * np.cos(diff - network.gamma[None]), axis=2)
+            + network.E**2 * network.G)
+
+
+class TestMicrogridField:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_factored_field_matches_pairwise_reference(self, n):
+        system = random_microgrid(n, seed=n)
+        network = system.network
+        rng = np.random.default_rng(10 + n)
+        X = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, (400, n))   # angles well beyond +-pi
+        dc = np.asarray(system.params.values)
+        dP = pairwise_power(network, X) - pairwise_power(network, np.zeros((1, n)))
+        reference = (-dc * X - dP + network.K * X) / network.J
+        # within a few ulps of the row's largest term (droop, coupling, feedback)
+        coupling = np.sum(np.abs(network.coupling()), axis=1) + network.E**2 * network.G
+        scale = (np.abs(dc * X) + 2.0 * coupling + np.abs(network.K * X)) / network.J
+        assert np.all(np.abs(system.f_batch(X) - reference) <= 8 * np.spacing(scale))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_nominal_origin_is_exact_equilibrium(self, n):
+        system = dynamics.nominal_system("microgrid", n)
+        np.testing.assert_array_equal(system.f(np.zeros(n)), np.zeros(n))
+        np.testing.assert_array_equal(random_microgrid(n, seed=n).f(np.zeros(n)), np.zeros(n))
+
+
 class TestSampleTasks:
     def test_zero_sigma_copies(self):
         p = dynamics.nominal_params("pendulum")

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lyapcert import roa, verify
+from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
+from lyapcert.config import PRESETS
 
 
 class LinearSystem:
@@ -17,6 +18,25 @@ class LinearSystem:
 
     def f_batch(self, X):
         return -np.asarray(X, dtype=float)
+
+
+class CubicSystem:
+    """x_dot = -x + x^3 per axis: converges inside the unit box, diverges outside."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def f(self, x):
+        return self.f_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
+
+    def f_batch(self, X):
+        X = np.asarray(X, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -X + X**3
+
+
+def short_pendulum(length):
+    return dynamics.build_system(dynamics.ParamVector("pendulum", (length, 0.15, 9.81, 0.1)))
 
 
 def all_green_map(grid, vbar):
@@ -250,16 +270,16 @@ class TestMonteCarloConvergence:
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid)
-        check = roa.monte_carlo_convergence(LinearSystem(2), result, grid, 200,
-                                            h=0.01, horizon=20.0, tol=1e-2, seed=0)
+        check, = roa.monte_carlo_convergence(LinearSystem(2), [(result, None)], grid, 200,
+                                             h=0.01, horizon=20.0, tol=1e-2, seed=0)
         assert check.fraction == 1.0 and not check.vacuous
 
     def test_empty_roa_vacuous(self):
         grid = verify.build_grid(1.0, 5, 2)
         empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
                               area=0.0, plane=None, empty=True)
-        check = roa.monte_carlo_convergence(LinearSystem(2), empty, grid, 100,
-                                            0.01, 1.0, 1e-2, seed=0)
+        check, = roa.monte_carlo_convergence(LinearSystem(2), [(empty, None)], grid, 100,
+                                             0.01, 1.0, 1e-2, seed=0)
         assert check.vacuous and check.fraction == 1.0
 
     def test_deterministic_given_seed(self):
@@ -267,10 +287,10 @@ class TestMonteCarloConvergence:
         vbar = np.sum(grid.coords**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid)
         cand = QuadraticLyapunov(np.eye(2))
-        a = roa.monte_carlo_convergence(LinearSystem(2), result, grid, 50, 0.05, 2.0,
-                                        1e-1, seed=3, candidate=cand)
-        b = roa.monte_carlo_convergence(LinearSystem(2), result, grid, 50, 0.05, 2.0,
-                                        1e-1, seed=3, candidate=cand)
+        a = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05, 2.0,
+                                        1e-1, seed=3)
+        b = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05, 2.0,
+                                        1e-1, seed=3)
         assert a == b
 
     def test_rejection_keeps_samples_in_level_set(self):
@@ -285,6 +305,73 @@ class TestMonteCarloConvergence:
         pts = centers[idx] + rng.uniform(-0.5, 0.5, size=(500, 2)) * grid.spacing
         keep = cand.value(pts) <= result.c
         assert keep.sum() > 0
+
+
+class TestStackedGate:
+    @pytest.mark.parametrize("system, scale, some_diverge", [
+        (CubicSystem(2), 1.5, True),              # rows outside the unit box diverge
+        (short_pendulum(0.254), 1.0, True),       # RK4-unstable step: every moving row diverges
+        (dynamics.nominal_system("microgrid"), 3.0, False),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_stacked_sweep_matches_per_part_sweeps(self, system, scale, some_diverge):
+        rng = np.random.default_rng(0)
+        parts = [rng.uniform(-scale, scale, (n, system.dim)) for n in (40, 2, 25)]
+        parts[1][0] = 0.0                         # an equilibrium row never diverges
+        finals, diverged = dynamics.simulate_batch(system, np.concatenate(parts), 0.01, 2.0)
+        singles = [dynamics.simulate_batch(system, part, 0.01, 2.0) for part in parts]
+        np.testing.assert_array_equal(finals, np.concatenate([f for f, _ in singles]))
+        np.testing.assert_array_equal(diverged, np.concatenate([d for _, d in singles]))
+        assert diverged.any() == some_diverge and not diverged.all()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_stacked_gate_matches_per_certificate_gates(self):
+        grid = verify.build_grid(1.5, 21, 2)
+        cand = QuadraticLyapunov(np.eye(2))
+        vbar = cand.value(grid.coords)
+        wide = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        narrow = roa.largest_level_set(
+            with_flags(grid, vbar, np.linalg.norm(grid.coords, axis=1) < 0.8), grid)
+        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
+                              area=0.0, plane=None, empty=True)
+        certificates = [(wide, cand), (empty, None), (narrow, cand), (narrow, None)]
+        stacked = roa.monte_carlo_convergence(CubicSystem(2), certificates, grid, 100,
+                                              0.01, 3.0, 1e-1, seed=7)
+        singles = [roa.monte_carlo_convergence(CubicSystem(2), [pair], grid, 100,
+                                               0.01, 3.0, 1e-1, seed=7)[0]
+                   for pair in certificates]
+        assert stacked == singles
+        assert 0.0 < stacked[0].fraction < 1.0             # the wide set has diverging rows
+        assert stacked[1].vacuous and stacked[1].fraction == 1.0
+        assert stacked[2].fraction == 1.0
+
+
+class TestGateStep:
+    @pytest.mark.parametrize("length", [0.254, 0.275])
+    def test_short_pendulum_gate_substeps(self, length, monkeypatch):
+        # h * rho(A) is 3.31 at l = 0.254 and 2.82 at l = 0.275, beyond RK4's
+        # real-axis limit 2.785: at the fixed step every rollout diverges
+        system = short_pendulum(length)
+        cfg = PRESETS["ip_stochastic_l"]
+        grid = verify.build_grid(1.0, 21, 2)
+        cand = QuadraticLyapunov(np.eye(2))
+        certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(grid.coords)),
+                                               grid), cand)]
+        check, = roa.monte_carlo_convergence(system, certificates, grid, 200,
+                                             cfg.roa.mc_step, cfg.roa.mc_horizon,
+                                             cfg.roa.mc_tol, seed=0)
+        assert check.step == 0.005 and check.fraction == 1.0
+        monkeypatch.setattr(roa, "gate_step", lambda system, h: h)
+        fixed, = roa.monte_carlo_convergence(system, certificates, grid, 200,
+                                             cfg.roa.mc_step, cfg.roa.mc_horizon,
+                                             cfg.roa.mc_tol, seed=0)
+        assert fixed.step == 0.01 and fixed.fraction == 0.0
+
+    def test_presets_keep_the_configured_step(self):
+        for cfg in PRESETS.values():
+            system = dynamics.build_system(cfg.system.test())
+            assert roa.gate_step(system, cfg.roa.mc_step) == cfg.roa.mc_step
+        assert roa.gate_step(short_pendulum(0.3), 0.01) == 0.01
 
 
 class TestExports:

@@ -92,27 +92,57 @@ class TestBuildGrid:
         assert grid.row_of([99, 0]) is None
 
 
+def star_constants(cand, system, grid):
+    grads = cand.gradient(grid.coords)
+    lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
+    return verify.estimate_lipschitz(grads, lie, grid)
+
+
+class CountingCandidate(QuadraticLyapunov):
+    def __init__(self, P):
+        super().__init__(P)
+        self.gradient_calls = 0
+
+    def gradient(self, X):
+        self.gradient_calls += 1
+        return super().gradient(X)
+
+
 class TestEstimateLipschitz:
     def test_linear_candidate_exact(self):
         grid = verify.build_grid(1.0, 11, 2)
         cand = LinearCandidate([2.0, -0.5])
-        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid)
+        const = star_constants(cand, LinearSystem(2), grid)
         np.testing.assert_allclose(const.k_v, np.full(grid.n_nodes, 1.2 * 2.0))
 
     def test_constant_candidate_zero(self):
         grid = verify.build_grid(1.0, 11, 2)
-        const = verify.estimate_lipschitz(ConstantCandidate(), LinearSystem(2), grid)
+        const = star_constants(ConstantCandidate(), LinearSystem(2), grid)
         assert np.all(const.k_v == 0.0)
         assert np.all(const.k_lie == 0.0)
 
     def test_local_mode_fills_node_arrays(self):
         grid = verify.build_grid(1.0, 11, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid)
+        const = star_constants(cand, LinearSystem(2), grid)
         assert const.k_v.shape == const.k_lie.shape == (grid.n_nodes,)
         assert np.all(const.k_v >= 0) and np.all(const.k_lie >= 0)
         # the largest star maximum is the grid-wide maximum, bit for bit
         assert np.max(const.k_v) == 1.2 * float(np.max(np.abs(cand.gradient(grid.coords))))
+
+    def test_check_validity_evaluates_each_node_once(self):
+        # without constants, check_validity estimates them from its own
+        # gradient and f arrays: one gradient call, the same bits
+        grid = verify.build_grid(1.0, 11, 2)
+        cand = CountingCandidate(np.array([[2.0, 0.3], [0.3, 0.5]]))
+        vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.3)
+        assert cand.gradient_calls == 1
+        ref = verify.check_validity(cand, LinearSystem(2), grid,
+                                    star_constants(cand, LinearSystem(2), grid), exempt_radius=0.3)
+        for name in ("vbar", "lie", "positivity_ok", "decrease_ok", "exempt"):
+            np.testing.assert_array_equal(getattr(vmap, name), getattr(ref, name))
+        np.testing.assert_array_equal(vmap.constants.k_v, ref.constants.k_v)
+        np.testing.assert_array_equal(vmap.constants.k_lie, ref.constants.k_lie)
 
 
 class ValueCandidate:
@@ -233,8 +263,7 @@ class TestCertifyPositiveDefinite:
         # at random off-grid points of the checked annulus
         grid = verify.build_grid(1.0, 41, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid)
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, const, exempt_radius=0.3)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.3)
         ok, _ = verify.certify_positive_definite(vmap, grid)
         assert ok
         rng = np.random.default_rng(1)
@@ -282,8 +311,7 @@ class TestExport:
     def test_csv_structure(self, tmp_path):
         grid = verify.build_grid(1.0, 5, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = verify.estimate_lipschitz(cand, LinearSystem(2), grid)
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, const)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid)
         path = tmp_path / "map.csv"
         verify.export_validity_csv(vmap, grid, path)
         lines = path.read_text().strip().splitlines()
