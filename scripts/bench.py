@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time the meta-training layers or the Monte-Carlo gate and record them in a BENCH JSON file.
+"""Time the meta-training layers, the Monte-Carlo gate or the bowl init into a BENCH JSON file.
 
 Example, once per source tree to compare (runs under one label accumulate):
 
     PYTHONPATH=src python scripts/bench.py --suite meta_step --label change
     PYTHONPATH=src python scripts/bench.py --suite gate --label change
+    PYTHONPATH=src python scripts/bench.py --suite init --label change
 
 The `meta_step` suite (default output `BENCH_meta_step.json`) measures, with
 BLAS pinned to one thread, on the `meta_fit` family (the `ip_stochastic_l`
@@ -25,6 +26,16 @@ The `gate` suite (default output `BENCH_gate.json`) measures:
 - `compare_mg3_s`: wall seconds of one `lyapcert compare --seed 101` on
   `mg3_dc12` at 300 meta-steps, 800 NLF steps and 500 MC rollouts, a fresh
   interpreter each time
+
+The `init` suite (default output `BENCH_init.json`) measures, with BLAS pinned
+to one thread:
+
+- `shaped_init_s`: seconds per `net.shaped_init` (2,048 points, 2,000 steps) at
+  the `meta_fit` setting (`ip_stochastic_l` network, 2-d input, radius 3.2) and
+  the `compare_mg3` setting (`mg3_dc12` network, 3-d input, radius 3.0)
+- `train_meta_s` and `compare_mg3_s`: wall seconds of one `lyapcert train-meta`
+  on the `meta_fit` config and one `lyapcert compare` on the `compare_mg3`
+  config, `--seed 101`, a fresh interpreter each time
 
 Each run is stored under its label with the machine's description; `median`
 holds each metric's median over the label's runs.
@@ -139,7 +150,18 @@ def measure_gate(repeats: int) -> dict:
             "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
 
 
-SUITES = {"meta_step": measure_meta_step, "gate": measure_gate}
+def measure_init(repeats: int) -> dict:
+    init_s = {}
+    for cfg in (meta_fit_config(), compare_mg3_config()):
+        arch, seed, radius = cfg.architecture(), cfg.seeds.net_seed, cfg.verify.d0
+        init_s[cfg.name] = round(median_time(lambda: net.shaped_init(arch, seed, radius),
+                                             repeats), 3)
+    return {"shaped_init_s": init_s,
+            "train_meta_s": round(cli_seconds(meta_fit_config(), ["train-meta"], repeats), 3),
+            "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
+
+
+SUITES = {"meta_step": measure_meta_step, "gate": measure_gate, "init": measure_init}
 
 
 def median_of(runs: list) -> dict:

@@ -10,7 +10,8 @@ meta-gradients use a central finite difference of the loss gradient.
 
 The sweeps carry a leading task axis (weights (B, out, in), activations
 (B, n, h), per-task reductions over axis 1); the per-task entry points are
-B = 1 views of them, bit for bit equal to each task of a stack.
+B = 1 views of them, bit for bit equal to each task of a stack. The value sweeps
+compute in place, into buffers a caller may hold, and tanh' once per layer.
 
 Conventions: hidden activations are tanh (smooth, globally Lipschitz), the
 output layer is linear and scalar, and the hinge subgradient at an exactly
@@ -98,16 +99,27 @@ def _one_task(batch) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _forward_sweep(weights, X: np.ndarray):
-    """Primal pass; returns (V (B, n), activations [A_0..A_{L-1}]) with A_0 = X."""
+def _forward_sweep(weights, X: np.ndarray, act_out=None):
+    """Primal pass; returns (V (B, n), activations [A_0..A_{L-1}]) with A_0 = X, each layer
+    in place (into `act_out`, per layer a (B, n, width) array, (B, n, 1) for V, when given)."""
+    act_out = act_out or [None] * len(weights)
     acts = [X]
-    A = X
-    for W, b in weights[:-1]:
-        A = np.tanh(A @ W.transpose(0, 2, 1) + b)
-        acts.append(A)
-    W_out, b_out = weights[-1]
-    V = (A @ W_out.transpose(0, 2, 1) + b_out)[..., 0]
-    return V, acts
+    for l, (W, b) in enumerate(weights):
+        Z = np.matmul(acts[l], W.transpose(0, 2, 1), out=act_out[l])
+        Z += b
+        if l == len(weights) - 1:
+            return Z[..., 0], acts
+        acts.append(np.tanh(Z, out=Z))
+
+
+def _tanh_primes(acts, sp_out=None) -> list:
+    """tanh' = 1 - A^2 of each hidden layer, [None, S_1..S_{L-1}], computed once per
+    sweep for every reader; in place, into `sp_out` (one array per hidden layer) when given."""
+    sps = [None]
+    for A, S in zip(acts[1:], sp_out or [None] * len(acts)):
+        S = np.multiply(A, A, out=S)
+        sps.append(np.subtract(1.0, S, out=S))
+    return sps
 
 
 def forward_batch(theta, arch: Architecture, X: np.ndarray) -> np.ndarray:
@@ -118,11 +130,12 @@ def forward(theta, arch: Architecture, x) -> float:
     return float(forward_batch(theta, arch, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def _input_gradient_from_acts(weights, acts) -> np.ndarray:
-    delta = np.ones(acts[-1].shape[:-1] + (1,))
-    for l in range(len(weights) - 1, 0, -1):
-        W_l = weights[l][0]
-        delta = (delta @ W_l) * (1.0 - acts[l] ** 2)
+def _input_gradient(weights, sps) -> np.ndarray:
+    # ones (n, 1) @ W_out is W_out exactly, so the sweep starts from W_out itself
+    delta = weights[-1][0] * sps[-1]
+    for l in range(len(weights) - 2, 0, -1):
+        delta = delta @ weights[l][0]
+        delta *= sps[l]
     return delta @ weights[0][0]
 
 
@@ -134,7 +147,7 @@ def input_gradient(theta, arch: Architecture, x) -> np.ndarray:
     return input_gradient_batch(theta, arch, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
-def _tangent_sweep(weights, acts, Y: np.ndarray):
+def _tangent_sweep(weights, sps, Y: np.ndarray):
     """Forward-mode pass along direction Y; returns (S (B, n), tangents T, U).
 
     S is the directional derivative grad_x V^T y per row; T_l and U_l are the
@@ -145,24 +158,29 @@ def _tangent_sweep(weights, acts, Y: np.ndarray):
     for l, (W, _b) in enumerate(weights[:-1], start=1):
         u = T[l - 1] @ W.transpose(0, 2, 1)
         U.append(u)
-        T.append((1.0 - acts[l] ** 2) * u)
+        T.append(sps[l] * u)
     W_out = weights[-1][0]
     S = (T[-1] @ W_out.transpose(0, 2, 1))[..., 0]
     return S, T, U
 
 
-def _value_backprop(weights, acts, out_weights: np.ndarray, grads) -> None:
-    """Accumulate d(sum_b w_b V_b)/dtheta per task into per-layer grad arrays."""
+def _value_backprop(weights, acts, sps, out_weights: np.ndarray, grads, delta_out=None) -> None:
+    """Accumulate d(sum_b w_b V_b)/dtheta per task into per-layer grad arrays, each delta
+    in place (into `delta_out`, a (B, n, width) array per hidden layer, when given)."""
+    delta_out = delta_out or [None] * len(weights)
     delta = out_weights[..., None]
     for l in range(len(weights) - 1, -1, -1):
         gW, gb = grads[l]
         gW += delta.transpose(0, 2, 1) @ acts[l]
         gb += delta.sum(axis=1, keepdims=True)
         if l > 0:
-            delta = (delta @ weights[l][0]) * (1.0 - acts[l] ** 2)
+            # the output layer's (n, 1) @ (1, width) product is one exact multiply per entry
+            back = np.multiply if l == len(weights) - 1 else np.matmul
+            delta = back(delta, weights[l][0], out=delta_out[l - 1])
+            delta *= sps[l]
 
 
-def _tangent_backprop(weights, acts, T, U, out_weights: np.ndarray, grads) -> None:
+def _tangent_backprop(weights, acts, sps, T, U, out_weights: np.ndarray, grads) -> None:
     """Accumulate d(sum_b w_b S_b)/dtheta per task, S_b = grad_x V(x_b)^T y_b.
 
     Reverse sweep through the tangent program: sigma''(z) terms couple the
@@ -176,9 +194,8 @@ def _tangent_backprop(weights, acts, T, U, out_weights: np.ndarray, grads) -> No
     T_bar = out_weights[..., None] * W_out
     A_bar = None
     for l in range(L - 1, 0, -1):
-        A_l = acts[l]
-        sp = 1.0 - A_l ** 2
-        spp = -2.0 * A_l * sp
+        sp = sps[l]
+        spp = -2.0 * acts[l] * sp
         U_bar = sp * T_bar
         Z_bar = spp * U[l] * T_bar
         if A_bar is not None:
@@ -203,25 +220,26 @@ def loss_gradients(thetas, arch: Architecture, batch, cfg, values: bool = False)
     n = X.shape[1]
     weights = unpack(np.atleast_2d(thetas), arch)
     V, acts = _forward_sweep(weights, X)
-    S, T, U = _tangent_sweep(weights, acts, Y)
+    sps = _tanh_primes(acts)
+    S, T, U = _tangent_sweep(weights, sps, Y)
 
     grad = np.zeros((len(V), arch.n_params))
     grads = unpack(grad, arch)      # per-layer views, accumulated in place
 
     pos_active = (cfg.eps1 - V) > 0.0
     if np.any(pos_active):
-        _value_backprop(weights, acts, np.where(pos_active, -1.0 / n, 0.0), grads)
+        _value_backprop(weights, acts, sps, np.where(pos_active, -1.0 / n, 0.0), grads)
     dec_active = (cfg.eps2 + S) > 0.0
     if np.any(dec_active):
-        _tangent_backprop(weights, acts, T, U, np.where(dec_active, 1.0 / n, 0.0), grads)
+        _tangent_backprop(weights, acts, sps, T, U, np.where(dec_active, 1.0 / n, 0.0), grads)
 
     V0, acts0 = _forward_sweep(weights, np.zeros((1, 1, arch.input_dim)))
     if np.any(V0 != 0.0):
-        _value_backprop(weights, acts0, 2.0 * V0, grads)
+        _value_backprop(weights, acts0, _tanh_primes(acts0), 2.0 * V0, grads)
 
     if not values:
         return grad
-    lie = np.sum(_input_gradient_from_acts(weights, acts) * Y, axis=2)
+    lie = np.sum(_input_gradient(weights, sps) * Y, axis=2)
     return grad, (V, lie, V0[:, 0])
 
 
@@ -265,20 +283,30 @@ def shaped_init(arch: Architecture, seed: int, radius: float, scale: float = 3.0
 
     Uses no dynamics data, only geometry; it replaces the raw random init with
     one whose value surface is already a clean radially increasing bowl, which
-    gradient training then deforms. Deterministic given the seed.
+    gradient training then deforms. Deterministic given the seed. Every step
+    updates theta in place through its layer views, in one set of sweep buffers.
     """
+    if not radius > 0 or n_points < 1 or steps < 0:
+        raise ValueError("shaped_init needs radius > 0, n_points >= 1 and steps >= 0")
     rng = np.random.default_rng(seed)
     theta = init_params(arch, seed)
     direction = rng.normal(size=(n_points, arch.input_dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     X = direction * (radius * rng.random(n_points) ** (1.0 / arch.input_dim))[:, None]
     target = scale * (np.linalg.norm(X, axis=1) / radius) ** 2
+    weights = unpack(theta[None], arch)
+    grad = np.empty((1, arch.n_params))
+    grads = unpack(grad, arch)
+    delta_out = [np.empty((1, n_points, h)) for h in arch.hidden]
+    sp_out = [np.empty_like(D) for D in delta_out]
+    act_out = [np.empty_like(D) for D in delta_out] + [np.empty((1, n_points, 1))]
     for _ in range(steps):
-        weights = unpack(theta[None], arch)
-        V, acts = _forward_sweep(weights, X[None])
-        grad = np.zeros((1, arch.n_params))
-        _value_backprop(weights, acts, 2.0 * (V - target) / n_points, unpack(grad, arch))
-        theta = theta - lr * grad[0]
+        V, acts = _forward_sweep(weights, X[None], act_out)
+        grad.fill(0.0)
+        _value_backprop(weights, acts, _tanh_primes(acts, sp_out), 2.0 * (V - target) / n_points,
+                        grads, delta_out)
+        grad *= lr
+        theta -= grad[0]
     return theta
 
 
@@ -294,7 +322,7 @@ class MlpLyapunov:
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
         _, acts = _forward_sweep(self._weights, np.atleast_2d(X)[None])
-        return _input_gradient_from_acts(self._weights, acts)[0]
+        return _input_gradient(self._weights, _tanh_primes(acts))[0]
 
 
 def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> dict:

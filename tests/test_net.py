@@ -188,6 +188,40 @@ class TestStackedKernel:
             np.testing.assert_array_equal(
                 H[p], net.hvp(self.thetas[0], self.arch, (self.X[p], self.Y[p]), self.cfg, V[p]))
 
+    def test_buffers_change_nothing(self):
+        """Preallocated sweep buffers, filled with NaN first, give the bits of the
+        allocating sweeps; the input gradient from the cached tanh' gives the bits of
+        the ones-vector sweep that recomputes 1 - A^2."""
+        weights = net.unpack(self.thetas, self.arch)
+        X = self.X
+        out_weights = np.random.default_rng(9).normal(size=X.shape[:2])
+        shapes = [X.shape[:2] + (h,) for h in self.arch.hidden]
+        act_out = [np.full(s, np.nan) for s in shapes] + [np.full(X.shape[:2] + (1,), np.nan)]
+        sp_out = [np.full(s, np.nan) for s in shapes]
+        delta_out = [np.full(s, np.nan) for s in shapes]
+
+        V, acts = net._forward_sweep(weights, X)
+        Vb, acts_b = net._forward_sweep(weights, X, act_out)
+        sps, sps_b = net._tanh_primes(acts), net._tanh_primes(acts_b, sp_out)
+        np.testing.assert_array_equal(Vb, V)
+        for A, Ab, S, Sb in zip(acts, acts_b, sps[1:], sps_b[1:]):
+            np.testing.assert_array_equal(Ab, A)
+            np.testing.assert_array_equal(Sb, S)
+        assert all(Ab is buf for Ab, buf in zip(acts_b[1:] + sps_b[1:], act_out[:-1] + sp_out))
+        assert np.shares_memory(Vb, act_out[-1])
+
+        grad = np.zeros((4, self.arch.n_params))
+        grad_b = np.zeros((4, self.arch.n_params))
+        net._value_backprop(weights, acts, sps, out_weights, net.unpack(grad, self.arch))
+        net._value_backprop(weights, acts_b, sps_b, out_weights, net.unpack(grad_b, self.arch),
+                            delta_out)
+        np.testing.assert_array_equal(grad_b, grad)
+
+        delta = np.ones(X.shape[:2] + (1,))
+        for l in range(len(weights) - 1, 0, -1):
+            delta = (delta @ weights[l][0]) * (1.0 - acts[l] ** 2)
+        np.testing.assert_array_equal(net._input_gradient(weights, sps), delta @ weights[0][0])
+
 
 class TestInitParams:
     def test_deterministic(self):
@@ -252,6 +286,36 @@ class TestCheckpoint:
             net.load_checkpoint(path)
 
 
+def allocating_shaped_init(arch, seed, radius, scale=3.0, n_points=2048, steps=2000, lr=0.05):
+    """The allocating loop `net.shaped_init` replaced: fresh arrays for every op of
+    every step, 1 - A^2 recomputed, and the output delta through an (n, 1) @ (1, h)
+    matmul."""
+    rng = np.random.default_rng(seed)
+    theta = net.init_params(arch, seed)
+    direction = rng.normal(size=(n_points, arch.input_dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    X = direction * (radius * rng.random(n_points) ** (1.0 / arch.input_dim))[:, None]
+    target = scale * (np.linalg.norm(X, axis=1) / radius) ** 2
+    for _ in range(steps):
+        weights = net.unpack(theta[None], arch)
+        acts = [X[None]]
+        for W, b in weights[:-1]:
+            acts.append(np.tanh(acts[-1] @ W.transpose(0, 2, 1) + b))
+        W_out, b_out = weights[-1]
+        V = (acts[-1] @ W_out.transpose(0, 2, 1) + b_out)[..., 0]
+        grad = np.zeros((1, arch.n_params))
+        grads = net.unpack(grad, arch)
+        delta = (2.0 * (V - target) / n_points)[..., None]
+        for l in range(len(weights) - 1, -1, -1):
+            gW, gb = grads[l]
+            gW += delta.transpose(0, 2, 1) @ acts[l]
+            gb += delta.sum(axis=1, keepdims=True)
+            if l > 0:
+                delta = (delta @ weights[l][0]) * (1.0 - acts[l] ** 2)
+        theta = theta - lr * grad[0]
+    return theta
+
+
 class TestShapedInit:
     def test_deterministic(self):
         arch = net.Architecture(2, (8, 8))
@@ -266,3 +330,26 @@ class TestShapedInit:
                for a in np.linspace(0, 2 * np.pi, 12)]
         assert min(rim) > v0 + 0.5
 
+    def test_matches_allocating_reference(self):
+        for input_dim, hidden in ((2, (16, 16)), (3, (16, 16)), (5, (16, 16)), (6, (16, 16)),
+                                  (2, (8,)), (3, (8, 8, 8))):
+            arch = net.Architecture(input_dim, hidden)
+            np.testing.assert_array_equal(net.shaped_init(arch, 5, 3.0, steps=50),
+                                          allocating_shaped_init(arch, 5, 3.0, steps=50),
+                                          err_msg=str(arch))
+
+    def test_owns_its_data_and_keeps_no_state(self):
+        arch = net.Architecture(2, (8, 8))
+        first = net.shaped_init(arch, 1, 4.0, steps=20)
+        other = net.shaped_init(arch, 1, 2.0, steps=20)
+        third = net.shaped_init(arch, 1, 4.0, steps=20)
+        assert first.flags.owndata and first.base is None
+        assert not np.array_equal(first, other)
+        np.testing.assert_array_equal(first, third)
+
+    @pytest.mark.parametrize("bad", [{"radius": 0.0}, {"radius": -1.0},
+                                     {"n_points": 0}, {"steps": -1}])
+    def test_rejects_bad_arguments(self, bad):
+        kwargs = {"radius": 3.0, **bad}
+        with pytest.raises(ValueError):
+            net.shaped_init(net.Architecture(2, (4,)), 0, **kwargs)
