@@ -82,7 +82,6 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
     Starts from the bowl-shaped init unless an explicit theta0 is given.
     Returns (theta, samples_used, steps_used).
     """
-    obj = meta.lyapunov_objective(arch, loss_cfg)
     dataset = build_dataset(system, radius, k_train=budget.n_samples, j_test=1, m_batches=1,
                             seed=seed)
     X, Y = dataset.batches[0][0]
@@ -90,7 +89,7 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
     theta = net.shaped_init(arch, seed, radius) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     for step in range(budget.n_steps):
         idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
-        g = obj.grad(theta, (X[idx], Y[idx]))
+        g = net.loss_gradient(theta, arch, (X[idx], Y[idx]), loss_cfg)
         if not np.all(np.isfinite(g)):
             raise meta.NonFiniteLoss(step, float("nan"))
         theta = theta - budget.lr * g

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -164,7 +165,11 @@ def cmd_train_meta(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.Architecture, dict]:
+def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.Architecture, float]:
+    """Checkpoint parameters, architecture and region radius (the config's d0 when
+    the checkpoint has none): a non-finite parameter or radius raises
+    FloatingPointError (OverflowError for an integer beyond float range), any
+    other unusable content BadArtifact."""
     if not Path(path).exists():
         raise BadArtifact(f"checkpoint {path} does not exist")
     try:
@@ -174,14 +179,20 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
     if arch.input_dim != cfg.system.nominal().state_dim:
         raise BadArtifact(f"checkpoint is {arch.input_dim}-d, system is "
                           f"{cfg.system.nominal().state_dim}-d")
-    return theta, arch, extra
+    radius = extra.get("radius", cfg.verify.d0)
+    if isinstance(radius, bool) or not isinstance(radius, (int, float)):
+        raise BadArtifact(f"checkpoint radius {radius!r} is not a number")
+    if not (np.all(np.isfinite(theta)) and math.isfinite(radius)):
+        raise FloatingPointError(f"checkpoint {path} has a non-finite parameter or radius")
+    if radius <= 0:
+        raise BadArtifact(f"checkpoint radius {radius!r} is not positive")
+    return theta, arch, radius
 
 
 def cmd_adapt(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    theta, arch, extra = _load_checkpoint_for(cfg, args.checkpoint)
-    radius = extra.get("radius", cfg.verify.d0)
+    theta, arch, radius = _load_checkpoint_for(cfg, args.checkpoint)
     k = args.k if args.k is not None else cfg.meta.k_test
     n_samples = args.samples if args.samples is not None else cfg.meta.adapt_samples
     if not (1 <= n_samples <= baselines.TEST_TIME_SAMPLES
@@ -205,8 +216,7 @@ def cmd_adapt(args) -> int:
 
 
 def _checkpoint_candidate(cfg: ExperimentConfig, checkpoint):
-    theta, arch, extra = _load_checkpoint_for(cfg, checkpoint)
-    radius = extra.get("radius", cfg.verify.d0)
+    theta, arch, radius = _load_checkpoint_for(cfg, checkpoint)
     system_test = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, system_test.dim)
     return net.MlpLyapunov(theta, arch), system_test, grid
@@ -367,7 +377,7 @@ def main(argv=None) -> int:
     except BadArtifact as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (meta.NonFiniteLoss, FloatingPointError) as exc:
+    except (meta.NonFiniteLoss, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

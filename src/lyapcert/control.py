@@ -9,7 +9,6 @@ Riccati machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -119,17 +118,24 @@ def kleinman_lqr(A, B, Qc, Rc, K0, max_iter: int = 60, tol: float = 1e-10) -> np
         K_{m+1} = Rc^{-1} B^T P_m
 
     until the gain update falls below `tol` in max-norm. The fixed point
-    satisfies the algebraic Riccati equation.
+    satisfies the algebraic Riccati equation. B is (n, m) for an n-state A,
+    Qc must be symmetric, Rc symmetric positive definite and K0 an (m, n)
+    stabilizing seed gain; anything else raises ValueError.
     """
     A = _as_square(A, "A")
+    n = A.shape[0]
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != A.shape[0]:
-        B = B.T
+    if B.ndim != 2 or B.shape[0] != n:
+        raise ValueError(f"B must have {n} rows, got shape {B.shape}")
     Qc = _as_square(Qc, "Qc")
     Rc = _as_square(Rc, "Rc")
+    if not np.allclose(Qc, Qc.T, atol=1e-10):
+        raise ValueError("Qc must be symmetric")
+    if not is_positive_definite(Rc):
+        raise ValueError("Rc must be symmetric positive definite")
     K = np.atleast_2d(np.asarray(K0, dtype=float))
-    if K.shape != (B.shape[1], A.shape[0]):
-        K = K.reshape(B.shape[1], A.shape[0])
+    if K.shape != (B.shape[1], n):
+        raise ValueError(f"K0 must have shape {(B.shape[1], n)}, got {K.shape}")
 
     if not is_hurwitz(A - B @ K):
         raise NotStabilizing("initial gain K0 does not stabilize A - B K0")
@@ -146,37 +152,6 @@ def kleinman_lqr(A, B, Qc, Rc, K0, max_iter: int = 60, tol: float = 1e-10) -> np
                 raise NoConvergence("converged gain lost stability")
             return K
     raise NoConvergence(f"no fixed point after {max_iter} iterations")
-
-
-@dataclass(frozen=True, eq=False)
-class LqrDesign:
-    """A synthesized state-feedback law u = -K x with its cost matrices.
-
-    Qc must be symmetric PSD, Rc symmetric PD, K0 a stabilizing seed gain;
-    the stored K is the Kleinman fixed point.
-    """
-
-    Qc: np.ndarray
-    Rc: np.ndarray
-    K0: np.ndarray
-    K: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "Qc", _as_square(self.Qc, "Qc"))
-        object.__setattr__(self, "Rc", _as_square(self.Rc, "Rc"))
-        object.__setattr__(self, "K0", np.atleast_2d(np.asarray(self.K0, dtype=float)))
-        if not np.allclose(self.Qc, self.Qc.T, atol=1e-10):
-            raise ValueError("Qc must be symmetric")
-        if not is_positive_definite(self.Rc):
-            raise ValueError("Rc must be symmetric positive definite")
-        object.__setattr__(self, "K", self.K0)
-
-    @classmethod
-    def design(cls, A, B, Qc, Rc, K0, max_iter: int = 60, tol: float = 1e-10) -> "LqrDesign":
-        d = cls(Qc=Qc, Rc=Rc, K0=K0)
-        K = kleinman_lqr(A, B, d.Qc, d.Rc, d.K0, max_iter=max_iter, tol=tol)
-        object.__setattr__(d, "K", K)
-        return d
 
 
 def linearize(f: Callable[[np.ndarray], np.ndarray], x_star, h: float = 1e-5) -> np.ndarray:

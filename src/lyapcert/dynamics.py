@@ -16,16 +16,13 @@ nominal system is built, and every constant can be overridden.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .control import LqrDesign, is_hurwitz, linearize
+from .control import is_hurwitz, kleinman_lqr, linearize
 
 SYSTEM_IDS = ("pendulum", "microgrid", "fan")
 
@@ -253,8 +250,7 @@ def _default_gain(system_id: str) -> np.ndarray:
     else:
         raise ValueError(f"no LQR controller for {system_id!r}")
     A, B = _open_loop_linearization(system_id, params)
-    design = LqrDesign.design(A, B, Qc, Rc, np.array(K0))
-    return design.K
+    return kleinman_lqr(A, B, Qc, Rc, np.array(K0))
 
 
 def _open_loop_linearization(system_id: str, values) -> tuple[np.ndarray, np.ndarray]:
@@ -364,11 +360,6 @@ class TaskDataset:
     def n_batches(self) -> int:
         return len(self.batches)
 
-    def all_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.concatenate([np.concatenate([tr[0], te[0]]) for tr, te in self.batches])
-        ys = np.concatenate([np.concatenate([tr[1], te[1]]) for tr, te in self.batches])
-        return xs, ys
-
 
 def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test: int,
                   m_batches: int, seed: int) -> TaskDataset:
@@ -383,55 +374,6 @@ def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test:
         x_te = sample_ball(rng, j_test, system.dim, radius)
         batches.append(((x_tr, system.f_batch(x_tr)), (x_te, system.f_batch(x_te))))
     return TaskDataset(params=system.params, radius=radius, batches=tuple(batches), seed=seed)
-
-
-def export_dataset_csv(dataset: TaskDataset, csv_path, k_train: int, j_test: int) -> None:
-    """Write all samples as CSV (x1..xd, y1..yd) plus a JSON metadata sidecar."""
-    csv_path = Path(csv_path)
-    dim = dataset.params.state_dim
-    header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
-    xs, ys = dataset.all_samples()
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for x, y in zip(xs, ys):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in y])
-    sidecar = {
-        "system_id": dataset.params.system_id,
-        "theta": list(dataset.params.values),
-        "K": k_train,
-        "J": j_test,
-        "m_i": dataset.n_batches,
-        "seed": dataset.seed,
-        "radius": dataset.radius,
-    }
-    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def import_dataset_csv(csv_path) -> TaskDataset:
-    """Rebuild a TaskDataset from its CSV + JSON sidecar."""
-    csv_path = Path(csv_path)
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
-    params = ParamVector(meta["system_id"], tuple(meta["theta"]))
-    dim = params.state_dim
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append([float(v) for v in row])
-    data = np.asarray(rows)
-    xs, ys = data[:, :dim], data[:, dim:]
-    k, j, m = meta["K"], meta["J"], meta["m_i"]
-    batches = []
-    offset = 0
-    for _ in range(m):
-        x_tr, y_tr = xs[offset:offset + k], ys[offset:offset + k]
-        offset += k
-        x_te, y_te = xs[offset:offset + j], ys[offset:offset + j]
-        offset += j
-        batches.append(((x_tr, y_tr), (x_te, y_te)))
-    return TaskDataset(params=params, radius=meta["radius"], batches=tuple(batches), seed=meta["seed"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
-"""Tightened Lyapunov hinge loss: pointwise terms and the batch mean.
+"""Tightened Lyapunov hinge loss, the batch mean of pointwise terms.
 
-The pointwise loss penalizes violations of the margin-tightened Lyapunov
-conditions at a sample (x, y = f(x)):
+The term of one sample penalizes violations of the margin-tightened Lyapunov
+conditions at that sample (x, y = f(x)):
 
     max(0, eps1 - V(x)) + max(0, eps2 + grad V(x)^T y) + V(0)^2
 
@@ -35,11 +35,6 @@ class TightenedLossConfig:
             raise ValueError("margins eps1 and eps2 must be strictly positive")
 
 
-def pointwise_loss(v_x: float, lie: float, v_0: float, cfg: TightenedLossConfig) -> float:
-    """Single-sample tightened loss; `lie` is the precomputed grad V(x)^T y."""
-    return max(0.0, cfg.eps1 - v_x) + max(0.0, cfg.eps2 + lie) + v_0 * v_0
-
-
 def mean_loss(V, lie, v0, cfg: TightenedLossConfig):
     """Batch-mean loss from V(x), grad V(x)^T y and V(0), samples on the last
     axis: a stack of tasks (B, n) with V(0) of shape (B,) gives B losses."""
@@ -47,13 +42,13 @@ def mean_loss(V, lie, v0, cfg: TightenedLossConfig):
 
 
 def empirical_loss(theta, arch, batch, cfg: TightenedLossConfig) -> float:
-    """Mean pointwise loss over a batch (X, Y) of samples, fixed summation order."""
+    """Batch-mean loss of the network theta over samples (X, Y), fixed summation order."""
     X, Y = batch
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] == 0:
         raise EmptyBatch("empirical loss needs at least one sample")
-    V = net.forward_batch(theta, arch, X)
-    lie = np.sum(net.input_gradient_batch(theta, arch, X) * Y, axis=1)
-    v0 = net.forward(theta, arch, np.zeros(arch.input_dim))
-    return float(mean_loss(V, lie, v0, cfg))
+    candidate = net.MlpLyapunov(theta, arch)
+    lie = np.sum(candidate.gradient(X) * Y, axis=1)
+    v0 = candidate.value(np.zeros((1, arch.input_dim)))[0]
+    return float(mean_loss(candidate.value(X), lie, v0, cfg))

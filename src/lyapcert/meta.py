@@ -8,23 +8,19 @@ product; the first-order mode drops the inner Jacobian (cheaper, standard
 practice). Plain gradient descent throughout, no optimizer state. Each stage
 of a meta-step (inner gradients at theta, outer gradients and losses at the P
 adapted vectors, HVPs at the 2P points theta +- eps_p g_p) is one stacked call.
-
-The generic entry points (`adapt_with`, `meta_gradient_with`, ...) take a
-TaskObjective so the same machinery runs against closed-form surrogate
-objectives in tests; the Lyapunov-specific wrappers bind the network loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import net
 from .config import MetaBlock
 from .dynamics import TaskDataset
-from .loss import TightenedLossConfig, empirical_loss, mean_loss
+from .loss import TightenedLossConfig, mean_loss
 
 Batch = tuple[np.ndarray, np.ndarray]
 
@@ -45,67 +41,25 @@ class MetaTrainReport:
     seed: int
 
 
-@dataclass(frozen=True)
-class TaskObjective:
-    """Loss/gradient/HVP triple over a flat parameter vector and a batch."""
-
-    loss: Callable[[np.ndarray, Batch], float]
-    grad: Callable[[np.ndarray, Batch], np.ndarray]
-    hvp: Callable[[np.ndarray, Batch, np.ndarray], np.ndarray]
-
-
-def lyapunov_objective(arch: net.Architecture, cfg: TightenedLossConfig) -> TaskObjective:
-    return TaskObjective(
-        loss=lambda th, b: empirical_loss(th, arch, b, cfg),
-        grad=lambda th, b: net.loss_gradient(th, arch, b, cfg),
-        hvp=lambda th, b, v: net.hvp(th, arch, b, cfg, v),
-    )
-
-
-def adapt_with(obj: TaskObjective, theta: np.ndarray, batch: Batch, alpha: float) -> np.ndarray:
-    return theta - alpha * obj.grad(theta, batch)
-
-
-def meta_objective_with(obj: TaskObjective, theta, s_tr: Batch, s_te: Batch, alpha: float) -> float:
-    return obj.loss(adapt_with(obj, theta, s_tr, alpha), s_te)
-
-
-def meta_gradient_with(obj: TaskObjective, theta, s_tr: Batch, s_te: Batch,
-                       alpha: float, mode: str) -> np.ndarray:
-    adapted = adapt_with(obj, theta, s_tr, alpha)
-    g_te = obj.grad(adapted, s_te)
-    if mode == "first_order" or alpha == 0.0:
-        return g_te
-    return _through_inner_step(g_te, alpha, obj.hvp(theta, s_tr, g_te))
-
-
-def _through_inner_step(g_te, alpha: float, hv):
-    # chain rule through theta' = theta - alpha * grad(theta), hv = H_tr(theta) g_te:
-    # d/dtheta L(theta') = (I - alpha H_tr(theta)) g_te(theta')
-    return g_te - alpha * hv
-
-
-def adapt_step(theta, arch, s_tr: Batch, alpha: float, loss_cfg: TightenedLossConfig) -> np.ndarray:
-    """One inner gradient step theta - alpha * grad of the tightened loss."""
-    return adapt_with(lyapunov_objective(arch, loss_cfg), theta, s_tr, alpha)
-
-
-def meta_objective(theta, arch, s_tr: Batch, s_te: Batch, alpha: float,
-                   loss_cfg: TightenedLossConfig) -> float:
-    """Post-adaptation test loss: the quantity the meta-parameters minimize."""
-    return meta_objective_with(lyapunov_objective(arch, loss_cfg), theta, s_tr, s_te, alpha)
-
-
-def meta_gradient(theta, arch, s_tr: Batch, s_te: Batch, alpha: float,
-                  loss_cfg: TightenedLossConfig, mode: str = "second_order") -> np.ndarray:
-    return meta_gradient_with(lyapunov_objective(arch, loss_cfg), theta, s_tr, s_te, alpha, mode)
+def meta_gradients(theta, arch: net.Architecture, s_tr: Batch, s_te: Batch, inner_lr: float,
+                   loss_cfg: TightenedLossConfig, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Meta-gradients (P, n_params) and post-adaptation test losses (P,) of P tasks at
+    one theta; `s_tr` and `s_te` are (X, Y) pairs of (P, n, d) arrays. Each task adapts
+    by one inner step theta - inner_lr * grad on its train half and is scored on its
+    test half."""
+    adapted = theta - inner_lr * net.loss_gradients(theta, arch, s_tr, loss_cfg)
+    g_te, terms = net.loss_gradients(adapted, arch, s_te, loss_cfg, values=True)
+    if mode == "second_order" and inner_lr != 0.0:
+        # chain rule through theta' = theta - inner_lr * grad(theta):
+        # d/dtheta L(theta') = (I - inner_lr H_tr(theta)) g_te(theta')
+        g_te = g_te - inner_lr * net.hvps(theta, arch, s_tr, loss_cfg, g_te)
+    return g_te, mean_loss(*terms, loss_cfg)
 
 
 def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: MetaBlock,
                loss_cfg: TightenedLossConfig, seed: int,
                theta0: np.ndarray | None = None) -> MetaTrainReport:
-    """Full meta-training run over the task datasets, deterministic given the seed.
-    Each task's numbers equal the per-task functions' bit for bit."""
+    """Full meta-training run over the task datasets, deterministic given the seed."""
     if len(tasks) < 1 or any(t.n_batches < 1 for t in tasks):
         raise ValueError("need at least one task, each with at least one mini-batch")
     if len({(tr[0].shape, te[0].shape) for t in tasks for tr, te in t.batches}) > 1:
@@ -119,14 +73,11 @@ def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: M
         picks = [t.batches[rng.integers(t.n_batches)]
                  for t in (tasks[rng.integers(len(tasks))] for _ in range(meta_cfg.tasks_per_step))]
         s_tr, s_te = (tuple(np.array(a, dtype=float) for a in zip(*half)) for half in zip(*picks))
-        adapted = theta - meta_cfg.inner_lr * net.loss_gradients(theta, arch, s_tr, loss_cfg)
-        g_te, terms = net.loss_gradients(adapted, arch, s_te, loss_cfg, values=True)
-        if meta_cfg.mode == "second_order" and meta_cfg.inner_lr != 0.0:
-            hv = net.hvps(theta, arch, s_tr, loss_cfg, g_te)
-            g_te = _through_inner_step(g_te, meta_cfg.inner_lr, hv)
+        grads, losses = meta_gradients(theta, arch, s_tr, s_te, meta_cfg.inner_lr, loss_cfg,
+                                       meta_cfg.mode)
         grad_sum = np.zeros_like(theta)
         loss_sum = 0.0
-        for g, task_loss in zip(g_te, mean_loss(*terms, loss_cfg).tolist()):
+        for g, task_loss in zip(grads, losses.tolist()):
             grad_sum += g
             loss_sum += task_loss
         mean_step_loss = loss_sum / meta_cfg.tasks_per_step
@@ -142,10 +93,9 @@ def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
     """k repeated full-batch inner steps from the meta-parameters."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    obj = lyapunov_objective(arch, loss_cfg)
     theta = np.asarray(theta_mnlf, dtype=float).copy()
     for _ in range(k):
-        theta = adapt_with(obj, theta, s_tr, alpha)
+        theta = theta - alpha * net.loss_gradient(theta, arch, s_tr, loss_cfg)
     return theta
 
 

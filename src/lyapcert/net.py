@@ -122,14 +122,6 @@ def _tanh_primes(acts, sp_out=None) -> list:
     return sps
 
 
-def forward_batch(theta, arch: Architecture, X: np.ndarray) -> np.ndarray:
-    return MlpLyapunov(theta, arch).value(np.asarray(X, dtype=float))
-
-
-def forward(theta, arch: Architecture, x) -> float:
-    return float(forward_batch(theta, arch, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
 def _input_gradient(weights, sps) -> np.ndarray:
     # ones (n, 1) @ W_out is W_out exactly, so the sweep starts from W_out itself
     delta = weights[-1][0] * sps[-1]
@@ -137,14 +129,6 @@ def _input_gradient(weights, sps) -> np.ndarray:
         delta = delta @ weights[l][0]
         delta *= sps[l]
     return delta @ weights[0][0]
-
-
-def input_gradient_batch(theta, arch: Architecture, X: np.ndarray) -> np.ndarray:
-    return MlpLyapunov(theta, arch).gradient(np.asarray(X, dtype=float))
-
-
-def input_gradient(theta, arch: Architecture, x) -> np.ndarray:
-    return input_gradient_batch(theta, arch, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def _tangent_sweep(weights, sps, Y: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import linearize
-from .dynamics import ClosedLoopSystem, sample_ball, simulate_batch
+from .dynamics import ClosedLoopSystem, simulate_batch
 from .verify import GridSpec, ValidityMap
 
 
@@ -96,27 +96,16 @@ def roa_area(result: RoaResult, grid: GridSpec) -> float:
     return float(result.n_cells * grid.cell_volume)
 
 
-def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int],
-                  fixed_values=None) -> np.ndarray:
+def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
     """Shadow of the member cells on the (i, j) plane.
 
     Returns the distinct (lattice_i, lattice_j) pairs, each counted once
-    regardless of depth multiplicity. With `fixed_values`, only member nodes
-    whose remaining coordinates match the nearest lattice values of
-    `fixed_values` contribute (a slice instead of a shadow).
+    regardless of depth multiplicity.
     """
     i, j = axes
     if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
         raise BadAxes(f"invalid projection axes {axes} for dim {grid.dim}")
-    members = grid.lattice[result.member_rows]
-    if fixed_values is not None:
-        rest = [k for k in range(grid.dim) if k not in (i, j)]
-        target = np.asarray(fixed_values, dtype=float) / grid.spacing
-        target = np.round(target).astype(int)
-        mask = np.all(members[:, rest] == target[None, :], axis=1)
-        members = members[mask]
-    pairs = members[:, (i, j)]
-    return np.unique(pairs, axis=0)
+    return np.unique(grid.lattice[result.member_rows][:, (i, j)], axis=0)
 
 
 RK4_STEP_LIMIT = 2.5   # largest h * rho(A) the gate integrates at; RK4's real-axis limit is 2.785
@@ -196,17 +185,6 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
             else ConvergenceCheck(fraction=next(fractions), n_samples=n_samples, vacuous=False,
                                   step=step)
             for result, _ in certificates]
-
-
-def sample_annulus(rng: np.random.Generator, n: int, dim: int, outer: float,
-                   inner: float = 0.0) -> np.ndarray:
-    """Uniform samples over the ball of radius `outer`, excluding radius `inner`."""
-    out = np.empty((0, dim))
-    while out.shape[0] < n:
-        batch = sample_ball(rng, n, dim, outer)
-        keep = np.linalg.norm(batch, axis=1) > inner
-        out = np.concatenate([out, batch[keep]])
-    return out[:n]
 
 
 def export_roa_json(result: RoaResult, grid: GridSpec, path, config_hash: str = "",

@@ -1,4 +1,4 @@
-"""Minimal native SVG rendering: validity heatmaps, ROA overlays, trajectories.
+"""Minimal native SVG rendering: validity heatmaps, ROA overlays, phase portraits.
 
 No plotting dependency; plain string assembly. Grids with more than two state
 dimensions are drawn as the 2-D slice through the origin along a chosen axis
@@ -15,6 +15,7 @@ PALE = "#bfe3c5"
 
 CANVAS = 640.0
 MARGIN = 40.0
+PHASE_DENSITY = 24   # vector-field glyphs per axis of a phase portrait
 
 
 def _scaler(radius: float):
@@ -36,9 +37,8 @@ def _slice_rows(grid, axes: tuple[int, int]) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def render_validity_svg(vmap, grid, roa=None, trajectories=None,
-                        axes: tuple[int, int] = (0, 1)) -> str:
-    """Green/red cell map with optional ROA member outline and trajectories."""
+def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) -> str:
+    """Green/red cell map with an optional ROA member outline."""
     to_px, scale = _scaler(grid.radius)
     cell = grid.spacing * scale
     rows = _slice_rows(grid, axes)
@@ -71,44 +71,29 @@ def render_validity_svg(vmap, grid, roa=None, trajectories=None,
                 f'width="{cell:.2f}" height="{cell:.2f}" fill="none" '
                 f'stroke="#1f2a44" stroke-width="0.6"/>'
             )
-    if trajectories:
-        for traj in trajectories:
-            pts = " ".join(
-                f"{x:.2f},{y:.2f}"
-                for x, y in (to_px(s[axes[0]], s[axes[1]]) for s in traj.states)
-            )
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="#14365f" stroke-width="1.2"/>')
     parts.append(_axis_frame(grid.radius, to_px))
     parts.append("</svg>")
     return "\n".join(parts)
 
 
-def render_phase_svg(system, grid, roa=None, trajectories=None, density: int = 24) -> str:
-    """2-D phase portrait (vector field glyphs) with optional ROA cells."""
+def render_phase_svg(system, grid, trajectories=None) -> str:
+    """2-D phase portrait (vector field glyphs) with optional trajectories."""
     if grid.dim != 2:
         raise ValueError("phase portraits are drawn for 2-D state spaces only")
-    to_px, scale = _scaler(grid.radius)
-    xs = np.linspace(-grid.radius, grid.radius, density)
+    to_px, _scale = _scaler(grid.radius)
+    xs = np.linspace(-grid.radius, grid.radius, PHASE_DENSITY)
     pts = np.array([(a, b) for a in xs for b in xs])
     pts = pts[np.linalg.norm(pts, axis=1) <= grid.radius]
     vel = system.f_batch(pts)
     norm = np.linalg.norm(vel, axis=1, keepdims=True)
     unit = vel / np.maximum(norm, 1e-12)
-    arrow_len = 0.35 * (2 * grid.radius / density)
+    arrow_len = 0.35 * (2 * grid.radius / PHASE_DENSITY)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" height="{CANVAS:.0f}" '
         f'viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">',
         f'<rect width="{CANVAS:.0f}" height="{CANVAS:.0f}" fill="white"/>',
     ]
-    if roa is not None and not roa.empty:
-        cell = grid.spacing * scale
-        for row in roa.member_rows:
-            px, py = to_px(grid.coords[row, 0], grid.coords[row, 1])
-            parts.append(
-                f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" width="{cell:.2f}" '
-                f'height="{cell:.2f}" fill="{PALE}" fill-opacity="0.7"/>'
-            )
     for p, u in zip(pts, unit):
         x0, y0 = to_px(p[0], p[1])
         x1, y1 = to_px(p[0] + arrow_len * u[0], p[1] + arrow_len * u[1])

@@ -210,19 +210,6 @@ def check_validity(candidate, system, grid: GridSpec, constants: LipschitzConsta
                        exempt=exempt, constants=constants)
 
 
-def certify_positive_definite(vmap: ValidityMap, grid: GridSpec) -> tuple[bool, np.ndarray | None]:
-    """True when every checked node clears the positivity margin.
-
-    By the covering argument this certifies Vbar > 0 on all of D outside the
-    exemption ball. On failure, returns the first violating node as witness.
-    """
-    violations = ~vmap.positivity_ok
-    if not np.any(violations):
-        return True, None
-    witness = int(np.argmax(violations))
-    return False, grid.coords[witness]
-
-
 @dataclass(frozen=True, eq=False)
 class RegionSelection:
     radius: float
@@ -231,22 +218,20 @@ class RegionSelection:
 
 
 def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
-                        max_rounds: int, accept_fn=None) -> RegionSelection:
-    """Shrinking-radius outer loop: retrain and recheck until fully green.
+                        max_rounds: int, accept_fn) -> RegionSelection:
+    """Shrinking-radius outer loop: retrain and recheck until the maps pass.
 
     train_fn(d) trains on the ball of radius d and returns an artifact (for
     the meta pipeline, the meta parameters); verify_fn(artifact, d) returns
     the validity maps of every task-adapted candidate on that region. The
-    radius shrinks geometrically until accept_fn(maps, d) holds (default:
-    every map fully green); running out of rounds raises
-    RegionSelectionFailure with the last round's radius and maps.
+    radius shrinks geometrically until accept_fn(maps, d) holds; running out
+    of rounds raises RegionSelectionFailure with the last round's radius and
+    maps.
     """
     if not (0.0 < shrink_factor < 1.0):
         raise ValueError("shrink_factor must lie in (0, 1)")
     if max_rounds < 1:
         raise ValueError("need at least one round")
-    if accept_fn is None:
-        accept_fn = lambda maps, d: all(m.fully_green for m in maps)
     d = float(d0)
     for round_idx in range(max_rounds):
         if round_idx:

@@ -37,6 +37,15 @@ def rel_err(a, b, floor=1e-7):
     return np.max(np.abs(a - b) / np.maximum(floor, np.abs(b)))
 
 
+def sample_annulus(rng, n, dim, outer, inner=0.0):
+    """n points uniform over the ball of radius `outer`, outside radius `inner`."""
+    out = np.empty((0, dim))
+    while out.shape[0] < n:
+        batch = dynamics.sample_ball(rng, n, dim, outer)
+        out = np.concatenate([out, batch[np.linalg.norm(batch, axis=1) > inner]])
+    return out[:n]
+
+
 # ---------------------------------------------------------------------------
 # shared heavyweight artifacts
 
@@ -79,16 +88,17 @@ def test_criterion_1_derivative_correctness():
         theta = net.init_params(arch, int(rng.integers(1 << 30)))
         X = rng.normal(size=(4, 2))
         Y = rng.normal(size=(4, 2))
-        V = net.forward_batch(theta, arch, X)
-        lie = np.sum(net.input_gradient_batch(theta, arch, X) * Y, axis=1)
+        candidate = net.MlpLyapunov(theta, arch)
+        V = candidate.value(X)
+        lie = np.sum(candidate.gradient(X) * Y, axis=1)
         if np.any(np.abs(cfg.eps1 - V) < 1e-3) or np.any(np.abs(cfg.eps2 + lie) < 1e-3):
             continue
         checked += 1
 
         x = rng.normal(size=2)
-        g_in = net.input_gradient(theta, arch, x)
+        g_in = candidate.gradient(x)[0]
         fd_in = np.array([
-            (net.forward(theta, arch, x + dx) - net.forward(theta, arch, x - dx)) / 2e-6
+            (candidate.value(x + dx)[0] - candidate.value(x - dx)[0]) / 2e-6
             for dx in np.eye(2) * 1e-6])
         worst_input = max(worst_input, rel_err(g_in, fd_in))
 
@@ -96,10 +106,13 @@ def test_criterion_1_derivative_correctness():
         fd_loss = fd_gradient(lambda t: empirical_loss(t, arch, (X, Y), cfg), theta)
         worst_loss = max(worst_loss, rel_err(g_loss, fd_loss))
 
-        s_te = (rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
-        g_meta = meta.meta_gradient(theta, arch, (X, Y), s_te, 0.05, cfg, "second_order")
+        # one task (P = 1) through the meta-step meta_train runs
+        s_tr = (X[None], Y[None])
+        s_te = (rng.normal(size=(1, 4, 2)), rng.normal(size=(1, 4, 2)))
+        g_meta = meta.meta_gradients(theta, arch, s_tr, s_te, 0.05, cfg, "second_order")[0][0]
         fd_meta = fd_gradient(
-            lambda t: meta.meta_objective(t, arch, (X, Y), s_te, 0.05, cfg), theta, h=1e-5)
+            lambda t: meta.meta_gradients(t, arch, s_tr, s_te, 0.05, cfg, "second_order")[1][0],
+            theta, h=1e-5)
         worst_meta = max(worst_meta, rel_err(g_meta, fd_meta))
 
     elapsed = time.perf_counter() - start
@@ -113,14 +126,18 @@ def test_criterion_1_derivative_correctness():
 # criterion 2: closed-form one-step oracle
 
 def test_criterion_2_closed_form_oracle():
-    quad = meta.TaskObjective(
-        loss=lambda th, b: float(th[0] ** 2),
-        grad=lambda th, b: np.array([2.0 * th[0]]),
-        hvp=lambda th, b, v: 2.0 * np.asarray(v, dtype=float))
-    theta = np.array([1.0])
-    adapt = meta.adapt_with(quad, theta, None, 0.25)[0]
-    second = meta.meta_gradient_with(quad, theta, None, None, 0.25, "second_order")[0]
-    first = meta.meta_gradient_with(quad, theta, None, None, 0.25, "first_order")[0]
+    # the real network with theta = 0 except output bias b = 1: V = b and grad_x V = 0
+    # at every x, so the loss of any batch is b^2 + eps2, with gradient 2b on b only
+    arch = net.Architecture(1, (1,))
+    cfg = TightenedLossConfig(0.3, 0.2)
+    theta = np.zeros(arch.n_params)
+    theta[-1] = 1.0
+    rng = np.random.default_rng(2)
+    batch = (rng.normal(size=(5, 1)), rng.normal(size=(5, 1)))
+    task = tuple(a[None] for a in batch)
+    adapt = meta.test_time_adapt(theta, arch, batch, 0.25, 1, cfg)[-1]
+    second = meta.meta_gradients(theta, arch, task, task, 0.25, cfg, "second_order")[0][0, -1]
+    first = meta.meta_gradients(theta, arch, task, task, 0.25, cfg, "first_order")[0][0, -1]
     ok = (abs(adapt - 0.5) <= 1e-9 and abs(second - 0.5) <= 1e-9
           and abs(first - 1.0) <= 1e-9)
     verdict("criterion-2 closed-form oracle", ok,
@@ -227,12 +244,10 @@ def test_criterion_5_positive_definite_soundness(stochastic_l_run, ordering_run)
     rng = np.random.default_rng(900)
     certified = 0
     for candidate, vmap, grid, exempt_radius, label in cases:
-        ok, _witness = verify.certify_positive_definite(vmap, grid)
-        if not ok:
+        if not vmap.positivity_ok.all():
             continue
         certified += 1
-        pts = roa.sample_annulus(rng, 10000, grid.dim, outer=grid.radius,
-                                 inner=exempt_radius)
+        pts = sample_annulus(rng, 10000, grid.dim, outer=grid.radius, inner=exempt_radius)
         vbar = candidate.value(pts) - candidate.value(np.zeros((1, grid.dim)))[0]
         assert np.all(vbar > 0.0), f"positivity violated off-grid for {label}"
     verdict("criterion-5 positivity soundness", certified >= 2,

@@ -336,6 +336,30 @@ def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expect
     assert capsys.readouterr().err   # a one-line message, not a traceback
 
 
+@pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
+@pytest.mark.parametrize("radius, bad_theta, expected", [
+    (-1.0, False, cli.EXIT_CONFIG),
+    (0.0, False, cli.EXIT_CONFIG),
+    ("abc", False, cli.EXIT_CONFIG),
+    (float("nan"), False, cli.EXIT_NUMERIC),
+    (10**400, False, cli.EXIT_NUMERIC),
+    (3.0, True, cli.EXIT_NUMERIC),
+])
+def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad_theta, expected):
+    """A checkpoint radius that is not a positive number exits 2, a non-finite
+    radius or parameter exits 4, before any artifact is written."""
+    arch = net.Architecture(2, (8,))
+    theta = net.init_params(arch, 0)
+    if bad_theta:
+        theta[3] = np.nan
+    ckpt = tmp_path / "ckpt.json"
+    net.save_checkpoint(ckpt, theta, arch, extra={"radius": radius})
+    cfg_path = mini_config(tmp_path)
+    assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == expected
+    assert capsys.readouterr().err   # a one-line message, not a traceback
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
 def test_benchmark_wrapped_names_resolve():
     """The benchmark's tracer patches library functions by name and reads some
     arguments by position; installing it fails if a wrapped name is gone."""

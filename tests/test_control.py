@@ -102,8 +102,21 @@ class TestKleinmanLqr:
             assert np.max(np.abs(res)) <= 1e-6
 
     def test_rejects_non_pd_rc(self):
-        with pytest.raises(ValueError):
-            control.LqrDesign(Qc=np.eye(2), Rc=np.array([[-1.0]]), K0=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="Rc"):
+            control.kleinman_lqr(-np.eye(2), np.ones((2, 1)), np.eye(2), np.array([[-1.0]]),
+                                 np.zeros((1, 2)))
+
+    def test_rejects_b_without_n_rows(self):
+        # a (1, 2) B for a 2-state plant is not transposed into shape
+        with pytest.raises(ValueError, match="B must have 2 rows"):
+            control.kleinman_lqr(-np.eye(2), np.ones((1, 2)), np.eye(2), np.array([[1.0]]),
+                                 np.zeros((1, 2)))
+
+    def test_rejects_wrong_shaped_k0(self):
+        # a (2, 1) K0 for one input and two states is not reshaped into (1, 2)
+        with pytest.raises(ValueError, match="K0 must have shape"):
+            control.kleinman_lqr(-np.eye(2), np.ones((2, 1)), np.eye(2), np.array([[1.0]]),
+                                 np.zeros((2, 1)))
 
 
 class TestLinearize:

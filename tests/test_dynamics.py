@@ -151,41 +151,36 @@ class TestSampleTasks:
             dynamics.sample_tasks(p, (0.1, 0.0, 0.0, 0.0), 1, seed=0)
 
 
+def all_samples(dataset):
+    """Every (state, label) row of a dataset, train then test half of each batch."""
+    halves = [half for batch in dataset.batches for half in batch]
+    return tuple(np.concatenate([half[k] for half in halves]) for k in (0, 1))
+
+
 class TestBuildDataset:
     def test_sample_counting(self):
         system = dynamics.nominal_system("pendulum")
         ds = dynamics.build_dataset(system, 2.0, k_train=1, j_test=1, m_batches=1, seed=0)
-        xs, ys = ds.all_samples()
+        xs, ys = all_samples(ds)
         assert xs.shape == (2, 2) and ys.shape == (2, 2)
 
     def test_labels_are_exact_dynamics(self):
         system = dynamics.nominal_system("microgrid")
         ds = dynamics.build_dataset(system, 1.5, 8, 4, 3, seed=5)
-        xs, ys = ds.all_samples()
+        xs, ys = all_samples(ds)
         np.testing.assert_array_equal(ys, system.f_batch(xs))
 
     def test_states_inside_ball(self):
         system = dynamics.nominal_system("pendulum")
         ds = dynamics.build_dataset(system, 0.7, 64, 64, 2, seed=9)
-        xs, _ = ds.all_samples()
+        xs, _ = all_samples(ds)
         assert np.all(np.linalg.norm(xs, axis=1) <= 0.7 + 1e-12)
 
     def test_determinism(self):
         system = dynamics.nominal_system("pendulum")
         a = dynamics.build_dataset(system, 1.0, 4, 4, 2, seed=11)
         b = dynamics.build_dataset(system, 1.0, 4, 4, 2, seed=11)
-        np.testing.assert_array_equal(a.all_samples()[0], b.all_samples()[0])
-
-    def test_csv_round_trip(self, tmp_path):
-        system = dynamics.nominal_system("pendulum")
-        ds = dynamics.build_dataset(system, 1.0, 3, 2, 2, seed=13)
-        path = tmp_path / "data.csv"
-        dynamics.export_dataset_csv(ds, path, k_train=3, j_test=2)
-        loaded = dynamics.import_dataset_csv(path)
-        assert loaded.params == ds.params
-        np.testing.assert_array_equal(loaded.all_samples()[0], ds.all_samples()[0])
-        np.testing.assert_array_equal(loaded.all_samples()[1], ds.all_samples()[1])
-        assert loaded.n_batches == ds.n_batches
+        np.testing.assert_array_equal(all_samples(a)[0], all_samples(b)[0])
 
 
 class TestSimulate:

@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapcert import net
-from lyapcert.loss import EmptyBatch, TightenedLossConfig, empirical_loss, pointwise_loss
+from lyapcert.loss import EmptyBatch, TightenedLossConfig, empirical_loss, mean_loss
 
 finite = st.floats(-50, 50)
 margin = st.floats(1e-6, 5.0)
+
+
+def pointwise_loss(v_x, lie, v_0, cfg):
+    """The loss of one sample: mean_loss over a one-sample batch."""
+    return float(mean_loss(np.array([v_x]), np.array([lie]), v_0, cfg))
 
 
 class TestPointwiseLoss:
@@ -66,9 +71,10 @@ class TestEmpiricalLoss:
         assert val == pytest.approx(self.cfg.eps1 + self.cfg.eps2, abs=1e-15)
 
     def test_matches_hand_summed_pointwise(self):
-        V = net.forward_batch(self.theta, self.arch, self.X)
-        lie = np.sum(net.input_gradient_batch(self.theta, self.arch, self.X) * self.Y, axis=1)
-        v0 = net.forward(self.theta, self.arch, np.zeros(2))
+        candidate = net.MlpLyapunov(self.theta, self.arch)
+        V = candidate.value(self.X)
+        lie = np.sum(candidate.gradient(self.X) * self.Y, axis=1)
+        v0 = candidate.value(np.zeros((1, 2)))[0]
         hand = np.mean([pointwise_loss(V[i], lie[i], v0, self.cfg) for i in range(3)])
         assert empirical_loss(self.theta, self.arch, (self.X, self.Y), self.cfg) == \
             pytest.approx(hand, abs=1e-14)

@@ -6,38 +6,49 @@ from lyapcert.config import MetaBlock
 from lyapcert.loss import TightenedLossConfig, empirical_loss
 
 
-def quadratic_objective(a=0.0):
-    """l(theta) = (theta - a)^2 on a scalar parameter; batch ignored."""
-    return meta.TaskObjective(
-        loss=lambda th, b: float((th[0] - a) ** 2),
-        grad=lambda th, b: np.array([2.0 * (th[0] - a)]),
-        hvp=lambda th, b, v: 2.0 * np.asarray(v, dtype=float),
-    )
+def stacked(batch):
+    """One task's (X, Y) batch as the P = 1 stack meta_gradients takes."""
+    return tuple(np.asarray(a, dtype=float)[None] for a in batch)
 
 
 class TestClosedFormOracle:
-    """Scalar quadratic surrogate: every quantity has a closed form."""
+    """Architecture(1, (1,)) with theta = 0 except output bias b: V = b everywhere,
+    grad_x V = 0, so the loss is b^2 + eps2 and every quantity has a closed form."""
+
+    def setup_method(self):
+        self.arch = net.Architecture(1, (1,))
+        self.cfg = TightenedLossConfig(0.3, 0.2)
+        self.theta = np.zeros(self.arch.n_params)
+        self.theta[-1] = 1.0
+        rng = np.random.default_rng(0)
+        self.batch = (rng.normal(size=(3, 1)), rng.normal(size=(3, 1)))
+
+    def oracle(self, mode):
+        return meta.meta_gradients(self.theta, self.arch, stacked(self.batch), stacked(self.batch),
+                                   0.25, self.cfg, mode)
 
     def test_adapt_step(self):
-        theta_next = meta.adapt_with(quadratic_objective(), np.array([1.0]), None, 0.25)
-        assert theta_next[0] == pytest.approx(0.5, abs=1e-9)
+        theta_next = meta.test_time_adapt(self.theta, self.arch, self.batch, 0.25, 1, self.cfg)
+        assert theta_next[-1] == pytest.approx(0.5, abs=1e-9)
 
     def test_meta_objective(self):
-        val = meta.meta_objective_with(quadratic_objective(), np.array([1.0]), None, None, 0.25)
-        assert val == pytest.approx(0.25, abs=1e-9)
+        _, losses = self.oracle("second_order")
+        assert losses[0] == pytest.approx(0.5**2 + 0.2, abs=1e-9)
 
     def test_second_order_gradient(self):
-        g = meta.meta_gradient_with(quadratic_objective(), np.array([1.0]), None, None,
-                                    0.25, "second_order")
-        assert g[0] == pytest.approx(0.5, abs=1e-9)
+        grads, _ = self.oracle("second_order")
+        assert grads[0, -1] == pytest.approx(0.5, abs=1e-9)
+        np.testing.assert_array_equal(grads[0, :-1], 0.0)
 
     def test_first_order_gradient(self):
-        g = meta.meta_gradient_with(quadratic_objective(), np.array([1.0]), None, None,
-                                    0.25, "first_order")
-        assert g[0] == pytest.approx(1.0, abs=1e-9)
+        grads, _ = self.oracle("first_order")
+        assert grads[0, -1] == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_array_equal(grads[0, :-1], 0.0)
 
 
 class TestAdaptStep:
+    """One test-time step is the inner step of the meta-gradient."""
+
     def setup_method(self):
         self.arch = net.Architecture(2, (4,))
         self.cfg = TightenedLossConfig(0.3, 0.2)
@@ -46,12 +57,12 @@ class TestAdaptStep:
         self.batch = (rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
 
     def test_zero_alpha_identity(self):
-        out = meta.adapt_step(self.theta, self.arch, self.batch, 0.0, self.cfg)
+        out = meta.test_time_adapt(self.theta, self.arch, self.batch, 0.0, 1, self.cfg)
         np.testing.assert_array_equal(out, self.theta)
 
     def test_matches_manual_gradient_step(self):
         g = net.loss_gradient(self.theta, self.arch, self.batch, self.cfg)
-        out = meta.adapt_step(self.theta, self.arch, self.batch, 0.05, self.cfg)
+        out = meta.test_time_adapt(self.theta, self.arch, self.batch, 0.05, 1, self.cfg)
         np.testing.assert_allclose(out, self.theta - 0.05 * g, atol=1e-15)
 
 
@@ -64,29 +75,30 @@ class TestMetaObjectiveAndGradient:
         self.s_tr = (rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
         self.s_te = (rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
 
+    def meta_gradient(self, theta, alpha, mode="second_order"):
+        grads, losses = meta.meta_gradients(theta, self.arch, stacked(self.s_tr),
+                                            stacked(self.s_te), alpha, self.cfg, mode)
+        return grads[0], losses[0]
+
     def test_zero_alpha_reduces_to_loss(self):
-        assert meta.meta_objective(self.theta, self.arch, self.s_tr, self.s_te, 0.0, self.cfg) == \
+        assert self.meta_gradient(self.theta, 0.0)[1] == \
             pytest.approx(empirical_loss(self.theta, self.arch, self.s_te, self.cfg), abs=1e-15)
 
     def test_zero_alpha_gradients_agree(self):
         g_plain = net.loss_gradient(self.theta, self.arch, self.s_te, self.cfg)
         for mode in ("first_order", "second_order"):
-            g = meta.meta_gradient(self.theta, self.arch, self.s_tr, self.s_te, 0.0,
-                                   self.cfg, mode)
-            np.testing.assert_array_equal(g, g_plain)
+            np.testing.assert_array_equal(self.meta_gradient(self.theta, 0.0, mode)[0], g_plain)
 
     def test_second_order_matches_finite_differences(self):
         alpha = 0.05
-        g = meta.meta_gradient(self.theta, self.arch, self.s_tr, self.s_te, alpha,
-                               self.cfg, "second_order")
+        g = self.meta_gradient(self.theta, alpha)[0]
         fd = np.zeros_like(self.theta)
         h = 1e-5
         for i in range(self.theta.size):
             tp, tm = self.theta.copy(), self.theta.copy()
             tp[i] += h
             tm[i] -= h
-            fd[i] = (meta.meta_objective(tp, self.arch, self.s_tr, self.s_te, alpha, self.cfg)
-                     - meta.meta_objective(tm, self.arch, self.s_tr, self.s_te, alpha, self.cfg)) / (2 * h)
+            fd[i] = (self.meta_gradient(tp, alpha)[1] - self.meta_gradient(tm, alpha)[1]) / (2 * h)
         np.testing.assert_allclose(g, fd, rtol=1e-3, atol=1e-7)
 
 
@@ -241,7 +253,7 @@ class TestTestTimeAdapt:
 
     def test_k_one_equals_adapt_step(self):
         out = meta.test_time_adapt(self.theta, self.arch, self.s_tr, 0.01, 1, self.cfg)
-        expected = meta.adapt_step(self.theta, self.arch, self.s_tr, 0.01, self.cfg)
+        expected = self.theta - 0.01 * net.loss_gradient(self.theta, self.arch, self.s_tr, self.cfg)
         np.testing.assert_array_equal(out, expected)
 
     def test_default_test_regime_runs(self):

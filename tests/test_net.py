@@ -16,6 +16,16 @@ def identity_1_1_1():
     return arch, theta
 
 
+def value(theta, arch, x):
+    """V at one state, through the batched verification view."""
+    return float(net.MlpLyapunov(theta, arch).value(np.asarray(x, dtype=float))[0])
+
+
+def input_gradient(theta, arch, x):
+    """grad_x V at one state, through the batched verification view."""
+    return net.MlpLyapunov(theta, arch).gradient(np.asarray(x, dtype=float))[0]
+
+
 def fd_gradient(fun, theta, h=1e-6):
     g = np.zeros_like(theta)
     for i in range(theta.size):
@@ -33,8 +43,9 @@ def sample_away_from_kinks(rng, arch, cfg, n):
         theta = net.init_params(arch, int(rng.integers(1 << 30)))
         X = rng.normal(size=(4, arch.input_dim))
         Y = rng.normal(size=(4, arch.input_dim))
-        V = net.forward_batch(theta, arch, X)
-        lie = np.sum(net.input_gradient_batch(theta, arch, X) * Y, axis=1)
+        candidate = net.MlpLyapunov(theta, arch)
+        V = candidate.value(X)
+        lie = np.sum(candidate.gradient(X) * Y, axis=1)
         if np.all(np.abs(cfg.eps1 - V) > 1e-3) and np.all(np.abs(cfg.eps2 + lie) > 1e-3):
             out.append((theta, (X, Y)))
     return out
@@ -46,26 +57,26 @@ class TestForward:
         theta = np.zeros(arch.n_params)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert net.forward(theta, arch, rng.normal(size=2)) == 0.0
+            assert value(theta, arch, rng.normal(size=2)) == 0.0
 
     def test_identity_net_at_zero(self):
         arch, theta = identity_1_1_1()
-        assert net.forward(theta, arch, [0.0]) == 0.0
+        assert value(theta, arch, [0.0]) == 0.0
 
     def test_identity_net_tanh_one(self):
         arch, theta = identity_1_1_1()
-        assert net.forward(theta, arch, [1.0]) == pytest.approx(np.tanh(1.0), abs=1e-15)
+        assert value(theta, arch, [1.0]) == pytest.approx(np.tanh(1.0), abs=1e-15)
 
 
 class TestInputGradient:
     def test_zero_params(self):
         arch = net.Architecture(3, (5,))
-        g = net.input_gradient(np.zeros(arch.n_params), arch, [1.0, 2.0, 3.0])
+        g = input_gradient(np.zeros(arch.n_params), arch, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_identity_net_sech2(self):
         arch, theta = identity_1_1_1()
-        assert net.input_gradient(theta, arch, [0.0])[0] == pytest.approx(1.0, abs=1e-15)
+        assert input_gradient(theta, arch, [0.0])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -73,9 +84,9 @@ class TestInputGradient:
         for _ in range(100):
             theta = net.init_params(arch, int(rng.integers(1 << 30)))
             x = rng.normal(size=2)
-            g = net.input_gradient(theta, arch, x)
+            g = input_gradient(theta, arch, x)
             fd = np.array([
-                (net.forward(theta, arch, x + dx) - net.forward(theta, arch, x - dx)) / 2e-6
+                (value(theta, arch, x + dx) - value(theta, arch, x - dx)) / 2e-6
                 for dx in np.eye(2) * 1e-6
             ])
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
@@ -106,7 +117,7 @@ class TestLossGradient:
         theta = net.init_params(arch, 5)
         X = rng.normal(size=(6, 2))
         # labels aligned with the value gradient so the decrease hinge is active
-        Y = net.input_gradient_batch(theta, arch, X)
+        Y = net.MlpLyapunov(theta, arch).gradient(X)
         cfg = TightenedLossConfig(1e9, 0.5)  # positivity hinge active everywhere, fixed
         base = net.loss_gradient(theta, arch, (X, np.zeros_like(Y)), cfg)
         g1 = net.loss_gradient(theta, arch, (X, Y), cfg)
@@ -235,7 +246,7 @@ class TestInitParams:
     def test_output_variance_nonzero(self):
         arch = net.Architecture(2, (8,))
         rng = np.random.default_rng(6)
-        values = [net.forward(net.init_params(arch, s), arch, rng.normal(size=2))
+        values = [value(net.init_params(arch, s), arch, rng.normal(size=2))
                   for s in range(30)]
         assert 0.0 < np.var(values) < np.inf
 
@@ -274,7 +285,7 @@ class TestCheckpoint:
         assert extra["radius"] == 4.0
         np.testing.assert_array_equal(theta, theta2)
         x = np.array([0.3, -0.8])
-        assert net.forward(theta, arch, x) == net.forward(theta2, arch2, x)
+        assert value(theta, arch, x) == value(theta2, arch2, x)
 
     def test_rejects_wrong_size(self, tmp_path):
         arch = net.Architecture(2, (3,))
@@ -325,8 +336,8 @@ class TestShapedInit:
     def test_bowl_shape(self):
         arch = net.Architecture(2, (16, 16))
         theta = net.shaped_init(arch, 0, 4.0)
-        v0 = net.forward(theta, arch, [0.0, 0.0])
-        rim = [net.forward(theta, arch, 3.5 * np.array([np.cos(a), np.sin(a)]))
+        v0 = value(theta, arch, [0.0, 0.0])
+        rim = [value(theta, arch, 3.5 * np.array([np.cos(a), np.sin(a)]))
                for a in np.linspace(0, 2 * np.pi, 12)]
         assert min(rim) > v0 + 0.5
 

@@ -5,7 +5,20 @@ import pytest
 
 from lyapcert import verify
 from lyapcert.baselines import QuadraticLyapunov
-from lyapcert.roa import sample_annulus
+from lyapcert.dynamics import sample_ball
+
+
+def sample_annulus(rng, n, dim, outer, inner=0.0):
+    """n points uniform over the ball of radius `outer`, outside radius `inner`."""
+    out = np.empty((0, dim))
+    while out.shape[0] < n:
+        batch = sample_ball(rng, n, dim, outer)
+        out = np.concatenate([out, batch[np.linalg.norm(batch, axis=1) > inner]])
+    return out[:n]
+
+
+def all_green(maps, d):
+    return all(m.fully_green for m in maps)
 
 
 class LinearSystem:
@@ -236,6 +249,8 @@ class TestCheckValidity:
 
 
 class TestCertifyPositiveDefinite:
+    """Positivity certification: every checked node clears the positivity margin."""
+
     def make_map(self, grid, pos_ok):
         return verify.ValidityMap(
             vbar=np.ones(grid.n_nodes), lie=-np.ones(grid.n_nodes),
@@ -245,18 +260,8 @@ class TestCertifyPositiveDefinite:
 
     def test_all_green_true(self):
         grid = verify.build_grid(1.0, 5, 2)
-        ok, witness = verify.certify_positive_definite(
-            self.make_map(grid, np.ones(grid.n_nodes, dtype=bool)), grid)
-        assert ok and witness is None
-
-    def test_single_red_witness(self):
-        grid = verify.build_grid(1.0, 5, 2)
-        pos = np.ones(grid.n_nodes, dtype=bool)
-        bad = (grid.origin_row + 1) % grid.n_nodes
-        pos[bad] = False
-        ok, witness = verify.certify_positive_definite(self.make_map(grid, pos), grid)
-        assert not ok
-        np.testing.assert_array_equal(witness, grid.coords[bad])
+        vmap = self.make_map(grid, np.ones(grid.n_nodes, dtype=bool))
+        assert vmap.positivity_ok.all() and vmap.fully_green
 
     def test_certified_implies_positive_samples(self):
         # quadratic candidate on a fine grid: certification implies vbar > 0
@@ -264,8 +269,7 @@ class TestCertifyPositiveDefinite:
         grid = verify.build_grid(1.0, 41, 2)
         cand = QuadraticLyapunov(np.eye(2))
         vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.3)
-        ok, _ = verify.certify_positive_definite(vmap, grid)
-        assert ok
+        assert vmap.positivity_ok.all()
         rng = np.random.default_rng(1)
         pts = sample_annulus(rng, 10000, 2, outer=1.0, inner=0.3)
         assert np.all(cand.value(pts) - cand.value(np.zeros((1, 2)))[0] > 0.0)
@@ -277,7 +281,8 @@ class TestSelectValidRegion:
         good = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
                                      verify.LipschitzConstants(0.0, 0.0), exempt_radius=0.3)
         sel = verify.select_valid_region(lambda d: "artifact", lambda a, d: [good],
-                                         d0=2.0, shrink_factor=0.8, max_rounds=3)
+                                         d0=2.0, shrink_factor=0.8, max_rounds=3,
+                                         accept_fn=all_green)
         assert sel.radius == 2.0 and sel.rounds == 1
 
     def test_geometric_schedule(self):
@@ -294,7 +299,7 @@ class TestSelectValidRegion:
             return [vmap]
 
         sel = verify.select_valid_region(lambda d: None, verify_fn, d0=2.0,
-                                         shrink_factor=0.8, max_rounds=5)
+                                         shrink_factor=0.8, max_rounds=5, accept_fn=all_green)
         assert sel.rounds == 3
         assert sel.radius == pytest.approx(0.64 * 2.0)
 
@@ -304,7 +309,8 @@ class TestSelectValidRegion:
                                     verify.LipschitzConstants(1e9, 1e9))
         with pytest.raises(verify.RegionSelectionFailure):
             verify.select_valid_region(lambda d: None, lambda a, d: [bad],
-                                       d0=1.0, shrink_factor=0.5, max_rounds=1)
+                                       d0=1.0, shrink_factor=0.5, max_rounds=1,
+                                       accept_fn=all_green)
 
 
 class TestExport:
