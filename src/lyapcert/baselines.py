@@ -54,12 +54,9 @@ class QuadraticLyapunov:
 
 @dataclass(frozen=True, eq=False)
 class BaselineReport:
-    method: str
     roa: roa.RoaResult
     vmap: verify.ValidityMap
     candidate: object
-    train_samples_used: int
-    gradient_steps_used: int
     test_samples_used: int
     test_steps_used: int
     mc_fraction: float | None = None
@@ -75,18 +72,15 @@ def certify_candidate(candidate, system: ClosedLoopSystem, grid: verify.GridSpec
 
 
 def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
-              loss_cfg: TightenedLossConfig, budget: NlfBlock, seed: int,
-              theta0: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
-    """Plain minibatch gradient descent on one system's data (no meta-learning).
-
-    Starts from the bowl-shaped init unless an explicit theta0 is given.
-    Returns (theta, samples_used, steps_used).
-    """
+              loss_cfg: TightenedLossConfig, budget: NlfBlock,
+              seed: int) -> tuple[np.ndarray, int, int]:
+    """Plain minibatch gradient descent on one system's data (no meta-learning),
+    from the bowl-shaped init. Returns (theta, samples_used, steps_used)."""
     dataset = build_dataset(system, radius, k_train=budget.n_samples, j_test=1, m_batches=1,
                             seed=seed)
     X, Y = dataset.batches[0][0]
     rng = np.random.default_rng(seed + 1)
-    theta = net.shaped_init(arch, seed, radius) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    theta = net.shaped_init(arch, seed, radius)
     for step in range(budget.n_steps):
         idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
         g = net.loss_gradient(theta, arch, (X[idx], Y[idx]), loss_cfg)
@@ -105,11 +99,8 @@ def qlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: Verif
     P = solve_lyapunov(A, np.eye(system_test.dim))
     candidate = QuadraticLyapunov(P)
     vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
-    return BaselineReport(
-        method="QLF_TS", roa=result, vmap=vmap, candidate=candidate,
-        train_samples_used=0, gradient_steps_used=0,
-        test_samples_used=0, test_steps_used=0,
-    )
+    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
+                          test_samples_used=0, test_steps_used=0)
 
 
 def nlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifyBlock,
@@ -119,11 +110,8 @@ def nlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: Verif
     theta, samples, steps = train_nlf(system_test, grid.radius, arch, loss_cfg, budget, seed)
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
-    return BaselineReport(
-        method="NLF_TS", roa=result, vmap=vmap, candidate=candidate,
-        train_samples_used=samples, gradient_steps_used=steps,
-        test_samples_used=samples, test_steps_used=steps,
-    )
+    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
+                          test_samples_used=samples, test_steps_used=steps)
 
 
 def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem,
@@ -132,26 +120,22 @@ def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem,
           plane: tuple[int, int] | None = None) -> BaselineReport:
     """Transfer baseline: full nominal training, then a small test-time update
     (adapt.adapt_samples samples, TEST_TIME_STEPS steps of size adapt.adapt_alpha)."""
-    theta, train_samples, train_steps = train_nlf(system_nominal, grid.radius, arch,
-                                                  loss_cfg, budget, seed)
+    theta, _, _ = train_nlf(system_nominal, grid.radius, arch, loss_cfg, budget, seed)
     adapt_set = build_dataset(system_test, grid.radius, k_train=adapt.adapt_samples,
                               j_test=1, m_batches=1, seed=seed + 101)
     theta = meta.test_time_adapt(theta, arch, adapt_set.batches[0][0], adapt.adapt_alpha,
                                  TEST_TIME_STEPS, loss_cfg)
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
-    return BaselineReport(
-        method="T_NLF", roa=result, vmap=vmap, candidate=candidate,
-        train_samples_used=train_samples, gradient_steps_used=train_steps,
-        test_samples_used=adapt.adapt_samples, test_steps_used=TEST_TIME_STEPS,
-    )
+    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
+                          test_samples_used=adapt.adapt_samples, test_steps_used=TEST_TIME_STEPS)
 
 
 def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem, grid: verify.GridSpec,
              plane: tuple[int, int] | None = None) -> BaselineReport:
     """Meta-train across sampled tasks, then adapt to the test-time system
     under the 50/10 budget."""
-    report, family = meta_train_for(cfg, grid.radius)
+    report, _ = meta_train_for(cfg, grid.radius)
     m, arch = cfg.meta, cfg.architecture()
     adapt_set = build_dataset(system_test, grid.radius, k_train=m.adapt_samples,
                               j_test=1, m_batches=1, seed=cfg.seeds.adapt_seed)
@@ -159,12 +143,8 @@ def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem, grid: verify.
                                  m.adapt_alpha, m.k_test, cfg.loss)
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = certify_candidate(candidate, system_test, grid, cfg.verify, plane)
-    return BaselineReport(
-        method="META_NLF", roa=result, vmap=vmap, candidate=candidate,
-        train_samples_used=len(family) * (m.k_train + m.j_test) * m.m_batches,
-        gradient_steps_used=m.meta_steps,
-        test_samples_used=m.adapt_samples, test_steps_used=m.k_test,
-    )
+    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
+                          test_samples_used=m.adapt_samples, test_steps_used=m.k_test)
 
 
 def meta_train_for(cfg: ExperimentConfig, radius: float
@@ -187,11 +167,8 @@ def meta_train_for(cfg: ExperimentConfig, radius: float
 
 @dataclass(frozen=True, eq=False)
 class ComparisonTable:
-    system_id: str
-    theta_test: tuple[float, ...]
     reports: dict = field(default_factory=dict)   # method -> BaselineReport
     errors: dict = field(default_factory=dict)    # method -> message
-    sos_note: str = "not implemented"
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -211,7 +188,7 @@ class ComparisonTable:
                 rows.append({"method": method, "area": "", "c": "", "mc_fraction": "",
                              "test_samples": "", "test_steps": "", "status": self.errors[method]})
         rows.append({"method": "SOS_LF_TS", "area": "", "c": "", "mc_fraction": "",
-                     "test_samples": "", "test_steps": "", "status": self.sos_note})
+                     "test_samples": "", "test_steps": "", "status": "not implemented"})
         return rows
 
 
@@ -246,8 +223,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonTable:
         "QLF_TS": lambda: qlf_ts(system_test, grid, cfg.verify, plane),
     }
 
-    table = ComparisonTable(system_id=cfg.system.system_id,
-                            theta_test=cfg.system.test().values)
+    table = ComparisonTable()
     reports = {}
     for method in METHODS:
         try:

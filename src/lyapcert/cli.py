@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, dynamics, meta, net, roa, svg, verify
+from . import baselines, control, dynamics, meta, net, roa, svg, verify
 from .config import (ConfigError, ExperimentConfig, PRESETS, config_hash,
                      config_to_dict, load_config)
 
@@ -151,10 +151,10 @@ def cmd_train_meta(args) -> int:
 
     report, _ = selection.artifact
     ckpt = out / "meta_checkpoint.json"
-    net.save_checkpoint(ckpt, report.theta_mnlf, cfg.architecture(),
-                        extra={**_stamp(cfg), "radius": selection.radius,
-                               "system_id": cfg.system.system_id,
-                               "rounds": selection.rounds})
+    atomic_write_text(ckpt, json.dumps(net.checkpoint_payload(
+        report.theta_mnlf, cfg.architecture(),
+        extra={**_stamp(cfg), "radius": selection.radius, "system_id": cfg.system.system_id,
+               "rounds": selection.rounds})))
     train_report = meta.export_report_json(report, cfg.meta, checkpoint_ref=ckpt.name)
     atomic_write_json(out / "train_report.json", {**_stamp(cfg), **train_report})
     atomic_write_json(out / "region.json",
@@ -205,9 +205,9 @@ def cmd_adapt(args) -> int:
     adapted = meta.test_time_adapt(theta, arch, dataset.batches[0][0],
                                    cfg.meta.adapt_alpha, k, cfg.loss)
     ckpt = out / "adapted_checkpoint.json"
-    net.save_checkpoint(ckpt, adapted, arch,
-                        extra={**_stamp(cfg), "radius": radius,
-                               "system_id": cfg.system.system_id, "adapted": True})
+    atomic_write_text(ckpt, json.dumps(net.checkpoint_payload(
+        adapted, arch, extra={**_stamp(cfg), "radius": radius,
+                              "system_id": cfg.system.system_id, "adapted": True})))
     atomic_write_json(out / "adapt_ledger.json",
                       {**_stamp(cfg), "samples_used": n_samples, "steps_used": k,
                        "alpha": cfg.meta.adapt_alpha})
@@ -278,10 +278,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--x0: {exc}") from exc
     if x0.size != system_test.dim:
         raise ConfigError(f"--x0 has {x0.size} entries, the system state has {system_test.dim}")
+    if not np.all(np.isfinite([*x0, args.h, args.horizon])):
+        raise FloatingPointError(f"--x0, --h and --horizon must be finite: {args.x0}, "
+                                 f"{args.h}, {args.horizon}")
     if not (args.h > 0 and args.horizon >= args.h):
         raise ConfigError("need --h > 0 and --horizon >= --h")
-    if not np.all(np.isfinite(x0)):
-        raise FloatingPointError(f"--x0 is not finite: {args.x0}")
     traj = dynamics.simulate(system_test, x0, args.h, args.horizon)
     rows = ["t," + ",".join(f"x{i + 1}" for i in range(system_test.dim))]
     for t, state in zip(traj.times, traj.states):
@@ -290,7 +291,7 @@ def cmd_simulate(args) -> int:
     if system_test.dim == 2:
         grid = verify.build_grid(cfg.verify.d0, 41, 2)
         atomic_write_text(out / "trajectory.svg",
-                          svg.render_phase_svg(system_test, grid, trajectories=[traj]))
+                          svg.render_phase_svg(system_test, grid, traj.states))
     final = float(np.linalg.norm(traj.states[-1]))
     print(f"simulated {traj.times[-1]:g}s, final |x| = {final:g}"
           + (" (diverged)" if traj.diverged else ""))
@@ -377,7 +378,8 @@ def main(argv=None) -> int:
     except BadArtifact as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (meta.NonFiniteLoss, FloatingPointError, OverflowError) as exc:
+    except (meta.NonFiniteLoss, control.NonFiniteDynamics, FloatingPointError,
+            OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

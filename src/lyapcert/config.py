@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .dynamics import ParamVector
+from .dynamics import NOMINAL_FAN, NOMINAL_PENDULUM, ParamVector, nominal_microgrid
 from .loss import TightenedLossConfig
 from .net import Architecture
 
@@ -185,6 +186,9 @@ _TUPLE_FIELDS = {"theta0", "theta_test", "sigma_diag", "plane", "fallback", "hid
 
 
 def _build_block(cls, payload: dict, path: str):
+    """A config block (the top level included) from its JSON object: unknown keys,
+    booleans and integer fields holding non-integers raise ConfigError, and
+    non-finite numbers, as values or list entries, FloatingPointError."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object")
     known = {f.name: f for f in fields(cls)}
@@ -193,8 +197,15 @@ def _build_block(cls, payload: dict, path: str):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in payload.items():
+        for entry in value if isinstance(value, list) else [value]:
+            if isinstance(entry, float) and not math.isfinite(entry):
+                raise FloatingPointError(f"{path}.{key}: non-finite number {entry!r}")
+            if isinstance(entry, bool):
+                raise ConfigError(f"{path}.{key}: expected a number, got {entry!r}")
         if type(known[key].default) is int and type(value) is not int:
             raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        if key in _BLOCK_TYPES:
+            value = _build_block(_BLOCK_TYPES[key], value, key)
         kwargs[key] = tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
     try:
         return cls(**kwargs)
@@ -203,25 +214,7 @@ def _build_block(cls, payload: dict, path: str):
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("top level: expected an object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-    if "name" not in payload or "system" not in payload:
-        raise ConfigError("top level: 'name' and 'system' are required")
-    kwargs = {"name": payload["name"], "out_dir": payload.get("out_dir", "out")}
-    if "hidden" in payload:
-        hidden = payload["hidden"]
-        kwargs["hidden"] = tuple(hidden) if isinstance(hidden, list) else hidden
-    for key, cls in _BLOCK_TYPES.items():
-        if key in payload:
-            kwargs[key] = _build_block(cls, payload[key], key)
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build_block(ExperimentConfig, payload, "top level")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -259,7 +252,7 @@ def _pendulum_preset(name, theta_test, sigma, task_seed, fallback, meta_steps=80
                      m_batches=30, k_train=50, min_green=0.995) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
-        system=SystemBlock("pendulum", (0.5, 0.15, 9.81, 0.1), theta_test, sigma),
+        system=SystemBlock("pendulum", NOMINAL_PENDULUM, theta_test, sigma),
         meta=MetaBlock(meta_steps=meta_steps, m_batches=m_batches, k_train=k_train),
         loss=TightenedLossConfig(1.0, 1.0),
         verify=VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1,
@@ -274,7 +267,7 @@ def _microgrid_preset(name, n, theta_test, sigma) -> ExperimentConfig:
     big = n >= 5
     return ExperimentConfig(
         name=name,
-        system=SystemBlock("microgrid", (2.0,) * n, theta_test, sigma),
+        system=SystemBlock("microgrid", nominal_microgrid(n), theta_test, sigma),
         meta=MetaBlock(meta_steps=6000, m_batches=30, k_train=50),
         loss=TightenedLossConfig(0.5, 0.5) if not big else TightenedLossConfig(0.3, 0.3),
         verify=VerifyBlock(d0=3.0 if not big else 2.0,
@@ -291,7 +284,7 @@ def _microgrid_preset(name, n, theta_test, sigma) -> ExperimentConfig:
 def _fan_preset(name, theta_test, sigma) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
-        system=SystemBlock("fan", (11.2, 0.0462, 0.15, 0.28, 0.1), theta_test, sigma),
+        system=SystemBlock("fan", NOMINAL_FAN, theta_test, sigma),
         meta=MetaBlock(meta_steps=3000, m_batches=20, k_train=32),
         loss=TightenedLossConfig(0.1, 0.1),
         verify=VerifyBlock(d0=1.0, nodes_per_axis=9, exempt_radius=0.4,

@@ -109,7 +109,7 @@ def is_hurwitz(A) -> bool:
     return is_positive_definite(P)
 
 
-def kleinman_lqr(A, B, Qc, Rc, K0, max_iter: int = 60, tol: float = 1e-10) -> np.ndarray:
+def kleinman_lqr(A, B, Qc, Rc, K0) -> np.ndarray:
     """Kleinman iteration for the continuous-time LQR gain.
 
     Starting from a stabilizing gain K0, repeats
@@ -117,10 +117,11 @@ def kleinman_lqr(A, B, Qc, Rc, K0, max_iter: int = 60, tol: float = 1e-10) -> np
         P_m  solves  (A - B K_m)^T P + P (A - B K_m) = -(Qc + K_m^T Rc K_m)
         K_{m+1} = Rc^{-1} B^T P_m
 
-    until the gain update falls below `tol` in max-norm. The fixed point
-    satisfies the algebraic Riccati equation. B is (n, m) for an n-state A,
-    Qc must be symmetric, Rc symmetric positive definite and K0 an (m, n)
-    stabilizing seed gain; anything else raises ValueError.
+    until the gain update falls below 1e-10 in max-norm, within 60
+    iterations. The fixed point satisfies the algebraic Riccati equation.
+    B is (n, m) for an n-state A, Qc must be symmetric, Rc symmetric positive
+    definite and K0 an (m, n) stabilizing seed gain; anything else raises
+    ValueError.
     """
     A = _as_square(A, "A")
     n = A.shape[0]
@@ -140,28 +141,27 @@ def kleinman_lqr(A, B, Qc, Rc, K0, max_iter: int = 60, tol: float = 1e-10) -> np
     if not is_hurwitz(A - B @ K):
         raise NotStabilizing("initial gain K0 does not stabilize A - B K0")
 
-    for _ in range(max_iter):
+    for _ in range(60):
         cost = Qc + K.T @ Rc @ K
         cost = 0.5 * (cost + cost.T)
         P = solve_lyapunov(A - B @ K, cost)
         K_next = np.linalg.solve(Rc, B.T @ P)
         step = np.max(np.abs(K_next - K))
         K = K_next
-        if step < tol:
+        if step < 1e-10:
             if not is_hurwitz(A - B @ K):
                 raise NoConvergence("converged gain lost stability")
             return K
-    raise NoConvergence(f"no fixed point after {max_iter} iterations")
+    raise NoConvergence("no fixed point after 60 iterations")
 
 
-def linearize(f: Callable[[np.ndarray], np.ndarray], x_star, h: float = 1e-5) -> np.ndarray:
+def linearize(f: Callable[[np.ndarray], np.ndarray], x_star) -> np.ndarray:
     """Central-difference Jacobian of a vector field at x_star.
 
     f maps an n-vector to an n-vector; returns the n x n matrix
-    A[i][j] = (f_i(x* + h e_j) - f_i(x* - h e_j)) / (2 h).
+    A[i][j] = (f_i(x* + h e_j) - f_i(x* - h e_j)) / (2 h) with h = 1e-5.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    h = 1e-5
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     n = x_star.size
     A = np.empty((n, n))

@@ -145,13 +145,13 @@ class MicrogridNetwork:
         return self.power(np.zeros((1, self.n)))[0]
 
 
-def default_network(n: int, line_admittance: float = 1.0) -> MicrogridNetwork:
-    """Connected-ring default network (a single line for n = 2)."""
+def default_network(n: int) -> MicrogridNetwork:
+    """Connected-ring default network of unit line admittances (a single line for n = 2)."""
     Y = np.zeros((n, n))
     for i in range(n):
         j = (i + 1) % n
         if i != j:
-            Y[i, j] = Y[j, i] = line_admittance
+            Y[i, j] = Y[j, i] = 1.0
     return MicrogridNetwork(
         Y=Y,
         gamma=np.full((n, n), np.pi / 2 - 0.1),
@@ -351,10 +351,7 @@ class TaskDataset:
     rows; labels are exact dynamics evaluations at the states.
     """
 
-    params: ParamVector
-    radius: float
     batches: tuple
-    seed: int
 
     @property
     def n_batches(self) -> int:
@@ -373,7 +370,7 @@ def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test:
         x_tr = sample_ball(rng, k_train, system.dim, radius)
         x_te = sample_ball(rng, j_test, system.dim, radius)
         batches.append(((x_tr, system.f_batch(x_tr)), (x_te, system.f_batch(x_te))))
-    return TaskDataset(params=system.params, radius=radius, batches=tuple(batches), seed=seed)
+    return TaskDataset(batches=tuple(batches))
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,11 +426,7 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
             break
         every = alive.size == X.shape[0]
         Xa = X if every else X[alive]
-        k1 = system.f_batch(Xa)
-        k2 = system.f_batch(Xa + 0.5 * h * k1)
-        k3 = system.f_batch(Xa + 0.5 * h * k2)
-        k4 = system.f_batch(Xa + h * k3)
-        Xa = Xa + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Xa = rk4_step(system.f_batch, Xa, h)
         if every:
             X = Xa
         else:

@@ -37,7 +37,6 @@ class NonFiniteLoss(Exception):
 class MetaTrainReport:
     theta_mnlf: np.ndarray
     loss_curve: np.ndarray        # per-meta-step mean adapted loss
-    mode: str
     seed: int
 
 
@@ -57,15 +56,14 @@ def meta_gradients(theta, arch: net.Architecture, s_tr: Batch, s_te: Batch, inne
 
 
 def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: MetaBlock,
-               loss_cfg: TightenedLossConfig, seed: int,
-               theta0: np.ndarray | None = None) -> MetaTrainReport:
-    """Full meta-training run over the task datasets, deterministic given the seed."""
+               loss_cfg: TightenedLossConfig, seed: int, theta0: np.ndarray) -> MetaTrainReport:
+    """Full meta-training run over the task datasets from theta0, deterministic given the seed."""
     if len(tasks) < 1 or any(t.n_batches < 1 for t in tasks):
         raise ValueError("need at least one task, each with at least one mini-batch")
     if len({(tr[0].shape, te[0].shape) for t in tasks for tr, te in t.batches}) > 1:
         raise ValueError("every mini-batch of every task needs the same train and test shapes")
     rng = np.random.default_rng(seed)
-    theta = net.init_params(arch, seed) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    theta = theta0
 
     curve = np.empty(meta_cfg.meta_steps)
     for step in range(meta_cfg.meta_steps):
@@ -85,7 +83,7 @@ def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: M
             raise NonFiniteLoss(step, mean_step_loss)
         curve[step] = mean_step_loss
         theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
-    return MetaTrainReport(theta_mnlf=theta, loss_curve=curve, mode=meta_cfg.mode, seed=seed)
+    return MetaTrainReport(theta_mnlf=theta, loss_curve=curve, seed=seed)
 
 
 def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,

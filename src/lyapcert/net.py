@@ -27,19 +27,18 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import sample_ball
+
 
 @dataclass(frozen=True)
 class Architecture:
     input_dim: int
     hidden: tuple[int, ...] = (16, 16)
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.input_dim < 1 or len(self.hidden) < 1 or min(self.hidden) < 1:
             raise ValueError("need input_dim >= 1 and at least one hidden layer of width >= 1")
-        if self.activation != "tanh":
-            raise ValueError("only tanh hidden activations are supported")
 
     @property
     def layer_shapes(self) -> list[tuple[int, int]]:
@@ -272,11 +271,8 @@ def shaped_init(arch: Architecture, seed: int, radius: float, scale: float = 3.0
     """
     if not radius > 0 or n_points < 1 or steps < 0:
         raise ValueError("shaped_init needs radius > 0, n_points >= 1 and steps >= 0")
-    rng = np.random.default_rng(seed)
     theta = init_params(arch, seed)
-    direction = rng.normal(size=(n_points, arch.input_dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    X = direction * (radius * rng.random(n_points) ** (1.0 / arch.input_dim))[:, None]
+    X = sample_ball(np.random.default_rng(seed), n_points, arch.input_dim, radius)
     target = scale * (np.linalg.norm(X, axis=1) / radius) ** 2
     weights = unpack(theta[None], arch)
     grad = np.empty((1, arch.n_params))
@@ -310,9 +306,13 @@ class MlpLyapunov:
 
 
 def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> dict:
+    """JSON checkpoint: architecture descriptor plus the flat parameter list.
+
+    Floats are kept at full round-trip precision, so a reload reproduces
+    forward outputs bitwise on the writing machine.
+    """
     payload = {
-        "arch": {"input_dim": arch.input_dim, "hidden": list(arch.hidden),
-                 "activation": arch.activation},
+        "arch": {"input_dim": arch.input_dim, "hidden": list(arch.hidden), "activation": "tanh"},
         "theta": [float(t) for t in np.asarray(theta).reshape(-1)],
     }
     if extra:
@@ -320,24 +320,12 @@ def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> 
     return payload
 
 
-def save_checkpoint(path, theta, arch: Architecture, extra: dict | None = None) -> None:
-    """JSON checkpoint: architecture descriptor plus the flat parameter list.
-
-    Floats are serialized at full round-trip precision, so a reload
-    reproduces forward outputs bitwise on the writing machine. The file is
-    written atomically (temp + rename).
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(checkpoint_payload(theta, arch, extra)))
-    tmp.replace(path)
-
-
 def load_checkpoint(path) -> tuple[np.ndarray, Architecture, dict]:
     payload = json.loads(Path(path).read_text())
+    if payload["arch"]["activation"] != "tanh":
+        raise ValueError("only tanh hidden activations are supported")
     arch = Architecture(input_dim=payload["arch"]["input_dim"],
-                        hidden=tuple(payload["arch"]["hidden"]),
-                        activation=payload["arch"]["activation"])
+                        hidden=tuple(payload["arch"]["hidden"]))
     theta = np.asarray(payload["theta"], dtype=float)
     if theta.size != arch.n_params:
         raise ValueError("checkpoint parameter count does not match architecture")

@@ -76,8 +76,8 @@ def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) ->
     return "\n".join(parts)
 
 
-def render_phase_svg(system, grid, trajectories=None) -> str:
-    """2-D phase portrait (vector field glyphs) with optional trajectories."""
+def render_phase_svg(system, grid, states: np.ndarray) -> str:
+    """2-D phase portrait (vector field glyphs) with one trajectory's (n, 2) states."""
     if grid.dim != 2:
         raise ValueError("phase portraits are drawn for 2-D state spaces only")
     to_px, _scale = _scaler(grid.radius)
@@ -100,10 +100,8 @@ def render_phase_svg(system, grid, trajectories=None) -> str:
         parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
                      f'stroke="#5a5a5a" stroke-width="0.8"/>')
         parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="1.1" fill="#5a5a5a"/>')
-    if trajectories:
-        for traj in trajectories:
-            pts_s = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(s[0], s[1]) for s in traj.states))
-            parts.append(f'<polyline points="{pts_s}" fill="none" stroke="#14365f" stroke-width="1.2"/>')
+    pts_s = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(s[0], s[1]) for s in states))
+    parts.append(f'<polyline points="{pts_s}" fill="none" stroke="#14365f" stroke-width="1.2"/>')
     parts.append(_axis_frame(grid.radius, to_px))
     parts.append("</svg>")
     return "\n".join(parts)

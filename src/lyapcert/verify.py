@@ -53,8 +53,6 @@ class GridSpec:
     origin_row: int
     boundary: np.ndarray        # (n,) node has a missing face neighbor
     neighbor_pairs: np.ndarray  # (m, 2) face-adjacent node rows
-    _flat_rows: np.ndarray      # box-flat index -> clipped row (-1 if outside)
-    _strides: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -63,14 +61,6 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return float(self.spacing**self.dim)
-
-    def row_of(self, lattice_point) -> int | None:
-        half = (self.nodes_per_axis - 1) // 2
-        point = np.asarray(lattice_point, dtype=np.int64)
-        if np.any(np.abs(point) > half):
-            return None
-        row = int(self._flat_rows[(point + half) @ self._strides])
-        return None if row < 0 else row
 
 
 def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
@@ -125,7 +115,6 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
         spacing=float(spacing), tau=float(dim * spacing / 2.0),
         coords=coords, lattice=lattice, origin_row=origin_row,
         boundary=boundary, neighbor_pairs=np.concatenate(pairs, axis=0),
-        _flat_rows=full_rows, _strides=strides,
     )
 
 

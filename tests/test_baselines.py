@@ -66,11 +66,6 @@ class TestQlfTs:
         with pytest.raises(baselines.NotHurwitz):
             baselines.qlf_ts(Unstable(), GRID, SETTINGS)
 
-    def test_no_training_budget_used(self):
-        report = baselines.qlf_ts(LinearSystem(), GRID, SETTINGS)
-        assert report.train_samples_used == 0
-        assert report.gradient_steps_used == 0
-
 
 class TestNlfTs:
     def test_zero_step_budget_yields_no_certificate(self):
@@ -83,11 +78,9 @@ class TestNlfTs:
 
     def test_budget_recorded(self):
         system = dynamics.nominal_system("pendulum")
-        settings = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.5)
-        report = baselines.nlf_ts(system, GRID, settings, ARCH, LOSS,
-                                  NlfBlock(n_samples=500, n_steps=50), seed=0)
-        assert report.train_samples_used == 500
-        assert report.gradient_steps_used == 50
+        _, samples, steps = baselines.train_nlf(system, 2.0, ARCH, LOSS,
+                                                NlfBlock(n_samples=500, n_steps=50), seed=0)
+        assert (samples, steps) == (500, 50)
 
 
 class TestTNlf:

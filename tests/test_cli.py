@@ -13,6 +13,8 @@ from lyapcert.config import (ConfigError, NlfBlock, PRESETS, config_from_dict, c
                              config_to_dict, load_config)
 from lyapcert.loss import TightenedLossConfig
 
+from helpers import save_checkpoint
+
 ROOT = Path(__file__).resolve().parents[1]
 
 PRESET_HASHES = {
@@ -139,6 +141,30 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block, key, value, expected", [
+        ("system", "sigma_diag", [float("inf"), 0.0, 0.0, 0.0], cli.EXIT_NUMERIC),
+        ("verify", "d0", float("nan"), cli.EXIT_NUMERIC),
+        ("meta", "k_test", float("inf"), cli.EXIT_NUMERIC),
+        (None, "hidden", [float("-inf")], cli.EXIT_NUMERIC),
+        ("verify", "d0", True, cli.EXIT_CONFIG),
+        ("loss", "eps2", True, cli.EXIT_CONFIG),
+        ("system", "theta_test", [True, 0.15, 9.81, 0.1], cli.EXIT_CONFIG),
+    ])
+    def test_bad_number_exit_code_before_training(self, tmp_path, capsys, block, key, value,
+                                                  expected):
+        """A non-finite number, as a value or a list entry, exits 4; a boolean where a
+        number belongs exits 2; both when the config is parsed."""
+        path = mini_config(tmp_path)
+        payload = json.loads(path.read_text())
+        (payload.setdefault(block, {}) if block else payload)[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises((ConfigError, FloatingPointError), match=key):
+            load_config(path)
+        assert cli.main(["train-meta", "--config", str(path)]) == expected
+        assert capsys.readouterr().err.startswith(
+            "numeric failure" if expected == cli.EXIT_NUMERIC else "config error")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_2(self, tmp_path):
         path = mini_config(tmp_path)
         assert cli.main(["train-meta", "--config", str(path), "--seed", "-1"]) == cli.EXIT_CONFIG
@@ -219,7 +245,7 @@ class TestCliCommands:
         cfg_path = mini_config(tmp_path)
         bad = tmp_path / "bad_ckpt.json"
         arch = net.Architecture(3, (4,))
-        net.save_checkpoint(bad, net.init_params(arch, 0), arch)
+        save_checkpoint(bad, net.init_params(arch, 0), arch)
         code = cli.main(["verify", "--config", str(cfg_path), "--checkpoint", str(bad)])
         assert code == cli.EXIT_CONFIG
 
@@ -280,7 +306,7 @@ class TestCliCommands:
 def mini_checkpoint(tmp_path):
     arch = net.Architecture(2, (8,))
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(path, net.init_params(arch, 0), arch)
+    save_checkpoint(path, net.init_params(arch, 0), arch)
     truncated = tmp_path / "truncated.json"
     truncated.write_text(path.read_text()[:40])
     return path, truncated
@@ -327,6 +353,8 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     (["simulate", "--x0", "1,2,3"], cli.EXIT_CONFIG),
     (["simulate", "--x0", "1,abc"], cli.EXIT_CONFIG),
     (["simulate", "--x0", "1,nan"], cli.EXIT_NUMERIC),
+    (["simulate", "--x0", "0.2,0.0", "--h", "inf", "--horizon", "inf"], cli.EXIT_NUMERIC),
+    (["simulate", "--x0", "0.2,0.0", "--horizon", "nan"], cli.EXIT_NUMERIC),
 ])
 def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expected):
     ckpt, truncated = mini_checkpoint
@@ -334,6 +362,22 @@ def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expect
     argv = [a.format(ckpt=ckpt, truncated=truncated) for a in argv]
     assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == expected
     assert capsys.readouterr().err   # a one-line message, not a traceback
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_dynamics_exit_4(tmp_path, mini_checkpoint, capsys):
+    """A test-time pendulum of mass 1e-320 has infinite dynamics: the MC gate's
+    linearization finds them, and roa exits 4."""
+    ckpt, _ = mini_checkpoint
+    cfg_path = mini_config(tmp_path, system={"system_id": "pendulum",
+                                             "theta0": [0.5, 0.15, 9.81, 0.1],
+                                             "theta_test": [0.6, 1e-320, 9.81, 0.1],
+                                             "sigma_diag": [0.05, 0.0, 0.0, 0.0]},
+                           verify={"d0": 3.0, "nodes_per_axis": 11, "exempt_radius": 0.9})
+    code = cli.main(["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure")
 
 
 @pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
@@ -353,7 +397,7 @@ def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad
     if bad_theta:
         theta[3] = np.nan
     ckpt = tmp_path / "ckpt.json"
-    net.save_checkpoint(ckpt, theta, arch, extra={"radius": radius})
+    save_checkpoint(ckpt, theta, arch, extra={"radius": radius})
     cfg_path = mini_config(tmp_path)
     assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == expected
     assert capsys.readouterr().err   # a one-line message, not a traceback
@@ -379,6 +423,5 @@ def test_benchmark_wrapped_names_resolve():
     assert params(dynamics.simulate_batch)[1:4] == ["X0", "h", "horizon"]
     arch = net.Architecture(2, (4,))
     trained = baselines.train_nlf(dynamics.nominal_system("pendulum"), 1.0, arch,
-                                  TightenedLossConfig(), NlfBlock(10, 3, 0.01, 4), seed=0,
-                                  theta0=np.zeros(arch.n_params))
+                                  TightenedLossConfig(), NlfBlock(10, 3, 0.01, 4), seed=0)
     assert trained[2] == 3

@@ -148,7 +148,3 @@ class TestLinearize:
     def test_non_finite_dynamics(self):
         with pytest.raises(control.NonFiniteDynamics):
             control.linearize(lambda x: np.array([np.nan]), np.array([0.0]))
-
-    def test_requires_positive_step(self):
-        with pytest.raises(ValueError):
-            control.linearize(lambda x: x, np.array([1.0]), h=0.0)

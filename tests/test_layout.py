@@ -1,9 +1,11 @@
 """Layout guard: every function, class and method in `src/lyapcert` is used by the
-library itself, so no entry point lives on for tests alone.
+library itself, so no entry point lives on for tests alone, and every dataclass
+field is read by it, so no field is only written.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
-the definition's own body; names are matched without their owner, so a use of
-a same-named attribute elsewhere also counts.
+the definition's own body; a field read is any load of an attribute of the
+field's name in `src/`. Names are matched without their owner, so a use of a
+same-named attribute elsewhere also counts.
 """
 
 import ast
@@ -16,11 +18,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lyapcert"
 ALLOWED = {
     "net.hvp": "perfbench/traced_cli.py wraps it by name",
     "loss.empirical_loss": "perfbench/traced_cli.py wraps it by name",
-    "verify.GridSpec.row_of": "lattice-point lookup the tests place nodes with; "
-                              "perfbench/checks.py keeps its own copy",
     "dynamics.nominal_system": "the nominal system with its equilibrium and Hurwitz "
                                "checks, the tests' reference system",
     "cli.main": "the console entry point",
+}
+
+# dataclass fields nothing in src/ reads, each with the reason it stays
+ALLOWED_FIELDS = {
+    "baselines.BaselineReport.vmap": "the validity map behind a method's certificate, "
+                                     "read by acceptance criterion 5",
 }
 
 
@@ -33,6 +39,27 @@ def _references(tree) -> Counter:
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
     return names
+
+
+def _attribute_loads(tree) -> Counter:
+    """Every attribute read (load context) in an AST, counted by attribute name."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields():
+    """(qualified name, field name) of every annotated field of a src/ dataclass."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign):
+                        yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
 
 
 def _definitions():
@@ -60,3 +87,17 @@ def test_every_definition_is_used_in_src():
 def test_allowlist_names_existing_definitions():
     defined = {qualified for qualified, _, _ in _definitions()}
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def test_every_dataclass_field_is_read_in_src():
+    reads = Counter()
+    for path in SRC.glob("*.py"):
+        reads += _attribute_loads(ast.parse(path.read_text()))
+    unread = [qualified for qualified, name in _fields()
+              if not reads[name] and qualified not in ALLOWED_FIELDS]
+    assert not unread, f"dataclass fields no code in src/ reads: {unread}"
+
+
+def test_field_allowlist_names_existing_fields():
+    defined = {qualified for qualified, _ in _fields()}
+    assert set(ALLOWED_FIELDS) <= defined, sorted(set(ALLOWED_FIELDS) - defined)

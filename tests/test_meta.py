@@ -115,16 +115,17 @@ class TestMetaTrain:
     def test_zero_meta_lr_keeps_init(self):
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.01, meta_lr=1e-300, tasks_per_step=1, meta_steps=1)
-        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=4)
+        report = meta.meta_train([task], self.arch, mc, self.cfg, 4,
+                                 net.init_params(self.arch, 4))
         np.testing.assert_allclose(report.theta_mnlf, net.init_params(self.arch, 4), atol=1e-250)
 
     def test_single_step_unrolled_definition(self):
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.02, meta_lr=0.1, tasks_per_step=1,
                        meta_steps=1, mode="first_order")
-        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=5)
-        # replicate the single meta-step by hand with the same rng stream
         theta0 = net.init_params(self.arch, 5)
+        report = meta.meta_train([task], self.arch, mc, self.cfg, 5, theta0)
+        # replicate the single meta-step by hand with the same rng stream
         rng = np.random.default_rng(5)
         _task_idx = rng.integers(1)
         j = rng.integers(task.n_batches)
@@ -136,17 +137,19 @@ class TestMetaTrain:
     def test_deterministic(self):
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.01, meta_lr=0.01, tasks_per_step=2, meta_steps=5)
-        a = meta.meta_train([task], self.arch, mc, self.cfg, seed=6)
-        b = meta.meta_train([task], self.arch, mc, self.cfg, seed=6)
+        a = meta.meta_train([task], self.arch, mc, self.cfg, 6,
+                            net.init_params(self.arch, 6))
+        b = meta.meta_train([task], self.arch, mc, self.cfg, 6,
+                            net.init_params(self.arch, 6))
         np.testing.assert_array_equal(a.theta_mnlf, b.theta_mnlf)
         np.testing.assert_array_equal(a.loss_curve, b.loss_curve)
 
     def test_loss_curve_length(self):
         task = tiny_task()
         mc = MetaBlock(meta_lr=0.005, meta_steps=7, tasks_per_step=1)
-        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=0)
+        report = meta.meta_train([task], self.arch, mc, self.cfg, 0,
+                                 net.init_params(self.arch, 0))
         assert report.loss_curve.shape == (7,)
-        assert report.mode == "second_order"
 
     def test_reduces_to_sgd_with_zero_inner_lr(self):
         # one task, alpha -> 0: meta-training is plain SGD on the test halves
@@ -154,7 +157,8 @@ class TestMetaTrain:
         steps = 6
         mc = MetaBlock(inner_lr=1e-300, meta_lr=0.05, tasks_per_step=1,
                        meta_steps=steps, mode="first_order")
-        report = meta.meta_train([task], self.arch, mc, self.cfg, seed=9)
+        report = meta.meta_train([task], self.arch, mc, self.cfg, 9,
+                                 net.init_params(self.arch, 9))
 
         theta = net.init_params(self.arch, 9)
         rng = np.random.default_rng(9)
@@ -170,7 +174,8 @@ class TestMetaTrain:
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.01, meta_lr=1e200, tasks_per_step=1, meta_steps=50)
         with pytest.raises(meta.NonFiniteLoss) as info:
-            meta.meta_train([task], self.arch, mc, self.cfg, seed=10)
+            meta.meta_train([task], self.arch, mc, self.cfg, 10,
+                            net.init_params(self.arch, 10))
         assert 0 <= info.value.step < 50
 
     def test_training_makes_progress_on_pendulum(self):
@@ -226,7 +231,8 @@ class TestStackedMetaStep:
     @pytest.mark.parametrize("mode", ["second_order", "first_order"])
     def test_matches_per_task_loop(self, mode):
         mc = MetaBlock(inner_lr=0.01, meta_lr=0.01, tasks_per_step=4, meta_steps=25, mode=mode)
-        report = meta.meta_train(self.tasks, self.arch, mc, self.cfg, seed=31)
+        report = meta.meta_train(self.tasks, self.arch, mc, self.cfg, 31,
+                                 net.init_params(self.arch, 31))
         theta, curve = self.reference(mc, seed=31)
         assert not np.array_equal(theta, net.init_params(self.arch, 31))
         np.testing.assert_array_equal(report.theta_mnlf, theta)
@@ -236,7 +242,8 @@ class TestStackedMetaStep:
         other = tiny_task()
         mc = MetaBlock(meta_steps=1)
         with pytest.raises(ValueError, match="same train and test shapes"):
-            meta.meta_train([self.tasks[0], other], self.arch, mc, self.cfg, seed=0)
+            meta.meta_train([self.tasks[0], other], self.arch, mc, self.cfg, 0,
+                            net.init_params(self.arch, 0))
 
 
 class TestTestTimeAdapt:

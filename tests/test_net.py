@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from lyapcert import net
 from lyapcert.loss import TightenedLossConfig, empirical_loss, mean_loss
 
+from helpers import save_checkpoint
+
 
 def identity_1_1_1():
     arch = net.Architecture(input_dim=1, hidden=(1,))
@@ -279,13 +281,22 @@ class TestCheckpoint:
         arch = net.Architecture(2, (7, 3))
         theta = net.init_params(arch, 9)
         path = tmp_path / "ckpt.json"
-        net.save_checkpoint(path, theta, arch, extra={"radius": 4.0})
+        save_checkpoint(path, theta, arch, extra={"radius": 4.0})
         theta2, arch2, extra = net.load_checkpoint(path)
         assert arch2 == arch
         assert extra["radius"] == 4.0
         np.testing.assert_array_equal(theta, theta2)
         x = np.array([0.3, -0.8])
         assert value(theta, arch, x) == value(theta2, arch2, x)
+
+    def test_rejects_non_tanh_activation(self, tmp_path):
+        arch = net.Architecture(2, (3,))
+        path = tmp_path / "relu.json"
+        payload = net.checkpoint_payload(net.init_params(arch, 0), arch)
+        payload["arch"]["activation"] = "relu"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="tanh"):
+            net.load_checkpoint(path)
 
     def test_rejects_wrong_size(self, tmp_path):
         arch = net.Architecture(2, (3,))

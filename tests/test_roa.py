@@ -8,6 +8,8 @@ from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.config import PRESETS
 
+from helpers import row_of
+
 
 class LinearSystem:
     def __init__(self, dim):
@@ -70,7 +72,7 @@ def bfs_component(grid, vbar, c):
             for step in (-1, 1):
                 point = grid.lattice[row].copy()
                 point[axis] += step
-                j = grid.row_of(point)
+                j = row_of(grid, point)
                 if j is not None and j in member and j not in depth:
                     depth[j] = depth[row] + 1
                     queue.append(j)
@@ -98,7 +100,7 @@ class TestLargestLevelSet:
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
-        bad = grid.row_of([3, 0])
+        bad = row_of(grid, [3, 0])
         green[bad] = False
         v_star = vbar[bad]
         result = roa.largest_level_set(with_flags(grid, vbar, green), grid)
@@ -121,12 +123,12 @@ class TestLargestLevelSet:
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
-        bad = grid.row_of([5, 0])
+        bad = row_of(grid, [5, 0])
         green[bad] = False
         vmap = with_flags(grid, vbar, green)
         vmap = replace(vmap, constants=verify.LipschitzConstants(1.0, 0.1))
         floor = vbar[bad] - 1.0 * grid.tau
-        assert vbar[grid.row_of([4, 2])] > floor
+        assert vbar[row_of(grid, [4, 2])] > floor
         result = roa.largest_level_set(vmap, grid)
         assert 0.0 < result.c < floor
 
@@ -134,7 +136,7 @@ class TestLargestLevelSet:
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
-        bad = grid.row_of([5, 0])
+        bad = row_of(grid, [5, 0])
         green[bad] = False
         k_node = np.full(grid.n_nodes, 0.01)
         k_node[bad] = 1.0
@@ -147,9 +149,9 @@ class TestLargestLevelSet:
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
-        green[grid.row_of([2, 0])] = False
+        green[row_of(grid, [2, 0])] = False
         c_small = roa.largest_level_set(with_flags(grid, vbar, green), grid).c
-        green[grid.row_of([2, 0])] = True
+        green[row_of(grid, [2, 0])] = True
         c_big = roa.largest_level_set(with_flags(grid, vbar, green), grid).c
         assert c_big >= c_small
 
@@ -218,7 +220,7 @@ class TestRoaArea:
     def test_projection_counts_shadow_once(self):
         grid = verify.build_grid(1.0, 5, 3)
         # column of cells stacked along axis 2 over the same (i, j) cell
-        rows = [grid.row_of([0, 0, k]) for k in (-1, 0, 1)]
+        rows = [row_of(grid, [0, 0, k]) for k in (-1, 0, 1)]
         result = roa.RoaResult(c=1.0, member_rows=np.array(rows), area=0.0,
                                plane=(0, 1), empty=False)
         assert roa.roa_area(result, grid) == pytest.approx(grid.spacing**2)

@@ -7,6 +7,8 @@ from lyapcert import verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.dynamics import sample_ball
 
+from helpers import row_of
+
 
 def sample_annulus(rng, n, dim, outer, inner=0.0):
     """n points uniform over the ball of radius `outer`, outside radius `inner`."""
@@ -101,8 +103,8 @@ class TestBuildGrid:
 
     def test_row_of(self):
         grid = verify.build_grid(1.0, 5, 2)
-        assert grid.row_of([0, 0]) == grid.origin_row
-        assert grid.row_of([99, 0]) is None
+        assert row_of(grid, [0, 0]) == grid.origin_row
+        assert row_of(grid, [99, 0]) is None
 
 
 def star_constants(cand, system, grid):
@@ -183,17 +185,17 @@ class TestCheckValidity:
         grid = verify.build_grid(1.0, 3, 1)
         # order of nodes: -1, 0, 1; prescribe vbar via values with value(0)=0
         vals = np.zeros(3)
-        vals[grid.row_of([-1])] = 0.15
-        vals[grid.row_of([0])] = 0.0
-        vals[grid.row_of([1])] = 0.12
+        vals[row_of(grid, [-1])] = 0.15
+        vals[row_of(grid, [0])] = 0.0
+        vals[row_of(grid, [1])] = 0.12
         cand = ValueCandidate(grid, vals, np.zeros((3, 1)))
         const = verify.LipschitzConstants(k_v=0.2, k_lie=0.0)  # k_v * tau = 0.1
         vmap = verify.check_validity(cand, LinearSystem(1), grid, const)
         assert bool(np.all(vmap.positivity_ok))
-        vals[grid.row_of([1])] = 0.08
+        vals[row_of(grid, [1])] = 0.08
         vmap2 = verify.check_validity(ValueCandidate(grid, vals, np.zeros((3, 1))),
                                       LinearSystem(1), grid, const)
-        assert not vmap2.positivity_ok[grid.row_of([1])]
+        assert not vmap2.positivity_ok[row_of(grid, [1])]
 
     def test_quadratic_red_core_only_near_origin(self):
         grid = verify.build_grid(1.0, 41, 2)
@@ -244,7 +246,7 @@ class TestCheckValidity:
         vb = verify.check_validity(cand, LinearSystem(2), big, const)
         vs = verify.check_validity(cand, LinearSystem(2), small, const)
         for i in range(small.n_nodes):
-            j = big.row_of(small.lattice[i])
+            j = row_of(big, small.lattice[i])
             assert vs.green[i] == vb.green[j] or vs.exempt[i]
 
 
