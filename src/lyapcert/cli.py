@@ -26,15 +26,14 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, control, dynamics, meta, net, roa, svg, verify
-from .config import (ConfigError, ExperimentConfig, PRESETS, config_hash,
-                     config_to_dict, load_config)
+from .config import (ConfigError, ExperimentConfig, PRESETS, TEST_TIME_SAMPLES,
+                     TEST_TIME_STEPS, config_hash, config_to_dict, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,10 +47,12 @@ class BadArtifact(Exception):
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write through a sibling temp file and a rename; the file gets the mode plain
+    `open` gives."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -95,11 +96,26 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _interior_report(vmap: verify.ValidityMap, grid: verify.GridSpec) -> tuple[float, int, int]:
-    """Off the boundary layer: green fraction, red counts by positivity and by decrease."""
+def _interior_report(vmap: verify.ValidityMap, grid: verify.GridSpec
+                     ) -> tuple[float, int, int, int]:
+    """Off the boundary layer: green fraction, red counts by positivity and by decrease,
+    and the number of checked (non-exempt) nodes."""
     interior = ~grid.boundary
     return (float(np.mean(vmap.green[interior])),
-            int(np.sum(~vmap.positivity_ok[interior])), int(np.sum(~vmap.decrease_ok[interior])))
+            int(np.sum(~vmap.positivity_ok[interior])), int(np.sum(~vmap.decrease_ok[interior])),
+            int(np.sum(~vmap.exempt[interior])))
+
+
+def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | None:
+    """The least vbar_low and the greatest lie_high over the checked (non-exempt)
+    nodes, each with its node's coordinates; None when every node is exempt."""
+    checked = np.nonzero(~vmap.exempt)[0]
+    if not checked.size:
+        return None
+    rows = {"vbar_low": checked[np.argmin(vmap.vbar_low[checked])],
+            "lie_high": checked[np.argmax(vmap.lie_high[checked])]}
+    return {key: {"bound": float(getattr(vmap, key)[row]), "node": grid.coords[row].tolist()}
+            for key, row in rows.items()}
 
 
 def _meta_pipeline_fns(cfg: ExperimentConfig):
@@ -127,8 +143,10 @@ def _meta_pipeline_fns(cfg: ExperimentConfig):
         return maps
 
     def accept_fn(maps, d):
-        return all(_interior_report(m, grid_for(d))[0] >= cfg.verify.min_green_fraction
-                   for m in maps)
+        # a map that checks no interior node certifies nothing
+        reports = [_interior_report(m, grid_for(d)) for m in maps]
+        return all(checked and green >= cfg.verify.min_green_fraction
+                   for green, _, _, checked in reports)
 
     return train_fn, verify_fn, accept_fn, grid_for
 
@@ -144,9 +162,10 @@ def cmd_train_meta(args) -> int:
     except verify.RegionSelectionFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         for i, vmap in enumerate(exc.maps):
-            green, red_pos, red_dec = _interior_report(vmap, grid_for(exc.last_radius))
+            green, red_pos, red_dec, checked = _interior_report(vmap, grid_for(exc.last_radius))
             print(f"task {i}: interior green fraction {green:.4f}, red nodes: "
-                  f"positivity {red_pos}, decrease {red_dec}", file=sys.stderr)
+                  f"positivity {red_pos}, decrease {red_dec}; {checked} interior nodes checked",
+                  file=sys.stderr)
         return EXIT_VERIFICATION
 
     report, _ = selection.artifact
@@ -195,10 +214,9 @@ def cmd_adapt(args) -> int:
     theta, arch, radius = _load_checkpoint_for(cfg, args.checkpoint)
     k = args.k if args.k is not None else cfg.meta.k_test
     n_samples = args.samples if args.samples is not None else cfg.meta.adapt_samples
-    if not (1 <= n_samples <= baselines.TEST_TIME_SAMPLES
-            and 0 <= k <= baselines.TEST_TIME_STEPS):
-        raise ConfigError(f"test-time budget is 1..{baselines.TEST_TIME_SAMPLES} samples / "
-                          f"0..{baselines.TEST_TIME_STEPS} steps")
+    if not (1 <= n_samples <= TEST_TIME_SAMPLES and 0 <= k <= TEST_TIME_STEPS):
+        raise ConfigError(f"test-time budget is 1..{TEST_TIME_SAMPLES} samples / "
+                          f"0..{TEST_TIME_STEPS} steps")
     system_test = dynamics.build_system(cfg.system.test())
     dataset = dynamics.build_dataset(system_test, radius, n_samples, 1, 1,
                                      cfg.seeds.adapt_seed)
@@ -228,7 +246,7 @@ def cmd_verify(args) -> int:
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
     vmap = verify.check_validity(candidate, system_test, grid,
                                  exempt_radius=cfg.verify.exempt_radius)
-    verify.export_validity_csv(vmap, grid, out / "validity_map.csv")
+    atomic_write_text(out / "validity_map.csv", verify.export_validity_csv(vmap, grid))
     axes = tuple(cfg.roa.plane) if grid.dim > 2 else (0, 1)
     atomic_write_text(out / "validity_map.svg",
                       svg.render_validity_svg(vmap, grid, axes=axes))
@@ -236,8 +254,7 @@ def cmd_verify(args) -> int:
     atomic_write_json(out / "validity_summary.json",
                       {**_stamp(cfg), "green_fraction": green,
                        "fully_green": vmap.fully_green,
-                       "constants": {"k_v": float(np.max(vmap.constants.k_v)),
-                                     "k_lie": float(np.max(vmap.constants.k_lie))}})
+                       "worst_bounds": _worst_bounds(vmap, grid)})
     print(f"validity map written ({green:.4f} green)")
     return EXIT_OK
 
@@ -251,9 +268,8 @@ def cmd_roa(args) -> int:
     check, = roa.monte_carlo_convergence(system_test, [(result, candidate)], grid,
                                          cfg.roa.mc_samples, cfg.roa.mc_step,
                                          cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master)
-    roa.export_roa_json(result, grid, out / "roa.json",
-                        config_hash=config_hash(cfg), seed=cfg.seeds.master)
-    roa.export_boundary_csv(result, grid, out / "roa_boundary.csv")
+    atomic_write_json(out / "roa.json", {**_stamp(cfg), **roa.export_roa_json(result, grid)})
+    atomic_write_text(out / "roa_boundary.csv", roa.export_boundary_csv(result, grid))
     axes = tuple(cfg.roa.plane) if grid.dim > 2 else (0, 1)
     atomic_write_text(out / "roa_overlay.svg",
                       svg.render_validity_svg(vmap, grid, roa=result, axes=axes))

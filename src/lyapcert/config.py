@@ -32,6 +32,10 @@ from .loss import TightenedLossConfig
 from .net import Architecture
 
 
+TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
+TEST_TIME_STEPS = 10     # and gradient steps
+
+
 class ConfigError(Exception):
     """Malformed configuration; message names the offending field."""
 
@@ -88,6 +92,9 @@ class MetaBlock:
                  "task, batch, step and sample counts must be >= 1, k_test >= 0")
         _require(self.mode in ("first_order", "second_order"),
                  "mode must be 'first_order' or 'second_order'")
+        _require(self.adapt_samples <= TEST_TIME_SAMPLES and self.k_test <= TEST_TIME_STEPS,
+                 f"the test-time budget is at most {TEST_TIME_SAMPLES} adapt_samples and "
+                 f"{TEST_TIME_STEPS} k_test steps")
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,10 @@ class VerifyBlock:
         _require(self.max_rounds >= 1, "max_rounds must be >= 1")
         _require(0.0 <= self.min_green_fraction <= 1.0,
                  "min_green_fraction must lie in [0, 1]")
+        last_radius = self.d0 * self.shrink_factor ** (self.max_rounds - 1)
+        _require(self.exempt_radius < last_radius,
+                 f"exempt_radius must stay below the last round's radius {last_radius:g}, "
+                 f"or every node of that region is exempt")
 
 
 @dataclass(frozen=True)
@@ -249,14 +260,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # Presets: one per benchmark row.
 
 def _pendulum_preset(name, theta_test, sigma, task_seed, fallback, meta_steps=8000,
-                     m_batches=30, k_train=50, min_green=0.995) -> ExperimentConfig:
+                     m_batches=30, k_train=50) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
         system=SystemBlock("pendulum", NOMINAL_PENDULUM, theta_test, sigma),
         meta=MetaBlock(meta_steps=meta_steps, m_batches=m_batches, k_train=k_train),
         loss=TightenedLossConfig(1.0, 1.0),
         verify=VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1,
-                           min_green_fraction=min_green),
+                           min_green_fraction=0.995),
         nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
         seeds=SeedBlock(master=0, task_seed=task_seed, net_seed=0, adapt_seed=123,
                         fallback=fallback),

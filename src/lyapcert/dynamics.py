@@ -11,7 +11,7 @@ Parameter tuples follow the benchmark conventions: pendulum (l, m, g, b),
 microgrid (dc_1..dc_N), fan (m, J, r, g, d). Microgrid admittance/setpoint
 constants are synthetic defaults chosen so the origin is an exact equilibrium
 and the nominal closed loop is Hurwitz; both properties are asserted when the
-nominal system is built, and every constant can be overridden.
+nominal system is built. Other gains or networks need a direct `ClosedLoopSystem`.
 """
 
 from __future__ import annotations
@@ -275,12 +275,11 @@ def _open_loop_linearization(system_id: str, values) -> tuple[np.ndarray, np.nda
     return A, B
 
 
-def build_system(params: ParamVector, gain=None, network: MicrogridNetwork | None = None) -> ClosedLoopSystem:
-    """Assemble a closed-loop system; the controller defaults to the one
-    designed at the system's nominal parameters (fixed across tasks)."""
-    if params.system_id in ("pendulum", "fan") and gain is None:
-        gain = _default_gain(params.system_id)
-    return ClosedLoopSystem(params=params, gain=gain, network=network)
+def build_system(params: ParamVector) -> ClosedLoopSystem:
+    """Assemble a closed-loop system with the controller designed at the system's
+    nominal parameters (fixed across tasks), or the default microgrid network."""
+    gain = _default_gain(params.system_id) if params.system_id in ("pendulum", "fan") else None
+    return ClosedLoopSystem(params=params, gain=gain)
 
 
 def nominal_params(system_id: str, n_microgrids: int = 3) -> ParamVector:

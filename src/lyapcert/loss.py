@@ -7,7 +7,7 @@ conditions at that sample (x, y = f(x)):
 
 It is zero exactly when V(x) >= eps1, the Lie derivative is <= -eps2 and
 V(0) = 0. The margins are tunable during training; at verification time the
-grid module re-derives them from Lipschitz constants.
+grid module checks cell bounds instead.
 """
 
 from __future__ import annotations

@@ -260,32 +260,35 @@ def hvp(theta, arch: Architecture, batch, cfg, v) -> np.ndarray:
     return hvps(theta, arch, _one_task(batch), cfg, v)
 
 
-def shaped_init(arch: Architecture, seed: int, radius: float, scale: float = 3.0,
-                n_points: int = 2048, steps: int = 2000, lr: float = 0.05) -> np.ndarray:
-    """Bowl-shaped initialization: regress the net onto scale * (|x| / radius)^2.
+# the bowl fit: height at the region radius, full-batch points, GD steps, step size
+INIT_SCALE, INIT_POINTS, INIT_STEPS, INIT_LR = 3.0, 2048, 2000, 0.05
+
+
+def shaped_init(arch: Architecture, seed: int, radius: float) -> np.ndarray:
+    """Bowl-shaped initialization: regress the net onto INIT_SCALE * (|x| / radius)^2.
 
     Uses no dynamics data, only geometry; it replaces the raw random init with
     one whose value surface is already a clean radially increasing bowl, which
     gradient training then deforms. Deterministic given the seed. Every step
     updates theta in place through its layer views, in one set of sweep buffers.
     """
-    if not radius > 0 or n_points < 1 or steps < 0:
-        raise ValueError("shaped_init needs radius > 0, n_points >= 1 and steps >= 0")
+    if not radius > 0:
+        raise ValueError("shaped_init needs radius > 0")
     theta = init_params(arch, seed)
-    X = sample_ball(np.random.default_rng(seed), n_points, arch.input_dim, radius)
-    target = scale * (np.linalg.norm(X, axis=1) / radius) ** 2
+    X = sample_ball(np.random.default_rng(seed), INIT_POINTS, arch.input_dim, radius)
+    target = INIT_SCALE * (np.linalg.norm(X, axis=1) / radius) ** 2
     weights = unpack(theta[None], arch)
     grad = np.empty((1, arch.n_params))
     grads = unpack(grad, arch)
-    delta_out = [np.empty((1, n_points, h)) for h in arch.hidden]
+    delta_out = [np.empty((1, INIT_POINTS, h)) for h in arch.hidden]
     sp_out = [np.empty_like(D) for D in delta_out]
-    act_out = [np.empty_like(D) for D in delta_out] + [np.empty((1, n_points, 1))]
-    for _ in range(steps):
+    act_out = [np.empty_like(D) for D in delta_out] + [np.empty((1, INIT_POINTS, 1))]
+    for _ in range(INIT_STEPS):
         V, acts = _forward_sweep(weights, X[None], act_out)
         grad.fill(0.0)
-        _value_backprop(weights, acts, _tanh_primes(acts, sp_out), 2.0 * (V - target) / n_points,
-                        grads, delta_out)
-        grad *= lr
+        _value_backprop(weights, acts, _tanh_primes(acts, sp_out),
+                        2.0 * (V - target) / INIT_POINTS, grads, delta_out)
+        grad *= INIT_LR
         theta -= grad[0]
     return theta
 

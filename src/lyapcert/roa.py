@@ -4,13 +4,11 @@ The certified ROA is the largest sublevel set {Vbar <= c} that enters no cell
 of a red node and no cell of the outer boundary layer of D (so the continuum
 set cannot leak out of the verified region), restricted to the face-connected
 component of the origin. Everything is grid-resolution limited: c is a node
-value, capped below Vbar - K_V * tau over the blocked nodes.
+value, capped below the cell lower bound vbar_low of every blocked node.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -66,15 +64,13 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec,
     """Extraction of the certified sublevel value.
 
     A node is blocked when it is not green or sits in the outer boundary
-    layer. Every point of a blocked node u's cell lies within l1 distance tau
-    of u, so Vbar there is at least Vbar(u) - K_V(u) * tau. The level c is
-    the largest non-exempt node value strictly below the least such bound,
-    so the continuum set {Vbar <= c} enters no blocked cell. A level at or
-    below zero yields the empty result (c = 0, area 0).
+    layer. Vbar is at least vbar_low(u) everywhere in a blocked node u's cell,
+    so with c the largest non-exempt node value strictly below the least such
+    bound, the continuum set {Vbar <= c} enters no blocked cell. A level at
+    or below zero yields the empty result (c = 0, area 0).
     """
     blocked = (~vmap.green) | grid.boundary
-    floor = vmap.vbar - vmap.constants.k_v * grid.tau
-    cap = np.min(floor[blocked], initial=np.inf)
+    cap = np.min(vmap.vbar_low[blocked], initial=np.inf)
     eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
     c = float(np.max(eligible)) if eligible.size else 0.0
     if c <= 0.0:
@@ -187,11 +183,8 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
             for result, _ in certificates]
 
 
-def export_roa_json(result: RoaResult, grid: GridSpec, path, config_hash: str = "",
-                    seed: int | None = None) -> None:
-    payload = {
-        "config_hash": config_hash,
-        "seed": seed,
+def export_roa_json(result: RoaResult, grid: GridSpec) -> dict:
+    return {
         "c": result.c,
         "area": result.area,
         "n_cells": result.n_cells,
@@ -200,22 +193,16 @@ def export_roa_json(result: RoaResult, grid: GridSpec, path, config_hash: str = 
         "grid": {"radius": grid.radius, "nodes_per_axis": grid.nodes_per_axis,
                  "dim": grid.dim, "tau": grid.tau},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
 
 
-def export_boundary_csv(result: RoaResult, grid: GridSpec, path) -> None:
+def export_boundary_csv(result: RoaResult, grid: GridSpec) -> str:
     """Member cells whose face neighborhood leaves the member set (2-D plane)."""
     axes = result.plane if (grid.dim > 2 and result.plane) else (0, 1)
     shadow = project_plane(result, grid, axes) if not result.empty else np.empty((0, 2), dtype=int)
     cells = set(map(tuple, shadow))
-    boundary = []
+    rows = ["u,v"]
     for ci, cj in sorted(cells):
         if any((ci + di, cj + dj) not in cells
                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))):
-            boundary.append((ci * grid.spacing, cj * grid.spacing))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v"])
-        for u, v in boundary:
-            writer.writerow([repr(float(u)), repr(float(v))])
+            rows.append(f"{float(ci * grid.spacing)!r},{float(cj * grid.spacing)!r}")
+    return "".join(row + "\r\n" for row in rows)

@@ -1,21 +1,21 @@
-"""Lipschitz-based grid certification of candidate Lyapunov functions.
+"""Grid certification of candidate Lyapunov functions through per-cell bounds.
 
 The valid region is the euclidean ball D = {|x|_2 <= d}. Its covering grid is
 a uniform axis-aligned lattice over the ball (plus a half-cell collar at the
 rim), with l1 covering radius tau = sum_i h_i / 2: every point of D lies
-within l1 distance tau of a node.
-A candidate V passes at a node u when the bias-corrected value
-Vbar(u) = V(u) - V(0) clears the margin K_V * tau and the Lie derivative
-clears -K_Vdot * tau; by Lipschitz continuity the untightened conditions then
-hold everywhere in D between nodes.
+within l1 distance tau of a node, whose cell it lies in.
+Certification reads two bounds per cell u: vbar_low below the bias-corrected
+value Vbar = V - V(0) and lie_high above the Lie derivative. Node u passes
+when vbar_low(u) > 0 and lie_high(u) < 0, so the conditions hold on its cell.
+The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau.
 
 Candidates are anything with batched `value(X)` and `gradient(X)` methods
 (the MLP wrapper and the quadratic baseline both qualify), so every method in
 the package is certified by this same code path.
 
 The checks near the origin are vacuous by construction: Vbar(0) = 0 and V is
-K_V-Lipschitz, so nodes with |u|_1 <= tau can never clear K_V * tau, for any
-candidate. Nodes inside a configurable exemption radius are therefore marked
+K_V-Lipschitz, so nodes with |u|_1 <= tau can never have vbar_low > 0, for
+any candidate. Nodes inside a configurable exemption radius are therefore marked
 exempt and excluded from the certified claim, which covers the annulus
 between the exemption radius and d; time-domain validation covers the hole.
 """
@@ -23,6 +23,7 @@ between the exemption radius and d; time-domain validation covers the hole.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,18 +119,8 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LipschitzConstants:
-    k_v: float | np.ndarray     # of the candidate value w.r.t. l1 distance; or one per node
-    k_lie: float | np.ndarray   # of the Lie derivative field (drives the decrease margin)
-
-    def __post_init__(self):
-        if min(np.min(self.k_v), np.min(self.k_lie)) < 0:
-            raise ValueError("Lipschitz constants must be nonnegative")
-
-
-def estimate_lipschitz(grads: np.ndarray, lie: np.ndarray, grid: GridSpec) -> LipschitzConstants:
-    """Per-node constants: sampled maxima over each node's cell star, times SAFETY.
+def estimate_lipschitz(grads, lie, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node (K_V, K_Vdot): the sampled maxima over each node's cell star, times SAFETY.
 
     `grads` and `lie` are the candidate's gradient and Lie derivative at every
     grid node. K_V(u) is the largest l-infinity gradient norm at u and its
@@ -148,55 +139,54 @@ def estimate_lipschitz(grads: np.ndarray, lie: np.ndarray, grid: GridSpec) -> Li
     k_lie = np.zeros(grid.n_nodes)
     np.maximum.at(k_lie, a, lie_quot)
     np.maximum.at(k_lie, b, lie_quot)
-    return LipschitzConstants(k_v=k_v * SAFETY, k_lie=k_lie * SAFETY)
+    return k_v * SAFETY, k_lie * SAFETY
 
 
 @dataclass(frozen=True, eq=False)
 class ValidityMap:
-    """Per-node tightened-condition results for one candidate."""
+    """Per-node values and cell bounds of one candidate; the flags derive from the bounds."""
 
     vbar: np.ndarray        # bias-corrected values V(u) - V(0)
     lie: np.ndarray         # grad V(u)^T f(u)
-    positivity_ok: np.ndarray
-    decrease_ok: np.ndarray
+    vbar_low: np.ndarray    # lower bound of Vbar on u's cell
+    lie_high: np.ndarray    # upper bound of the Lie derivative on u's cell
     exempt: np.ndarray      # origin + optional near-origin ball, not checked
-    constants: LipschitzConstants
+
+    @property
+    def positivity_ok(self) -> np.ndarray:
+        return (self.vbar_low > 0.0) | self.exempt
+
+    @property
+    def decrease_ok(self) -> np.ndarray:
+        return (self.lie_high < 0.0) | self.exempt
 
     @property
     def green(self) -> np.ndarray:
-        return (self.positivity_ok & self.decrease_ok) | self.exempt
+        return self.positivity_ok & self.decrease_ok
 
     @property
     def fully_green(self) -> bool:
         return bool(np.all(self.green))
 
 
-def check_validity(candidate, system, grid: GridSpec, constants: LipschitzConstants | None = None,
-                   exempt_radius: float = 0.0) -> ValidityMap:
-    """Evaluate both tightened conditions at every node.
+def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0) -> ValidityMap:
+    """Bound Vbar from below and the Lie derivative from above on every node's cell.
 
-    Non-exempt node u is positivity-green when Vbar(u) > K_V * tau and
-    decrease-green when the Lie derivative is < -K_Vdot * tau. The origin
-    node (where both conditions are excluded by definition) and any node
-    within the exemption radius are marked exempt. The gradient and f are
-    evaluated once per node; without `constants`, the per-node constants are
-    estimated from those same arrays.
+    The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau, with
+    the per-node constants of estimate_lipschitz. The gradient and f are
+    evaluated once per node and the constants estimated from those same
+    arrays. The origin node (where both conditions are excluded by
+    definition) and any node within the exemption radius are marked exempt.
     """
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
     vbar = candidate.value(grid.coords) - v0
     grads = candidate.gradient(grid.coords)
     lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
-    if constants is None:
-        constants = estimate_lipschitz(grads, lie, grid)
-
-    pos_ok = vbar > constants.k_v * grid.tau
-    dec_ok = lie < -constants.k_lie * grid.tau
+    k_v, k_lie = estimate_lipschitz(grads, lie, grid)
     exempt = np.linalg.norm(grid.coords, axis=1) <= exempt_radius
     exempt[grid.origin_row] = True
-    pos_ok = pos_ok | exempt
-    dec_ok = dec_ok | exempt
-    return ValidityMap(vbar=vbar, lie=lie, positivity_ok=pos_ok, decrease_ok=dec_ok,
-                       exempt=exempt, constants=constants)
+    return ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
+                       lie_high=lie + k_lie * grid.tau, exempt=exempt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,13 +222,14 @@ def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
     raise RegionSelectionFailure(max_rounds, d, maps)
 
 
-def export_validity_csv(vmap: ValidityMap, grid: GridSpec, path) -> None:
+def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> str:
     header = [f"x{i + 1}" for i in range(grid.dim)]
     header += ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]
     # column-wise: tolist() yields Python floats, whose repr round-trips exactly
     cols = [map(repr, col.tolist()) for col in (*grid.coords.T, vmap.vbar, vmap.lie)]
     cols += [map(int, flag.tolist()) for flag in (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cols))
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(zip(*cols))
+    return text.getvalue()

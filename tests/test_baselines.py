@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, dynamics, net, verify
-from lyapcert.config import (ExperimentConfig, MetaBlock, NlfBlock, RoaBlock, SeedBlock,
-                             SystemBlock, VerifyBlock)
+from lyapcert.config import (TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfig, MetaBlock,
+                             NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
 
 
@@ -137,14 +137,13 @@ class TestCompare:
     def test_budget_counters_within_contract(self, table):
         for method in ("META_NLF", "T_NLF"):
             r = table.reports[method]
-            assert r.test_samples_used <= baselines.TEST_TIME_SAMPLES
-            assert r.test_steps_used <= baselines.TEST_TIME_STEPS
+            assert r.test_samples_used <= TEST_TIME_SAMPLES
+            assert r.test_steps_used <= TEST_TIME_STEPS
 
     def test_budget_violation_rejected(self):
-        cfg = small_config()
-        bad = replace(cfg, meta=replace(cfg.meta, meta_steps=2, tasks_per_step=1, n_tasks=1,
-                                        m_batches=1, k_train=4, j_test=4, adapt_samples=60),
-                      verify=replace(cfg.verify, d0=2.0, nodes_per_axis=21, exempt_radius=0.5),
-                      roa=RoaBlock(mc_samples=10), nlf=NlfBlock(50, 2, 0.01, 16), hidden=(4,))
-        with pytest.raises(AssertionError):
-            baselines.compare(bad)
+        # a meta block over the test-time budget cannot be built, so compare
+        # never adapts beyond it
+        meta = small_config().meta
+        for over in ({"adapt_samples": TEST_TIME_SAMPLES + 1}, {"k_test": TEST_TIME_STEPS + 1}):
+            with pytest.raises(ValueError, match="test-time budget"):
+                replace(meta, **over)

@@ -1,5 +1,7 @@
+import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +131,8 @@ class TestConfig:
         ("seeds", "master", -1),
         ("system", "sigma_diag", [0.05, 0.0, 0.0]),
         ("system", "sigma_diag", [-0.05, 0.0, 0.0, 0.0]),
+        ("meta", "adapt_samples", 60),          # over the test-time budget
+        ("meta", "k_test", 20),
     ])
     def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
         path = mini_config(tmp_path)
@@ -273,7 +277,10 @@ class TestCliCommands:
         assert cli.main(["verify", "--config", str(cfg_path),
                          "--checkpoint", str(out / "meta_checkpoint.json")]) == cli.EXIT_OK
         summary = json.loads((out / "validity_summary.json").read_text())
-        assert set(summary["constants"]) == {"k_v", "k_lie"}
+        worst = summary["worst_bounds"]
+        assert set(worst) == {"vbar_low", "lie_high"}
+        assert all(len(bound["node"]) == 2 and math.isfinite(bound["bound"])
+                   for bound in worst.values())
 
     def test_train_meta_rerun_bitwise(self, tmp_path):
         cfg_path = mini_config(tmp_path)
@@ -300,6 +307,26 @@ class TestCliCommands:
         assert json.loads(target.read_text()) == {"a": 1}
         leftovers = [p for p in target.parent.iterdir() if p.name != "file.json"]
         assert not leftovers
+        plain = tmp_path / "sub" / "plain.txt"
+        plain.write_text("x")
+        assert target.stat().st_mode == plain.stat().st_mode
+
+    def test_vacuous_region_exits_2(self, tmp_path, capsys):
+        # an exemption ball wider than the region leaves no node to check
+        cfg_path = mini_config(tmp_path, verify={"d0": 1.0, "exempt_radius": 1.1,
+                                                 "max_rounds": 3, "min_green_fraction": 0.0})
+        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert "exempt_radius" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_region_without_checked_interior_node_exits_3(self, tmp_path, capsys):
+        # a 3 x 3 grid has only the origin off its boundary layer
+        cfg_path = mini_config(tmp_path, verify={"d0": 3.0, "nodes_per_axis": 3,
+                                                 "exempt_radius": 0.9, "max_rounds": 1,
+                                                 "min_green_fraction": 0.0})
+        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
+        assert "0 interior nodes checked" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mini" / "meta_checkpoint.json").exists()
 
 
 @pytest.fixture
@@ -310,6 +337,20 @@ def mini_checkpoint(tmp_path):
     truncated = tmp_path / "truncated.json"
     truncated.write_text(path.read_text()[:40])
     return path, truncated
+
+
+def test_artifacts_share_one_mode_and_leave_no_temp_file(tmp_path, mini_checkpoint):
+    ckpt, _ = mini_checkpoint
+    cfg_path = mini_config(tmp_path)
+    for command in ("verify", "roa"):
+        assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+    out = tmp_path / "out" / "mini"
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["roa.json", "roa_boundary.csv", "roa_mc.json", "roa_overlay.svg",
+                     "validity_map.csv", "validity_map.svg", "validity_summary.json"]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    assert {(out / name).stat().st_mode for name in names} == {plain.stat().st_mode}
 
 
 def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsys):
@@ -425,3 +466,18 @@ def test_benchmark_wrapped_names_resolve():
     trained = baselines.train_nlf(dynamics.nominal_system("pendulum"), 1.0, arch,
                                   TightenedLossConfig(), NlfBlock(10, 3, 0.01, 4), seed=0)
     assert trained[2] == 3
+
+
+@pytest.mark.parametrize("workload", ["meta_fit", "adapt_certify", "compare_mg3"])
+@pytest.mark.parametrize("seed", [0, 101])
+def test_benchmark_inputs_parse(tmp_path, workload, seed):
+    """Every config the benchmark's set-up step writes loads under the parse rules."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.write_inputs(workload, seed, tmp_path)
+    configs = [p for p in tmp_path.glob("*.json") if p.name != "inputs.json"]
+    assert configs
+    for path in configs:
+        load_config(path)

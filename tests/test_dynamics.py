@@ -40,7 +40,7 @@ class TestEvalDynamics:
 
     def test_pendulum_open_loop_hand_value(self):
         params = dynamics.ParamVector("pendulum", dynamics.NOMINAL_PENDULUM)
-        system = dynamics.build_system(params, gain=np.zeros((1, 2)))
+        system = dynamics.ClosedLoopSystem(params, gain=np.zeros((1, 2)))
         out = system.f([0.1, 0.0])
         assert out[0] == pytest.approx(0.0)
         # theta_ddot = (m g l sin(theta) - b theta_dot) / (m l^2) = g sin(0.1)/l
@@ -84,7 +84,7 @@ def random_microgrid(n, seed):
         Y=Y, gamma=rng.uniform(-3.0, 3.0, (n, n)), E=rng.uniform(0.5, 1.5, n),
         G=rng.uniform(0.0, 1.0, n), J=rng.uniform(0.5, 2.0, n), K=rng.uniform(-1.0, 1.0, n))
     params = dynamics.ParamVector("microgrid", tuple(rng.uniform(1.0, 4.0, n)))
-    return dynamics.build_system(params, network=network)
+    return dynamics.ClosedLoopSystem(params, network=network)
 
 
 def pairwise_power(network, X):

@@ -1,11 +1,14 @@
 """Layout guard: every function, class and method in `src/lyapcert` is used by the
-library itself, so no entry point lives on for tests alone, and every dataclass
-field is read by it, so no field is only written.
+library itself, so no entry point lives on for tests alone; every dataclass
+field is read by it, so no field is only written; and every defaulted parameter
+of a function is passed by some call in it, so no parameter serves tests alone.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
 the definition's own body; a field read is any load of an attribute of the
 field's name in `src/`. Names are matched without their owner, so a use of a
-same-named attribute elsewhere also counts.
+same-named attribute elsewhere also counts. A parameter is passed when a call of
+the function's bare name gives it by keyword, reaches its position, or splats
+`*args` or `**kwargs`.
 """
 
 import ast
@@ -101,3 +104,43 @@ def test_every_dataclass_field_is_read_in_src():
 def test_field_allowlist_names_existing_fields():
     defined = {qualified for qualified, _ in _fields()}
     assert set(ALLOWED_FIELDS) <= defined, sorted(set(ALLOWED_FIELDS) - defined)
+
+
+def _calls(tree) -> dict:
+    """Every call in an AST, grouped by the called bare name."""
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, position, name: str) -> bool:
+    """Whether a call gives the parameter at `position` (None: keyword-only) named `name`."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    calls = {}
+    for path in SRC.glob("*.py"):
+        for name, nodes in _calls(ast.parse(path.read_text())).items():
+            calls.setdefault(name, []).extend(nodes)
+    unpassed = []
+    for qualified, name, node in _definitions():
+        if not isinstance(node, ast.FunctionDef) or qualified in ALLOWED:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        defaulted = [(i - bound, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for position, param in defaulted:
+            if not any(_passes(call, position, param) for call in calls.get(name, [])):
+                unpassed.append(f"{qualified}({param}=)")
+    assert not unpassed, f"defaulted parameters no call in src/ passes: {unpassed}"

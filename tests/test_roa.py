@@ -1,5 +1,6 @@
+import csv
+import io
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,23 +42,19 @@ def short_pendulum(length):
     return dynamics.build_system(dynamics.ParamVector("pendulum", (length, 0.15, 9.81, 0.1)))
 
 
+def with_flags(grid, vbar, green_mask, vbar_low=None):
+    """A map whose non-green nodes fail decrease; the cell lower bound of Vbar is
+    `vbar_low`, by default Vbar itself."""
+    n = grid.n_nodes
+    vbar = np.asarray(vbar, dtype=float)
+    return verify.ValidityMap(
+        vbar=vbar, lie=-np.ones(n), vbar_low=vbar if vbar_low is None else vbar_low,
+        lie_high=np.where(np.asarray(green_mask, dtype=bool), -1.0, 1.0),
+        exempt=np.arange(n) == grid.origin_row)
+
+
 def all_green_map(grid, vbar):
-    n = grid.n_nodes
-    return verify.ValidityMap(
-        vbar=np.asarray(vbar, dtype=float), lie=-np.ones(n),
-        positivity_ok=np.ones(n, dtype=bool), decrease_ok=np.ones(n, dtype=bool),
-        exempt=np.arange(n) == grid.origin_row,
-        constants=verify.LipschitzConstants(0.1, 0.1))
-
-
-def with_flags(grid, vbar, green_mask):
-    n = grid.n_nodes
-    exempt = np.arange(n) == grid.origin_row
-    return verify.ValidityMap(
-        vbar=np.asarray(vbar, dtype=float), lie=-np.ones(n),
-        positivity_ok=np.asarray(green_mask, dtype=bool),
-        decrease_ok=np.ones(n, dtype=bool), exempt=exempt,
-        constants=verify.LipschitzConstants(0.1, 0.1))
+    return with_flags(grid, vbar, np.ones(grid.n_nodes, dtype=bool))
 
 
 def bfs_component(grid, vbar, c):
@@ -117,22 +114,24 @@ class TestLargestLevelSet:
         assert smaller <= set(result.member_rows.tolist())
 
     def test_cap_clears_blocked_cells(self):
-        # red node u = (5, 0) with Vbar(u) = 0.25; with K_V = 1 and tau = 0.1,
-        # points of u's cell reach down to Vbar(u) - K_V * tau = 0.15, below
-        # green node values such as (4, 2) at 0.20, so c must stay below 0.15
+        # red node u = (5, 0) with Vbar(u) = 0.25 and a cell lower bound of 0.15
+        # (K_V = 1, tau = 0.1), below green node values such as (4, 2) at 0.20,
+        # so c must stay below 0.15
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
         bad = row_of(grid, [5, 0])
         green[bad] = False
-        vmap = with_flags(grid, vbar, green)
-        vmap = replace(vmap, constants=verify.LipschitzConstants(1.0, 0.1))
-        floor = vbar[bad] - 1.0 * grid.tau
+        vbar_low = vbar.copy()
+        vbar_low[bad] -= 1.0 * grid.tau
+        vmap = with_flags(grid, vbar, green, vbar_low=vbar_low)
+        floor = vbar_low[bad]
         assert vbar[row_of(grid, [4, 2])] > floor
         result = roa.largest_level_set(vmap, grid)
         assert 0.0 < result.c < floor
 
     def test_cap_uses_local_constants(self):
+        # only the red node's cell has a wide bound; it alone sets the cap
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
@@ -140,8 +139,7 @@ class TestLargestLevelSet:
         green[bad] = False
         k_node = np.full(grid.n_nodes, 0.01)
         k_node[bad] = 1.0
-        constants = verify.LipschitzConstants(k_node, 0.1)
-        vmap = replace(with_flags(grid, vbar, green), constants=constants)
+        vmap = with_flags(grid, vbar, green, vbar_low=vbar - k_node * grid.tau)
         result = roa.largest_level_set(vmap, grid)
         assert 0.0 < result.c < vbar[bad] - 1.0 * grid.tau
 
@@ -369,14 +367,25 @@ class TestGateStep:
 
 
 class TestExports:
-    def test_json_and_boundary(self, tmp_path):
+    def test_json_and_boundary(self):
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid)
-        roa.export_roa_json(result, grid, tmp_path / "roa.json", config_hash="abc", seed=1)
-        payload = (tmp_path / "roa.json").read_text()
-        assert '"config_hash": "abc"' in payload
-        roa.export_boundary_csv(result, grid, tmp_path / "b.csv")
-        lines = (tmp_path / "b.csv").read_text().strip().splitlines()
+        payload = roa.export_roa_json(result, grid)
+        assert payload["c"] == result.c and payload["grid"]["tau"] == grid.tau
+        lines = roa.export_boundary_csv(result, grid).strip().splitlines()
         assert lines[0] == "u,v"
         assert len(lines) > 4
+
+    def test_boundary_bytes_match_csv_writer(self, tmp_path):
+        # the string builder against the csv-module writer it replaced
+        grid = verify.build_grid(1.0, 21, 2)
+        vbar = np.sum(grid.coords**2, axis=1)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        text = roa.export_boundary_csv(result, grid)
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(["u", "v"])
+        for line in text.splitlines()[1:]:
+            writer.writerow(line.split(","))
+        assert text == ref.getvalue() and text.endswith("\r\n")

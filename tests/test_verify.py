@@ -113,6 +113,12 @@ def star_constants(cand, system, grid):
     return verify.estimate_lipschitz(grads, lie, grid)
 
 
+def force_constants(monkeypatch, k_v, k_lie):
+    """Make check_validity use the given constants at every node."""
+    monkeypatch.setattr(verify, "estimate_lipschitz", lambda grads, lie, grid: (
+        np.full(grid.n_nodes, float(k_v)), np.full(grid.n_nodes, float(k_lie))))
+
+
 class CountingCandidate(QuadraticLyapunov):
     def __init__(self, P):
         super().__init__(P)
@@ -127,37 +133,47 @@ class TestEstimateLipschitz:
     def test_linear_candidate_exact(self):
         grid = verify.build_grid(1.0, 11, 2)
         cand = LinearCandidate([2.0, -0.5])
-        const = star_constants(cand, LinearSystem(2), grid)
-        np.testing.assert_allclose(const.k_v, np.full(grid.n_nodes, 1.2 * 2.0))
+        k_v, _ = star_constants(cand, LinearSystem(2), grid)
+        np.testing.assert_allclose(k_v, np.full(grid.n_nodes, 1.2 * 2.0))
 
     def test_constant_candidate_zero(self):
         grid = verify.build_grid(1.0, 11, 2)
-        const = star_constants(ConstantCandidate(), LinearSystem(2), grid)
-        assert np.all(const.k_v == 0.0)
-        assert np.all(const.k_lie == 0.0)
+        k_v, k_lie = star_constants(ConstantCandidate(), LinearSystem(2), grid)
+        assert np.all(k_v == 0.0)
+        assert np.all(k_lie == 0.0)
 
     def test_local_mode_fills_node_arrays(self):
         grid = verify.build_grid(1.0, 11, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = star_constants(cand, LinearSystem(2), grid)
-        assert const.k_v.shape == const.k_lie.shape == (grid.n_nodes,)
-        assert np.all(const.k_v >= 0) and np.all(const.k_lie >= 0)
+        k_v, k_lie = star_constants(cand, LinearSystem(2), grid)
+        assert k_v.shape == k_lie.shape == (grid.n_nodes,)
+        assert np.all(k_v >= 0) and np.all(k_lie >= 0)
         # the largest star maximum is the grid-wide maximum, bit for bit
-        assert np.max(const.k_v) == 1.2 * float(np.max(np.abs(cand.gradient(grid.coords))))
+        assert np.max(k_v) == 1.2 * float(np.max(np.abs(cand.gradient(grid.coords))))
 
     def test_check_validity_evaluates_each_node_once(self):
-        # without constants, check_validity estimates them from its own
-        # gradient and f arrays: one gradient call, the same bits
+        # check_validity estimates the constants from its own gradient and f
+        # arrays: one gradient call, and the cell bounds of those constants
         grid = verify.build_grid(1.0, 11, 2)
         cand = CountingCandidate(np.array([[2.0, 0.3], [0.3, 0.5]]))
         vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.3)
         assert cand.gradient_calls == 1
-        ref = verify.check_validity(cand, LinearSystem(2), grid,
-                                    star_constants(cand, LinearSystem(2), grid), exempt_radius=0.3)
-        for name in ("vbar", "lie", "positivity_ok", "decrease_ok", "exempt"):
-            np.testing.assert_array_equal(getattr(vmap, name), getattr(ref, name))
-        np.testing.assert_array_equal(vmap.constants.k_v, ref.constants.k_v)
-        np.testing.assert_array_equal(vmap.constants.k_lie, ref.constants.k_lie)
+        k_v, k_lie = star_constants(cand, LinearSystem(2), grid)
+        np.testing.assert_array_equal(vmap.vbar_low, vmap.vbar - k_v * grid.tau)
+        np.testing.assert_array_equal(vmap.lie_high, vmap.lie + k_lie * grid.tau)
+
+    def test_flags_agree_with_the_margin_comparisons(self):
+        # a - b > 0 and a > b agree in IEEE arithmetic, so the cell-bound flags
+        # equal the margin comparisons Vbar > K_V tau and Lie < -K_Vdot tau
+        grid = verify.build_grid(1.0, 41, 2)
+        cand = QuadraticLyapunov(np.array([[2.0, 0.3], [0.3, 0.5]]))
+        vmap = verify.check_validity(cand, LinearSystem(2), grid)
+        assert not (vmap.positivity_ok.all() or vmap.decrease_ok.all())   # both flags vary
+        k_v, k_lie = star_constants(cand, LinearSystem(2), grid)
+        np.testing.assert_array_equal(vmap.positivity_ok,
+                                      (vmap.vbar > k_v * grid.tau) | vmap.exempt)
+        np.testing.assert_array_equal(vmap.decrease_ok,
+                                      (vmap.lie < -k_lie * grid.tau) | vmap.exempt)
 
 
 class ValueCandidate:
@@ -181,7 +197,7 @@ class ValueCandidate:
 
 
 class TestCheckValidity:
-    def test_threshold_comparison_1d(self):
+    def test_threshold_comparison_1d(self, monkeypatch):
         grid = verify.build_grid(1.0, 3, 1)
         # order of nodes: -1, 0, 1; prescribe vbar via values with value(0)=0
         vals = np.zeros(3)
@@ -189,19 +205,19 @@ class TestCheckValidity:
         vals[row_of(grid, [0])] = 0.0
         vals[row_of(grid, [1])] = 0.12
         cand = ValueCandidate(grid, vals, np.zeros((3, 1)))
-        const = verify.LipschitzConstants(k_v=0.2, k_lie=0.0)  # k_v * tau = 0.1
-        vmap = verify.check_validity(cand, LinearSystem(1), grid, const)
+        force_constants(monkeypatch, k_v=0.2, k_lie=0.0)  # k_v * tau = 0.1
+        vmap = verify.check_validity(cand, LinearSystem(1), grid)
         assert bool(np.all(vmap.positivity_ok))
         vals[row_of(grid, [1])] = 0.08
         vmap2 = verify.check_validity(ValueCandidate(grid, vals, np.zeros((3, 1))),
-                                      LinearSystem(1), grid, const)
+                                      LinearSystem(1), grid)
         assert not vmap2.positivity_ok[row_of(grid, [1])]
 
-    def test_quadratic_red_core_only_near_origin(self):
+    def test_quadratic_red_core_only_near_origin(self, monkeypatch):
         grid = verify.build_grid(1.0, 41, 2)
         cand = QuadraticLyapunov(np.eye(2))       # vbar = |x|^2, lie = -2 |x|^2
-        const = verify.LipschitzConstants(k_v=0.0, k_lie=1.0)
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, const)
+        force_constants(monkeypatch, k_v=0.0, k_lie=1.0)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid)
         # decrease needs 2 |x|^2 > tau: red core is a disk around the origin
         r = np.linalg.norm(grid.coords, axis=1)
         red = ~vmap.decrease_ok
@@ -209,42 +225,42 @@ class TestCheckValidity:
         assert np.all(r[red] <= threshold + grid.spacing)
         assert np.all(vmap.decrease_ok[r > threshold + grid.spacing])
 
-    def test_origin_exempt(self):
+    def test_origin_exempt(self, monkeypatch):
         grid = verify.build_grid(1.0, 5, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = verify.LipschitzConstants(k_v=100.0, k_lie=100.0)
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, const)
+        force_constants(monkeypatch, k_v=100.0, k_lie=100.0)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid)
         assert vmap.exempt[grid.origin_row]
         assert vmap.green[grid.origin_row]
 
-    def test_exempt_radius(self):
+    def test_exempt_radius(self, monkeypatch):
         grid = verify.build_grid(1.0, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        const = verify.LipschitzConstants(k_v=100.0, k_lie=100.0)
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, const, exempt_radius=0.35)
+        force_constants(monkeypatch, k_v=100.0, k_lie=100.0)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.35)
         r = np.linalg.norm(grid.coords, axis=1)
         np.testing.assert_array_equal(vmap.exempt, r <= 0.35)
 
-    def test_bias_subtraction_exact(self):
+    def test_bias_subtraction_exact(self, monkeypatch):
         grid = verify.build_grid(1.0, 11, 2)
 
         class Shifted(QuadraticLyapunov):
             def value(self, X):
                 return super().value(X) + 7.5
 
-        vmap = verify.check_validity(Shifted(np.eye(2)), LinearSystem(2), grid,
-                                     verify.LipschitzConstants(0.0, 0.0))
+        force_constants(monkeypatch, 0.0, 0.0)
+        vmap = verify.check_validity(Shifted(np.eye(2)), LinearSystem(2), grid)
         assert vmap.vbar[grid.origin_row] == 0.0
 
-    def test_monotone_under_radius_restriction(self):
+    def test_monotone_under_radius_restriction(self, monkeypatch):
         # same spacing, smaller ball: flags on shared nodes are unchanged
         cand = QuadraticLyapunov(np.array([[1.0, 0.2], [0.2, 0.5]]))
-        const = verify.LipschitzConstants(k_v=0.5, k_lie=0.5)
+        force_constants(monkeypatch, k_v=0.5, k_lie=0.5)
         big = verify.build_grid(1.0, 21, 2)
         small = verify.build_grid(0.5, 11, 2)   # same spacing 0.1
         assert big.spacing == pytest.approx(small.spacing)
-        vb = verify.check_validity(cand, LinearSystem(2), big, const)
-        vs = verify.check_validity(cand, LinearSystem(2), small, const)
+        vb = verify.check_validity(cand, LinearSystem(2), big)
+        vs = verify.check_validity(cand, LinearSystem(2), small)
         for i in range(small.n_nodes):
             j = row_of(big, small.lattice[i])
             assert vs.green[i] == vb.green[j] or vs.exempt[i]
@@ -256,9 +272,8 @@ class TestCertifyPositiveDefinite:
     def make_map(self, grid, pos_ok):
         return verify.ValidityMap(
             vbar=np.ones(grid.n_nodes), lie=-np.ones(grid.n_nodes),
-            positivity_ok=pos_ok, decrease_ok=np.ones(grid.n_nodes, dtype=bool),
-            exempt=np.arange(grid.n_nodes) == grid.origin_row,
-            constants=verify.LipschitzConstants(0.1, 0.1))
+            vbar_low=np.where(pos_ok, 0.5, -0.5), lie_high=np.full(grid.n_nodes, -0.5),
+            exempt=np.arange(grid.n_nodes) == grid.origin_row)
 
     def test_all_green_true(self):
         grid = verify.build_grid(1.0, 5, 2)
@@ -278,25 +293,25 @@ class TestCertifyPositiveDefinite:
 
 
 class TestSelectValidRegion:
-    def test_round_one_success(self):
+    def test_round_one_success(self, monkeypatch):
         grid = verify.build_grid(1.0, 5, 1)
+        force_constants(monkeypatch, 0.0, 0.0)
         good = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                     verify.LipschitzConstants(0.0, 0.0), exempt_radius=0.3)
+                                     exempt_radius=0.3)
         sel = verify.select_valid_region(lambda d: "artifact", lambda a, d: [good],
                                          d0=2.0, shrink_factor=0.8, max_rounds=3,
                                          accept_fn=all_green)
         assert sel.radius == 2.0 and sel.rounds == 1
 
-    def test_geometric_schedule(self):
+    def test_geometric_schedule(self, monkeypatch):
         calls = []
 
         def verify_fn(artifact, d):
             calls.append(d)
             ok = len(calls) >= 3
             grid = verify.build_grid(1.0, 5, 1)
+            force_constants(monkeypatch, 0.0 if ok else 1e9, 0.0 if ok else 1e9)
             vmap = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                         verify.LipschitzConstants(0.0 if ok else 1e9,
-                                                            0.0 if ok else 1e9),
                                          exempt_radius=0.3 if ok else 0.0)
             return [vmap]
 
@@ -305,10 +320,10 @@ class TestSelectValidRegion:
         assert sel.rounds == 3
         assert sel.radius == pytest.approx(0.64 * 2.0)
 
-    def test_failure_after_max_rounds(self):
+    def test_failure_after_max_rounds(self, monkeypatch):
         grid = verify.build_grid(1.0, 5, 1)
-        bad = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                    verify.LipschitzConstants(1e9, 1e9))
+        force_constants(monkeypatch, 1e9, 1e9)
+        bad = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid)
         with pytest.raises(verify.RegionSelectionFailure):
             verify.select_valid_region(lambda d: None, lambda a, d: [bad],
                                        d0=1.0, shrink_factor=0.5, max_rounds=1,
@@ -316,13 +331,11 @@ class TestSelectValidRegion:
 
 
 class TestExport:
-    def test_csv_structure(self, tmp_path):
+    def test_csv_structure(self):
         grid = verify.build_grid(1.0, 5, 2)
         cand = QuadraticLyapunov(np.eye(2))
         vmap = verify.check_validity(cand, LinearSystem(2), grid)
-        path = tmp_path / "map.csv"
-        verify.export_validity_csv(vmap, grid, path)
-        lines = path.read_text().strip().splitlines()
+        lines = verify.export_validity_csv(vmap, grid).strip().splitlines()
         assert lines[0] == "x1,x2,vbar,lie,positivity_ok,decrease_ok,exempt"
         assert len(lines) == grid.n_nodes + 1
 
@@ -333,10 +346,13 @@ class TestExport:
                          123456789.0, 0.0])
         lie = -0.5 * vbar[::-1]
         rng = np.random.default_rng(0)
-        flags = [rng.random(grid.n_nodes) < 0.5 for _ in range(3)]
-        vmap = verify.ValidityMap(vbar, lie, *flags, verify.LipschitzConstants(1.0, 1.0))
+        vmap = verify.ValidityMap(vbar, lie, rng.uniform(-1.0, 1.0, grid.n_nodes),
+                                  rng.uniform(-1.0, 1.0, grid.n_nodes),
+                                  rng.random(grid.n_nodes) < 0.5)
+        flags = [vmap.positivity_ok, vmap.decrease_ok, vmap.exempt]
         path = tmp_path / "map.csv"
-        verify.export_validity_csv(vmap, grid, path)
+        with open(path, "w", newline="") as fh:
+            fh.write(verify.export_validity_csv(vmap, grid))
 
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
