@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time the meta-training layers, the Monte-Carlo gate or the bowl init into a BENCH JSON file.
+"""Time the meta-training layers, the Monte-Carlo gate, the bowl init or the
+artifact writers into a BENCH JSON file.
 
 Example, once per source tree to compare (runs under one label accumulate):
 
     PYTHONPATH=src python scripts/bench.py --suite meta_step --label change
     PYTHONPATH=src python scripts/bench.py --suite gate --label change
     PYTHONPATH=src python scripts/bench.py --suite init --label change
+    PYTHONPATH=src python scripts/bench.py --suite writers --label change
 
 The `meta_step` suite (default output `BENCH_meta_step.json`) measures, with
 BLAS pinned to one thread, on the `meta_fit` family (the `ip_stochastic_l`
@@ -37,6 +39,21 @@ to one thread:
   on the `meta_fit` config and one `lyapcert compare` on the `compare_mg3`
   config, `--seed 101`, a fresh interpreter each time
 
+The `writers` suite (default output `BENCH_writers.json`) measures, with BLAS
+pinned to one thread, on the benchmark's `fixed` task (the `ip_stochastic_l`
+preset; `perfbench/data/meta_checkpoint.json` adapted by `lyapcert adapt`,
+31,877 grid nodes):
+
+- `writer_ms`: milliseconds per call of each artifact writer on the adapted
+  candidate's validity map and certificate: `validity_csv`
+  (`verify.export_validity_csv`), `validity_svg` and `overlay_svg`
+  (`svg.render_validity_svg` without and with the ROA), `boundary_csv`
+  (`roa.export_boundary_csv`) and `project_plane` (`roa.project_plane`)
+- `check_validity_ms` and `mc_gate_ms`: milliseconds per `verify.check_validity`
+  and per `roa.monte_carlo_convergence` at the preset's 1,000 rollouts
+- `operation_s`: wall seconds of one adapt -> verify -> roa operation, three
+  fresh interpreters, as the benchmark's `adapt_certify` workload runs it
+
 Each run is stored under its label with the machine's description; `median`
 holds each metric's median over the label's runs.
 """
@@ -59,10 +76,11 @@ from pathlib import Path
 
 import numpy as np
 
-from lyapcert import dynamics, meta, net
+from lyapcert import baselines, dynamics, meta, net, roa, svg, verify
 from lyapcert.config import PRESETS, config_to_dict
 
 RADIUS = 3.2
+CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "meta_checkpoint.json"
 ROWS = (50, 200, 800)
 ROLLOUT_STATES, ROLLOUT_STEPS, ROLLOUT_H = 500, 500, 0.01
 
@@ -161,7 +179,50 @@ def measure_init(repeats: int) -> dict:
             "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
 
 
-SUITES = {"meta_step": measure_meta_step, "gate": measure_gate, "init": measure_init}
+def measure_writers(repeats: int) -> dict:
+    cfg = replace(PRESETS["ip_stochastic_l"], name="fixed")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "fixed.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        env = {**os.environ, "PYTHONPATH": str(Path(net.__file__).parents[1])}
+        adapted = Path(tmp) / "out" / cfg.name / "adapted_checkpoint.json"
+
+        def operation():
+            for command, checkpoint in (("adapt", CHECKPOINT), ("verify", adapted),
+                                        ("roa", adapted)):
+                subprocess.run([sys.executable, "-m", "lyapcert.cli", command, "--config",
+                                str(cfg_path), "--checkpoint", str(checkpoint), "--out",
+                                str(Path(tmp) / "out")], env=env, check=True,
+                               stdout=subprocess.DEVNULL)
+
+        operation_s = median_time(operation, repeats)
+        theta, arch, extra = net.load_checkpoint(adapted)
+
+    candidate = net.MlpLyapunov(theta, arch)
+    system = dynamics.build_system(cfg.system.test())
+    grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim)
+    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify)
+    calls = {
+        "validity_csv": lambda: verify.export_validity_csv(vmap, grid),
+        "validity_svg": lambda: svg.render_validity_svg(vmap, grid),
+        "overlay_svg": lambda: svg.render_validity_svg(vmap, grid, roa=result),
+        "boundary_csv": lambda: roa.export_boundary_csv(result, grid),
+        "project_plane": lambda: roa.project_plane(result, grid, (0, 1)),
+    }
+    check_s = median_time(lambda: verify.check_validity(
+        candidate, system, grid, exempt_radius=cfg.verify.exempt_radius), repeats)
+    gate_s = median_time(lambda: roa.monte_carlo_convergence(
+        system, [(result, candidate)], grid, cfg.roa.mc_samples, cfg.roa.mc_step,
+        cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master), repeats)
+    return {"writer_ms": {name: round(1e3 * median_time(fn, repeats), 2)
+                          for name, fn in calls.items()},
+            "check_validity_ms": round(1e3 * check_s, 2),
+            "mc_gate_ms": round(1e3 * gate_s, 1),
+            "operation_s": round(operation_s, 3)}
+
+
+SUITES = {"meta_step": measure_meta_step, "gate": measure_gate, "init": measure_init,
+          "writers": measure_writers}
 
 
 def median_of(runs: list) -> dict:

@@ -48,6 +48,9 @@ class QuadraticLyapunov:
     def gradient(self, X: np.ndarray) -> np.ndarray:
         return 2.0 * (np.atleast_2d(X) @ self.P)
 
+    def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.value(X), self.gradient(X)
+
 
 @dataclass(frozen=True, eq=False)
 class BaselineReport:

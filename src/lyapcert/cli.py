@@ -188,7 +188,8 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
     """Checkpoint parameters, architecture and region radius (the config's d0 when
     the checkpoint has none): a non-finite parameter or radius raises
     FloatingPointError (OverflowError for an integer beyond float range), any
-    other unusable content BadArtifact."""
+    other unusable content, a radius within the exemption radius included,
+    BadArtifact."""
     if not Path(path).exists():
         raise BadArtifact(f"checkpoint {path} does not exist")
     try:
@@ -205,6 +206,10 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
         raise FloatingPointError(f"checkpoint {path} has a non-finite parameter or radius")
     if radius <= 0:
         raise BadArtifact(f"checkpoint radius {radius!r} is not positive")
+    if radius <= cfg.verify.exempt_radius:
+        # the exempt ball then covers the whole region: its map would certify nothing
+        raise BadArtifact(f"checkpoint radius {radius!r} does not exceed the exemption "
+                          f"radius {cfg.verify.exempt_radius!r}")
     return theta, arch, radius
 
 

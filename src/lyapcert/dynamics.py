@@ -413,12 +413,16 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
     """Vectorized RK4 over many initial states; returns (final states, diverged mask).
 
     Diverged rows are frozen at their last finite state. While no row has
-    diverged, the whole batch is stepped in place of a gather/scatter.
+    diverged, the whole batch is stepped in place of a gather/scatter. A row
+    diverges once its 2-norm exceeds DIVERGENCE_NORM; as |x|_2 <= sqrt(d) |x|_inf,
+    that norm is computed only in a step whose largest entry exceeds half of
+    DIVERGENCE_NORM / sqrt(d) (the half is slack for rounding) or is NaN.
     """
     if h <= 0 or horizon < h:
         raise ValueError("need h > 0 and horizon >= h")
     X = np.array(X0, dtype=float)
     n_steps = int(round(horizon / h))
+    safe = 0.5 * DIVERGENCE_NORM / math.sqrt(X.shape[1])
     alive = np.arange(X.shape[0])
     for _ in range(n_steps):
         if alive.size == 0:
@@ -430,9 +434,8 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
             X = Xa
         else:
             X[alive] = Xa
-        bad = np.linalg.norm(Xa, axis=1) > DIVERGENCE_NORM
-        if np.any(bad):
-            alive = alive[~bad]
+        if not (np.abs(Xa).max() <= safe):
+            alive = alive[~(np.linalg.norm(Xa, axis=1) > DIVERGENCE_NORM)]
     diverged = np.ones(X.shape[0], dtype=bool)
     diverged[alive] = False
     return X, diverged

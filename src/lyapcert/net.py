@@ -304,8 +304,13 @@ class MlpLyapunov:
         return V[0]
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
-        _, acts = _forward_sweep(self._weights, np.atleast_2d(X)[None])
-        return _input_gradient(self._weights, _tanh_primes(acts))[0]
+        return self.value_and_gradient(X)[1]
+
+    def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V and grad_x V from one forward sweep; V is bit for bit `value(X)`. Nothing
+        reads the hidden activations again, so tanh' overwrites them."""
+        V, acts = _forward_sweep(self._weights, np.atleast_2d(X)[None])
+        return V[0], _input_gradient(self._weights, _tanh_primes(acts, acts[1:]))[0]
 
 
 def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> dict:

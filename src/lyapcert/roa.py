@@ -92,16 +92,24 @@ def roa_area(result: RoaResult, grid: GridSpec) -> float:
     return float(result.n_cells * grid.cell_volume)
 
 
-def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
-    """Shadow of the member cells on the (i, j) plane.
-
-    Returns the distinct (lattice_i, lattice_j) pairs, each counted once
-    regardless of depth multiplicity.
-    """
+def _plane_image(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
+    """(nodes_per_axis, nodes_per_axis) occupancy of the member cells' (i, j) lattice pairs."""
     i, j = axes
     if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
         raise BadAxes(f"invalid projection axes {axes} for dim {grid.dim}")
-    return np.unique(grid.lattice[result.member_rows][:, (i, j)], axis=0)
+    image = np.zeros((grid.nodes_per_axis,) * 2, dtype=bool)
+    members = grid.axis_index[result.member_rows]
+    image[members[:, i], members[:, j]] = True
+    return image
+
+
+def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
+    """Shadow of the member cells on the (i, j) plane.
+
+    Returns the distinct (lattice_i, lattice_j) pairs in lexicographic order,
+    each counted once regardless of depth multiplicity.
+    """
+    return np.argwhere(_plane_image(result, grid, axes)) - grid.nodes_per_axis // 2
 
 
 RK4_STEP_LIMIT = 2.5   # largest h * rho(A) the gate integrates at; RK4's real-axis limit is 2.785
@@ -197,12 +205,12 @@ def export_roa_json(result: RoaResult, grid: GridSpec) -> dict:
 
 def export_boundary_csv(result: RoaResult, grid: GridSpec) -> str:
     """Member cells whose face neighborhood leaves the member set (2-D plane)."""
-    axes = result.plane if (grid.dim > 2 and result.plane) else (0, 1)
-    shadow = project_plane(result, grid, axes) if not result.empty else np.empty((0, 2), dtype=int)
-    cells = set(map(tuple, shadow))
     rows = ["u,v"]
-    for ci, cj in sorted(cells):
-        if any((ci + di, cj + dj) not in cells
-               for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))):
-            rows.append(f"{float(ci * grid.spacing)!r},{float(cj * grid.spacing)!r}")
+    if not result.empty:
+        axes = result.plane if (grid.dim > 2 and result.plane) else (0, 1)
+        cells = np.pad(_plane_image(result, grid, axes), 1)
+        inner = cells[:-2, 1:-1] & cells[2:, 1:-1] & cells[1:-1, :-2] & cells[1:-1, 2:]
+        reprs = [repr(v) for v in grid.axis_coords.tolist()]
+        rows += [f"{reprs[a]},{reprs[b]}"
+                 for a, b in np.argwhere(cells[1:-1, 1:-1] & ~inner).tolist()]
     return "".join(row + "\r\n" for row in rows)

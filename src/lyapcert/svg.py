@@ -2,7 +2,9 @@
 
 No plotting dependency; plain string assembly. Grids with more than two state
 dimensions are drawn as the 2-D slice through the origin along a chosen axis
-pair.
+pair. A grid coordinate takes only nodes_per_axis values, so validity-map cells
+are drawn from per-axis string tables: each pixel position is computed and
+formatted once per axis value and picked by lattice index.
 """
 
 from __future__ import annotations
@@ -42,35 +44,32 @@ def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) ->
     to_px, scale = _scaler(grid.radius)
     cell = grid.spacing * scale
     rows = _slice_rows(grid, axes)
-    green = vmap.green
-    member = set()
-    if roa is not None and not roa.empty:
-        member = set(int(r) for r in roa.member_rows)
+    # each rect is its x table entry + its y table entry + its style tail
+    offsets = (grid.axis_coords + grid.radius) * scale
+    x_heads = np.array([f'<rect x="{x:.2f}" y="' for x in (MARGIN + offsets - cell / 2).tolist()],
+                       dtype=object)
+    y_texts = np.array([f"{y:.2f}" for y in (CANVAS - MARGIN - offsets - cell / 2).tolist()],
+                       dtype=object)
+    size = f'" width="{cell:.2f}" height="{cell:.2f}" fill='
+    fills = np.array([f'{size}"{color}" fill-opacity="0.85"/>' for color in (PALE, GREEN, RED)],
+                     dtype=object)
+    outline = f'{size}"none" stroke="#1f2a44" stroke-width="0.6"/>'
+    ix, iy = grid.axis_index[:, axes].T
 
+    def rects(at, tails):
+        return (x_heads[ix[at]] + y_texts[iy[at]] + tails).tolist()
+
+    code = np.where(vmap.exempt, 0, np.where(vmap.green, 1, 2))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" height="{CANVAS:.0f}" '
         f'viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">',
         f'<rect width="{CANVAS:.0f}" height="{CANVAS:.0f}" fill="white"/>',
+        *rects(rows, fills[code[rows]]),
     ]
-    for row in rows:
-        u, v = grid.coords[row, axes[0]], grid.coords[row, axes[1]]
-        px, py = to_px(u, v)
-        color = PALE if vmap.exempt[row] else (GREEN if green[row] else RED)
-        parts.append(
-            f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" '
-            f'width="{cell:.2f}" height="{cell:.2f}" fill="{color}" fill-opacity="0.85"/>'
-        )
-    if member:
-        for row in rows:
-            if int(row) not in member:
-                continue
-            u, v = grid.coords[row, axes[0]], grid.coords[row, axes[1]]
-            px, py = to_px(u, v)
-            parts.append(
-                f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" '
-                f'width="{cell:.2f}" height="{cell:.2f}" fill="none" '
-                f'stroke="#1f2a44" stroke-width="0.6"/>'
-            )
+    if roa is not None and not roa.empty:
+        member = np.zeros(grid.n_nodes, dtype=bool)
+        member[roa.member_rows] = True
+        parts += rects(rows[member[rows]], outline)
     parts.append(_axis_frame(grid.radius, to_px))
     parts.append("</svg>")
     return "\n".join(parts)

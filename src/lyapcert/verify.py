@@ -9,9 +9,9 @@ value Vbar = V - V(0) and lie_high above the Lie derivative. Node u passes
 when vbar_low(u) > 0 and lie_high(u) < 0, so the conditions hold on its cell.
 The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau.
 
-Candidates are anything with batched `value(X)` and `gradient(X)` methods
-(the MLP wrapper and the quadratic baseline both qualify), so every method in
-the package is certified by this same code path.
+Candidates are anything with batched `value(X)` and `value_and_gradient(X)`
+methods (the MLP wrapper and the quadratic baseline both qualify), so every
+method in the package is certified by this same code path.
 
 The checks near the origin are vacuous by construction: Vbar(0) = 0 and V is
 K_V-Lipschitz, so nodes with |u|_1 <= tau can never have vbar_low > 0, for
@@ -22,8 +22,6 @@ between the exemption radius and d; time-domain validation covers the hole.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +60,18 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return float(self.spacing**self.dim)
+
+    @property
+    def axis_coords(self) -> np.ndarray:
+        """The nodes_per_axis values a coordinate takes, in lattice order: node r's
+        coordinate k is axis_coords[axis_index[r, k]], bit for bit."""
+        half = self.nodes_per_axis // 2
+        return np.arange(-half, half + 1) * self.spacing
+
+    @property
+    def axis_index(self) -> np.ndarray:
+        """(n, dim) position of each node coordinate in axis_coords."""
+        return self.lattice + self.nodes_per_axis // 2
 
 
 def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
@@ -173,14 +183,15 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
     """Bound Vbar from below and the Lie derivative from above on every node's cell.
 
     The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau, with
-    the per-node constants of estimate_lipschitz. The gradient and f are
-    evaluated once per node and the constants estimated from those same
-    arrays. The origin node (where both conditions are excluded by
-    definition) and any node within the exemption radius are marked exempt.
+    the per-node constants of estimate_lipschitz. V, its gradient and f are
+    evaluated once per node (V and the gradient in one sweep) and the
+    constants estimated from those same arrays. The origin node (where both
+    conditions are excluded by definition) and any node within the exemption
+    radius are marked exempt.
     """
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
-    vbar = candidate.value(grid.coords) - v0
-    grads = candidate.gradient(grid.coords)
+    values, grads = candidate.value_and_gradient(grid.coords)
+    vbar = values - v0
     lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
     k_v, k_lie = estimate_lipschitz(grads, lie, grid)
     exempt = np.linalg.norm(grid.coords, axis=1) <= exempt_radius
@@ -223,13 +234,15 @@ def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
 
 
 def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> str:
+    """One row per node; each coordinate's repr is made once per axis value and
+    picked by lattice index, so only vbar and lie are formatted per node."""
     header = [f"x{i + 1}" for i in range(grid.dim)]
     header += ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]
-    # column-wise: tolist() yields Python floats, whose repr round-trips exactly
-    cols = [map(repr, col.tolist()) for col in (*grid.coords.T, vmap.vbar, vmap.lie)]
-    cols += [map(int, flag.tolist()) for flag in (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)]
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(zip(*cols))
-    return text.getvalue()
+    # tolist() yields Python floats, whose repr round-trips exactly
+    axis_reprs = np.array([repr(v) for v in grid.axis_coords.tolist()], dtype=object)
+    cols = [axis_reprs[idx].tolist() for idx in grid.axis_index.T]
+    cols += [map(repr, col.tolist()) for col in (vmap.vbar, vmap.lie)]
+    flag_text = np.array(["0", "1"], dtype=object)
+    cols += [flag_text[flag.astype(np.int8)].tolist()
+             for flag in (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)]
+    return "\r\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\r\n"

@@ -1,11 +1,19 @@
-"""Lookups and writers the tests share; the library itself never needs them."""
+"""Lookups, writers and reference implementations the tests share; the library
+itself never needs them.
 
+The reference writers are the per-node loops the library's writers replaced
+(Python float arithmetic, formatting and set lookups at every node); the
+library's table-driven writers must reproduce their output byte for byte.
+"""
+
+import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-from lyapcert import cli, net
+from lyapcert import cli, dynamics, net, svg, verify
 
 
 def row_of(grid, lattice_point):
@@ -17,3 +25,111 @@ def row_of(grid, lattice_point):
 def save_checkpoint(path, theta, arch, extra=None) -> None:
     """Write a checkpoint file as the `train-meta` and `adapt` commands do."""
     cli.atomic_write_text(Path(path), json.dumps(net.checkpoint_payload(theta, arch, extra)))
+
+
+def reference_gradient(candidate, X):
+    """grad_x V; for the MLP from its own forward sweep, with tanh' in fresh arrays."""
+    if not isinstance(candidate, net.MlpLyapunov):
+        return candidate.gradient(X)
+    _, acts = net._forward_sweep(candidate._weights, X[None])
+    return net._input_gradient(candidate._weights, net._tanh_primes(acts))[0]
+
+
+def reference_check_validity(candidate, system, grid, exempt_radius=0.0):
+    """check_validity with V and its gradient from two separate sweeps."""
+    v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
+    vbar = candidate.value(grid.coords) - v0
+    grads = reference_gradient(candidate, grid.coords)
+    lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
+    k_v, k_lie = verify.estimate_lipschitz(grads, lie, grid)
+    exempt = np.linalg.norm(grid.coords, axis=1) <= exempt_radius
+    exempt[grid.origin_row] = True
+    return verify.ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
+                              lie_high=lie + k_lie * grid.tau, exempt=exempt)
+
+
+def reference_validity_csv(vmap, grid) -> str:
+    """The validity CSV through csv.writer, one repr per value and node."""
+    header = [f"x{i + 1}" for i in range(grid.dim)]
+    header += ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]
+    cols = [map(repr, col.tolist()) for col in (*grid.coords.T, vmap.vbar, vmap.lie)]
+    cols += [map(int, flag.tolist()) for flag in (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)]
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(zip(*cols))
+    return text.getvalue()
+
+
+def reference_validity_svg(vmap, grid, roa=None, axes=(0, 1)) -> str:
+    """The validity SVG with one to_px call and one formatting per node."""
+    to_px, scale = svg._scaler(grid.radius)
+    cell = grid.spacing * scale
+    rows = svg._slice_rows(grid, axes)
+    green = vmap.green
+    member = set()
+    if roa is not None and not roa.empty:
+        member = set(int(r) for r in roa.member_rows)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{svg.CANVAS:.0f}" '
+        f'height="{svg.CANVAS:.0f}" viewBox="0 0 {svg.CANVAS:.0f} {svg.CANVAS:.0f}">',
+        f'<rect width="{svg.CANVAS:.0f}" height="{svg.CANVAS:.0f}" fill="white"/>',
+    ]
+    for row in rows:
+        u, v = grid.coords[row, axes[0]], grid.coords[row, axes[1]]
+        px, py = to_px(u, v)
+        color = svg.PALE if vmap.exempt[row] else (svg.GREEN if green[row] else svg.RED)
+        parts.append(
+            f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" '
+            f'width="{cell:.2f}" height="{cell:.2f}" fill="{color}" fill-opacity="0.85"/>'
+        )
+    if member:
+        for row in rows:
+            if int(row) not in member:
+                continue
+            u, v = grid.coords[row, axes[0]], grid.coords[row, axes[1]]
+            px, py = to_px(u, v)
+            parts.append(
+                f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" '
+                f'width="{cell:.2f}" height="{cell:.2f}" fill="none" '
+                f'stroke="#1f2a44" stroke-width="0.6"/>'
+            )
+    parts.append(svg._axis_frame(grid.radius, to_px))
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def reference_project_plane(result, grid, axes) -> np.ndarray:
+    """The distinct (lattice_i, lattice_j) member pairs through np.unique."""
+    i, j = axes
+    return np.unique(grid.lattice[result.member_rows][:, (i, j)], axis=0)
+
+
+def reference_boundary_csv(result, grid) -> str:
+    """The boundary CSV from a set of plane cells and per-cell neighbor lookups."""
+    axes = result.plane if (grid.dim > 2 and result.plane) else (0, 1)
+    shadow = (reference_project_plane(result, grid, axes) if not result.empty
+              else np.empty((0, 2), dtype=int))
+    cells = set(map(tuple, shadow))
+    rows = ["u,v"]
+    for ci, cj in sorted(cells):
+        if any((ci + di, cj + dj) not in cells
+               for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))):
+            rows.append(f"{float(ci * grid.spacing)!r},{float(cj * grid.spacing)!r}")
+    return "".join(row + "\r\n" for row in rows)
+
+
+def reference_simulate_batch(system, X0, h, horizon):
+    """simulate_batch with the 2-norm divergence rule evaluated at every step."""
+    X = np.array(X0, dtype=float)
+    alive = np.arange(X.shape[0])
+    for _ in range(int(round(horizon / h))):
+        if alive.size == 0:
+            break
+        X[alive] = dynamics.rk4_step(system.f_batch, X[alive], h)
+        bad = np.linalg.norm(X[alive], axis=1) > dynamics.DIVERGENCE_NORM
+        alive = alive[~bad]
+    diverged = np.ones(X.shape[0], dtype=bool)
+    diverged[alive] = False
+    return X, diverged

@@ -445,6 +445,23 @@ def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad
     assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
 
+@pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
+@pytest.mark.parametrize("radius", [0.5, 1.1])
+def test_radius_within_exemption_radius_exit_2(tmp_path, capsys, command, radius):
+    """A region no larger than the exemption ball certifies nothing: the benchmark's
+    checkpoint restamped with a radius at or below ip_stochastic_l's exempt_radius
+    (1.1) exits 2 before any artifact is written."""
+    theta, arch, extra = net.load_checkpoint(ROOT / "perfbench" / "data" / "meta_checkpoint.json")
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, theta, arch, extra={**extra, "radius": radius})
+    assert PRESETS["ip_stochastic_l"].verify.exempt_radius == 1.1
+    code = cli.main([command, "--preset", "ip_stochastic_l", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "exemption radius" in capsys.readouterr().err
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
 def test_benchmark_wrapped_names_resolve():
     """The benchmark's tracer patches library functions by name and reads some
     arguments by position; installing it fails if a wrapped name is gone."""

@@ -3,6 +3,8 @@ import pytest
 
 from lyapcert import control, dynamics
 
+from helpers import reference_simulate_batch
+
 
 class StubScalar:
     """Duck-typed 1-d system x_dot = rate * x for integrator tests."""
@@ -227,3 +229,49 @@ class TestSimulate:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             dynamics.simulate(StubScalar(), [1.0], h=0.1, horizon=0.05)
+
+
+class CubicField:
+    """x_dot = -x + x^3 per axis: converges inside the unit box, diverges outside."""
+
+    def f_batch(self, X):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -X + X**3
+
+
+class ZeroField:
+    def f_batch(self, X):
+        return np.zeros_like(X)
+
+
+class TestDivergenceRule:
+    """simulate_batch's infinity-norm prefilter freezes the same rows at the same
+    states as the 2-norm rule evaluated at every step."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("nan_rows", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_matches_the_per_step_norm_rule(self, dim, nan_rows):
+        rng = np.random.default_rng(dim)
+        X0 = rng.uniform(-1.6, 1.6, (60, dim))
+        X0[0] = 0.0
+        if nan_rows:
+            X0[[3, 17], 0] = np.nan
+        finals, diverged = dynamics.simulate_batch(CubicField(), X0, 0.01, 3.0)
+        ref_finals, ref_diverged = reference_simulate_batch(CubicField(), X0, 0.01, 3.0)
+        np.testing.assert_array_equal(finals, ref_finals)
+        np.testing.assert_array_equal(diverged, ref_diverged)
+        assert diverged.any() and not diverged.all()
+        if nan_rows:
+            assert np.isnan(finals[[3, 17]]).any(axis=1).all() and not diverged[[3, 17]].any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_rows_straddling_the_divergence_norm(self, dim):
+        # equal entries whose 2-norm lies ulps below, at and above DIVERGENCE_NORM
+        scale = np.array([1 - 4e-16, 1.0, 1 + 4e-16, 1 + 1e-12, 0.999, 0.5])
+        X0 = np.repeat(scale[:, None] * dynamics.DIVERGENCE_NORM / np.sqrt(dim), dim, axis=1)
+        finals, diverged = dynamics.simulate_batch(ZeroField(), X0, 0.1, 0.5)
+        ref_finals, ref_diverged = reference_simulate_batch(ZeroField(), X0, 0.1, 0.5)
+        np.testing.assert_array_equal(finals, ref_finals)
+        np.testing.assert_array_equal(diverged, ref_diverged)
+        assert diverged[3] and not diverged[4:].any()

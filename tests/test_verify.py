@@ -3,11 +3,11 @@ import csv
 import numpy as np
 import pytest
 
-from lyapcert import verify
+from lyapcert import dynamics, net, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.dynamics import sample_ball
 
-from helpers import row_of
+from helpers import reference_check_validity, reference_gradient, row_of
 
 
 def sample_annulus(rng, n, dim, outer, inner=0.0):
@@ -36,7 +36,14 @@ class LinearSystem:
         return -np.asarray(X, dtype=float)
 
 
-class LinearCandidate:
+class FromParts:
+    """A test candidate's value_and_gradient, from its own value and gradient."""
+
+    def value_and_gradient(self, X):
+        return self.value(X), self.gradient(X)
+
+
+class LinearCandidate(FromParts):
     """V(x) = w^T x (not a Lyapunov function; exercises the estimators)."""
 
     def __init__(self, w):
@@ -50,7 +57,7 @@ class LinearCandidate:
         return np.tile(self.w, (X.shape[0], 1))
 
 
-class ConstantCandidate:
+class ConstantCandidate(FromParts):
     def value(self, X):
         return np.full(np.atleast_2d(X).shape[0], 3.0)
 
@@ -176,7 +183,7 @@ class TestEstimateLipschitz:
                                       (vmap.lie < -k_lie * grid.tau) | vmap.exempt)
 
 
-class ValueCandidate:
+class ValueCandidate(FromParts):
     """Candidate with prescribed values at exactly the grid nodes."""
 
     def __init__(self, grid, values, grads):
@@ -328,6 +335,31 @@ class TestSelectValidRegion:
             verify.select_valid_region(lambda d: None, lambda a, d: [bad],
                                        d0=1.0, shrink_factor=0.5, max_rounds=1,
                                        accept_fn=all_green)
+
+
+class TestOneSweep:
+    """V and its gradient come from one sweep; the map is bit for bit the map of
+    two separate sweeps."""
+
+    @pytest.mark.parametrize("candidate, system, grid", [
+        (net.MlpLyapunov(net.init_params(net.Architecture(2, (16, 16)), 3),
+                         net.Architecture(2, (16, 16))),
+         dynamics.nominal_system("pendulum"), verify.build_grid(3.0, 41, 2)),
+        (net.MlpLyapunov(net.init_params(net.Architecture(3, (8, 8, 8)), 4),
+                         net.Architecture(3, (8, 8, 8))),
+         dynamics.nominal_system("microgrid"), verify.build_grid(2.0, 15, 3)),
+        (QuadraticLyapunov(np.array([[2.0, 0.3], [0.3, 0.5]])), LinearSystem(2),
+         verify.build_grid(1.0, 21, 2)),
+    ])
+    def test_map_equals_the_two_sweep_map(self, candidate, system, grid):
+        vmap = verify.check_validity(candidate, system, grid, exempt_radius=0.3)
+        ref = reference_check_validity(candidate, system, grid, exempt_radius=0.3)
+        for field in ("vbar", "lie", "vbar_low", "lie_high", "exempt"):
+            np.testing.assert_array_equal(getattr(vmap, field), getattr(ref, field))
+        values, grads = candidate.value_and_gradient(grid.coords)
+        assert values.tobytes() == candidate.value(grid.coords).tobytes()
+        assert grads.tobytes() == reference_gradient(candidate, grid.coords).tobytes()
+        assert grads.tobytes() == candidate.gradient(grid.coords).tobytes()
 
 
 class TestExport:

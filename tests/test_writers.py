@@ -1,0 +1,109 @@
+"""The table-driven artifact writers against the per-node reference writers of
+`helpers`: equal strings, byte for byte, on real and random maps."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lyapcert import baselines, dynamics, net, roa, svg, verify
+from lyapcert.config import PRESETS
+
+from helpers import (reference_boundary_csv, reference_project_plane, reference_validity_csv,
+                     reference_validity_svg)
+
+CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "meta_checkpoint.json"
+
+
+def assert_same_text(text, expected):
+    """Equal strings; a mismatch names its first differing line instead of a full
+    diff, which takes minutes on megabyte texts."""
+    if text != expected:
+        lines, ref = text.split("\n"), expected.split("\n")
+        first = next((i for i, pair in enumerate(zip(lines, ref)) if pair[0] != pair[1]),
+                     min(len(lines), len(ref)))
+        pytest.fail(f"line {first} differs: {lines[first:first + 1]} != {ref[first:first + 1]} "
+                    f"({len(lines)} and {len(ref)} lines)")
+
+
+def assert_writers_match(vmap, grid, result, axes):
+    assert_same_text(verify.export_validity_csv(vmap, grid), reference_validity_csv(vmap, grid))
+    assert_same_text(svg.render_validity_svg(vmap, grid, axes=axes),
+                     reference_validity_svg(vmap, grid, axes=axes))
+    assert_same_text(svg.render_validity_svg(vmap, grid, roa=result, axes=axes),
+                     reference_validity_svg(vmap, grid, roa=result, axes=axes))
+    assert_same_text(roa.export_boundary_csv(result, grid), reference_boundary_csv(result, grid))
+
+
+@pytest.fixture(scope="module")
+def pendulum():
+    """The committed meta checkpoint at the ip_stochastic_l preset's 201-node grid
+    and exemption radius, on a pendulum of length 0.4, where it has red cells."""
+    cfg = PRESETS["ip_stochastic_l"]
+    theta, arch, extra = net.load_checkpoint(CHECKPOINT)
+    grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, 2)
+    system = dynamics.build_system(dynamics.ParamVector("pendulum", (0.4, 0.15, 9.81, 0.1)))
+    vmap, result = baselines.certify_candidate(net.MlpLyapunov(theta, arch), system, grid,
+                                               cfg.verify)
+    return vmap, grid, result
+
+
+class TestReferenceEquality:
+    def test_pendulum_map(self, pendulum):
+        vmap, grid, result = pendulum
+        assert not result.empty
+        assert vmap.exempt.sum() > 1 and not vmap.fully_green   # pale and red cells
+        assert_writers_match(vmap, grid, result, (0, 1))
+
+    def test_microgrid_plane_slice(self):
+        cfg = PRESETS["mg3_dc12"]
+        system = dynamics.build_system(cfg.system.test())
+        grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 3)
+        report = baselines.qlf_ts(system, grid, cfg.verify, plane=(0, 2))
+        assert not report.roa.empty and report.vmap.exempt.sum() > 1
+        assert_writers_match(report.vmap, grid, report.roa, (0, 2))
+
+    def test_empty_roa(self, pendulum):
+        vmap, grid, _ = pendulum
+        red = verify.ValidityMap(vmap.vbar, vmap.lie, np.full(grid.n_nodes, -1.0),
+                                 vmap.lie_high, vmap.exempt)
+        empty = roa.largest_level_set(red, grid)
+        assert empty.empty
+        assert roa.export_boundary_csv(empty, grid) == "u,v\r\n"
+        assert_writers_match(red, grid, empty, (0, 1))
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2), (2, 0)])
+    def test_random_map_and_members(self, axes):
+        # arbitrary flags, values at the float extremes and a scattered member set
+        grid = verify.build_grid(1.3, 9, 3)
+        rng = np.random.default_rng(sum(axes))
+        special = [-0.0, 5e-324, 1e300, -1.7976931348623157e308, 1 / 3, -2.5e-310]
+        vbar = rng.normal(size=grid.n_nodes)
+        vbar[:len(special)] = special
+        vmap = verify.ValidityMap(vbar, -vbar[::-1], rng.uniform(-1, 1, grid.n_nodes),
+                                  rng.uniform(-1, 1, grid.n_nodes), rng.random(grid.n_nodes) < 0.3)
+        members = np.sort(rng.choice(grid.n_nodes, size=grid.n_nodes // 3, replace=False))
+        result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=axes, empty=False)
+        assert_writers_match(vmap, grid, result, axes)
+
+    def test_axis_coords_give_the_node_coordinates(self):
+        for radius, nodes, dim in ((4.0, 201, 2), (3.0, 41, 3), (1.3, 9, 3), (0.7, 3, 1)):
+            grid = verify.build_grid(radius, nodes, dim)
+            picked = grid.axis_coords[grid.axis_index]
+            assert picked.tobytes() == grid.coords.tobytes()
+
+
+class TestProjectPlane:
+    @pytest.mark.parametrize("dim, nodes", [(2, 15), (3, 9)])
+    def test_matches_unique_on_random_members(self, dim, nodes):
+        grid = verify.build_grid(1.0, nodes, dim)
+        rng = np.random.default_rng(dim)
+        pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+        for size in (1, 2, grid.n_nodes // 10, grid.n_nodes // 2, grid.n_nodes):
+            members = rng.choice(grid.n_nodes, size=size, replace=False)
+            result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=None, empty=False)
+            for axes in pairs:
+                shadow = roa.project_plane(result, grid, axes)
+                expected = reference_project_plane(result, grid, axes)
+                assert shadow.dtype == expected.dtype
+                np.testing.assert_array_equal(shadow, expected)
