@@ -30,11 +30,14 @@ The `gate` suite (default output `BENCH_gate.json`) measures:
   interpreter each time
 
 The `init` suite (default output `BENCH_init.json`) measures, with BLAS pinned
-to one thread:
+to one thread, at the `meta_fit` setting (`ip_stochastic_l` network, 2-d input,
+radius 3.2) and the `compare_mg3` setting (`mg3_dc12` network, 3-d input,
+radius 3.0):
 
-- `shaped_init_s`: seconds per `net.shaped_init` (2,048 points, 2,000 steps) at
-  the `meta_fit` setting (`ip_stochastic_l` network, 2-d input, radius 3.2) and
-  the `compare_mg3` setting (`mg3_dc12` network, 3-d input, radius 3.0)
+- `shaped_init_s`: seconds per `net.shaped_init` (the bowl fit on
+  `net.INIT_POINTS` seeded points)
+- `fit_rms` and `max_abs_theta`: the RMS residual of that fit on its points and
+  the largest absolute weight it returns
 - `train_meta_s` and `compare_mg3_s`: wall seconds of one `lyapcert train-meta`
   on the `meta_fit` config and one `lyapcert compare` on the `compare_mg3`
   config, `--seed 101`, a fresh interpreter each time
@@ -169,12 +172,19 @@ def measure_gate(repeats: int) -> dict:
 
 
 def measure_init(repeats: int) -> dict:
-    init_s = {}
+    init_s, fit_rms, max_abs_theta = {}, {}, {}
     for cfg in (meta_fit_config(), compare_mg3_config()):
         arch, seed, radius = cfg.architecture(), cfg.seeds.net_seed, cfg.verify.d0
         init_s[cfg.name] = round(median_time(lambda: net.shaped_init(arch, seed, radius),
                                              repeats), 3)
-    return {"shaped_init_s": init_s,
+        theta = net.shaped_init(arch, seed, radius)
+        X = dynamics.sample_ball(np.random.default_rng(seed), net.INIT_POINTS, arch.input_dim,
+                                 radius)
+        residual = net.MlpLyapunov(theta, arch).value(X) - net.INIT_SCALE * (
+            np.linalg.norm(X, axis=1) / radius) ** 2
+        fit_rms[cfg.name] = round(float(np.sqrt(np.mean(residual ** 2))), 6)
+        max_abs_theta[cfg.name] = round(float(np.max(np.abs(theta))), 4)
+    return {"shaped_init_s": init_s, "fit_rms": fit_rms, "max_abs_theta": max_abs_theta,
             "train_meta_s": round(cli_seconds(meta_fit_config(), ["train-meta"], repeats), 3),
             "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
 
@@ -229,7 +239,7 @@ def median_of(runs: list) -> dict:
     """Each metric's median over the runs, nested dicts metric by metric."""
     if isinstance(runs[0], dict):
         return {key: median_of([r[key] for r in runs]) for key in runs[0]}
-    return round(float(np.median(runs)), 3)
+    return round(float(np.median(runs)), 6)
 
 
 def main() -> int:

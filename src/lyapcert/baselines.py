@@ -24,7 +24,7 @@ import numpy as np
 
 from . import meta, net, roa, verify
 from .config import TEST_TIME_STEPS, ExperimentConfig, MetaBlock, NlfBlock, VerifyBlock
-from .control import NotStabilizing, is_hurwitz, linearize, solve_lyapunov
+from .control import NotStabilizing, is_hurwitz, solve_lyapunov
 from .dynamics import ClosedLoopSystem, TaskDataset, build_dataset, build_system, sample_tasks
 from .loss import TightenedLossConfig
 
@@ -93,7 +93,7 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
 def qlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifyBlock,
            plane: tuple[int, int] | None = None) -> BaselineReport:
     """Quadratic baseline from the closed-loop linearization at the origin."""
-    A = linearize(system_test.f, np.zeros(system_test.dim))
+    A = system_test.linearization()
     if not is_hurwitz(A):
         raise NotHurwitz("test-time closed loop linearization is not Hurwitz")
     P = solve_lyapunov(A, np.eye(system_test.dim))

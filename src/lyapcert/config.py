@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .dynamics import NOMINAL_FAN, NOMINAL_PENDULUM, ParamVector, nominal_microgrid
 from .loss import TightenedLossConfig
-from .net import Architecture
+from .net import INIT_POINTS, Architecture
 
 
 TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
@@ -181,7 +181,9 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        self.architecture()
+        n_params = self.architecture().n_params
+        _require(n_params <= INIT_POINTS, f"hidden {list(self.hidden)} gives a network of {n_params} "
+                 f"parameters, more than the {INIT_POINTS} points its bowl init fits")
         _require(max(self.roa.plane) < self.system.nominal().state_dim,
                  "roa.plane names an axis beyond the state dimension")
 

@@ -1,15 +1,12 @@
 """Dense linear algebra for controller synthesis and quadratic certificates.
 
-Continuous-time Lyapunov equation solves, an eigenvalue-free Hurwitz test,
-Kleinman iteration for LQR gains, and central-difference linearization of an
-arbitrary vector field. Everything here is sized for the small (n <= 16)
+Continuous-time Lyapunov equation solves, an eigenvalue-free Hurwitz test and
+Kleinman iteration for LQR gains. Everything here is sized for the small (n <= 16)
 closed-loop systems this package ships; no attempt is made at large-scale
 Riccati machinery.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -153,24 +150,3 @@ def kleinman_lqr(A, B, Qc, Rc, K0) -> np.ndarray:
                 raise NoConvergence("converged gain lost stability")
             return K
     raise NoConvergence("no fixed point after 60 iterations")
-
-
-def linearize(f: Callable[[np.ndarray], np.ndarray], x_star) -> np.ndarray:
-    """Central-difference Jacobian of a vector field at x_star.
-
-    f maps an n-vector to an n-vector; returns the n x n matrix
-    A[i][j] = (f_i(x* + h e_j) - f_i(x* - h e_j)) / (2 h) with h = 1e-5.
-    """
-    h = 1e-5
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    n = x_star.size
-    A = np.empty((n, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        f_plus = np.asarray(f(x_star + step), dtype=float).reshape(-1)
-        f_minus = np.asarray(f(x_star - step), dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-            raise NonFiniteDynamics(f"non-finite dynamics near component {j}")
-        A[:, j] = (f_plus - f_minus) / (2.0 * h)
-    return A

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .control import is_hurwitz, kleinman_lqr, linearize
+from .control import NonFiniteDynamics, is_hurwitz, kleinman_lqr
 
 SYSTEM_IDS = ("pendulum", "microgrid", "fan")
 
@@ -237,6 +237,22 @@ class ClosedLoopSystem:
         thdd = r * u1 / J
         return np.stack([xd, xdd, yd, ydd, thd, thdd], axis=1)
 
+    def linearization(self) -> np.ndarray:
+        """The closed loop's Jacobian at the origin, in closed form: A - B K for the
+        pendulum and fan; diag(1/J) (-diag(dc) - diag(Ws 1) + Ws + diag(K)) for the
+        microgrid, Ws = W o sin(gamma). A non-finite entry raises NonFiniteDynamics."""
+        if self.params.system_id == "microgrid":
+            net = self.network
+            Ws = net.coupling() * np.sin(net.gamma)
+            diagonal = net.K - np.asarray(self.params.values) - Ws.sum(axis=1)
+            A = (np.diag(diagonal) + Ws) / net.J[:, None]
+        else:
+            A_open, B = _open_loop_linearization(self.params.system_id, self.params.values)
+            A = A_open - B @ self.gain
+        if not np.all(np.isfinite(A)):
+            raise NonFiniteDynamics(f"non-finite {self.params.system_id} linearization")
+        return A
+
 
 @lru_cache(maxsize=8)
 def _default_gain(system_id: str) -> np.ndarray:
@@ -296,8 +312,7 @@ def nominal_system(system_id: str, n_microgrids: int = 3) -> ClosedLoopSystem:
     residual = np.max(np.abs(system.f(np.zeros(system.dim))))
     if residual > 1e-9:
         raise ValueError(f"origin is not an equilibrium of nominal {system_id} (|f(0)|={residual:g})")
-    A = linearize(system.f, np.zeros(system.dim))
-    if not is_hurwitz(A):
+    if not is_hurwitz(system.linearization()):
         raise ValueError(f"nominal {system_id} closed loop is not Hurwitz")
     return system
 

@@ -10,8 +10,10 @@ meta-gradients use a central finite difference of the loss gradient.
 
 The sweeps carry a leading task axis (weights (B, out, in), activations
 (B, n, h), per-task reductions over axis 1); the per-task entry points are
-B = 1 views of them, bit for bit equal to each task of a stack. The value sweeps
-compute in place, into buffers a caller may hold, and tanh' once per layer.
+B = 1 views of them, bit for bit equal to each task of a stack, and tanh' is
+computed once per layer. With each point as its own task, the value backprop
+gives per-point parameter gradients, the rows of the Jacobian that the
+bowl-shaped init's Gauss-Newton fit solves with.
 
 Conventions: hidden activations are tanh (smooth, globally Lipschitz), the
 output layer is linear and scalar, and the hinge subgradient at an exactly
@@ -98,13 +100,12 @@ def _one_task(batch) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _forward_sweep(weights, X: np.ndarray, act_out=None):
-    """Primal pass; returns (V (B, n), activations [A_0..A_{L-1}]) with A_0 = X, each layer
-    in place (into `act_out`, per layer a (B, n, width) array, (B, n, 1) for V, when given)."""
-    act_out = act_out or [None] * len(weights)
+def _forward_sweep(weights, X: np.ndarray):
+    """Primal pass; returns (V (B, n), activations [A_0..A_{L-1}]) with A_0 = X, each
+    layer's bias add and tanh in place."""
     acts = [X]
     for l, (W, b) in enumerate(weights):
-        Z = np.matmul(acts[l], W.transpose(0, 2, 1), out=act_out[l])
+        Z = acts[l] @ W.transpose(0, 2, 1)
         Z += b
         if l == len(weights) - 1:
             return Z[..., 0], acts
@@ -147,10 +148,8 @@ def _tangent_sweep(weights, sps, Y: np.ndarray):
     return S, T, U
 
 
-def _value_backprop(weights, acts, sps, out_weights: np.ndarray, grads, delta_out=None) -> None:
-    """Accumulate d(sum_b w_b V_b)/dtheta per task into per-layer grad arrays, each delta
-    in place (into `delta_out`, a (B, n, width) array per hidden layer, when given)."""
-    delta_out = delta_out or [None] * len(weights)
+def _value_backprop(weights, acts, sps, out_weights: np.ndarray, grads) -> None:
+    """Accumulate d(sum_b w_b V_b)/dtheta per task into per-layer grad arrays."""
     delta = out_weights[..., None]
     for l in range(len(weights) - 1, -1, -1):
         gW, gb = grads[l]
@@ -159,7 +158,7 @@ def _value_backprop(weights, acts, sps, out_weights: np.ndarray, grads, delta_ou
         if l > 0:
             # the output layer's (n, 1) @ (1, width) product is one exact multiply per entry
             back = np.multiply if l == len(weights) - 1 else np.matmul
-            delta = back(delta, weights[l][0], out=delta_out[l - 1])
+            delta = back(delta, weights[l][0])
             delta *= sps[l]
 
 
@@ -260,36 +259,62 @@ def hvp(theta, arch: Architecture, batch, cfg, v) -> np.ndarray:
     return hvps(theta, arch, _one_task(batch), cfg, v)
 
 
-# the bowl fit: height at the region radius, full-batch points, GD steps, step size
-INIT_SCALE, INIT_POINTS, INIT_STEPS, INIT_LR = 3.0, 2048, 2000, 0.05
+# the bowl fit: height at the region radius, fit points, Levenberg-Marquardt iterations,
+# points per Jacobian chunk, and the damping's start, rise on a rejected and fall on an
+# accepted step
+INIT_SCALE, INIT_POINTS, INIT_ITERS, INIT_CHUNK = 3.0, 2048, 20, 256
+INIT_DAMPING, INIT_DAMPING_UP, INIT_DAMPING_DOWN = 1.0, 4.0, 3.0
+
+
+def _value_jacobian(theta, arch: Architecture, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V (n,) and dV/dtheta (n, n_params) at the rows of X (n, d), each row its own task."""
+    weights = unpack(theta[None], arch)
+    V, acts = _forward_sweep(weights, X[:, None, :])
+    J = np.zeros((len(X), arch.n_params))
+    _value_backprop(weights, acts, _tanh_primes(acts), np.ones((len(X), 1)), unpack(J, arch))
+    return V[:, 0], J
 
 
 def shaped_init(arch: Architecture, seed: int, radius: float) -> np.ndarray:
-    """Bowl-shaped initialization: regress the net onto INIT_SCALE * (|x| / radius)^2.
+    """Bowl-shaped initialization: fit the net to INIT_SCALE * (|x| / radius)^2.
 
     Uses no dynamics data, only geometry; it replaces the raw random init with
     one whose value surface is already a clean radially increasing bowl, which
-    gradient training then deforms. Deterministic given the seed. Every step
-    updates theta in place through its layer views, in one set of sweep buffers.
+    gradient training then deforms. Deterministic given the seed. The fit is
+    damped Gauss-Newton (Levenberg-Marquardt) on the mean squared residual over
+    INIT_POINTS seeded points, from `init_params(arch, seed)`: each iteration
+    solves (J^T J / N + mu I) step = -J^T r / N, with J^T J accumulated over
+    chunks of INIT_CHUNK points, keeps the step only if it lowers the residual,
+    and scales mu down on a kept step and up on a rejected one.
     """
     if not radius > 0:
         raise ValueError("shaped_init needs radius > 0")
     theta = init_params(arch, seed)
     X = sample_ball(np.random.default_rng(seed), INIT_POINTS, arch.input_dim, radius)
     target = INIT_SCALE * (np.linalg.norm(X, axis=1) / radius) ** 2
-    weights = unpack(theta[None], arch)
-    grad = np.empty((1, arch.n_params))
-    grads = unpack(grad, arch)
-    delta_out = [np.empty((1, INIT_POINTS, h)) for h in arch.hidden]
-    sp_out = [np.empty_like(D) for D in delta_out]
-    act_out = [np.empty_like(D) for D in delta_out] + [np.empty((1, INIT_POINTS, 1))]
-    for _ in range(INIT_STEPS):
-        V, acts = _forward_sweep(weights, X[None], act_out)
-        grad.fill(0.0)
-        _value_backprop(weights, acts, _tanh_primes(acts, sp_out),
-                        2.0 * (V - target) / INIT_POINTS, grads, delta_out)
-        grad *= INIT_LR
-        theta -= grad[0]
+
+    def cost(theta):
+        r = MlpLyapunov(theta, arch).value(X) - target
+        return r @ r
+
+    def normal_equations(theta):
+        JtJ, Jtr = np.zeros((arch.n_params, arch.n_params)), np.zeros(arch.n_params)
+        for start in range(0, INIT_POINTS, INIT_CHUNK):
+            V, J = _value_jacobian(theta, arch, X[start:start + INIT_CHUNK])
+            JtJ += J.T @ J
+            Jtr += J.T @ (V - target[start:start + INIT_CHUNK])
+        return JtJ / INIT_POINTS, Jtr / INIT_POINTS
+
+    fit, damping = cost(theta), INIT_DAMPING
+    JtJ, Jtr = normal_equations(theta)
+    for _ in range(INIT_ITERS):
+        trial = theta - np.linalg.solve(JtJ + damping * np.eye(arch.n_params), Jtr)
+        trial_fit = cost(trial)
+        if trial_fit < fit:
+            theta, fit, damping = trial, trial_fit, damping / INIT_DAMPING_DOWN
+            JtJ, Jtr = normal_equations(theta)
+        else:
+            damping *= INIT_DAMPING_UP
     return theta
 
 

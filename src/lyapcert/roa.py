@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import linearize
 from .dynamics import ClosedLoopSystem, simulate_batch
 from .verify import GridSpec, ValidityMap
 
@@ -130,7 +129,7 @@ def gate_step(system: ClosedLoopSystem, h: float) -> float:
     spectral radius, so the rollouts near the origin stay inside RK4's
     stability region even where the fast eigenvalue is stiff.
     """
-    rho = np.max(np.abs(np.linalg.eigvals(linearize(system.f, np.zeros(system.dim)))))
+    rho = np.max(np.abs(np.linalg.eigvals(system.linearization())))
     return h / max(1, math.ceil(h * rho / RK4_STEP_LIMIT))
 
 

@@ -18,6 +18,9 @@ class LinearSystem:
     def f_batch(self, X):
         return -np.asarray(X, dtype=float)
 
+    def linearization(self):
+        return -np.eye(2)
+
 
 SETTINGS = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.4)
 GRID = verify.build_grid(2.0, 41, 2)
@@ -62,6 +65,9 @@ class TestQlfTs:
 
             def f_batch(self, X):
                 return np.asarray(X, dtype=float)
+
+            def linearization(self):
+                return np.eye(2)
 
         with pytest.raises(baselines.NotHurwitz):
             baselines.qlf_ts(Unstable(), GRID, SETTINGS)

@@ -169,6 +169,15 @@ class TestConfig:
             "numeric failure" if expected == cli.EXIT_NUMERIC else "config error")
         assert not (tmp_path / "out").exists()
 
+    def test_network_larger_than_init_fit_exits_2(self, tmp_path, capsys):
+        """The bowl init solves normal equations in the network's parameters; a network
+        with more parameters than the fit's points is rejected when the config is parsed."""
+        path = mini_config(tmp_path, hidden=[64, 64])
+        assert cli.main(["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
+        # 2 * 64 + 64 weights and biases, 64 * 64 + 64, then 64 + 1 for the output
+        assert "4417 parameters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_2(self, tmp_path):
         path = mini_config(tmp_path)
         assert cli.main(["train-meta", "--config", str(path), "--seed", "-1"]) == cli.EXIT_CONFIG

@@ -117,34 +117,3 @@ class TestKleinmanLqr:
         with pytest.raises(ValueError, match="K0 must have shape"):
             control.kleinman_lqr(-np.eye(2), np.ones((2, 1)), np.eye(2), np.array([[1.0]]),
                                  np.zeros((2, 1)))
-
-
-class TestLinearize:
-    def test_linear_map_exact(self):
-        M = np.array([[0.5, -2.0], [1.0, 3.0]])
-        A = control.linearize(lambda x: M @ x, np.array([0.3, -0.7]))
-        np.testing.assert_allclose(A, M, atol=1e-9)
-
-    def test_scalar_sine(self):
-        A = control.linearize(lambda x: np.sin(x), np.array([0.0]))
-        assert A[0, 0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_pendulum_closed_loop_first_row(self):
-        from lyapcert import dynamics
-        system = dynamics.nominal_system("pendulum")
-        A = control.linearize(system.f, np.zeros(2))
-        # first state equation is theta_dot regardless of the controller
-        np.testing.assert_allclose(A[0], [0.0, 1.0], atol=1e-9)
-
-    def test_polynomial_matches_analytic_jacobian(self):
-        def f(x):
-            return np.array([x[0] ** 2 + x[1], x[0] * x[1] - x[1] ** 3])
-
-        x = np.array([0.7, -1.2])
-        analytic = np.array([[2 * x[0], 1.0], [x[1], x[0] - 3 * x[1] ** 2]])
-        A = control.linearize(f, x)
-        np.testing.assert_allclose(A, analytic, rtol=1e-6)
-
-    def test_non_finite_dynamics(self):
-        with pytest.raises(control.NonFiniteDynamics):
-            control.linearize(lambda x: np.array([np.nan]), np.array([0.0]))

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from lyapcert import control, dynamics
+from lyapcert import control, dynamics, roa
+from lyapcert.config import PRESETS
 
 from helpers import reference_simulate_batch
 
@@ -73,8 +76,42 @@ class TestEvalDynamics:
     @pytest.mark.parametrize("system_id", ["pendulum", "microgrid", "fan"])
     def test_nominal_closed_loop_is_hurwitz(self, system_id):
         system = dynamics.nominal_system(system_id)
-        A = control.linearize(system.f, np.zeros(system.dim))
-        assert control.is_hurwitz(A)
+        assert control.is_hurwitz(system.linearization())
+
+
+def central_difference_jacobian(system, h=1e-5):
+    """The closed loop's Jacobian at the origin by central differences of f."""
+    columns = []
+    for step in h * np.eye(system.dim):
+        columns.append((system.f(step) - system.f(-step)) / (2.0 * h))
+    return np.stack(columns, axis=1)
+
+
+class TestLinearization:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_matches_central_difference_and_keeps_the_gate_step(self, name):
+        cfg = PRESETS[name]
+        for params in (cfg.system.nominal(), cfg.system.test()):
+            system = dynamics.build_system(params)
+            A, fd = system.linearization(), central_difference_jacobian(system)
+            np.testing.assert_allclose(A, fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)),
+                                       err_msg=f"{name} {params.values}")
+            rho = np.max(np.abs(np.linalg.eigvals(fd)))
+            h = cfg.roa.mc_step
+            assert roa.gate_step(system, h) == h / max(1, math.ceil(h * rho / roa.RK4_STEP_LIMIT))
+
+    def test_random_microgrid_matches_central_difference(self):
+        for n in (2, 3, 5):
+            system = random_microgrid(n, seed=n)
+            fd = central_difference_jacobian(system)
+            np.testing.assert_allclose(system.linearization(), fd, rtol=1e-7,
+                                       atol=1e-7 * np.max(np.abs(fd)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_raises(self):
+        system = dynamics.build_system(dynamics.ParamVector("pendulum", (0.6, 1e-320, 9.81, 0.1)))
+        with pytest.raises(control.NonFiniteDynamics):
+            system.linearization()
 
 
 def random_microgrid(n, seed):

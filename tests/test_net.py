@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyapcert import net
+from lyapcert import dynamics, net
+from lyapcert.config import PRESETS
 from lyapcert.loss import TightenedLossConfig, empirical_loss, mean_loss
 
 from helpers import save_checkpoint
@@ -163,7 +165,7 @@ class TestStackedKernel:
         rng = np.random.default_rng(7)
         self.arch = net.Architecture(2, (16, 16))
         self.cfg = TightenedLossConfig(1.0, 1.0)
-        self.thetas = np.stack([short_init(self.arch, s, 3.0, steps=50) for s in range(4)])
+        self.thetas = np.stack([short_init(self.arch, s, 3.0, iters=3) for s in range(4)])
         self.X = rng.uniform(-3.0, 3.0, size=(4, 32, 2))
         self.Y = rng.normal(scale=3.0, size=(4, 32, 2))
 
@@ -202,33 +204,18 @@ class TestStackedKernel:
                 H[p], net.hvp(self.thetas[0], self.arch, (self.X[p], self.Y[p]), self.cfg, V[p]))
 
     def test_buffers_change_nothing(self):
-        """Preallocated sweep buffers, filled with NaN first, give the bits of the
-        allocating sweeps; the input gradient from the cached tanh' gives the bits of
+        """Preallocated tanh' buffers, filled with NaN first, give the bits of the
+        allocating sweep; the input gradient from the cached tanh' gives the bits of
         the ones-vector sweep that recomputes 1 - A^2."""
         weights = net.unpack(self.thetas, self.arch)
         X = self.X
-        out_weights = np.random.default_rng(9).normal(size=X.shape[:2])
-        shapes = [X.shape[:2] + (h,) for h in self.arch.hidden]
-        act_out = [np.full(s, np.nan) for s in shapes] + [np.full(X.shape[:2] + (1,), np.nan)]
-        sp_out = [np.full(s, np.nan) for s in shapes]
-        delta_out = [np.full(s, np.nan) for s in shapes]
+        sp_out = [np.full(X.shape[:2] + (h,), np.nan) for h in self.arch.hidden]
 
         V, acts = net._forward_sweep(weights, X)
-        Vb, acts_b = net._forward_sweep(weights, X, act_out)
-        sps, sps_b = net._tanh_primes(acts), net._tanh_primes(acts_b, sp_out)
-        np.testing.assert_array_equal(Vb, V)
-        for A, Ab, S, Sb in zip(acts, acts_b, sps[1:], sps_b[1:]):
-            np.testing.assert_array_equal(Ab, A)
+        sps, sps_b = net._tanh_primes(acts), net._tanh_primes(acts, sp_out)
+        for S, Sb in zip(sps[1:], sps_b[1:]):
             np.testing.assert_array_equal(Sb, S)
-        assert all(Ab is buf for Ab, buf in zip(acts_b[1:] + sps_b[1:], act_out[:-1] + sp_out))
-        assert np.shares_memory(Vb, act_out[-1])
-
-        grad = np.zeros((4, self.arch.n_params))
-        grad_b = np.zeros((4, self.arch.n_params))
-        net._value_backprop(weights, acts, sps, out_weights, net.unpack(grad, self.arch))
-        net._value_backprop(weights, acts_b, sps_b, out_weights, net.unpack(grad_b, self.arch),
-                            delta_out)
-        np.testing.assert_array_equal(grad_b, grad)
+        assert all(Sb is buf for Sb, buf in zip(sps_b[1:], sp_out))
 
         delta = np.ones(X.shape[:2] + (1,))
         for l in range(len(weights) - 1, 0, -1):
@@ -308,41 +295,39 @@ class TestCheckpoint:
             net.load_checkpoint(path)
 
 
-def short_init(arch, seed, radius, steps):
-    """`net.shaped_init` with `steps` gradient steps in place of INIT_STEPS."""
+def short_init(arch, seed, radius, iters):
+    """`net.shaped_init` with `iters` Levenberg-Marquardt iterations in place of INIT_ITERS."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(net, "INIT_STEPS", steps)
+        patch.setattr(net, "INIT_ITERS", iters)
         return net.shaped_init(arch, seed, radius)
 
 
-def allocating_shaped_init(arch, seed, radius, scale=3.0, n_points=2048, steps=2000, lr=0.05):
-    """The allocating loop `net.shaped_init` replaced: fresh arrays for every op of
-    every step, 1 - A^2 recomputed, and the output delta through an (n, 1) @ (1, h)
-    matmul."""
-    rng = np.random.default_rng(seed)
-    theta = net.init_params(arch, seed)
-    direction = rng.normal(size=(n_points, arch.input_dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    X = direction * (radius * rng.random(n_points) ** (1.0 / arch.input_dim))[:, None]
-    target = scale * (np.linalg.norm(X, axis=1) / radius) ** 2
-    for _ in range(steps):
-        weights = net.unpack(theta[None], arch)
-        acts = [X[None]]
-        for W, b in weights[:-1]:
-            acts.append(np.tanh(acts[-1] @ W.transpose(0, 2, 1) + b))
-        W_out, b_out = weights[-1]
-        V = (acts[-1] @ W_out.transpose(0, 2, 1) + b_out)[..., 0]
-        grad = np.zeros((1, arch.n_params))
-        grads = net.unpack(grad, arch)
-        delta = (2.0 * (V - target) / n_points)[..., None]
-        for l in range(len(weights) - 1, -1, -1):
-            gW, gb = grads[l]
-            gW += delta.transpose(0, 2, 1) @ acts[l]
-            gb += delta.sum(axis=1, keepdims=True)
-            if l > 0:
-                delta = (delta @ weights[l][0]) * (1.0 - acts[l] ** 2)
-        theta = theta - lr * grad[0]
-    return theta
+def bowl_fit_rms(theta, arch, seed, radius):
+    """RMS residual of the bowl fit on the points `net.shaped_init` fits."""
+    X = dynamics.sample_ball(np.random.default_rng(seed), net.INIT_POINTS, arch.input_dim, radius)
+    target = net.INIT_SCALE * (np.linalg.norm(X, axis=1) / radius) ** 2
+    return float(np.sqrt(np.mean((net.MlpLyapunov(theta, arch).value(X) - target) ** 2)))
+
+
+# RMS fit residual of the 2,000-step gradient-descent bowl init that preceded the
+# Levenberg-Marquardt fit (commit f2817f5), per preset setting (input_dim, d0, hidden,
+# net_seed); measured by `bowl_fit_rms` on that commit's `net.shaped_init`
+GD_FIT_RMS = {
+    (2, 4.0, (16, 16), 0): 0.08817675775557757,
+    (3, 3.0, (16, 16), 0): 0.12385492948205364,
+    (5, 2.0, (16, 16), 0): 0.28316613529814194,
+    (6, 1.0, (16, 16), 0): 0.5850845047456797,
+}
+
+
+def preset_setting(cfg):
+    return cfg.architecture().input_dim, cfg.verify.d0, cfg.hidden, cfg.seeds.net_seed
+
+
+@functools.lru_cache(maxsize=None)
+def preset_init(setting):
+    input_dim, radius, hidden, seed = setting
+    return net.shaped_init(net.Architecture(input_dim, hidden), seed, radius)
 
 
 class TestShapedInit:
@@ -359,19 +344,45 @@ class TestShapedInit:
                for a in np.linspace(0, 2 * np.pi, 12)]
         assert min(rim) > v0 + 0.5
 
-    def test_matches_allocating_reference(self):
-        for input_dim, hidden in ((2, (16, 16)), (3, (16, 16)), (5, (16, 16)), (6, (16, 16)),
-                                  (2, (8,)), (3, (8, 8, 8))):
-            arch = net.Architecture(input_dim, hidden)
-            np.testing.assert_array_equal(short_init(arch, 5, 3.0, steps=50),
-                                          allocating_shaped_init(arch, 5, 3.0, steps=50),
-                                          err_msg=str(arch))
+    def test_every_preset_setting_has_a_reference_fit(self):
+        assert {preset_setting(cfg) for cfg in PRESETS.values()} == set(GD_FIT_RMS)
+
+    @pytest.mark.parametrize("setting", sorted(GD_FIT_RMS))
+    def test_fits_no_worse_than_gradient_descent(self, setting):
+        input_dim, radius, hidden, seed = setting
+        theta = preset_init(setting)
+        assert bowl_fit_rms(theta, net.Architecture(input_dim, hidden), seed, radius) \
+            <= GD_FIT_RMS[setting]
+        assert np.max(np.abs(theta)) <= 10.0
+
+    @pytest.mark.parametrize("setting", sorted(GD_FIT_RMS))
+    def test_converges_instead_of_amplifying_rounding(self, setting, monkeypatch):
+        """A 1e-15 relative nudge to the start moves the fitted weights by at most 1e-10."""
+        input_dim, radius, hidden, seed = setting
+        start = net.init_params
+        monkeypatch.setattr(net, "init_params", lambda arch, s: start(arch, s) * (1.0 + 1e-15))
+        nudged = net.shaped_init(net.Architecture(input_dim, hidden), seed, radius)
+        assert np.max(np.abs(nudged - preset_init(setting))) <= 1e-10
+
+    def test_jacobian_rows_match_central_difference(self):
+        arch = net.Architecture(3, (8, 8))
+        theta = short_init(arch, 2, 3.0, iters=3)
+        X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(16, 3))
+        V, J = net._value_jacobian(theta, arch, X)
+        np.testing.assert_allclose(V, net.MlpLyapunov(theta, arch).value(X), rtol=1e-13)
+        h = 1e-6
+        for k in range(arch.n_params):
+            step = np.zeros(arch.n_params)
+            step[k] = h
+            fd = (net.MlpLyapunov(theta + step, arch).value(X)
+                  - net.MlpLyapunov(theta - step, arch).value(X)) / (2.0 * h)
+            np.testing.assert_allclose(J[:, k], fd, rtol=1e-6, atol=1e-6, err_msg=f"param {k}")
 
     def test_owns_its_data_and_keeps_no_state(self):
         arch = net.Architecture(2, (8, 8))
-        first = short_init(arch, 1, 4.0, steps=20)
-        other = short_init(arch, 1, 2.0, steps=20)
-        third = short_init(arch, 1, 4.0, steps=20)
+        first = short_init(arch, 1, 4.0, iters=3)
+        other = short_init(arch, 1, 2.0, iters=3)
+        third = short_init(arch, 1, 4.0, iters=3)
         assert first.flags.owndata and first.base is None
         assert not np.array_equal(first, other)
         np.testing.assert_array_equal(first, third)

@@ -22,6 +22,9 @@ class LinearSystem:
     def f_batch(self, X):
         return -np.asarray(X, dtype=float)
 
+    def linearization(self):
+        return -np.eye(self.dim)
+
 
 class CubicSystem:
     """x_dot = -x + x^3 per axis: converges inside the unit box, diverges outside."""
@@ -36,6 +39,9 @@ class CubicSystem:
         X = np.asarray(X, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             return -X + X**3
+
+    def linearization(self):
+        return -np.eye(self.dim)
 
 
 def short_pendulum(length):
