@@ -212,7 +212,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonTable:
     system_nom = build_system(cfg.system.nominal())
     system_test = build_system(cfg.system.test())
     grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, system_test.dim)
-    plane = tuple(cfg.roa.plane) if system_test.dim > 2 else None
+    plane = cfg.roa.plane if system_test.dim > 2 else None
     seed, arch = cfg.seeds.master, cfg.architecture()
     runners = {
         "META_NLF": lambda: meta_nlf(cfg, system_test, grid, plane),

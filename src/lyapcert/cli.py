@@ -12,10 +12,13 @@ Subcommands:
     compare      all methods on one preset, one table (CSV + JSON)
 
 Every artifact embeds the config hash and seed; reruns with identical config
-and seed reproduce all numeric artifacts bitwise (timings are never written
-into artifacts). Exit codes: 0 ok, 2 config error, 3 verification failure
-(train-meta: no valid region; roa: a Monte-Carlo rollout from the certified
-set fails, after the artifacts are written), 4 numeric failure.
+and seed reproduce all numeric artifacts bitwise at a fixed BLAS thread count
+(another count changes the last bits of the grid's V; timings are never
+written into artifacts). Settings are checked here and by the config blocks,
+once, before any work starts; the library trusts them. Exit codes: 0 ok,
+2 config error, 3 verification failure (train-meta: no valid region; roa: a
+Monte-Carlo rollout from the certified set fails, after the artifacts are
+written), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -196,6 +199,8 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
         theta, arch, extra = net.load_checkpoint(path)
     except (ValueError, KeyError, TypeError) as exc:
         raise BadArtifact(f"checkpoint {path} is unreadable: {exc!r}") from exc
+    if not isinstance(extra, dict):
+        raise BadArtifact(f"checkpoint extra {extra!r} is not a JSON object")
     if arch.input_dim != cfg.system.nominal().state_dim:
         raise BadArtifact(f"checkpoint is {arch.input_dim}-d, system is "
                           f"{cfg.system.nominal().state_dim}-d")
@@ -252,7 +257,7 @@ def cmd_verify(args) -> int:
     vmap = verify.check_validity(candidate, system_test, grid,
                                  exempt_radius=cfg.verify.exempt_radius)
     atomic_write_text(out / "validity_map.csv", verify.export_validity_csv(vmap, grid))
-    axes = tuple(cfg.roa.plane) if grid.dim > 2 else (0, 1)
+    axes = cfg.roa.plane if grid.dim > 2 else (0, 1)
     atomic_write_text(out / "validity_map.svg",
                       svg.render_validity_svg(vmap, grid, axes=axes))
     green = float(np.mean(vmap.green))
@@ -268,14 +273,14 @@ def cmd_roa(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
-    plane = tuple(cfg.roa.plane) if grid.dim > 2 else None
+    plane = cfg.roa.plane if grid.dim > 2 else None
     vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, plane)
     check, = roa.monte_carlo_convergence(system_test, [(result, candidate)], grid,
                                          cfg.roa.mc_samples, cfg.roa.mc_step,
                                          cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master)
     atomic_write_json(out / "roa.json", {**_stamp(cfg), **roa.export_roa_json(result, grid)})
     atomic_write_text(out / "roa_boundary.csv", roa.export_boundary_csv(result, grid))
-    axes = tuple(cfg.roa.plane) if grid.dim > 2 else (0, 1)
+    axes = cfg.roa.plane if grid.dim > 2 else (0, 1)
     atomic_write_text(out / "roa_overlay.svg",
                       svg.render_validity_svg(vmap, grid, roa=result, axes=axes))
     atomic_write_json(out / "roa_mc.json",

@@ -3,10 +3,13 @@
 A config file is a single JSON object with the blocks below. The blocks are
 the settings the library runs on (the `loss` block is the loss module's own
 `TightenedLossConfig`); each one validates its values when it is built, so a
-bad value fails before any training starts. Unknown keys are rejected
-anywhere in the tree so typos fail loudly. The hash of the canonical
-JSON form is embedded in every artifact a run writes; reruns with the same
-hash and seed reproduce artifacts bitwise.
+bad value fails before any training starts. With `cli`'s checks of the
+command line and of checkpoints, they are the only place a setting is
+checked: the library trusts what it receives. Unknown keys are rejected
+anywhere in the tree so typos fail loudly, and every value must have its
+field's annotated type. The hash of the canonical JSON form is embedded in
+every artifact a run writes; reruns with the same hash and seed reproduce
+artifacts bitwise.
 
 Presets cover the nine benchmark rows (pendulum x3, three-microgrid x2,
 five-microgrid x2, ducted fan x2) with the published nominal/test parameter
@@ -24,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .dynamics import NOMINAL_FAN, NOMINAL_PENDULUM, ParamVector, nominal_microgrid
 from .loss import TightenedLossConfig
@@ -48,9 +52,9 @@ def _require(ok: bool, message: str) -> None:
 @dataclass(frozen=True)
 class SystemBlock:
     system_id: str
-    theta0: tuple
-    theta_test: tuple
-    sigma_diag: tuple
+    theta0: tuple[float, ...]
+    theta_test: tuple[float, ...]
+    sigma_diag: tuple[float, ...]
 
     def __post_init__(self):
         self.nominal()
@@ -129,7 +133,7 @@ class RoaBlock:
     mc_step: float = 0.01
     mc_horizon: float = 20.0
     mc_tol: float = 1e-2
-    plane: tuple = (0, 1)
+    plane: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
         _require(self.mc_samples >= 1 and self.mc_step > 0 and self.mc_tol > 0,
@@ -160,7 +164,7 @@ class SeedBlock:
     task_seed: int = 0
     net_seed: int = 0
     adapt_seed: int = 123
-    fallback: tuple = ()
+    fallback: tuple[int, ...] = ()
 
     def __post_init__(self):
         _require(min(self.master, self.task_seed, self.net_seed, self.adapt_seed,
@@ -177,49 +181,53 @@ class ExperimentConfig:
     roa: RoaBlock = RoaBlock()
     nlf: NlfBlock = NlfBlock()
     seeds: SeedBlock = SeedBlock()
-    hidden: tuple = (16, 16)
+    hidden: tuple[int, ...] = (16, 16)
     out_dir: str = "out"
 
     def __post_init__(self):
-        n_params = self.architecture().n_params
-        _require(n_params <= INIT_POINTS, f"hidden {list(self.hidden)} gives a network of {n_params} "
-                 f"parameters, more than the {INIT_POINTS} points its bowl init fits")
-        _require(max(self.roa.plane) < self.system.nominal().state_dim,
+        _require(self.name not in ("", ".", "..") and Path(self.name).name == self.name,
+                 f"name {self.name!r} must be a plain directory name, or artifacts leave --out")
+        arch = self.architecture()
+        _require(arch.n_params <= INIT_POINTS, f"hidden {list(self.hidden)} gives a network of "
+                 f"{arch.n_params} parameters, more than the {INIT_POINTS} points its bowl init fits")
+        _require(max(self.roa.plane) < arch.input_dim,
                  "roa.plane names an axis beyond the state dimension")
+        _require(self.verify.nodes_per_axis ** arch.input_dim <= 50_000_000,
+                 f"verify.nodes_per_axis {self.verify.nodes_per_axis} gives a grid of more than "
+                 f"50,000,000 nodes in {arch.input_dim} dimensions")
 
     def architecture(self) -> Architecture:
         return Architecture(input_dim=self.system.nominal().state_dim, hidden=self.hidden)
 
 
-_BLOCK_TYPES = {
-    "system": SystemBlock, "meta": MetaBlock, "loss": TightenedLossConfig, "verify": VerifyBlock,
-    "roa": RoaBlock, "nlf": NlfBlock, "seeds": SeedBlock,
-}
-_TUPLE_FIELDS = {"theta0", "theta_test", "sigma_diag", "plane", "fallback", "hidden"}
+def _parse_value(kind, value, path: str):
+    """A tuple field's list as a tuple of its entries, a scalar as it is, each checked
+    against the field's annotation `kind`: a non-finite number raises FloatingPointError,
+    a value of another type (a boolean included) ConfigError; float takes integers too."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(_parse_value(get_args(kind)[0], entry, path) for entry in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FloatingPointError(f"{path}: non-finite number {value!r}")
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    return value
 
 
 def _build_block(cls, payload: dict, path: str):
-    """A config block (the top level included) from its JSON object: unknown keys,
-    booleans and integer fields holding non-integers raise ConfigError, and
-    non-finite numbers, as values or list entries, FloatingPointError."""
+    """A config block (the top level included) from its JSON object, its blocks built
+    in turn; unknown keys raise ConfigError, and each value is parsed by its field's
+    annotation."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(payload) - set(known)
+    kinds = get_type_hints(cls)
+    unknown = set(payload) - set(kinds)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in payload.items():
-        for entry in value if isinstance(value, list) else [value]:
-            if isinstance(entry, float) and not math.isfinite(entry):
-                raise FloatingPointError(f"{path}.{key}: non-finite number {entry!r}")
-            if isinstance(entry, bool):
-                raise ConfigError(f"{path}.{key}: expected a number, got {entry!r}")
-        if type(known[key].default) is int and type(value) is not int:
-            raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-        if key in _BLOCK_TYPES:
-            value = _build_block(_BLOCK_TYPES[key], value, key)
-        kwargs[key] = tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
+    kwargs = {key: _build_block(kinds[key], value, key) if is_dataclass(kinds[key])
+              else _parse_value(kinds[key], value, f"{path}.{key}")
+              for key, value in payload.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -323,13 +323,7 @@ def sample_tasks(theta0: ParamVector, sigma_diag, n: int, seed: int) -> list[Par
 
     A zero sigma entry freezes that component at its nominal value.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 tasks")
     sigma = np.asarray(sigma_diag, dtype=float).reshape(-1)
-    if sigma.size != len(theta0.values):
-        raise ValueError("sigma length does not match parameter tuple")
-    if np.any(sigma < 0):
-        raise ValueError("sigma entries must be nonnegative")
     rng = np.random.default_rng(seed)
     tasks = []
     for _ in range(n):
@@ -376,8 +370,6 @@ def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test:
                   m_batches: int, seed: int) -> TaskDataset:
     """Sample m_batches mini-batches of K train + J test pairs, states uniform
     over the ball of the given radius, labels y = f(x)."""
-    if min(k_train, j_test, m_batches) < 1:
-        raise ValueError("K, J and m_i must all be >= 1")
     rng = np.random.default_rng(seed)
     batches = []
     for _ in range(m_batches):
@@ -407,11 +399,7 @@ def simulate(system: ClosedLoopSystem, x0, h: float, horizon: float) -> Trajecto
 
     A run whose state norm exceeds 1e6 is truncated and flagged diverged.
     """
-    if h <= 0 or horizon < h:
-        raise ValueError("need h > 0 and horizon >= h")
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != system.dim:
-        raise DimensionMismatch(f"expected state of length {system.dim}")
     n_steps = int(round(horizon / h))
     states = [x.copy()]
     for _ in range(n_steps):
@@ -433,8 +421,6 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
     that norm is computed only in a step whose largest entry exceeds half of
     DIVERGENCE_NORM / sqrt(d) (the half is slack for rounding) or is NaN.
     """
-    if h <= 0 or horizon < h:
-        raise ValueError("need h > 0 and horizon >= h")
     X = np.array(X0, dtype=float)
     n_steps = int(round(horizon / h))
     safe = 0.5 * DIVERGENCE_NORM / math.sqrt(X.shape[1])

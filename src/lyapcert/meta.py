@@ -58,10 +58,6 @@ def meta_gradients(theta, arch: net.Architecture, s_tr: Batch, s_te: Batch, inne
 def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: MetaBlock,
                loss_cfg: TightenedLossConfig, seed: int, theta0: np.ndarray) -> MetaTrainReport:
     """Full meta-training run over the task datasets from theta0, deterministic given the seed."""
-    if len(tasks) < 1 or any(t.n_batches < 1 for t in tasks):
-        raise ValueError("need at least one task, each with at least one mini-batch")
-    if len({(tr[0].shape, te[0].shape) for t in tasks for tr, te in t.batches}) > 1:
-        raise ValueError("every mini-batch of every task needs the same train and test shapes")
     rng = np.random.default_rng(seed)
     theta = theta0
 
@@ -89,8 +85,6 @@ def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: M
 def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
                     loss_cfg: TightenedLossConfig) -> np.ndarray:
     """k repeated full-batch inner steps from the meta-parameters."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     theta = np.asarray(theta_mnlf, dtype=float).copy()
     for _ in range(k):
         theta = theta - alpha * net.loss_gradient(theta, arch, s_tr, loss_cfg)

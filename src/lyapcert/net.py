@@ -38,9 +38,11 @@ class Architecture:
     hidden: tuple[int, ...] = (16, 16)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.input_dim < 1 or len(self.hidden) < 1 or min(self.hidden) < 1:
-            raise ValueError("need input_dim >= 1 and at least one hidden layer of width >= 1")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        if not self.hidden or not all(type(n) is int and n >= 1
+                                      for n in (self.input_dim, *self.hidden)):
+            raise ValueError("need an integer input_dim >= 1 and at least one hidden layer "
+                             "of integer width >= 1")
 
     @property
     def layer_shapes(self) -> list[tuple[int, int]]:
@@ -94,10 +96,7 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
 
 
 def _one_task(batch) -> tuple[np.ndarray, np.ndarray]:
-    X, Y = (np.atleast_2d(np.asarray(a, dtype=float))[None] for a in batch)
-    if X.shape[1] == 0:
-        raise ValueError("empty batch")
-    return X, Y
+    return tuple(np.atleast_2d(np.asarray(a, dtype=float))[None] for a in batch)
 
 
 def _forward_sweep(weights, X: np.ndarray):
@@ -287,8 +286,6 @@ def shaped_init(arch: Architecture, seed: int, radius: float) -> np.ndarray:
     chunks of INIT_CHUNK points, keeps the step only if it lowers the residual,
     and scales mu down on a kept step and up on a rejected one.
     """
-    if not radius > 0:
-        raise ValueError("shaped_init needs radius > 0")
     theta = init_params(arch, seed)
     X = sample_ball(np.random.default_rng(seed), INIT_POINTS, arch.input_dim, radius)
     target = INIT_SCALE * (np.linalg.norm(X, axis=1) / radius) ** 2

@@ -18,10 +18,6 @@ from .dynamics import ClosedLoopSystem, simulate_batch
 from .verify import GridSpec, ValidityMap
 
 
-class BadAxes(Exception):
-    """Projection axes out of range or not distinct."""
-
-
 @dataclass(frozen=True, eq=False)
 class RoaResult:
     c: float                    # certified sublevel value
@@ -94,8 +90,6 @@ def roa_area(result: RoaResult, grid: GridSpec) -> float:
 def _plane_image(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
     """(nodes_per_axis, nodes_per_axis) occupancy of the member cells' (i, j) lattice pairs."""
     i, j = axes
-    if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
-        raise BadAxes(f"invalid projection axes {axes} for dim {grid.dim}")
     image = np.zeros((grid.nodes_per_axis,) * 2, dtype=bool)
     members = grid.axis_index[result.member_rows]
     image[members[:, i], members[:, j]] = True
@@ -174,8 +168,6 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
     horizon. A check's fraction is the share of its rollouts with
     |x(horizon)|_2 < tol; an empty ROA is vacuously 1.0.
     """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
     step = gate_step(system, h)
     starts = [_start_states(result, candidate, grid, n_samples, seed)
               for result, candidate in certificates if not result.empty]

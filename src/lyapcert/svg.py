@@ -77,8 +77,6 @@ def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) ->
 
 def render_phase_svg(system, grid, states: np.ndarray) -> str:
     """2-D phase portrait (vector field glyphs) with one trajectory's (n, 2) states."""
-    if grid.dim != 2:
-        raise ValueError("phase portraits are drawn for 2-D state spaces only")
     to_px, _scale = _scaler(grid.radius)
     xs = np.linspace(-grid.radius, grid.radius, PHASE_DENSITY)
     pts = np.array([(a, b) for a in xs for b in xs])

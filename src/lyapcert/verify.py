@@ -83,12 +83,6 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
     of any x in D is then always present. Collar nodes belong to the boundary
     layer, so they are checked but can never join a sublevel set.
     """
-    if nodes_per_axis < 3 or nodes_per_axis % 2 == 0:
-        raise ValueError("nodes_per_axis must be odd and >= 3 so the origin is a node")
-    if radius <= 0 or dim < 1:
-        raise ValueError("radius must be positive, dim >= 1")
-    if nodes_per_axis**dim > 50_000_000:
-        raise ValueError("grid too large; reduce nodes_per_axis or dimension")
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
     axis_idx = np.arange(-half, half + 1)
@@ -218,10 +212,6 @@ def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
     of rounds raises RegionSelectionFailure with the last round's radius and
     maps.
     """
-    if not (0.0 < shrink_factor < 1.0):
-        raise ValueError("shrink_factor must lie in (0, 1)")
-    if max_rounds < 1:
-        raise ValueError("need at least one round")
     d = float(d0)
     for round_idx in range(max_rounds):
         if round_idx:

@@ -133,6 +133,12 @@ class TestConfig:
         ("system", "sigma_diag", [-0.05, 0.0, 0.0, 0.0]),
         ("meta", "adapt_samples", 60),          # over the test-time budget
         ("meta", "k_test", 20),
+        ("meta", "m_batches", 0),
+        ("meta", "k_train", 0),
+        ("meta", "j_test", 0),
+        ("meta", "adapt_samples", 0),
+        ("nlf", "batch_size", 0),
+        ("verify", "nodes_per_axis", 7073),     # 7073^2 nodes, over the grid cap
     ])
     def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
         path = mini_config(tmp_path)
@@ -168,6 +174,41 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(
             "numeric failure" if expected == cli.EXIT_NUMERIC else "config error")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train-meta", "adapt", "verify", "roa"])
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "hidden", [16.7, 16]),           # a width that is not an integer
+        ("roa", "plane", [0, 1.5]),             # an axis that is not an integer
+        (None, "name", 5),                      # a number where a string belongs
+        (None, "name", "../escaped"),           # artifacts would leave --out
+        (None, "name", "sub/dir"),
+        (None, "name", ""),
+        (None, "name", "."),
+        (None, "name", ".."),
+        ("verify", "nodes_per_axis", 7073),     # 7073^2 nodes, over the grid cap
+    ])
+    def test_bad_setting_exits_2_before_any_work(self, tmp_path, capsys, command, block, key,
+                                                  value):
+        """Every command rejects a mistyped value, a name that is not a plain directory
+        name and a grid over the node cap when the config is parsed: a one-line error,
+        exit 2, before a checkpoint is read or anything is trained or written."""
+        path = mini_config(tmp_path)
+        payload = json.loads(path.read_text())
+        (payload.setdefault(block, {}) if block else payload)[key] = value
+        path.write_text(json.dumps(payload))
+        argv = [command, "--config", str(path)]
+        if command != "train-meta":
+            argv += ["--checkpoint", str(ROOT / "perfbench" / "data" / "meta_checkpoint.json")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1 and key in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.json"]
+
+    def test_float_fields_take_integers(self, tmp_path):
+        """A JSON integer where a float belongs parses, and is hashed as written."""
+        cfg = load_config(mini_config(tmp_path, loss={"eps1": 1, "eps2": 1.0}))
+        assert type(cfg.loss.eps1) is int and cfg.loss == TightenedLossConfig(1.0, 1.0)
+        assert config_hash(cfg) != config_hash(load_config(mini_config(tmp_path)))
 
     def test_network_larger_than_init_fit_exits_2(self, tmp_path, capsys):
         """The bowl init solves normal equations in the network's parameters; a network
@@ -405,6 +446,7 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     (["simulate", "--x0", "1,nan"], cli.EXIT_NUMERIC),
     (["simulate", "--x0", "0.2,0.0", "--h", "inf", "--horizon", "inf"], cli.EXIT_NUMERIC),
     (["simulate", "--x0", "0.2,0.0", "--horizon", "nan"], cli.EXIT_NUMERIC),
+    (["simulate", "--x0", "0.2,0.0", "--h", "0.1", "--horizon", "0.05"], cli.EXIT_CONFIG),
 ])
 def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expected):
     ckpt, truncated = mini_checkpoint
@@ -438,19 +480,37 @@ def test_non_finite_dynamics_exit_4(tmp_path, mini_checkpoint, capsys):
     (float("nan"), False, cli.EXIT_NUMERIC),
     (10**400, False, cli.EXIT_NUMERIC),
     (3.0, True, cli.EXIT_NUMERIC),
+    pytest.param(None, False, cli.EXIT_CONFIG, id="extra-not-an-object"),
 ])
 def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad_theta, expected):
-    """A checkpoint radius that is not a positive number exits 2, a non-finite
-    radius or parameter exits 4, before any artifact is written."""
+    """A checkpoint radius that is not a positive number, or an `extra` that is not a
+    JSON object (the None row: `extra` is 5), exits 2; a non-finite radius or
+    parameter exits 4; both before any artifact is written."""
     arch = net.Architecture(2, (8,))
     theta = net.init_params(arch, 0)
     if bad_theta:
         theta[3] = np.nan
     ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(ckpt, theta, arch, extra={"radius": radius})
+    save_checkpoint(ckpt, theta, arch, extra=5 if radius is None else {"radius": radius})
     cfg_path = mini_config(tmp_path)
     assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == expected
     assert capsys.readouterr().err   # a one-line message, not a traceback
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
+@pytest.mark.parametrize("key, value", [("hidden", [16.7, 16]), ("input_dim", 2.0)])
+def test_checkpoint_shape_not_integer_exit_2(tmp_path, capsys, command, key, value):
+    """A layer width or input dimension that is not an integer exits 2 before any
+    artifact is written, in place of a width cut to an integer or a traceback."""
+    payload = json.loads((ROOT / "perfbench" / "data" / "meta_checkpoint.json").read_text())
+    payload["arch"][key] = value
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(payload))
+    code = cli.main([command, "--preset", "ip_stochastic_l", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("artifact error")
     assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
 

@@ -263,10 +263,6 @@ class TestSimulate:
             traj = dynamics.simulate(system, X0[i], h=0.02, horizon=1.0)
             np.testing.assert_allclose(finals[i], traj.states[-1], atol=1e-12)
 
-    def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            dynamics.simulate(StubScalar(), [1.0], h=0.1, horizon=0.05)
-
 
 class CubicField:
     """x_dot = -x + x^3 per axis: converges inside the unit box, diverges outside."""

@@ -2,6 +2,8 @@
 library itself, so no entry point lives on for tests alone; every dataclass
 field is read by it, so no field is only written; and every defaulted parameter
 of a function is passed by some call in it, so no parameter serves tests alone.
+The modules that only receive settings raise no ValueError: the config blocks
+and `cli` check every setting once, when the config is parsed.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
 the definition's own body; a field read is any load of an attribute of the
@@ -31,6 +33,10 @@ ALLOWED_FIELDS = {
     "baselines.BaselineReport.vmap": "the validity map behind a method's certificate, "
                                      "read by acceptance criterion 5",
 }
+
+
+# modules whose every setting arrives checked at parse
+TRUSTING = ("meta", "verify", "roa", "svg", "baselines")
 
 
 def _references(tree) -> Counter:
@@ -144,3 +150,11 @@ def test_every_defaulted_parameter_is_passed_in_src():
             if not any(_passes(call, position, param) for call in calls.get(name, [])):
                 unpassed.append(f"{qualified}({param}=)")
     assert not unpassed, f"defaulted parameters no call in src/ passes: {unpassed}"
+
+
+def test_parsed_settings_are_not_checked_again():
+    raising = [f"{module}.py:{node.lineno}" for module in TRUSTING
+               for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and any(getattr(n, "id", None) == "ValueError" for n in ast.walk(node.exc))]
+    assert not raising, f"ValueError raised on settings checked at parse: {raising}"

@@ -386,8 +386,3 @@ class TestShapedInit:
         assert first.flags.owndata and first.base is None
         assert not np.array_equal(first, other)
         np.testing.assert_array_equal(first, third)
-
-    @pytest.mark.parametrize("bad", [{"radius": 0.0}, {"radius": -1.0}])
-    def test_rejects_bad_arguments(self, bad):
-        with pytest.raises(ValueError):
-            net.shaped_init(net.Architecture(2, (4,)), 0, **bad)

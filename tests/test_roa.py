@@ -253,15 +253,6 @@ class TestProjectPlane:
         radius_cells = np.max(np.linalg.norm(shadow * grid.spacing, axis=1))
         assert radius_cells == pytest.approx(np.sqrt(result.c), abs=2 * grid.spacing)
 
-    def test_bad_axes(self):
-        grid = verify.build_grid(1.0, 5, 2)
-        result = roa.RoaResult(c=1.0, member_rows=np.array([grid.origin_row]),
-                               area=0.0, plane=None, empty=False)
-        with pytest.raises(roa.BadAxes):
-            roa.project_plane(result, grid, (0, 0))
-        with pytest.raises(roa.BadAxes):
-            roa.project_plane(result, grid, (0, 5))
-
 
 class TestMonteCarloConvergence:
     def test_linear_system_fully_converges(self):

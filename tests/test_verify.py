@@ -80,10 +80,6 @@ class TestBuildGrid:
             grid = verify.build_grid(2.0, nodes, dim)
             np.testing.assert_array_equal(grid.coords[grid.origin_row], np.zeros(dim))
 
-    def test_rejects_even_node_count(self):
-        with pytest.raises(ValueError):
-            verify.build_grid(1.0, 10, 2)
-
     def test_nodes_within_collar(self):
         grid = verify.build_grid(1.5, 21, 3)
         collar = 1.5 + np.sqrt(3) * grid.spacing / 2
