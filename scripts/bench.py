@@ -211,7 +211,7 @@ def measure_writers(repeats: int) -> dict:
     candidate = net.MlpLyapunov(theta, arch)
     system = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim)
-    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify)
+    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
     calls = {
         "validity_csv": lambda: verify.export_validity_csv(vmap, grid),
         "validity_svg": lambda: svg.render_validity_svg(vmap, grid),

@@ -65,10 +65,9 @@ class BaselineReport:
 
 def certify_candidate(candidate, system: ClosedLoopSystem, grid: verify.GridSpec,
                       settings: VerifyBlock,
-                      plane: tuple[int, int] | None = None) -> tuple[verify.ValidityMap, roa.RoaResult]:
+                      plane: tuple[int, int]) -> tuple[verify.ValidityMap, roa.RoaResult]:
     vmap = verify.check_validity(candidate, system, grid, exempt_radius=settings.exempt_radius)
-    result = roa.largest_level_set(vmap, grid, plane=plane)
-    return vmap, result
+    return vmap, roa.largest_level_set(vmap, grid, plane=plane)
 
 
 def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
@@ -90,61 +89,46 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
     return theta, budget.n_samples, budget.n_steps
 
 
-def qlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifyBlock,
-           plane: tuple[int, int] | None = None) -> BaselineReport:
+def qlf_ts(system_test: ClosedLoopSystem) -> tuple[QuadraticLyapunov, int, int]:
     """Quadratic baseline from the closed-loop linearization at the origin."""
     A = system_test.linearization()
     if not is_hurwitz(A):
         raise NotHurwitz("test-time closed loop linearization is not Hurwitz")
-    P = solve_lyapunov(A, np.eye(system_test.dim))
-    candidate = QuadraticLyapunov(P)
-    vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
-    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
-                          test_samples_used=0, test_steps_used=0)
+    return QuadraticLyapunov(solve_lyapunov(A, np.eye(system_test.dim))), 0, 0
 
 
-def nlf_ts(system_test: ClosedLoopSystem, grid: verify.GridSpec, settings: VerifyBlock,
-           arch: net.Architecture, loss_cfg: TightenedLossConfig, budget: NlfBlock, seed: int,
-           plane: tuple[int, int] | None = None) -> BaselineReport:
+def nlf_ts(system_test: ClosedLoopSystem, radius: float, arch: net.Architecture,
+           loss_cfg: TightenedLossConfig, budget: NlfBlock,
+           seed: int) -> tuple[net.MlpLyapunov, int, int]:
     """Fully trained NLF with explicit access to the test-time system."""
-    theta, samples, steps = train_nlf(system_test, grid.radius, arch, loss_cfg, budget, seed)
-    candidate = net.MlpLyapunov(theta, arch)
-    vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
-    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
-                          test_samples_used=samples, test_steps_used=steps)
+    theta, samples, steps = train_nlf(system_test, radius, arch, loss_cfg, budget, seed)
+    return net.MlpLyapunov(theta, arch), samples, steps
 
 
-def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem,
-          grid: verify.GridSpec, settings: VerifyBlock, arch: net.Architecture,
-          loss_cfg: TightenedLossConfig, budget: NlfBlock, adapt: MetaBlock, seed: int,
-          plane: tuple[int, int] | None = None) -> BaselineReport:
+def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem, radius: float,
+          arch: net.Architecture, loss_cfg: TightenedLossConfig, budget: NlfBlock,
+          adapt: MetaBlock, seed: int) -> tuple[net.MlpLyapunov, int, int]:
     """Transfer baseline: full nominal training, then a small test-time update
     (adapt.adapt_samples samples, TEST_TIME_STEPS steps of size adapt.adapt_alpha)."""
-    theta, _, _ = train_nlf(system_nominal, grid.radius, arch, loss_cfg, budget, seed)
-    adapt_set = build_dataset(system_test, grid.radius, k_train=adapt.adapt_samples,
+    theta, _, _ = train_nlf(system_nominal, radius, arch, loss_cfg, budget, seed)
+    adapt_set = build_dataset(system_test, radius, k_train=adapt.adapt_samples,
                               j_test=1, m_batches=1, seed=seed + 101)
     theta = meta.test_time_adapt(theta, arch, adapt_set.batches[0][0], adapt.adapt_alpha,
                                  TEST_TIME_STEPS, loss_cfg)
-    candidate = net.MlpLyapunov(theta, arch)
-    vmap, result = certify_candidate(candidate, system_test, grid, settings, plane)
-    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
-                          test_samples_used=adapt.adapt_samples, test_steps_used=TEST_TIME_STEPS)
+    return net.MlpLyapunov(theta, arch), adapt.adapt_samples, TEST_TIME_STEPS
 
 
-def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem, grid: verify.GridSpec,
-             plane: tuple[int, int] | None = None) -> BaselineReport:
+def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem,
+             radius: float) -> tuple[net.MlpLyapunov, int, int]:
     """Meta-train across sampled tasks, then adapt to the test-time system
     under the 50/10 budget."""
-    report, _ = meta_train_for(cfg, grid.radius)
+    report, _ = meta_train_for(cfg, radius)
     m, arch = cfg.meta, cfg.architecture()
-    adapt_set = build_dataset(system_test, grid.radius, k_train=m.adapt_samples,
+    adapt_set = build_dataset(system_test, radius, k_train=m.adapt_samples,
                               j_test=1, m_batches=1, seed=cfg.seeds.adapt_seed)
     theta = meta.test_time_adapt(report.theta_mnlf, arch, adapt_set.batches[0][0],
                                  m.adapt_alpha, m.k_test, cfg.loss)
-    candidate = net.MlpLyapunov(theta, arch)
-    vmap, result = certify_candidate(candidate, system_test, grid, cfg.verify, plane)
-    return BaselineReport(roa=result, vmap=vmap, candidate=candidate,
-                          test_samples_used=m.adapt_samples, test_steps_used=m.k_test)
+    return net.MlpLyapunov(theta, arch), m.adapt_samples, m.k_test
 
 
 def meta_train_for(cfg: ExperimentConfig, radius: float
@@ -202,7 +186,8 @@ def _gated(report: BaselineReport, check: roa.ConvergenceCheck) -> BaselineRepor
 
 
 def compare(cfg: ExperimentConfig) -> ComparisonTable:
-    """Run every method under its access regime on one grid and one `verify` block.
+    """Run every method under its access regime, then certify each candidate on
+    one grid, one `verify` block and one plane.
 
     Per-method failures are collected without aborting the others. The
     methods' certificates are then gated by one Monte-Carlo sweep. The
@@ -212,24 +197,26 @@ def compare(cfg: ExperimentConfig) -> ComparisonTable:
     system_nom = build_system(cfg.system.nominal())
     system_test = build_system(cfg.system.test())
     grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, system_test.dim)
-    plane = cfg.roa.plane if system_test.dim > 2 else None
-    seed, arch = cfg.seeds.master, cfg.architecture()
+    seed, arch, radius = cfg.seeds.master, cfg.architecture(), grid.radius
     runners = {
-        "META_NLF": lambda: meta_nlf(cfg, system_test, grid, plane),
-        "NLF_TS": lambda: nlf_ts(system_test, grid, cfg.verify, arch, cfg.loss, cfg.nlf,
-                                 seed + 1, plane),
-        "T_NLF": lambda: t_nlf(system_nom, system_test, grid, cfg.verify, arch, cfg.loss,
-                               cfg.nlf, cfg.meta, seed + 2, plane),
-        "QLF_TS": lambda: qlf_ts(system_test, grid, cfg.verify, plane),
+        "META_NLF": lambda: meta_nlf(cfg, system_test, radius),
+        "NLF_TS": lambda: nlf_ts(system_test, radius, arch, cfg.loss, cfg.nlf, seed + 1),
+        "T_NLF": lambda: t_nlf(system_nom, system_test, radius, arch, cfg.loss, cfg.nlf,
+                               cfg.meta, seed + 2),
+        "QLF_TS": lambda: qlf_ts(system_test),
     }
 
     table = ComparisonTable()
     reports = {}
     for method in METHODS:
         try:
-            reports[method] = runners[method]()
+            candidate, samples, steps = runners[method]()
         except (NotHurwitz, NotStabilizing, meta.NonFiniteLoss) as exc:
             table.errors[method] = f"{type(exc).__name__}: {exc}"
+            continue
+        vmap, result = certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
+        reports[method] = BaselineReport(roa=result, vmap=vmap, candidate=candidate,
+                                         test_samples_used=samples, test_steps_used=steps)
     mc = cfg.roa
     certificates = [(report.roa, report.candidate) for report in reports.values()]
     checks = roa.monte_carlo_convergence(system_test, certificates, grid, mc.mc_samples,

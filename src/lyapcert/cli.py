@@ -94,8 +94,12 @@ def _stamp(cfg: ExperimentConfig) -> dict:
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
+    """`<--out>/<name>`, created; call it once the command's inputs are checked."""
     out = Path(cfg.out_dir) / cfg.name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -193,11 +197,9 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
     FloatingPointError (OverflowError for an integer beyond float range), any
     other unusable content, a radius within the exemption radius included,
     BadArtifact."""
-    if not Path(path).exists():
-        raise BadArtifact(f"checkpoint {path} does not exist")
     try:
         theta, arch, extra = net.load_checkpoint(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise BadArtifact(f"checkpoint {path} is unreadable: {exc!r}") from exc
     if not isinstance(extra, dict):
         raise BadArtifact(f"checkpoint extra {extra!r} is not a JSON object")
@@ -220,13 +222,13 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
 
 def cmd_adapt(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
     theta, arch, radius = _load_checkpoint_for(cfg, args.checkpoint)
     k = args.k if args.k is not None else cfg.meta.k_test
     n_samples = args.samples if args.samples is not None else cfg.meta.adapt_samples
     if not (1 <= n_samples <= TEST_TIME_SAMPLES and 0 <= k <= TEST_TIME_STEPS):
         raise ConfigError(f"test-time budget is 1..{TEST_TIME_SAMPLES} samples / "
                           f"0..{TEST_TIME_STEPS} steps")
+    out = _out_dir(cfg)
     system_test = dynamics.build_system(cfg.system.test())
     dataset = dynamics.build_dataset(system_test, radius, n_samples, 1, 1,
                                      cfg.seeds.adapt_seed)
@@ -252,14 +254,13 @@ def _checkpoint_candidate(cfg: ExperimentConfig, checkpoint):
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
+    out = _out_dir(cfg)
     vmap = verify.check_validity(candidate, system_test, grid,
                                  exempt_radius=cfg.verify.exempt_radius)
     atomic_write_text(out / "validity_map.csv", verify.export_validity_csv(vmap, grid))
-    axes = cfg.roa.plane if grid.dim > 2 else (0, 1)
     atomic_write_text(out / "validity_map.svg",
-                      svg.render_validity_svg(vmap, grid, axes=axes))
+                      svg.render_validity_svg(vmap, grid, axes=cfg.plane))
     green = float(np.mean(vmap.green))
     atomic_write_json(out / "validity_summary.json",
                       {**_stamp(cfg), "green_fraction": green,
@@ -271,18 +272,16 @@ def cmd_verify(args) -> int:
 
 def cmd_roa(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
-    plane = cfg.roa.plane if grid.dim > 2 else None
-    vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, plane)
+    out = _out_dir(cfg)
+    vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
     check, = roa.monte_carlo_convergence(system_test, [(result, candidate)], grid,
                                          cfg.roa.mc_samples, cfg.roa.mc_step,
                                          cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master)
     atomic_write_json(out / "roa.json", {**_stamp(cfg), **roa.export_roa_json(result, grid)})
     atomic_write_text(out / "roa_boundary.csv", roa.export_boundary_csv(result, grid))
-    axes = cfg.roa.plane if grid.dim > 2 else (0, 1)
     atomic_write_text(out / "roa_overlay.svg",
-                      svg.render_validity_svg(vmap, grid, roa=result, axes=axes))
+                      svg.render_validity_svg(vmap, grid, roa=result, axes=cfg.plane))
     atomic_write_json(out / "roa_mc.json",
                       {**_stamp(cfg), "fraction": check.fraction, "vacuous": check.vacuous,
                        "n_samples": check.n_samples, "step": check.step})
@@ -296,7 +295,6 @@ def cmd_roa(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
     system_test = dynamics.build_system(cfg.system.test())
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
@@ -309,6 +307,7 @@ def cmd_simulate(args) -> int:
                                  f"{args.h}, {args.horizon}")
     if not (args.h > 0 and args.horizon >= args.h):
         raise ConfigError("need --h > 0 and --horizon >= --h")
+    out = _out_dir(cfg)
     traj = dynamics.simulate(system_test, x0, args.h, args.horizon)
     rows = ["t," + ",".join(f"x{i + 1}" for i in range(system_test.dim))]
     for t, state in zip(traj.times, traj.states):

@@ -199,6 +199,12 @@ class ExperimentConfig:
     def architecture(self) -> Architecture:
         return Architecture(input_dim=self.system.nominal().state_dim, hidden=self.hidden)
 
+    @property
+    def plane(self) -> tuple[int, int]:
+        """The state plane areas are measured and maps drawn on: `roa.plane` above two
+        dimensions, (0, 1) in two."""
+        return self.roa.plane if self.system.nominal().state_dim > 2 else (0, 1)
+
 
 def _parse_value(kind, value, path: str):
     """A tuple field's list as a tuple of its entries, a scalar as it is, each checked

@@ -23,17 +23,15 @@ class RoaResult:
     c: float                    # certified sublevel value
     member_rows: np.ndarray     # grid rows with Vbar <= c (origin component)
     area: float                 # member cell count x cell volume (or plane shadow)
-    plane: tuple[int, int] | None
-    empty: bool
+    plane: tuple[int, int]      # the state plane the area and the drawings use
+
+    @property
+    def empty(self) -> bool:
+        return self.c == 0.0
 
     @property
     def n_cells(self) -> int:
         return int(self.member_rows.size)
-
-
-def _empty_result(grid: GridSpec, plane) -> RoaResult:
-    return RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0,
-                     plane=plane, empty=True)
 
 
 def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -54,8 +52,7 @@ def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
         reached[frontier] = True
 
 
-def largest_level_set(vmap: ValidityMap, grid: GridSpec,
-                      plane: tuple[int, int] | None = None) -> RoaResult:
+def largest_level_set(vmap: ValidityMap, grid: GridSpec, plane: tuple[int, int]) -> RoaResult:
     """Extraction of the certified sublevel value.
 
     A node is blocked when it is not green or sits in the outer boundary
@@ -69,19 +66,16 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec,
     eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
     c = float(np.max(eligible)) if eligible.size else 0.0
     if c <= 0.0:
-        return _empty_result(grid, plane)
+        return RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0, plane=plane)
 
-    rows = np.nonzero(vmap.vbar <= c)[0]
-    rows = _origin_component(rows, grid)
-    result = RoaResult(c=float(c), member_rows=rows, area=0.0, plane=plane, empty=False)
+    rows = _origin_component(np.nonzero(vmap.vbar <= c)[0], grid)
+    result = RoaResult(c=c, member_rows=rows, area=0.0, plane=plane)
     return replace(result, area=roa_area(result, grid))
 
 
 def roa_area(result: RoaResult, grid: GridSpec) -> float:
-    """Member-cell area: full-dimensional for dim <= 2, plane shadow above."""
-    if result.empty or result.c <= 0.0:
-        return 0.0
-    if grid.dim > 2 and result.plane is not None:
+    """Nonempty member-cell area: full-dimensional for dim <= 2, plane shadow above."""
+    if grid.dim > 2:
         shadow = project_plane(result, grid, result.plane)
         return float(shadow.shape[0] * grid.spacing**2)
     return float(result.n_cells * grid.cell_volume)
@@ -112,8 +106,11 @@ RK4_STEP_LIMIT = 2.5   # largest h * rho(A) the gate integrates at; RK4's real-a
 class ConvergenceCheck:
     fraction: float
     n_samples: int
-    vacuous: bool
     step: float                 # RK4 step the rollouts used
+
+    @property
+    def vacuous(self) -> bool:
+        return self.n_samples == 0
 
 
 def gate_step(system: ClosedLoopSystem, h: float) -> float:
@@ -129,11 +126,11 @@ def gate_step(system: ClosedLoopSystem, h: float) -> float:
 
 def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
                   seed: int) -> np.ndarray:
-    """n_samples states uniform over the member cells, drawn from default_rng(seed);
-    with a candidate, rejection-filtered to {Vbar <= c}."""
+    """n_samples states uniform over the member cells, drawn from default_rng(seed)
+    and rejection-filtered to {Vbar <= c}."""
     rng = np.random.default_rng(seed)
     centers = grid.coords[result.member_rows]
-    v0 = float(candidate.value(np.zeros((1, grid.dim)))[0]) if candidate is not None else 0.0
+    v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
 
     points = []
     attempts = 0
@@ -143,8 +140,7 @@ def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
         jitter = rng.uniform(-0.5, 0.5, size=(take, grid.dim)) * grid.spacing
         batch = centers[idx] + jitter
         ok = np.linalg.norm(batch, axis=1) <= grid.radius
-        if candidate is not None:
-            ok &= (candidate.value(batch) - v0) <= result.c
+        ok &= (candidate.value(batch) - v0) <= result.c
         points.extend(batch[ok])
         attempts += take
     if len(points) < n_samples:
@@ -159,14 +155,13 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
                             seed: int) -> list[ConvergenceCheck]:
     """Roll out RK4 trajectories from inside each certified set, in one sweep.
 
-    `certificates` is a list of (RoaResult, candidate or None) pairs; one
-    check is returned per pair. Each nonempty set draws n_samples initial
-    states from its own default_rng(seed), uniform over its member cells and,
-    when the candidate is given, rejection-filtered to {Vbar <= c} (cell
-    jitter can otherwise step just over the level). All draws are then
-    integrated by one simulate_batch call at gate_step(system, h) up to the
-    horizon. A check's fraction is the share of its rollouts with
-    |x(horizon)|_2 < tol; an empty ROA is vacuously 1.0.
+    `certificates` is a list of (RoaResult, candidate) pairs; one check is
+    returned per pair. Each nonempty set draws n_samples initial states from
+    its own default_rng(seed), uniform over its member cells and
+    rejection-filtered to {Vbar <= c} (cell jitter can otherwise step just
+    over the level). All draws are then integrated by one simulate_batch call
+    at gate_step(system, h) up to the horizon. A check's fraction is the share
+    of its rollouts with |x(horizon)|_2 < tol; an empty ROA is vacuously 1.0.
     """
     step = gate_step(system, h)
     starts = [_start_states(result, candidate, grid, n_samples, seed)
@@ -176,9 +171,8 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
         finals, diverged = simulate_batch(system, np.concatenate(starts), step, horizon)
         converged = (~diverged) & (np.linalg.norm(finals, axis=1) < tol)
         fractions = iter(converged.reshape(len(starts), n_samples).mean(axis=1).tolist())
-    return [ConvergenceCheck(fraction=1.0, n_samples=0, vacuous=True, step=step) if result.empty
-            else ConvergenceCheck(fraction=next(fractions), n_samples=n_samples, vacuous=False,
-                                  step=step)
+    return [ConvergenceCheck(fraction=1.0, n_samples=0, step=step) if result.empty
+            else ConvergenceCheck(fraction=next(fractions), n_samples=n_samples, step=step)
             for result, _ in certificates]
 
 
@@ -188,7 +182,7 @@ def export_roa_json(result: RoaResult, grid: GridSpec) -> dict:
         "area": result.area,
         "n_cells": result.n_cells,
         "empty": result.empty,
-        "plane": list(result.plane) if result.plane else None,
+        "plane": list(result.plane) if grid.dim > 2 else None,
         "grid": {"radius": grid.radius, "nodes_per_axis": grid.nodes_per_axis,
                  "dim": grid.dim, "tau": grid.tau},
     }
@@ -198,8 +192,7 @@ def export_boundary_csv(result: RoaResult, grid: GridSpec) -> str:
     """Member cells whose face neighborhood leaves the member set (2-D plane)."""
     rows = ["u,v"]
     if not result.empty:
-        axes = result.plane if (grid.dim > 2 and result.plane) else (0, 1)
-        cells = np.pad(_plane_image(result, grid, axes), 1)
+        cells = np.pad(_plane_image(result, grid, result.plane), 1)
         inner = cells[:-2, 1:-1] & cells[2:, 1:-1] & cells[1:-1, :-2] & cells[1:-1, 2:]
         reprs = [repr(v) for v in grid.axis_coords.tolist()]
         rows += [f"{reprs[a]},{reprs[b]}"

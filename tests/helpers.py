@@ -108,8 +108,7 @@ def reference_project_plane(result, grid, axes) -> np.ndarray:
 
 def reference_boundary_csv(result, grid) -> str:
     """The boundary CSV from a set of plane cells and per-cell neighbor lookups."""
-    axes = result.plane if (grid.dim > 2 and result.plane) else (0, 1)
-    shadow = (reference_project_plane(result, grid, axes) if not result.empty
+    shadow = (reference_project_plane(result, grid, result.plane) if not result.empty
               else np.empty((0, 2), dtype=int))
     cells = set(map(tuple, shadow))
     rows = ["u,v"]

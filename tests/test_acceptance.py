@@ -191,7 +191,7 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     system = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
     candidate = net.MlpLyapunov(theta, arch)
-    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify)
+    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
     assert result.c > 0
     chk, = roa.monte_carlo_convergence(system, [(result, candidate)], grid, 1000, 0.01, 20.0,
                                        1e-2, seed=4242)
@@ -207,9 +207,10 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     mg = PRESETS["mg3_dc12"]
     mg_sys = dynamics.build_system(mg.system.test())
     mg_grid = verify.build_grid(mg.verify.d0, mg.verify.nodes_per_axis, 3)
-    mg_rep = baselines.qlf_ts(mg_sys, mg_grid, mg.verify, plane=(0, 1))
-    assert mg_rep.roa.c > 0
-    mg_chk, = roa.monte_carlo_convergence(mg_sys, [(mg_rep.roa, mg_rep.candidate)], mg_grid,
+    mg_candidate, _, _ = baselines.qlf_ts(mg_sys)
+    _, mg_roa = baselines.certify_candidate(mg_candidate, mg_sys, mg_grid, mg.verify, (0, 1))
+    assert mg_roa.c > 0
+    mg_chk, = roa.monte_carlo_convergence(mg_sys, [(mg_roa, mg_candidate)], mg_grid,
                                           1000, 0.01, 20.0, 1e-2, seed=4243)
     checks.append(("mg3_dc12/QLF", mg_chk.fraction))
 
@@ -231,7 +232,7 @@ def test_criterion_5_positive_definite_soundness(stochastic_l_run, ordering_run)
     system = dynamics.build_system(cfg.system.test())
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
     candidate = net.MlpLyapunov(theta, arch)
-    vmap, _ = baselines.certify_candidate(candidate, system, grid, cfg.verify)
+    vmap, _ = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
     cases.append((candidate, vmap, grid, cfg.verify.exempt_radius, "ip_l/META"))
 
     table = ordering_run["table"]
@@ -283,11 +284,13 @@ def test_criterion_7_area_ordering(ordering_run):
     if not ok:
         # seed-sensitive by design: try the documented fallback seeds
         for fb in cfg.seeds.fallback:
-            rep = baselines.meta_nlf(
-                replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)),
-                dynamics.build_system(cfg.system.test()),
-                verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2))
-            areas["META_NLF"] = rep.roa.area
+            system = dynamics.build_system(cfg.system.test())
+            grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2)
+            candidate, _, _ = baselines.meta_nlf(
+                replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)), system, grid.radius)
+            _, result = baselines.certify_candidate(candidate, system, grid, cfg.verify,
+                                                    cfg.plane)
+            areas["META_NLF"] = result.area
             ok = areas["NLF_TS"] >= areas["META_NLF"] >= areas["QLF_TS"] > 0
             if ok:
                 seed_note = f"fallback seed {fb}"

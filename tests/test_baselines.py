@@ -28,6 +28,13 @@ ARCH = net.Architecture(2, (8,))
 LOSS = TightenedLossConfig(0.5, 0.5)
 
 
+def certified(built, system, grid, settings):
+    """A method's (candidate, samples, steps) with its validity map and ROA on (0, 1)."""
+    candidate, samples, steps = built
+    vmap, result = baselines.certify_candidate(candidate, system, grid, settings, (0, 1))
+    return vmap, result, samples, steps
+
+
 class TestQuadraticLyapunov:
     def test_value_zero_at_origin_bitwise(self):
         q = baselines.QuadraticLyapunov(np.array([[2.0, 0.3], [0.3, 1.0]]))
@@ -42,19 +49,19 @@ class TestQuadraticLyapunov:
 
 class TestQlfTs:
     def test_linear_system_interior_green(self):
-        report = baselines.qlf_ts(LinearSystem(), GRID, SETTINGS)
-        vmap = report.vmap
+        vmap, result, _, _ = certified(baselines.qlf_ts(LinearSystem()), LinearSystem(), GRID,
+                                       SETTINGS)
         assert bool(np.all(vmap.green | GRID.boundary))
         # containment-limited level set: near the inscribed ball
-        assert report.roa.area == pytest.approx(np.pi * (2.0 - GRID.spacing) ** 2, rel=0.1)
+        assert result.area == pytest.approx(np.pi * (2.0 - GRID.spacing) ** 2, rel=0.1)
 
     def test_nominal_pendulum_nonempty(self):
         system = dynamics.nominal_system("pendulum")
         settings = VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 201, 2)
-        report = baselines.qlf_ts(system, grid, settings)
-        assert report.roa.c > 0.0
-        assert report.roa.area > 0.0
+        _, result, _, _ = certified(baselines.qlf_ts(system), system, grid, settings)
+        assert result.c > 0.0
+        assert result.area > 0.0
 
     def test_not_hurwitz(self):
         class Unstable:
@@ -70,7 +77,7 @@ class TestQlfTs:
                 return np.eye(2)
 
         with pytest.raises(baselines.NotHurwitz):
-            baselines.qlf_ts(Unstable(), GRID, SETTINGS)
+            baselines.qlf_ts(Unstable())
 
 
 class TestNlfTs:
@@ -78,9 +85,10 @@ class TestNlfTs:
         system = dynamics.nominal_system("pendulum")
         settings = VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 61, 2)
-        report = baselines.nlf_ts(system, grid, settings, ARCH, LOSS,
-                                  NlfBlock(n_samples=100, n_steps=0), seed=0)
-        assert report.roa.c == 0.0
+        _, result, _, _ = certified(
+            baselines.nlf_ts(system, grid.radius, ARCH, LOSS, NlfBlock(n_samples=100, n_steps=0),
+                             seed=0), system, grid, settings)
+        assert result.c == 0.0
 
     def test_budget_recorded(self):
         system = dynamics.nominal_system("pendulum")
@@ -95,13 +103,14 @@ class TestTNlf:
         system = dynamics.build_system(params)
         settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 121, 2)
-        report = baselines.t_nlf(system, system, grid, settings,
-                                 net.Architecture(2, (16, 16)), TightenedLossConfig(1.0, 1.0),
-                                 NlfBlock(4000, 2000, 0.002, 128), MetaBlock(), seed=7)
-        assert report.test_samples_used == 50
-        assert report.test_steps_used == 10
+        _, result, samples, steps = certified(
+            baselines.t_nlf(system, system, grid.radius, net.Architecture(2, (16, 16)),
+                            TightenedLossConfig(1.0, 1.0), NlfBlock(4000, 2000, 0.002, 128),
+                            MetaBlock(), seed=7), system, grid, settings)
+        assert samples == 50
+        assert steps == 10
         # no distribution shift: the fine-tuned NLF still certifies a region
-        assert report.roa.c > 0.0
+        assert result.c > 0.0
 
 
 def small_config():

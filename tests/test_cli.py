@@ -204,6 +204,12 @@ class TestConfig:
         assert err.startswith("config error") and err.count("\n") == 1 and key in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.json"]
 
+    def test_plane_above_two_dimensions(self):
+        """Above two dimensions the plane areas are measured and maps drawn on is
+        roa.plane (two dimensions: test_two_dim_system_ignores_configured_plane)."""
+        assert PRESETS["cf_m"].plane == PRESETS["cf_m"].roa.plane == (0, 2)
+        assert PRESETS["mg3_dc12"].plane == PRESETS["mg3_dc12"].roa.plane == (0, 1)
+
     def test_float_fields_take_integers(self, tmp_path):
         """A JSON integer where a float belongs parses, and is hashed as written."""
         cfg = load_config(mini_config(tmp_path, loss={"eps1": 1, "eps2": 1.0}))
@@ -419,10 +425,10 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     for name in ("roa.json", "roa_mc.json"):
         (out / name).unlink()
 
-    def raised(vmap, grid, plane=None):
+    def raised(vmap, grid, plane):
         rows = np.nonzero(~grid.boundary)[0]
         return roa.RoaResult(c=float(np.max(vmap.vbar[rows])), member_rows=rows,
-                             area=float(rows.size * grid.cell_volume), plane=plane, empty=False)
+                             area=float(rows.size * grid.cell_volume), plane=plane)
 
     monkeypatch.setattr(roa, "largest_level_set", raised)
     capsys.readouterr()
@@ -447,14 +453,20 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     (["simulate", "--x0", "0.2,0.0", "--h", "inf", "--horizon", "inf"], cli.EXIT_NUMERIC),
     (["simulate", "--x0", "0.2,0.0", "--horizon", "nan"], cli.EXIT_NUMERIC),
     (["simulate", "--x0", "0.2,0.0", "--h", "0.1", "--horizon", "0.05"], cli.EXIT_CONFIG),
+    (["verify", "--checkpoint", "{directory}"], cli.EXIT_CONFIG),
+    (["roa", "--checkpoint", "{directory}"], cli.EXIT_CONFIG),
 ])
 def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expected):
+    """Bad command-line input exits with a one-line message before the output
+    directory is made. A directory given as the checkpoint is unreadable; so is a
+    file the user may not read (the same OSError path), which is not tested, as
+    root reads any file."""
     ckpt, truncated = mini_checkpoint
     cfg_path = mini_config(tmp_path)
-    argv = [a.format(ckpt=ckpt, truncated=truncated) for a in argv]
+    argv = [a.format(ckpt=ckpt, truncated=truncated, directory=tmp_path) for a in argv]
     assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == expected
-    assert capsys.readouterr().err   # a one-line message, not a traceback
-    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert capsys.readouterr().err.count("\n") == 1   # a one-line message, not a traceback
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -485,7 +497,7 @@ def test_non_finite_dynamics_exit_4(tmp_path, mini_checkpoint, capsys):
 def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad_theta, expected):
     """A checkpoint radius that is not a positive number, or an `extra` that is not a
     JSON object (the None row: `extra` is 5), exits 2; a non-finite radius or
-    parameter exits 4; both before any artifact is written."""
+    parameter exits 4; both before the output directory is made."""
     arch = net.Architecture(2, (8,))
     theta = net.init_params(arch, 0)
     if bad_theta:
@@ -495,7 +507,7 @@ def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad
     cfg_path = mini_config(tmp_path)
     assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == expected
     assert capsys.readouterr().err   # a one-line message, not a traceback
-    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
@@ -511,7 +523,7 @@ def test_checkpoint_shape_not_integer_exit_2(tmp_path, capsys, command, key, val
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("artifact error")
-    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
@@ -528,7 +540,50 @@ def test_radius_within_exemption_radius_exit_2(tmp_path, capsys, command, radius
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "exemption radius" in capsys.readouterr().err
-    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train-meta", "verify"])
+def test_out_through_a_file_exit_2(tmp_path, capsys, monkeypatch, mini_checkpoint, command):
+    """An --out whose path runs through a regular file exits 2 with one line on stderr;
+    train-meta does so before any training."""
+    def no_training(*args):
+        raise AssertionError("trained before the output directory was made")
+
+    monkeypatch.setattr(baselines, "meta_train_for", no_training)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    argv = [command, "--config", str(mini_config(tmp_path)), "--out", str(blocker / "out")]
+    if command == "verify":
+        argv += ["--checkpoint", str(mini_checkpoint[0])]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert blocker.read_text() == "x"
+
+
+def test_two_dim_system_ignores_configured_plane(tmp_path):
+    """A 2-d config whose roa.plane is (1, 0) measures and draws on (0, 1): its verify
+    and roa artifacts are those of the (0, 1) config but for the stamp, and roa.json
+    has "plane": null."""
+    outs = []
+    for plane in ([0, 1], [1, 0]):
+        payload = config_to_dict(PRESETS["ip_stochastic_l"])
+        payload["roa"].update(plane=plane, mc_samples=50)
+        payload["out_dir"] = str(tmp_path / f"out{plane[0]}")
+        path = tmp_path / f"plane{plane[0]}.json"
+        path.write_text(json.dumps(payload))
+        assert load_config(path).plane == (0, 1)
+        for command in ("verify", "roa"):
+            assert cli.main([command, "--config", str(path), "--checkpoint",
+                             str(ROOT / "perfbench" / "data" / "meta_checkpoint.json")]) == 0
+        outs.append(tmp_path / f"out{plane[0]}" / "ip_stochastic_l")
+    for name in ("validity_map.svg", "roa_overlay.svg", "roa_boundary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    reports = [json.loads((out / "roa.json").read_text()) for out in outs]
+    for report in reports:
+        del report["config_hash"]
+    assert reports[0] == reports[1] and reports[0]["plane"] is None and not reports[0]["empty"]
 
 
 def test_benchmark_wrapped_names_resolve():

@@ -86,7 +86,7 @@ class TestLargestLevelSet:
     def test_quadratic_disk(self):
         grid = verify.build_grid(2.0, 41, 2)
         vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         # cap is the smallest boundary-layer value, about (d - h)^2
         expected_c = (2.0 - grid.spacing) ** 2
         assert result.c == pytest.approx(expected_c, abs=2 * grid.spacing * 2.0 + 1e-9)
@@ -95,7 +95,8 @@ class TestLargestLevelSet:
     def test_all_red_empty(self):
         grid = verify.build_grid(1.0, 5, 2)
         vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(with_flags(grid, vbar, np.zeros(grid.n_nodes)), grid)
+        result = roa.largest_level_set(with_flags(grid, vbar, np.zeros(grid.n_nodes)), grid,
+                                       (0, 1))
         assert result.empty and result.c == 0.0 and result.area == 0.0
         assert grid.origin_row in result.member_rows
 
@@ -106,14 +107,14 @@ class TestLargestLevelSet:
         bad = row_of(grid, [3, 0])
         green[bad] = False
         v_star = vbar[bad]
-        result = roa.largest_level_set(with_flags(grid, vbar, green), grid)
+        result = roa.largest_level_set(with_flags(grid, vbar, green), grid, (0, 1))
         assert 0.0 < result.c < v_star
 
     def test_members_are_green_and_nested(self):
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
         vmap = all_green_map(grid, vbar)
-        result = roa.largest_level_set(vmap, grid)
+        result = roa.largest_level_set(vmap, grid, (0, 1))
         assert np.all(vmap.green[result.member_rows])
         # level-set nesting: members at c' <= c are a subset
         smaller = set(np.nonzero(vbar <= result.c / 2)[0]) & set(result.member_rows.tolist())
@@ -133,7 +134,7 @@ class TestLargestLevelSet:
         vmap = with_flags(grid, vbar, green, vbar_low=vbar_low)
         floor = vbar_low[bad]
         assert vbar[row_of(grid, [4, 2])] > floor
-        result = roa.largest_level_set(vmap, grid)
+        result = roa.largest_level_set(vmap, grid, (0, 1))
         assert 0.0 < result.c < floor
 
     def test_cap_uses_local_constants(self):
@@ -146,7 +147,7 @@ class TestLargestLevelSet:
         k_node = np.full(grid.n_nodes, 0.01)
         k_node[bad] = 1.0
         vmap = with_flags(grid, vbar, green, vbar_low=vbar - k_node * grid.tau)
-        result = roa.largest_level_set(vmap, grid)
+        result = roa.largest_level_set(vmap, grid, (0, 1))
         assert 0.0 < result.c < vbar[bad] - 1.0 * grid.tau
 
     def test_monotone_in_green_set(self):
@@ -154,9 +155,9 @@ class TestLargestLevelSet:
         vbar = np.sum(grid.coords**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
         green[row_of(grid, [2, 0])] = False
-        c_small = roa.largest_level_set(with_flags(grid, vbar, green), grid).c
+        c_small = roa.largest_level_set(with_flags(grid, vbar, green), grid, (0, 1)).c
         green[row_of(grid, [2, 0])] = True
-        c_big = roa.largest_level_set(with_flags(grid, vbar, green), grid).c
+        c_big = roa.largest_level_set(with_flags(grid, vbar, green), grid, (0, 1)).c
         assert c_big >= c_small
 
     def test_connectivity_excludes_islands(self):
@@ -169,7 +170,7 @@ class TestLargestLevelSet:
         ring = (np.linalg.norm(grid.coords - np.array([0.7, 0.0]), axis=1) >= 0.15) & \
                (np.linalg.norm(grid.coords - np.array([0.7, 0.0]), axis=1) < 0.3)
         green = ~ring
-        result = roa.largest_level_set(with_flags(grid, vbar, green), grid)
+        result = roa.largest_level_set(with_flags(grid, vbar, green), grid, (0, 1))
         island_rows = set(np.nonzero(island)[0].tolist())
         assert not (island_rows & set(result.member_rows.tolist()))
 
@@ -180,7 +181,7 @@ class TestLargestLevelSet:
         pocket = dist < 0.15
         vbar[pocket] = 0.001
         green = ~((dist >= 0.15) & (dist < 0.3))     # a red shell seals the pocket
-        result = roa.largest_level_set(with_flags(grid, vbar, green), grid)
+        result = roa.largest_level_set(with_flags(grid, vbar, green), grid, (0, 1))
         assert result.c > 0.001
         expected, _ = bfs_component(grid, vbar, result.c)
         np.testing.assert_array_equal(result.member_rows, expected)
@@ -202,31 +203,24 @@ class TestLargestLevelSet:
         low = [i for i, p in enumerate(lattice) if p in path | stray]
         vbar[low] = 0.01
         vbar[grid.origin_row] = 0.0
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         expected, depth = bfs_component(grid, vbar, result.c)
         np.testing.assert_array_equal(result.member_rows, expected)
         assert result.n_cells == len(path) and depth > 90   # face steps from the origin
 
 
 class TestRoaArea:
-    def test_zero_cells(self):
-        grid = verify.build_grid(1.0, 5, 2)
-        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
-                              area=0.0, plane=None, empty=True)
-        assert roa.roa_area(empty, grid) == 0.0
-
     def test_cell_multiplication(self):
         grid = verify.build_grid(1.0, 101, 2)   # spacing 0.02
         rows = np.arange(100)
-        result = roa.RoaResult(c=1.0, member_rows=rows, area=0.0, plane=None, empty=False)
+        result = roa.RoaResult(c=1.0, member_rows=rows, area=0.0, plane=(0, 1))
         assert roa.roa_area(result, grid) == pytest.approx(100 * 0.02 * 0.02)
 
     def test_projection_counts_shadow_once(self):
         grid = verify.build_grid(1.0, 5, 3)
         # column of cells stacked along axis 2 over the same (i, j) cell
         rows = [row_of(grid, [0, 0, k]) for k in (-1, 0, 1)]
-        result = roa.RoaResult(c=1.0, member_rows=np.array(rows), area=0.0,
-                               plane=(0, 1), empty=False)
+        result = roa.RoaResult(c=1.0, member_rows=np.array(rows), area=0.0, plane=(0, 1))
         assert roa.roa_area(result, grid) == pytest.approx(grid.spacing**2)
 
 
@@ -234,14 +228,14 @@ class TestProjectPlane:
     def test_2d_identity(self):
         grid = verify.build_grid(1.0, 11, 2)
         vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         shadow = roa.project_plane(result, grid, (0, 1))
         assert shadow.shape[0] == result.n_cells
 
     def test_empty_result(self):
         grid = verify.build_grid(1.0, 5, 2)
         empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
-                              area=0.0, plane=None, empty=True)
+                              area=0.0, plane=(0, 1))
         shadow = roa.project_plane(empty, grid, (0, 1))
         assert shadow.shape[0] == 1  # the origin cell only
 
@@ -258,23 +252,25 @@ class TestMonteCarloConvergence:
     def test_linear_system_fully_converges(self):
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
-        check, = roa.monte_carlo_convergence(LinearSystem(2), [(result, None)], grid, 200,
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
+        cand = QuadraticLyapunov(np.eye(2))
+        check, = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 200,
                                              h=0.01, horizon=20.0, tol=1e-2, seed=0)
         assert check.fraction == 1.0 and not check.vacuous
 
     def test_empty_roa_vacuous(self):
         grid = verify.build_grid(1.0, 5, 2)
         empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
-                              area=0.0, plane=None, empty=True)
-        check, = roa.monte_carlo_convergence(LinearSystem(2), [(empty, None)], grid, 100,
+                              area=0.0, plane=(0, 1))
+        cand = QuadraticLyapunov(np.eye(2))
+        check, = roa.monte_carlo_convergence(LinearSystem(2), [(empty, cand)], grid, 100,
                                              0.01, 1.0, 1e-2, seed=0)
         assert check.vacuous and check.fraction == 1.0
 
     def test_deterministic_given_seed(self):
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         cand = QuadraticLyapunov(np.eye(2))
         a = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05, 2.0,
                                         1e-1, seed=3)
@@ -286,7 +282,7 @@ class TestMonteCarloConvergence:
         grid = verify.build_grid(1.0, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
         vbar = cand.value(grid.coords)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         # monkeypatch-free check: draw like the sampler and confirm the filter
         rng = np.random.default_rng(5)
         centers = grid.coords[result.member_rows]
@@ -318,12 +314,13 @@ class TestStackedGate:
         grid = verify.build_grid(1.5, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
         vbar = cand.value(grid.coords)
-        wide = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        wide = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         narrow = roa.largest_level_set(
-            with_flags(grid, vbar, np.linalg.norm(grid.coords, axis=1) < 0.8), grid)
+            with_flags(grid, vbar, np.linalg.norm(grid.coords, axis=1) < 0.8), grid, (0, 1))
         empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
-                              area=0.0, plane=None, empty=True)
-        certificates = [(wide, cand), (empty, None), (narrow, cand), (narrow, None)]
+                              area=0.0, plane=(0, 1))
+        flat = QuadraticLyapunov(np.diag([1.0, 0.5]))
+        certificates = [(wide, cand), (empty, cand), (narrow, cand), (narrow, flat)]
         stacked = roa.monte_carlo_convergence(CubicSystem(2), certificates, grid, 100,
                                               0.01, 3.0, 1e-1, seed=7)
         singles = [roa.monte_carlo_convergence(CubicSystem(2), [pair], grid, 100,
@@ -345,7 +342,7 @@ class TestGateStep:
         grid = verify.build_grid(1.0, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
         certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(grid.coords)),
-                                               grid), cand)]
+                                               grid, (0, 1)), cand)]
         check, = roa.monte_carlo_convergence(system, certificates, grid, 200,
                                              cfg.roa.mc_step, cfg.roa.mc_horizon,
                                              cfg.roa.mc_tol, seed=0)
@@ -367,7 +364,7 @@ class TestExports:
     def test_json_and_boundary(self):
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         payload = roa.export_roa_json(result, grid)
         assert payload["c"] == result.c and payload["grid"]["tau"] == grid.tau
         lines = roa.export_boundary_csv(result, grid).strip().splitlines()
@@ -378,7 +375,7 @@ class TestExports:
         # the string builder against the csv-module writer it replaced
         grid = verify.build_grid(1.0, 21, 2)
         vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid)
+        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         text = roa.export_boundary_csv(result, grid)
         ref = io.StringIO()
         writer = csv.writer(ref)

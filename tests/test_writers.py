@@ -44,7 +44,7 @@ def pendulum():
     grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, 2)
     system = dynamics.build_system(dynamics.ParamVector("pendulum", (0.4, 0.15, 9.81, 0.1)))
     vmap, result = baselines.certify_candidate(net.MlpLyapunov(theta, arch), system, grid,
-                                               cfg.verify)
+                                               cfg.verify, cfg.plane)
     return vmap, grid, result
 
 
@@ -59,15 +59,16 @@ class TestReferenceEquality:
         cfg = PRESETS["mg3_dc12"]
         system = dynamics.build_system(cfg.system.test())
         grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 3)
-        report = baselines.qlf_ts(system, grid, cfg.verify, plane=(0, 2))
-        assert not report.roa.empty and report.vmap.exempt.sum() > 1
-        assert_writers_match(report.vmap, grid, report.roa, (0, 2))
+        candidate, _, _ = baselines.qlf_ts(system)
+        vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, (0, 2))
+        assert not result.empty and vmap.exempt.sum() > 1
+        assert_writers_match(vmap, grid, result, (0, 2))
 
     def test_empty_roa(self, pendulum):
         vmap, grid, _ = pendulum
         red = verify.ValidityMap(vmap.vbar, vmap.lie, np.full(grid.n_nodes, -1.0),
                                  vmap.lie_high, vmap.exempt)
-        empty = roa.largest_level_set(red, grid)
+        empty = roa.largest_level_set(red, grid, (0, 1))
         assert empty.empty
         assert roa.export_boundary_csv(empty, grid) == "u,v\r\n"
         assert_writers_match(red, grid, empty, (0, 1))
@@ -83,7 +84,7 @@ class TestReferenceEquality:
         vmap = verify.ValidityMap(vbar, -vbar[::-1], rng.uniform(-1, 1, grid.n_nodes),
                                   rng.uniform(-1, 1, grid.n_nodes), rng.random(grid.n_nodes) < 0.3)
         members = np.sort(rng.choice(grid.n_nodes, size=grid.n_nodes // 3, replace=False))
-        result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=axes, empty=False)
+        result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=axes)
         assert_writers_match(vmap, grid, result, axes)
 
     def test_axis_coords_give_the_node_coordinates(self):
@@ -101,7 +102,7 @@ class TestProjectPlane:
         pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
         for size in (1, 2, grid.n_nodes // 10, grid.n_nodes // 2, grid.n_nodes):
             members = rng.choice(grid.n_nodes, size=size, replace=False)
-            result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=None, empty=False)
+            result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=(0, 1))
             for axes in pairs:
                 shadow = roa.project_plane(result, grid, axes)
                 expected = reference_project_plane(result, grid, axes)
