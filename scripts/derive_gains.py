@@ -26,12 +26,12 @@ def care_gain(A, B, Q, R):
 
 
 def main():
-    for system_id, qc, rc in (
-        ("pendulum", np.diag(dynamics.PENDULUM_QC_DIAG), np.diag(dynamics.PENDULUM_RC_DIAG)),
-        ("fan", np.diag(dynamics.FAN_QC_DIAG), np.diag(dynamics.FAN_RC_DIAG)),
+    for system_id, nominal, qc, rc in (
+        ("pendulum", dynamics.NOMINAL_PENDULUM, np.diag(dynamics.PENDULUM_QC_DIAG),
+         np.diag(dynamics.PENDULUM_RC_DIAG)),
+        ("fan", dynamics.NOMINAL_FAN, np.diag(dynamics.FAN_QC_DIAG), np.diag(dynamics.FAN_RC_DIAG)),
     ):
-        params = dynamics.nominal_params(system_id)
-        A, B = dynamics._open_loop_linearization(system_id, params.values)
+        A, B = dynamics._open_loop_linearization(system_id, nominal)
         shipped = dynamics._default_gain(system_id)
         print(f"{system_id}: shipped Kleinman gain\n{np.round(shipped, 6)}")
         if solve_continuous_are is not None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import meta, net, roa, verify
 from .config import TEST_TIME_STEPS, ExperimentConfig, MetaBlock, NlfBlock, VerifyBlock
-from .control import NotStabilizing, is_hurwitz, solve_lyapunov
+from .control import is_hurwitz, solve_lyapunov
 from .dynamics import ClosedLoopSystem, TaskDataset, build_dataset, build_system, sample_tasks
 from .loss import TightenedLossConfig
 
@@ -211,7 +211,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonTable:
     for method in METHODS:
         try:
             candidate, samples, steps = runners[method]()
-        except (NotHurwitz, NotStabilizing, meta.NonFiniteLoss) as exc:
+        except (NotHurwitz, meta.NonFiniteLoss) as exc:
             table.errors[method] = f"{type(exc).__name__}: {exc}"
             continue
         vmap, result = certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)

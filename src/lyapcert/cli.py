@@ -43,6 +43,8 @@ EXIT_CONFIG = 2
 EXIT_VERIFICATION = 3
 EXIT_NUMERIC = 4
 
+MAX_SIMULATE_STEPS = 1_000_000   # RK4 steps of one `simulate` run, 500x the default run
+
 
 class BadArtifact(Exception):
     """An upstream artifact (checkpoint, map) is absent, unreadable or does
@@ -307,6 +309,8 @@ def cmd_simulate(args) -> int:
                                  f"{args.h}, {args.horizon}")
     if not (args.h > 0 and args.horizon >= args.h):
         raise ConfigError("need --h > 0 and --horizon >= --h")
+    if args.horizon / args.h > MAX_SIMULATE_STEPS:
+        raise ConfigError(f"--horizon / --h asks for more than {MAX_SIMULATE_STEPS:,} RK4 steps")
     out = _out_dir(cfg)
     traj = dynamics.simulate(system_test, x0, args.h, args.horizon)
     rows = ["t," + ",".join(f"x{i + 1}" for i in range(system_test.dim))]
@@ -314,9 +318,8 @@ def cmd_simulate(args) -> int:
         rows.append(",".join([repr(float(t))] + [repr(float(v)) for v in state]))
     atomic_write_text(out / "trajectory.csv", "\n".join(rows) + "\n")
     if system_test.dim == 2:
-        grid = verify.build_grid(cfg.verify.d0, 41, 2)
-        atomic_write_text(out / "trajectory.svg",
-                          svg.render_phase_svg(system_test, grid, traj.states))
+        atomic_write_text(out / "trajectory.svg", svg.render_phase_svg(
+            system_test, float(cfg.verify.d0), traj.states))
     final = float(np.linalg.norm(traj.states[-1]))
     print(f"simulated {traj.times[-1]:g}s, final |x| = {final:g}"
           + (" (diverged)" if traj.diverged else ""))

@@ -51,24 +51,34 @@ def _require(ok: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class SystemBlock:
+    """The benchmark system and its nominal and test-time parameter tuples:
+    pendulum (l, m, g, b), microgrid (dc_1..dc_N, N >= 2) or fan (m, J, r, g, d)."""
+
     system_id: str
     theta0: tuple[float, ...]
     theta_test: tuple[float, ...]
     sigma_diag: tuple[float, ...]
 
     def __post_init__(self):
-        self.nominal()
-        self.test()
-        _require(len(self.theta_test) == len(self.theta0),
-                 "theta_test must have as many entries as theta0")
-        _require(len(self.sigma_diag) == len(self.theta0) and min(self.sigma_diag) >= 0,
+        _require(self.system_id in ("pendulum", "microgrid", "fan"),
+                 f"unknown system_id {self.system_id!r}")
+        n = len(self.theta0)
+        if self.system_id == "microgrid":
+            _require(n >= 2, "a microgrid needs at least 2 droop coefficients")
+        else:
+            expected = 4 if self.system_id == "pendulum" else 5
+            _require(n == expected, f"{self.system_id} expects {expected} parameters, got {n}")
+        _require(len(self.theta_test) == n, "theta_test must have as many entries as theta0")
+        _require(all(math.isfinite(v) and v > 0 for v in self.theta0 + self.theta_test),
+                 "every theta0 and theta_test entry must be finite and positive")
+        _require(len(self.sigma_diag) == n and min(self.sigma_diag) >= 0,
                  "sigma_diag needs one nonnegative entry per parameter")
 
     def nominal(self) -> ParamVector:
-        return ParamVector(self.system_id, self.theta0)
+        return ParamVector(self.system_id, tuple(map(float, self.theta0)))
 
     def test(self) -> ParamVector:
-        return ParamVector(self.system_id, self.theta_test)
+        return ParamVector(self.system_id, tuple(map(float, self.theta_test)))
 
 
 @dataclass(frozen=True)

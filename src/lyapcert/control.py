@@ -1,16 +1,15 @@
 """Dense linear algebra for controller synthesis and quadratic certificates.
 
 Continuous-time Lyapunov equation solves, an eigenvalue-free Hurwitz test and
-Kleinman iteration for LQR gains. Everything here is sized for the small (n <= 16)
-closed-loop systems this package ships; no attempt is made at large-scale
-Riccati machinery.
+Kleinman iteration for LQR gains. Everything here is sized for the small (n <= 16,
+the most the config's grid cap admits) closed-loop systems this package ships; no
+attempt is made at large-scale Riccati machinery. The inputs are the package's
+own controller constants and finite closed-loop linearizations, trusted as given.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-MAX_DIM = 16
 
 
 class SingularSystem(Exception):
@@ -30,38 +29,18 @@ class NonFiniteDynamics(Exception):
     """A dynamics evaluation produced NaN or infinity."""
 
 
-def _as_square(A, name: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1 and A.size == 1:
-        A = A.reshape(1, 1)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if A.shape[0] > MAX_DIM:
-        raise ValueError(f"{name} exceeds supported dimension {MAX_DIM}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} has non-finite entries")
-    return A
-
-
-def solve_lyapunov(A, Q) -> np.ndarray:
-    """Solve A^T P + P A = -Q for symmetric P.
+def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve A^T P + P A = -Q for symmetric P, A and Q finite (n, n), Q symmetric.
 
     Builds the n^2 x n^2 Kronecker system (A^T (x) I + I (x) A^T) vec(P) =
     -vec(Q) and solves it with a partially pivoted LU factorization. O(n^6)
-    but exact in exact arithmetic and trivially auditable for n <= 16.
+    but exact in exact arithmetic and trivially auditable for small n.
 
     Raises SingularSystem when the vectorized system is rank-deficient,
     which happens exactly when A has an eigenvalue pair with
     lambda_i + lambda_j = 0.
     """
-    A = _as_square(A, "A")
-    Q = _as_square(Q, "Q")
     n = A.shape[0]
-    if Q.shape[0] != n:
-        raise ValueError("A and Q dimensions disagree")
-    if not np.allclose(Q, Q.T, atol=1e-10):
-        raise ValueError("Q must be symmetric")
-
     eye = np.eye(n)
     M = np.kron(A.T, eye) + np.kron(eye, A.T)
     try:
@@ -80,33 +59,22 @@ def solve_lyapunov(A, Q) -> np.ndarray:
     return P
 
 
-def is_positive_definite(P) -> bool:
-    """Cholesky-based strict positive definiteness test."""
-    P = _as_square(P, "P")
-    if not np.allclose(P, P.T, atol=1e-8):
-        return False
+def is_hurwitz(A: np.ndarray) -> bool:
+    """Eigenvalue-free stability test via the Lyapunov theorem.
+
+    A is Hurwitz iff A^T P + P A = -I has a solution with P positive
+    definite (checked through a strictly-positive-pivot Cholesky of the
+    symmetric P that `solve_lyapunov` returns).
+    """
     try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
+        np.linalg.cholesky(solve_lyapunov(A, np.eye(A.shape[0])))
+    except (SingularSystem, np.linalg.LinAlgError):
         return False
     return True
 
 
-def is_hurwitz(A) -> bool:
-    """Eigenvalue-free stability test via the Lyapunov theorem.
-
-    A is Hurwitz iff A^T P + P A = -I has a solution with P positive
-    definite (checked through a strictly-positive-pivot Cholesky).
-    """
-    A = _as_square(A, "A")
-    try:
-        P = solve_lyapunov(A, np.eye(A.shape[0]))
-    except SingularSystem:
-        return False
-    return is_positive_definite(P)
-
-
-def kleinman_lqr(A, B, Qc, Rc, K0) -> np.ndarray:
+def kleinman_lqr(A: np.ndarray, B: np.ndarray, Qc: np.ndarray, Rc: np.ndarray,
+                 K0: np.ndarray) -> np.ndarray:
     """Kleinman iteration for the continuous-time LQR gain.
 
     Starting from a stabilizing gain K0, repeats
@@ -116,25 +84,12 @@ def kleinman_lqr(A, B, Qc, Rc, K0) -> np.ndarray:
 
     until the gain update falls below 1e-10 in max-norm, within 60
     iterations. The fixed point satisfies the algebraic Riccati equation.
-    B is (n, m) for an n-state A, Qc must be symmetric, Rc symmetric positive
-    definite and K0 an (m, n) stabilizing seed gain; anything else raises
-    ValueError.
+    A is a finite (n, n) plant, B (n, m), Qc (n, n) symmetric, Rc (m, m)
+    symmetric positive definite and K0 an (m, n) seed gain; the callers pass
+    the package's controller constants, so these are not checked again. A K0
+    that does not stabilize A - B K0 raises NotStabilizing.
     """
-    A = _as_square(A, "A")
-    n = A.shape[0]
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError(f"B must have {n} rows, got shape {B.shape}")
-    Qc = _as_square(Qc, "Qc")
-    Rc = _as_square(Rc, "Rc")
-    if not np.allclose(Qc, Qc.T, atol=1e-10):
-        raise ValueError("Qc must be symmetric")
-    if not is_positive_definite(Rc):
-        raise ValueError("Rc must be symmetric positive definite")
-    K = np.atleast_2d(np.asarray(K0, dtype=float))
-    if K.shape != (B.shape[1], n):
-        raise ValueError(f"K0 must have shape {(B.shape[1], n)}, got {K.shape}")
-
+    K = K0
     if not is_hurwitz(A - B @ K):
         raise NotStabilizing("initial gain K0 does not stabilize A - B K0")
 

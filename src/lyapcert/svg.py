@@ -75,16 +75,17 @@ def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) ->
     return "\n".join(parts)
 
 
-def render_phase_svg(system, grid, states: np.ndarray) -> str:
-    """2-D phase portrait (vector field glyphs) with one trajectory's (n, 2) states."""
-    to_px, _scale = _scaler(grid.radius)
-    xs = np.linspace(-grid.radius, grid.radius, PHASE_DENSITY)
+def render_phase_svg(system, radius: float, states: np.ndarray) -> str:
+    """2-D phase portrait (vector field glyphs) over the disc of the given radius,
+    with one trajectory's (n, 2) states."""
+    to_px, _scale = _scaler(radius)
+    xs = np.linspace(-radius, radius, PHASE_DENSITY)
     pts = np.array([(a, b) for a in xs for b in xs])
-    pts = pts[np.linalg.norm(pts, axis=1) <= grid.radius]
+    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
     vel = system.f_batch(pts)
     norm = np.linalg.norm(vel, axis=1, keepdims=True)
     unit = vel / np.maximum(norm, 1e-12)
-    arrow_len = 0.35 * (2 * grid.radius / PHASE_DENSITY)
+    arrow_len = 0.35 * (2 * radius / PHASE_DENSITY)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" height="{CANVAS:.0f}" '
@@ -99,7 +100,7 @@ def render_phase_svg(system, grid, states: np.ndarray) -> str:
         parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="1.1" fill="#5a5a5a"/>')
     pts_s = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(s[0], s[1]) for s in states))
     parts.append(f'<polyline points="{pts_s}" fill="none" stroke="#14365f" stroke-width="1.2"/>')
-    parts.append(_axis_frame(grid.radius, to_px))
+    parts.append(_axis_frame(radius, to_px))
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -16,6 +16,17 @@ import numpy as np
 from lyapcert import cli, dynamics, net, svg, verify
 
 
+def nominal_params(system_id, n_microgrids=3):
+    """A system's nominal parameter tuple; the microgrid's has n_microgrids droops."""
+    values = {"pendulum": dynamics.NOMINAL_PENDULUM, "fan": dynamics.NOMINAL_FAN}.get(system_id)
+    return dynamics.ParamVector(system_id, values or dynamics.nominal_microgrid(n_microgrids))
+
+
+def nominal_system(system_id, n_microgrids=3):
+    """The closed loop at the nominal parameters, as `build_system` makes it."""
+    return dynamics.build_system(nominal_params(system_id, n_microgrids))
+
+
 def row_of(grid, lattice_point):
     """Grid row of an integer lattice point, or None when the point is not a node."""
     rows = np.nonzero(np.all(grid.lattice == np.asarray(lattice_point), axis=1))[0]

@@ -8,6 +8,8 @@ from lyapcert.config import (TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfi
                              NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
 
+from helpers import nominal_params, nominal_system
+
 
 class LinearSystem:
     dim = 2
@@ -56,7 +58,7 @@ class TestQlfTs:
         assert result.area == pytest.approx(np.pi * (2.0 - GRID.spacing) ** 2, rel=0.1)
 
     def test_nominal_pendulum_nonempty(self):
-        system = dynamics.nominal_system("pendulum")
+        system = nominal_system("pendulum")
         settings = VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 201, 2)
         _, result, _, _ = certified(baselines.qlf_ts(system), system, grid, settings)
@@ -82,7 +84,7 @@ class TestQlfTs:
 
 class TestNlfTs:
     def test_zero_step_budget_yields_no_certificate(self):
-        system = dynamics.nominal_system("pendulum")
+        system = nominal_system("pendulum")
         settings = VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 61, 2)
         _, result, _, _ = certified(
@@ -91,7 +93,7 @@ class TestNlfTs:
         assert result.c == 0.0
 
     def test_budget_recorded(self):
-        system = dynamics.nominal_system("pendulum")
+        system = nominal_system("pendulum")
         _, samples, steps = baselines.train_nlf(system, 2.0, ARCH, LOSS,
                                                 NlfBlock(n_samples=500, n_steps=50), seed=0)
         assert (samples, steps) == (500, 50)
@@ -99,7 +101,7 @@ class TestNlfTs:
 
 class TestTNlf:
     def test_same_system_transfer_and_budget(self):
-        params = dynamics.nominal_params("pendulum")
+        params = nominal_params("pendulum")
         system = dynamics.build_system(params)
         settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 121, 2)

@@ -15,7 +15,7 @@ from lyapcert.config import (ConfigError, NlfBlock, PRESETS, config_from_dict, c
                              config_to_dict, load_config)
 from lyapcert.loss import TightenedLossConfig
 
-from helpers import save_checkpoint
+from helpers import nominal_system, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,13 +139,18 @@ class TestConfig:
         ("meta", "adapt_samples", 0),
         ("nlf", "batch_size", 0),
         ("verify", "nodes_per_axis", 7073),     # 7073^2 nodes, over the grid cap
+        ("system", "system_id", "quadrotor"),
+        ("system", "theta0", [0.5, 0.15, 9.81]),        # a pendulum has 4 parameters
+        ("system", "theta_test", [0.6, 0.0, 9.81, 0.1]),
+        (None, "system", {"system_id": "microgrid", "theta0": [2.0], "theta_test": [2.0],
+                          "sigma_diag": [0.0]}),        # one droop is no network
     ])
     def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
         path = mini_config(tmp_path)
         payload = json.loads(path.read_text())
-        payload.setdefault(block, {})[key] = value
+        (payload.setdefault(block, {}) if block else payload)[key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match=block):
+        with pytest.raises(ConfigError, match=block or key):
             load_config(path)
         assert cli.main(["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -455,6 +460,9 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     (["simulate", "--x0", "0.2,0.0", "--h", "0.1", "--horizon", "0.05"], cli.EXIT_CONFIG),
     (["verify", "--checkpoint", "{directory}"], cli.EXIT_CONFIG),
     (["roa", "--checkpoint", "{directory}"], cli.EXIT_CONFIG),
+    # over the step cap: horizon / h overflows to infinity, or asks for 1e10 steps
+    (["simulate", "--x0", "0.2,0.0", "--h", "1e-300", "--horizon", "1e10"], cli.EXIT_CONFIG),
+    (["simulate", "--x0", "0.2,0.0", "--h", "1e-7", "--horizon", "1000"], cli.EXIT_CONFIG),
 ])
 def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expected):
     """Bad command-line input exits with a one-line message before the output
@@ -604,7 +612,7 @@ def test_benchmark_wrapped_names_resolve():
     assert params(net.loss_gradient)[2] == "batch"
     assert params(dynamics.simulate_batch)[1:4] == ["X0", "h", "horizon"]
     arch = net.Architecture(2, (4,))
-    trained = baselines.train_nlf(dynamics.nominal_system("pendulum"), 1.0, arch,
+    trained = baselines.train_nlf(nominal_system("pendulum"), 1.0, arch,
                                   TightenedLossConfig(), NlfBlock(10, 3, 0.01, 4), seed=0)
     assert trained[2] == 3
 

@@ -34,10 +34,6 @@ class TestSolveLyapunov:
             assert residual <= 1e-8 * max(1.0, np.max(np.abs(P)))
             assert np.max(np.abs(P - P.T)) <= 1e-12
 
-    def test_rejects_asymmetric_q(self):
-        with pytest.raises(ValueError):
-            control.solve_lyapunov(np.array([[-1.0]]), np.array([[1.0, 0.0]]))
-
 
 HAND_MATRICES = [
     (np.array([[-1.0]]), True),
@@ -100,20 +96,3 @@ class TestKleinmanLqr:
             P = control.solve_lyapunov(A - B @ K, np.eye(n) + K.T @ K)
             res = A.T @ P + P @ A - P @ B @ B.T @ P + np.eye(n)
             assert np.max(np.abs(res)) <= 1e-6
-
-    def test_rejects_non_pd_rc(self):
-        with pytest.raises(ValueError, match="Rc"):
-            control.kleinman_lqr(-np.eye(2), np.ones((2, 1)), np.eye(2), np.array([[-1.0]]),
-                                 np.zeros((1, 2)))
-
-    def test_rejects_b_without_n_rows(self):
-        # a (1, 2) B for a 2-state plant is not transposed into shape
-        with pytest.raises(ValueError, match="B must have 2 rows"):
-            control.kleinman_lqr(-np.eye(2), np.ones((1, 2)), np.eye(2), np.array([[1.0]]),
-                                 np.zeros((1, 2)))
-
-    def test_rejects_wrong_shaped_k0(self):
-        # a (2, 1) K0 for one input and two states is not reshaped into (1, 2)
-        with pytest.raises(ValueError, match="K0 must have shape"):
-            control.kleinman_lqr(-np.eye(2), np.ones((2, 1)), np.eye(2), np.array([[1.0]]),
-                                 np.zeros((2, 1)))

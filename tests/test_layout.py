@@ -23,8 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lyapcert"
 ALLOWED = {
     "net.hvp": "perfbench/traced_cli.py wraps it by name",
     "loss.empirical_loss": "perfbench/traced_cli.py wraps it by name",
-    "dynamics.nominal_system": "the nominal system with its equilibrium and Hurwitz "
-                               "checks, the tests' reference system",
     "cli.main": "the console entry point",
 }
 
@@ -36,7 +34,7 @@ ALLOWED_FIELDS = {
 
 
 # modules whose every setting arrives checked at parse
-TRUSTING = ("meta", "verify", "roa", "svg", "baselines")
+TRUSTING = ("meta", "verify", "roa", "svg", "baselines", "dynamics", "control")
 
 
 def _references(tree) -> Counter:

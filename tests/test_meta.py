@@ -5,6 +5,8 @@ from lyapcert import dynamics, meta, net
 from lyapcert.config import MetaBlock
 from lyapcert.loss import TightenedLossConfig, empirical_loss
 
+from helpers import nominal_params, nominal_system
+
 
 def stacked(batch):
     """One task's (X, Y) batch as the P = 1 stack meta_gradients takes."""
@@ -103,7 +105,7 @@ class TestMetaObjectiveAndGradient:
 
 
 def tiny_task(seed=0, radius=2.0):
-    system = dynamics.nominal_system("pendulum")
+    system = nominal_system("pendulum")
     return dynamics.build_dataset(system, radius, k_train=8, j_test=8, m_batches=3, seed=seed)
 
 
@@ -180,7 +182,7 @@ class TestMetaTrain:
 
     def test_training_makes_progress_on_pendulum(self):
         # seed-pinned run: the trailing loss mean must drop substantially
-        theta0 = dynamics.nominal_params("pendulum")
+        theta0 = nominal_params("pendulum")
         tasks = dynamics.sample_tasks(theta0, (0.15, 0.0, 0.0, 0.0), 4, seed=11)
         datasets = [dynamics.build_dataset(dynamics.build_system(t), 4.0, 16, 16, 10, seed=i)
                     for i, t in enumerate(tasks)]
@@ -200,7 +202,7 @@ class TestStackedMetaStep:
     """meta_train's stacked calls against the per-task meta-step, bit for bit."""
 
     def setup_method(self):
-        theta0 = dynamics.nominal_params("pendulum")
+        theta0 = nominal_params("pendulum")
         params = dynamics.sample_tasks(theta0, (0.1, 0.0, 0.0, 0.0), 2, seed=30)
         self.tasks = [dynamics.build_dataset(dynamics.build_system(p), 3.2, 32, 32, 4, seed=i)
                       for i, p in enumerate(params)]

@@ -9,7 +9,7 @@ from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.config import PRESETS
 
-from helpers import row_of
+from helpers import nominal_system, row_of
 
 
 class LinearSystem:
@@ -296,7 +296,7 @@ class TestStackedGate:
     @pytest.mark.parametrize("system, scale, some_diverge", [
         (CubicSystem(2), 1.5, True),              # rows outside the unit box diverge
         (short_pendulum(0.254), 1.0, True),       # RK4-unstable step: every moving row diverges
-        (dynamics.nominal_system("microgrid"), 3.0, False),
+        (nominal_system("microgrid"), 3.0, False),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_stacked_sweep_matches_per_part_sweeps(self, system, scale, some_diverge):

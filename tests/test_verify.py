@@ -7,7 +7,7 @@ from lyapcert import dynamics, net, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.dynamics import sample_ball
 
-from helpers import reference_check_validity, reference_gradient, row_of
+from helpers import nominal_system, reference_check_validity, reference_gradient, row_of
 
 
 def sample_annulus(rng, n, dim, outer, inner=0.0):
@@ -340,10 +340,10 @@ class TestOneSweep:
     @pytest.mark.parametrize("candidate, system, grid", [
         (net.MlpLyapunov(net.init_params(net.Architecture(2, (16, 16)), 3),
                          net.Architecture(2, (16, 16))),
-         dynamics.nominal_system("pendulum"), verify.build_grid(3.0, 41, 2)),
+         nominal_system("pendulum"), verify.build_grid(3.0, 41, 2)),
         (net.MlpLyapunov(net.init_params(net.Architecture(3, (8, 8, 8)), 4),
                          net.Architecture(3, (8, 8, 8))),
-         dynamics.nominal_system("microgrid"), verify.build_grid(2.0, 15, 3)),
+         nominal_system("microgrid"), verify.build_grid(2.0, 15, 3)),
         (QuadraticLyapunov(np.array([[2.0, 0.3], [0.3, 0.5]])), LinearSystem(2),
          verify.build_grid(1.0, 21, 2)),
     ])
