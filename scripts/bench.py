@@ -15,7 +15,11 @@ preset at 1,000 meta-steps, region radius 3.2):
 
 - `loss_gradient_us`: microseconds per `net.loss_gradient` call on the
   preset's 16x16 network at n = 50, 200 and 800 rows (median of repeats)
+- `hvps_us`: microseconds per `net.hvps` call at P = 4 tasks of n = 50 rows
+  (one finite-difference gradient call on 2P = 8 points)
 - `meta_step_ms`: milliseconds per meta-step of `meta.meta_train`, 1,000 steps
+- `minflt_per_step`: minor page faults (`ru_minflt`) per meta-step over the
+  first `meta.meta_train` run, right after the bowl init as `train-meta` runs it
 - `shaped_init_s`: seconds per `net.shaped_init` at that radius
 - `train_meta_s`: wall seconds of one `lyapcert train-meta --seed 101` on that
   config, a fresh interpreter each time
@@ -70,6 +74,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -85,6 +90,7 @@ from lyapcert.config import PRESETS, config_to_dict
 RADIUS = 3.2
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "meta_checkpoint.json"
 ROWS = (50, 200, 800)
+HVP_TASKS, HVP_ROWS = 4, 50
 ROLLOUT_STATES, ROLLOUT_STEPS, ROLLOUT_H = 500, 500, 0.01
 
 
@@ -138,6 +144,9 @@ def measure_meta_step(repeats: int) -> dict:
              for i, p in enumerate(dynamics.sample_tasks(cfg.system.nominal(), cfg.system.sigma_diag,
                                                          m.n_tasks, cfg.seeds.task_seed))]
     theta0 = net.shaped_init(arch, cfg.seeds.net_seed, RADIUS)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    meta.meta_train(tasks, arch, m, cfg.loss, cfg.seeds.net_seed, theta0=theta0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     rng = np.random.default_rng(0)
     calls = 200
 
@@ -149,11 +158,19 @@ def measure_meta_step(repeats: int) -> dict:
                                        for _ in range(calls)], repeats)
         grad_us[str(n)] = round(1e6 * per_run / calls, 1)
 
+    batch = (rng.uniform(-RADIUS, RADIUS, (HVP_TASKS, HVP_ROWS, arch.input_dim)),
+             rng.normal(size=(HVP_TASKS, HVP_ROWS, arch.input_dim)))
+    v = rng.normal(size=(HVP_TASKS, arch.n_params))
+    hvp_s = median_time(lambda: [net.hvps(theta0, arch, batch, cfg.loss, v)
+                                 for _ in range(calls)], repeats)
+
     step_s = median_time(lambda: meta.meta_train(tasks, arch, m, cfg.loss, cfg.seeds.net_seed,
                                                  theta0=theta0), repeats)
     init_s = median_time(lambda: net.shaped_init(arch, cfg.seeds.net_seed, RADIUS), repeats)
     return {"loss_gradient_us": grad_us,
+            "hvps_us": round(1e6 * hvp_s / calls, 1),
             "meta_step_ms": round(1e3 * step_s / m.meta_steps, 3),
+            "minflt_per_step": round(faults / m.meta_steps, 3),
             "shaped_init_s": round(init_s, 3),
             "train_meta_s": round(cli_seconds(cfg, ["train-meta"], repeats), 3)}
 

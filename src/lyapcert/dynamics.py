@@ -324,20 +324,18 @@ def rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
 def simulate(system: ClosedLoopSystem, x0, h: float, horizon: float) -> Trajectory:
     """Fixed-step classical RK4 integration from t = 0 to the horizon.
 
-    The state is stepped as one (1, dim) row of `f_batch`. A run whose state
-    norm exceeds 1e6 is truncated and flagged diverged.
+    The state is stepped as one (1, dim) row of `f_batch`, into one preallocated
+    (n_steps + 1, dim) array. A run whose state norm exceeds 1e6 is truncated
+    and flagged diverged.
     """
-    x = np.array(x0, dtype=float).reshape(1, -1)
     n_steps = int(round(horizon / h))
-    states = [x[0]]
-    for _ in range(n_steps):
-        x = rk4_step(system.f_batch, x, h)
-        states.append(x[0])
-        if np.linalg.norm(x[0]) > DIVERGENCE_NORM:
-            arr = np.asarray(states)
-            return Trajectory(times=h * np.arange(arr.shape[0]), states=arr, diverged=True)
-    arr = np.asarray(states)
-    return Trajectory(times=h * np.arange(arr.shape[0]), states=arr, diverged=False)
+    states = np.empty((n_steps + 1, np.size(x0)))
+    states[0] = x0
+    for k in range(1, n_steps + 1):
+        states[k] = rk4_step(system.f_batch, states[k - 1:k], h)[0]
+        if np.linalg.norm(states[k]) > DIVERGENCE_NORM:
+            return Trajectory(times=h * np.arange(k + 1), states=states[:k + 1], diverged=True)
+    return Trajectory(times=h * np.arange(n_steps + 1), states=states, diverged=False)
 
 
 def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,7 @@ def empirical_loss(theta, arch, batch, cfg: TightenedLossConfig) -> float:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] == 0:
         raise EmptyBatch("empirical loss needs at least one sample")
-    candidate = net.MlpLyapunov(theta, arch)
-    lie = np.sum(candidate.gradient(X) * Y, axis=1)
-    v0 = candidate.value(np.zeros((1, arch.input_dim)))[0]
-    return float(mean_loss(candidate.value(X), lie, v0, cfg))
+    # V(0) as the last row of one sweep: the bits of `net.loss_gradients`' origin row
+    V, grad = net.MlpLyapunov(theta, arch).value_and_gradient(
+        np.vstack([X, np.zeros((1, arch.input_dim))]))
+    return float(mean_loss(V[:-1], np.sum(grad[:-1] * Y, axis=1), V[-1], cfg))

@@ -5,8 +5,11 @@ value V(x), its input gradient grad_x V (needed for Lie derivatives), and the
 parameter gradient of the tightened hinge loss. The latter contains the term
 d/dtheta [grad_x V(x)^T y], i.e. mixed second derivatives, which are obtained
 by reverse-mode differentiation *through* the forward tangent sweep rather
-than by a general autodiff graph. Hessian-vector products for second-order
-meta-gradients use a central finite difference of the loss gradient.
+than by a general autodiff graph. A loss gradient is one forward, one tangent
+and one reverse sweep: the value terms enter the reverse sweep as activation
+adjoints beside the tangent terms, and V(0) is one more batch row (x = y = 0).
+Hessian-vector products for second-order meta-gradients use a central finite
+difference of the loss gradient.
 
 The sweeps carry a leading task axis (weights (B, out, in), activations
 (B, n, h), per-task reductions over axis 1); the per-task entry points are
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -44,27 +48,28 @@ class Architecture:
             raise ValueError("need an integer input_dim >= 1 and at least one hidden layer "
                              "of integer width >= 1")
 
-    @property
-    def layer_shapes(self) -> list[tuple[int, int]]:
+    # the parameter layout, computed once per architecture
+    @cached_property
+    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         dims = (self.input_dim, *self.hidden, 1)
-        return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+        return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         return sum(rows * cols + rows for rows, cols in self.layer_shapes)
 
-
-def param_slices(arch: Architecture) -> list[tuple[slice, tuple[int, int], slice]]:
-    """Flat-offset map: per layer, the weight slice, its shape, and the bias slice."""
-    out = []
-    offset = 0
-    for rows, cols in arch.layer_shapes:
-        w = slice(offset, offset + rows * cols)
-        offset += rows * cols
-        b = slice(offset, offset + rows)
-        offset += rows
-        out.append((w, (rows, cols), b))
-    return out
+    @cached_property
+    def param_slices(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+        """Flat-offset map: per layer, the weight slice, its shape, and the bias slice."""
+        out = []
+        offset = 0
+        for rows, cols in self.layer_shapes:
+            w = slice(offset, offset + rows * cols)
+            offset += rows * cols
+            b = slice(offset, offset + rows)
+            offset += rows
+            out.append((w, (rows, cols), b))
+        return tuple(out)
 
 
 def unpack(theta: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -73,12 +78,12 @@ def unpack(theta: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.n
     if theta.shape[-1:] != (arch.n_params,):
         raise ValueError(f"theta has {theta.shape[-1:]} entries, architecture needs {arch.n_params}")
     lead = theta.shape[:-1]
-    return [(theta[..., w].reshape(lead + shape), theta[..., None, b]) for w, shape, b in param_slices(arch)]
+    return [(theta[..., w].reshape(lead + shape), theta[..., None, b]) for w, shape, b in arch.param_slices]
 
 
 def pack(layers, arch: Architecture) -> np.ndarray:
     theta = np.empty(arch.n_params)
-    for (w, shape, b), (W, bias) in zip(param_slices(arch), layers):
+    for (w, shape, b), (W, bias) in zip(arch.param_slices, layers):
         theta[w] = np.asarray(W).reshape(-1)
         theta[b] = np.asarray(bias).reshape(-1)
     return theta
@@ -161,29 +166,32 @@ def _value_backprop(weights, acts, sps, out_weights: np.ndarray, grads) -> None:
             delta *= sps[l]
 
 
-def _tangent_backprop(weights, acts, sps, T, U, out_weights: np.ndarray, grads) -> None:
-    """Accumulate d(sum_b w_b S_b)/dtheta per task, S_b = grad_x V(x_b)^T y_b.
+def _backprop(weights, acts, sps, T, U, pos: np.ndarray, dec: np.ndarray, grads) -> None:
+    """Accumulate d(sum_b pos_b V_b + dec_b S_b)/dtheta per task, S_b = grad_x V(x_b)^T y_b,
+    in one reverse sweep through the tangent program.
 
-    Reverse sweep through the tangent program: sigma''(z) terms couple the
-    primal and tangent chains, which is where the mixed second derivatives
-    of V enter.
+    The value term enters as the activation adjoint A_bar and the tangent term
+    as T_bar; sigma''(z) terms couple the primal and tangent chains, which is
+    where the mixed second derivatives of V enter.
     """
     L = len(weights)
     W_out = weights[-1][0]
-    gW_out, _gb_out = grads[-1]
-    gW_out += out_weights[:, None, :] @ T[L - 1]
-    T_bar = out_weights[..., None] * W_out
-    A_bar = None
+    gW_out, gb_out = grads[-1]
+    gW_out += pos[:, None, :] @ acts[L - 1] + dec[:, None, :] @ T[L - 1]
+    gb_out += pos.sum(axis=1)[:, None, None]
+    # the output layer's (n, 1) @ (1, width) products are one exact multiply per entry
+    T_bar = dec[..., None] * W_out
+    A_bar = pos[..., None] * W_out
+    ones = np.ones((1, pos.shape[1]))   # bias row sums as matmuls, 4x faster than .sum
     for l in range(L - 1, 0, -1):
         sp = sps[l]
         spp = -2.0 * acts[l] * sp
         U_bar = sp * T_bar
         Z_bar = spp * U[l] * T_bar
-        if A_bar is not None:
-            Z_bar += sp * A_bar
+        Z_bar += sp * A_bar
         gW, gb = grads[l - 1]
         gW += U_bar.transpose(0, 2, 1) @ T[l - 1] + Z_bar.transpose(0, 2, 1) @ acts[l - 1]
-        gb += Z_bar.sum(axis=1, keepdims=True)
+        gb += ones @ Z_bar
         if l > 1:
             W_l = weights[l - 1][0]
             T_bar = U_bar @ W_l
@@ -194,34 +202,28 @@ def loss_gradients(thetas, arch: Architecture, batch, cfg, values: bool = False)
     """Exact (B, n_params) gradients of the batch-mean tightened loss of B tasks.
 
     `thetas` is (B, n_params) or one vector for all tasks, `batch` an (X, Y)
-    pair of (B, n, d) arrays. `values` adds the terms (V, grad_x V^T y, V(0))
-    of `loss.mean_loss`. Hinge subgradients at exactly zero arguments are 0.
+    pair of (B, n, d) arrays. The origin rides along as row n of every task,
+    x = 0 and y = 0 (so its tangent is 0), with positivity weight 2 V(0) and
+    decrease weight 0. `values` adds the terms (V, grad_x V^T y, V(0)) of
+    `loss.mean_loss`. Hinge subgradients at exactly zero arguments are 0.
     """
-    X, Y = batch
-    n = X.shape[1]
+    X, Y = (np.concatenate([a, np.zeros_like(a[:, :1])], axis=1) for a in batch)
+    n = X.shape[1] - 1
     weights = unpack(np.atleast_2d(thetas), arch)
     V, acts = _forward_sweep(weights, X)
     sps = _tanh_primes(acts)
     S, T, U = _tangent_sweep(weights, sps, Y)
 
+    pos = np.where((cfg.eps1 - V) > 0.0, -1.0 / n, 0.0)
+    pos[:, n] = 2.0 * V[:, n]
+    dec = np.where((cfg.eps2 + S) > 0.0, 1.0 / n, 0.0)
+    dec[:, n] = 0.0
     grad = np.zeros((len(V), arch.n_params))
-    grads = unpack(grad, arch)      # per-layer views, accumulated in place
-
-    pos_active = (cfg.eps1 - V) > 0.0
-    if np.any(pos_active):
-        _value_backprop(weights, acts, sps, np.where(pos_active, -1.0 / n, 0.0), grads)
-    dec_active = (cfg.eps2 + S) > 0.0
-    if np.any(dec_active):
-        _tangent_backprop(weights, acts, sps, T, U, np.where(dec_active, 1.0 / n, 0.0), grads)
-
-    V0, acts0 = _forward_sweep(weights, np.zeros((1, 1, arch.input_dim)))
-    if np.any(V0 != 0.0):
-        _value_backprop(weights, acts0, _tanh_primes(acts0), 2.0 * V0, grads)
-
+    _backprop(weights, acts, sps, T, U, pos, dec, unpack(grad, arch))
     if not values:
         return grad
-    lie = np.sum(_input_gradient(weights, sps) * Y, axis=2)
-    return grad, (V, lie, V0[:, 0])
+    lie = np.sum(_input_gradient(weights, sps)[:, :n] * batch[1], axis=2)
+    return grad, (V[:, :n], lie, V[:, n])
 
 
 def loss_gradient(theta, arch: Architecture, batch, cfg) -> np.ndarray:

@@ -25,6 +25,20 @@ class StubScalar:
         return self.rate * np.asarray(X, dtype=float)
 
 
+# peak resident set (KB) of one `dynamics.simulate` run of argv[1] steps of x' = -x
+SIMULATE_PEAK = """
+import resource, sys
+from lyapcert import dynamics
+
+class Decay:
+    def f_batch(self, X):
+        return -X
+
+dynamics.simulate(Decay(), [1.0, 1.0], 1e-6, int(sys.argv[1]) * 1e-6)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 def f_at(system, x):
     """x_dot at one state, through a one-row f_batch."""
     return system.f_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
@@ -250,6 +264,21 @@ class TestSimulate:
         assert traj.diverged
         assert traj.times.shape[0] == traj.states.shape[0]
         assert traj.times.shape[0] < 102
+
+    def test_peak_memory_grows_with_the_state_array_only(self):
+        """From 1e4 to 1e5 RK4 steps of a 2-d field the peak resident set grows by less
+        than 8 MB: the (n + 1, 2) state array and the time axis add 2.4 MB, while one
+        array per state kept in a Python list added 15-31 MB."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+        def peak_kb(steps):
+            proc = subprocess.run([sys.executable, "-c", SIMULATE_PEAK, str(steps)], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        assert peak_kb(100_000) - peak_kb(10_000) < 8 * 1024
 
     def test_pendulum_test_system_converges(self):
         params = dynamics.ParamVector("pendulum", (1.2, 0.15, 9.81, 0.1))

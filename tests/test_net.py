@@ -129,6 +129,60 @@ class TestLossGradient:
         np.testing.assert_allclose(g2 - base, 2.0 * (g1 - base), rtol=1e-12, atol=1e-14)
 
 
+def fused_case(seed, eps1, eps2, out_bias, pos, dec):
+    """(theta, arch, batch, cfg) on a (6, 4) tanh net: 8 rows with both hinge arguments
+    >= 1e-3 from zero whose positivity (decrease) hinge is active when `pos` (`dec`) is
+    True, inactive when False, either when None. Labels are +-5 grad V(x), so a row's
+    decrease argument is eps2 +- 5 |grad V(x)|^2. `out_bias` None zeroes every bias,
+    which makes V(0) = 0; otherwise it sets the output bias."""
+    rng = np.random.default_rng(seed)
+    arch = net.Architecture(2, (6, 4))
+    theta = net.init_params(arch, seed)
+    if out_bias is None:
+        for _w, _shape, b in arch.param_slices:
+            theta[b] = 0.0
+    else:
+        theta[-1] = out_bias
+    X = rng.uniform(-2.0, 2.0, size=(256, 2))
+    V, grad = net.MlpLyapunov(theta, arch).value_and_gradient(X)
+    Y = rng.choice([-5.0, 5.0], size=(256, 1)) * grad
+    pos_arg, dec_arg = eps1 - V, eps2 + np.sum(grad * Y, axis=1)
+    keep = (np.abs(pos_arg) > 1e-3) & (np.abs(dec_arg) > 1e-3)
+    for arg, wanted in ((pos_arg, pos), (dec_arg, dec)):
+        if wanted is not None:
+            keep &= (arg > 0.0) == wanted
+    rows = np.flatnonzero(keep)[:8]
+    assert rows.size == 8
+    return theta, arch, (X[rows], Y[rows]), TightenedLossConfig(eps1, eps2)
+
+
+class TestFusedSweep:
+    """The one reverse sweep carries the positivity, decrease and V(0) terms; each
+    alone and all three together match central differences of `empirical_loss`."""
+
+    @pytest.mark.parametrize("case, active", [
+        (dict(seed=11, eps1=0.5, eps2=0.1, out_bias=None, pos=True, dec=False),
+         (True, False, False)),
+        (dict(seed=12, eps1=0.05, eps2=0.1, out_bias=None, pos=False, dec=True),
+         (False, True, False)),
+        (dict(seed=13, eps1=0.05, eps2=0.1, out_bias=2.0, pos=False, dec=False),
+         (False, False, True)),
+        (dict(seed=14, eps1=0.6, eps2=0.1, out_bias=0.3, pos=None, dec=None),
+         (True, True, True)),
+    ], ids=["positivity", "decrease", "origin", "all"])
+    def test_matches_finite_differences(self, case, active):
+        theta, arch, batch, cfg = fused_case(**case)
+        candidate = net.MlpLyapunov(theta, arch)
+        V, grad = candidate.value_and_gradient(batch[0])
+        lie = np.sum(grad * batch[1], axis=1)
+        assert (np.any(cfg.eps1 - V > 0.0), np.any(cfg.eps2 + lie > 0.0),
+                candidate.value(np.zeros((1, 2)))[0] != 0.0) == active
+        g = net.loss_gradient(theta, arch, batch, cfg)
+        fd = fd_gradient(lambda t: empirical_loss(t, arch, batch, cfg), theta)
+        assert np.any(g != 0.0)
+        np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-7)
+
+
 class TestHvp:
     def test_zero_vector(self):
         arch = net.Architecture(2, (3,))
@@ -182,6 +236,13 @@ class TestStackedKernel:
             g, value = self.per_task(self.thetas[p], p)
             np.testing.assert_array_equal(G[p], g)
             assert losses[p] == value
+
+    def test_batch_holding_the_origin(self):
+        """A data row at exactly x = 0 stays a data row beside the origin row the
+        kernel appends."""
+        self.X[:, 5] = 0.0
+        self.Y[1, 5] = 0.0
+        self.test_distinct_thetas()
 
     def test_broadcast_theta(self):
         G, terms = net.loss_gradients(self.thetas[2], self.arch, (self.X, self.Y), self.cfg,
@@ -242,7 +303,7 @@ class TestInitParams:
     def test_bounds_follow_fan_in(self):
         arch = net.Architecture(4, (16,))
         theta = net.init_params(arch, 0)
-        (w_slice, shape, _b) = net.param_slices(arch)[0]
+        (w_slice, shape, _b) = arch.param_slices[0]
         assert np.max(np.abs(theta[w_slice])) <= np.sqrt(1.0 / 4)
 
 
@@ -257,7 +318,7 @@ class TestPacking:
     def test_slices_cover_vector(self):
         arch = net.Architecture(3, (5, 4))
         covered = np.zeros(arch.n_params, dtype=int)
-        for w, shape, b in net.param_slices(arch):
+        for w, shape, b in arch.param_slices:
             covered[w] += 1
             covered[b] += 1
         assert np.all(covered == 1)
