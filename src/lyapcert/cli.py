@@ -24,7 +24,6 @@ written), 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -127,51 +126,36 @@ def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | Non
             for key, row in rows.items()}
 
 
-def _meta_pipeline_fns(cfg: ExperimentConfig):
-    """train/verify/accept callables for the region-selection loop, and its grids.
-
-    The train step returns the report together with the task family it
-    trained on; the verify step adapts to and maps (no ROA) those same tasks.
-    """
+def _fit_region(cfg: ExperimentConfig, d: float):
+    """One region-selection round on the ball of radius d: meta-train, adapt to each
+    task of the trained family, map it (no ROA) and accept when every map passes.
+    Returns ((training report, each task's _interior_report), accepted)."""
     arch = cfg.architecture()
-    grid_for = functools.lru_cache(maxsize=1)(
-        lambda d: verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim))
-
-    def train_fn(d):
-        return baselines.meta_train_for(cfg, d)
-
-    def verify_fn(run, d):
-        report, family = run
-        maps = []
-        for system, dataset in family:
-            adapted = meta.test_time_adapt(report.theta_mnlf, arch, dataset.batches[0][0],
-                                           cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
-            candidate = net.MlpLyapunov(adapted, arch)
-            maps.append(verify.check_validity(candidate, system, grid_for(d),
-                                              exempt_radius=cfg.verify.exempt_radius))
-        return maps
-
-    def accept_fn(maps, d):
-        # a map that checks no interior node certifies nothing
-        reports = [_interior_report(m, grid_for(d)) for m in maps]
-        return all(checked and green >= cfg.verify.min_green_fraction
-                   for green, _, _, checked in reports)
-
-    return train_fn, verify_fn, accept_fn, grid_for
+    report, family = baselines.meta_train_for(cfg, d)
+    grid = verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim)
+    interiors = []
+    for system, dataset in family:
+        adapted = meta.test_time_adapt(report.theta_mnlf, arch, dataset.batches[0][0],
+                                       cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
+        vmap = verify.check_validity(net.MlpLyapunov(adapted, arch), system, grid,
+                                     exempt_radius=cfg.verify.exempt_radius)
+        interiors.append(_interior_report(vmap, grid))
+    # a map that checks no interior node certifies nothing
+    accepted = all(checked and green >= cfg.verify.min_green_fraction
+                   for green, _, _, checked in interiors)
+    return (report, interiors), accepted
 
 
 def cmd_train_meta(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    train_fn, verify_fn, accept_fn, grid_for = _meta_pipeline_fns(cfg)
     try:
-        selection = verify.select_valid_region(
-            train_fn, verify_fn, cfg.verify.d0, cfg.verify.shrink_factor,
-            cfg.verify.max_rounds, accept_fn=accept_fn)
+        selection = verify.select_valid_region(lambda d: _fit_region(cfg, d), cfg.verify.d0,
+                                               cfg.verify.shrink_factor, cfg.verify.max_rounds)
     except verify.RegionSelectionFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
-        for i, vmap in enumerate(exc.maps):
-            green, red_pos, red_dec, checked = _interior_report(vmap, grid_for(exc.last_radius))
+        _, interiors = exc.artifact
+        for i, (green, red_pos, red_dec, checked) in enumerate(interiors):
             print(f"task {i}: interior green fraction {green:.4f}, red nodes: "
                   f"positivity {red_pos}, decrease {red_dec}; {checked} interior nodes checked",
                   file=sys.stderr)

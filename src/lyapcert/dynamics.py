@@ -11,17 +11,18 @@ Parameter tuples follow the benchmark conventions: pendulum (l, m, g, b),
 microgrid (dc_1..dc_N), fan (m, J, r, g, d); the config's `SystemBlock` checks
 them once, when the config is parsed, and this module trusts them.
 `build_system` is the one way a system is built: the pendulum and fan get the
-LQR gain designed at their nominal parameters, the microgrid the default
-network. Microgrid admittance/setpoint constants are synthetic defaults chosen
-so the origin is an exact equilibrium and the nominal closed loop is Hurwitz;
-the tests check both.
+LQR gain designed at their nominal parameters. The microgrid is its droop
+tuple alone: f(x) = (P(0) - P(x)) - dc o x, with P the line power of a fixed
+ring of unit lines at one admittance angle, so the origin is an exact
+equilibrium for any droops and the nominal closed loop is Hurwitz; the tests
+check both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,71 +67,30 @@ class ParamVector:
         return {"pendulum": 2, "fan": 6}.get(self.system_id, len(self.values))
 
 
-@dataclass(frozen=True, eq=False)
-class MicrogridNetwork:
-    """Fixed network constants of the N-microgrid benchmark.
-
-    Y is the (symmetric, zero-diagonal) admittance magnitude matrix, gamma
-    the admittance angles, E the voltage setpoints, G the self conductances,
-    J the tracking time constants and K the output-feedback entries. Power
-    setpoints are derived at ddelta = 0 so the origin is an equilibrium for
-    any droop values.
-    """
-
-    Y: np.ndarray
-    gamma: np.ndarray
-    E: np.ndarray
-    G: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.Y.shape[0]
-
-    def coupling(self) -> np.ndarray:
-        # W[i, k] = E_i E_k Y_ik, the cosine-term weights
-        return np.outer(self.E, self.E) * self.Y
-
-    @cached_property
-    def _trig_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        # (W o cos(gamma))^T and (W o sin(gamma))^T, built once per network
-        W = self.coupling()
-        return (np.ascontiguousarray((W * np.cos(self.gamma)).T),
-                np.ascontiguousarray((W * np.sin(self.gamma)).T))
-
-    def power(self, X: np.ndarray) -> np.ndarray:
-        """P_i(x) = sum_k W_ik cos(x_i - x_k - gamma_ik) + E_i^2 G_i for each row of X.
-
-        By the angle-difference identity, with c = cos x and s = sin x,
-        P = c o (c Wc^T - s Ws^T) + s o (s Wc^T + c Ws^T) + E^2 G: 2n trig
-        calls per state instead of n^2.
-        """
-        WcT, WsT = self._trig_weights
-        c, s = np.cos(X), np.sin(X)
-        return c * (c @ WcT - s @ WsT) + s * (s @ WcT + c @ WsT) + self.E**2 * self.G
-
-    @cached_property
-    def power_setpoints(self) -> np.ndarray:
-        # P*_i = P_i at ddelta = 0, by the same expression, so f(0) = 0 exactly
-        return self.power(np.zeros((1, self.n)))[0]
+RING_ANGLE = np.pi / 2 - 0.1   # the admittance angle of every microgrid line
 
 
-def default_network(n: int) -> MicrogridNetwork:
-    """Connected-ring default network of unit line admittances (a single line for n = 2)."""
+@lru_cache(maxsize=8)
+def _ring(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wc = Y o cos(gamma) and Ws = Y o sin(gamma) of the n-node ring of unit lines
+    (a single line for n = 2), and the power P(0) at the origin."""
     Y = np.zeros((n, n))
     for i in range(n):
-        j = (i + 1) % n
-        if i != j:
-            Y[i, j] = Y[j, i] = 1.0
-    return MicrogridNetwork(
-        Y=Y,
-        gamma=np.full((n, n), np.pi / 2 - 0.1),
-        E=np.ones(n),
-        G=np.zeros(n),
-        J=np.ones(n),
-        K=np.zeros(n),
-    )
+        Y[i, (i + 1) % n] = Y[(i + 1) % n, i] = 1.0
+    gamma = np.full((n, n), RING_ANGLE)
+    Wc, Ws = Y * np.cos(gamma), Y * np.sin(gamma)
+    return Wc, Ws, _ring_power(Wc, Ws, np.zeros((1, n)))[0]
+
+
+def _ring_power(Wc: np.ndarray, Ws: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P_i(x) = sum_k Y_ik cos(x_i - x_k - gamma) for each row of X.
+
+    By the angle-difference identity, with c = cos x and s = sin x (Wc and Ws
+    are symmetric), P = c o (c Wc - s Ws) + s o (s Wc + c Ws): 2n trig calls
+    per state instead of n^2.
+    """
+    c, s = np.cos(X), np.sin(X)
+    return c * (c @ Wc - s @ Ws) + s * (s @ Wc + c @ Ws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,13 +98,12 @@ class ClosedLoopSystem:
     """A parameterized autonomous vector field x_dot = f(x).
 
     `gain` is the (inputs, states) LQR feedback matrix for the pendulum/fan
-    (u = -K x) and `network` None; for the microgrid `network` holds the fixed
-    constants and `gain` is None. Instances are immutable and freely shareable.
+    (u = -K x), None for the microgrid, whose droop tuple on the fixed ring is
+    its whole field. Instances are immutable and freely shareable.
     """
 
     params: ParamVector
     gain: np.ndarray | None
-    network: MicrogridNetwork | None
 
     @property
     def dim(self) -> int:
@@ -167,10 +126,9 @@ class ClosedLoopSystem:
         return np.stack([theta_dot, theta_ddot], axis=1)
 
     def _microgrid(self, X):
-        dc = np.asarray(self.params.values)
-        net = self.network
-        dP = net.power(X) - net.power_setpoints
-        return (-dc * X - dP + net.K * X) / net.J
+        # in this order f(0) is +0.0; -dc o x - (P - P(0)) would give -0.0
+        Wc, Ws, P0 = _ring(self.dim)
+        return (P0 - _ring_power(Wc, Ws, X)) - np.asarray(self.params.values) * X
 
     def _fan(self, X):
         m, J, r, g, d = self.params.values
@@ -186,13 +144,11 @@ class ClosedLoopSystem:
 
     def linearization(self) -> np.ndarray:
         """The closed loop's Jacobian at the origin, in closed form: A - B K for the
-        pendulum and fan; diag(1/J) (-diag(dc) - diag(Ws 1) + Ws + diag(K)) for the
-        microgrid, Ws = W o sin(gamma). A non-finite entry raises NonFiniteDynamics."""
+        pendulum and fan; diag(-dc - Ws 1) + Ws for the microgrid, Ws = Y o sin(gamma).
+        A non-finite entry raises NonFiniteDynamics."""
         if self.params.system_id == "microgrid":
-            net = self.network
-            Ws = net.coupling() * np.sin(net.gamma)
-            diagonal = net.K - np.asarray(self.params.values) - Ws.sum(axis=1)
-            A = (np.diag(diagonal) + Ws) / net.J[:, None]
+            _, Ws, _ = _ring(self.dim)
+            A = np.diag(-np.asarray(self.params.values) - Ws.sum(axis=1)) + Ws
         else:
             A_open, B = _open_loop_linearization(self.params.system_id, self.params.values)
             A = A_open - B @ self.gain
@@ -238,10 +194,10 @@ def _open_loop_linearization(system_id: str, values) -> tuple[np.ndarray, np.nda
 
 def build_system(params: ParamVector) -> ClosedLoopSystem:
     """Assemble a closed-loop system with the controller designed at the system's
-    nominal parameters (fixed across tasks), or the default microgrid network."""
+    nominal parameters (fixed across tasks); the microgrid has none."""
     if params.system_id == "microgrid":
-        return ClosedLoopSystem(params, None, default_network(len(params.values)))
-    return ClosedLoopSystem(params, _default_gain(params.system_id), None)
+        return ClosedLoopSystem(params, None)
+    return ClosedLoopSystem(params, _default_gain(params.system_id))
 
 
 def sample_tasks(theta0: ParamVector, sigma_diag, n: int, seed: int) -> list[ParamVector]:

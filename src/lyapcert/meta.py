@@ -48,7 +48,7 @@ def meta_gradients(theta, arch: net.Architecture, s_tr: Batch, s_te: Batch, inne
     test half."""
     adapted = theta - inner_lr * net.loss_gradients(theta, arch, s_tr, loss_cfg)
     g_te, terms = net.loss_gradients(adapted, arch, s_te, loss_cfg, values=True)
-    if mode == "second_order" and inner_lr != 0.0:
+    if mode == "second_order":
         # chain rule through theta' = theta - inner_lr * grad(theta):
         # d/dtheta L(theta') = (I - inner_lr H_tr(theta)) g_te(theta')
         g_te = g_te - inner_lr * net.hvps(theta, arch, s_tr, loss_cfg, g_te)

@@ -30,12 +30,11 @@ SAFETY = 1.2   # inflation of the sampled maxima into the Lipschitz constants
 
 
 class RegionSelectionFailure(Exception):
-    """No region radius produced fully green maps within the round budget."""
+    """No region radius was accepted within the round budget."""
 
-    def __init__(self, rounds: int, last_radius: float, maps: tuple):
+    def __init__(self, rounds: int, last_radius: float, artifact):
         super().__init__(f"no valid region after {rounds} rounds (last radius {last_radius:g})")
-        self.last_radius = last_radius
-        self.maps = maps            # the last round's validity maps
+        self.artifact = artifact    # what the last round's fit returned
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,30 +196,26 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
 @dataclass(frozen=True, eq=False)
 class RegionSelection:
     radius: float
-    artifact: object            # whatever train_fn returned for the final radius
+    artifact: object            # what fit returned for the final radius
     rounds: int
 
 
-def select_valid_region(train_fn, verify_fn, d0: float, shrink_factor: float,
-                        max_rounds: int, accept_fn) -> RegionSelection:
-    """Shrinking-radius outer loop: retrain and recheck until the maps pass.
+def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -> RegionSelection:
+    """Shrinking-radius outer loop: refit and recheck until a round is accepted.
 
-    train_fn(d) trains on the ball of radius d and returns an artifact (for
-    the meta pipeline, the meta parameters); verify_fn(artifact, d) returns
-    the validity maps of every task-adapted candidate on that region. The
-    radius shrinks geometrically until accept_fn(maps, d) holds; running out
-    of rounds raises RegionSelectionFailure with the last round's radius and
-    maps.
+    fit(d) trains on the ball of radius d, checks the result there and returns
+    (artifact, accepted). The radius shrinks geometrically until a round is
+    accepted; running out of rounds raises RegionSelectionFailure with the last
+    round's radius and artifact.
     """
     d = float(d0)
     for round_idx in range(max_rounds):
         if round_idx:
             d *= shrink_factor
-        artifact = train_fn(d)
-        maps = tuple(verify_fn(artifact, d))
-        if accept_fn(maps, d):
+        artifact, accepted = fit(d)
+        if accepted:
             return RegionSelection(radius=d, artifact=artifact, rounds=round_idx + 1)
-    raise RegionSelectionFailure(max_rounds, d, maps)
+    raise RegionSelectionFailure(max_rounds, d, artifact)
 
 
 def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> str:

@@ -130,6 +130,38 @@ def reference_boundary_csv(result, grid) -> str:
     return "".join(row + "\r\n" for row in rows)
 
 
+def ring_admittance(n):
+    """The microgrid's line admittance matrix: a ring of unit lines (one line for n = 2)."""
+    Y = np.zeros((n, n))
+    for i in range(n):
+        Y[i, (i + 1) % n] = Y[(i + 1) % n, i] = 1.0
+    return Y
+
+
+def reference_microgrid(dc, X):
+    """The microgrid field (-dc o x - (P(x) - P(0)) + K o x) / J and its Jacobian at
+    the origin (diag(K - dc - Ws 1) + Ws) / J, from per-node and per-line arrays
+    W = E E^T o Y, gamma, E, G, J and K, at the ring's E = 1, G = 0, J = 1, K = 0
+    and one line angle pi/2 - 0.1; P = sum_k W_ik cos(x_i - x_k - gamma_ik) + E_i^2 G_i
+    by the angle-difference identity."""
+    n = X.shape[1]
+    dc = np.asarray(dc)
+    gamma = np.full((n, n), np.pi / 2 - 0.1)
+    E, G, J, K = np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)
+    W = np.outer(E, E) * ring_admittance(n)
+    WcT = np.ascontiguousarray((W * np.cos(gamma)).T)
+    WsT = np.ascontiguousarray((W * np.sin(gamma)).T)
+
+    def power(X):
+        c, s = np.cos(X), np.sin(X)
+        return c * (c @ WcT - s @ WsT) + s * (s @ WcT + c @ WsT) + E**2 * G
+
+    dP = power(X) - power(np.zeros((1, n)))[0]
+    Ws = W * np.sin(gamma)
+    return ((-dc * X - dP + K * X) / J,
+            (np.diag(K - dc - Ws.sum(axis=1)) + Ws) / J[:, None])
+
+
 def reference_simulate_batch(system, X0, h, horizon):
     """simulate_batch with the 2-norm divergence rule evaluated at every step."""
     X = np.array(X0, dtype=float)

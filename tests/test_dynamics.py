@@ -10,7 +10,8 @@ import pytest
 from lyapcert import control, dynamics, roa
 from lyapcert.config import PRESETS
 
-from helpers import nominal_params, nominal_system, reference_simulate_batch
+from helpers import (nominal_params, nominal_system, reference_microgrid,
+                     reference_simulate_batch, ring_admittance)
 
 
 class StubScalar:
@@ -57,7 +58,7 @@ class TestEvalDynamics:
 
     def test_pendulum_open_loop_hand_value(self):
         params = dynamics.ParamVector("pendulum", dynamics.NOMINAL_PENDULUM)
-        system = dynamics.ClosedLoopSystem(params, np.zeros((1, 2)), None)
+        system = dynamics.ClosedLoopSystem(params, np.zeros((1, 2)))
         out = f_at(system, [0.1, 0.0])
         assert out[0] == pytest.approx(0.0)
         # theta_ddot = (m g l sin(theta) - b theta_dot) / (m l^2) = g sin(0.1)/l
@@ -133,39 +134,47 @@ class TestLinearization:
 
 
 def random_microgrid(n, seed):
+    """The microgrid at a random droop tuple."""
     rng = np.random.default_rng(seed)
-    Y = rng.uniform(0.2, 2.0, (n, n))
-    Y = Y + Y.T
-    np.fill_diagonal(Y, 0.0)
-    network = dynamics.MicrogridNetwork(
-        Y=Y, gamma=rng.uniform(-3.0, 3.0, (n, n)), E=rng.uniform(0.5, 1.5, n),
-        G=rng.uniform(0.0, 1.0, n), J=rng.uniform(0.5, 2.0, n), K=rng.uniform(-1.0, 1.0, n))
-    params = dynamics.ParamVector("microgrid", tuple(rng.uniform(1.0, 4.0, n)))
-    return dynamics.ClosedLoopSystem(params, None, network)
+    return dynamics.build_system(dynamics.ParamVector("microgrid", tuple(rng.uniform(1.0, 4.0, n))))
 
 
-def pairwise_power(network, X):
-    """P_i = sum_k W_ik cos(x_i - x_k - gamma_ik) + E_i^2 G_i, one cosine per pair."""
+def pairwise_power(X):
+    """P_i = sum_k Y_ik cos(x_i - x_k - gamma) on the ring, one cosine per pair."""
+    n = X.shape[1]
     diff = X[:, :, None] - X[:, None, :]
-    W = network.coupling()
-    return (np.sum(W[None] * np.cos(diff - network.gamma[None]), axis=2)
-            + network.E**2 * network.G)
+    return np.sum(ring_admittance(n)[None] * np.cos(diff - (np.pi / 2 - 0.1)), axis=2)
 
 
 class TestMicrogridField:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_factored_field_matches_pairwise_reference(self, n):
         system = random_microgrid(n, seed=n)
-        network = system.network
         rng = np.random.default_rng(10 + n)
         X = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, (400, n))   # angles well beyond +-pi
         dc = np.asarray(system.params.values)
-        dP = pairwise_power(network, X) - pairwise_power(network, np.zeros((1, n)))
-        reference = (-dc * X - dP + network.K * X) / network.J
-        # within a few ulps of the row's largest term (droop, coupling, feedback)
-        coupling = np.sum(np.abs(network.coupling()), axis=1) + network.E**2 * network.G
-        scale = (np.abs(dc * X) + 2.0 * coupling + np.abs(network.K * X)) / network.J
+        dP = pairwise_power(X) - pairwise_power(np.zeros((1, n)))
+        reference = -dc * X - dP
+        # within a few ulps of the row's largest term (droop, coupling)
+        scale = np.abs(dc * X) + 2.0 * np.sum(ring_admittance(n), axis=1)
         assert np.all(np.abs(system.f_batch(X) - reference) <= 8 * np.spacing(scale))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_the_per_array_field_bit_for_bit(self, n):
+        """Field and Jacobian equal the general network's at E = 1, G = 0, J = 1, K = 0,
+        signed zeros included, on states with zero rows and zero entries."""
+        system = random_microgrid(n, seed=n)
+        rng = np.random.default_rng(20 + n)
+        X = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, (300, n))
+        X[::5] = 0.0
+        X[1::7, 0] = 0.0
+        X[2::11, -1] = -0.0
+        X[3] = -0.0
+        f_ref, A_ref = reference_microgrid(system.params.values, X)
+        f = system.f_batch(X)
+        assert np.sum(f == 0.0) >= 60 * n
+        assert f.tobytes() == f_ref.tobytes()
+        assert system.linearization().tobytes() == A_ref.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_nominal_origin_is_exact_equilibrium(self, n):

@@ -19,10 +19,6 @@ def sample_annulus(rng, n, dim, outer, inner=0.0):
     return out[:n]
 
 
-def all_green(maps, d):
-    return all(m.fully_green for m in maps)
-
-
 class LinearSystem:
     """x_dot = -x in any dimension (duck-typed system)."""
 
@@ -301,25 +297,23 @@ class TestSelectValidRegion:
         force_constants(monkeypatch, 0.0, 0.0)
         good = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
                                      exempt_radius=0.3)
-        sel = verify.select_valid_region(lambda d: "artifact", lambda a, d: [good],
-                                         d0=2.0, shrink_factor=0.8, max_rounds=3,
-                                         accept_fn=all_green)
+        sel = verify.select_valid_region(lambda d: ("artifact", good.fully_green),
+                                         d0=2.0, shrink_factor=0.8, max_rounds=3)
         assert sel.radius == 2.0 and sel.rounds == 1
 
     def test_geometric_schedule(self, monkeypatch):
         calls = []
 
-        def verify_fn(artifact, d):
+        def fit(d):
             calls.append(d)
             ok = len(calls) >= 3
             grid = verify.build_grid(1.0, 5, 1)
             force_constants(monkeypatch, 0.0 if ok else 1e9, 0.0 if ok else 1e9)
             vmap = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
                                          exempt_radius=0.3 if ok else 0.0)
-            return [vmap]
+            return None, vmap.fully_green
 
-        sel = verify.select_valid_region(lambda d: None, verify_fn, d0=2.0,
-                                         shrink_factor=0.8, max_rounds=5, accept_fn=all_green)
+        sel = verify.select_valid_region(fit, d0=2.0, shrink_factor=0.8, max_rounds=5)
         assert sel.rounds == 3
         assert sel.radius == pytest.approx(0.64 * 2.0)
 
@@ -327,10 +321,10 @@ class TestSelectValidRegion:
         grid = verify.build_grid(1.0, 5, 1)
         force_constants(monkeypatch, 1e9, 1e9)
         bad = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid)
-        with pytest.raises(verify.RegionSelectionFailure):
-            verify.select_valid_region(lambda d: None, lambda a, d: [bad],
-                                       d0=1.0, shrink_factor=0.5, max_rounds=1,
-                                       accept_fn=all_green)
+        with pytest.raises(verify.RegionSelectionFailure) as failure:
+            verify.select_valid_region(lambda d: ([bad], bad.fully_green),
+                                       d0=1.0, shrink_factor=0.5, max_rounds=1)
+        assert failure.value.artifact == [bad]
 
 
 class TestOneSweep:
