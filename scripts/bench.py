@@ -24,11 +24,16 @@ preset at 1,000 meta-steps, region radius 3.2):
 - `train_meta_s`: wall seconds of one `lyapcert train-meta --seed 101` on that
   config, a fresh interpreter each time
 
-The `gate` suite (default output `BENCH_gate.json`) measures:
+The `gate` suite (default output `BENCH_gate.json`) measures, on the test
+systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid), one
+`dynamics.simulate_batch` case each (500 states drawn over the preset's region,
+500 steps of 0.01) with the retirement ball `roa.monte_carlo_convergence`
+builds for that system and step:
 
-- `rollout_ns_per_state_step`: nanoseconds per RK4 state-step of
-  `dynamics.simulate_batch` (500 states, 500 steps of 0.01) on the test
-  systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid)
+- `rollout_ns_per_state_step`: nanoseconds per requested RK4 state-step
+  (states x steps)
+- `row_steps`: the state-steps actually integrated, rows retired in the ball
+  or diverged no longer counting (rows handed to `f_batch`, over its 4 stages)
 - `compare_mg3_s`: wall seconds of one `lyapcert compare --seed 101` on
   `mg3_dc12` at 300 meta-steps, 800 NLF steps and 500 MC rollouts, a fresh
   interpreter each time
@@ -175,16 +180,33 @@ def measure_meta_step(repeats: int) -> dict:
             "train_meta_s": round(cli_seconds(cfg, ["train-meta"], repeats), 3)}
 
 
+class RowCounter:
+    """A system whose f_batch counts the rows it evaluates."""
+
+    def __init__(self, system):
+        self.system, self.rows = system, 0
+
+    def f_batch(self, X):
+        self.rows += X.shape[0]
+        return self.system.f_batch(X)
+
+
 def measure_gate(repeats: int) -> dict:
-    rollout_ns = {}
+    rollout_ns, row_steps = {}, {}
     for label, preset in (("pendulum", "ip_stochastic_l"), ("mg3_dc12", "mg3_dc12")):
-        system = dynamics.build_system(PRESETS[preset].system.test())
+        cfg = PRESETS[preset]
+        system = dynamics.build_system(cfg.system.test())
         X0 = dynamics.sample_ball(np.random.default_rng(0), ROLLOUT_STATES, system.dim,
-                                  PRESETS[preset].verify.d0)
-        run_s = median_time(lambda: dynamics.simulate_batch(system, X0, ROLLOUT_H,
-                                                            ROLLOUT_STEPS * ROLLOUT_H), repeats)
+                                  cfg.verify.d0)
+        # the gate keeps ROLLOUT_H (its mc_step) as its step for both systems
+        ball = roa.retirement_ball(system, ROLLOUT_H, cfg.roa.mc_tol)
+        run_s = median_time(lambda: dynamics.simulate_batch(
+            system, X0, ROLLOUT_H, ROLLOUT_STEPS * ROLLOUT_H, ball), repeats)
         rollout_ns[label] = round(1e9 * run_s / (ROLLOUT_STATES * ROLLOUT_STEPS), 1)
-    return {"rollout_ns_per_state_step": rollout_ns,
+        counter = RowCounter(system)
+        dynamics.simulate_batch(counter, X0, ROLLOUT_H, ROLLOUT_STEPS * ROLLOUT_H, ball)
+        row_steps[label] = counter.rows // 4
+    return {"rollout_ns_per_state_step": rollout_ns, "row_steps": row_steps,
             "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
 
 

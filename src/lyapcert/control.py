@@ -1,9 +1,9 @@
 """Dense linear algebra for controller synthesis and quadratic certificates.
 
-Continuous-time Lyapunov equation solves, an eigenvalue-free Hurwitz test and
-Kleinman iteration for LQR gains. Everything here is sized for the small (n <= 16,
-the most the config's grid cap admits) closed-loop systems this package ships; no
-attempt is made at large-scale Riccati machinery. The inputs are the package's
+Continuous- and discrete-time Lyapunov equation solves, an eigenvalue-free
+Hurwitz test and Kleinman iteration for LQR gains. Everything here is sized for
+the small (n <= 16, the most the config's grid cap admits) closed-loop systems
+this package ships; no attempt is made at large-scale Riccati machinery. The inputs are the package's
 own controller constants and finite closed-loop linearizations, trusted as given.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 class SingularSystem(Exception):
     """The vectorized Lyapunov system is rank-deficient (some eig pair has
-    lambda_i + lambda_j = 0)."""
+    lambda_i + lambda_j = 0, or mu_i mu_j = 1 for the discrete equation)."""
 
 
 class NotStabilizing(Exception):
@@ -40,17 +40,33 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     which happens exactly when A has an eigenvalue pair with
     lambda_i + lambda_j = 0.
     """
-    n = A.shape[0]
-    eye = np.eye(n)
-    M = np.kron(A.T, eye) + np.kron(eye, A.T)
+    eye = np.eye(A.shape[0])
+    return _kronecker_solve(np.kron(A.T, eye) + np.kron(eye, A.T), Q,
+                            lambda P: A.T @ P + P @ A + Q)
+
+
+def solve_discrete_lyapunov(M: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve M^T P M - P = -Q for symmetric P, M and Q finite (n, n), Q symmetric.
+
+    The step-map sibling of `solve_lyapunov`: the Kronecker system
+    (M^T (x) M^T - I) vec(P) = -vec(Q), singular exactly when M has an
+    eigenvalue pair with mu_i mu_j = 1 (SingularSystem).
+    """
+    return _kronecker_solve(np.kron(M.T, M.T) - np.eye(M.size), Q,
+                            lambda P: M.T @ P @ M - P + Q)
+
+
+def _kronecker_solve(K: np.ndarray, Q: np.ndarray, residual_of) -> np.ndarray:
+    """Symmetrized P from K vec(P) = -vec(Q), checked by its equation's residual."""
+    n = Q.shape[0]
     try:
-        vec_p = np.linalg.solve(M, -Q.reshape(-1))
+        vec_p = np.linalg.solve(K, -Q.reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     P = vec_p.reshape(n, n)
     P = 0.5 * (P + P.T)
 
-    residual = np.max(np.abs(A.T @ P + P @ A + Q))
+    residual = np.max(np.abs(residual_of(P)))
     scale = max(1.0, np.max(np.abs(Q)), np.max(np.abs(P)))
     if not np.isfinite(residual) or residual > 1e-8 * scale:
         # numerically rank-deficient system: LU went through but the

@@ -156,6 +156,29 @@ class ClosedLoopSystem:
             raise NonFiniteDynamics(f"non-finite {self.params.system_id} linearization")
         return A
 
+    def remainder_bound(self) -> tuple[float, int]:
+        """(G, p) with |f(x) - A x|_2 <= G |x|_2^p wherever |x|_2 <= 1, A the linearization.
+
+        Pendulum: the one nonlinear term is (g / l)(sin theta - theta), and
+        |sin t - t| <= |t|^3 / 6. Microgrid: each ring line's cos(x_i - x_k - gamma)
+        leaves its tangent by at most (x_i - x_k)^2 / 2, so |r|_2 <= |r|_1 <= x^T L x,
+        L the ring's Laplacian, whose eigenvalues are at most twice the largest
+        degree (Gershgorin): G = 4, as a node has at most two unit lines.
+        Fan: with |theta| <= 1, |sin t - t| <= t^2 / 6, |cos t - 1| <= t^2 / 2,
+        |sin t| <= |t| and |u_j| <= |K_j|_2 |x|, the x and y accelerations leave
+        their tangents by (g / 6 + (k_1 / 2 + k_2) / m) |x|^2 and
+        (g / 2 + (k_1 + k_2 / 2) / m) |x|^2.
+        """
+        sid = self.params.system_id
+        if sid == "pendulum":
+            l, _, g, _ = self.params.values
+            return g / (6.0 * l), 3
+        if sid == "microgrid":
+            return 4.0, 2
+        m, _, _, g, _ = self.params.values
+        k1, k2 = np.linalg.norm(self.gain, axis=1)
+        return 2.0 * g / 3.0 + 1.5 * float(k1 + k2) / m, 2
+
 
 @lru_cache(maxsize=8)
 def _default_gain(system_id: str) -> np.ndarray:
@@ -294,31 +317,41 @@ def simulate(system: ClosedLoopSystem, x0, h: float, horizon: float) -> Trajecto
     return Trajectory(times=h * np.arange(n_steps + 1), states=states, diverged=False)
 
 
-def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: float,
+                   ball: tuple[np.ndarray, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized RK4 over many initial states; returns (final states, diverged mask).
 
-    Diverged rows are frozen at their last finite state. While no row has
-    diverged, the whole batch is stepped in place of a gather/scatter. A row
-    diverges once its 2-norm exceeds DIVERGENCE_NORM; as |x|_2 <= sqrt(d) |x|_inf,
-    that norm is computed only in a step whose largest entry exceeds half of
+    Only the rows still moving are stepped, as one compact array; a row that
+    stops is written back at its last state. A row diverges, and stops, once
+    its 2-norm exceeds DIVERGENCE_NORM; as |x|_2 <= sqrt(d) |x|_inf, that norm
+    is computed only in a step whose largest entry exceeds half of
     DIVERGENCE_NORM / sqrt(d) (the half is slack for rounding) or is NaN.
+
+    `ball` = (Q, level) retires a row, which also stops, once a step leaves it
+    with x^T Q x <= level: the caller vouches that every later step of size h
+    stays in that set (`roa.retirement_ball`), so the row is no longer integrated.
     """
     X = np.array(X0, dtype=float)
     n_steps = int(round(horizon / h))
     safe = 0.5 * DIVERGENCE_NORM / math.sqrt(X.shape[1])
-    alive = np.arange(X.shape[0])
+    diverged = np.zeros(X.shape[0], dtype=bool)
+    alive, Xa = np.arange(X.shape[0]), X
+    ones = np.ones(X.shape[1])   # row sums as one matrix-vector product
     for _ in range(n_steps):
         if alive.size == 0:
             break
-        every = alive.size == X.shape[0]
-        Xa = X if every else X[alive]
         Xa = rk4_step(system.f_batch, Xa, h)
-        if every:
-            X = Xa
-        else:
-            X[alive] = Xa
+        stop = None
         if not (np.abs(Xa).max() <= safe):
-            alive = alive[~(np.linalg.norm(Xa, axis=1) > DIVERGENCE_NORM)]
-    diverged = np.ones(X.shape[0], dtype=bool)
-    diverged[alive] = False
+            stop = np.linalg.norm(Xa, axis=1) > DIVERGENCE_NORM
+            diverged[alive[stop]] = True
+        if ball is not None:
+            Q, level = ball
+            with np.errstate(over="ignore", invalid="ignore"):   # rows at inf diverged above
+                inside = ((Xa @ Q) * Xa) @ ones <= level
+            stop = inside if stop is None else stop | inside
+        if stop is not None and stop.any():
+            X[alive[stop]] = Xa[stop]
+            alive, Xa = alive[~stop], Xa[~stop]
+    X[alive] = Xa
     return X, diverged

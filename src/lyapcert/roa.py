@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .control import SingularSystem, solve_discrete_lyapunov
 from .dynamics import ClosedLoopSystem, simulate_batch
 from .verify import GridSpec, ValidityMap
 
@@ -124,6 +125,75 @@ def gate_step(system: ClosedLoopSystem, h: float) -> float:
     return h / max(1, math.ceil(h * rho / RK4_STEP_LIMIT))
 
 
+STEP_ROUNDING = 2.0 ** -40   # allowance for |fl(RK4 step) - RK4 step|_2, per unit of 1 + |x|_2
+SLACK = 1e-9                  # relative allowance on computed spectra and on the membership test
+
+
+def _rk4_remainder(a: float, G: float, p: int, h: float, nu: float) -> float:
+    """Bound on |RK4_h(x) - M x|_2 over |x|_2 <= nu, M the RK4 matrix of hA,
+    |A|_2 <= a and |f(z) - A z|_2 <= G |z|_2^p for |z|_2 <= 1; inf when a
+    stage may leave the unit ball.
+
+    Stage i evaluates f at z_i = x + c_i h k_{i-1}; its deviation from the
+    linear stage, d_i = A c_i h d_{i-1} + r(z_i), is bounded through the
+    stage-norm bounds, and RK4_h(x) - M x = (h / 6)(d_1 + 2 d_2 + 2 d_3 + d_4).
+    """
+    k = dev = total = 0.0
+    for c, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        z = nu + c * h * k
+        if z > 1.0:
+            return math.inf
+        r = G * z ** p
+        k = a * z + r
+        dev = a * c * h * dev + r
+        total += weight * dev
+    return h / 6.0 * total
+
+
+def retirement_ball(system: ClosedLoopSystem, h: float,
+                    tol: float) -> tuple[np.ndarray, float] | None:
+    """(Q, level) of a ball {x^T Q x <= level} inside |x|_2 <= tol / 2 that one
+    floating-point RK4 step of size h maps into itself, or None.
+
+    M is the RK4 matrix of hA (A the linearization) and Q solves
+    M^T Q M - Q = -I, so |Mx|_Q <= sqrt(kappa) |x|_Q with kappa the largest
+    generalized eigenvalue of (M^T Q M, Q), taken for the computed Q. For
+    |x|_Q <= rho, |x|_2 <= nu = rho / sqrt(lambda_min(Q)), and a rounded step
+    lands within sqrt(kappa) rho + sqrt(lambda_max(Q)) (E(nu) + STEP_ROUNDING
+    (1 + nu)) in Q-norm, E the stage-composed remainder (`_rk4_remainder`)
+    of the system's (G, p) bound and STEP_ROUNDING an absolute and relative
+    rounding allowance (P(0) - P(x) of the microgrid does not round relative
+    to |x|). rho is the largest of sqrt(lambda_min) tol / 2 halved k times for
+    which that is at most rho. By induction a row that enters the ball stays
+    in it, so it ends below tol. No ball when rho(M) >= 1 or no radius passes.
+    """
+    A = system.linearization()
+    hA = h * A
+    eye = np.eye(A.shape[0])
+    M = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+    if np.max(np.abs(np.linalg.eigvals(M))) >= 1.0:
+        return None
+    try:
+        Q = solve_discrete_lyapunov(M, eye)
+        L_inv = np.linalg.inv(np.linalg.cholesky(Q))
+    except (SingularSystem, np.linalg.LinAlgError):
+        return None
+    kappa = np.linalg.eigvalsh(L_inv @ M.T @ Q @ M @ L_inv.T)[-1]
+    lam = np.linalg.eigvalsh(Q)
+    contraction = math.sqrt(kappa * (1.0 + SLACK))
+    low, high = math.sqrt(lam[0] * (1.0 - SLACK)), math.sqrt(lam[-1] * (1.0 + SLACK))
+    a = np.linalg.norm(A, 2) * (1.0 + SLACK)
+    G, p = system.remainder_bound()
+    rho = low * tol / 2.0
+    for _ in range(60):   # past 2^-60 the rounding allowance outweighs any contraction
+        nu = rho / low
+        step = _rk4_remainder(a, G, p, h, nu) + STEP_ROUNDING * (1.0 + nu)
+        if contraction * rho + high * step <= rho:
+            return Q, rho * rho * (1.0 - SLACK)
+        rho /= 2.0
+    return None
+
+
 def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
                   seed: int) -> np.ndarray:
     """n_samples states uniform over the member cells, drawn from default_rng(seed)
@@ -160,15 +230,18 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
     its own default_rng(seed), uniform over its member cells and
     rejection-filtered to {Vbar <= c} (cell jitter can otherwise step just
     over the level). All draws are then integrated by one simulate_batch call
-    at gate_step(system, h) up to the horizon. A check's fraction is the share
-    of its rollouts with |x(horizon)|_2 < tol; an empty ROA is vacuously 1.0.
+    at gate_step(system, h) up to the horizon, each row retired once it enters
+    the step's retirement_ball, where it provably ends below tol. A check's
+    fraction is the share of its rollouts with |x(horizon)|_2 < tol; an empty
+    ROA is vacuously 1.0.
     """
     step = gate_step(system, h)
     starts = [_start_states(result, candidate, grid, n_samples, seed)
               for result, candidate in certificates if not result.empty]
     fractions = iter(())
     if starts:
-        finals, diverged = simulate_batch(system, np.concatenate(starts), step, horizon)
+        finals, diverged = simulate_batch(system, np.concatenate(starts), step, horizon,
+                                          retirement_ball(system, step, tol))
         converged = (~diverged) & (np.linalg.norm(finals, axis=1) < tol)
         fractions = iter(converged.reshape(len(starts), n_samples).mean(axis=1).tolist())
     return [ConvergenceCheck(fraction=1.0, n_samples=0, step=step) if result.empty

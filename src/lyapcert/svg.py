@@ -9,6 +9,8 @@ formatted once per axis value and picked by lattice index.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 GREEN = "#3fa34d"
@@ -98,7 +100,9 @@ def render_phase_svg(system, radius: float, states: np.ndarray) -> str:
         parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
                      f'stroke="#5a5a5a" stroke-width="0.8"/>')
         parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="1.1" fill="#5a5a5a"/>')
-    pts_s = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(s[0], s[1]) for s in states))
+    # a point that formats like the one before it draws nothing: keep the first of each run
+    pts_s = " ".join(point for point, _ in groupby(
+        f"{x:.2f},{y:.2f}" for x, y in (to_px(s[0], s[1]) for s in states)))
     parts.append(f'<polyline points="{pts_s}" fill="none" stroke="#14365f" stroke-width="1.2"/>')
     parts.append(_axis_frame(radius, to_px))
     parts.append("</svg>")

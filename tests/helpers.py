@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from lyapcert import cli, dynamics, net, svg, verify
+from lyapcert import cli, dynamics, net, roa, svg, verify
+from lyapcert.config import PRESETS
 
 
 def nominal_params(system_id, n_microgrids=3):
@@ -25,6 +26,23 @@ def nominal_params(system_id, n_microgrids=3):
 def nominal_system(system_id, n_microgrids=3):
     """The closed loop at the nominal parameters, as `build_system` makes it."""
     return dynamics.build_system(nominal_params(system_id, n_microgrids))
+
+
+# every shipped system family at its preset's test tuple, and the stiff l = 0.254
+# pendulum, which the Monte-Carlo gate integrates at a sub-step
+GATE_CASES = [("ip_stochastic_l", None), ("mg3_dc12", None), ("mg5_dc12", None),
+              ("cf_m", None), ("ip_stochastic_l", 0.254)]
+
+
+def gate_case(preset, length=None):
+    """(system, gate step, RoaBlock) of a preset's test tuple, as the Monte-Carlo gate
+    integrates it; `length` swaps in another pendulum length."""
+    cfg = PRESETS[preset]
+    params = cfg.system.test()
+    if length is not None:
+        params = dynamics.ParamVector("pendulum", (length, *params.values[1:]))
+    system = dynamics.build_system(params)
+    return system, roa.gate_step(system, cfg.roa.mc_step), cfg.roa
 
 
 def row_of(grid, lattice_point):

@@ -35,6 +35,29 @@ class TestSolveLyapunov:
             assert np.max(np.abs(P - P.T)) <= 1e-12
 
 
+class TestSolveDiscreteLyapunov:
+    def test_scalar(self):
+        # 0.25 p - p = -1
+        P = control.solve_discrete_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
+        assert P == pytest.approx(np.array([[4.0 / 3.0]]))
+
+    def test_singular_unit_eigenvalue(self):
+        with pytest.raises(control.SingularSystem):
+            control.solve_discrete_lyapunov(np.array([[1.0, 1.0], [0.0, 0.5]]), np.eye(2))
+
+    def test_residual_and_symmetry_random(self):
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            M = rng.normal(size=(n, n))
+            M *= rng.uniform(0.1, 0.99) / np.max(np.abs(np.linalg.eigvals(M)))
+            P = control.solve_discrete_lyapunov(M, np.eye(n))
+            residual = np.max(np.abs(M.T @ P @ M - P + np.eye(n)))
+            assert residual <= 1e-8 * max(1.0, np.max(np.abs(P)))
+            assert np.max(np.abs(P - P.T)) <= 1e-12
+            assert np.linalg.eigvalsh(P)[0] >= 1.0 - 1e-9     # P = I + M^T P M
+
+
 HAND_MATRICES = [
     (np.array([[-1.0]]), True),
     (np.array([[1.0]]), False),

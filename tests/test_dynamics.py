@@ -10,8 +10,8 @@ import pytest
 from lyapcert import control, dynamics, roa
 from lyapcert.config import PRESETS
 
-from helpers import (nominal_params, nominal_system, reference_microgrid,
-                     reference_simulate_batch, ring_admittance)
+from helpers import (GATE_CASES, gate_case, nominal_params, nominal_system,
+                     reference_microgrid, reference_simulate_batch, ring_admittance)
 
 
 class StubScalar:
@@ -118,6 +118,19 @@ class TestLinearization:
             rho = np.max(np.abs(np.linalg.eigvals(fd)))
             h = cfg.roa.mc_step
             assert roa.gate_step(system, h) == h / max(1, math.ceil(h * rho / roa.RK4_STEP_LIMIT))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_remainder_bound_holds_on_the_unit_ball(self, name):
+        cfg = PRESETS[name]
+        rng = np.random.default_rng(0)
+        for system in map(dynamics.build_system, (cfg.system.nominal(), cfg.system.test())):
+            A, (G, p) = system.linearization(), system.remainder_bound()
+            X = np.concatenate([dynamics.sample_ball(rng, 4000, system.dim, 1.0),
+                                np.eye(system.dim), -np.eye(system.dim)])
+            X *= rng.uniform(0.01, 1.0, (X.shape[0], 1))
+            r = np.linalg.norm(X, axis=1)
+            gap = np.linalg.norm(system.f_batch(X) - X @ A.T, axis=1)
+            assert np.all(gap <= G * r**p + 1e-12 * r), name
 
     def test_random_microgrid_matches_central_difference(self):
         for n in (2, 3, 5):
@@ -350,3 +363,50 @@ class TestDivergenceRule:
         np.testing.assert_array_equal(finals, ref_finals)
         np.testing.assert_array_equal(diverged, ref_diverged)
         assert diverged[3] and not diverged[4:].any()
+
+
+class Unstable:
+    """x_dot = x - x^3 per axis: A = I is not Hurwitz."""
+
+    def f_batch(self, X):
+        return X - X**3
+
+    def linearization(self):
+        return np.eye(2)
+
+    def remainder_bound(self):
+        return 1.0, 3
+
+
+class TestRetirement:
+    """Rows retired inside the gate's proven ball end as their full rollouts do."""
+
+    @pytest.mark.parametrize("preset, length", GATE_CASES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_retiring_matches_full_rollouts(self, preset, length):
+        system, step, mc = gate_case(preset, length)
+        ball = roa.retirement_ball(system, step, mc.mc_tol)
+        X0 = dynamics.sample_ball(np.random.default_rng(0), 120, system.dim,
+                                  PRESETS[preset].verify.d0)
+        horizon = 3 * mc.mc_horizon      # long enough for the slow fan to enter its ball
+        finals, diverged = dynamics.simulate_batch(system, X0, step, horizon, ball)
+        ref_finals, ref_diverged = reference_simulate_batch(system, X0, step, horizon)
+        converged = ~diverged & (np.linalg.norm(finals, axis=1) < mc.mc_tol)
+        ref_converged = ~ref_diverged & (np.linalg.norm(ref_finals, axis=1) < mc.mc_tol)
+        np.testing.assert_array_equal(converged, ref_converged)
+        assert converged.mean() == ref_converged.mean()
+        retired = np.any(finals != ref_finals, axis=1)
+        assert retired.any() and converged[retired].all()
+
+    @pytest.mark.parametrize("system", [Unstable(), gate_case("ip_stochastic_l", 0.254)[0]])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_no_ball_without_a_contracting_step_map(self, system):
+        # x_dot = x - x^3 is not Hurwitz at 0; the l = 0.254 pendulum at h = 0.01 has
+        # h * rho(A) = 3.31, so its RK4 matrix has spectral radius above 1
+        ball = roa.retirement_ball(system, 0.01, 1e-2)
+        assert ball is None
+        X0 = np.random.default_rng(1).uniform(-0.5, 0.5, (50, 2))
+        finals, diverged = dynamics.simulate_batch(system, X0, 0.01, 2.0, ball)
+        ref_finals, ref_diverged = reference_simulate_batch(system, X0, 0.01, 2.0)
+        np.testing.assert_array_equal(finals, ref_finals)
+        np.testing.assert_array_equal(diverged, ref_diverged)

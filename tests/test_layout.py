@@ -6,9 +6,10 @@ The modules that only receive settings raise no ValueError: the config blocks
 and `cli` check every setting once, when the config is parsed.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
-the definition's own body; a field read is any load of an attribute of the
-field's name in `src/`. Names are matched without their owner, so a use of a
-same-named attribute elsewhere also counts. A parameter is passed when a call of
+the definition's own body, except that `self.<name>` inside a class C counts as
+a use of C's `<name>` only; a field read is any load of an attribute of the
+field's name in `src/`. Other names are matched without their owner, so a use of
+a same-named attribute elsewhere also counts. A parameter is passed when a call of
 the function's bare name gives it by keyword, reaches its position, or splats
 `*args` or `**kwargs`.
 """
@@ -22,6 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lyapcert"
 # definitions nothing in src/ references, each with the reason it stays
 ALLOWED = {
     "net.hvp": "perfbench/traced_cli.py wraps it by name",
+    "net.MlpLyapunov.gradient": "perfbench/traced_cli.py wraps it by name",
     "loss.empirical_loss": "perfbench/traced_cli.py wraps it by name",
     "cli.main": "the console entry point",
 }
@@ -37,14 +39,24 @@ ALLOWED_FIELDS = {
 TRUSTING = ("meta", "verify", "roa", "svg", "baselines", "dynamics", "control")
 
 
-def _references(tree) -> Counter:
-    """Every name read or attribute accessed in an AST, counted."""
+def _references(tree, module: str, owner: str | None = None) -> Counter:
+    """Every name read or attribute accessed in an AST, counted by bare name, except
+    `self.<name>` inside a class, counted as "<module>.<class>.<name>". `owner` is
+    the qualified class a method's body belongs to."""
     names = Counter()
-    for node in ast.walk(tree):
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = f"{module}.{node.name}"
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            own = cls and isinstance(node.value, ast.Name) and node.value.id == "self"
+            names[f"{cls}.{node.attr}" if own else node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, owner)
     return names
 
 
@@ -85,9 +97,14 @@ def _definitions():
 def test_every_definition_is_used_in_src():
     total = Counter()
     for path in SRC.glob("*.py"):
-        total += _references(ast.parse(path.read_text()))
-    unused = [qualified for qualified, name, node in _definitions()
-              if total[name] - _references(node)[name] <= 0 and qualified not in ALLOWED]
+        total += _references(ast.parse(path.read_text()), path.stem)
+    unused = []
+    for qualified, name, node in _definitions():
+        module, *path = qualified.split(".")
+        own = _references(node, module, f"{module}.{path[0]}" if len(path) == 2 else None)
+        uses = total[name] + total[qualified] - own[name] - own[qualified]
+        if uses <= 0 and qualified not in ALLOWED:
+            unused.append(qualified)
     assert not unused, f"defined in src/ but used only outside it: {unused}"
 
 

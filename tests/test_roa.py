@@ -9,7 +9,7 @@ from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.config import PRESETS
 
-from helpers import nominal_system, row_of
+from helpers import GATE_CASES, gate_case, nominal_system, row_of
 
 
 class LinearSystem:
@@ -24,6 +24,9 @@ class LinearSystem:
 
     def linearization(self):
         return -np.eye(self.dim)
+
+    def remainder_bound(self):
+        return 0.0, 2
 
 
 class CubicSystem:
@@ -42,6 +45,9 @@ class CubicSystem:
 
     def linearization(self):
         return -np.eye(self.dim)
+
+    def remainder_bound(self):
+        return 1.0, 3          # |x^3|_2 <= |x|_2^3, componentwise cubes
 
 
 def short_pendulum(length):
@@ -358,6 +364,34 @@ class TestGateStep:
             system = dynamics.build_system(cfg.system.test())
             assert roa.gate_step(system, cfg.roa.mc_step) == cfg.roa.mc_step
         assert roa.gate_step(short_pendulum(0.3), 0.01) == 0.01
+
+
+class TestRetirementBall:
+    @pytest.mark.parametrize("preset, length", GATE_CASES)
+    def test_one_rounded_step_maps_the_ball_into_itself(self, preset, length):
+        system, step, mc = gate_case(preset, length)
+        Q, level = roa.retirement_ball(system, step, mc.mc_tol)
+        assert np.sqrt(level / np.linalg.eigvalsh(Q)[0]) <= mc.mc_tol / 2
+        Y = dynamics.sample_ball(np.random.default_rng(1), 4000, system.dim, np.sqrt(level))
+        Y[:2000] *= np.sqrt(level) / np.linalg.norm(Y[:2000], axis=1, keepdims=True)  # boundary
+        X = np.linalg.solve(np.linalg.cholesky(Q).T, Y.T).T        # x^T Q x = |y|^2
+        images = dynamics.rk4_step(system.f_batch, X, step)
+        assert np.all(np.sum((images @ Q) * images, axis=1) <= level)
+
+    @pytest.mark.parametrize("preset, length", GATE_CASES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_gate_fractions_match_full_rollouts(self, preset, length, monkeypatch):
+        system, _, mc = gate_case(preset, length)
+        grid = verify.build_grid(PRESETS[preset].verify.d0, 5, system.dim)
+        cand = QuadraticLyapunov(np.eye(system.dim))
+        certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(grid.coords)),
+                                               grid, (0, 1)), cand)]
+        retiring = roa.monte_carlo_convergence(system, certificates, grid, 100, mc.mc_step,
+                                               mc.mc_horizon, mc.mc_tol, seed=0)
+        monkeypatch.setattr(roa, "retirement_ball", lambda system, h, tol: None)
+        full = roa.monte_carlo_convergence(system, certificates, grid, 100, mc.mc_step,
+                                           mc.mc_horizon, mc.mc_tol, seed=0)
+        assert retiring == full and 0.0 < full[0].fraction
 
 
 class TestExports:

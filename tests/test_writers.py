@@ -108,3 +108,16 @@ class TestProjectPlane:
                 expected = reference_project_plane(result, grid, axes)
                 assert shadow.dtype == expected.dtype
                 np.testing.assert_array_equal(shadow, expected)
+
+
+class TestPhasePolyline:
+    def test_drops_points_that_repeat_the_previous_pixel_pair(self):
+        system = dynamics.build_system(PRESETS["ip_stochastic_l"].system.test())
+        traj = dynamics.simulate(system, [0.5, -0.5], h=0.001, horizon=10.0)
+        text = svg.render_phase_svg(system, 4.0, traj.states)
+        points = text.split('<polyline points="')[1].split('"')[0].split(" ")
+        to_px, _ = svg._scaler(4.0)
+        every = [f"{x:.2f},{y:.2f}" for x, y in (to_px(u, v) for u, v in traj.states)]
+        kept = [p for i, p in enumerate(every) if i == 0 or p != every[i - 1]]
+        assert points == kept
+        assert len(points) < len(every) // 2
