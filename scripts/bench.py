@@ -59,8 +59,8 @@ preset; `perfbench/data/meta_checkpoint.json` adapted by `lyapcert adapt`,
 - `writer_ms`: milliseconds per call of each artifact writer on the adapted
   candidate's validity map and certificate: `validity_csv`
   (`verify.export_validity_csv`), `validity_svg` and `overlay_svg`
-  (`svg.render_validity_svg` without and with the ROA), `boundary_csv`
-  (`roa.export_boundary_csv`) and `project_plane` (`roa.project_plane`)
+  (`svg.render_validity_svg` without and with the ROA) and `boundary_csv`
+  (`roa.export_boundary_csv`)
 - `check_validity_ms` and `mc_gate_ms`: milliseconds per `verify.check_validity`
   and per `roa.monte_carlo_convergence` at the preset's 1,000 rollouts
 - `operation_s`: wall seconds of one adapt -> verify -> roa operation, three
@@ -256,7 +256,6 @@ def measure_writers(repeats: int) -> dict:
         "validity_svg": lambda: svg.render_validity_svg(vmap, grid),
         "overlay_svg": lambda: svg.render_validity_svg(vmap, grid, roa=result),
         "boundary_csv": lambda: roa.export_boundary_csv(result, grid),
-        "project_plane": lambda: roa.project_plane(result, grid, (0, 1)),
     }
     check_s = median_time(lambda: verify.check_validity(
         candidate, system, grid, exempt_radius=cfg.verify.exempt_radius), repeats)

@@ -4,8 +4,8 @@ Access regimes mirror the benchmark protocol:
 
 * QLF(TS) and NLF(TS) see only the test-time system (QLF through its
   linearization, NLF through a large training budget);
-* T-NLF fully trains on the nominal system and then fine-tunes on a
-  50-sample / 10-step test-time budget;
+* T-NLF fully trains on the nominal system and then fine-tunes under the
+  `meta` block's test-time budget (at most 50 samples / 10 steps);
 * the meta pipeline trains across sampled tasks and adapts under the same
   test-time budget.
 
@@ -23,9 +23,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import meta, net, roa, verify
-from .config import TEST_TIME_STEPS, ExperimentConfig, MetaBlock, NlfBlock, VerifyBlock
+from .config import ExperimentConfig, MetaBlock, NlfBlock, VerifyBlock
 from .control import is_hurwitz, solve_lyapunov
-from .dynamics import ClosedLoopSystem, TaskDataset, build_dataset, build_system, sample_tasks
+from .dynamics import (ClosedLoopSystem, TaskDataset, build_dataset, build_system,
+                       sample_labelled, sample_tasks)
 from .loss import TightenedLossConfig
 
 METHODS = ("META_NLF", "NLF_TS", "T_NLF", "QLF_TS")
@@ -75,9 +76,7 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
               seed: int) -> tuple[np.ndarray, int, int]:
     """Plain minibatch gradient descent on one system's data (no meta-learning),
     from the bowl-shaped init. Returns (theta, samples_used, steps_used)."""
-    dataset = build_dataset(system, radius, k_train=budget.n_samples, j_test=1, m_batches=1,
-                            seed=seed)
-    X, Y = dataset.batches[0][0]
+    X, Y = sample_labelled(system, np.random.default_rng(seed), budget.n_samples, radius)
     rng = np.random.default_rng(seed + 1)
     theta = net.shaped_init(arch, seed, radius)
     for step in range(budget.n_steps):
@@ -108,14 +107,13 @@ def nlf_ts(system_test: ClosedLoopSystem, radius: float, arch: net.Architecture,
 def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem, radius: float,
           arch: net.Architecture, loss_cfg: TightenedLossConfig, budget: NlfBlock,
           adapt: MetaBlock, seed: int) -> tuple[net.MlpLyapunov, int, int]:
-    """Transfer baseline: full nominal training, then a small test-time update
-    (adapt.adapt_samples samples, TEST_TIME_STEPS steps of size adapt.adapt_alpha)."""
+    """Transfer baseline: full nominal training, then the test-time update META-NLF
+    gets (adapt.adapt_samples samples, adapt.k_test steps of size adapt.adapt_alpha)."""
     theta, _, _ = train_nlf(system_nominal, radius, arch, loss_cfg, budget, seed)
-    adapt_set = build_dataset(system_test, radius, k_train=adapt.adapt_samples,
-                              j_test=1, m_batches=1, seed=seed + 101)
-    theta = meta.test_time_adapt(theta, arch, adapt_set.batches[0][0], adapt.adapt_alpha,
-                                 TEST_TIME_STEPS, loss_cfg)
-    return net.MlpLyapunov(theta, arch), adapt.adapt_samples, TEST_TIME_STEPS
+    batch = sample_labelled(system_test, np.random.default_rng(seed + 101),
+                            adapt.adapt_samples, radius)
+    theta = meta.test_time_adapt(theta, arch, batch, adapt.adapt_alpha, adapt.k_test, loss_cfg)
+    return net.MlpLyapunov(theta, arch), adapt.adapt_samples, adapt.k_test
 
 
 def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem,
@@ -124,10 +122,10 @@ def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem,
     under the 50/10 budget."""
     report, _ = meta_train_for(cfg, radius)
     m, arch = cfg.meta, cfg.architecture()
-    adapt_set = build_dataset(system_test, radius, k_train=m.adapt_samples,
-                              j_test=1, m_batches=1, seed=cfg.seeds.adapt_seed)
-    theta = meta.test_time_adapt(report.theta_mnlf, arch, adapt_set.batches[0][0],
-                                 m.adapt_alpha, m.k_test, cfg.loss)
+    batch = sample_labelled(system_test, np.random.default_rng(cfg.seeds.adapt_seed),
+                            m.adapt_samples, radius)
+    theta = meta.test_time_adapt(report.theta_mnlf, arch, batch, m.adapt_alpha, m.k_test,
+                                 cfg.loss)
     return net.MlpLyapunov(theta, arch), m.adapt_samples, m.k_test
 
 

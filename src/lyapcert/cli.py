@@ -11,6 +11,13 @@ Subcommands:
     simulate     RK4 rollout from a given initial state (CSV, SVG for 2-d)
     compare      all methods on one preset, one table (CSV + JSON)
 
+Each setting has one source. The config (`--config` or `--preset`) is the
+experiment: the test-time budget and the meta-gradient mode are its `meta`
+block. The command line holds what one run needs besides: `--checkpoint`,
+`simulate`'s `--x0/--h/--horizon`, the output root `--out` (default `out`)
+and `--seed`, which overrides `seeds.master`. The output root is not part of
+the config, so its hash, and every artifact, is the same under any `--out`.
+
 Every artifact embeds the config hash and seed; reruns with identical config
 and seed reproduce all numeric artifacts bitwise at a fixed BLAS thread count
 (another count changes the last bits of the grid's V; timings are never
@@ -34,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, control, dynamics, meta, net, roa, svg, verify
-from .config import (ConfigError, ExperimentConfig, PRESETS, TEST_TIME_SAMPLES,
-                     TEST_TIME_STEPS, config_hash, config_to_dict, load_config)
+from .config import (ConfigError, ExperimentConfig, PRESETS, config_hash, config_to_dict,
+                     load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,23 +77,17 @@ def atomic_write_json(path: Path, payload: dict) -> None:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
+    if args.preset:   # argparse's choices already rejected an unknown name
         cfg = PRESETS[args.preset]
     elif args.config:
         cfg = load_config(args.config)
     else:
         raise ConfigError("either --preset or --config is required")
-    try:
-        if getattr(args, "mode", None):
-            cfg = replace(cfg, meta=replace(cfg.meta, mode=args.mode))
-        if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
+        try:
             cfg = replace(cfg, seeds=replace(cfg.seeds, master=args.seed))
-        if getattr(args, "out", None):
-            cfg = replace(cfg, out_dir=args.out)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -94,9 +95,9 @@ def _stamp(cfg: ExperimentConfig) -> dict:
     return {"config_hash": config_hash(cfg), "seed": cfg.seeds.master, "preset": cfg.name}
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
+def _out_dir(args, cfg: ExperimentConfig) -> Path:
     """`<--out>/<name>`, created; call it once the command's inputs are checked."""
-    out = Path(cfg.out_dir) / cfg.name
+    out = Path(args.out) / cfg.name
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -148,7 +149,7 @@ def _fit_region(cfg: ExperimentConfig, d: float):
 
 def cmd_train_meta(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(args, cfg)
     try:
         selection = verify.select_valid_region(lambda d: _fit_region(cfg, d), cfg.verify.d0,
                                                cfg.verify.shrink_factor, cfg.verify.max_rounds)
@@ -209,25 +210,20 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
 def cmd_adapt(args) -> int:
     cfg = _resolve_config(args)
     theta, arch, radius = _load_checkpoint_for(cfg, args.checkpoint)
-    k = args.k if args.k is not None else cfg.meta.k_test
-    n_samples = args.samples if args.samples is not None else cfg.meta.adapt_samples
-    if not (1 <= n_samples <= TEST_TIME_SAMPLES and 0 <= k <= TEST_TIME_STEPS):
-        raise ConfigError(f"test-time budget is 1..{TEST_TIME_SAMPLES} samples / "
-                          f"0..{TEST_TIME_STEPS} steps")
-    out = _out_dir(cfg)
+    m = cfg.meta
+    out = _out_dir(args, cfg)
     system_test = dynamics.build_system(cfg.system.test())
-    dataset = dynamics.build_dataset(system_test, radius, n_samples, 1, 1,
-                                     cfg.seeds.adapt_seed)
-    adapted = meta.test_time_adapt(theta, arch, dataset.batches[0][0],
-                                   cfg.meta.adapt_alpha, k, cfg.loss)
+    rng = np.random.default_rng(cfg.seeds.adapt_seed)
+    batch = dynamics.sample_labelled(system_test, rng, m.adapt_samples, radius)
+    adapted = meta.test_time_adapt(theta, arch, batch, m.adapt_alpha, m.k_test, cfg.loss)
     ckpt = out / "adapted_checkpoint.json"
     atomic_write_text(ckpt, json.dumps(net.checkpoint_payload(
         adapted, arch, extra={**_stamp(cfg), "radius": radius,
                               "system_id": cfg.system.system_id, "adapted": True})))
     atomic_write_json(out / "adapt_ledger.json",
-                      {**_stamp(cfg), "samples_used": n_samples, "steps_used": k,
-                       "alpha": cfg.meta.adapt_alpha})
-    print(f"adapted checkpoint written to {ckpt} ({n_samples} samples, {k} steps)")
+                      {**_stamp(cfg), "samples_used": m.adapt_samples, "steps_used": m.k_test,
+                       "alpha": m.adapt_alpha})
+    print(f"adapted checkpoint written to {ckpt} ({m.adapt_samples} samples, {m.k_test} steps)")
     return EXIT_OK
 
 
@@ -241,7 +237,7 @@ def _checkpoint_candidate(cfg: ExperimentConfig, checkpoint):
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
-    out = _out_dir(cfg)
+    out = _out_dir(args, cfg)
     vmap = verify.check_validity(candidate, system_test, grid,
                                  exempt_radius=cfg.verify.exempt_radius)
     atomic_write_text(out / "validity_map.csv", verify.export_validity_csv(vmap, grid))
@@ -259,7 +255,7 @@ def cmd_verify(args) -> int:
 def cmd_roa(args) -> int:
     cfg = _resolve_config(args)
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
-    out = _out_dir(cfg)
+    out = _out_dir(args, cfg)
     vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
     check, = roa.monte_carlo_convergence(system_test, [(result, candidate)], grid,
                                          cfg.roa.mc_samples, cfg.roa.mc_step,
@@ -295,7 +291,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("need --h > 0 and --horizon >= --h")
     if args.horizon / args.h > MAX_SIMULATE_STEPS:
         raise ConfigError(f"--horizon / --h asks for more than {MAX_SIMULATE_STEPS:,} RK4 steps")
-    out = _out_dir(cfg)
+    out = _out_dir(args, cfg)
     traj = dynamics.simulate(system_test, x0, args.h, args.horizon)
     rows = ["t," + ",".join(f"x{i + 1}" for i in range(system_test.dim))]
     for t, state in zip(traj.times, traj.states):
@@ -312,7 +308,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(args, cfg)
     table = baselines.compare(cfg)
     rows = table.to_rows()
     header = ["method", "area", "c", "mc_fraction", "test_samples", "test_steps", "status"]
@@ -342,18 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a config JSON file")
         p.add_argument("--preset", help="named preset", choices=sorted(PRESETS))
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help="output directory root")
+        p.add_argument("--out", default="out", help="output directory root (default: out)")
 
     p = sub.add_parser("train-meta", help="meta-train with region selection")
     common(p)
-    p.add_argument("--mode", choices=["first_order", "second_order"])
     p.set_defaults(func=cmd_train_meta)
 
     p = sub.add_parser("adapt", help="test-time adaptation of a checkpoint")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--k", type=int, help="adaptation steps (default from config)")
-    p.add_argument("--samples", type=int, help="adaptation samples (default from config)")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("verify", help="tightened-condition map of a checkpoint")
@@ -375,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="all methods, one table")
     common(p)
-    p.add_argument("--mode", choices=["first_order", "second_order"])
     p.set_defaults(func=cmd_compare)
     return parser
 

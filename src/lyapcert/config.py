@@ -7,19 +7,20 @@ bad value fails before any training starts. With `cli`'s checks of the
 command line and of checkpoints, they are the only place a setting is
 checked: the library trusts what it receives. Unknown keys are rejected
 anywhere in the tree so typos fail loudly, and every value must have its
-field's annotated type. The hash of the canonical JSON form is embedded in
-every artifact a run writes; reruns with the same hash and seed reproduce
-artifacts bitwise.
+field's annotated type. A config is the whole experiment: where its
+artifacts go is the command line's `--out`, not a setting. The hash of the
+canonical JSON form is embedded in every artifact a run writes; reruns with the
+same hash and seed reproduce artifacts bitwise, into any output root.
 
 Presets cover the nine benchmark rows (pendulum x3, three-microgrid x2,
 five-microgrid x2, ducted fan x2) with the published nominal/test parameter
 tuples baked in. Everything the source material leaves open (task spreads,
 training budgets, grid resolutions, seeds) is pinned here; the pinned seeds
-were screened so the shipped pendulum presets certify on this configuration,
-and each preset lists fallback seeds. The 5-d and 6-d rows are resolution
-limited on a desk machine: their covering radius tau is a large fraction of
-the region radius, so certificates there are typically empty and the rows
-exist to exercise the pipeline honestly, not to reproduce areas.
+were screened so the shipped pendulum presets certify on this configuration.
+The 5-d and 6-d rows are resolution limited on a desk machine: their covering
+radius tau is a large fraction of the region radius, so certificates there are
+typically empty and the rows exist to exercise the pipeline honestly, not to
+reproduce areas.
 """
 
 from __future__ import annotations
@@ -174,11 +175,10 @@ class SeedBlock:
     task_seed: int = 0
     net_seed: int = 0
     adapt_seed: int = 123
-    fallback: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _require(min(self.master, self.task_seed, self.net_seed, self.adapt_seed,
-                     *self.fallback) >= 0, "seeds must be nonnegative")
+        _require(min(self.master, self.task_seed, self.net_seed, self.adapt_seed) >= 0,
+                 "seeds must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,6 @@ class ExperimentConfig:
     nlf: NlfBlock = NlfBlock()
     seeds: SeedBlock = SeedBlock()
     hidden: tuple[int, ...] = (16, 16)
-    out_dir: str = "out"
 
     def __post_init__(self):
         _require(self.name not in ("", ".", "..") and Path(self.name).name == self.name,
@@ -285,7 +284,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # Presets: one per benchmark row.
 
-def _pendulum_preset(name, theta_test, sigma, task_seed, fallback, meta_steps=8000,
+def _pendulum_preset(name, theta_test, sigma, task_seed, meta_steps=8000,
                      m_batches=30, k_train=50) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
@@ -295,8 +294,7 @@ def _pendulum_preset(name, theta_test, sigma, task_seed, fallback, meta_steps=80
         verify=VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1,
                            min_green_fraction=0.995),
         nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
-        seeds=SeedBlock(master=0, task_seed=task_seed, net_seed=0, adapt_seed=123,
-                        fallback=fallback),
+        seeds=SeedBlock(master=0, task_seed=task_seed, net_seed=0, adapt_seed=123),
     )
 
 
@@ -313,8 +311,7 @@ def _microgrid_preset(name, n, theta_test, sigma) -> ExperimentConfig:
                            min_green_fraction=0.995),
         roa=RoaBlock(plane=(0, 1)),
         nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
-        seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123,
-                        fallback=(1, 2, 3)),
+        seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123),
     )
 
 
@@ -328,21 +325,18 @@ def _fan_preset(name, theta_test, sigma) -> ExperimentConfig:
                            min_green_fraction=0.995),
         roa=RoaBlock(plane=(0, 2), mc_horizon=20.0),
         nlf=NlfBlock(n_samples=20000, n_steps=5000, lr=0.002, batch_size=256),
-        seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123,
-                        fallback=(1, 2, 3)),
+        seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123),
     )
 
 
 PRESETS = {
     "ip_stochastic_l": _pendulum_preset(
-        "ip_stochastic_l", (1.2, 0.15, 9.81, 0.1), (0.25, 0.0, 0.0, 0.0),
-        task_seed=113, fallback=(286, 163, 25)),
+        "ip_stochastic_l", (1.2, 0.15, 9.81, 0.1), (0.25, 0.0, 0.0, 0.0), task_seed=113),
     "ip_stochastic_lb": _pendulum_preset(
-        "ip_stochastic_lb", (1.35, 0.15, 9.81, 0.2), (0.25, 0.0, 0.0, 0.05),
-        task_seed=113, fallback=(286, 163, 25)),
+        "ip_stochastic_lb", (1.35, 0.15, 9.81, 0.2), (0.25, 0.0, 0.0, 0.05), task_seed=113),
     "ip_stochastic_lmgb": _pendulum_preset(
         "ip_stochastic_lmgb", (1.0, 0.2, 9.0, 0.2), (0.15, 0.02, 0.4, 0.04),
-        task_seed=18, fallback=(2, 3, 4), meta_steps=6000, m_batches=25, k_train=32),
+        task_seed=18, meta_steps=6000, m_batches=25, k_train=32),
     "mg3_dc12": _microgrid_preset(
         "mg3_dc12", 3, (3.0, 4.3, 2.0), (0.6, 0.6, 0.0)),
     "mg3_dc123": _microgrid_preset(

@@ -277,12 +277,16 @@ def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test:
     """Sample m_batches mini-batches of K train + J test pairs, states uniform
     over the ball of the given radius, labels y = f(x)."""
     rng = np.random.default_rng(seed)
-    batches = []
-    for _ in range(m_batches):
-        x_tr = sample_ball(rng, k_train, system.dim, radius)
-        x_te = sample_ball(rng, j_test, system.dim, radius)
-        batches.append(((x_tr, system.f_batch(x_tr)), (x_te, system.f_batch(x_te))))
-    return TaskDataset(batches=tuple(batches))
+    return TaskDataset(batches=tuple((sample_labelled(system, rng, k_train, radius),
+                                      sample_labelled(system, rng, j_test, radius))
+                                     for _ in range(m_batches)))
+
+
+def sample_labelled(system: ClosedLoopSystem, rng: np.random.Generator, n: int,
+                    radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """n states uniform over the ball of the given radius, and their labels y = f(x)."""
+    X = sample_ball(rng, n, system.dim, radius)
+    return X, system.f_batch(X)
 
 
 @dataclass(frozen=True, eq=False)

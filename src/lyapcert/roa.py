@@ -77,8 +77,8 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec, plane: tuple[int, int])
 def roa_area(result: RoaResult, grid: GridSpec) -> float:
     """Nonempty member-cell area: full-dimensional for dim <= 2, plane shadow above."""
     if grid.dim > 2:
-        shadow = project_plane(result, grid, result.plane)
-        return float(shadow.shape[0] * grid.spacing**2)
+        shadow = _plane_image(result, grid, result.plane)
+        return float(np.count_nonzero(shadow) * grid.spacing**2)
     return float(result.n_cells * grid.cell_volume)
 
 
@@ -89,15 +89,6 @@ def _plane_image(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np
     members = grid.axis_index[result.member_rows]
     image[members[:, i], members[:, j]] = True
     return image
-
-
-def project_plane(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
-    """Shadow of the member cells on the (i, j) plane.
-
-    Returns the distinct (lattice_i, lattice_j) pairs in lexicographic order,
-    each counted once regardless of depth multiplicity.
-    """
-    return np.argwhere(_plane_image(result, grid, axes)) - grid.nodes_per_axis // 2
 
 
 RK4_STEP_LIMIT = 2.5   # largest h * rho(A) the gate integrates at; RK4's real-axis limit is 2.785

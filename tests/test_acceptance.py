@@ -18,6 +18,10 @@ from lyapcert.config import PRESETS, config_hash
 from lyapcert.loss import TightenedLossConfig, empirical_loss
 
 
+# criterion 7's net seeds, tried in order when the shipped seed misses the ordering
+FALLBACK_NET_SEEDS = (2, 3, 4)
+
+
 def verdict(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
@@ -280,10 +284,10 @@ def test_criterion_7_area_ordering(ordering_run):
     table = ordering_run["table"]
     areas = {m: table.reports[m].roa.area for m in ("NLF_TS", "META_NLF", "QLF_TS")}
     ok = areas["NLF_TS"] >= areas["META_NLF"] >= areas["QLF_TS"] > 0
-    seed_note = f"shipped seed (fallbacks {cfg.seeds.fallback})"
+    seed_note = f"shipped seed (fallbacks {FALLBACK_NET_SEEDS})"
     if not ok:
         # seed-sensitive by design: try the documented fallback seeds
-        for fb in cfg.seeds.fallback:
+        for fb in FALLBACK_NET_SEEDS:
             system = dynamics.build_system(cfg.system.test())
             grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2)
             candidate, _, _ = baselines.meta_nlf(

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
-from lyapcert.config import (ConfigError, NlfBlock, PRESETS, config_from_dict, config_hash,
-                             config_to_dict, load_config)
+from lyapcert.config import (ConfigError, MetaBlock, NlfBlock, PRESETS, config_from_dict,
+                             config_hash, config_to_dict, load_config)
 from lyapcert.loss import TightenedLossConfig
 
 from helpers import nominal_system, save_checkpoint
@@ -20,15 +20,15 @@ from helpers import nominal_system, save_checkpoint
 ROOT = Path(__file__).resolve().parents[1]
 
 PRESET_HASHES = {
-    "ip_stochastic_l": "91f314935e0d58a8",
-    "ip_stochastic_lb": "c02ac2bb9e2e4fa8",
-    "ip_stochastic_lmgb": "bb541566a6955b1e",
-    "mg3_dc12": "8f081436892a78a1",
-    "mg3_dc123": "4b60baf972b8cb02",
-    "mg5_dc12": "bc0bd27fc74e71ca",
-    "mg5_dcall": "b0bfeaefc8331f5b",
-    "cf_m": "42fef6234dfb7402",
-    "cf_mrd": "d580c7f7459cdabc",
+    "ip_stochastic_l": "8c1ff8d758badd91",
+    "ip_stochastic_lb": "da4ae98f363fc48d",
+    "ip_stochastic_lmgb": "3858c0688629bd06",
+    "mg3_dc12": "6b6ebdde6f85f3ea",
+    "mg3_dc123": "839349b3da374182",
+    "mg5_dc12": "130750f58306e04f",
+    "mg5_dcall": "0a940afaade67675",
+    "cf_m": "765d08a2dac40ee9",
+    "cf_mrd": "864faaefe18f2f05",
 }
 
 
@@ -50,12 +50,16 @@ def mini_config(tmp_path, **overrides):
         "roa": {"mc_samples": 20, "mc_horizon": 5.0, "mc_tol": 0.5},
         "nlf": {"n_samples": 200, "n_steps": 30, "lr": 0.01, "batch_size": 32},
         "hidden": [8],
-        "out_dir": str(tmp_path / "out"),
     }
     payload.update(overrides)
     path = tmp_path / "mini.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def run(tmp_path, argv) -> int:
+    """`lyapcert <argv> --out <tmp_path>/out`: a test's runs write under its own tmp_path."""
+    return cli.main([*argv, "--out", str(tmp_path / "out")])
 
 
 class TestConfig:
@@ -144,6 +148,8 @@ class TestConfig:
         ("system", "theta_test", [0.6, 0.0, 9.81, 0.1]),
         (None, "system", {"system_id": "microgrid", "theta0": [2.0], "theta_test": [2.0],
                           "sigma_diag": [0.0]}),        # one droop is no network
+        (None, "out_dir", "elsewhere"),         # the output root is --out alone
+        ("seeds", "fallback", [2, 3, 4]),       # no fallback list: criterion 7 keeps its own
     ])
     def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
         path = mini_config(tmp_path)
@@ -152,7 +158,7 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match=block or key):
             load_config(path)
-        assert cli.main(["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -175,7 +181,7 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises((ConfigError, FloatingPointError), match=key):
             load_config(path)
-        assert cli.main(["train-meta", "--config", str(path)]) == expected
+        assert run(tmp_path, ["train-meta", "--config", str(path)]) == expected
         assert capsys.readouterr().err.startswith(
             "numeric failure" if expected == cli.EXIT_NUMERIC else "config error")
         assert not (tmp_path / "out").exists()
@@ -204,7 +210,7 @@ class TestConfig:
         argv = [command, "--config", str(path)]
         if command != "train-meta":
             argv += ["--checkpoint", str(ROOT / "perfbench" / "data" / "meta_checkpoint.json")]
-        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert run(tmp_path, argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1 and key in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.json"]
@@ -225,14 +231,15 @@ class TestConfig:
         """The bowl init solves normal equations in the network's parameters; a network
         with more parameters than the fit's points is rejected when the config is parsed."""
         path = mini_config(tmp_path, hidden=[64, 64])
-        assert cli.main(["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
         # 2 * 64 + 64 weights and biases, 64 * 64 + 64, then 64 + 1 for the output
         assert "4417 parameters" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_exit_2(self, tmp_path):
         path = mini_config(tmp_path)
-        assert cli.main(["train-meta", "--config", str(path), "--seed", "-1"]) == cli.EXIT_CONFIG
+        code = run(tmp_path, ["train-meta", "--config", str(path), "--seed", "-1"])
+        assert code == cli.EXIT_CONFIG
 
     def test_hash_changes_with_content(self, tmp_path):
         cfg_a = load_config(mini_config(tmp_path))
@@ -244,66 +251,60 @@ class TestCliCommands:
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "system": {"system_id": "pendulum"}}))
-        code = cli.main(["train-meta", "--config", str(path)])
+        code = run(tmp_path, ["train-meta", "--config", str(path)])
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_unknown_preset_exit_2(self):
-        assert cli.main(["compare", "--config", "/nonexistent/x.json"]) == cli.EXIT_CONFIG
+    def test_unknown_preset_exit_2(self, tmp_path):
+        assert run(tmp_path, ["compare", "--config", "/nonexistent/x.json"]) == cli.EXIT_CONFIG
 
     def test_full_mini_pipeline(self, tmp_path):
         cfg_path = mini_config(tmp_path)
         out = tmp_path / "out" / "mini"
-        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
         ckpt = out / "meta_checkpoint.json"
         assert ckpt.exists()
         assert (out / "region.json").exists()
 
-        assert cli.main(["adapt", "--config", str(cfg_path),
-                         "--checkpoint", str(ckpt)]) == cli.EXIT_OK
+        assert run(tmp_path, ["adapt", "--config", str(cfg_path),
+                              "--checkpoint", str(ckpt)]) == cli.EXIT_OK
         adapted = out / "adapted_checkpoint.json"
         ledger = json.loads((out / "adapt_ledger.json").read_text())
         assert ledger["samples_used"] <= 50 and ledger["steps_used"] <= 10
 
-        assert cli.main(["verify", "--config", str(cfg_path),
-                         "--checkpoint", str(adapted)]) == cli.EXIT_OK
+        assert run(tmp_path, ["verify", "--config", str(cfg_path),
+                              "--checkpoint", str(adapted)]) == cli.EXIT_OK
         assert (out / "validity_map.csv").exists()
         import xml.dom.minidom
         xml.dom.minidom.parseString((out / "validity_map.svg").read_text())
 
-        assert cli.main(["roa", "--config", str(cfg_path),
-                         "--checkpoint", str(adapted)]) == cli.EXIT_OK
+        assert run(tmp_path, ["roa", "--config", str(cfg_path),
+                              "--checkpoint", str(adapted)]) == cli.EXIT_OK
         roa_payload = json.loads((out / "roa.json").read_text())
         assert "c" in roa_payload and "config_hash" in roa_payload
 
-        assert cli.main(["simulate", "--config", str(cfg_path),
-                         "--x0", "0.2,0.0", "--h", "0.01", "--horizon", "2.0"]) == cli.EXIT_OK
+        assert run(tmp_path, ["simulate", "--config", str(cfg_path),
+                              "--x0", "0.2,0.0", "--h", "0.01", "--horizon", "2.0"]) == cli.EXIT_OK
         assert (out / "trajectory.csv").exists()
         assert (out / "trajectory.svg").exists()
 
-    def test_adapt_budget_violation_exit_2(self, tmp_path):
-        cfg_path = mini_config(tmp_path)
-        out = tmp_path / "out" / "mini"
-        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
-        code = cli.main(["adapt", "--config", str(cfg_path),
-                         "--checkpoint", str(out / "meta_checkpoint.json"),
-                         "--samples", "60"])
-        assert code == cli.EXIT_CONFIG
-
     def test_adapt_k_zero_identity(self, tmp_path):
         cfg_path = mini_config(tmp_path)
+        payload = json.loads(cfg_path.read_text())
+        payload["meta"]["k_test"] = 0
+        cfg_path.write_text(json.dumps(payload))
         out = tmp_path / "out" / "mini"
-        cli.main(["train-meta", "--config", str(cfg_path)])
-        cli.main(["adapt", "--config", str(cfg_path),
-                  "--checkpoint", str(out / "meta_checkpoint.json"), "--k", "0"])
+        run(tmp_path, ["train-meta", "--config", str(cfg_path)])
+        run(tmp_path, ["adapt", "--config", str(cfg_path),
+                       "--checkpoint", str(out / "meta_checkpoint.json")])
         theta0, _, _ = net.load_checkpoint(out / "meta_checkpoint.json")
         theta1, _, _ = net.load_checkpoint(out / "adapted_checkpoint.json")
         np.testing.assert_array_equal(theta0, theta1)
 
     def test_missing_checkpoint_exit_2(self, tmp_path):
         cfg_path = mini_config(tmp_path)
-        code = cli.main(["verify", "--config", str(cfg_path),
-                         "--checkpoint", str(tmp_path / "nope.json")])
+        code = run(tmp_path, ["verify", "--config", str(cfg_path),
+                              "--checkpoint", str(tmp_path / "nope.json")])
         assert code == cli.EXIT_CONFIG
 
     def test_arch_mismatch_exit_2(self, tmp_path):
@@ -311,7 +312,7 @@ class TestCliCommands:
         bad = tmp_path / "bad_ckpt.json"
         arch = net.Architecture(3, (4,))
         save_checkpoint(bad, net.init_params(arch, 0), arch)
-        code = cli.main(["verify", "--config", str(cfg_path), "--checkpoint", str(bad)])
+        code = run(tmp_path, ["verify", "--config", str(cfg_path), "--checkpoint", str(bad)])
         assert code == cli.EXIT_CONFIG
 
     def test_region_failure_exit_3(self, tmp_path, capsys):
@@ -319,7 +320,7 @@ class TestCliCommands:
                                verify={"d0": 3.0, "nodes_per_axis": 41,
                                        "exempt_radius": 0.0, "max_rounds": 1,
                                        "min_green_fraction": 1.0})
-        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
         # one line per task (n_tasks = 2): interior green fraction, red counts by condition
         lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("task ")]
         assert len(lines) == 2
@@ -334,9 +335,9 @@ class TestCliCommands:
         monkeypatch.setattr(roa, "largest_level_set", no_roa)
         cfg_path = mini_config(tmp_path)
         out = tmp_path / "out" / "mini"
-        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
-        assert cli.main(["verify", "--config", str(cfg_path),
-                         "--checkpoint", str(out / "meta_checkpoint.json")]) == cli.EXIT_OK
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert run(tmp_path, ["verify", "--config", str(cfg_path),
+                              "--checkpoint", str(out / "meta_checkpoint.json")]) == cli.EXIT_OK
         summary = json.loads((out / "validity_summary.json").read_text())
         worst = summary["worst_bounds"]
         assert set(worst) == {"vbar_low", "lie_high"}
@@ -346,20 +347,20 @@ class TestCliCommands:
     def test_train_meta_rerun_bitwise(self, tmp_path):
         cfg_path = mini_config(tmp_path)
         out = tmp_path / "out" / "mini"
-        cli.main(["train-meta", "--config", str(cfg_path)])
+        run(tmp_path, ["train-meta", "--config", str(cfg_path)])
         first = (out / "meta_checkpoint.json").read_bytes()
-        cli.main(["train-meta", "--config", str(cfg_path)])
+        run(tmp_path, ["train-meta", "--config", str(cfg_path)])
         assert (out / "meta_checkpoint.json").read_bytes() == first
 
     def test_compare_mini(self, tmp_path):
         cfg_path = mini_config(tmp_path)
         out = tmp_path / "out" / "mini"
-        assert cli.main(["compare", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert run(tmp_path, ["compare", "--config", str(cfg_path)]) == cli.EXIT_OK
         rows = json.loads((out / "comparison.json").read_text())["rows"]
         methods = {r["method"] for r in rows}
         assert {"META_NLF", "NLF_TS", "T_NLF", "QLF_TS", "SOS_LF_TS"} == methods
         first = (out / "comparison.csv").read_bytes()
-        assert cli.main(["compare", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert run(tmp_path, ["compare", "--config", str(cfg_path)]) == cli.EXIT_OK
         assert (out / "comparison.csv").read_bytes() == first
 
     def test_atomic_write(self, tmp_path):
@@ -376,7 +377,7 @@ class TestCliCommands:
         # an exemption ball wider than the region leaves no node to check
         cfg_path = mini_config(tmp_path, verify={"d0": 1.0, "exempt_radius": 1.1,
                                                  "max_rounds": 3, "min_green_fraction": 0.0})
-        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
         assert "exempt_radius" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -385,7 +386,7 @@ class TestCliCommands:
         cfg_path = mini_config(tmp_path, verify={"d0": 3.0, "nodes_per_axis": 3,
                                                  "exempt_radius": 0.9, "max_rounds": 1,
                                                  "min_green_fraction": 0.0})
-        assert cli.main(["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
         assert "0 interior nodes checked" in capsys.readouterr().err
         assert not (tmp_path / "out" / "mini" / "meta_checkpoint.json").exists()
 
@@ -404,7 +405,7 @@ def test_artifacts_share_one_mode_and_leave_no_temp_file(tmp_path, mini_checkpoi
     ckpt, _ = mini_checkpoint
     cfg_path = mini_config(tmp_path)
     for command in ("verify", "roa"):
-        assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+        assert run(tmp_path, [command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
     out = tmp_path / "out" / "mini"
     names = sorted(p.name for p in out.iterdir())
     assert names == ["roa.json", "roa_boundary.csv", "roa_mc.json", "roa_overlay.svg",
@@ -412,6 +413,58 @@ def test_artifacts_share_one_mode_and_leave_no_temp_file(tmp_path, mini_checkpoi
     plain = tmp_path / "plain.txt"
     plain.write_text("x")
     assert {(out / name).stat().st_mode for name in names} == {plain.stat().st_mode}
+
+
+def test_artifacts_do_not_depend_on_the_output_root(tmp_path, mini_checkpoint):
+    """The output root is no setting: verify and roa of one checkpoint into two --out
+    roots write byte-identical <name>/ trees, config_hash stamps included."""
+    ckpt, _ = mini_checkpoint
+    cfg_path = mini_config(tmp_path)
+    trees = []
+    for out in (tmp_path / "first", tmp_path / "second" / "nested"):
+        for command in ("verify", "roa"):
+            assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                             "--out", str(out)]) == cli.EXIT_OK
+        tree = out / "mini"
+        trees.append({str(p.relative_to(tree)): p.read_bytes() for p in tree.rglob("*")})
+    assert len(trees[0]) == 7 and trees[0] == trees[1]
+
+
+def test_adapt_queries_the_test_system_at_its_budget(tmp_path, mini_checkpoint, monkeypatch):
+    """`adapt` evaluates the test system's field at exactly meta.adapt_samples states,
+    the count its ledger reports."""
+    rows = []
+    f_batch = dynamics.ClosedLoopSystem.f_batch
+
+    def counted(self, X):
+        rows.append(X.shape[0])
+        return f_batch(self, X)
+
+    monkeypatch.setattr(dynamics.ClosedLoopSystem, "f_batch", counted)
+    ckpt, _ = mini_checkpoint
+    assert run(tmp_path, ["adapt", "--config", str(mini_config(tmp_path)),
+                          "--checkpoint", str(ckpt)]) == cli.EXIT_OK
+    ledger = json.loads((tmp_path / "out" / "mini" / "adapt_ledger.json").read_text())
+    assert sum(rows) == ledger["samples_used"] == MetaBlock().adapt_samples
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-meta", "--mode", "first_order"],
+    ["compare", "--mode", "first_order"],
+    ["adapt", "--checkpoint", "{ckpt}", "--k", "0"],
+    ["adapt", "--checkpoint", "{ckpt}", "--samples", "10"],
+])
+def test_removed_flags_exit_2(tmp_path, mini_checkpoint, capsys, argv):
+    """The test-time budget and the meta-gradient mode live in the meta block only: a
+    command line that still passes --mode, --k or --samples is a usage error, exit 2,
+    before anything is written."""
+    argv = [a.format(ckpt=mini_checkpoint[0]) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, [argv[0], "--config", str(mini_config(tmp_path)), *argv[1:]])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsys):
@@ -425,7 +478,8 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
                                              "theta_test": [4.0, 0.15, 9.81, 0.1],
                                              "sigma_diag": [0.05, 0.0, 0.0, 0.0]})
     out = tmp_path / "out" / "mini"
-    assert cli.main(["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == cli.EXIT_OK
+    code = run(tmp_path, ["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_OK
     assert json.loads((out / "roa_mc.json").read_text())["vacuous"]
     for name in ("roa.json", "roa_mc.json"):
         (out / name).unlink()
@@ -437,7 +491,7 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
 
     monkeypatch.setattr(roa, "largest_level_set", raised)
     capsys.readouterr()
-    code = cli.main(["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+    code = run(tmp_path, ["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
     assert code == cli.EXIT_VERIFICATION
     assert "verification failure" in capsys.readouterr().err
     assert not json.loads((out / "roa.json").read_text())["empty"]
@@ -446,8 +500,8 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["adapt", "--checkpoint", "{ckpt}", "--samples", "0"], cli.EXIT_CONFIG),
-    (["adapt", "--checkpoint", "{ckpt}", "--k", "-1"], cli.EXIT_CONFIG),
+    (["adapt", "--checkpoint", "{directory}"], cli.EXIT_CONFIG),
+    (["adapt", "--checkpoint", "{missing}"], cli.EXIT_CONFIG),
     (["adapt", "--checkpoint", "{truncated}"], cli.EXIT_CONFIG),
     (["verify", "--checkpoint", "{truncated}"], cli.EXIT_CONFIG),
     (["roa", "--checkpoint", "{truncated}"], cli.EXIT_CONFIG),
@@ -469,10 +523,11 @@ def test_bad_cli_input_exit_code(tmp_path, mini_checkpoint, capsys, argv, expect
     directory is made. A directory given as the checkpoint is unreadable; so is a
     file the user may not read (the same OSError path), which is not tested, as
     root reads any file."""
-    ckpt, truncated = mini_checkpoint
+    _, truncated = mini_checkpoint
     cfg_path = mini_config(tmp_path)
-    argv = [a.format(ckpt=ckpt, truncated=truncated, directory=tmp_path) for a in argv]
-    assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == expected
+    argv = [a.format(truncated=truncated, directory=tmp_path, missing=tmp_path / "nope.json")
+            for a in argv]
+    assert run(tmp_path, [argv[0], "--config", str(cfg_path), *argv[1:]]) == expected
     assert capsys.readouterr().err.count("\n") == 1   # a one-line message, not a traceback
     assert not (tmp_path / "out").exists()
 
@@ -487,7 +542,7 @@ def test_non_finite_dynamics_exit_4(tmp_path, mini_checkpoint, capsys):
                                              "theta_test": [0.6, 1e-320, 9.81, 0.1],
                                              "sigma_diag": [0.05, 0.0, 0.0, 0.0]},
                            verify={"d0": 3.0, "nodes_per_axis": 11, "exempt_radius": 0.9})
-    code = cli.main(["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+    code = run(tmp_path, ["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
     assert code == cli.EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numeric failure")
 
@@ -513,7 +568,8 @@ def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad
     ckpt = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, theta, arch, extra=5 if radius is None else {"radius": radius})
     cfg_path = mini_config(tmp_path)
-    assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == expected
+    code = run(tmp_path, [command, "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+    assert code == expected
     assert capsys.readouterr().err   # a one-line message, not a traceback
     assert not (tmp_path / "out").exists()
 
@@ -578,12 +634,12 @@ def test_two_dim_system_ignores_configured_plane(tmp_path):
     for plane in ([0, 1], [1, 0]):
         payload = config_to_dict(PRESETS["ip_stochastic_l"])
         payload["roa"].update(plane=plane, mc_samples=50)
-        payload["out_dir"] = str(tmp_path / f"out{plane[0]}")
         path = tmp_path / f"plane{plane[0]}.json"
         path.write_text(json.dumps(payload))
         assert load_config(path).plane == (0, 1)
         for command in ("verify", "roa"):
-            assert cli.main([command, "--config", str(path), "--checkpoint",
+            assert cli.main([command, "--config", str(path), "--out",
+                             str(tmp_path / f"out{plane[0]}"), "--checkpoint",
                              str(ROOT / "perfbench" / "data" / "meta_checkpoint.json")]) == 0
         outs.append(tmp_path / f"out{plane[0]}" / "ip_stochastic_l")
     for name in ("validity_map.svg", "roa_overlay.svg", "roa_boundary.csv"):

@@ -1,17 +1,19 @@
 """Layout guard: every function, class and method in `src/lyapcert` is used by the
 library itself, so no entry point lives on for tests alone; every dataclass
-field is read by it, so no field is only written; and every defaulted parameter
-of a function is passed by some call in it, so no parameter serves tests alone.
+field is read by it, so no field is only written or checked; and every defaulted
+parameter of a function is passed by some call in it, so no parameter serves
+tests alone.
 The modules that only receive settings raise no ValueError: the config blocks
 and `cli` check every setting once, when the config is parsed.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
 the definition's own body, except that `self.<name>` inside a class C counts as
 a use of C's `<name>` only; a field read is any load of an attribute of the
-field's name in `src/`. Other names are matched without their owner, so a use of
-a same-named attribute elsewhere also counts. A parameter is passed when a call of
-the function's bare name gives it by keyword, reaches its position, or splats
-`*args` or `**kwargs`.
+field's name in `src/` outside the field's own class's `__post_init__`, so a
+field that is only checked there is unread. Other names are matched without
+their owner, so a use of a same-named attribute elsewhere also counts. A
+parameter is passed when a call of the function's bare name gives it by keyword,
+reaches its position, or splats `*args` or `**kwargs`.
 """
 
 import ast
@@ -72,13 +74,18 @@ def _is_dataclass(node) -> bool:
 
 
 def _fields():
-    """(qualified name, field name) of every annotated field of a src/ dataclass."""
+    """(qualified name, field name, reads in the class's own `__post_init__`) of every
+    annotated field of a src/ dataclass."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                checks = sum((_attribute_loads(item) for item in node.body
+                              if isinstance(item, ast.FunctionDef)
+                              and item.name == "__post_init__"), Counter())
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign):
-                        yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+                        name = item.target.id
+                        yield f"{path.stem}.{node.name}.{name}", name, checks[name]
 
 
 def _definitions():
@@ -117,13 +124,13 @@ def test_every_dataclass_field_is_read_in_src():
     reads = Counter()
     for path in SRC.glob("*.py"):
         reads += _attribute_loads(ast.parse(path.read_text()))
-    unread = [qualified for qualified, name in _fields()
-              if not reads[name] and qualified not in ALLOWED_FIELDS]
+    unread = [qualified for qualified, name, checks in _fields()
+              if reads[name] <= checks and qualified not in ALLOWED_FIELDS]
     assert not unread, f"dataclass fields no code in src/ reads: {unread}"
 
 
 def test_field_allowlist_names_existing_fields():
-    defined = {qualified for qualified, _ in _fields()}
+    defined = {qualified for qualified, _, _ in _fields()}
     assert set(ALLOWED_FIELDS) <= defined, sorted(set(ALLOWED_FIELDS) - defined)
 
 

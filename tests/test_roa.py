@@ -230,30 +230,6 @@ class TestRoaArea:
         assert roa.roa_area(result, grid) == pytest.approx(grid.spacing**2)
 
 
-class TestProjectPlane:
-    def test_2d_identity(self):
-        grid = verify.build_grid(1.0, 11, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
-        shadow = roa.project_plane(result, grid, (0, 1))
-        assert shadow.shape[0] == result.n_cells
-
-    def test_empty_result(self):
-        grid = verify.build_grid(1.0, 5, 2)
-        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
-                              area=0.0, plane=(0, 1))
-        shadow = roa.project_plane(empty, grid, (0, 1))
-        assert shadow.shape[0] == 1  # the origin cell only
-
-    def test_3d_ball_projects_to_disk(self):
-        grid = verify.build_grid(1.0, 15, 3)
-        vbar = np.sum(grid.coords**2, axis=1)
-        result = roa.largest_level_set(all_green_map(grid, vbar), grid, plane=(0, 1))
-        shadow = roa.project_plane(result, grid, (0, 1))
-        radius_cells = np.max(np.linalg.norm(shadow * grid.spacing, axis=1))
-        assert radius_cells == pytest.approx(np.sqrt(result.c), abs=2 * grid.spacing)
-
-
 class TestMonteCarloConvergence:
     def test_linear_system_fully_converges(self):
         grid = verify.build_grid(1.0, 21, 2)

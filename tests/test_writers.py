@@ -9,8 +9,7 @@ import pytest
 from lyapcert import baselines, dynamics, net, roa, svg, verify
 from lyapcert.config import PRESETS
 
-from helpers import (reference_boundary_csv, reference_project_plane, reference_validity_csv,
-                     reference_validity_svg)
+from helpers import reference_boundary_csv, reference_validity_csv, reference_validity_svg
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "meta_checkpoint.json"
 
@@ -92,22 +91,6 @@ class TestReferenceEquality:
             grid = verify.build_grid(radius, nodes, dim)
             picked = grid.axis_coords[grid.axis_index]
             assert picked.tobytes() == grid.coords.tobytes()
-
-
-class TestProjectPlane:
-    @pytest.mark.parametrize("dim, nodes", [(2, 15), (3, 9)])
-    def test_matches_unique_on_random_members(self, dim, nodes):
-        grid = verify.build_grid(1.0, nodes, dim)
-        rng = np.random.default_rng(dim)
-        pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
-        for size in (1, 2, grid.n_nodes // 10, grid.n_nodes // 2, grid.n_nodes):
-            members = rng.choice(grid.n_nodes, size=size, replace=False)
-            result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=(0, 1))
-            for axes in pairs:
-                shadow = roa.project_plane(result, grid, axes)
-                expected = reference_project_plane(result, grid, axes)
-                assert shadow.dtype == expected.dtype
-                np.testing.assert_array_equal(shadow, expected)
 
 
 class TestPhasePolyline:
