@@ -144,13 +144,10 @@ def cli_seconds(cfg, args: list[str], repeats: int) -> float:
 def measure_meta_step(repeats: int) -> dict:
     cfg = meta_fit_config()
     m, arch = cfg.meta, cfg.architecture()
-    tasks = [dynamics.build_dataset(dynamics.build_system(p), RADIUS, m.k_train, m.j_test,
-                                    m.m_batches, cfg.seeds.task_seed + 7 * i)
-             for i, p in enumerate(dynamics.sample_tasks(cfg.system.nominal(), cfg.system.sigma_diag,
-                                                         m.n_tasks, cfg.seeds.task_seed))]
+    _, family = baselines.task_family(cfg, RADIUS)
     theta0 = net.shaped_init(arch, cfg.seeds.net_seed, RADIUS)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    meta.meta_train(tasks, arch, m, cfg.loss, cfg.seeds.net_seed, theta0=theta0)
+    meta.meta_train(family, arch, m, cfg.loss, cfg.seeds.net_seed, theta0=theta0)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     rng = np.random.default_rng(0)
     calls = 200
@@ -169,7 +166,7 @@ def measure_meta_step(repeats: int) -> dict:
     hvp_s = median_time(lambda: [net.hvps(theta0, arch, batch, cfg.loss, v)
                                  for _ in range(calls)], repeats)
 
-    step_s = median_time(lambda: meta.meta_train(tasks, arch, m, cfg.loss, cfg.seeds.net_seed,
+    step_s = median_time(lambda: meta.meta_train(family, arch, m, cfg.loss, cfg.seeds.net_seed,
                                                  theta0=theta0), repeats)
     init_s = median_time(lambda: net.shaped_init(arch, cfg.seeds.net_seed, RADIUS), repeats)
     return {"loss_gradient_us": grad_us,

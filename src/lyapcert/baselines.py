@@ -25,8 +25,7 @@ import numpy as np
 from . import meta, net, roa, verify
 from .config import ExperimentConfig, MetaBlock, NlfBlock, VerifyBlock
 from .control import is_hurwitz, solve_lyapunov
-from .dynamics import (ClosedLoopSystem, TaskDataset, build_dataset, build_system,
-                       sample_labelled, sample_tasks)
+from .dynamics import ClosedLoopSystem, build_dataset, build_system, sample_labelled, sample_tasks
 from .loss import TightenedLossConfig
 
 METHODS = ("META_NLF", "NLF_TS", "T_NLF", "QLF_TS")
@@ -83,7 +82,7 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
         idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
         g = net.loss_gradient(theta, arch, (X[idx], Y[idx]), loss_cfg)
         if not np.all(np.isfinite(g)):
-            raise meta.NonFiniteLoss(step, float("nan"))
+            raise meta.NonFiniteLoss(f"non-finite gradient at NLF training step {step}", step)
         theta = theta - budget.lr * g
     return theta, budget.n_samples, budget.n_steps
 
@@ -120,7 +119,7 @@ def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem,
              radius: float) -> tuple[net.MlpLyapunov, int, int]:
     """Meta-train across sampled tasks, then adapt to the test-time system
     under the 50/10 budget."""
-    report, _ = meta_train_for(cfg, radius)
+    report = meta_train_for(cfg, radius)[0]
     m, arch = cfg.meta, cfg.architecture()
     batch = sample_labelled(system_test, np.random.default_rng(cfg.seeds.adapt_seed),
                             m.adapt_samples, radius)
@@ -129,22 +128,28 @@ def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem,
     return net.MlpLyapunov(theta, arch), m.adapt_samples, m.k_test
 
 
-def meta_train_for(cfg: ExperimentConfig, radius: float
-                   ) -> tuple[meta.MetaTrainReport, list[tuple[ClosedLoopSystem, TaskDataset]]]:
-    """Sample the task family around the nominal parameters, build each task's
-    dataset on the ball of the given radius and meta-train from the shaped
-    init. Returns the training report and the (system, dataset) family."""
-    m, task_seed, net_seed = cfg.meta, cfg.seeds.task_seed, cfg.seeds.net_seed
-    family = []
-    for i, params in enumerate(sample_tasks(cfg.system.nominal(), cfg.system.sigma_diag,
-                                            m.n_tasks, task_seed)):
-        system = build_system(params)
-        family.append((system, build_dataset(system, radius, m.k_train, m.j_test,
-                                             m.m_batches, task_seed + 7 * i)))
-    arch = cfg.architecture()
-    report = meta.meta_train([dataset for _, dataset in family], arch, m, cfg.loss, net_seed,
+def task_family(cfg: ExperimentConfig, radius: float
+                ) -> tuple[list[ClosedLoopSystem], tuple[np.ndarray, ...]]:
+    """The task family around the nominal parameters: each task's system, and the
+    tasks' datasets on the ball of the given radius stacked on a leading task axis,
+    (X_tr, Y_tr, X_te, Y_te) of shape (n_tasks, m_batches, rows, d)."""
+    m, task_seed = cfg.meta, cfg.seeds.task_seed
+    systems = [build_system(params) for params in sample_tasks(
+        cfg.system.nominal(), cfg.system.sigma_diag, m.n_tasks, task_seed)]
+    datasets = [build_dataset(system, radius, m.k_train, m.j_test, m.m_batches,
+                              task_seed + 7 * i) for i, system in enumerate(systems)]
+    return systems, tuple(np.stack(column) for column in zip(*datasets))
+
+
+def meta_train_for(cfg: ExperimentConfig, radius: float) -> tuple[
+        meta.MetaTrainReport, list[ClosedLoopSystem], tuple[np.ndarray, ...]]:
+    """Meta-train on the task family on the ball of the given radius from the shaped
+    init. Returns the training report and the family's systems and datasets."""
+    systems, family = task_family(cfg, radius)
+    arch, net_seed = cfg.architecture(), cfg.seeds.net_seed
+    report = meta.meta_train(family, arch, cfg.meta, cfg.loss, net_seed,
                              theta0=net.shaped_init(arch, net_seed, radius))
-    return report, family
+    return report, systems, family
 
 
 @dataclass(frozen=True, eq=False)

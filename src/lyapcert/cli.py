@@ -132,11 +132,11 @@ def _fit_region(cfg: ExperimentConfig, d: float):
     task of the trained family, map it (no ROA) and accept when every map passes.
     Returns ((training report, each task's _interior_report), accepted)."""
     arch = cfg.architecture()
-    report, family = baselines.meta_train_for(cfg, d)
+    report, systems, (X_tr, Y_tr, _, _) = baselines.meta_train_for(cfg, d)
     grid = verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim)
     interiors = []
-    for system, dataset in family:
-        adapted = meta.test_time_adapt(report.theta_mnlf, arch, dataset.batches[0][0],
+    for i, system in enumerate(systems):   # task i adapts on its first train batch
+        adapted = meta.test_time_adapt(report.theta_mnlf, arch, (X_tr[i, 0], Y_tr[i, 0]),
                                        cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
         vmap = verify.check_validity(net.MlpLyapunov(adapted, arch), system, grid,
                                      exempt_radius=cfg.verify.exempt_radius)
@@ -168,8 +168,9 @@ def cmd_train_meta(args) -> int:
         report.theta_mnlf, cfg.architecture(),
         extra={**_stamp(cfg), "radius": selection.radius, "system_id": cfg.system.system_id,
                "rounds": selection.rounds})))
-    train_report = meta.export_report_json(report, cfg.meta, checkpoint_ref=ckpt.name)
-    atomic_write_json(out / "train_report.json", {**_stamp(cfg), **train_report})
+    atomic_write_json(out / "train_report.json",
+                      {**_stamp(cfg), "loss_curve": report.loss_curve.tolist(),
+                       "checkpoint": ckpt.name})
     atomic_write_json(out / "region.json",
                       {**_stamp(cfg), "radius": selection.radius, "rounds": selection.rounds})
     atomic_write_json(out / "config_echo.json", config_to_dict(cfg))

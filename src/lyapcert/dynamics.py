@@ -257,29 +257,15 @@ def sample_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np
     return direction * r[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class TaskDataset:
-    """Mini-batched (state, velocity) samples for one task.
-
-    batches[j] = ((x_tr, y_tr), (x_te, y_te)) with K training and J test
-    rows; labels are exact dynamics evaluations at the states.
-    """
-
-    batches: tuple
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batches)
-
-
 def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test: int,
-                  m_batches: int, seed: int) -> TaskDataset:
-    """Sample m_batches mini-batches of K train + J test pairs, states uniform
-    over the ball of the given radius, labels y = f(x)."""
+                  m_batches: int, seed: int) -> tuple[np.ndarray, ...]:
+    """m_batches mini-batches of K train + J test pairs, states uniform over the ball of
+    the given radius, labels y = f(x), each batch drawing its train half first: (X_tr,
+    Y_tr, X_te, Y_te), train arrays (m_batches, K, d), test arrays (m_batches, J, d)."""
     rng = np.random.default_rng(seed)
-    return TaskDataset(batches=tuple((sample_labelled(system, rng, k_train, radius),
-                                      sample_labelled(system, rng, j_test, radius))
-                                     for _ in range(m_batches)))
+    batches = [(*sample_labelled(system, rng, k_train, radius),
+                *sample_labelled(system, rng, j_test, radius)) for _ in range(m_batches)]
+    return tuple(np.stack(column) for column in zip(*batches))
 
 
 def sample_labelled(system: ClosedLoopSystem, rng: np.random.Generator, n: int,

@@ -13,23 +13,22 @@ adapted vectors, HVPs at the 2P points theta +- eps_p g_p) is one stacked call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import net
 from .config import MetaBlock
-from .dynamics import TaskDataset
 from .loss import TightenedLossConfig, mean_loss
 
 Batch = tuple[np.ndarray, np.ndarray]
 
 
 class NonFiniteLoss(Exception):
-    """Training produced a non-finite loss; carries the meta-step index."""
+    """Training produced a non-finite loss or gradient; the message names the loop and
+    the step, which the exception carries."""
 
-    def __init__(self, step: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at meta-step {step}")
+    def __init__(self, message: str, step: int):
+        super().__init__(message)
         self.step = step
 
 
@@ -37,7 +36,6 @@ class NonFiniteLoss(Exception):
 class MetaTrainReport:
     theta_mnlf: np.ndarray
     loss_curve: np.ndarray        # per-meta-step mean adapted loss
-    seed: int
 
 
 def meta_gradients(theta, arch: net.Architecture, s_tr: Batch, s_te: Batch, inner_lr: float,
@@ -55,20 +53,22 @@ def meta_gradients(theta, arch: net.Architecture, s_tr: Batch, s_te: Batch, inne
     return g_te, mean_loss(*terms, loss_cfg)
 
 
-def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: MetaBlock,
+def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg: MetaBlock,
                loss_cfg: TightenedLossConfig, seed: int, theta0: np.ndarray) -> MetaTrainReport:
-    """Full meta-training run over the task datasets from theta0, deterministic given the seed."""
+    """Full meta-training run from theta0, deterministic given the seed, over a task
+    family's stacked datasets (X_tr, Y_tr, X_te, Y_te), each (tasks, batches, rows, d)."""
     rng = np.random.default_rng(seed)
     theta = theta0
+    n_tasks, m_batches = family[0].shape[:2]
 
     curve = np.empty(meta_cfg.meta_steps)
     for step in range(meta_cfg.meta_steps):
-        # per pick: a task index, then one of its batches; stacked to (P, n, d) arrays
-        picks = [t.batches[rng.integers(t.n_batches)]
-                 for t in (tasks[rng.integers(len(tasks))] for _ in range(meta_cfg.tasks_per_step))]
-        s_tr, s_te = (tuple(np.array(a, dtype=float) for a in zip(*half)) for half in zip(*picks))
-        grads, losses = meta_gradients(theta, arch, s_tr, s_te, meta_cfg.inner_lr, loss_cfg,
-                                       meta_cfg.mode)
+        # per pick: a task index, then one of its batches; gathered to (P, n, d) arrays
+        t, b = np.array([(rng.integers(n_tasks), rng.integers(m_batches))
+                         for _ in range(meta_cfg.tasks_per_step)]).T
+        X_tr, Y_tr, X_te, Y_te = (a[t, b] for a in family)
+        grads, losses = meta_gradients(theta, arch, (X_tr, Y_tr), (X_te, Y_te),
+                                       meta_cfg.inner_lr, loss_cfg, meta_cfg.mode)
         grad_sum = np.zeros_like(theta)
         loss_sum = 0.0
         for g, task_loss in zip(grads, losses.tolist()):
@@ -76,10 +76,10 @@ def meta_train(tasks: Sequence[TaskDataset], arch: net.Architecture, meta_cfg: M
             loss_sum += task_loss
         mean_step_loss = loss_sum / meta_cfg.tasks_per_step
         if not np.isfinite(mean_step_loss):
-            raise NonFiniteLoss(step, mean_step_loss)
+            raise NonFiniteLoss(f"non-finite loss {mean_step_loss!r} at meta-step {step}", step)
         curve[step] = mean_step_loss
         theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
-    return MetaTrainReport(theta_mnlf=theta, loss_curve=curve, seed=seed)
+    return MetaTrainReport(theta_mnlf=theta, loss_curve=curve)
 
 
 def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
@@ -89,22 +89,3 @@ def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
     for _ in range(k):
         theta = theta - alpha * net.loss_gradient(theta, arch, s_tr, loss_cfg)
     return theta
-
-
-def export_report_json(report: MetaTrainReport, meta_cfg: MetaBlock,
-                       checkpoint_ref: str) -> dict:
-    """JSON-ready view of a training run (timing excluded: artifacts are
-    reproducible bitwise, wall time is not)."""
-    return {
-        "config": {
-            "inner_lr": meta_cfg.inner_lr,
-            "meta_lr": meta_cfg.meta_lr,
-            "tasks_per_step": meta_cfg.tasks_per_step,
-            "meta_steps": meta_cfg.meta_steps,
-            "k_test": meta_cfg.k_test,
-            "mode": meta_cfg.mode,
-            "seed": report.seed,
-        },
-        "loss_curve": [float(v) for v in report.loss_curve],
-        "checkpoint": checkpoint_ref,
-    }

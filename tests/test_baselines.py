@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lyapcert import baselines, dynamics, net, verify
+from lyapcert import baselines, dynamics, meta, net, verify
 from lyapcert.config import (TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfig, MetaBlock,
                              NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
@@ -98,6 +98,15 @@ class TestNlfTs:
                                                 NlfBlock(n_samples=500, n_steps=50), seed=0)
         assert (samples, steps) == (500, 50)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_gradient_names_loop_and_step(self):
+        with pytest.raises(meta.NonFiniteLoss) as info:
+            baselines.train_nlf(nominal_system("pendulum"), 2.0, ARCH, LOSS,
+                                NlfBlock(50, 50, 1e200, 8), seed=0)
+        step = info.value.step
+        assert 0 < step < 50
+        assert str(info.value) == f"non-finite gradient at NLF training step {step}"
+
 
 class TestTNlf:
     def test_same_system_transfer_and_budget(self):
@@ -137,6 +146,23 @@ def table():
     return baselines.compare(small_config())
 
 
+class TestTaskFamily:
+    def test_stacked_task_datasets(self):
+        """Task i's slice of the family is its own build_dataset, seeded task_seed + 7 i."""
+        cfg = small_config()
+        m = cfg.meta
+        systems, family = baselines.task_family(cfg, 2.5)
+        params = dynamics.sample_tasks(cfg.system.nominal(), cfg.system.sigma_diag, m.n_tasks,
+                                       cfg.seeds.task_seed)
+        assert [s.params for s in systems] == params
+        assert [a.shape for a in family] == [(2, 3, 8, 2)] * 4
+        for i, system in enumerate(systems):
+            dataset = dynamics.build_dataset(system, 2.5, m.k_train, m.j_test, m.m_batches,
+                                             cfg.seeds.task_seed + 7 * i)
+            for stacked, own in zip(family, dataset):
+                np.testing.assert_array_equal(stacked[i], own)
+
+
 class TestCompare:
     def test_all_methods_present(self, table):
         assert set(table.reports) == set(baselines.METHODS)
@@ -164,3 +190,19 @@ class TestCompare:
         for over in ({"adapt_samples": TEST_TIME_SAMPLES + 1}, {"k_test": TEST_TIME_STEPS + 1}):
             with pytest.raises(ValueError, match="test-time budget"):
                 replace(meta, **over)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_nlf_rows_carry_their_error():
+    """A diverging NLF step size fails the two NLF-trained methods alone: their rows
+    carry the error with empty numbers, and the other methods still certify."""
+    cfg = small_config()
+    table = baselines.compare(replace(cfg, nlf=replace(cfg.nlf, lr=1e200)))
+    assert set(table.errors) == {"NLF_TS", "T_NLF"}
+    rows = {row["method"]: row for row in table.to_rows()}
+    for method in ("NLF_TS", "T_NLF"):
+        assert rows[method]["status"].startswith("NonFiniteLoss: non-finite gradient at NLF ")
+        assert all(rows[method][key] == "" for key in ("area", "c", "mc_fraction",
+                                                        "test_samples", "test_steps"))
+    for method in ("META_NLF", "QLF_TS"):
+        assert rows[method]["status"] == "ok"

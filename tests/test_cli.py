@@ -352,6 +352,18 @@ class TestCliCommands:
         run(tmp_path, ["train-meta", "--config", str(cfg_path)])
         assert (out / "meta_checkpoint.json").read_bytes() == first
 
+    def test_train_report_keys(self, tmp_path):
+        """train_report.json holds the stamp, the loss curve and the checkpoint's name;
+        the settings are in config_echo.json alone."""
+        cfg_path = mini_config(tmp_path)
+        out = tmp_path / "out" / "mini"
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
+        report = json.loads((out / "train_report.json").read_text())
+        assert set(report) == {"config_hash", "seed", "preset", "loss_curve", "checkpoint"}
+        assert report["checkpoint"] == "meta_checkpoint.json"
+        assert len(report["loss_curve"]) == 40
+        assert json.loads((out / "config_echo.json").read_text())["meta"]["meta_steps"] == 40
+
     def test_compare_mini(self, tmp_path):
         cfg_path = mini_config(tmp_path)
         out = tmp_path / "out" / "mini"

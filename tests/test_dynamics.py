@@ -232,8 +232,9 @@ class TestSampleTasks:
 
 def all_samples(dataset):
     """Every (state, label) row of a dataset, train then test half of each batch."""
-    halves = [half for batch in dataset.batches for half in batch]
-    return tuple(np.concatenate([half[k] for half in halves]) for k in (0, 1))
+    X_tr, Y_tr, X_te, Y_te = dataset
+    return tuple(np.concatenate([tr, te], axis=1).reshape(-1, tr.shape[-1])
+                 for tr, te in ((X_tr, X_te), (Y_tr, Y_te)))
 
 
 class TestBuildDataset:
@@ -260,6 +261,19 @@ class TestBuildDataset:
         a = dynamics.build_dataset(system, 1.0, 4, 4, 2, seed=11)
         b = dynamics.build_dataset(system, 1.0, 4, 4, 2, seed=11)
         np.testing.assert_array_equal(all_samples(a)[0], all_samples(b)[0])
+
+    def test_stacked_batches_in_draw_order(self):
+        """Train arrays (m, K, d), test arrays (m, J, d); each batch draws its train
+        half, then its test half, from the one seeded stream."""
+        system = nominal_system("microgrid")
+        dataset = dynamics.build_dataset(system, 1.5, 8, 4, 3, seed=5)
+        assert [a.shape for a in dataset] == [(3, 8, 3), (3, 8, 3), (3, 4, 3), (3, 4, 3)]
+        rng = np.random.default_rng(5)
+        for j in range(3):
+            for X, Y in ((dataset[0][j], dataset[1][j]), (dataset[2][j], dataset[3][j])):
+                X_ref, Y_ref = dynamics.sample_labelled(system, rng, len(X), 1.5)
+                np.testing.assert_array_equal(X, X_ref)
+                np.testing.assert_array_equal(Y, Y_ref)
 
 
 class TestSimulate:

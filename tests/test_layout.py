@@ -4,7 +4,9 @@ field is read by it, so no field is only written or checked; and every defaulted
 parameter of a function is passed by some call in it, so no parameter serves
 tests alone.
 The modules that only receive settings raise no ValueError: the config blocks
-and `cli` check every setting once, when the config is parsed.
+and `cli` check every setting once, when the config is parsed. Every `lyapcert`
+name a script in `scripts/` imports or reads as `<module>.<attr>` exists, so a
+rename in `src/` fails here rather than when the script next runs.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
 the definition's own body, except that `self.<name>` inside a class C counts as
@@ -17,10 +19,13 @@ reaches its position, or splats `*args` or `**kwargs`.
 """
 
 import ast
+import importlib
+import types
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lyapcert"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lyapcert"
 
 # definitions nothing in src/ references, each with the reason it stays
 ALLOWED = {
@@ -180,3 +185,51 @@ def test_parsed_settings_are_not_checked_again():
                if isinstance(node, ast.Raise) and node.exc is not None
                and any(getattr(n, "id", None) == "ValueError" for n in ast.walk(node.exc))]
     assert not raising, f"ValueError raised on settings checked at parse: {raising}"
+
+
+
+_ABSENT = object()
+
+
+def _lookup(module: str, name: str | None = None):
+    """What `import <module>` binds or, given a name, `from <module> import <name>`;
+    _ABSENT when the import fails."""
+    try:
+        owner = importlib.import_module(module)
+        if name is None:
+            return owner
+        found = getattr(owner, name, _ABSENT)
+        return importlib.import_module(f"{module}.{name}") if found is _ABSENT else found
+    except ModuleNotFoundError:
+        return _ABSENT
+
+
+def test_script_references_resolve():
+    """The scripts' AST is walked, not run: every lyapcert module they import, name
+    they import from one and attribute they read of an imported module exists."""
+    missing = []
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}   # local name -> the lyapcert module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    root = alias.name.split(".")[0]
+                    if root == "lyapcert":
+                        if _lookup(alias.name) is _ABSENT:
+                            missing.append(f"{path.name}: {alias.name}")
+                        modules[alias.asname or root] = alias.name if alias.asname else root
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "lyapcert"):
+                for alias in node.names:
+                    found = _lookup(node.module, alias.name)
+                    if found is _ABSENT:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                    elif isinstance(found, types.ModuleType):
+                        modules[alias.asname or alias.name] = found.__name__
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and _lookup(modules[node.value.id], node.attr) is _ABSENT):
+                missing.append(f"{path.name}:{node.lineno}: {modules[node.value.id]}.{node.attr}")
+    assert not missing, f"lyapcert names the scripts use but src/ lacks: {missing}"

@@ -104,9 +104,16 @@ class TestMetaObjectiveAndGradient:
         np.testing.assert_allclose(g, fd, rtol=1e-3, atol=1e-7)
 
 
+def family_of(*datasets):
+    """build_dataset results stacked on a leading task axis, as meta_train takes them."""
+    return tuple(np.stack(column) for column in zip(*datasets))
+
+
 def tiny_task(seed=0, radius=2.0):
+    """A one-task family of 3 batches of 8 + 8 pendulum rows."""
     system = nominal_system("pendulum")
-    return dynamics.build_dataset(system, radius, k_train=8, j_test=8, m_batches=3, seed=seed)
+    return family_of(dynamics.build_dataset(system, radius, k_train=8, j_test=8, m_batches=3,
+                                            seed=seed))
 
 
 class TestMetaTrain:
@@ -117,7 +124,7 @@ class TestMetaTrain:
     def test_zero_meta_lr_keeps_init(self):
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.01, meta_lr=1e-300, tasks_per_step=1, meta_steps=1)
-        report = meta.meta_train([task], self.arch, mc, self.cfg, 4,
+        report = meta.meta_train(task, self.arch, mc, self.cfg, 4,
                                  net.init_params(self.arch, 4))
         np.testing.assert_allclose(report.theta_mnlf, net.init_params(self.arch, 4), atol=1e-250)
 
@@ -126,12 +133,13 @@ class TestMetaTrain:
         mc = MetaBlock(inner_lr=0.02, meta_lr=0.1, tasks_per_step=1,
                        meta_steps=1, mode="first_order")
         theta0 = net.init_params(self.arch, 5)
-        report = meta.meta_train([task], self.arch, mc, self.cfg, 5, theta0)
+        report = meta.meta_train(task, self.arch, mc, self.cfg, 5, theta0)
         # replicate the single meta-step by hand with the same rng stream
         rng = np.random.default_rng(5)
-        _task_idx = rng.integers(1)
-        j = rng.integers(task.n_batches)
-        s_tr, s_te = task.batches[j]
+        t = rng.integers(1)
+        j = rng.integers(3)
+        X_tr, Y_tr, X_te, Y_te = (a[t, j] for a in task)
+        s_tr, s_te = (X_tr, Y_tr), (X_te, Y_te)
         adapted = theta0 - 0.02 * net.loss_gradient(theta0, self.arch, s_tr, self.cfg)
         expected = theta0 - 0.1 * net.loss_gradient(adapted, self.arch, s_te, self.cfg)
         np.testing.assert_allclose(report.theta_mnlf, expected, atol=1e-15)
@@ -139,9 +147,9 @@ class TestMetaTrain:
     def test_deterministic(self):
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.01, meta_lr=0.01, tasks_per_step=2, meta_steps=5)
-        a = meta.meta_train([task], self.arch, mc, self.cfg, 6,
+        a = meta.meta_train(task, self.arch, mc, self.cfg, 6,
                             net.init_params(self.arch, 6))
-        b = meta.meta_train([task], self.arch, mc, self.cfg, 6,
+        b = meta.meta_train(task, self.arch, mc, self.cfg, 6,
                             net.init_params(self.arch, 6))
         np.testing.assert_array_equal(a.theta_mnlf, b.theta_mnlf)
         np.testing.assert_array_equal(a.loss_curve, b.loss_curve)
@@ -149,7 +157,7 @@ class TestMetaTrain:
     def test_loss_curve_length(self):
         task = tiny_task()
         mc = MetaBlock(meta_lr=0.005, meta_steps=7, tasks_per_step=1)
-        report = meta.meta_train([task], self.arch, mc, self.cfg, 0,
+        report = meta.meta_train(task, self.arch, mc, self.cfg, 0,
                                  net.init_params(self.arch, 0))
         assert report.loss_curve.shape == (7,)
 
@@ -159,15 +167,15 @@ class TestMetaTrain:
         steps = 6
         mc = MetaBlock(inner_lr=1e-300, meta_lr=0.05, tasks_per_step=1,
                        meta_steps=steps, mode="first_order")
-        report = meta.meta_train([task], self.arch, mc, self.cfg, 9,
+        report = meta.meta_train(task, self.arch, mc, self.cfg, 9,
                                  net.init_params(self.arch, 9))
 
         theta = net.init_params(self.arch, 9)
         rng = np.random.default_rng(9)
         for _ in range(steps):
-            _task = rng.integers(1)
-            j = rng.integers(task.n_batches)
-            _s_tr, s_te = task.batches[j]
+            t = rng.integers(1)
+            j = rng.integers(3)
+            s_te = (task[2][t, j], task[3][t, j])
             theta = theta - 0.05 * net.loss_gradient(theta, self.arch, s_te, self.cfg)
         np.testing.assert_allclose(report.theta_mnlf, theta, atol=1e-12)
 
@@ -176,20 +184,23 @@ class TestMetaTrain:
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.01, meta_lr=1e200, tasks_per_step=1, meta_steps=50)
         with pytest.raises(meta.NonFiniteLoss) as info:
-            meta.meta_train([task], self.arch, mc, self.cfg, 10,
+            meta.meta_train(task, self.arch, mc, self.cfg, 10,
                             net.init_params(self.arch, 10))
-        assert 0 <= info.value.step < 50
+        step = info.value.step
+        assert 0 <= step < 50
+        assert str(info.value).startswith("non-finite loss ")
+        assert str(info.value).endswith(f" at meta-step {step}")
 
     def test_training_makes_progress_on_pendulum(self):
         # seed-pinned run: the trailing loss mean must drop substantially
         theta0 = nominal_params("pendulum")
         tasks = dynamics.sample_tasks(theta0, (0.15, 0.0, 0.0, 0.0), 4, seed=11)
-        datasets = [dynamics.build_dataset(dynamics.build_system(t), 4.0, 16, 16, 10, seed=i)
-                    for i, t in enumerate(tasks)]
+        family = family_of(*[dynamics.build_dataset(dynamics.build_system(t), 4.0, 16, 16, 10,
+                                                    seed=i) for i, t in enumerate(tasks)])
         arch = net.Architecture(2, (16, 16))
         cfg = TightenedLossConfig(1.0, 1.0)
         mc = MetaBlock(inner_lr=0.01, meta_lr=0.002, tasks_per_step=2, meta_steps=2000)
-        report = meta.meta_train(datasets, arch, mc, cfg, seed=12,
+        report = meta.meta_train(family, arch, mc, cfg, seed=12,
                                  theta0=net.shaped_init(arch, 12, 4.0))
         curve = report.loss_curve
         assert np.all(np.isfinite(curve))
@@ -218,8 +229,9 @@ class TestStackedMetaStep:
             grad_sum = np.zeros_like(theta)
             loss_sum = 0.0
             for _ in range(mc.tasks_per_step):
-                task = self.tasks[rng.integers(len(self.tasks))]
-                s_tr, s_te = task.batches[rng.integers(task.n_batches)]
+                X_tr, Y_tr, X_te, Y_te = self.tasks[rng.integers(len(self.tasks))]
+                j = rng.integers(len(X_tr))
+                s_tr, s_te = (X_tr[j], Y_tr[j]), (X_te[j], Y_te[j])
                 adapted = theta - mc.inner_lr * net.loss_gradient(theta, self.arch, s_tr, self.cfg)
                 g_te = net.loss_gradient(adapted, self.arch, s_te, self.cfg)
                 if mc.mode == "second_order":
@@ -233,7 +245,7 @@ class TestStackedMetaStep:
     @pytest.mark.parametrize("mode", ["second_order", "first_order"])
     def test_matches_per_task_loop(self, mode):
         mc = MetaBlock(inner_lr=0.01, meta_lr=0.01, tasks_per_step=4, meta_steps=25, mode=mode)
-        report = meta.meta_train(self.tasks, self.arch, mc, self.cfg, 31,
+        report = meta.meta_train(family_of(*self.tasks), self.arch, mc, self.cfg, 31,
                                  net.init_params(self.arch, 31))
         theta, curve = self.reference(mc, seed=31)
         assert not np.array_equal(theta, net.init_params(self.arch, 31))
