@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the meta-training layers, the Monte-Carlo gate, the bowl init or the
-artifact writers into a BENCH JSON file.
+"""Time the meta-training layers, the Monte-Carlo gate, the bowl init, the
+artifact writers or grid certification into a BENCH JSON file.
 
 Example, once per source tree to compare (runs under one label accumulate):
 
@@ -8,6 +8,7 @@ Example, once per source tree to compare (runs under one label accumulate):
     PYTHONPATH=src python scripts/bench.py --suite gate --label change
     PYTHONPATH=src python scripts/bench.py --suite init --label change
     PYTHONPATH=src python scripts/bench.py --suite writers --label change
+    PYTHONPATH=src python scripts/bench.py --suite cert --label change
 
 The `meta_step` suite (default output `BENCH_meta_step.json`) measures, with
 BLAS pinned to one thread, on the `meta_fit` family (the `ip_stochastic_l`
@@ -57,14 +58,36 @@ preset; `perfbench/data/meta_checkpoint.json` adapted by `lyapcert adapt`,
 31,877 grid nodes):
 
 - `writer_ms`: milliseconds per call of each artifact writer on the adapted
-  candidate's validity map and certificate: `validity_csv`
-  (`verify.export_validity_csv`), `validity_svg` and `overlay_svg`
-  (`svg.render_validity_svg` without and with the ROA) and `boundary_csv`
-  (`roa.export_boundary_csv`)
+  candidate's validity map and certificate, its text made in full:
+  `validity_csv` (`verify.export_validity_csv`), `validity_svg` and
+  `overlay_svg` (`svg.render_validity_svg` without and with the ROA) and
+  `boundary_csv` (`roa.export_boundary_csv`)
 - `check_validity_ms` and `mc_gate_ms`: milliseconds per `verify.check_validity`
   and per `roa.monte_carlo_convergence` at the preset's 1,000 rollouts
 - `operation_s`: wall seconds of one adapt -> verify -> roa operation, three
   fresh interpreters, as the benchmark's `adapt_certify` workload runs it
+
+The `cert` suite (default output `BENCH_cert.json`) measures, with BLAS pinned
+to one thread, grid certification on three grids: `pendulum`, the
+`ip_stochastic_l` test system on 201 nodes per axis with the committed (16, 16)
+meta checkpoint at its radius; `mg3`, the `mg3_dc12` test system on 41 per axis
+and `mg5`, the `mg5_dc12` test system on 15 per axis, each with its preset
+network's bowl init (`net.shaped_init`) at the preset's d0:
+
+- `nodes`: the grid's nodes (the ball and its collar)
+- `peak_rss_mb`: the peak resident set (`VmHWM`, the interpreter's own) of a
+  fresh interpreter that builds the grid, maps it (`verify.check_validity`),
+  extracts the level set and writes the validity CSV and SVG through
+  `cli.atomic_write_text`; `base_rss_mb` is that interpreter's peak before
+  the grid is built, with the candidate made
+- `ms_per_1e4_nodes`: milliseconds per 10^4 grid nodes of `build_grid`,
+  `check_validity` (`sweep`), `largest_level_set` (`level_set`),
+  `export_validity_csv` (`validity_csv`) and `render_validity_svg`
+  (`validity_svg`), each writer's text made in full
+
+The script only calls functions both layouts of these writers have (a string,
+or blocks of text), so the same script can time an older source tree: run it
+with PYTHONPATH pointing at that tree's `src`.
 
 Each run is stored under its label with the machine's description; `median`
 holds each metric's median over the label's runs.
@@ -225,6 +248,11 @@ def measure_init(repeats: int) -> dict:
             "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
 
 
+def full_text(text) -> int:
+    """Length of a writer's text, made in full: a string, or its blocks in turn."""
+    return len(text) if isinstance(text, str) else sum(map(len, text))
+
+
 def measure_writers(repeats: int) -> dict:
     cfg = replace(PRESETS["ip_stochastic_l"], name="fixed")
     with tempfile.TemporaryDirectory() as tmp:
@@ -249,9 +277,9 @@ def measure_writers(repeats: int) -> dict:
     grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim)
     vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
     calls = {
-        "validity_csv": lambda: verify.export_validity_csv(vmap, grid),
-        "validity_svg": lambda: svg.render_validity_svg(vmap, grid),
-        "overlay_svg": lambda: svg.render_validity_svg(vmap, grid, roa=result),
+        "validity_csv": lambda: full_text(verify.export_validity_csv(vmap, grid)),
+        "validity_svg": lambda: full_text(svg.render_validity_svg(vmap, grid)),
+        "overlay_svg": lambda: full_text(svg.render_validity_svg(vmap, grid, roa=result)),
         "boundary_csv": lambda: roa.export_boundary_csv(result, grid),
     }
     check_s = median_time(lambda: verify.check_validity(
@@ -266,8 +294,84 @@ def measure_writers(repeats: int) -> dict:
             "operation_s": round(operation_s, 3)}
 
 
+CERT_CASES = {"pendulum": ("ip_stochastic_l", 201), "mg3": ("mg3_dc12", 41),
+              "mg5": ("mg5_dc12", 15)}
+
+CERT_PEAK = """
+import resource, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from bench import cert_case
+from lyapcert import cli, roa, svg, verify
+
+
+def peak_kb():
+    # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
+    try:
+        return next(int(line.split()[1]) for line in open("/proc/self/status")
+                    if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+candidate, system, cfg, radius, nodes = cert_case(sys.argv[2])
+base = peak_kb()
+grid = verify.build_grid(radius, nodes, system.dim)
+vmap = verify.check_validity(candidate, system, grid, exempt_radius=cfg.verify.exempt_radius)
+roa.largest_level_set(vmap, grid, cfg.plane)
+cli.atomic_write_text(Path(sys.argv[3]) / "validity_map.csv", verify.export_validity_csv(vmap, grid))
+cli.atomic_write_text(Path(sys.argv[3]) / "validity_map.svg",
+                      svg.render_validity_svg(vmap, grid, axes=cfg.plane))
+print(base, peak_kb())
+"""
+
+
+def cert_case(name: str):
+    """(candidate, test system, preset config, radius, nodes per axis) of a cert grid."""
+    preset, nodes = CERT_CASES[name]
+    cfg = PRESETS[preset]
+    system = dynamics.build_system(cfg.system.test())
+    if name == "pendulum":
+        theta, arch, extra = net.load_checkpoint(CHECKPOINT)
+        radius = extra["radius"]
+    else:
+        arch, radius = cfg.architecture(), cfg.verify.d0
+        theta = net.shaped_init(arch, cfg.seeds.net_seed, radius)
+    return net.MlpLyapunov(theta, arch), system, cfg, radius, nodes
+
+
+def measure_cert(repeats: int) -> dict:
+    nodes, peak, base, stage_ms = {}, {}, {}, {}
+    env = {**os.environ, "PYTHONPATH": str(Path(net.__file__).parents[1])}
+    for name in CERT_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([sys.executable, "-c", CERT_PEAK, str(Path(__file__).parent),
+                                   name, tmp], env=env, check=True, capture_output=True,
+                                  text=True)
+        base_kb, peak_kb = map(int, proc.stdout.split())
+        base[name], peak[name] = round(base_kb / 1024, 2), round(peak_kb / 1024, 2)
+
+        candidate, system, cfg, radius, per_axis = cert_case(name)
+        grid = verify.build_grid(radius, per_axis, system.dim)
+        exempt = cfg.verify.exempt_radius
+        vmap = verify.check_validity(candidate, system, grid, exempt_radius=exempt)
+        stages = {
+            "build_grid": lambda: verify.build_grid(radius, per_axis, system.dim),
+            "sweep": lambda: verify.check_validity(candidate, system, grid, exempt_radius=exempt),
+            "level_set": lambda: roa.largest_level_set(vmap, grid, cfg.plane),
+            "validity_csv": lambda: full_text(verify.export_validity_csv(vmap, grid)),
+            "validity_svg": lambda: full_text(svg.render_validity_svg(vmap, grid,
+                                                                      axes=cfg.plane)),
+        }
+        nodes[name] = grid.n_nodes
+        stage_ms[name] = {stage: round(1e3 * median_time(fn, repeats) * 1e4 / grid.n_nodes, 3)
+                          for stage, fn in stages.items()}
+    return {"nodes": nodes, "peak_rss_mb": peak, "base_rss_mb": base,
+            "ms_per_1e4_nodes": stage_ms}
+
+
 SUITES = {"meta_step": measure_meta_step, "gate": measure_gate, "init": measure_init,
-          "writers": measure_writers}
+          "writers": measure_writers, "cert": measure_cert}
 
 
 def median_of(runs: list) -> dict:

@@ -20,8 +20,9 @@ the config, so its hash, and every artifact, is the same under any `--out`.
 
 Every artifact embeds the config hash and seed; reruns with identical config
 and seed reproduce all numeric artifacts bitwise at a fixed BLAS thread count
-(another count changes the last bits of the grid's V; timings are never
-written into artifacts). Settings are checked here and by the config blocks,
+(another count changes the last bits of the bowl init's solve, and so of
+`train-meta` and `compare`; `adapt`, `verify` and `roa` do not depend on it;
+timings are never written into artifacts). Settings are checked here and by the config blocks,
 once, before any work starts; the library trusts them. Exit codes: 0 ok,
 2 config error, 3 verification failure (train-meta: no valid region; roa: a
 Monte-Carlo rollout from the certified set fails, after the artifacts are
@@ -35,6 +36,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,14 +59,14 @@ class BadArtifact(Exception):
     not fit the configured system."""
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write through a sibling temp file and a rename; the file gets the mode plain
-    `open` gives."""
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write a string, or a writer's blocks in turn, through a sibling temp file and
+    a rename; the file gets the mode plain `open` gives."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -39,6 +39,11 @@ from .net import INIT_POINTS, Architecture
 
 TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
 TEST_TIME_STEPS = 10     # and gradient steps
+# Grid nodes (nodes_per_axis ** state dim, the box the ball is cut from) a config may
+# ask for. Grid, map and level set of a (16, 16) network peak at 53-113 B per box
+# node in 1 to 6 dimensions, and `compare`, which keeps its four methods' maps, at
+# up to 186 B, so every command on a grid at the cap stays under 2 GB.
+MAX_GRID_NODES = 10_000_000
 
 
 class ConfigError(Exception):
@@ -201,9 +206,9 @@ class ExperimentConfig:
                  f"{arch.n_params} parameters, more than the {INIT_POINTS} points its bowl init fits")
         _require(max(self.roa.plane) < arch.input_dim,
                  "roa.plane names an axis beyond the state dimension")
-        _require(self.verify.nodes_per_axis ** arch.input_dim <= 50_000_000,
+        _require(self.verify.nodes_per_axis ** arch.input_dim <= MAX_GRID_NODES,
                  f"verify.nodes_per_axis {self.verify.nodes_per_axis} gives a grid of more than "
-                 f"50,000,000 nodes in {arch.input_dim} dimensions")
+                 f"{MAX_GRID_NODES:,} nodes in {arch.input_dim} dimensions")
 
     def architecture(self) -> Architecture:
         return Architecture(input_dim=self.system.nominal().state_dim, hidden=self.hidden)

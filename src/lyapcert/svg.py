@@ -4,14 +4,18 @@ No plotting dependency; plain string assembly. Grids with more than two state
 dimensions are drawn as the 2-D slice through the origin along a chosen axis
 pair. A grid coordinate takes only nodes_per_axis values, so validity-map cells
 are drawn from per-axis string tables: each pixel position is computed and
-formatted once per axis value and picked by lattice index.
+formatted once per axis value and picked by lattice index. The validity map
+is made one block of grid nodes at a time, so its text is never held whole.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from itertools import groupby
 
 import numpy as np
+
+from .verify import BLOCK
 
 GREEN = "#3fa34d"
 RED = "#d64545"
@@ -32,20 +36,29 @@ def _scaler(radius: float):
     return to_px, scale
 
 
-def _slice_rows(grid, axes: tuple[int, int]) -> np.ndarray:
-    """Rows whose off-plane lattice coordinates are all zero."""
-    rest = [k for k in range(grid.dim) if k not in axes]
-    if not rest:
-        return np.arange(grid.n_nodes)
-    mask = np.all(grid.lattice[:, rest] == 0, axis=1)
-    return np.nonzero(mask)[0]
+class Blocks:
+    """Text a writer makes block by block: each iteration makes the blocks afresh,
+    and len() is the text's length, as for the joined string."""
+
+    def __init__(self, make: Callable[[], Iterator[str]]):
+        self._make = make
+
+    def __iter__(self) -> Iterator[str]:
+        return self._make()
+
+    def __len__(self) -> int:
+        return sum(map(len, self._make()))
 
 
-def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) -> str:
-    """Green/red cell map with an optional ROA member outline."""
+def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) -> Blocks:
+    """Green/red cell map with an optional ROA member outline, BLOCK grid nodes
+    of cells at a time."""
+    return Blocks(lambda: _validity_svg(vmap, grid, roa, axes))
+
+
+def _validity_svg(vmap, grid, roa, axes: tuple[int, int]) -> Iterator[str]:
     to_px, scale = _scaler(grid.radius)
     cell = grid.spacing * scale
-    rows = _slice_rows(grid, axes)
     # each rect is its x table entry + its y table entry + its style tail
     offsets = (grid.axis_coords + grid.radius) * scale
     x_heads = np.array([f'<rect x="{x:.2f}" y="' for x in (MARGIN + offsets - cell / 2).tolist()],
@@ -53,28 +66,37 @@ def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) ->
     y_texts = np.array([f"{y:.2f}" for y in (CANVAS - MARGIN - offsets - cell / 2).tolist()],
                        dtype=object)
     size = f'" width="{cell:.2f}" height="{cell:.2f}" fill='
-    fills = np.array([f'{size}"{color}" fill-opacity="0.85"/>' for color in (PALE, GREEN, RED)],
+    fills = np.array([f'{size}"{color}" fill-opacity="0.85"/>\n' for color in (PALE, GREEN, RED)],
                      dtype=object)
-    outline = f'{size}"none" stroke="#1f2a44" stroke-width="0.6"/>'
-    ix, iy = grid.axis_index[:, axes].T
+    outline = f'{size}"none" stroke="#1f2a44" stroke-width="0.6"/>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" height="{CANVAS:.0f}" '
+           f'viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">\n'
+           f'<rect width="{CANVAS:.0f}" height="{CANVAS:.0f}" fill="white"/>\n')
+    rest = [k for k in range(grid.dim) if k not in axes]
+    half = grid.nodes_per_axis // 2
+    green = vmap.green
 
-    def rects(at, tails):
-        return (x_heads[ix[at]] + y_texts[iy[at]] + tails).tolist()
+    def rects(member):
+        """Each block's rects on the slice (off-plane lattice coordinates all zero):
+        filled cells, or with a member mask, the members' outlines."""
+        for start in range(0, grid.n_nodes, BLOCK):
+            block = slice(start, start + BLOCK)
+            lattice = grid.lattice[block]
+            drawn = np.all(lattice[:, rest] == 0, axis=1)
+            if member is not None:
+                drawn &= member[block]
+            at = np.nonzero(drawn)[0]
+            ix, iy = (lattice[at][:, axes] + half).T
+            tails = (outline if member is not None else
+                     fills[np.where(vmap.exempt[block][at], 0, np.where(green[block][at], 1, 2))])
+            yield "".join((x_heads[ix] + y_texts[iy] + tails).tolist())
 
-    code = np.where(vmap.exempt, 0, np.where(vmap.green, 1, 2))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" height="{CANVAS:.0f}" '
-        f'viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">',
-        f'<rect width="{CANVAS:.0f}" height="{CANVAS:.0f}" fill="white"/>',
-        *rects(rows, fills[code[rows]]),
-    ]
+    yield from rects(None)
     if roa is not None and not roa.empty:
         member = np.zeros(grid.n_nodes, dtype=bool)
         member[roa.member_rows] = True
-        parts += rects(rows[member[rows]], outline)
-    parts.append(_axis_frame(grid.radius, to_px))
-    parts.append("</svg>")
-    return "\n".join(parts)
+        yield from rects(member)
+    yield _axis_frame(grid.radius, to_px) + "\n</svg>"
 
 
 def render_phase_svg(system, radius: float, states: np.ndarray) -> str:

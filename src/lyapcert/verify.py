@@ -22,11 +22,14 @@ between the exemption radius and d; time-domain validation covers the hole.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 SAFETY = 1.2   # inflation of the sampled maxima into the Lipschitz constants
+SLAB = 1 << 16   # box nodes build_grid enumerates at a time
+BLOCK = 4096     # nodes (or face pairs) the map's sweep and its writers take at a time
 
 
 class RegionSelectionFailure(Exception):
@@ -81,67 +84,68 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
     covering radius exactly tau = sum_i h_i/2: the componentwise-nearest node
     of any x in D is then always present. Collar nodes belong to the boundary
     layer, so they are checked but can never join a sublevel set.
+
+    The box is enumerated in row order (first axis slowest), SLAB consecutive
+    box nodes at a time, and only the ball and collar nodes are kept, so memory
+    follows the ball's node count and not the box's. The kept nodes' flat box
+    indices are sorted, so a face neighbor's row is found by binary search.
     """
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
-    axis_idx = np.arange(-half, half + 1)
-    mesh = np.meshgrid(*([axis_idx] * dim), indexing="ij")
-    lattice = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    coords = lattice * spacing
-    norms = np.linalg.norm(coords, axis=1)
     collar = radius + np.sqrt(dim) * spacing / 2.0
-    inside = norms <= collar + 1e-12
+    box = (nodes_per_axis,) * dim
+    kept = []
+    for start in range(0, nodes_per_axis**dim, SLAB):
+        flat = np.arange(start, min(start + SLAB, nodes_per_axis**dim))
+        lattice = np.stack(np.unravel_index(flat, box), axis=1) - half
+        norms = np.linalg.norm(lattice * spacing, axis=1)
+        inside = norms <= collar + 1e-12
+        kept.append((flat[inside], lattice[inside], norms[inside] > radius + 1e-12))
+    flat, lattice, boundary = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
+    del kept
 
-    # flat row index over the full box grid; -1 marks clipped-away nodes
-    n_axis = nodes_per_axis
-    full_rows = np.full(n_axis**dim, -1, dtype=np.int64)
-    full_rows[inside] = np.arange(int(inside.sum()))
-    lattice = lattice[inside]
-    coords = coords[inside]
-    strides = np.array([n_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    flat = (lattice + half) @ strides
-
+    strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
     pairs = []
-    boundary = np.linalg.norm(coords, axis=1) > radius + 1e-12   # collar nodes
     for axis in range(dim):
-        at_edge = lattice[:, axis] == half
-        neighbor = np.where(at_edge, -1, full_rows[np.minimum(flat + strides[axis], full_rows.size - 1)])
-        missing = neighbor < 0
-        boundary |= missing
-        src = np.nonzero(~missing)[0]
-        pairs.append(np.stack([src, neighbor[src]], axis=1))
-        at_edge = lattice[:, axis] == -half
-        neighbor = np.where(at_edge, -1, full_rows[np.maximum(flat - strides[axis], 0)])
-        boundary |= neighbor < 0
-    origin_row = int(full_rows[(np.zeros(dim, dtype=np.int64) + half) @ strides])
+        target = flat + strides[axis]
+        up = np.minimum(np.searchsorted(flat, target), flat.size - 1)
+        present = (flat[up] == target) & (lattice[:, axis] < half)
+        src = np.nonzero(present)[0]
+        pairs.append(np.stack([src, up[src]], axis=1))
+        # a node's lower neighbor is present exactly when it is that neighbor's upper one
+        has_lower = np.zeros(flat.size, dtype=bool)
+        has_lower[up[src]] = True
+        boundary |= ~present | ~has_lower
     return GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim,
         spacing=float(spacing), tau=float(dim * spacing / 2.0),
-        coords=coords, lattice=lattice, origin_row=origin_row,
+        coords=lattice * spacing, lattice=lattice,
+        origin_row=int(np.searchsorted(flat, half * strides.sum())),
         boundary=boundary, neighbor_pairs=np.concatenate(pairs, axis=0),
     )
 
 
-def estimate_lipschitz(grads, lie, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def estimate_lipschitz(grad_inf, lie, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (K_V, K_Vdot): the sampled maxima over each node's cell star, times SAFETY.
 
-    `grads` and `lie` are the candidate's gradient and Lie derivative at every
-    grid node. K_V(u) is the largest l-infinity gradient norm at u and its
-    face neighbors, K_Vdot(u) the largest Lie-derivative difference quotient
-    over u's face pairs. The covering argument only needs the constant on a
-    node's cell, so flat regions are not punished for steep ones (a global
-    constant fails an elongated quadratic all along its flat axis). These
-    are sample estimates, not bounds.
+    `grad_inf` and `lie` are the l-infinity norm of the candidate's gradient
+    and its Lie derivative at every grid node. K_V(u) is the largest of
+    grad_inf at u and its face neighbors, K_Vdot(u) the largest
+    Lie-derivative difference quotient over u's face pairs, taken BLOCK pairs
+    at a time. The covering argument only needs the constant on a node's
+    cell, so flat regions are not punished for steep ones (a global constant
+    fails an elongated quadratic all along its flat axis). These are sample
+    estimates, not bounds.
     """
-    a, b = grid.neighbor_pairs[:, 0], grid.neighbor_pairs[:, 1]
-    lie_quot = np.abs(lie[a] - lie[b]) * (1.0 / grid.spacing)
-    grad_inf = np.max(np.abs(grads), axis=1)
     k_v = grad_inf.copy()
-    np.maximum.at(k_v, a, grad_inf[b])
-    np.maximum.at(k_v, b, grad_inf[a])
     k_lie = np.zeros(grid.n_nodes)
-    np.maximum.at(k_lie, a, lie_quot)
-    np.maximum.at(k_lie, b, lie_quot)
+    for start in range(0, grid.neighbor_pairs.shape[0], BLOCK):
+        a, b = grid.neighbor_pairs[start:start + BLOCK].T
+        lie_quot = np.abs(lie[a] - lie[b]) * (1.0 / grid.spacing)
+        np.maximum.at(k_v, a, grad_inf[b])
+        np.maximum.at(k_v, b, grad_inf[a])
+        np.maximum.at(k_lie, a, lie_quot)
+        np.maximum.at(k_lie, b, lie_quot)
     return k_v * SAFETY, k_lie * SAFETY
 
 
@@ -176,19 +180,26 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
     """Bound Vbar from below and the Lie derivative from above on every node's cell.
 
     The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau, with
-    the per-node constants of estimate_lipschitz. V, its gradient and f are
-    evaluated once per node (V and the gradient in one sweep) and the
-    constants estimated from those same arrays. The origin node (where both
-    conditions are excluded by definition) and any node within the exemption
-    radius are marked exempt.
+    the per-node constants of estimate_lipschitz. The nodes are swept BLOCK
+    at a time: each block evaluates V and its gradient in one sweep, and f,
+    into preallocated per-node arrays, and keeps of the gradient only its
+    l-infinity norm, from which (with the Lie derivatives) the constants are
+    estimated. The origin node (where both conditions are excluded by
+    definition) and any node within the exemption radius are marked exempt.
     """
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
-    values, grads = candidate.value_and_gradient(grid.coords)
-    vbar = values - v0
-    lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
-    k_v, k_lie = estimate_lipschitz(grads, lie, grid)
-    exempt = np.linalg.norm(grid.coords, axis=1) <= exempt_radius
+    vbar, lie, grad_inf = (np.empty(grid.n_nodes) for _ in range(3))
+    exempt = np.empty(grid.n_nodes, dtype=bool)
+    for start in range(0, grid.n_nodes, BLOCK):
+        block = slice(start, start + BLOCK)
+        X = grid.coords[block]
+        values, grads = candidate.value_and_gradient(X)
+        np.subtract(values, v0, out=vbar[block])
+        np.sum(grads * system.f_batch(X), axis=1, out=lie[block])
+        np.max(np.abs(grads), axis=1, out=grad_inf[block])
+        exempt[block] = np.linalg.norm(X, axis=1) <= exempt_radius
     exempt[grid.origin_row] = True
+    k_v, k_lie = estimate_lipschitz(grad_inf, lie, grid)
     return ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
                        lie_high=lie + k_lie * grid.tau, exempt=exempt)
 
@@ -218,16 +229,20 @@ def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -
     raise RegionSelectionFailure(max_rounds, d, artifact)
 
 
-def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> str:
-    """One row per node; each coordinate's repr is made once per axis value and
+def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> Iterator[str]:
+    """The validity CSV, one row per node, as its header and then BLOCK nodes of
+    rows at a time. Each coordinate's repr is made once per axis value and
     picked by lattice index, so only vbar and lie are formatted per node."""
     header = [f"x{i + 1}" for i in range(grid.dim)]
-    header += ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]
+    yield ",".join(header + ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]) + "\r\n"
     # tolist() yields Python floats, whose repr round-trips exactly
     axis_reprs = np.array([repr(v) for v in grid.axis_coords.tolist()], dtype=object)
-    cols = [axis_reprs[idx].tolist() for idx in grid.axis_index.T]
-    cols += [map(repr, col.tolist()) for col in (vmap.vbar, vmap.lie)]
     flag_text = np.array(["0", "1"], dtype=object)
-    cols += [flag_text[flag.astype(np.int8)].tolist()
-             for flag in (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)]
-    return "\r\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\r\n"
+    flags = (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)
+    half = grid.nodes_per_axis // 2
+    for start in range(0, grid.n_nodes, BLOCK):
+        block = slice(start, start + BLOCK)
+        cols = [axis_reprs[idx].tolist() for idx in (grid.lattice[block] + half).T]
+        cols += [map(repr, col[block].tolist()) for col in (vmap.vbar, vmap.lie)]
+        cols += [flag_text[flag[block].astype(np.int8)].tolist() for flag in flags]
+        yield "\r\n".join(map(",".join, zip(*cols))) + "\r\n"

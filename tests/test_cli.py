@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
-from lyapcert.config import (ConfigError, MetaBlock, NlfBlock, PRESETS, config_from_dict,
-                             config_hash, config_to_dict, load_config)
+from lyapcert.config import (MAX_GRID_NODES, ConfigError, MetaBlock, NlfBlock, PRESETS,
+                             config_from_dict, config_hash, config_to_dict, load_config)
 from lyapcert.loss import TightenedLossConfig
 
 from helpers import nominal_system, save_checkpoint
@@ -236,6 +236,26 @@ class TestConfig:
         assert "4417 parameters" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("preset, dim", [("ip_stochastic_l", 2), ("mg3_dc12", 3)])
+    def test_grid_just_above_the_cap_exits_2(self, tmp_path, capsys, preset, dim):
+        """The largest odd nodes_per_axis within the grid cap parses; the next one
+        exits 2 when the config is parsed, before any grid is built."""
+        within = int(round(MAX_GRID_NODES ** (1 / dim))) | 1
+        while within**dim > MAX_GRID_NODES:
+            within -= 2
+        payload = config_to_dict(PRESETS[preset])
+        for nodes in (within, within + 2):
+            payload["verify"]["nodes_per_axis"] = nodes
+            path = tmp_path / f"{preset}.json"
+            path.write_text(json.dumps(payload))
+            if nodes == within:
+                assert load_config(path).verify.nodes_per_axis == nodes
+                continue
+            assert nodes**dim - MAX_GRID_NODES < 0.03 * MAX_GRID_NODES   # just above
+            assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
+            assert f"more than {MAX_GRID_NODES:,} nodes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_2(self, tmp_path):
         path = mini_config(tmp_path)
         code = run(tmp_path, ["train-meta", "--config", str(path), "--seed", "-1"])
@@ -438,6 +458,26 @@ def test_artifacts_do_not_depend_on_the_output_root(tmp_path, mini_checkpoint):
             assert cli.main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
                              "--out", str(out)]) == cli.EXIT_OK
         tree = out / "mini"
+        trees.append({str(p.relative_to(tree)): p.read_bytes() for p in tree.rglob("*")})
+    assert len(trees[0]) == 7 and trees[0] == trees[1]
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """verify and roa of the committed checkpoint on the ip_stochastic_l grid (31,877
+    nodes) write byte-identical trees at one and at two BLAS threads: the map's
+    matrix products have at most verify.BLOCK rows. A one-pass sweep of all nodes
+    gave validity_map.csv other last bits at two threads."""
+    checkpoint = ROOT / "perfbench" / "data" / "meta_checkpoint.json"
+    trees = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        out = tmp_path / threads
+        for command in ("verify", "roa"):
+            subprocess.run([sys.executable, "-m", "lyapcert.cli", command, "--preset",
+                            "ip_stochastic_l", "--checkpoint", str(checkpoint), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        tree = out / "ip_stochastic_l"
         trees.append({str(p.relative_to(tree)): p.read_bytes() for p in tree.rglob("*")})
     assert len(trees[0]) == 7 and trees[0] == trees[1]
 

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,30 @@ from lyapcert import dynamics, net, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.dynamics import sample_ball
 
-from helpers import nominal_system, reference_check_validity, reference_gradient, row_of
+from helpers import (nominal_system, reference_build_grid, reference_check_validity,
+                     reference_gradient, row_of)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CERTIFY_PEAK = """
+import resource, sys
+from lyapcert import dynamics, net, roa, verify
+from lyapcert.config import PRESETS
+
+cfg = PRESETS["ip_stochastic_l"]
+theta, arch, extra = net.load_checkpoint(sys.argv[2])
+candidate = net.MlpLyapunov(theta, arch)
+system = dynamics.build_system(cfg.system.test())
+grid = verify.build_grid(extra["radius"], int(sys.argv[1]), 2)
+vmap = verify.check_validity(candidate, system, grid, exempt_radius=cfg.verify.exempt_radius)
+result = roa.largest_level_set(vmap, grid, (0, 1))
+assert not result.empty
+try:   # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
+    print(next(int(line.split()[1]) for line in open("/proc/self/status")
+               if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def sample_annulus(rng, n, dim, outer, inner=0.0):
@@ -105,26 +132,45 @@ class TestBuildGrid:
         assert row_of(grid, [0, 0]) == grid.origin_row
         assert row_of(grid, [99, 0]) is None
 
+    @pytest.mark.parametrize("dim, sizes", [
+        (1, (3, 5, 101, 200_001)), (2, (3, 5, 201, 401)), (3, (3, 5, 41, 61)),
+        (4, (3, 9, 21)), (5, (3, 7, 15)), (6, (3, 5, 9)),
+    ])
+    def test_equals_the_whole_box_construction(self, dim, sizes):
+        # the largest sizes span several SLABs of box nodes
+        for nodes in sizes:
+            for radius in (1.0, 3.2):
+                grid = verify.build_grid(radius, nodes, dim)
+                ref = reference_build_grid(radius, nodes, dim)
+                for field in ("radius", "nodes_per_axis", "dim", "spacing", "tau", "origin_row"):
+                    assert type(getattr(grid, field)) is type(getattr(ref, field))
+                    assert getattr(grid, field) == getattr(ref, field), field
+                for field in ("coords", "lattice", "boundary", "neighbor_pairs"):
+                    got, want = getattr(grid, field), getattr(ref, field)
+                    assert got.dtype == want.dtype and got.shape == want.shape, field
+                    assert got.tobytes() == want.tobytes(), field
+        assert nodes**dim > verify.SLAB
+
 
 def star_constants(cand, system, grid):
     grads = cand.gradient(grid.coords)
     lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
-    return verify.estimate_lipschitz(grads, lie, grid)
+    return verify.estimate_lipschitz(np.max(np.abs(grads), axis=1), lie, grid)
 
 
 def force_constants(monkeypatch, k_v, k_lie):
     """Make check_validity use the given constants at every node."""
-    monkeypatch.setattr(verify, "estimate_lipschitz", lambda grads, lie, grid: (
+    monkeypatch.setattr(verify, "estimate_lipschitz", lambda grad_inf, lie, grid: (
         np.full(grid.n_nodes, float(k_v)), np.full(grid.n_nodes, float(k_lie))))
 
 
 class CountingCandidate(QuadraticLyapunov):
     def __init__(self, P):
         super().__init__(P)
-        self.gradient_calls = 0
+        self.gradient_rows = []
 
     def gradient(self, X):
-        self.gradient_calls += 1
+        self.gradient_rows.append(len(X))
         return super().gradient(X)
 
 
@@ -152,11 +198,13 @@ class TestEstimateLipschitz:
 
     def test_check_validity_evaluates_each_node_once(self):
         # check_validity estimates the constants from its own gradient and f
-        # arrays: one gradient call, and the cell bounds of those constants
-        grid = verify.build_grid(1.0, 11, 2)
+        # arrays: one gradient evaluation per node, in BLOCK-node blocks, and
+        # the cell bounds of those constants
+        grid = verify.build_grid(1.0, 201, 2)
         cand = CountingCandidate(np.array([[2.0, 0.3], [0.3, 0.5]]))
         vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.3)
-        assert cand.gradient_calls == 1
+        full, last = divmod(grid.n_nodes, verify.BLOCK)
+        assert full >= 2 and cand.gradient_rows == [verify.BLOCK] * full + [last]
         k_v, k_lie = star_constants(cand, LinearSystem(2), grid)
         np.testing.assert_array_equal(vmap.vbar_low, vmap.vbar - k_v * grid.tau)
         np.testing.assert_array_equal(vmap.lie_high, vmap.lie + k_lie * grid.tau)
@@ -352,12 +400,64 @@ class TestOneSweep:
         assert grads.tobytes() == candidate.gradient(grid.coords).tobytes()
 
 
+class TestBlockSweep:
+    """check_validity sweeps BLOCK nodes at a time and keeps per node only the map's
+    arrays and the gradient's l-infinity norm."""
+
+    def test_map_agrees_with_the_one_pass_map(self):
+        # the committed checkpoint on the ip_stochastic_l test system: 31,877 nodes,
+        # eight blocks; the gradient's matrix products now have BLOCK rows, so the
+        # floats may move in their last bits, and the flags stay
+        theta, arch, extra = net.load_checkpoint(ROOT / "perfbench" / "data" / "meta_checkpoint.json")
+        candidate = net.MlpLyapunov(theta, arch)
+        system = dynamics.build_system(dynamics.ParamVector("pendulum", (1.2, 0.15, 9.81, 0.1)))
+        grid = verify.build_grid(extra["radius"], 201, 2)
+        assert grid.n_nodes > 4 * verify.BLOCK
+        vmap = verify.check_validity(candidate, system, grid, exempt_radius=1.1)
+        ref = reference_check_validity(candidate, system, grid, exempt_radius=1.1)
+        for field in ("vbar", "lie", "vbar_low", "lie_high"):
+            np.testing.assert_allclose(getattr(vmap, field), getattr(ref, field),
+                                       rtol=1e-12, atol=1e-12)
+        for field in ("exempt", "positivity_ok", "decrease_ok"):
+            np.testing.assert_array_equal(getattr(vmap, field), getattr(ref, field))
+
+    def test_pair_blocks_give_the_one_pass_constants(self, monkeypatch):
+        # maxima do not round, so the constants over BLOCK-pair blocks are the
+        # constants over all pairs at once, bit for bit
+        grid = verify.build_grid(1.0, 101, 3)
+        assert grid.neighbor_pairs.shape[0] > 4 * verify.BLOCK
+        rng = np.random.default_rng(5)
+        grad_inf, lie = rng.random(grid.n_nodes), rng.normal(size=grid.n_nodes)
+        blocked = verify.estimate_lipschitz(grad_inf, lie, grid)
+        monkeypatch.setattr(verify, "BLOCK", grid.neighbor_pairs.shape[0])
+        for got, want in zip(blocked, verify.estimate_lipschitz(grad_inf, lie, grid)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_per_box_node(self):
+        """From 401^2 to 1201^2 pendulum box nodes, grid + map + level set of the
+        committed (16, 16) checkpoint grow the peak resident set by under 170 B per
+        added box node: 114 B measured with the slab-built grid and the block sweep,
+        times a 1.5 margin. Building the whole box and evaluating every node's
+        (n, 16) activations at once took 466 B."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        checkpoint = str(ROOT / "perfbench" / "data" / "meta_checkpoint.json")
+
+        def peak_kb(nodes):
+            proc = subprocess.run([sys.executable, "-c", CERTIFY_PEAK, str(nodes), checkpoint],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        growth = (peak_kb(1201) - peak_kb(401)) * 1024 / (1201**2 - 401**2)
+        assert growth < 170, f"{growth:.0f} B per added box node"
+
+
 class TestExport:
     def test_csv_structure(self):
         grid = verify.build_grid(1.0, 5, 2)
         cand = QuadraticLyapunov(np.eye(2))
         vmap = verify.check_validity(cand, LinearSystem(2), grid)
-        lines = verify.export_validity_csv(vmap, grid).strip().splitlines()
+        lines = "".join(verify.export_validity_csv(vmap, grid)).strip().splitlines()
         assert lines[0] == "x1,x2,vbar,lie,positivity_ok,decrease_ok,exempt"
         assert len(lines) == grid.n_nodes + 1
 
@@ -374,7 +474,7 @@ class TestExport:
         flags = [vmap.positivity_ok, vmap.decrease_ok, vmap.exempt]
         path = tmp_path / "map.csv"
         with open(path, "w", newline="") as fh:
-            fh.write(verify.export_validity_csv(vmap, grid))
+            fh.writelines(verify.export_validity_csv(vmap, grid))
 
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:

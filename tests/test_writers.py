@@ -1,12 +1,14 @@
 """The table-driven artifact writers against the per-node reference writers of
-`helpers`: equal strings, byte for byte, on real and random maps."""
+`helpers`: equal strings, byte for byte, on real and random maps. The validity
+CSV and SVG writers make their text one block of grid nodes at a time; their
+blocks, joined, are the reference string."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lyapcert import baselines, dynamics, net, roa, svg, verify
+from lyapcert import baselines, cli, dynamics, net, roa, svg, verify
 from lyapcert.config import PRESETS
 
 from helpers import reference_boundary_csv, reference_validity_csv, reference_validity_svg
@@ -26,10 +28,11 @@ def assert_same_text(text, expected):
 
 
 def assert_writers_match(vmap, grid, result, axes):
-    assert_same_text(verify.export_validity_csv(vmap, grid), reference_validity_csv(vmap, grid))
-    assert_same_text(svg.render_validity_svg(vmap, grid, axes=axes),
+    assert_same_text("".join(verify.export_validity_csv(vmap, grid)),
+                     reference_validity_csv(vmap, grid))
+    assert_same_text("".join(svg.render_validity_svg(vmap, grid, axes=axes)),
                      reference_validity_svg(vmap, grid, axes=axes))
-    assert_same_text(svg.render_validity_svg(vmap, grid, roa=result, axes=axes),
+    assert_same_text("".join(svg.render_validity_svg(vmap, grid, roa=result, axes=axes)),
                      reference_validity_svg(vmap, grid, roa=result, axes=axes))
     assert_same_text(roa.export_boundary_csv(result, grid), reference_boundary_csv(result, grid))
 
@@ -85,6 +88,22 @@ class TestReferenceEquality:
         members = np.sort(rng.choice(grid.n_nodes, size=grid.n_nodes // 3, replace=False))
         result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=axes)
         assert_writers_match(vmap, grid, result, axes)
+
+    def test_blocks_stream_through_the_atomic_writer(self, pendulum, tmp_path):
+        # the pendulum map spans several blocks; written through atomic_write_text,
+        # the blocks give the bytes of their joined string, and the SVG's len() is
+        # the joined string's length
+        vmap, grid, result = pendulum
+        assert grid.n_nodes > 4 * verify.BLOCK
+        for blocks in (verify.export_validity_csv(vmap, grid),
+                       svg.render_validity_svg(vmap, grid, roa=result)):
+            blocks = list(blocks)
+            assert len(blocks) > 4
+            cli.atomic_write_text(tmp_path / "blocks", iter(blocks))
+            cli.atomic_write_text(tmp_path / "joined", "".join(blocks))
+            assert (tmp_path / "blocks").read_bytes() == (tmp_path / "joined").read_bytes()
+        text = svg.render_validity_svg(vmap, grid, roa=result)
+        assert len(text) == len("".join(text)) == len(reference_validity_svg(vmap, grid, roa=result))
 
     def test_axis_coords_give_the_node_coordinates(self):
         for radius, nodes, dim in ((4.0, 201, 2), (3.0, 41, 3), (1.3, 9, 3), (0.7, 3, 1)):
