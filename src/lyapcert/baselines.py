@@ -11,19 +11,19 @@ Access regimes mirror the benchmark protocol:
 
 All network methods start from the same bowl-shaped initialization (a pure
 geometry fit, no dynamics data involved, so access regimes are unaffected).
-Every report carries the sample/step counters of its test-time access so the
-budget contract is assertable, and every extracted ROA is re-validated by
-Monte-Carlo rollouts before it enters a comparison table.
+Every method's result carries the sample/step counters of its test-time access so
+the budget contract is assertable, and every extracted ROA is re-validated by
+Monte-Carlo rollouts before its area enters a comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import meta, net, roa, verify
-from .config import ExperimentConfig, MetaBlock, NlfBlock, VerifyBlock
+from .config import ExperimentConfig, NlfBlock, VerifyBlock
 from .control import is_hurwitz, solve_lyapunov
 from .dynamics import ClosedLoopSystem, build_dataset, build_system, sample_labelled, sample_tasks
 from .loss import TightenedLossConfig
@@ -53,14 +53,27 @@ class QuadraticLyapunov:
 
 
 @dataclass(frozen=True, eq=False)
-class BaselineReport:
-    roa: roa.RoaResult
-    vmap: verify.ValidityMap
-    candidate: object
-    test_samples_used: int
-    test_steps_used: int
+class MethodResult:
+    """One method's line of a comparison. A method that fails before certification,
+    and the SOS placeholder, have no candidate, ROA or counts; `mc_fraction` is None
+    when the Monte-Carlo gate had no rollouts to run."""
+    method: str
+    status: str                      # "ok", the gate's rejection or the method's error
+    candidate: object = None
+    roa: roa.RoaResult | None = None
+    test_samples: int | None = None
+    test_steps: int | None = None
     mc_fraction: float | None = None
-    error: str | None = None
+
+    def row(self) -> dict:
+        """The comparison.csv / .json row, "" for what is absent; area and c only for
+        a certificate that passed the gate."""
+        ok = self.status == "ok"
+        row = {"method": self.method, "area": self.roa.area if ok else None,
+               "c": self.roa.c if ok else None, "mc_fraction": self.mc_fraction,
+               "test_samples": self.test_samples, "test_steps": self.test_steps,
+               "status": self.status}
+        return {key: "" if value is None else value for key, value in row.items()}
 
 
 def certify_candidate(candidate, system: ClosedLoopSystem, grid: verify.GridSpec,
@@ -103,29 +116,34 @@ def nlf_ts(system_test: ClosedLoopSystem, radius: float, arch: net.Architecture,
     return net.MlpLyapunov(theta, arch), samples, steps
 
 
+def test_time_update(cfg: ExperimentConfig, theta: np.ndarray, arch: net.Architecture,
+                     system_test: ClosedLoopSystem, radius: float, seed: int) -> np.ndarray:
+    """The test-time update under the `meta` block's budget: `adapt_samples` labelled
+    states of the test-time system on the ball of the given radius, drawn from
+    default_rng(seed), and `k_test` full-batch steps of size `adapt_alpha` from theta."""
+    m = cfg.meta
+    batch = sample_labelled(system_test, np.random.default_rng(seed), m.adapt_samples, radius)
+    return meta.test_time_adapt(theta, arch, batch, m.adapt_alpha, m.k_test, cfg.loss)
+
+
 def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem, radius: float,
-          arch: net.Architecture, loss_cfg: TightenedLossConfig, budget: NlfBlock,
-          adapt: MetaBlock, seed: int) -> tuple[net.MlpLyapunov, int, int]:
-    """Transfer baseline: full nominal training, then the test-time update META-NLF
-    gets (adapt.adapt_samples samples, adapt.k_test steps of size adapt.adapt_alpha)."""
-    theta, _, _ = train_nlf(system_nominal, radius, arch, loss_cfg, budget, seed)
-    batch = sample_labelled(system_test, np.random.default_rng(seed + 101),
-                            adapt.adapt_samples, radius)
-    theta = meta.test_time_adapt(theta, arch, batch, adapt.adapt_alpha, adapt.k_test, loss_cfg)
-    return net.MlpLyapunov(theta, arch), adapt.adapt_samples, adapt.k_test
+          cfg: ExperimentConfig, seed: int) -> tuple[net.MlpLyapunov, int, int]:
+    """Transfer baseline: full nominal training under the `nlf` block, then the
+    test-time update META-NLF gets."""
+    arch = cfg.architecture()
+    theta, _, _ = train_nlf(system_nominal, radius, arch, cfg.loss, cfg.nlf, seed)
+    theta = test_time_update(cfg, theta, arch, system_test, radius, seed + 101)
+    return net.MlpLyapunov(theta, arch), cfg.meta.adapt_samples, cfg.meta.k_test
 
 
 def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem,
              radius: float) -> tuple[net.MlpLyapunov, int, int]:
     """Meta-train across sampled tasks, then adapt to the test-time system
     under the 50/10 budget."""
-    report = meta_train_for(cfg, radius)[0]
-    m, arch = cfg.meta, cfg.architecture()
-    batch = sample_labelled(system_test, np.random.default_rng(cfg.seeds.adapt_seed),
-                            m.adapt_samples, radius)
-    theta = meta.test_time_adapt(report.theta_mnlf, arch, batch, m.adapt_alpha, m.k_test,
-                                 cfg.loss)
-    return net.MlpLyapunov(theta, arch), m.adapt_samples, m.k_test
+    arch = cfg.architecture()
+    theta = test_time_update(cfg, meta_train_for(cfg, radius)[0].theta_mnlf, arch,
+                             system_test, radius, cfg.seeds.adapt_seed)
+    return net.MlpLyapunov(theta, arch), cfg.meta.adapt_samples, cfg.meta.k_test
 
 
 def task_family(cfg: ExperimentConfig, radius: float
@@ -152,50 +170,16 @@ def meta_train_for(cfg: ExperimentConfig, radius: float) -> tuple[
     return report, systems, family
 
 
-@dataclass(frozen=True, eq=False)
-class ComparisonTable:
-    reports: dict = field(default_factory=dict)   # method -> BaselineReport
-    errors: dict = field(default_factory=dict)    # method -> message
-
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for method in METHODS:
-            if method in self.reports:
-                r = self.reports[method]
-                rows.append({
-                    "method": method,
-                    "area": r.roa.area if r.error is None else "",
-                    "c": r.roa.c if r.error is None else "",
-                    "mc_fraction": r.mc_fraction if r.mc_fraction is not None else "",
-                    "test_samples": r.test_samples_used,
-                    "test_steps": r.test_steps_used,
-                    "status": r.error or "ok",
-                })
-            elif method in self.errors:
-                rows.append({"method": method, "area": "", "c": "", "mc_fraction": "",
-                             "test_samples": "", "test_steps": "", "status": self.errors[method]})
-        rows.append({"method": "SOS_LF_TS", "area": "", "c": "", "mc_fraction": "",
-                     "test_samples": "", "test_steps": "", "status": "not implemented"})
-        return rows
-
-
-def _gated(report: BaselineReport, check: roa.ConvergenceCheck) -> BaselineReport:
-    """Soundness gate: a nonempty ROA enters the table only if every rollout
-    from inside it converges."""
-    if check.vacuous:
-        return report
-    error = None if check.fraction >= 1.0 else f"unsound certificate: mc fraction {check.fraction:.4f}"
-    return replace(report, mc_fraction=check.fraction, error=error)
-
-
-def compare(cfg: ExperimentConfig) -> ComparisonTable:
+def compare(cfg: ExperimentConfig) -> list[MethodResult]:
     """Run every method under its access regime, then certify each candidate on
-    one grid, one `verify` block and one plane.
+    one grid, one `verify` block and one plane; one result per method in
+    METHODS order, then the SOS placeholder.
 
-    Per-method failures are collected without aborting the others. The
-    methods' certificates are then gated by one Monte-Carlo sweep. The
-    adaptive methods keep the test-time budget because the `meta` block
-    cannot exceed it.
+    Per-method failures are recorded without aborting the others. Each
+    validity map is dropped once its ROA is extracted, so one map is held at a
+    time. The certificates are then gated by one Monte-Carlo sweep: a nonempty
+    ROA counts only if every rollout from inside it converges. The adaptive
+    methods keep the test-time budget because the `meta` block cannot exceed it.
     """
     system_nom = build_system(cfg.system.nominal())
     system_test = build_system(cfg.system.test())
@@ -204,26 +188,27 @@ def compare(cfg: ExperimentConfig) -> ComparisonTable:
     runners = {
         "META_NLF": lambda: meta_nlf(cfg, system_test, radius),
         "NLF_TS": lambda: nlf_ts(system_test, radius, arch, cfg.loss, cfg.nlf, seed + 1),
-        "T_NLF": lambda: t_nlf(system_nom, system_test, radius, arch, cfg.loss, cfg.nlf,
-                               cfg.meta, seed + 2),
+        "T_NLF": lambda: t_nlf(system_nom, system_test, radius, cfg, seed + 2),
         "QLF_TS": lambda: qlf_ts(system_test),
     }
 
-    table = ComparisonTable()
-    reports = {}
+    results = []
     for method in METHODS:
         try:
             candidate, samples, steps = runners[method]()
         except (NotHurwitz, meta.NonFiniteLoss) as exc:
-            table.errors[method] = f"{type(exc).__name__}: {exc}"
+            results.append(MethodResult(method, f"{type(exc).__name__}: {exc}"))
             continue
-        vmap, result = certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
-        reports[method] = BaselineReport(roa=result, vmap=vmap, candidate=candidate,
-                                         test_samples_used=samples, test_steps_used=steps)
+        _, result = certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
+        results.append(MethodResult(method, "ok", candidate, result, samples, steps))
+    certified = [i for i, result in enumerate(results) if result.roa is not None]
     mc = cfg.roa
-    certificates = [(report.roa, report.candidate) for report in reports.values()]
-    checks = roa.monte_carlo_convergence(system_test, certificates, grid, mc.mc_samples,
-                                         mc.mc_step, mc.mc_horizon, mc.mc_tol, seed + 1000)
-    for (method, report), check in zip(reports.items(), checks):
-        table.reports[method] = _gated(report, check)
-    return table
+    checks = roa.monte_carlo_convergence(
+        system_test, [(results[i].roa, results[i].candidate) for i in certified], grid,
+        mc.mc_samples, mc.mc_step, mc.mc_horizon, mc.mc_tol, seed + 1000)
+    for i, check in zip(certified, checks):
+        if not check.vacuous:
+            status = ("ok" if check.fraction >= 1.0
+                      else f"unsound certificate: mc fraction {check.fraction:.4f}")
+            results[i] = replace(results[i], status=status, mc_fraction=check.fraction)
+    return results + [MethodResult("SOS_LF_TS", "not implemented")]

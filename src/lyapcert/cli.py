@@ -43,15 +43,13 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, control, dynamics, meta, net, roa, svg, verify
-from .config import (ConfigError, ExperimentConfig, PRESETS, config_hash, config_to_dict,
-                     load_config)
+from .config import (MAX_RK4_STEPS, ConfigError, ExperimentConfig, PRESETS, config_hash,
+                     config_to_dict, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFICATION = 3
 EXIT_NUMERIC = 4
-
-MAX_SIMULATE_STEPS = 1_000_000   # RK4 steps of one `simulate` run, 500x the default run
 
 
 class BadArtifact(Exception):
@@ -216,9 +214,8 @@ def cmd_adapt(args) -> int:
     m = cfg.meta
     out = _out_dir(args, cfg)
     system_test = dynamics.build_system(cfg.system.test())
-    rng = np.random.default_rng(cfg.seeds.adapt_seed)
-    batch = dynamics.sample_labelled(system_test, rng, m.adapt_samples, radius)
-    adapted = meta.test_time_adapt(theta, arch, batch, m.adapt_alpha, m.k_test, cfg.loss)
+    adapted = baselines.test_time_update(cfg, theta, arch, system_test, radius,
+                                         cfg.seeds.adapt_seed)
     ckpt = out / "adapted_checkpoint.json"
     atomic_write_text(ckpt, json.dumps(net.checkpoint_payload(
         adapted, arch, extra={**_stamp(cfg), "radius": radius,
@@ -292,8 +289,8 @@ def cmd_simulate(args) -> int:
                                  f"{args.h}, {args.horizon}")
     if not (args.h > 0 and args.horizon >= args.h):
         raise ConfigError("need --h > 0 and --horizon >= --h")
-    if args.horizon / args.h > MAX_SIMULATE_STEPS:
-        raise ConfigError(f"--horizon / --h asks for more than {MAX_SIMULATE_STEPS:,} RK4 steps")
+    if args.horizon / args.h > MAX_RK4_STEPS:
+        raise ConfigError(f"--horizon / --h asks for more than {MAX_RK4_STEPS:,} RK4 steps")
     out = _out_dir(args, cfg)
     traj = dynamics.simulate(system_test, x0, args.h, args.horizon)
     rows = ["t," + ",".join(f"x{i + 1}" for i in range(system_test.dim))]
@@ -312,24 +309,15 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args, cfg)
-    table = baselines.compare(cfg)
-    rows = table.to_rows()
-    header = ["method", "area", "c", "mc_fraction", "test_samples", "test_steps", "status"]
-    canon = _out_table_text(header, rows)
-    atomic_write_text(out / "comparison.csv", canon)
+    rows = [result.row() for result in baselines.compare(cfg)]
+    lines = [",".join(rows[0])] + [",".join(repr(v) if isinstance(v, float) else str(v)
+                                            for v in row.values()) for row in rows]
+    atomic_write_text(out / "comparison.csv", "".join(line + "\n" for line in lines))
     atomic_write_json(out / "comparison.json", {**_stamp(cfg), "rows": rows})
     for row in rows:
         area = f"{row['area']:.3f}" if isinstance(row["area"], float) else "-"
         print(f"{row['method']:<10} area={area:<9} status={row['status']}")
     return EXIT_OK
-
-
-def _out_table_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h])
-                              for h in header))
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

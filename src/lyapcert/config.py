@@ -41,9 +41,12 @@ TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
 TEST_TIME_STEPS = 10     # and gradient steps
 # Grid nodes (nodes_per_axis ** state dim, the box the ball is cut from) a config may
 # ask for. Grid, map and level set of a (16, 16) network peak at 53-113 B per box
-# node in 1 to 6 dimensions, and `compare`, which keeps its four methods' maps, at
-# up to 186 B, so every command on a grid at the cap stays under 2 GB.
+# node in 1 to 6 dimensions, and `compare`, which holds one map at a time, at 134 B
+# in 2-d, so every command on a grid at the cap stays under 2 GB.
 MAX_GRID_NODES = 10_000_000
+# RK4 steps of one rollout a config or `simulate` may ask for (horizon / step):
+# 500x the default run of 2,000 steps.
+MAX_RK4_STEPS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -155,6 +158,8 @@ class RoaBlock:
         _require(self.mc_samples >= 1 and self.mc_step > 0 and self.mc_tol > 0,
                  "mc_samples, mc_step and mc_tol must be positive")
         _require(self.mc_horizon >= self.mc_step, "mc_horizon must be >= mc_step")
+        _require(self.mc_horizon / self.mc_step <= MAX_RK4_STEPS,
+                 f"mc_horizon / mc_step asks for more than {MAX_RK4_STEPS:,} RK4 steps")
         _require(len(self.plane) == 2 and self.plane[0] != self.plane[1]
                  and min(self.plane) >= 0, "plane must name two distinct axes")
 

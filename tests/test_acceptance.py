@@ -70,11 +70,11 @@ def stochastic_l_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ordering_run(tmp_path_factory):
-    """Criterion-7 comparison table on ip_stochastic_lmgb (shipped seed)."""
+    """Criterion-7 comparison on ip_stochastic_lmgb (shipped seed), by method."""
     out = tmp_path_factory.mktemp("ip_lmgb")
     cfg = PRESETS["ip_stochastic_lmgb"]
-    table = baselines.compare(cfg)
-    return {"table": table, "cfg": cfg, "out": out}
+    results = {result.method: result for result in baselines.compare(cfg)}
+    return {"results": results, "cfg": cfg, "out": out}
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +201,10 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
                                        1e-2, seed=4242)
     checks.append(("ip_stochastic_l/META", chk.fraction))
 
-    # every nonempty certificate in the comparison table (gated at 1000 rollouts)
-    table = ordering_run["table"]
-    for method, report in table.reports.items():
-        if report.roa.c > 0 and report.error is None:
-            checks.append((f"ip_stochastic_lmgb/{method}", report.mc_fraction))
+    # every nonempty certificate in the comparison (gated at 1000 rollouts)
+    for method, result in ordering_run["results"].items():
+        if result.roa is not None and result.roa.c > 0 and result.status == "ok":
+            checks.append((f"ip_stochastic_lmgb/{method}", result.mc_fraction))
 
     # a microgrid certificate for coverage of the second system family
     mg = PRESETS["mg3_dc12"]
@@ -239,12 +238,16 @@ def test_criterion_5_positive_definite_soundness(stochastic_l_run, ordering_run)
     vmap, _ = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
     cases.append((candidate, vmap, grid, cfg.verify.exempt_radius, "ip_l/META"))
 
-    table = ordering_run["table"]
+    # `compare` keeps no maps: each certified candidate is mapped again, to the same bits
     tcfg = ordering_run["cfg"]
-    for method, report in table.reports.items():
-        cases.append((report.candidate, report.vmap,
-                      verify.build_grid(tcfg.verify.d0, tcfg.verify.nodes_per_axis, 2),
-                      tcfg.verify.exempt_radius, f"lmgb/{method}"))
+    tsystem = dynamics.build_system(tcfg.system.test())
+    tgrid = verify.build_grid(tcfg.verify.d0, tcfg.verify.nodes_per_axis, 2)
+    for method, result in ordering_run["results"].items():
+        if result.candidate is not None:
+            tmap, _ = baselines.certify_candidate(result.candidate, tsystem, tgrid, tcfg.verify,
+                                                  tcfg.plane)
+            cases.append((result.candidate, tmap, tgrid, tcfg.verify.exempt_radius,
+                          f"lmgb/{method}"))
 
     rng = np.random.default_rng(900)
     certified = 0
@@ -281,8 +284,8 @@ def test_criterion_6_stochastic_l_reproduction(stochastic_l_run):
 
 def test_criterion_7_area_ordering(ordering_run):
     cfg = ordering_run["cfg"]
-    table = ordering_run["table"]
-    areas = {m: table.reports[m].roa.area for m in ("NLF_TS", "META_NLF", "QLF_TS")}
+    results = ordering_run["results"]
+    areas = {m: results[m].roa.area for m in ("NLF_TS", "META_NLF", "QLF_TS")}
     ok = areas["NLF_TS"] >= areas["META_NLF"] >= areas["QLF_TS"] > 0
     seed_note = f"shipped seed (fallbacks {FALLBACK_NET_SEEDS})"
     if not ok:
@@ -309,11 +312,10 @@ def test_criterion_7_area_ordering(ordering_run):
 
 def test_criterion_8_budget_enforcement(stochastic_l_run, ordering_run):
     ledger = json.loads((stochastic_l_run["dir"] / "adapt_ledger.json").read_text())
-    table = ordering_run["table"]
+    results = ordering_run["results"]
     entries = [("cli adapt", ledger["samples_used"], ledger["steps_used"])]
     for method in ("META_NLF", "T_NLF"):
-        r = table.reports[method]
-        entries.append((method, r.test_samples_used, r.test_steps_used))
+        entries.append((method, results[method].test_samples, results[method].test_steps))
     ok = all(s <= 50 and k <= 10 for _, s, k in entries)
     verdict("criterion-8 budget enforcement", ok,
             "; ".join(f"{n}={s}/{k}" for n, s, k in entries))

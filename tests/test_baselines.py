@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lyapcert import baselines, dynamics, meta, net, verify
+from lyapcert import baselines, dynamics, meta, net, roa, verify
 from lyapcert.config import (TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfig, MetaBlock,
                              NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
 
 from helpers import nominal_params, nominal_system
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class LinearSystem:
@@ -112,12 +118,15 @@ class TestTNlf:
     def test_same_system_transfer_and_budget(self):
         params = nominal_params("pendulum")
         system = dynamics.build_system(params)
+        cfg = ExperimentConfig(name="t_nlf",
+                               system=SystemBlock("pendulum", params.values, params.values,
+                                                  (0.0,) * 4),
+                               loss=TightenedLossConfig(1.0, 1.0),
+                               nlf=NlfBlock(4000, 2000, 0.002, 128), hidden=(16, 16))
         settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1)
         grid = verify.build_grid(4.0, 121, 2)
         _, result, samples, steps = certified(
-            baselines.t_nlf(system, system, grid.radius, net.Architecture(2, (16, 16)),
-                            TightenedLossConfig(1.0, 1.0), NlfBlock(4000, 2000, 0.002, 128),
-                            MetaBlock(), seed=7), system, grid, settings)
+            baselines.t_nlf(system, system, grid.radius, cfg, seed=7), system, grid, settings)
         assert samples == 50
         assert steps == 10
         # no distribution shift: the fine-tuned NLF still certifies a region
@@ -142,8 +151,8 @@ def small_config():
 
 
 @pytest.fixture(scope="module")
-def table():
-    return baselines.compare(small_config())
+def results():
+    return {result.method: result for result in baselines.compare(small_config())}
 
 
 class TestTaskFamily:
@@ -164,24 +173,25 @@ class TestTaskFamily:
 
 
 class TestCompare:
-    def test_all_methods_present(self, table):
-        assert set(table.reports) == set(baselines.METHODS)
+    def test_all_methods_present(self, results):
+        # one result per method, in METHODS order, then the SOS placeholder
+        assert list(results) == [*baselines.METHODS, "SOS_LF_TS"]
 
-    def test_sos_column_not_implemented(self, table):
-        rows = table.to_rows()
-        sos = [r for r in rows if r["method"] == "SOS_LF_TS"]
-        assert sos and sos[0]["status"] == "not implemented"
+    def test_sos_column_not_implemented(self, results):
+        sos = results["SOS_LF_TS"].row()
+        assert sos["status"] == "not implemented"
+        assert all(sos[key] == "" for key in ("area", "c", "mc_fraction", "test_samples",
+                                              "test_steps"))
 
-    def test_mc_gate_recorded_for_nonempty(self, table):
-        for report in table.reports.values():
-            if report.roa.c > 0 and report.error is None:
-                assert report.mc_fraction == 1.0
+    def test_mc_gate_recorded_for_nonempty(self, results):
+        for result in results.values():
+            if result.roa is not None and result.roa.c > 0 and result.status == "ok":
+                assert result.mc_fraction == 1.0
 
-    def test_budget_counters_within_contract(self, table):
+    def test_budget_counters_within_contract(self, results):
         for method in ("META_NLF", "T_NLF"):
-            r = table.reports[method]
-            assert r.test_samples_used <= TEST_TIME_SAMPLES
-            assert r.test_steps_used <= TEST_TIME_STEPS
+            assert results[method].test_samples <= TEST_TIME_SAMPLES
+            assert results[method].test_steps <= TEST_TIME_STEPS
 
     def test_budget_violation_rejected(self):
         # a meta block over the test-time budget cannot be built, so compare
@@ -191,18 +201,82 @@ class TestCompare:
             with pytest.raises(ValueError, match="test-time budget"):
                 replace(meta, **over)
 
+    def test_gate_failure_row_keeps_fraction_and_counts(self, monkeypatch):
+        """A nonempty certificate that fails the Monte-Carlo gate loses its area and c
+        in the row, and keeps its mc fraction, its test-time counts and the verdict."""
+        def half_converged(system, certificates, grid, n_samples, h, horizon, tol, seed):
+            return [roa.ConvergenceCheck(fraction=1.0, n_samples=0, step=h) if result.empty
+                    else roa.ConvergenceCheck(fraction=0.5, n_samples=n_samples, step=h)
+                    for result, _ in certificates]
+
+        monkeypatch.setattr(roa, "monte_carlo_convergence", half_converged)
+        cfg = small_config()   # at 201 nodes per axis T-NLF and QLF certify a region
+        rows = {result.method: result.row() for result in baselines.compare(
+            replace(cfg, verify=replace(cfg.verify, nodes_per_axis=201)))}
+        for method, counts in (("T_NLF", (50, 10)), ("QLF_TS", (0, 0))):
+            row = rows[method]
+            assert row["area"] == "" and row["c"] == ""
+            assert row["mc_fraction"] == 0.5
+            assert (row["test_samples"], row["test_steps"]) == counts
+            assert row["status"] == "unsound certificate: mc fraction 0.5000"
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_nlf_rows_carry_their_error():
     """A diverging NLF step size fails the two NLF-trained methods alone: their rows
     carry the error with empty numbers, and the other methods still certify."""
     cfg = small_config()
-    table = baselines.compare(replace(cfg, nlf=replace(cfg.nlf, lr=1e200)))
-    assert set(table.errors) == {"NLF_TS", "T_NLF"}
-    rows = {row["method"]: row for row in table.to_rows()}
+    rows = {result.method: result.row()
+            for result in baselines.compare(replace(cfg, nlf=replace(cfg.nlf, lr=1e200)))}
     for method in ("NLF_TS", "T_NLF"):
         assert rows[method]["status"].startswith("NonFiniteLoss: non-finite gradient at NLF ")
         assert all(rows[method][key] == "" for key in ("area", "c", "mc_fraction",
                                                         "test_samples", "test_steps"))
     for method in ("META_NLF", "QLF_TS"):
         assert rows[method]["status"] == "ok"
+
+
+# peak resident set (KB) of one `compare` of a small-budget pendulum config at
+# argv[1] nodes per axis
+COMPARE_PEAK = """
+import resource, sys
+from lyapcert import baselines
+from lyapcert.config import (ExperimentConfig, MetaBlock, NlfBlock, RoaBlock, SystemBlock,
+                             VerifyBlock)
+from lyapcert.loss import TightenedLossConfig
+
+cfg = ExperimentConfig(
+    name="peak",
+    system=SystemBlock("pendulum", (0.5, 0.15, 9.81, 0.1), (0.55, 0.15, 9.81, 0.1),
+                       (0.1, 0.0, 0.0, 0.0)),
+    meta=MetaBlock(meta_steps=10, tasks_per_step=2, n_tasks=2, m_batches=3, k_train=8,
+                   j_test=8),
+    loss=TightenedLossConfig(1.0, 1.0),
+    verify=VerifyBlock(d0=4.0, nodes_per_axis=int(sys.argv[1]), exempt_radius=1.1),
+    roa=RoaBlock(mc_samples=20),
+    nlf=NlfBlock(400, 10, 0.01, 64),
+    hidden=(8,),
+)
+baselines.compare(cfg)
+try:   # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
+    print(next(int(line.split()[1]) for line in open("/proc/self/status")
+               if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_compare_holds_one_validity_map_at_a_time():
+    """From 301^2 to 501^2 box nodes, `compare` grows the peak resident set by under
+    150 B per added box node: 134 B measured with one validity map held at a time,
+    while keeping all four methods' maps to the end took 183 B."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+
+    def peak_kb(nodes):
+        proc = subprocess.run([sys.executable, "-c", COMPARE_PEAK, str(nodes)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    growth = (peak_kb(501) - peak_kb(301)) * 1024 / (501**2 - 301**2)
+    assert growth < 150, f"{growth:.0f} B per added box node"

@@ -150,6 +150,7 @@ class TestConfig:
                           "sigma_diag": [0.0]}),        # one droop is no network
         (None, "out_dir", "elsewhere"),         # the output root is --out alone
         ("seeds", "fallback", [2, 3, 4]),       # no fallback list: criterion 7 keeps its own
+        ("roa", "mc_horizon", 10000.01),        # 1,000,001 RK4 steps of 0.01, over the cap
     ])
     def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
         path = mini_config(tmp_path)

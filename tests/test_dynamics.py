@@ -36,7 +36,11 @@ class Decay:
         return -X
 
 dynamics.simulate(Decay(), [1.0, 1.0], 1e-6, int(sys.argv[1]) * 1e-6)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:   # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
+    print(next(int(line.split()[1]) for line in open("/proc/self/status")
+               if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 

@@ -36,10 +36,7 @@ ALLOWED = {
 }
 
 # dataclass fields nothing in src/ reads, each with the reason it stays
-ALLOWED_FIELDS = {
-    "baselines.BaselineReport.vmap": "the validity map behind a method's certificate, "
-                                     "read by acceptance criterion 5",
-}
+ALLOWED_FIELDS = {}
 
 
 # modules whose every setting arrives checked at parse
