@@ -45,7 +45,8 @@ TEST_TIME_STEPS = 10     # and gradient steps
 # in 2-d, so every command on a grid at the cap stays under 2 GB.
 MAX_GRID_NODES = 10_000_000
 # RK4 steps of one rollout a config or `simulate` may ask for (horizon / step):
-# 500x the default run of 2,000 steps.
+# 500x the default run of 2,000 steps. The Monte-Carlo gate may still split each
+# asked step on a stiff loop (`roa.gate_step`), and it steps mc_samples rows per method.
 MAX_RK4_STEPS = 1_000_000
 
 

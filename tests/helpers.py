@@ -9,12 +9,37 @@ library's table-driven writers must reproduce their output byte for byte.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from lyapcert import cli, dynamics, net, roa, svg, verify
 from lyapcert.config import PRESETS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# appended to a peak_kb script: print the peak resident set in KB
+PEAK_PROBE = """
+import resource
+try:   # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
+    print(next(int(line.split()[1]) for line in open("/proc/self/status")
+               if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_kb(script, *args, timeout=120):
+    """Peak resident set (KB) of a child Python process that runs `script` with
+    `args` as argv[1:], on one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script + PEAK_PROBE, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 def nominal_params(system_id, n_microgrids=3):

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +8,7 @@ from lyapcert.config import (TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfi
                              NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
 
-from helpers import nominal_params, nominal_system
-
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import nominal_params, nominal_system, peak_kb
 
 
 class LinearSystem:
@@ -174,8 +168,10 @@ class TestTaskFamily:
 
 class TestCompare:
     def test_all_methods_present(self, results):
-        # one result per method, in METHODS order, then the SOS placeholder
+        # one result per method, in METHODS order, then the SOS placeholder; every
+        # method reached a certificate (a raised NotHurwitz or NonFiniteLoss leaves none)
         assert list(results) == [*baselines.METHODS, "SOS_LF_TS"]
+        assert all(results[method].roa is not None for method in baselines.METHODS)
 
     def test_sos_column_not_implemented(self, results):
         sos = results["SOS_LF_TS"].row()
@@ -239,7 +235,7 @@ def test_diverging_nlf_rows_carry_their_error():
 # peak resident set (KB) of one `compare` of a small-budget pendulum config at
 # argv[1] nodes per axis
 COMPARE_PEAK = """
-import resource, sys
+import sys
 from lyapcert import baselines
 from lyapcert.config import (ExperimentConfig, MetaBlock, NlfBlock, RoaBlock, SystemBlock,
                              VerifyBlock)
@@ -258,11 +254,6 @@ cfg = ExperimentConfig(
     hidden=(8,),
 )
 baselines.compare(cfg)
-try:   # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
-    print(next(int(line.split()[1]) for line in open("/proc/self/status")
-               if line.startswith("VmHWM:")))
-except OSError:
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -270,13 +261,5 @@ def test_compare_holds_one_validity_map_at_a_time():
     """From 301^2 to 501^2 box nodes, `compare` grows the peak resident set by under
     150 B per added box node: 134 B measured with one validity map held at a time,
     while keeping all four methods' maps to the end took 183 B."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-
-    def peak_kb(nodes):
-        proc = subprocess.run([sys.executable, "-c", COMPARE_PEAK, str(nodes)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
-
-    growth = (peak_kb(501) - peak_kb(301)) * 1024 / (501**2 - 301**2)
+    growth = (peak_kb(COMPARE_PEAK, 501) - peak_kb(COMPARE_PEAK, 301)) * 1024 / (501**2 - 301**2)
     assert growth < 150, f"{growth:.0f} B per added box node"

@@ -15,7 +15,7 @@ from lyapcert.config import (MAX_GRID_NODES, ConfigError, MetaBlock, NlfBlock, P
                              config_from_dict, config_hash, config_to_dict, load_config)
 from lyapcert.loss import TightenedLossConfig
 
-from helpers import nominal_system, save_checkpoint
+from helpers import gate_case, nominal_system, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,6 +100,16 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_mc_gate_cap_counts_the_asked_steps(self, tmp_path):
+        """The gate's cap is on mc_horizon / mc_step as asked: 1,000,000 steps of 0.01
+        parse. On a stiff loop the gate splits each asked step (`roa.gate_step`), so it
+        may integrate more steps than the cap counts."""
+        block = load_config(mini_config(tmp_path, roa={"mc_samples": 20,
+                                                        "mc_horizon": 10000.0})).roa
+        assert block.mc_horizon / block.mc_step == 1_000_000
+        _, step, stiff = gate_case("ip_stochastic_l", 0.254)
+        assert step < stiff.mc_step
 
     def test_preset_hashes_pinned(self):
         # the config schema feeds every artifact stamp: a changed hash means

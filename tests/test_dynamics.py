@@ -11,7 +11,7 @@ from lyapcert import control, dynamics, roa
 from lyapcert.config import PRESETS
 
 from helpers import (GATE_CASES, gate_case, nominal_params, nominal_system,
-                     reference_microgrid, reference_simulate_batch, ring_admittance)
+                     peak_kb, reference_microgrid, reference_simulate_batch, ring_admittance)
 
 
 class StubScalar:
@@ -28,7 +28,7 @@ class StubScalar:
 
 # peak resident set (KB) of one `dynamics.simulate` run of argv[1] steps of x' = -x
 SIMULATE_PEAK = """
-import resource, sys
+import sys
 from lyapcert import dynamics
 
 class Decay:
@@ -36,11 +36,6 @@ class Decay:
         return -X
 
 dynamics.simulate(Decay(), [1.0, 1.0], 1e-6, int(sys.argv[1]) * 1e-6)
-try:   # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
-    print(next(int(line.split()[1]) for line in open("/proc/self/status")
-               if line.startswith("VmHWM:")))
-except OSError:
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -309,16 +304,7 @@ class TestSimulate:
         """From 1e4 to 1e5 RK4 steps of a 2-d field the peak resident set grows by less
         than 8 MB: the (n + 1, 2) state array and the time axis add 2.4 MB, while one
         array per state kept in a Python list added 15-31 MB."""
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-
-        def peak_kb(steps):
-            proc = subprocess.run([sys.executable, "-c", SIMULATE_PEAK, str(steps)], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout)
-
-        assert peak_kb(100_000) - peak_kb(10_000) < 8 * 1024
+        assert peak_kb(SIMULATE_PEAK, 100_000) - peak_kb(SIMULATE_PEAK, 10_000) < 8 * 1024
 
     def test_pendulum_test_system_converges(self):
         params = dynamics.ParamVector("pendulum", (1.2, 0.15, 9.81, 0.1))

@@ -1,8 +1,4 @@
 import csv
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +7,12 @@ from lyapcert import dynamics, net, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.dynamics import sample_ball
 
-from helpers import (nominal_system, reference_build_grid, reference_check_validity,
-                     reference_gradient, row_of)
+from helpers import (ROOT, nominal_system, peak_kb, reference_build_grid,
+                     reference_check_validity, reference_gradient, row_of)
 
-ROOT = Path(__file__).resolve().parents[1]
 
 CERTIFY_PEAK = """
-import resource, sys
+import sys
 from lyapcert import dynamics, net, roa, verify
 from lyapcert.config import PRESETS
 
@@ -29,11 +24,6 @@ grid = verify.build_grid(extra["radius"], int(sys.argv[1]), 2)
 vmap = verify.check_validity(candidate, system, grid, exempt_radius=cfg.verify.exempt_radius)
 result = roa.largest_level_set(vmap, grid, (0, 1))
 assert not result.empty
-try:   # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
-    print(next(int(line.split()[1]) for line in open("/proc/self/status")
-               if line.startswith("VmHWM:")))
-except OSError:
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -439,16 +429,9 @@ class TestBlockSweep:
         added box node: 114 B measured with the slab-built grid and the block sweep,
         times a 1.5 margin. Building the whole box and evaluating every node's
         (n, 16) activations at once took 466 B."""
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-        checkpoint = str(ROOT / "perfbench" / "data" / "meta_checkpoint.json")
-
-        def peak_kb(nodes):
-            proc = subprocess.run([sys.executable, "-c", CERTIFY_PEAK, str(nodes), checkpoint],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout)
-
-        growth = (peak_kb(1201) - peak_kb(401)) * 1024 / (1201**2 - 401**2)
+        checkpoint = ROOT / "perfbench" / "data" / "meta_checkpoint.json"
+        growth = (peak_kb(CERTIFY_PEAK, 1201, checkpoint, timeout=300)
+                  - peak_kb(CERTIFY_PEAK, 401, checkpoint, timeout=300)) * 1024 / (1201**2 - 401**2)
         assert growth < 170, f"{growth:.0f} B per added box node"
 
 
