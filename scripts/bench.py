@@ -68,11 +68,11 @@ preset; `perfbench/data/meta_checkpoint.json` adapted by `lyapcert adapt`,
   fresh interpreters, as the benchmark's `adapt_certify` workload runs it
 
 The `cert` suite (default output `BENCH_cert.json`) measures, with BLAS pinned
-to one thread, grid certification on three grids: `pendulum`, the
-`ip_stochastic_l` test system on 201 nodes per axis with the committed (16, 16)
-meta checkpoint at its radius; `mg3`, the `mg3_dc12` test system on 41 per axis
-and `mg5`, the `mg5_dc12` test system on 15 per axis, each with its preset
-network's bowl init (`net.shaped_init`) at the preset's d0:
+to one thread, grid certification on four grids: `pendulum` and `pendulum_801`,
+the `ip_stochastic_l` test system on 201 and 801 nodes per axis with the
+committed (16, 16) meta checkpoint at its radius; `mg3`, the `mg3_dc12` test
+system on 41 per axis and `mg5`, the `mg5_dc12` test system on 15 per axis,
+each with its preset network's bowl init (`net.shaped_init`) at the preset's d0:
 
 - `nodes`: the grid's nodes (the ball and its collar)
 - `peak_rss_mb`: the peak resident set (`VmHWM`, the interpreter's own) of a
@@ -294,8 +294,8 @@ def measure_writers(repeats: int) -> dict:
             "operation_s": round(operation_s, 3)}
 
 
-CERT_CASES = {"pendulum": ("ip_stochastic_l", 201), "mg3": ("mg3_dc12", 41),
-              "mg5": ("mg5_dc12", 15)}
+CERT_CASES = {"pendulum": ("ip_stochastic_l", 201), "pendulum_801": ("ip_stochastic_l", 801),
+              "mg3": ("mg3_dc12", 41), "mg5": ("mg5_dc12", 15)}
 
 CERT_PEAK = """
 import resource, sys
@@ -331,7 +331,7 @@ def cert_case(name: str):
     preset, nodes = CERT_CASES[name]
     cfg = PRESETS[preset]
     system = dynamics.build_system(cfg.system.test())
-    if name == "pendulum":
+    if preset == "ip_stochastic_l":
         theta, arch, extra = net.load_checkpoint(CHECKPOINT)
         radius = extra["radius"]
     else:

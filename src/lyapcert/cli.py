@@ -212,10 +212,10 @@ def cmd_adapt(args) -> int:
     cfg = _resolve_config(args)
     theta, arch, radius = _load_checkpoint_for(cfg, args.checkpoint)
     m = cfg.meta
-    out = _out_dir(args, cfg)
     system_test = dynamics.build_system(cfg.system.test())
     adapted = baselines.test_time_update(cfg, theta, arch, system_test, radius,
                                          cfg.seeds.adapt_seed)
+    out = _out_dir(args, cfg)
     ckpt = out / "adapted_checkpoint.json"
     atomic_write_text(ckpt, json.dumps(net.checkpoint_payload(
         adapted, arch, extra={**_stamp(cfg), "radius": radius,

@@ -67,13 +67,14 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
         t, b = np.array([(rng.integers(n_tasks), rng.integers(m_batches))
                          for _ in range(meta_cfg.tasks_per_step)]).T
         X_tr, Y_tr, X_te, Y_te = (a[t, b] for a in family)
-        grads, losses = meta_gradients(theta, arch, (X_tr, Y_tr), (X_te, Y_te),
-                                       meta_cfg.inner_lr, loss_cfg, meta_cfg.mode)
-        grad_sum = np.zeros_like(theta)
-        loss_sum = 0.0
-        for g, task_loss in zip(grads, losses.tolist()):
-            grad_sum += g
-            loss_sum += task_loss
+        with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+            grads, losses = meta_gradients(theta, arch, (X_tr, Y_tr), (X_te, Y_te),
+                                           meta_cfg.inner_lr, loss_cfg, meta_cfg.mode)
+            grad_sum = np.zeros_like(theta)
+            loss_sum = 0.0
+            for g, task_loss in zip(grads, losses.tolist()):
+                grad_sum += g
+                loss_sum += task_loss
         mean_step_loss = loss_sum / meta_cfg.tasks_per_step
         if not np.isfinite(mean_step_loss):
             raise NonFiniteLoss(f"non-finite loss {mean_step_loss!r} at meta-step {step}", step)
@@ -84,8 +85,11 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
 
 def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
                     loss_cfg: TightenedLossConfig) -> np.ndarray:
-    """k repeated full-batch inner steps from the meta-parameters."""
+    """k repeated full-batch inner steps from the meta-parameters; NonFiniteLoss if one diverges."""
     theta = np.asarray(theta_mnlf, dtype=float).copy()
-    for _ in range(k):
-        theta = theta - alpha * net.loss_gradient(theta, arch, s_tr, loss_cfg)
+    for step in range(k):
+        with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+            theta = theta - alpha * net.loss_gradient(theta, arch, s_tr, loss_cfg)
+        if not np.all(np.isfinite(theta)):
+            raise NonFiniteLoss(f"non-finite gradient or parameters at test-time step {step}", step)
     return theta

@@ -36,21 +36,21 @@ class RoaResult:
 
 
 def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Restrict member rows to the face-adjacent component containing the origin:
-    grow the reached set over member-member face pairs until no pair has
-    exactly one reached end."""
+    """Restrict member rows to the origin's face-adjacent component, found breadth
+    first; a neighbor column maps distinct nodes to distinct neighbors."""
     member = np.zeros(grid.n_nodes, dtype=bool)
     member[rows] = True
-    member[grid.origin_row] = True
-    pairs = grid.neighbor_pairs[member[grid.neighbor_pairs].all(axis=1)]
     reached = np.zeros(grid.n_nodes, dtype=bool)
     reached[grid.origin_row] = True
-    while True:
-        ends = reached[pairs]
-        frontier = pairs[ends[:, 0] != ends[:, 1]]
-        if frontier.size == 0:
-            return np.nonzero(reached)[0]
-        reached[frontier] = True
+    frontier = np.array([grid.origin_row])
+    while frontier.size:
+        found = []
+        for nb in grid.neighbors[frontier].T:
+            nb = nb[(nb >= 0) & member[nb] & ~reached[nb]]
+            reached[nb] = True   # before the next column looks, so no frontier repeats a node
+            found.append(nb)
+        frontier = np.concatenate(found)
+    return np.nonzero(reached)[0]
 
 
 def largest_level_set(vmap: ValidityMap, grid: GridSpec, plane: tuple[int, int]) -> RoaResult:

@@ -29,7 +29,7 @@ import numpy as np
 
 SAFETY = 1.2   # inflation of the sampled maxima into the Lipschitz constants
 SLAB = 1 << 16   # box nodes build_grid enumerates at a time
-BLOCK = 4096     # nodes (or face pairs) the map's sweep and its writers take at a time
+BLOCK = 4096     # nodes the map's sweep, its constants and its writers take at a time
 
 
 class RegionSelectionFailure(Exception):
@@ -52,8 +52,8 @@ class GridSpec:
     coords: np.ndarray          # (n, dim) node coordinates
     lattice: np.ndarray         # (n, dim) integer lattice indices
     origin_row: int
-    boundary: np.ndarray        # (n,) node has a missing face neighbor
-    neighbor_pairs: np.ndarray  # (m, 2) face-adjacent node rows
+    boundary: np.ndarray        # (n,) collar node or a missing face neighbor
+    neighbors: np.ndarray       # (n, 2 dim) -axis k neighbor in column 2k, +axis k in 2k+1, or -1
 
     @property
     def n_nodes(self) -> int:
@@ -105,23 +105,20 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
     del kept
 
     strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    pairs = []
+    neighbors = np.full((flat.size, 2 * dim), -1, dtype=np.int64, order="F")   # by column
     for axis in range(dim):
         target = flat + strides[axis]
         up = np.minimum(np.searchsorted(flat, target), flat.size - 1)
-        present = (flat[up] == target) & (lattice[:, axis] < half)
-        src = np.nonzero(present)[0]
-        pairs.append(np.stack([src, up[src]], axis=1))
-        # a node's lower neighbor is present exactly when it is that neighbor's upper one
-        has_lower = np.zeros(flat.size, dtype=bool)
-        has_lower[up[src]] = True
-        boundary |= ~present | ~has_lower
+        src = np.nonzero((flat[up] == target) & (lattice[:, axis] < half))[0]
+        neighbors[src, 2 * axis + 1] = up[src]
+        neighbors[up[src], 2 * axis] = src   # v is u's -axis neighbor when u is v's +axis one
+    boundary |= (neighbors < 0).any(axis=1)
     return GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim,
         spacing=float(spacing), tau=float(dim * spacing / 2.0),
         coords=lattice * spacing, lattice=lattice,
         origin_row=int(np.searchsorted(flat, half * strides.sum())),
-        boundary=boundary, neighbor_pairs=np.concatenate(pairs, axis=0),
+        boundary=boundary, neighbors=neighbors,
     )
 
 
@@ -131,22 +128,20 @@ def estimate_lipschitz(grad_inf, lie, grid: GridSpec) -> tuple[np.ndarray, np.nd
     `grad_inf` and `lie` are the l-infinity norm of the candidate's gradient
     and its Lie derivative at every grid node. K_V(u) is the largest of
     grad_inf at u and its face neighbors, K_Vdot(u) the largest
-    Lie-derivative difference quotient over u's face pairs, taken BLOCK pairs
-    at a time. The covering argument only needs the constant on a node's
-    cell, so flat regions are not punished for steep ones (a global constant
-    fails an elongated quadratic all along its flat axis). These are sample
-    estimates, not bounds.
+    Lie-derivative difference quotient between u and a face neighbor, taken
+    BLOCK nodes and one neighbor column at a time. The covering argument only
+    needs the constant on a node's cell, so flat regions are not punished for
+    steep ones (a global constant fails an elongated quadratic all along its
+    flat axis). These are sample estimates, not bounds.
     """
-    k_v = grad_inf.copy()
-    k_lie = np.zeros(grid.n_nodes)
-    for start in range(0, grid.neighbor_pairs.shape[0], BLOCK):
-        a, b = grid.neighbor_pairs[start:start + BLOCK].T
-        lie_quot = np.abs(lie[a] - lie[b]) * (1.0 / grid.spacing)
-        np.maximum.at(k_v, a, grad_inf[b])
-        np.maximum.at(k_v, b, grad_inf[a])
-        np.maximum.at(k_lie, a, lie_quot)
-        np.maximum.at(k_lie, b, lie_quot)
-    return k_v * SAFETY, k_lie * SAFETY
+    k_v, k_lie = grad_inf.copy(), np.zeros(grid.n_nodes)
+    for start in range(0, grid.n_nodes, BLOCK):
+        block = slice(start, start + BLOCK)
+        for nb in grid.neighbors[block].T:   # the absent neighbors (-1) are masked out
+            np.maximum(k_v[block], grad_inf[nb], out=k_v[block], where=nb >= 0)
+            np.maximum(k_lie[block], np.abs(lie[block] - lie[nb]), out=k_lie[block], where=nb >= 0)
+    # rounding is monotone, so scaling the largest difference gives the largest quotient
+    return k_v * SAFETY, k_lie * (1.0 / grid.spacing) * SAFETY
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,7 +91,8 @@ def reference_gradient(candidate, X):
 
 def reference_build_grid(radius, nodes_per_axis, dim):
     """build_grid from the whole box: every box node is made, then clipped to the
-    ball plus collar, and face neighbors are looked up in a box-sized row table."""
+    ball plus collar, and both face neighbors on each axis are looked up in a
+    box-sized row table."""
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
     axis_idx = np.arange(-half, half + 1)
@@ -105,21 +106,18 @@ def reference_build_grid(radius, nodes_per_axis, dim):
     lattice, coords = lattice[inside], coords[inside]
     strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
     flat = (lattice + half) @ strides
-    pairs = []
-    boundary = np.linalg.norm(coords, axis=1) > radius + 1e-12
+    neighbors = np.empty((lattice.shape[0], 2 * dim), dtype=np.int64)
     for axis in range(dim):
-        up = np.where(lattice[:, axis] == half, -1,
-                      full_rows[np.minimum(flat + strides[axis], full_rows.size - 1)])
-        boundary |= up < 0
-        src = np.nonzero(up >= 0)[0]
-        pairs.append(np.stack([src, up[src]], axis=1))
-        down = np.where(lattice[:, axis] == -half, -1, full_rows[np.maximum(flat - strides[axis], 0)])
-        boundary |= down < 0
+        neighbors[:, 2 * axis] = np.where(lattice[:, axis] == -half, -1,
+                                          full_rows[np.maximum(flat - strides[axis], 0)])
+        neighbors[:, 2 * axis + 1] = np.where(
+            lattice[:, axis] == half, -1, full_rows[np.minimum(flat + strides[axis], full_rows.size - 1)])
+    boundary = (np.linalg.norm(coords, axis=1) > radius + 1e-12) | np.any(neighbors < 0, axis=1)
     return verify.GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim, spacing=float(spacing),
         tau=float(dim * spacing / 2.0), coords=coords, lattice=lattice,
         origin_row=int(full_rows[np.full(dim, half) @ strides]), boundary=boundary,
-        neighbor_pairs=np.concatenate(pairs, axis=0))
+        neighbors=neighbors)
 
 
 def reference_check_validity(candidate, system, grid, exempt_radius=0.0):

@@ -98,7 +98,7 @@ class TestNlfTs:
                                                 NlfBlock(n_samples=500, n_steps=50), seed=0)
         assert (samples, steps) == (500, 50)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_gradient_names_loop_and_step(self):
         with pytest.raises(meta.NonFiniteLoss) as info:
             baselines.train_nlf(nominal_system("pendulum"), 2.0, ARCH, LOSS,
@@ -217,7 +217,7 @@ class TestCompare:
             assert row["status"] == "unsound certificate: mc fraction 0.5000"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_nlf_rows_carry_their_error():
     """A diverging NLF step size fails the two NLF-trained methods alone: their rows
     carry the error with empty numbers, and the other methods still certify."""
@@ -229,6 +229,23 @@ def test_diverging_nlf_rows_carry_their_error():
         assert all(rows[method][key] == "" for key in ("area", "c", "mc_fraction",
                                                         "test_samples", "test_steps"))
     for method in ("META_NLF", "QLF_TS"):
+        assert rows[method]["status"] == "ok"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_test_time_update_rows_carry_their_error():
+    """A diverging test-time step size fails the two adapted methods alone: their rows
+    carry the test-time loop's NonFiniteLoss with empty numbers, and the other
+    methods still certify."""
+    cfg = small_config()
+    rows = {result.method: result.row()
+            for result in baselines.compare(replace(cfg, meta=replace(cfg.meta, adapt_alpha=1e200)))}
+    for method in ("META_NLF", "T_NLF"):
+        assert rows[method]["status"].startswith(
+            "NonFiniteLoss: non-finite gradient or parameters at test-time step ")
+        assert all(rows[method][key] == "" for key in ("area", "c", "mc_fraction",
+                                                        "test_samples", "test_steps"))
+    for method in ("NLF_TS", "QLF_TS"):
         assert rows[method]["status"] == "ok"
 
 

@@ -713,6 +713,36 @@ def test_two_dim_system_ignores_configured_plane(tmp_path):
     assert reports[0] == reports[1] and reports[0]["plane"] is None and not reports[0]["empty"]
 
 
+@pytest.mark.parametrize("command, block, key", [("adapt", "meta", "adapt_alpha"),
+                                                   ("compare", "nlf", "lr")])
+def test_diverging_step_size_leaks_no_runtime_warning(tmp_path, mini_checkpoint, command,
+                                                      block, key):
+    """At a step size of 1e200 the training loops diverge: `adapt` exits 4 naming the
+    test-time step and writes nothing, `compare` reports the NonFiniteLoss of
+    NLF_TS and T_NLF in their rows, and no numpy RuntimeWarning reaches stderr."""
+    cfg_path = mini_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    payload[block][key] = 1e200
+    cfg_path.write_text(json.dumps(payload))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if command == "adapt":
+        argv += ["--checkpoint", str(mini_checkpoint[0])]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "lyapcert.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert "RuntimeWarning" not in proc.stderr
+    if command == "adapt":
+        assert proc.returncode == cli.EXIT_NUMERIC
+        assert proc.stderr.startswith("numeric failure: non-finite gradient or parameters "
+                                      "at test-time step ")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        rows = json.loads((tmp_path / "out" / "mini" / "comparison.json").read_text())["rows"]
+        assert [row["method"] for row in rows
+                if row["status"].startswith("NonFiniteLoss: ")] == ["NLF_TS", "T_NLF"]
+
+
 def test_benchmark_wrapped_names_resolve():
     """The benchmark's tracer patches library functions by name and reads some
     arguments by position; installing it fails if a wrapped name is gone."""

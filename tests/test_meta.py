@@ -179,7 +179,7 @@ class TestMetaTrain:
             theta = theta - 0.05 * net.loss_gradient(theta, self.arch, s_te, self.cfg)
         np.testing.assert_allclose(report.theta_mnlf, theta, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_aborts_with_step(self):
         task = tiny_task()
         mc = MetaBlock(inner_lr=0.01, meta_lr=1e200, tasks_per_step=1, meta_steps=50)
@@ -274,3 +274,13 @@ class TestTestTimeAdapt:
         out = meta.test_time_adapt(self.theta, self.arch, self.s_tr, 0.01, 10, self.cfg)
         assert out.shape == self.theta.shape
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_step_names_loop_and_step(self):
+        # a diverged step raises, naming the test-time loop and the step, and
+        # numpy's overflow warnings stay inside the loop
+        with pytest.raises(meta.NonFiniteLoss) as info:
+            meta.test_time_adapt(self.theta, self.arch, self.s_tr, 1e200, 10, self.cfg)
+        step = info.value.step
+        assert 0 <= step < 10
+        assert str(info.value) == f"non-finite gradient or parameters at test-time step {step}"

@@ -101,11 +101,34 @@ class TestBuildGrid:
         # nodes beyond the ball proper are all boundary-layer
         assert np.all(grid.boundary[norms > 1.5 + 1e-12])
 
-    def test_neighbor_pairs_are_face_adjacent(self):
+    def test_neighbors_are_face_adjacent(self):
         grid = verify.build_grid(1.0, 11, 2)
-        diff = np.abs(grid.lattice[grid.neighbor_pairs[:, 0]]
-                      - grid.lattice[grid.neighbor_pairs[:, 1]])
+        rows, cols = np.nonzero(grid.neighbors >= 0)
+        diff = np.abs(grid.lattice[grid.neighbors[rows, cols]] - grid.lattice[rows])
         assert np.all(diff.sum(axis=1) == 1)
+
+    @pytest.mark.parametrize("dim, nodes", [(1, 7), (2, 21), (3, 11), (4, 7)])
+    def test_neighbor_table_is_symmetric_and_complete(self, dim, nodes):
+        """Column 2k holds a node's -axis k neighbor and column 2k + 1 its +axis k
+        neighbor, each the lattice point one step away, and the one holds the other
+        in the opposite column; -1 is exactly where that point is off the box or
+        beyond the collar."""
+        grid = verify.build_grid(1.0, nodes, dim)
+        half = nodes // 2
+        collar = 1.0 + np.sqrt(dim) * grid.spacing / 2.0
+        rows = np.arange(grid.n_nodes)
+        assert grid.neighbors.shape == (grid.n_nodes, 2 * dim)
+        for axis in range(dim):
+            for col, step in ((2 * axis, -1), (2 * axis + 1, 1)):
+                point = grid.lattice.copy()
+                point[:, axis] += step
+                kept = ((np.abs(point[:, axis]) <= half)
+                        & (np.linalg.norm(point * grid.spacing, axis=1) <= collar + 1e-12))
+                nb = grid.neighbors[:, col]
+                np.testing.assert_array_equal(nb >= 0, kept)
+                np.testing.assert_array_equal(grid.lattice[nb[kept]], point[kept])
+                partner = col + 1 if step < 0 else col - 1
+                np.testing.assert_array_equal(grid.neighbors[nb[kept], partner], rows[kept])
 
     @pytest.mark.parametrize("dim,nodes", [(1, 11), (2, 41), (3, 15)])
     def test_covering_property(self, dim, nodes):
@@ -135,7 +158,7 @@ class TestBuildGrid:
                 for field in ("radius", "nodes_per_axis", "dim", "spacing", "tau", "origin_row"):
                     assert type(getattr(grid, field)) is type(getattr(ref, field))
                     assert getattr(grid, field) == getattr(ref, field), field
-                for field in ("coords", "lattice", "boundary", "neighbor_pairs"):
+                for field in ("coords", "lattice", "boundary", "neighbors"):
                     got, want = getattr(grid, field), getattr(ref, field)
                     assert got.dtype == want.dtype and got.shape == want.shape, field
                     assert got.tobytes() == want.tobytes(), field
@@ -411,24 +434,31 @@ class TestBlockSweep:
         for field in ("exempt", "positivity_ok", "decrease_ok"):
             np.testing.assert_array_equal(getattr(vmap, field), getattr(ref, field))
 
-    def test_pair_blocks_give_the_one_pass_constants(self, monkeypatch):
-        # maxima do not round, so the constants over BLOCK-pair blocks are the
-        # constants over all pairs at once, bit for bit
+    def test_node_blocks_give_the_one_pass_constants(self, monkeypatch):
+        # maxima do not round, so the constants over BLOCK-node blocks are the
+        # star maxima over all nodes at once, bit for bit, here taken from the
+        # whole-box neighbor table with -inf (grad_inf) and 0 (quotients) where
+        # a neighbor is missing
         grid = verify.build_grid(1.0, 101, 3)
-        assert grid.neighbor_pairs.shape[0] > 4 * verify.BLOCK
+        assert grid.n_nodes > 4 * verify.BLOCK
         rng = np.random.default_rng(5)
         grad_inf, lie = rng.random(grid.n_nodes), rng.normal(size=grid.n_nodes)
         blocked = verify.estimate_lipschitz(grad_inf, lie, grid)
-        monkeypatch.setattr(verify, "BLOCK", grid.neighbor_pairs.shape[0])
-        for got, want in zip(blocked, verify.estimate_lipschitz(grad_inf, lie, grid)):
-            assert got.tobytes() == want.tobytes()
+        nb = reference_build_grid(1.0, 101, 3).neighbors
+        star = np.append(grad_inf, -np.inf)[nb].max(axis=1)
+        quot = np.where(nb >= 0, np.abs(lie[:, None] - lie[nb]) * (1.0 / grid.spacing), 0.0)
+        one_pass = (np.maximum(grad_inf, star) * verify.SAFETY, quot.max(axis=1) * verify.SAFETY)
+        monkeypatch.setattr(verify, "BLOCK", grid.n_nodes)
+        for got, want, ref in zip(blocked, verify.estimate_lipschitz(grad_inf, lie, grid), one_pass):
+            assert got.tobytes() == want.tobytes() == ref.tobytes()
 
     def test_peak_memory_per_box_node(self):
         """From 401^2 to 1201^2 pendulum box nodes, grid + map + level set of the
         committed (16, 16) checkpoint grow the peak resident set by under 170 B per
         added box node: 114 B measured with the slab-built grid and the block sweep,
-        times a 1.5 margin. Building the whole box and evaluating every node's
-        (n, 16) activations at once took 466 B."""
+        times a 1.5 margin; 99 B since the face-neighbor table replaced the face-pair
+        list (116 B). Building the whole box and evaluating every node's (n, 16)
+        activations at once took 466 B."""
         checkpoint = ROOT / "perfbench" / "data" / "meta_checkpoint.json"
         growth = (peak_kb(CERTIFY_PEAK, 1201, checkpoint, timeout=300)
                   - peak_kb(CERTIFY_PEAK, 401, checkpoint, timeout=300)) * 1024 / (1201**2 - 401**2)
