@@ -68,11 +68,12 @@ preset; `perfbench/data/meta_checkpoint.json` adapted by `lyapcert adapt`,
   fresh interpreters, as the benchmark's `adapt_certify` workload runs it
 
 The `cert` suite (default output `BENCH_cert.json`) measures, with BLAS pinned
-to one thread, grid certification on four grids: `pendulum` and `pendulum_801`,
+to one thread, grid certification on five grids: `pendulum` and `pendulum_801`,
 the `ip_stochastic_l` test system on 201 and 801 nodes per axis with the
 committed (16, 16) meta checkpoint at its radius; `mg3`, the `mg3_dc12` test
-system on 41 per axis and `mg5`, the `mg5_dc12` test system on 15 per axis,
-each with its preset network's bowl init (`net.shaped_init`) at the preset's d0:
+system on 41 per axis, `mg5`, the `mg5_dc12` test system on 15 per axis, and
+`fan`, the 6-d `cf_m` test system on 9 per axis, each with its preset network's
+bowl init (`net.shaped_init`) at the preset's d0:
 
 - `nodes`: the grid's nodes (the ball and its collar)
 - `peak_rss_mb`: the peak resident set (`VmHWM`, the interpreter's own) of a
@@ -81,9 +82,11 @@ each with its preset network's bowl init (`net.shaped_init`) at the preset's d0:
   `cli.atomic_write_text`; `base_rss_mb` is that interpreter's peak before
   the grid is built, with the candidate made
 - `ms_per_1e4_nodes`: milliseconds per 10^4 grid nodes of `build_grid`,
-  `check_validity` (`sweep`), `largest_level_set` (`level_set`),
-  `export_validity_csv` (`validity_csv`) and `render_validity_svg`
-  (`validity_svg`), each writer's text made in full
+  `check_validity` (`sweep`), the `estimate_lipschitz` part of that sweep
+  (`lipschitz`, fed the map's Lie values as both of its node arrays: its time
+  follows the grid's neighbor table, not the values), `largest_level_set`
+  (`level_set`), `export_validity_csv` (`validity_csv`) and
+  `render_validity_svg` (`validity_svg`), each writer's text made in full
 
 The script only calls functions both layouts of these writers have (a string,
 or blocks of text), so the same script can time an older source tree: run it
@@ -295,7 +298,7 @@ def measure_writers(repeats: int) -> dict:
 
 
 CERT_CASES = {"pendulum": ("ip_stochastic_l", 201), "pendulum_801": ("ip_stochastic_l", 801),
-              "mg3": ("mg3_dc12", 41), "mg5": ("mg5_dc12", 15)}
+              "mg3": ("mg3_dc12", 41), "mg5": ("mg5_dc12", 15), "fan": ("cf_m", 9)}
 
 CERT_PEAK = """
 import resource, sys
@@ -358,6 +361,7 @@ def measure_cert(repeats: int) -> dict:
         stages = {
             "build_grid": lambda: verify.build_grid(radius, per_axis, system.dim),
             "sweep": lambda: verify.check_validity(candidate, system, grid, exempt_radius=exempt),
+            "lipschitz": lambda: verify.estimate_lipschitz(vmap.lie, vmap.lie, grid),
             "level_set": lambda: roa.largest_level_set(vmap, grid, cfg.plane),
             "validity_csv": lambda: full_text(verify.export_validity_csv(vmap, grid)),
             "validity_svg": lambda: full_text(svg.render_validity_svg(vmap, grid,

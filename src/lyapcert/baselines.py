@@ -94,10 +94,10 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
     for step in range(budget.n_steps):
         idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
         with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
-            g = net.loss_gradient(theta, arch, (X[idx], Y[idx]), loss_cfg)
-        if not np.all(np.isfinite(g)):
-            raise meta.NonFiniteLoss(f"non-finite gradient at NLF training step {step}", step)
-        theta = theta - budget.lr * g
+            theta = theta - budget.lr * net.loss_gradient(theta, arch, (X[idx], Y[idx]), loss_cfg)
+        if not np.all(np.isfinite(theta)):
+            raise meta.NonFiniteLoss(
+                f"non-finite gradient or parameters at NLF training step {step}", step)
     return theta, budget.n_samples, budget.n_steps
 
 

@@ -123,7 +123,7 @@ def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | Non
         return None
     rows = {"vbar_low": checked[np.argmin(vmap.vbar_low[checked])],
             "lie_high": checked[np.argmax(vmap.lie_high[checked])]}
-    return {key: {"bound": float(getattr(vmap, key)[row]), "node": grid.coords[row].tolist()}
+    return {key: {"bound": float(getattr(vmap, key)[row]), "node": grid.coords(row).tolist()}
             for key, row in rows.items()}
 
 

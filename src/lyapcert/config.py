@@ -40,8 +40,8 @@ from .net import INIT_POINTS, Architecture
 TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
 TEST_TIME_STEPS = 10     # and gradient steps
 # Grid nodes (nodes_per_axis ** state dim, the box the ball is cut from) a config may
-# ask for. Grid, map and level set of a (16, 16) network peak at 41-110 B per box
-# node in 1 to 6 dimensions, and `compare`, which holds one map at a time, at 129 B
+# ask for. Grid, map and level set of a (16, 16) network peak at 34-89 B per box
+# node in 1 to 6 dimensions, and `compare`, which holds one map at a time, at 106 B
 # in 2-d, so every command on a grid at the cap stays under 2 GB.
 MAX_GRID_NODES = 10_000_000
 # RK4 steps of one rollout a config or `simulate` may ask for (horizon / step):

@@ -24,8 +24,8 @@ Batch = tuple[np.ndarray, np.ndarray]
 
 
 class NonFiniteLoss(Exception):
-    """Training produced a non-finite loss or gradient; the message names the loop and
-    the step, which the exception carries."""
+    """Training produced a non-finite loss, gradient or parameters; the message names the
+    loop and the step, which the exception carries."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)
@@ -75,11 +75,11 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
             for g, task_loss in zip(grads, losses.tolist()):
                 grad_sum += g
                 loss_sum += task_loss
+            theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
         mean_step_loss = loss_sum / meta_cfg.tasks_per_step
-        if not np.isfinite(mean_step_loss):
-            raise NonFiniteLoss(f"non-finite loss {mean_step_loss!r} at meta-step {step}", step)
+        if not (np.isfinite(mean_step_loss) and np.all(np.isfinite(theta))):
+            raise NonFiniteLoss(f"non-finite loss or parameters at meta-step {step}", step)
         curve[step] = mean_step_loss
-        theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
     return MetaTrainReport(theta_mnlf=theta, loss_curve=curve)
 
 

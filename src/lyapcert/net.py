@@ -81,23 +81,16 @@ def unpack(theta: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.n
     return [(theta[..., w].reshape(lead + shape), theta[..., None, b]) for w, shape, b in arch.param_slices]
 
 
-def pack(layers, arch: Architecture) -> np.ndarray:
-    theta = np.empty(arch.n_params)
-    for (w, shape, b), (W, bias) in zip(arch.param_slices, layers):
-        theta[w] = np.asarray(W).reshape(-1)
-        theta[b] = np.asarray(bias).reshape(-1)
-    return theta
-
-
 def init_params(arch: Architecture, seed: int) -> np.ndarray:
-    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization per layer."""
+    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization per layer, its weights
+    drawn and then its biases, each into its unpack view of theta."""
     rng = np.random.default_rng(seed)
-    layers = []
-    for rows, cols in arch.layer_shapes:
-        bound = np.sqrt(1.0 / cols)
-        layers.append((rng.uniform(-bound, bound, size=(rows, cols)),
-                       rng.uniform(-bound, bound, size=rows)))
-    return pack(layers, arch)
+    theta = np.empty(arch.n_params)
+    for W, b in unpack(theta, arch):
+        bound = np.sqrt(1.0 / W.shape[-1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return theta
 
 
 def _one_task(batch) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,8 @@ class RoaResult:
 
 def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Restrict member rows to the origin's face-adjacent component, found breadth
-    first; a neighbor column maps distinct nodes to distinct neighbors."""
+    first; a neighbor column maps distinct nodes to distinct neighbors, except that
+    an absent neighbor is the node itself, which is already reached."""
     member = np.zeros(grid.n_nodes, dtype=bool)
     member[rows] = True
     reached = np.zeros(grid.n_nodes, dtype=bool)
@@ -46,7 +47,7 @@ def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
     while frontier.size:
         found = []
         for nb in grid.neighbors[frontier].T:
-            nb = nb[(nb >= 0) & member[nb] & ~reached[nb]]
+            nb = nb[member[nb] & ~reached[nb]]
             reached[nb] = True   # before the next column looks, so no frontier repeats a node
             found.append(nb)
         frontier = np.concatenate(found)
@@ -83,10 +84,10 @@ def roa_area(result: RoaResult, grid: GridSpec) -> float:
 
 
 def _plane_image(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
-    """(nodes_per_axis, nodes_per_axis) occupancy of the member cells' (i, j) lattice pairs."""
+    """(nodes_per_axis, nodes_per_axis) occupancy of the member cells' (i, j) index pairs."""
     i, j = axes
     image = np.zeros((grid.nodes_per_axis,) * 2, dtype=bool)
-    members = grid.axis_index[result.member_rows]
+    members = grid.index[result.member_rows]
     image[members[:, i], members[:, j]] = True
     return image
 
@@ -190,7 +191,7 @@ def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
     """n_samples states uniform over the member cells, drawn from default_rng(seed)
     and rejection-filtered to {Vbar <= c}."""
     rng = np.random.default_rng(seed)
-    centers = grid.coords[result.member_rows]
+    centers = grid.coords(result.member_rows)
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
 
     points = []

@@ -4,7 +4,7 @@ No plotting dependency; plain string assembly. Grids with more than two state
 dimensions are drawn as the 2-D slice through the origin along a chosen axis
 pair. A grid coordinate takes only nodes_per_axis values, so validity-map cells
 are drawn from per-axis string tables: each pixel position is computed and
-formatted once per axis value and picked by lattice index. The validity map
+formatted once per axis value and picked by axis index. The validity map
 is made one block of grid nodes at a time, so its text is never held whole.
 """
 
@@ -77,16 +77,16 @@ def _validity_svg(vmap, grid, roa, axes: tuple[int, int]) -> Iterator[str]:
     green = vmap.green
 
     def rects(member):
-        """Each block's rects on the slice (off-plane lattice coordinates all zero):
+        """Each block's rects on the slice (off-plane coordinates all zero, at index half):
         filled cells, or with a member mask, the members' outlines."""
         for start in range(0, grid.n_nodes, BLOCK):
             block = slice(start, start + BLOCK)
-            lattice = grid.lattice[block]
-            drawn = np.all(lattice[:, rest] == 0, axis=1)
+            index = grid.index[block]
+            drawn = np.all(index[:, rest] == half, axis=1)
             if member is not None:
                 drawn &= member[block]
             at = np.nonzero(drawn)[0]
-            ix, iy = (lattice[at][:, axes] + half).T
+            ix, iy = index[at][:, axes].T
             tails = (outline if member is not None else
                      fills[np.where(vmap.exempt[block][at], 0, np.where(green[block][at], 1, 2))])
             yield "".join((x_heads[ix] + y_texts[iy] + tails).tolist())

@@ -49,15 +49,14 @@ class GridSpec:
     dim: int
     spacing: float
     tau: float
-    coords: np.ndarray          # (n, dim) node coordinates
-    lattice: np.ndarray         # (n, dim) integer lattice indices
+    index: np.ndarray           # (n, dim) position of each node coordinate in axis_coords
     origin_row: int
     boundary: np.ndarray        # (n,) collar node or a missing face neighbor
-    neighbors: np.ndarray       # (n, 2 dim) -axis k neighbor in column 2k, +axis k in 2k+1, or -1
+    neighbors: np.ndarray       # (n, 2 dim) -axis k neighbor in column 2k, +axis k in 2k+1, or self
 
     @property
     def n_nodes(self) -> int:
-        return self.coords.shape[0]
+        return self.index.shape[0]
 
     @property
     def cell_volume(self) -> float:
@@ -65,15 +64,14 @@ class GridSpec:
 
     @property
     def axis_coords(self) -> np.ndarray:
-        """The nodes_per_axis values a coordinate takes, in lattice order: node r's
-        coordinate k is axis_coords[axis_index[r, k]], bit for bit."""
+        """The nodes_per_axis values a coordinate takes, in lattice order."""
         half = self.nodes_per_axis // 2
         return np.arange(-half, half + 1) * self.spacing
 
-    @property
-    def axis_index(self) -> np.ndarray:
-        """(n, dim) position of each node coordinate in axis_coords."""
-        return self.lattice + self.nodes_per_axis // 2
+    def coords(self, rows) -> np.ndarray:
+        """Coordinates of the given rows: node r's coordinate k is axis_coords[index[r, k]],
+        the same bits as (index[r, k] - half) * spacing."""
+        return self.axis_coords[self.index[rows]]
 
 
 def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
@@ -97,26 +95,26 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
     kept = []
     for start in range(0, nodes_per_axis**dim, SLAB):
         flat = np.arange(start, min(start + SLAB, nodes_per_axis**dim))
-        lattice = np.stack(np.unravel_index(flat, box), axis=1) - half
-        norms = np.linalg.norm(lattice * spacing, axis=1)
+        index = np.stack(np.unravel_index(flat, box), axis=1)
+        norms = np.linalg.norm((index - half) * spacing, axis=1)
         inside = norms <= collar + 1e-12
-        kept.append((flat[inside], lattice[inside], norms[inside] > radius + 1e-12))
-    flat, lattice, boundary = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
+        kept.append((flat[inside], index[inside], norms[inside] > radius + 1e-12))
+    flat, index, boundary = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
     del kept
 
     strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    neighbors = np.full((flat.size, 2 * dim), -1, dtype=np.int64, order="F")   # by column
+    rows = np.arange(flat.size)[:, None]   # an absent neighbor is the node itself
+    neighbors = np.array(np.broadcast_to(rows, (flat.size, 2 * dim)), order="F")   # by column
     for axis in range(dim):
         target = flat + strides[axis]
         up = np.minimum(np.searchsorted(flat, target), flat.size - 1)
-        src = np.nonzero((flat[up] == target) & (lattice[:, axis] < half))[0]
+        src = np.nonzero((flat[up] == target) & (index[:, axis] < 2 * half))[0]
         neighbors[src, 2 * axis + 1] = up[src]
         neighbors[up[src], 2 * axis] = src   # v is u's -axis neighbor when u is v's +axis one
-    boundary |= (neighbors < 0).any(axis=1)
+    boundary |= (neighbors == rows).any(axis=1)
     return GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim,
-        spacing=float(spacing), tau=float(dim * spacing / 2.0),
-        coords=lattice * spacing, lattice=lattice,
+        spacing=float(spacing), tau=float(dim * spacing / 2.0), index=index,
         origin_row=int(np.searchsorted(flat, half * strides.sum())),
         boundary=boundary, neighbors=neighbors,
     )
@@ -137,9 +135,9 @@ def estimate_lipschitz(grad_inf, lie, grid: GridSpec) -> tuple[np.ndarray, np.nd
     k_v, k_lie = grad_inf.copy(), np.zeros(grid.n_nodes)
     for start in range(0, grid.n_nodes, BLOCK):
         block = slice(start, start + BLOCK)
-        for nb in grid.neighbors[block].T:   # the absent neighbors (-1) are masked out
-            np.maximum(k_v[block], grad_inf[nb], out=k_v[block], where=nb >= 0)
-            np.maximum(k_lie[block], np.abs(lie[block] - lie[nb]), out=k_lie[block], where=nb >= 0)
+        for nb in grid.neighbors[block].T:   # an absent neighbor is u itself: no maximum moves
+            np.maximum(k_v[block], grad_inf[nb], out=k_v[block])
+            np.maximum(k_lie[block], np.abs(lie[block] - lie[nb]), out=k_lie[block])
     # rounding is monotone, so scaling the largest difference gives the largest quotient
     return k_v * SAFETY, k_lie * (1.0 / grid.spacing) * SAFETY
 
@@ -187,7 +185,7 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
     exempt = np.empty(grid.n_nodes, dtype=bool)
     for start in range(0, grid.n_nodes, BLOCK):
         block = slice(start, start + BLOCK)
-        X = grid.coords[block]
+        X = grid.coords(block)
         values, grads = candidate.value_and_gradient(X)
         np.subtract(values, v0, out=vbar[block])
         np.sum(grads * system.f_batch(X), axis=1, out=lie[block])
@@ -227,17 +225,16 @@ def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -
 def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> Iterator[str]:
     """The validity CSV, one row per node, as its header and then BLOCK nodes of
     rows at a time. Each coordinate's repr is made once per axis value and
-    picked by lattice index, so only vbar and lie are formatted per node."""
+    picked by axis index, so only vbar and lie are formatted per node."""
     header = [f"x{i + 1}" for i in range(grid.dim)]
     yield ",".join(header + ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]) + "\r\n"
     # tolist() yields Python floats, whose repr round-trips exactly
     axis_reprs = np.array([repr(v) for v in grid.axis_coords.tolist()], dtype=object)
     flag_text = np.array(["0", "1"], dtype=object)
     flags = (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)
-    half = grid.nodes_per_axis // 2
     for start in range(0, grid.n_nodes, BLOCK):
         block = slice(start, start + BLOCK)
-        cols = [axis_reprs[idx].tolist() for idx in (grid.lattice[block] + half).T]
+        cols = [axis_reprs[idx].tolist() for idx in grid.index[block].T]
         cols += [map(repr, col[block].tolist()) for col in (vmap.vbar, vmap.lie)]
         cols += [flag_text[flag[block].astype(np.int8)].tolist() for flag in flags]
         yield "\r\n".join(map(",".join, zip(*cols))) + "\r\n"

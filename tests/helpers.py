@@ -70,9 +70,19 @@ def gate_case(preset, length=None):
     return system, roa.gate_step(system, cfg.roa.mc_step), cfg.roa
 
 
+def lattice_points(grid):
+    """(n, dim) integer lattice point of each node: its axis index less half the axis."""
+    return grid.index - grid.nodes_per_axis // 2
+
+
+def node_coords(grid):
+    """(n, dim) node coordinates as lattice point times spacing."""
+    return lattice_points(grid) * grid.spacing
+
+
 def row_of(grid, lattice_point):
     """Grid row of an integer lattice point, or None when the point is not a node."""
-    rows = np.nonzero(np.all(grid.lattice == np.asarray(lattice_point), axis=1))[0]
+    rows = np.nonzero(np.all(lattice_points(grid) == np.asarray(lattice_point), axis=1))[0]
     return int(rows[0]) if rows.size else None
 
 
@@ -92,30 +102,31 @@ def reference_gradient(candidate, X):
 def reference_build_grid(radius, nodes_per_axis, dim):
     """build_grid from the whole box: every box node is made, then clipped to the
     ball plus collar, and both face neighbors on each axis are looked up in a
-    box-sized row table."""
+    box-sized row table; a node with no face neighbor on a side holds its own row."""
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
-    axis_idx = np.arange(-half, half + 1)
-    mesh = np.meshgrid(*([axis_idx] * dim), indexing="ij")
-    lattice = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    coords = lattice * spacing
-    norms = np.linalg.norm(coords, axis=1)
+    mesh = np.meshgrid(*([np.arange(nodes_per_axis)] * dim), indexing="ij")
+    index = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    norms = np.linalg.norm((index - half) * spacing, axis=1)
     inside = norms <= radius + np.sqrt(dim) * spacing / 2.0 + 1e-12
     full_rows = np.full(nodes_per_axis**dim, -1, dtype=np.int64)
     full_rows[inside] = np.arange(int(inside.sum()))
-    lattice, coords = lattice[inside], coords[inside]
+    index, norms = index[inside], norms[inside]
     strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    flat = (lattice + half) @ strides
-    neighbors = np.empty((lattice.shape[0], 2 * dim), dtype=np.int64)
+    flat = index @ strides
+    neighbors = np.empty((index.shape[0], 2 * dim), dtype=np.int64)
     for axis in range(dim):
-        neighbors[:, 2 * axis] = np.where(lattice[:, axis] == -half, -1,
+        neighbors[:, 2 * axis] = np.where(index[:, axis] == 0, -1,
                                           full_rows[np.maximum(flat - strides[axis], 0)])
         neighbors[:, 2 * axis + 1] = np.where(
-            lattice[:, axis] == half, -1, full_rows[np.minimum(flat + strides[axis], full_rows.size - 1)])
-    boundary = (np.linalg.norm(coords, axis=1) > radius + 1e-12) | np.any(neighbors < 0, axis=1)
+            index[:, axis] == 2 * half, -1,
+            full_rows[np.minimum(flat + strides[axis], full_rows.size - 1)])
+    missing = neighbors < 0
+    neighbors[missing] = np.nonzero(missing)[0]
+    boundary = (norms > radius + 1e-12) | missing.any(axis=1)
     return verify.GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim, spacing=float(spacing),
-        tau=float(dim * spacing / 2.0), coords=coords, lattice=lattice,
+        tau=float(dim * spacing / 2.0), index=index,
         origin_row=int(full_rows[np.full(dim, half) @ strides]), boundary=boundary,
         neighbors=neighbors)
 
@@ -124,11 +135,12 @@ def reference_check_validity(candidate, system, grid, exempt_radius=0.0):
     """check_validity in one pass over all nodes, with V and its gradient from two
     separate sweeps."""
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
-    vbar = candidate.value(grid.coords) - v0
-    grads = reference_gradient(candidate, grid.coords)
-    lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
+    X = node_coords(grid)
+    vbar = candidate.value(X) - v0
+    grads = reference_gradient(candidate, X)
+    lie = np.sum(grads * system.f_batch(X), axis=1)
     k_v, k_lie = verify.estimate_lipschitz(np.max(np.abs(grads), axis=1), lie, grid)
-    exempt = np.linalg.norm(grid.coords, axis=1) <= exempt_radius
+    exempt = np.linalg.norm(X, axis=1) <= exempt_radius
     exempt[grid.origin_row] = True
     return verify.ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
                               lie_high=lie + k_lie * grid.tau, exempt=exempt)
@@ -138,7 +150,7 @@ def reference_validity_csv(vmap, grid) -> str:
     """The validity CSV through csv.writer, one repr per value and node."""
     header = [f"x{i + 1}" for i in range(grid.dim)]
     header += ["vbar", "lie", "positivity_ok", "decrease_ok", "exempt"]
-    cols = [map(repr, col.tolist()) for col in (*grid.coords.T, vmap.vbar, vmap.lie)]
+    cols = [map(repr, col.tolist()) for col in (*node_coords(grid).T, vmap.vbar, vmap.lie)]
     cols += [map(int, flag.tolist()) for flag in (vmap.positivity_ok, vmap.decrease_ok, vmap.exempt)]
     text = io.StringIO()
     writer = csv.writer(text)
@@ -152,7 +164,8 @@ def reference_validity_svg(vmap, grid, roa=None, axes=(0, 1)) -> str:
     to_px, scale = svg._scaler(grid.radius)
     cell = grid.spacing * scale
     rest = [k for k in range(grid.dim) if k not in axes]
-    rows = np.nonzero(np.all(grid.lattice[:, rest] == 0, axis=1))[0]
+    rows = np.nonzero(np.all(lattice_points(grid)[:, rest] == 0, axis=1))[0]
+    coords = node_coords(grid)
     green = vmap.green
     member = set()
     if roa is not None and not roa.empty:
@@ -164,7 +177,7 @@ def reference_validity_svg(vmap, grid, roa=None, axes=(0, 1)) -> str:
         f'<rect width="{svg.CANVAS:.0f}" height="{svg.CANVAS:.0f}" fill="white"/>',
     ]
     for row in rows:
-        u, v = grid.coords[row, axes[0]], grid.coords[row, axes[1]]
+        u, v = coords[row, axes[0]], coords[row, axes[1]]
         px, py = to_px(u, v)
         color = svg.PALE if vmap.exempt[row] else (svg.GREEN if green[row] else svg.RED)
         parts.append(
@@ -175,7 +188,7 @@ def reference_validity_svg(vmap, grid, roa=None, axes=(0, 1)) -> str:
         for row in rows:
             if int(row) not in member:
                 continue
-            u, v = grid.coords[row, axes[0]], grid.coords[row, axes[1]]
+            u, v = coords[row, axes[0]], coords[row, axes[1]]
             px, py = to_px(u, v)
             parts.append(
                 f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" '
@@ -190,7 +203,7 @@ def reference_validity_svg(vmap, grid, roa=None, axes=(0, 1)) -> str:
 def reference_project_plane(result, grid, axes) -> np.ndarray:
     """The distinct (lattice_i, lattice_j) member pairs through np.unique."""
     i, j = axes
-    return np.unique(grid.lattice[result.member_rows][:, (i, j)], axis=0)
+    return np.unique(lattice_points(grid)[result.member_rows][:, (i, j)], axis=0)
 
 
 def reference_boundary_csv(result, grid) -> str:

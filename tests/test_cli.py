@@ -713,16 +713,21 @@ def test_two_dim_system_ignores_configured_plane(tmp_path):
     assert reports[0] == reports[1] and reports[0]["plane"] is None and not reports[0]["empty"]
 
 
-@pytest.mark.parametrize("command, block, key", [("adapt", "meta", "adapt_alpha"),
-                                                   ("compare", "nlf", "lr")])
+@pytest.mark.parametrize("command, fields", [
+    pytest.param("adapt", {"meta": {"adapt_alpha": 1e200}}, id="adapt-meta-adapt_alpha"),
+    pytest.param("compare", {"nlf": {"lr": 1e200}}, id="compare-nlf-lr"),
+    pytest.param("compare", {"nlf": {"lr": 1e308, "n_steps": 1}}, id="compare-nlf-lr-last-step"),
+])
 def test_diverging_step_size_leaks_no_runtime_warning(tmp_path, mini_checkpoint, command,
-                                                      block, key):
-    """At a step size of 1e200 the training loops diverge: `adapt` exits 4 naming the
-    test-time step and writes nothing, `compare` reports the NonFiniteLoss of
-    NLF_TS and T_NLF in their rows, and no numpy RuntimeWarning reaches stderr."""
+                                                      fields):
+    """At a step size of 1e200 the training loops diverge, and at 1e308 the one NLF
+    step overflows: `adapt` exits 4 naming the test-time step and writes nothing,
+    `compare` reports the NonFiniteLoss of NLF_TS and T_NLF in their rows, and no
+    numpy RuntimeWarning reaches stderr."""
     cfg_path = mini_config(tmp_path)
     payload = json.loads(cfg_path.read_text())
-    payload[block][key] = 1e200
+    for block, values in fields.items():
+        payload[block].update(values)
     cfg_path.write_text(json.dumps(payload))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if command == "adapt":

@@ -191,6 +191,17 @@ class TestMetaTrain:
         assert str(info.value).startswith("non-finite loss ")
         assert str(info.value).endswith(f" at meta-step {step}")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_last_step_overflow_raises(self):
+        # a last meta-step with a finite loss whose update overflows raises, and
+        # returns no non-finite parameters
+        task = tiny_task()
+        mc = MetaBlock(inner_lr=0.01, meta_lr=1e308, tasks_per_step=1, meta_steps=1)
+        with pytest.raises(meta.NonFiniteLoss) as info:
+            meta.meta_train(task, self.arch, mc, self.cfg, 10, net.init_params(self.arch, 10))
+        assert info.value.step == 0
+        assert str(info.value) == "non-finite loss or parameters at meta-step 0"
+
     def test_training_makes_progress_on_pendulum(self):
         # seed-pinned run: the trailing loss mean must drop substantially
         theta0 = nominal_params("pendulum")

@@ -15,8 +15,9 @@ from helpers import save_checkpoint
 
 def identity_1_1_1():
     arch = net.Architecture(input_dim=1, hidden=(1,))
-    theta = net.pack([(np.array([[1.0]]), np.array([0.0])),
-                      (np.array([[1.0]]), np.array([0.0]))], arch)
+    theta = np.zeros(arch.n_params)
+    for W, _b in net.unpack(theta, arch):
+        W[...] = 1.0
     return arch, theta
 
 
@@ -310,10 +311,15 @@ class TestInitParams:
 class TestPacking:
     @given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
-    def test_pack_unpack_round_trip(self, dim, width, seed):
+    def test_unpack_views_write_through(self, dim, width, seed):
+        # the layers of one theta, written into the unpack views of a zero vector,
+        # give that theta back
         arch = net.Architecture(dim, (width, max(1, width // 2)))
         theta = net.init_params(arch, seed)
-        np.testing.assert_array_equal(net.pack(net.unpack(theta, arch), arch), theta)
+        copy = np.zeros_like(theta)
+        for (W, b), (W0, b0) in zip(net.unpack(copy, arch), net.unpack(theta, arch)):
+            W[...], b[...] = W0, b0
+        np.testing.assert_array_equal(copy, theta)
 
     def test_slices_cover_vector(self):
         arch = net.Architecture(3, (5, 4))

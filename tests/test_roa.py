@@ -9,7 +9,7 @@ from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.config import PRESETS
 
-from helpers import GATE_CASES, gate_case, nominal_system, row_of
+from helpers import GATE_CASES, gate_case, lattice_points, node_coords, nominal_system, row_of
 
 
 class LinearSystem:
@@ -75,11 +75,12 @@ def bfs_component(grid, vbar, c):
     member = set(np.nonzero(vbar <= c)[0].tolist()) | {grid.origin_row}
     depth = {grid.origin_row: 0}
     queue = deque([grid.origin_row])
+    lattice = lattice_points(grid)
     while queue:
         row = queue.popleft()
         for axis in range(grid.dim):
             for step in (-1, 1):
-                point = grid.lattice[row].copy()
+                point = lattice[row].copy()
                 point[axis] += step
                 j = row_of(grid, point)
                 if j is not None and j in member and j not in depth:
@@ -91,7 +92,7 @@ def bfs_component(grid, vbar, c):
 class TestLargestLevelSet:
     def test_quadratic_disk(self):
         grid = verify.build_grid(2.0, 41, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         # cap is the smallest boundary-layer value, about (d - h)^2
         expected_c = (2.0 - grid.spacing) ** 2
@@ -100,7 +101,7 @@ class TestLargestLevelSet:
 
     def test_all_red_empty(self):
         grid = verify.build_grid(1.0, 5, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(with_flags(grid, vbar, np.zeros(grid.n_nodes)), grid,
                                        (0, 1))
         assert result.empty and result.c == 0.0 and result.area == 0.0
@@ -108,7 +109,7 @@ class TestLargestLevelSet:
 
     def test_single_red_caps_strictly(self):
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
         bad = row_of(grid, [3, 0])
         green[bad] = False
@@ -118,7 +119,7 @@ class TestLargestLevelSet:
 
     def test_members_are_green_and_nested(self):
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         vmap = all_green_map(grid, vbar)
         result = roa.largest_level_set(vmap, grid, (0, 1))
         assert np.all(vmap.green[result.member_rows])
@@ -131,7 +132,7 @@ class TestLargestLevelSet:
         # (K_V = 1, tau = 0.1), below green node values such as (4, 2) at 0.20,
         # so c must stay below 0.15
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
         bad = row_of(grid, [5, 0])
         green[bad] = False
@@ -146,7 +147,7 @@ class TestLargestLevelSet:
     def test_cap_uses_local_constants(self):
         # only the red node's cell has a wide bound; it alone sets the cap
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
         bad = row_of(grid, [5, 0])
         green[bad] = False
@@ -158,7 +159,7 @@ class TestLargestLevelSet:
 
     def test_monotone_in_green_set(self):
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         green = np.ones(grid.n_nodes, dtype=bool)
         green[row_of(grid, [2, 0])] = False
         c_small = roa.largest_level_set(with_flags(grid, vbar, green), grid, (0, 1)).c
@@ -169,12 +170,12 @@ class TestLargestLevelSet:
     def test_connectivity_excludes_islands(self):
         grid = verify.build_grid(1.0, 21, 2)
         # two bowls: origin bowl plus a disconnected low-lying island at the rim
-        vbar = np.sum(grid.coords**2, axis=1)
-        island = np.linalg.norm(grid.coords - np.array([0.7, 0.0]), axis=1) < 0.15
+        vbar = np.sum(node_coords(grid)**2, axis=1)
+        island = np.linalg.norm(node_coords(grid) - np.array([0.7, 0.0]), axis=1) < 0.15
         vbar[island] = 0.001
         # ring of red between origin component and the island
-        ring = (np.linalg.norm(grid.coords - np.array([0.7, 0.0]), axis=1) >= 0.15) & \
-               (np.linalg.norm(grid.coords - np.array([0.7, 0.0]), axis=1) < 0.3)
+        ring = (np.linalg.norm(node_coords(grid) - np.array([0.7, 0.0]), axis=1) >= 0.15) & \
+               (np.linalg.norm(node_coords(grid) - np.array([0.7, 0.0]), axis=1) < 0.3)
         green = ~ring
         result = roa.largest_level_set(with_flags(grid, vbar, green), grid, (0, 1))
         island_rows = set(np.nonzero(island)[0].tolist())
@@ -182,8 +183,8 @@ class TestLargestLevelSet:
 
     def test_3d_pocket_excluded_like_bfs(self):
         grid = verify.build_grid(1.0, 21, 3)
-        vbar = np.sum(grid.coords**2, axis=1)
-        dist = np.linalg.norm(grid.coords - np.array([0.6, 0.0, 0.0]), axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
+        dist = np.linalg.norm(node_coords(grid) - np.array([0.6, 0.0, 0.0]), axis=1)
         pocket = dist < 0.15
         vbar[pocket] = 0.001
         green = ~((dist >= 0.15) & (dist < 0.3))     # a red shell seals the pocket
@@ -195,7 +196,7 @@ class TestLargestLevelSet:
 
     def test_2d_serpentine_matches_bfs(self):
         grid = verify.build_grid(1.0, 41, 2)
-        lattice = [tuple(p) for p in grid.lattice.tolist()]
+        lattice = [tuple(p) for p in lattice_points(grid).tolist()]
         # a snake through the origin: rows y = -12, -8, ..., 12 joined at
         # alternating ends, plus a sealed-off segment at y = 16
         path = set()
@@ -233,7 +234,7 @@ class TestRoaArea:
 class TestMonteCarloConvergence:
     def test_linear_system_fully_converges(self):
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         cand = QuadraticLyapunov(np.eye(2))
         check, = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 200,
@@ -251,7 +252,7 @@ class TestMonteCarloConvergence:
 
     def test_deterministic_given_seed(self):
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         cand = QuadraticLyapunov(np.eye(2))
         a = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05, 2.0,
@@ -263,11 +264,11 @@ class TestMonteCarloConvergence:
     def test_rejection_keeps_samples_in_level_set(self):
         grid = verify.build_grid(1.0, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        vbar = cand.value(grid.coords)
+        vbar = cand.value(node_coords(grid))
         result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         # monkeypatch-free check: draw like the sampler and confirm the filter
         rng = np.random.default_rng(5)
-        centers = grid.coords[result.member_rows]
+        centers = grid.coords(result.member_rows)
         idx = rng.integers(centers.shape[0], size=500)
         pts = centers[idx] + rng.uniform(-0.5, 0.5, size=(500, 2)) * grid.spacing
         keep = cand.value(pts) <= result.c
@@ -295,10 +296,10 @@ class TestStackedGate:
     def test_stacked_gate_matches_per_certificate_gates(self):
         grid = verify.build_grid(1.5, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        vbar = cand.value(grid.coords)
+        vbar = cand.value(node_coords(grid))
         wide = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         narrow = roa.largest_level_set(
-            with_flags(grid, vbar, np.linalg.norm(grid.coords, axis=1) < 0.8), grid, (0, 1))
+            with_flags(grid, vbar, np.linalg.norm(node_coords(grid), axis=1) < 0.8), grid, (0, 1))
         empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]),
                               area=0.0, plane=(0, 1))
         flat = QuadraticLyapunov(np.diag([1.0, 0.5]))
@@ -323,7 +324,7 @@ class TestGateStep:
         cfg = PRESETS["ip_stochastic_l"]
         grid = verify.build_grid(1.0, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
-        certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(grid.coords)),
+        certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(node_coords(grid))),
                                                grid, (0, 1)), cand)]
         check, = roa.monte_carlo_convergence(system, certificates, grid, 200,
                                              cfg.roa.mc_step, cfg.roa.mc_horizon,
@@ -360,7 +361,7 @@ class TestRetirementBall:
         system, _, mc = gate_case(preset, length)
         grid = verify.build_grid(PRESETS[preset].verify.d0, 5, system.dim)
         cand = QuadraticLyapunov(np.eye(system.dim))
-        certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(grid.coords)),
+        certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(node_coords(grid))),
                                                grid, (0, 1)), cand)]
         retiring = roa.monte_carlo_convergence(system, certificates, grid, 100, mc.mc_step,
                                                mc.mc_horizon, mc.mc_tol, seed=0)
@@ -373,7 +374,7 @@ class TestRetirementBall:
 class TestExports:
     def test_json_and_boundary(self):
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         payload = roa.export_roa_json(result, grid)
         assert payload["c"] == result.c and payload["grid"]["tau"] == grid.tau
@@ -384,7 +385,7 @@ class TestExports:
     def test_boundary_bytes_match_csv_writer(self, tmp_path):
         # the string builder against the csv-module writer it replaced
         grid = verify.build_grid(1.0, 21, 2)
-        vbar = np.sum(grid.coords**2, axis=1)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid, (0, 1))
         text = roa.export_boundary_csv(result, grid)
         ref = io.StringIO()

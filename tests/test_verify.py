@@ -7,8 +7,8 @@ from lyapcert import dynamics, net, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.dynamics import sample_ball
 
-from helpers import (ROOT, nominal_system, peak_kb, reference_build_grid,
-                     reference_check_validity, reference_gradient, row_of)
+from helpers import (ROOT, lattice_points, node_coords, nominal_system, peak_kb,
+                     reference_build_grid, reference_check_validity, reference_gradient, row_of)
 
 
 CERTIFY_PEAK = """
@@ -81,7 +81,7 @@ class ConstantCandidate(FromParts):
 class TestBuildGrid:
     def test_1d_three_nodes(self):
         grid = verify.build_grid(1.0, 3, 1)
-        assert sorted(grid.coords.ravel().tolist()) == [-1.0, 0.0, 1.0]
+        assert sorted(node_coords(grid).ravel().tolist()) == [-1.0, 0.0, 1.0]
         assert grid.tau == 0.5
 
     def test_2d_tau(self):
@@ -91,42 +91,63 @@ class TestBuildGrid:
     def test_origin_always_present(self):
         for dim, nodes in ((1, 5), (2, 7), (3, 5)):
             grid = verify.build_grid(2.0, nodes, dim)
-            np.testing.assert_array_equal(grid.coords[grid.origin_row], np.zeros(dim))
+            np.testing.assert_array_equal(grid.coords(grid.origin_row), np.zeros(dim))
 
     def test_nodes_within_collar(self):
         grid = verify.build_grid(1.5, 21, 3)
         collar = 1.5 + np.sqrt(3) * grid.spacing / 2
-        norms = np.linalg.norm(grid.coords, axis=1)
+        norms = np.linalg.norm(node_coords(grid), axis=1)
         assert np.all(norms <= collar + 1e-9)
         # nodes beyond the ball proper are all boundary-layer
         assert np.all(grid.boundary[norms > 1.5 + 1e-12])
 
     def test_neighbors_are_face_adjacent(self):
         grid = verify.build_grid(1.0, 11, 2)
-        rows, cols = np.nonzero(grid.neighbors >= 0)
-        diff = np.abs(grid.lattice[grid.neighbors[rows, cols]] - grid.lattice[rows])
+        rows, cols = np.nonzero(grid.neighbors != np.arange(grid.n_nodes)[:, None])
+        lattice = lattice_points(grid)
+        diff = np.abs(lattice[grid.neighbors[rows, cols]] - lattice[rows])
         assert np.all(diff.sum(axis=1) == 1)
+
+    @pytest.mark.parametrize("dim, nodes", [(1, 7), (2, 21), (3, 11), (4, 7)])
+    def test_an_absent_neighbor_is_the_node_itself(self, dim, nodes):
+        """No neighbor entry is negative: a node with no face neighbor on a side
+        holds its own row there, the boundary layer is exactly the collar and those
+        nodes, and coords reads (index - half) * spacing bit for bit."""
+        grid = verify.build_grid(1.0, nodes, dim)
+        rows = np.arange(grid.n_nodes)
+        lattice = lattice_points(grid)
+        assert np.all(grid.neighbors >= 0)
+        own = grid.neighbors == rows[:, None]
+        for row, col in zip(*np.nonzero(own)):
+            point = lattice[row].copy()
+            point[col // 2] += 1 if col % 2 else -1
+            assert row_of(grid, point) is None
+        collar = np.linalg.norm(lattice * grid.spacing, axis=1) > 1.0 + 1e-12
+        np.testing.assert_array_equal(grid.boundary, collar | own.any(axis=1))
+        some = np.random.default_rng(0).choice(rows, size=50)
+        assert grid.coords(some).tobytes() == (lattice[some] * grid.spacing).tobytes()
 
     @pytest.mark.parametrize("dim, nodes", [(1, 7), (2, 21), (3, 11), (4, 7)])
     def test_neighbor_table_is_symmetric_and_complete(self, dim, nodes):
         """Column 2k holds a node's -axis k neighbor and column 2k + 1 its +axis k
         neighbor, each the lattice point one step away, and the one holds the other
-        in the opposite column; -1 is exactly where that point is off the box or
-        beyond the collar."""
+        in the opposite column; the node's own row is exactly where that point is off
+        the box or beyond the collar."""
         grid = verify.build_grid(1.0, nodes, dim)
         half = nodes // 2
         collar = 1.0 + np.sqrt(dim) * grid.spacing / 2.0
         rows = np.arange(grid.n_nodes)
+        lattice = lattice_points(grid)
         assert grid.neighbors.shape == (grid.n_nodes, 2 * dim)
         for axis in range(dim):
             for col, step in ((2 * axis, -1), (2 * axis + 1, 1)):
-                point = grid.lattice.copy()
+                point = lattice.copy()
                 point[:, axis] += step
                 kept = ((np.abs(point[:, axis]) <= half)
                         & (np.linalg.norm(point * grid.spacing, axis=1) <= collar + 1e-12))
                 nb = grid.neighbors[:, col]
-                np.testing.assert_array_equal(nb >= 0, kept)
-                np.testing.assert_array_equal(grid.lattice[nb[kept]], point[kept])
+                np.testing.assert_array_equal(nb != rows, kept)
+                np.testing.assert_array_equal(lattice[nb[kept]], point[kept])
                 partner = col + 1 if step < 0 else col - 1
                 np.testing.assert_array_equal(grid.neighbors[nb[kept], partner], rows[kept])
 
@@ -136,8 +157,9 @@ class TestBuildGrid:
         rng = np.random.default_rng(0)
         pts = sample_annulus(rng, 20000, dim, outer=1.0)
         # nearest-node l1 distance never exceeds tau
+        nodes = node_coords(grid)
         for chunk in np.array_split(pts, 20):
-            d = np.abs(chunk[:, None, :] - grid.coords[None, :, :]).sum(axis=2).min(axis=1)
+            d = np.abs(chunk[:, None, :] - nodes[None, :, :]).sum(axis=2).min(axis=1)
             assert np.max(d) <= grid.tau + 1e-12
 
     def test_row_of(self):
@@ -158,7 +180,7 @@ class TestBuildGrid:
                 for field in ("radius", "nodes_per_axis", "dim", "spacing", "tau", "origin_row"):
                     assert type(getattr(grid, field)) is type(getattr(ref, field))
                     assert getattr(grid, field) == getattr(ref, field), field
-                for field in ("coords", "lattice", "boundary", "neighbors"):
+                for field in ("index", "boundary", "neighbors"):
                     got, want = getattr(grid, field), getattr(ref, field)
                     assert got.dtype == want.dtype and got.shape == want.shape, field
                     assert got.tobytes() == want.tobytes(), field
@@ -166,8 +188,9 @@ class TestBuildGrid:
 
 
 def star_constants(cand, system, grid):
-    grads = cand.gradient(grid.coords)
-    lie = np.sum(grads * system.f_batch(grid.coords), axis=1)
+    X = node_coords(grid)
+    grads = cand.gradient(X)
+    lie = np.sum(grads * system.f_batch(X), axis=1)
     return verify.estimate_lipschitz(np.max(np.abs(grads), axis=1), lie, grid)
 
 
@@ -207,7 +230,7 @@ class TestEstimateLipschitz:
         assert k_v.shape == k_lie.shape == (grid.n_nodes,)
         assert np.all(k_v >= 0) and np.all(k_lie >= 0)
         # the largest star maximum is the grid-wide maximum, bit for bit
-        assert np.max(k_v) == 1.2 * float(np.max(np.abs(cand.gradient(grid.coords))))
+        assert np.max(k_v) == 1.2 * float(np.max(np.abs(cand.gradient(node_coords(grid)))))
 
     def test_check_validity_evaluates_each_node_once(self):
         # check_validity estimates the constants from its own gradient and f
@@ -246,7 +269,7 @@ class ValueCandidate(FromParts):
 
     def _rows(self, X):
         X = np.atleast_2d(X)
-        d = np.abs(X[:, None, :] - self.grid.coords[None, :, :]).sum(axis=2)
+        d = np.abs(X[:, None, :] - node_coords(self.grid)[None, :, :]).sum(axis=2)
         return np.argmin(d, axis=1)
 
     def value(self, X):
@@ -279,7 +302,7 @@ class TestCheckValidity:
         force_constants(monkeypatch, k_v=0.0, k_lie=1.0)
         vmap = verify.check_validity(cand, LinearSystem(2), grid)
         # decrease needs 2 |x|^2 > tau: red core is a disk around the origin
-        r = np.linalg.norm(grid.coords, axis=1)
+        r = np.linalg.norm(node_coords(grid), axis=1)
         red = ~vmap.decrease_ok
         threshold = np.sqrt(grid.tau / 2.0)
         assert np.all(r[red] <= threshold + grid.spacing)
@@ -298,7 +321,7 @@ class TestCheckValidity:
         cand = QuadraticLyapunov(np.eye(2))
         force_constants(monkeypatch, k_v=100.0, k_lie=100.0)
         vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.35)
-        r = np.linalg.norm(grid.coords, axis=1)
+        r = np.linalg.norm(node_coords(grid), axis=1)
         np.testing.assert_array_equal(vmap.exempt, r <= 0.35)
 
     def test_bias_subtraction_exact(self, monkeypatch):
@@ -322,7 +345,7 @@ class TestCheckValidity:
         vb = verify.check_validity(cand, LinearSystem(2), big)
         vs = verify.check_validity(cand, LinearSystem(2), small)
         for i in range(small.n_nodes):
-            j = row_of(big, small.lattice[i])
+            j = row_of(big, lattice_points(small)[i])
             assert vs.green[i] == vb.green[j] or vs.exempt[i]
 
 
@@ -407,10 +430,11 @@ class TestOneSweep:
         ref = reference_check_validity(candidate, system, grid, exempt_radius=0.3)
         for field in ("vbar", "lie", "vbar_low", "lie_high", "exempt"):
             np.testing.assert_array_equal(getattr(vmap, field), getattr(ref, field))
-        values, grads = candidate.value_and_gradient(grid.coords)
-        assert values.tobytes() == candidate.value(grid.coords).tobytes()
-        assert grads.tobytes() == reference_gradient(candidate, grid.coords).tobytes()
-        assert grads.tobytes() == candidate.gradient(grid.coords).tobytes()
+        X = node_coords(grid)
+        values, grads = candidate.value_and_gradient(X)
+        assert values.tobytes() == candidate.value(X).tobytes()
+        assert grads.tobytes() == reference_gradient(candidate, X).tobytes()
+        assert grads.tobytes() == candidate.gradient(X).tobytes()
 
 
 class TestBlockSweep:
@@ -438,15 +462,16 @@ class TestBlockSweep:
         # maxima do not round, so the constants over BLOCK-node blocks are the
         # star maxima over all nodes at once, bit for bit, here taken from the
         # whole-box neighbor table with -inf (grad_inf) and 0 (quotients) where
-        # a neighbor is missing
+        # a neighbor is missing (the table holds the node's own row there)
         grid = verify.build_grid(1.0, 101, 3)
         assert grid.n_nodes > 4 * verify.BLOCK
         rng = np.random.default_rng(5)
         grad_inf, lie = rng.random(grid.n_nodes), rng.normal(size=grid.n_nodes)
         blocked = verify.estimate_lipschitz(grad_inf, lie, grid)
         nb = reference_build_grid(1.0, 101, 3).neighbors
-        star = np.append(grad_inf, -np.inf)[nb].max(axis=1)
-        quot = np.where(nb >= 0, np.abs(lie[:, None] - lie[nb]) * (1.0 / grid.spacing), 0.0)
+        present = nb != np.arange(grid.n_nodes)[:, None]
+        star = np.where(present, grad_inf[nb], -np.inf).max(axis=1)
+        quot = np.where(present, np.abs(lie[:, None] - lie[nb]) * (1.0 / grid.spacing), 0.0)
         one_pass = (np.maximum(grad_inf, star) * verify.SAFETY, quot.max(axis=1) * verify.SAFETY)
         monkeypatch.setattr(verify, "BLOCK", grid.n_nodes)
         for got, want, ref in zip(blocked, verify.estimate_lipschitz(grad_inf, lie, grid), one_pass):
@@ -457,8 +482,9 @@ class TestBlockSweep:
         committed (16, 16) checkpoint grow the peak resident set by under 170 B per
         added box node: 114 B measured with the slab-built grid and the block sweep,
         times a 1.5 margin; 99 B since the face-neighbor table replaced the face-pair
-        list (116 B). Building the whole box and evaluating every node's (n, 16)
-        activations at once took 466 B."""
+        list (116 B); 85 B since a node stores its integer index alone, against 103 B
+        with stored coordinates in the same session. Building the whole box and
+        evaluating every node's (n, 16) activations at once took 466 B."""
         checkpoint = ROOT / "perfbench" / "data" / "meta_checkpoint.json"
         growth = (peak_kb(CERTIFY_PEAK, 1201, checkpoint, timeout=300)
                   - peak_kb(CERTIFY_PEAK, 401, checkpoint, timeout=300)) * 1024 / (1201**2 - 401**2)
@@ -493,8 +519,9 @@ class TestExport:
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x1", "x2", "vbar", "lie", "positivity_ok", "decrease_ok", "exempt"])
+            coords = node_coords(grid)
             for i in range(grid.n_nodes):
-                writer.writerow([repr(float(v)) for v in grid.coords[i]]
+                writer.writerow([repr(float(v)) for v in coords[i]]
                                 + [repr(float(vbar[i])), repr(float(lie[i]))]
                                 + [int(f[i]) for f in flags])
         assert path.read_bytes() == ref.read_bytes()

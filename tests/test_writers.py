@@ -11,7 +11,8 @@ import pytest
 from lyapcert import baselines, cli, dynamics, net, roa, svg, verify
 from lyapcert.config import PRESETS
 
-from helpers import reference_boundary_csv, reference_validity_csv, reference_validity_svg
+from helpers import (node_coords, reference_boundary_csv, reference_validity_csv,
+                     reference_validity_svg)
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "meta_checkpoint.json"
 
@@ -108,8 +109,7 @@ class TestReferenceEquality:
     def test_axis_coords_give_the_node_coordinates(self):
         for radius, nodes, dim in ((4.0, 201, 2), (3.0, 41, 3), (1.3, 9, 3), (0.7, 3, 1)):
             grid = verify.build_grid(radius, nodes, dim)
-            picked = grid.axis_coords[grid.axis_index]
-            assert picked.tobytes() == grid.coords.tobytes()
+            assert grid.coords(np.arange(grid.n_nodes)).tobytes() == node_coords(grid).tobytes()
 
 
 class TestPhasePolyline:
