@@ -28,12 +28,13 @@ preset at 1,000 meta-steps, region radius 3.2):
 The `gate` suite (default output `BENCH_gate.json`) measures, on the test
 systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid), one
 `dynamics.simulate_batch` case each (500 states drawn over the preset's region,
-500 steps of 0.01) with the retirement ball `roa.monte_carlo_convergence`
-builds for that system and step:
+500 steps of 0.01) with the retirement region `roa.monte_carlo_convergence`
+builds for that system, step and step count (a tree from before the region
+came gets its retirement ball):
 
 - `rollout_ns_per_state_step`: nanoseconds per requested RK4 state-step
   (states x steps)
-- `row_steps`: the state-steps actually integrated, rows retired in the ball
+- `row_steps`: the state-steps actually integrated, rows retired in the region
   or diverged no longer counting (rows handed to `f_batch`, over its 4 stages)
 - `compare_mg3_s`: wall seconds of one `lyapcert compare --seed 101` on
   `mg3_dc12` at 300 meta-steps, 800 NLF steps and 500 MC rollouts, a fresh
@@ -92,6 +93,19 @@ The script only calls functions both layouts of these writers have (a string,
 or blocks of text), so the same script can time an older source tree: run it
 with PYTHONPATH pointing at that tree's `src`.
 
+The `init`, `gate` and `cert` suites also run alternated in one process, which
+resolves stage changes smaller than the drift between separate runs:
+
+    PYTHONPATH=src python scripts/bench.py --suite gate --label change \
+        --against ../parent/src --against-label parent
+
+imports the other tree's package under another name and, `--repeats` times,
+times every metric once on each tree, in turn, the tree that goes first
+swapping each time (the `lyapcert` commands and the cert suite's peak-memory
+interpreters run on the tree's own `src`). Each pair adds one run to each
+label, so the labels' runs pair up in order; the printed `wins` count the
+pairs in which the `--label` tree was faster.
+
 Each run is stored under its label with the machine's description; `median`
 holds each metric's median over the label's runs.
 """
@@ -103,6 +117,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import functools
+import importlib
+import importlib.util
 import json
 import platform
 import resource
@@ -115,6 +132,7 @@ from pathlib import Path
 
 import numpy as np
 
+import lyapcert
 from lyapcert import baselines, dynamics, meta, net, roa, svg, verify
 from lyapcert.config import PRESETS, config_to_dict
 
@@ -125,14 +143,38 @@ HVP_TASKS, HVP_ROWS = 4, 50
 ROLLOUT_STATES, ROLLOUT_STEPS, ROLLOUT_H = 500, 500, 0.01
 
 
-def meta_fit_config():
-    cfg = PRESETS["ip_stochastic_l"]
+class Tree:
+    """One source tree's lyapcert package: the modules the init, gate and cert suites
+    call, and the `src` directory its commands run from."""
+
+    def __init__(self, package):
+        self.src = Path(package.__file__).parents[1]
+        for name in ("config", "dynamics", "net", "roa", "svg", "verify"):
+            setattr(self, name, importlib.import_module(f"{package.__name__}.{name}"))
+
+
+def load_tree(src: str, name: str) -> Tree:
+    """The lyapcert package under `src`, imported as the top-level package `name`."""
+    init = Path(src).resolve() / "lyapcert" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return Tree(package)
+
+
+HERE = Tree(lyapcert)
+
+
+def meta_fit_config(tree: Tree = HERE):
+    cfg = tree.config.PRESETS["ip_stochastic_l"]
     return replace(cfg, name="meta_fit", meta=replace(cfg.meta, meta_steps=1000),
                    verify=replace(cfg.verify, d0=RADIUS))
 
 
-def compare_mg3_config():
-    cfg = PRESETS["mg3_dc12"]
+def compare_mg3_config(tree: Tree = HERE):
+    cfg = tree.config.PRESETS["mg3_dc12"]
     return replace(cfg, name="compare_mg3", meta=replace(cfg.meta, meta_steps=300),
                    nlf=replace(cfg.nlf, n_steps=800), roa=replace(cfg.roa, mc_samples=500))
 
@@ -155,16 +197,24 @@ def median_time(fn, repeats: int) -> float:
     return float(np.median(times))
 
 
+def cli_command(cfg, args: list[str], tree: Tree = HERE):
+    """A call that runs one lyapcert command on cfg, `--seed 101`, in a fresh
+    interpreter on the tree's `src`."""
+    env = {**os.environ, "PYTHONPATH": str(tree.src)}
+
+    def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / f"{cfg.name}.json"
+            cfg_path.write_text(json.dumps(tree.config.config_to_dict(cfg)))
+            subprocess.run([sys.executable, "-m", "lyapcert.cli", *args, "--config",
+                            str(cfg_path), "--seed", "101", "--out", str(Path(tmp) / "out")],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+    return run
+
+
 def cli_seconds(cfg, args: list[str], repeats: int) -> float:
     """Median wall seconds of one lyapcert command on cfg, a fresh interpreter each time."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / f"{cfg.name}.json"
-        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
-        argv = [sys.executable, "-m", "lyapcert.cli", *args, "--config", str(cfg_path),
-                "--seed", "101", "--out", str(Path(tmp) / "out")]
-        env = {**os.environ, "PYTHONPATH": str(Path(net.__file__).parents[1])}
-        return median_time(lambda: subprocess.run(argv, env=env, check=True,
-                                                  stdout=subprocess.DEVNULL), repeats)
+    return median_time(cli_command(cfg, args), repeats)
 
 
 def measure_meta_step(repeats: int) -> dict:
@@ -214,41 +264,89 @@ class RowCounter:
         return self.system.f_batch(X)
 
 
-def measure_gate(repeats: int) -> dict:
-    rollout_ns, row_steps = {}, {}
+def seconds(s: float) -> float:
+    return round(s, 3)
+
+
+def gate_suite(tree: Tree) -> tuple[dict, dict]:
+    """The gate suite on one tree: {(metric, key): (call, its seconds -> the metric)}
+    and the counted metrics."""
+    timed, row_steps = {}, {}
+    horizon = ROLLOUT_STEPS * ROLLOUT_H
     for label, preset in (("pendulum", "ip_stochastic_l"), ("mg3_dc12", "mg3_dc12")):
-        cfg = PRESETS[preset]
-        system = dynamics.build_system(cfg.system.test())
-        X0 = dynamics.sample_ball(np.random.default_rng(0), ROLLOUT_STATES, system.dim,
-                                  cfg.verify.d0)
+        cfg = tree.config.PRESETS[preset]
+        system = tree.dynamics.build_system(cfg.system.test())
+        X0 = tree.dynamics.sample_ball(np.random.default_rng(0), ROLLOUT_STATES, system.dim,
+                                       cfg.verify.d0)
         # the gate keeps ROLLOUT_H (its mc_step) as its step for both systems
-        ball = roa.retirement_ball(system, ROLLOUT_H, cfg.roa.mc_tol)
-        run_s = median_time(lambda: dynamics.simulate_batch(
-            system, X0, ROLLOUT_H, ROLLOUT_STEPS * ROLLOUT_H, ball), repeats)
-        rollout_ns[label] = round(1e9 * run_s / (ROLLOUT_STATES * ROLLOUT_STEPS), 1)
+        if hasattr(tree.roa, "retirement_region"):
+            region = tree.roa.retirement_region(system, ROLLOUT_H, cfg.roa.mc_tol, ROLLOUT_STEPS)
+        else:   # a tree from before the region retires rows in its ball
+            region = tree.roa.retirement_ball(system, ROLLOUT_H, cfg.roa.mc_tol)
+        timed["rollout_ns_per_state_step", label] = (
+            functools.partial(tree.dynamics.simulate_batch, system, X0, ROLLOUT_H, horizon,
+                              region),
+            lambda s: round(1e9 * s / (ROLLOUT_STATES * ROLLOUT_STEPS), 1))
         counter = RowCounter(system)
-        dynamics.simulate_batch(counter, X0, ROLLOUT_H, ROLLOUT_STEPS * ROLLOUT_H, ball)
+        tree.dynamics.simulate_batch(counter, X0, ROLLOUT_H, horizon, region)
         row_steps[label] = counter.rows // 4
-    return {"rollout_ns_per_state_step": rollout_ns, "row_steps": row_steps,
-            "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
+    timed["compare_mg3_s",] = (cli_command(compare_mg3_config(tree), ["compare"], tree), seconds)
+    return timed, {"row_steps": row_steps}
 
 
-def measure_init(repeats: int) -> dict:
-    init_s, fit_rms, max_abs_theta = {}, {}, {}
-    for cfg in (meta_fit_config(), compare_mg3_config()):
+def init_suite(tree: Tree) -> tuple[dict, dict]:
+    """The init suite on one tree, laid out as `gate_suite`'s."""
+    timed, fit_rms, max_abs_theta = {}, {}, {}
+    for cfg in (meta_fit_config(tree), compare_mg3_config(tree)):
         arch, seed, radius = cfg.architecture(), cfg.seeds.net_seed, cfg.verify.d0
-        init_s[cfg.name] = round(median_time(lambda: net.shaped_init(arch, seed, radius),
-                                             repeats), 3)
-        theta = net.shaped_init(arch, seed, radius)
-        X = dynamics.sample_ball(np.random.default_rng(seed), net.INIT_POINTS, arch.input_dim,
-                                 radius)
-        residual = net.MlpLyapunov(theta, arch).value(X) - net.INIT_SCALE * (
+        timed["shaped_init_s", cfg.name] = (
+            functools.partial(tree.net.shaped_init, arch, seed, radius), seconds)
+        theta = tree.net.shaped_init(arch, seed, radius)
+        X = tree.dynamics.sample_ball(np.random.default_rng(seed), tree.net.INIT_POINTS,
+                                      arch.input_dim, radius)
+        residual = tree.net.MlpLyapunov(theta, arch).value(X) - tree.net.INIT_SCALE * (
             np.linalg.norm(X, axis=1) / radius) ** 2
         fit_rms[cfg.name] = round(float(np.sqrt(np.mean(residual ** 2))), 6)
         max_abs_theta[cfg.name] = round(float(np.max(np.abs(theta))), 4)
-    return {"shaped_init_s": init_s, "fit_rms": fit_rms, "max_abs_theta": max_abs_theta,
-            "train_meta_s": round(cli_seconds(meta_fit_config(), ["train-meta"], repeats), 3),
-            "compare_mg3_s": round(cli_seconds(compare_mg3_config(), ["compare"], repeats), 3)}
+    timed["train_meta_s",] = (cli_command(meta_fit_config(tree), ["train-meta"], tree), seconds)
+    timed["compare_mg3_s",] = (cli_command(compare_mg3_config(tree), ["compare"], tree), seconds)
+    return timed, {"fit_rms": fit_rms, "max_abs_theta": max_abs_theta}
+
+
+def suite_times(suites: list[tuple[dict, dict]], repeats: int) -> list[dict]:
+    """Per tree, {(metric, key): seconds of each call}: `repeats` rounds, each timing
+    every metric once on every tree in turn, the tree that goes first swapping each
+    round."""
+    times = [{key: [] for key in timed} for timed, _ in suites]
+    for r in range(repeats):
+        order = list(range(len(suites)))[::1 if r % 2 == 0 else -1]
+        for key in suites[0][0]:
+            for i in order:
+                call = suites[i][0][key][0]
+                start = time.perf_counter()
+                call()
+                times[i][key].append(time.perf_counter() - start)
+    return times
+
+
+def suite_run(suite: tuple[dict, dict], times: dict, pick) -> dict:
+    """One run's metrics: the counted ones and each timed one from pick(its seconds)."""
+    timed, counted = suite
+    run = {metric: dict(values) for metric, values in counted.items()}
+    for path, (_, unit) in timed.items():
+        node = run
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = unit(pick(times[path]))
+    return run
+
+
+def this_tree(suite_of):
+    """A suite measured on this tree alone: each metric's median over the repeats."""
+    def measure(repeats: int) -> dict:
+        suite = suite_of(HERE)
+        return suite_run(suite, suite_times([suite], repeats)[0], np.median)
+    return measure
 
 
 def full_text(text) -> int:
@@ -329,23 +427,42 @@ print(base, peak_kb())
 """
 
 
-def cert_case(name: str):
+def cert_case(name: str, tree: Tree = HERE):
     """(candidate, test system, preset config, radius, nodes per axis) of a cert grid."""
     preset, nodes = CERT_CASES[name]
-    cfg = PRESETS[preset]
-    system = dynamics.build_system(cfg.system.test())
+    cfg = tree.config.PRESETS[preset]
+    system = tree.dynamics.build_system(cfg.system.test())
     if preset == "ip_stochastic_l":
-        theta, arch, extra = net.load_checkpoint(CHECKPOINT)
+        theta, arch, extra = tree.net.load_checkpoint(CHECKPOINT)
         radius = extra["radius"]
     else:
         arch, radius = cfg.architecture(), cfg.verify.d0
-        theta = net.shaped_init(arch, cfg.seeds.net_seed, radius)
-    return net.MlpLyapunov(theta, arch), system, cfg, radius, nodes
+        theta = tree.net.shaped_init(arch, cfg.seeds.net_seed, radius)
+    return tree.net.MlpLyapunov(theta, arch), system, cfg, radius, nodes
 
 
-def measure_cert(repeats: int) -> dict:
-    nodes, peak, base, stage_ms = {}, {}, {}, {}
-    env = {**os.environ, "PYTHONPATH": str(Path(net.__file__).parents[1])}
+def cert_stages(tree: Tree, name: str) -> tuple[int, dict]:
+    """A cert grid's node count and the calls of its stages, on one tree."""
+    candidate, system, cfg, radius, per_axis = cert_case(name, tree)
+    exempt = cfg.verify.exempt_radius
+    grid = tree.verify.build_grid(radius, per_axis, system.dim)
+    vmap = tree.verify.check_validity(candidate, system, grid, exempt_radius=exempt)
+    return grid.n_nodes, {
+        "build_grid": lambda: tree.verify.build_grid(radius, per_axis, system.dim),
+        "sweep": lambda: tree.verify.check_validity(candidate, system, grid,
+                                                    exempt_radius=exempt),
+        "lipschitz": lambda: tree.verify.estimate_lipschitz(vmap.lie, vmap.lie, grid),
+        "level_set": lambda: tree.roa.largest_level_set(vmap, grid, cfg.plane),
+        "validity_csv": lambda: full_text(tree.verify.export_validity_csv(vmap, grid)),
+        "validity_svg": lambda: full_text(tree.svg.render_validity_svg(vmap, grid,
+                                                                       axes=cfg.plane)),
+    }
+
+
+def cert_suite(tree: Tree) -> tuple[dict, dict]:
+    """The cert suite on one tree, laid out as `gate_suite`'s."""
+    timed, nodes, peak, base = {}, {}, {}, {}
+    env = {**os.environ, "PYTHONPATH": str(tree.src)}
     for name in CERT_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             proc = subprocess.run([sys.executable, "-c", CERT_PEAK, str(Path(__file__).parent),
@@ -353,29 +470,16 @@ def measure_cert(repeats: int) -> dict:
                                   text=True)
         base_kb, peak_kb = map(int, proc.stdout.split())
         base[name], peak[name] = round(base_kb / 1024, 2), round(peak_kb / 1024, 2)
-
-        candidate, system, cfg, radius, per_axis = cert_case(name)
-        grid = verify.build_grid(radius, per_axis, system.dim)
-        exempt = cfg.verify.exempt_radius
-        vmap = verify.check_validity(candidate, system, grid, exempt_radius=exempt)
-        stages = {
-            "build_grid": lambda: verify.build_grid(radius, per_axis, system.dim),
-            "sweep": lambda: verify.check_validity(candidate, system, grid, exempt_radius=exempt),
-            "lipschitz": lambda: verify.estimate_lipschitz(vmap.lie, vmap.lie, grid),
-            "level_set": lambda: roa.largest_level_set(vmap, grid, cfg.plane),
-            "validity_csv": lambda: full_text(verify.export_validity_csv(vmap, grid)),
-            "validity_svg": lambda: full_text(svg.render_validity_svg(vmap, grid,
-                                                                      axes=cfg.plane)),
-        }
-        nodes[name] = grid.n_nodes
-        stage_ms[name] = {stage: round(1e3 * median_time(fn, repeats) * 1e4 / grid.n_nodes, 3)
-                          for stage, fn in stages.items()}
-    return {"nodes": nodes, "peak_rss_mb": peak, "base_rss_mb": base,
-            "ms_per_1e4_nodes": stage_ms}
+        nodes[name], stages = cert_stages(tree, name)
+        for stage, call in stages.items():
+            timed["ms_per_1e4_nodes", name, stage] = (
+                call, lambda s, n=nodes[name]: round(1e3 * s * 1e4 / n, 3))
+    return timed, {"nodes": nodes, "peak_rss_mb": peak, "base_rss_mb": base}
 
 
-SUITES = {"meta_step": measure_meta_step, "gate": measure_gate, "init": measure_init,
-          "writers": measure_writers, "cert": measure_cert}
+PAIRED = {"cert": cert_suite, "gate": gate_suite, "init": init_suite}
+SUITES = {"meta_step": measure_meta_step, "writers": measure_writers,
+          **{name: this_tree(suite_of) for name, suite_of in PAIRED.items()}}
 
 
 def median_of(runs: list) -> dict:
@@ -385,6 +489,18 @@ def median_of(runs: list) -> dict:
     return round(float(np.median(runs)), 6)
 
 
+def alternated_runs(suite_of, against: str, repeats: int) -> tuple[list, list, dict]:
+    """This tree's and the other tree's runs, one pair per repeat, and per timed metric
+    the pairs in which this tree was faster."""
+    suites = [suite_of(HERE), suite_of(load_tree(against, "lyapcert_against"))]
+    times = suite_times(suites, repeats)
+    runs = [[suite_run(suite, tree_times, lambda ts, r=r: ts[r]) for r in range(repeats)]
+            for suite, tree_times in zip(suites, times)]
+    wins = {"/".join(key): f"{sum(a < b for a, b in zip(times[0][key], times[1][key]))}"
+                           f"/{repeats}" for key in times[0]}
+    return runs[0], runs[1], wins
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -392,9 +508,20 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="column name, e.g. parent or change")
     parser.add_argument("--out", help="BENCH JSON file (default BENCH_<suite>.json)")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--against", metavar="SRC",
+                        help="another tree's src directory, timed alternated with this one "
+                             "in this process (init, gate and cert suites)")
+    parser.add_argument("--against-label", default="parent",
+                        help="column name of the --against tree (default parent)")
     args = parser.parse_args()
 
-    run = SUITES[args.suite](args.repeats)
+    if args.against:
+        if args.suite not in PAIRED:
+            parser.error(f"--against runs only the {', '.join(sorted(PAIRED))} suites")
+        mine, theirs, wins = alternated_runs(PAIRED[args.suite], args.against, args.repeats)
+        new_runs = {args.label: mine, args.against_label: theirs}
+    else:
+        new_runs, wins = {args.label: [SUITES[args.suite](args.repeats)]}, None
     path = Path(args.out or f"BENCH_{args.suite}.json")
     bench = json.loads(path.read_text()) if path.exists() else {
         "script": "scripts/bench.py",
@@ -403,11 +530,14 @@ def main() -> int:
                     "numpy": np.__version__, "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
         "labels": {},
     }
-    entry = bench["labels"].setdefault(args.label, {"runs": []})
-    entry["runs"].append(run)
-    entry["median"] = median_of(entry["runs"])
+    for label, runs in new_runs.items():
+        entry = bench["labels"].setdefault(label, {"runs": []})
+        entry["runs"].extend(runs)
+        entry["median"] = median_of(entry["runs"])
     path.write_text(json.dumps(bench, indent=2) + "\n")
-    print(json.dumps({args.label: run}))
+    print(json.dumps({label: median_of(runs) for label, runs in new_runs.items()}))
+    if wins is not None:
+        print(json.dumps({"wins": wins}))
     return 0
 
 

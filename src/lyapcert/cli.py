@@ -72,8 +72,14 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def atomic_write_json(path: Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2))
+def atomic_write_json(path: Path, payload: dict, indent: int | None = 2) -> None:
+    """Write a JSON artifact; a non-finite number in it raises FloatingPointError
+    naming the file, before anything is written (JSON has no NaN or Infinity)."""
+    try:
+        text = json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite number headed for {path}: {exc}") from exc
+    atomic_write_text(path, text)
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -164,10 +170,10 @@ def cmd_train_meta(args) -> int:
 
     report, _ = selection.artifact
     ckpt = out / "meta_checkpoint.json"
-    atomic_write_text(ckpt, json.dumps(net.checkpoint_payload(
+    atomic_write_json(ckpt, net.checkpoint_payload(
         report.theta_mnlf, cfg.architecture(),
         extra={**_stamp(cfg), "radius": selection.radius, "system_id": cfg.system.system_id,
-               "rounds": selection.rounds})))
+               "rounds": selection.rounds}), indent=None)
     atomic_write_json(out / "train_report.json",
                       {**_stamp(cfg), "loss_curve": report.loss_curve.tolist(),
                        "checkpoint": ckpt.name})
@@ -217,9 +223,9 @@ def cmd_adapt(args) -> int:
                                          cfg.seeds.adapt_seed)
     out = _out_dir(args, cfg)
     ckpt = out / "adapted_checkpoint.json"
-    atomic_write_text(ckpt, json.dumps(net.checkpoint_payload(
+    atomic_write_json(ckpt, net.checkpoint_payload(
         adapted, arch, extra={**_stamp(cfg), "radius": radius,
-                              "system_id": cfg.system.system_id, "adapted": True})))
+                              "system_id": cfg.system.system_id, "adapted": True}), indent=None)
     atomic_write_json(out / "adapt_ledger.json",
                       {**_stamp(cfg), "samples_used": m.adapt_samples, "steps_used": m.k_test,
                        "alpha": m.adapt_alpha})
@@ -240,14 +246,15 @@ def cmd_verify(args) -> int:
     out = _out_dir(args, cfg)
     vmap = verify.check_validity(candidate, system_test, grid,
                                  exempt_radius=cfg.verify.exempt_radius)
-    atomic_write_text(out / "validity_map.csv", verify.export_validity_csv(vmap, grid))
-    atomic_write_text(out / "validity_map.svg",
-                      svg.render_validity_svg(vmap, grid, axes=cfg.plane))
     green = float(np.mean(vmap.green))
+    # the summary first: a worst bound JSON cannot hold (+inf) exits 4 before any map
     atomic_write_json(out / "validity_summary.json",
                       {**_stamp(cfg), "green_fraction": green,
                        "fully_green": vmap.fully_green,
                        "worst_bounds": _worst_bounds(vmap, grid)})
+    atomic_write_text(out / "validity_map.csv", verify.export_validity_csv(vmap, grid))
+    atomic_write_text(out / "validity_map.svg",
+                      svg.render_validity_svg(vmap, grid, axes=cfg.plane))
     print(f"validity map written ({green:.4f} green)")
     return EXIT_OK
 

@@ -308,8 +308,10 @@ def simulate(system: ClosedLoopSystem, x0, h: float, horizon: float) -> Trajecto
 
 
 def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: float,
-                   ball: tuple[np.ndarray, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized RK4 over many initial states; returns (final states, diverged mask).
+                   region: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized RK4 over many initial states; returns (final states, diverged mask,
+    retired mask).
 
     Only the rows still moving are stepped, as one compact array; a row that
     stops is written back at its last state. A row diverges, and stops, once
@@ -317,9 +319,11 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
     is computed only in a step whose largest entry exceeds half of
     DIVERGENCE_NORM / sqrt(d) (the half is slack for rounding) or is NaN.
 
-    `ball` = (Q, level) retires a row, which also stops, once a step leaves it
-    with x^T Q x <= level: the caller vouches that every later step of size h
-    stays in that set (`roa.retirement_ball`), so the row is no longer integrated.
+    `region` = (Q, levels) retires a row, which also stops, once a step that
+    leaves k steps to go leaves it with x^T Q x <= levels[k]: the caller
+    vouches that such a row ends below its tolerance at the horizon
+    (`roa.retirement_region`), so it is no longer integrated and its state
+    then is reported.
     """
     X = np.array(X0, dtype=float)
     n_steps = int(round(horizon / h))
@@ -327,7 +331,7 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
     diverged = np.zeros(X.shape[0], dtype=bool)
     alive, Xa = np.arange(X.shape[0]), X
     ones = np.ones(X.shape[1])   # row sums as one matrix-vector product
-    for _ in range(n_steps):
+    for to_go in range(n_steps - 1, -1, -1):
         if alive.size == 0:
             break
         Xa = rk4_step(system.f_batch, Xa, h)
@@ -335,13 +339,15 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
         if not (np.abs(Xa).max() <= safe):
             stop = np.linalg.norm(Xa, axis=1) > DIVERGENCE_NORM
             diverged[alive[stop]] = True
-        if ball is not None:
-            Q, level = ball
+        if region is not None:
+            Q, levels = region
             with np.errstate(over="ignore", invalid="ignore"):   # rows at inf diverged above
-                inside = ((Xa @ Q) * Xa) @ ones <= level
+                inside = ((Xa @ Q) * Xa) @ ones <= levels[to_go]
             stop = inside if stop is None else stop | inside
         if stop is not None and stop.any():
             X[alive[stop]] = Xa[stop]
             alive, Xa = alive[~stop], Xa[~stop]
     X[alive] = Xa
-    return X, diverged
+    retired = ~diverged   # a row that stopped without diverging retired
+    retired[alive] = False
+    return X, diverged, retired

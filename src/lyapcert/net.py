@@ -14,9 +14,10 @@ difference of the loss gradient.
 The sweeps carry a leading task axis (weights (B, out, in), activations
 (B, n, h), per-task reductions over axis 1); the per-task entry points are
 B = 1 views of them, bit for bit equal to each task of a stack, and tanh' is
-computed once per layer. With each point as its own task, the value backprop
-gives per-point parameter gradients, the rows of the Jacobian that the
-bowl-shaped init's Gauss-Newton fit solves with.
+computed once per layer. The bowl-shaped init's Gauss-Newton fit needs the
+Jacobian dV/dtheta, one row per fit point: one plain 2-d forward and backward
+sweep over a chunk of points gives it, each weight block's rows the outer
+products of the layer's adjoints and inputs, written straight into J's views.
 
 Conventions: hidden activations are tanh (smooth, globally Lipschitz), the
 output layer is linear and scalar, and the hinge subgradient at an exactly
@@ -145,20 +146,6 @@ def _tangent_sweep(weights, sps, Y: np.ndarray):
     return S, T, U
 
 
-def _value_backprop(weights, acts, sps, out_weights: np.ndarray, grads) -> None:
-    """Accumulate d(sum_b w_b V_b)/dtheta per task into per-layer grad arrays."""
-    delta = out_weights[..., None]
-    for l in range(len(weights) - 1, -1, -1):
-        gW, gb = grads[l]
-        gW += delta.transpose(0, 2, 1) @ acts[l]
-        gb += delta.sum(axis=1, keepdims=True)
-        if l > 0:
-            # the output layer's (n, 1) @ (1, width) product is one exact multiply per entry
-            back = np.multiply if l == len(weights) - 1 else np.matmul
-            delta = back(delta, weights[l][0])
-            delta *= sps[l]
-
-
 def _backprop(weights, acts, sps, T, U, pos: np.ndarray, dec: np.ndarray, grads) -> None:
     """Accumulate d(sum_b pos_b V_b + dec_b S_b)/dtheta per task, S_b = grad_x V(x_b)^T y_b,
     in one reverse sweep through the tangent program.
@@ -254,19 +241,29 @@ def hvp(theta, arch: Architecture, batch, cfg, v) -> np.ndarray:
 
 
 # the bowl fit: height at the region radius, fit points, Levenberg-Marquardt iterations,
-# points per Jacobian chunk, and the damping's start, rise on a rejected and fall on an
+# points per Jacobian chunk (384 or 512 lift a compare run's peak resident set by over
+# 1 MB and are no faster), and the damping's start, rise on a rejected and fall on an
 # accepted step
 INIT_SCALE, INIT_POINTS, INIT_ITERS, INIT_CHUNK = 3.0, 2048, 20, 256
 INIT_DAMPING, INIT_DAMPING_UP, INIT_DAMPING_DOWN = 1.0, 4.0, 3.0
 
 
 def _value_jacobian(theta, arch: Architecture, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V (n,) and dV/dtheta (n, n_params) at the rows of X (n, d), each row its own task."""
+    """V (n,) and dV/dtheta (n, n_params) at the rows of X (n, d), from one forward and
+    one backward sweep over all rows: row r of layer l's weight block is the outer
+    product of its adjoint delta_l[r] and its input A_l[r], its bias block delta_l[r]."""
     weights = unpack(theta[None], arch)
-    V, acts = _forward_sweep(weights, X[:, None, :])
-    J = np.zeros((len(X), arch.n_params))
-    _value_backprop(weights, acts, _tanh_primes(acts), np.ones((len(X), 1)), unpack(J, arch))
-    return V[:, 0], J
+    V, acts = _forward_sweep(weights, X[None])
+    sps = _tanh_primes(acts)
+    J = np.empty((len(X), arch.n_params))
+    delta = np.ones((len(X), 1))
+    for l, (gW, gb) in reversed(list(enumerate(unpack(J, arch)))):
+        np.multiply(delta[:, :, None], acts[l][0][:, None, :], out=gW)
+        gb[:, 0] = delta
+        if l > 0:
+            delta = delta @ weights[l][0][0]
+            delta *= sps[l][0]
+    return V[0], J
 
 
 def shaped_init(arch: Architecture, seed: int, radius: float) -> np.ndarray:

@@ -142,22 +142,39 @@ def _rk4_remainder(a: float, G: float, p: int, h: float, nu: float) -> float:
     return h / 6.0 * total
 
 
-def retirement_ball(system: ClosedLoopSystem, h: float,
-                    tol: float) -> tuple[np.ndarray, float] | None:
-    """(Q, level) of a ball {x^T Q x <= level} inside |x|_2 <= tol / 2 that one
-    floating-point RK4 step of size h maps into itself, or None.
+REGION_RADII = 32   # Q-radii the retirement region tries, from the ball's to |x|_2 = 1
+
+
+def retirement_region(system: ClosedLoopSystem, h: float, tol: float,
+                      n_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(Q, levels) such that a row x with k of n_steps floating-point RK4 steps of
+    size h still to go and x^T Q x <= levels[k] ends below tol, or None.
 
     M is the RK4 matrix of hA (A the linearization) and Q solves
     M^T Q M - Q = -I, so |Mx|_Q <= sqrt(kappa) |x|_Q with kappa the largest
     generalized eigenvalue of (M^T Q M, Q), taken for the computed Q. For
-    |x|_Q <= rho, |x|_2 <= nu = rho / sqrt(lambda_min(Q)), and a rounded step
-    lands within sqrt(kappa) rho + sqrt(lambda_max(Q)) (E(nu) + STEP_ROUNDING
-    (1 + nu)) in Q-norm, E the stage-composed remainder (`_rk4_remainder`)
-    of the system's (G, p) bound and STEP_ROUNDING an absolute and relative
-    rounding allowance (P(0) - P(x) of the microgrid does not round relative
-    to |x|). rho is the largest of sqrt(lambda_min) tol / 2 halved k times for
-    which that is at most rho. By induction a row that enters the ball stays
-    in it, so it ends below tol. No ball when rho(M) >= 1 or no radius passes.
+    |x|_Q <= rho, |x|_2 <= rho / low with low = sqrt(lambda_min(Q)), and a
+    rounded step x+ leaves M x by at most E(|x|_2) + STEP_ROUNDING (1 + |x|_2)
+    in 2-norm, E the stage-composed remainder (`_rk4_remainder`) of the
+    system's (G, p) bound and STEP_ROUNDING an absolute and relative rounding
+    allowance (P(0) - P(x) of the microgrid does not round relative to |x|).
+    E is a polynomial in its radius with nonnegative coefficients and no term
+    below degree p >= 1 (or inf once a stage may leave the unit ball, which
+    stays so at larger radii), so E(nu) / nu is nondecreasing and
+    E(|x|_2) <= |x|_Q E(rho / low) / rho. With high = sqrt(lambda_max(Q)):
+
+        |x+|_Q <= q |x|_Q + e,  q = sqrt(kappa) + high (E(rho / low) / rho
+                                    + STEP_ROUNDING / low),  e = high STEP_ROUNDING.
+
+    Where q rho + e <= rho, the Q-ball of radius rho maps into itself, and with
+    f = e / (1 - q) and r_k = f + (low tol - f) / q^k one step maps
+    min(rho, r_k) into min(rho, r_(k-1)); r_0 = low tol lies inside
+    |x|_2 <= tol, so by induction a row inside min(rho, r_k) with k steps to go
+    ends below tol. levels[k] is the largest such radius, squared, over
+    REGION_RADII radii from low tol / 2 to low (|x|_2 <= 1), and never below
+    the ball that needs no step count: the largest of low tol / 2 halved j
+    times that one step maps into itself, inside |x|_2 <= tol / 2. levels is
+    nondecreasing in k. No region when rho(M) >= 1 or no ball radius passes.
     """
     A = system.linearization()
     hA = h * A
@@ -176,14 +193,31 @@ def retirement_ball(system: ClosedLoopSystem, h: float,
     low, high = math.sqrt(lam[0] * (1.0 - SLACK)), math.sqrt(lam[-1] * (1.0 + SLACK))
     a = np.linalg.norm(A, 2) * (1.0 + SLACK)
     G, p = system.remainder_bound()
+    e = high * STEP_ROUNDING
+
+    def gain(rho: float) -> float:
+        return contraction + high * (_rk4_remainder(a, G, p, h, rho / low) / rho
+                                     + STEP_ROUNDING / low)
+
     rho = low * tol / 2.0
     for _ in range(60):   # past 2^-60 the rounding allowance outweighs any contraction
-        nu = rho / low
-        step = _rk4_remainder(a, G, p, h, nu) + STEP_ROUNDING * (1.0 + nu)
-        if contraction * rho + high * step <= rho:
-            return Q, rho * rho * (1.0 - SLACK)
+        if gain(rho) * rho + e <= rho:
+            break
         rho /= 2.0
-    return None
+    else:
+        return None
+    levels = np.full(n_steps + 1, rho * rho)
+    steps_to_go = np.arange(n_steps + 1)
+    for rho in np.geomspace(low * tol / 2.0, low, REGION_RADII):
+        q = gain(rho)
+        if not q * rho + e <= rho:   # an infinite q fails too
+            continue
+        f = e / (1.0 - q)
+        if f < low * tol:
+            with np.errstate(divide="ignore"):   # q^k underflows to 0: rho caps r_k
+                radius = np.minimum(rho, f + (low * tol - f) / q ** steps_to_go)
+            np.maximum(levels, radius * radius, out=levels)
+    return Q, levels * (1.0 - SLACK)
 
 
 def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
@@ -223,18 +257,20 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
     rejection-filtered to {Vbar <= c} (cell jitter can otherwise step just
     over the level). All draws are then integrated by one simulate_batch call
     at gate_step(system, h) up to the horizon, each row retired once it enters
-    the step's retirement_ball, where it provably ends below tol. A check's
-    fraction is the share of its rollouts with |x(horizon)|_2 < tol; an empty
-    ROA is vacuously 1.0.
+    the step's retirement_region for the steps it has still to go, from where
+    it provably ends below tol. A check's fraction is the share of its
+    rollouts that retired or end with |x(horizon)|_2 < tol; an empty ROA is
+    vacuously 1.0.
     """
     step = gate_step(system, h)
     starts = [_start_states(result, candidate, grid, n_samples, seed)
               for result, candidate in certificates if not result.empty]
     fractions = iter(())
     if starts:
-        finals, diverged = simulate_batch(system, np.concatenate(starts), step, horizon,
-                                          retirement_ball(system, step, tol))
-        converged = (~diverged) & (np.linalg.norm(finals, axis=1) < tol)
+        region = retirement_region(system, step, tol, int(round(horizon / step)))
+        finals, diverged, retired = simulate_batch(system, np.concatenate(starts), step,
+                                                   horizon, region)
+        converged = retired | (~diverged & (np.linalg.norm(finals, axis=1) < tol))
         fractions = iter(converged.reshape(len(starts), n_samples).mean(axis=1).tolist())
     return [ConvergenceCheck(fraction=1.0, n_samples=0, step=step) if result.empty
             else ConvergenceCheck(fraction=next(fractions), n_samples=n_samples, step=step)

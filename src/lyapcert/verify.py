@@ -130,14 +130,16 @@ def estimate_lipschitz(grad_inf, lie, grid: GridSpec) -> tuple[np.ndarray, np.nd
     BLOCK nodes and one neighbor column at a time. The covering argument only
     needs the constant on a node's cell, so flat regions are not punished for
     steep ones (a global constant fails an elongated quadratic all along its
-    flat axis). These are sample estimates, not bounds.
+    flat axis). These are sample estimates, not bounds. An infinite Lie value
+    gives its node a NaN K_Vdot (inf - inf) and its neighbors an infinite one.
     """
     k_v, k_lie = grad_inf.copy(), np.zeros(grid.n_nodes)
-    for start in range(0, grid.n_nodes, BLOCK):
-        block = slice(start, start + BLOCK)
-        for nb in grid.neighbors[block].T:   # an absent neighbor is u itself: no maximum moves
-            np.maximum(k_v[block], grad_inf[nb], out=k_v[block])
-            np.maximum(k_lie[block], np.abs(lie[block] - lie[nb]), out=k_lie[block])
+    with np.errstate(invalid="ignore"):   # inf - inf
+        for start in range(0, grid.n_nodes, BLOCK):
+            block = slice(start, start + BLOCK)
+            for nb in grid.neighbors[block].T:   # an absent neighbor is u itself: no maximum moves
+                np.maximum(k_v[block], grad_inf[nb], out=k_v[block])
+                np.maximum(k_lie[block], np.abs(lie[block] - lie[nb]), out=k_lie[block])
     # rounding is monotone, so scaling the largest difference gives the largest quotient
     return k_v * SAFETY, k_lie * (1.0 / grid.spacing) * SAFETY
 
@@ -179,6 +181,8 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
     l-infinity norm, from which (with the Lie derivatives) the constants are
     estimated. The origin node (where both conditions are excluded by
     definition) and any node within the exemption radius are marked exempt.
+    A bound that comes out NaN (an infinite Lie value at the node or NaN near
+    it) bounds nothing, so it is +inf: the node's decrease check fails.
     """
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
     vbar, lie, grad_inf = (np.empty(grid.n_nodes) for _ in range(3))
@@ -193,8 +197,11 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
         exempt[block] = np.linalg.norm(X, axis=1) <= exempt_radius
     exempt[grid.origin_row] = True
     k_v, k_lie = estimate_lipschitz(grad_inf, lie, grid)
+    with np.errstate(invalid="ignore"):   # -inf + inf at a node whose Lie value is -inf
+        lie_high = lie + k_lie * grid.tau
+    lie_high[np.isnan(lie_high)] = np.inf
     return ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
-                       lie_high=lie + k_lie * grid.tau, exempt=exempt)
+                       lie_high=lie_high, exempt=exempt)
 
 
 @dataclass(frozen=True, eq=False)

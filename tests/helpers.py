@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lyapcert import cli, dynamics, net, roa, svg, verify
+from lyapcert import cli, control, dynamics, net, roa, svg, verify
 from lyapcert.config import PRESETS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -264,3 +264,53 @@ def reference_simulate_batch(system, X0, h, horizon):
     diverged = np.ones(X.shape[0], dtype=bool)
     diverged[alive] = False
     return X, diverged
+
+
+def gate_levels(system, step, roa_block):
+    """`roa.retirement_region` of a gate case over the gate's horizon: (Q, levels)."""
+    return roa.retirement_region(system, step, roa_block.mc_tol,
+                                 int(round(roa_block.mc_horizon / step)))
+
+
+def reference_retirement_ball(system, h, tol):
+    """The invariant ball the gate retired rows in before its levels counted the steps
+    to go: (Q, level), the largest of sqrt(lambda_min(Q)) tol / 2 halved j times whose
+    Q-ball one rounded RK4 step maps into itself, or None."""
+    hA = h * system.linearization()
+    eye = np.eye(len(hA))
+    M = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+    if np.max(np.abs(np.linalg.eigvals(M))) >= 1.0:
+        return None
+    Q = control.solve_discrete_lyapunov(M, eye)
+    lam = np.linalg.eigvalsh(Q)
+    low, high = np.sqrt(lam[0] * (1.0 - roa.SLACK)), np.sqrt(lam[-1] * (1.0 + roa.SLACK))
+    L_inv = np.linalg.inv(np.linalg.cholesky(Q))
+    contraction = np.sqrt(np.linalg.eigvalsh(L_inv @ M.T @ Q @ M @ L_inv.T)[-1]
+                          * (1.0 + roa.SLACK))
+    a = np.linalg.norm(hA / h, 2) * (1.0 + roa.SLACK)
+    G, p = system.remainder_bound()
+    rho = low * tol / 2.0
+    for _ in range(60):
+        nu = rho / low
+        step = roa._rk4_remainder(a, G, p, h, nu) + roa.STEP_ROUNDING * (1.0 + nu)
+        if contraction * rho + high * step <= rho:
+            return Q, rho * rho * (1.0 - roa.SLACK)
+        rho /= 2.0
+    return None
+
+
+def per_row_jacobian(theta, arch, X):
+    """dV/dtheta (n, n_params) one row of X at a time, through 1-d vectors: each weight
+    block the outer product of its layer's adjoint and input."""
+    layers = [(W, b[0]) for W, b in net.unpack(theta, arch)]
+    J = np.empty((len(X), arch.n_params))
+    for r, x in enumerate(X):
+        acts = [x]
+        for W, b in layers[:-1]:
+            acts.append(np.tanh(W @ acts[-1] + b))
+        delta = np.ones(1)
+        for (W, _), (gW, gb), a in zip(layers[::-1], net.unpack(J[r], arch)[::-1], acts[::-1]):
+            gW[...] = np.outer(delta, a)
+            gb[...] = delta
+            delta = (delta @ W) * (1.0 - a * a)   # the input layer's is never read
+    return J

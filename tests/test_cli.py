@@ -13,9 +13,10 @@ import pytest
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
 from lyapcert.config import (MAX_GRID_NODES, ConfigError, MetaBlock, NlfBlock, PRESETS,
                              config_from_dict, config_hash, config_to_dict, load_config)
+from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.loss import TightenedLossConfig
 
-from helpers import gate_case, nominal_system, save_checkpoint
+from helpers import gate_case, nominal_system, row_of, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -608,6 +609,60 @@ def test_non_finite_dynamics_exit_4(tmp_path, mini_checkpoint, capsys):
     code = run(tmp_path, ["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
     assert code == cli.EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numeric failure")
+
+
+class InfiniteLie:
+    """x_dot = -x, except x_dot_1 = +inf at the lattice point (2, 2) and -inf at (2, -2):
+    with V = |x|^2 the Lie values there are +inf and -inf."""
+
+    dim = 2
+
+    def f_batch(self, X):
+        F = -X
+        F[np.all(np.isclose(X, (0.4, 0.4)), axis=1), 0] = np.inf
+        F[np.all(np.isclose(X, (0.4, -0.4)), axis=1), 0] = -np.inf
+        return F
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_lie_values_give_infinite_bounds(tmp_path):
+    """An infinite Lie value of either sign gives its node and its face neighbors a
+    +inf lie_high, with no RuntimeWarning and no NaN bound; the worst bound is then
+    +inf, which the JSON writer refuses, naming the file and writing nothing."""
+    grid = verify.build_grid(1.0, 11, 2)
+    vmap = verify.check_validity(QuadraticLyapunov(np.eye(2)), InfiniteLie(), grid,
+                                 exempt_radius=0.25)
+    rows = [row_of(grid, (2, 2)), row_of(grid, (2, -2))]
+    assert vmap.lie[rows].tolist() == [np.inf, -np.inf]
+    assert not np.isnan(vmap.lie_high).any() and not np.isnan(vmap.vbar_low).any()
+    blocked = set(grid.neighbors[rows].ravel().tolist()) | set(rows)
+    assert set(np.nonzero(vmap.lie_high == np.inf)[0].tolist()) == blocked
+    worst = cli._worst_bounds(vmap, grid)["lie_high"]
+    assert worst["bound"] == np.inf
+    assert worst["node"] in grid.coords(sorted(blocked)).tolist()
+    with pytest.raises(FloatingPointError, match="validity_summary.json"):
+        cli.atomic_write_json(tmp_path / "validity_summary.json", {"worst_bounds": worst})
+    assert not list(tmp_path.iterdir())
+
+
+def test_infinite_lie_value_exits_4_naming_the_summary(tmp_path, mini_checkpoint, capsys,
+                                                        monkeypatch):
+    ckpt, _ = mini_checkpoint
+    field = dynamics.ClosedLoopSystem.f_batch
+
+    def infinite_rim(self, X):
+        F = field(self, X)
+        F[X[:, 0] > 2.5, 1] = np.inf
+        return F
+
+    monkeypatch.setattr(dynamics.ClosedLoopSystem, "f_batch", infinite_rim)
+    cfg_path = mini_config(tmp_path)
+    assert run(tmp_path, ["verify", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) \
+        == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "validity_summary.json" in err
+    assert err.count("\n") == 1 and "NaN" not in err
+    assert not list((tmp_path / "out" / "mini").iterdir())   # no map without its summary
 
 
 @pytest.mark.parametrize("command", ["adapt", "verify", "roa"])

@@ -316,8 +316,8 @@ class TestSimulate:
     def test_simulate_batch_matches_scalar(self):
         system = nominal_system("pendulum")
         X0 = np.array([[0.3, 0.0], [0.0, 0.4]])
-        finals, diverged = dynamics.simulate_batch(system, X0, h=0.02, horizon=1.0)
-        assert not diverged.any()
+        finals, diverged, retired = dynamics.simulate_batch(system, X0, h=0.02, horizon=1.0)
+        assert not diverged.any() and not retired.any()
         for i in range(2):
             traj = dynamics.simulate(system, X0[i], h=0.02, horizon=1.0)
             np.testing.assert_allclose(finals[i], traj.states[-1], atol=1e-12)
@@ -349,7 +349,7 @@ class TestDivergenceRule:
         X0[0] = 0.0
         if nan_rows:
             X0[[3, 17], 0] = np.nan
-        finals, diverged = dynamics.simulate_batch(CubicField(), X0, 0.01, 3.0)
+        finals, diverged, _ = dynamics.simulate_batch(CubicField(), X0, 0.01, 3.0)
         ref_finals, ref_diverged = reference_simulate_batch(CubicField(), X0, 0.01, 3.0)
         np.testing.assert_array_equal(finals, ref_finals)
         np.testing.assert_array_equal(diverged, ref_diverged)
@@ -362,7 +362,7 @@ class TestDivergenceRule:
         # equal entries whose 2-norm lies ulps below, at and above DIVERGENCE_NORM
         scale = np.array([1 - 4e-16, 1.0, 1 + 4e-16, 1 + 1e-12, 0.999, 0.5])
         X0 = np.repeat(scale[:, None] * dynamics.DIVERGENCE_NORM / np.sqrt(dim), dim, axis=1)
-        finals, diverged = dynamics.simulate_batch(ZeroField(), X0, 0.1, 0.5)
+        finals, diverged, _ = dynamics.simulate_batch(ZeroField(), X0, 0.1, 0.5)
         ref_finals, ref_diverged = reference_simulate_batch(ZeroField(), X0, 0.1, 0.5)
         np.testing.assert_array_equal(finals, ref_finals)
         np.testing.assert_array_equal(diverged, ref_diverged)
@@ -383,34 +383,35 @@ class Unstable:
 
 
 class TestRetirement:
-    """Rows retired inside the gate's proven ball end as their full rollouts do."""
+    """Rows retired inside the gate's proven region end as their full rollouts do."""
 
     @pytest.mark.parametrize("preset, length", GATE_CASES)
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_retiring_matches_full_rollouts(self, preset, length):
         system, step, mc = gate_case(preset, length)
-        ball = roa.retirement_ball(system, step, mc.mc_tol)
+        horizon = 3 * mc.mc_horizon      # long enough for the slow fan to enter its ball
+        region = roa.retirement_region(system, step, mc.mc_tol, int(round(horizon / step)))
         X0 = dynamics.sample_ball(np.random.default_rng(0), 120, system.dim,
                                   PRESETS[preset].verify.d0)
-        horizon = 3 * mc.mc_horizon      # long enough for the slow fan to enter its ball
-        finals, diverged = dynamics.simulate_batch(system, X0, step, horizon, ball)
+        finals, diverged, retired = dynamics.simulate_batch(system, X0, step, horizon, region)
         ref_finals, ref_diverged = reference_simulate_batch(system, X0, step, horizon)
-        converged = ~diverged & (np.linalg.norm(finals, axis=1) < mc.mc_tol)
+        converged = retired | (~diverged & (np.linalg.norm(finals, axis=1) < mc.mc_tol))
         ref_converged = ~ref_diverged & (np.linalg.norm(ref_finals, axis=1) < mc.mc_tol)
         np.testing.assert_array_equal(converged, ref_converged)
         assert converged.mean() == ref_converged.mean()
-        retired = np.any(finals != ref_finals, axis=1)
-        assert retired.any() and converged[retired].all()
+        assert retired.any() and not diverged[retired].any()
+        np.testing.assert_array_equal(finals[~retired], ref_finals[~retired])
 
     @pytest.mark.parametrize("system", [Unstable(), gate_case("ip_stochastic_l", 0.254)[0]])
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_no_ball_without_a_contracting_step_map(self, system):
         # x_dot = x - x^3 is not Hurwitz at 0; the l = 0.254 pendulum at h = 0.01 has
         # h * rho(A) = 3.31, so its RK4 matrix has spectral radius above 1
-        ball = roa.retirement_ball(system, 0.01, 1e-2)
-        assert ball is None
+        region = roa.retirement_region(system, 0.01, 1e-2, 200)
+        assert region is None
         X0 = np.random.default_rng(1).uniform(-0.5, 0.5, (50, 2))
-        finals, diverged = dynamics.simulate_batch(system, X0, 0.01, 2.0, ball)
+        finals, diverged, retired = dynamics.simulate_batch(system, X0, 0.01, 2.0, region)
         ref_finals, ref_diverged = reference_simulate_batch(system, X0, 0.01, 2.0)
+        assert not retired.any()
         np.testing.assert_array_equal(finals, ref_finals)
         np.testing.assert_array_equal(diverged, ref_diverged)

@@ -6,7 +6,8 @@ tests alone.
 The modules that only receive settings raise no ValueError: the config blocks
 and `cli` check every setting once, when the config is parsed. Every `lyapcert`
 name a script in `scripts/` imports or reads as `<module>.<attr>` exists, so a
-rename in `src/` fails here rather than when the script next runs.
+rename in `src/` fails here rather than when the script next runs; the bench
+suites that reach the library through a source-tree object are built once.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
 the definition's own body, except that `self.<name>` inside a class C counts as
@@ -20,6 +21,9 @@ reaches its position, or splats `*args` or `**kwargs`.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -230,3 +234,28 @@ def test_script_references_resolve():
                     and _lookup(modules[node.value.id], node.attr) is _ABSENT):
                 missing.append(f"{path.name}:{node.lineno}: {modules[node.value.id]}.{node.attr}")
     assert not missing, f"lyapcert names the scripts use but src/ lacks: {missing}"
+
+
+BENCH_SUITES = """
+import bench
+for suite in (bench.gate_suite, bench.init_suite):
+    timed, counted = suite(bench.HERE)
+    print(sorted(bench.suite_run((timed, counted), {key: [1.0] for key in timed}, min)))
+print(sorted(bench.cert_stages(bench.HERE, "mg3")[1]))
+"""
+
+
+def test_bench_suites_build():
+    """`scripts/bench.py`'s init, gate and cert suites read the library as attributes
+    of a source-tree object, which the walk above does not follow: build them (every
+    library call but the timed ones and the `lyapcert` commands) in a fresh
+    interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "scripts"),
+                                                         str(ROOT / "src")])}
+    proc = subprocess.run([sys.executable, "-c", BENCH_SUITES], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['compare_mg3_s', 'rollout_ns_per_state_step', 'row_steps']",
+        "['compare_mg3_s', 'fit_rms', 'max_abs_theta', 'shaped_init_s', 'train_meta_s']",
+        "['build_grid', 'level_set', 'lipschitz', 'sweep', 'validity_csv', 'validity_svg']"]

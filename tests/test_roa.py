@@ -9,7 +9,8 @@ from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.config import PRESETS
 
-from helpers import GATE_CASES, gate_case, lattice_points, node_coords, nominal_system, row_of
+from helpers import (GATE_CASES, gate_case, gate_levels, lattice_points, node_coords,
+                     nominal_system, reference_retirement_ball, row_of)
 
 
 class LinearSystem:
@@ -286,11 +287,12 @@ class TestStackedGate:
         rng = np.random.default_rng(0)
         parts = [rng.uniform(-scale, scale, (n, system.dim)) for n in (40, 2, 25)]
         parts[1][0] = 0.0                         # an equilibrium row never diverges
-        finals, diverged = dynamics.simulate_batch(system, np.concatenate(parts), 0.01, 2.0)
+        finals, diverged, retired = dynamics.simulate_batch(system, np.concatenate(parts),
+                                                            0.01, 2.0)
         singles = [dynamics.simulate_batch(system, part, 0.01, 2.0) for part in parts]
-        np.testing.assert_array_equal(finals, np.concatenate([f for f, _ in singles]))
-        np.testing.assert_array_equal(diverged, np.concatenate([d for _, d in singles]))
-        assert diverged.any() == some_diverge and not diverged.all()
+        np.testing.assert_array_equal(finals, np.concatenate([f for f, _, _ in singles]))
+        np.testing.assert_array_equal(diverged, np.concatenate([d for _, d, _ in singles]))
+        assert diverged.any() == some_diverge and not diverged.all() and not retired.any()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_stacked_gate_matches_per_certificate_gates(self):
@@ -343,17 +345,48 @@ class TestGateStep:
         assert roa.gate_step(short_pendulum(0.3), 0.01) == 0.01
 
 
+def q_sphere_states(Q, level, n, seed):
+    """n states with x^T Q x = level, in uniformly drawn directions of y = L^T x."""
+    Y = np.random.default_rng(seed).normal(size=(n, len(Q)))
+    Y *= np.sqrt(level) / np.linalg.norm(Y, axis=1, keepdims=True)
+    return np.linalg.solve(np.linalg.cholesky(Q).T, Y.T).T     # x^T Q x = |y|^2
+
+
 class TestRetirementBall:
+    """The retirement region is one Q-ball per count of steps still to go."""
+
     @pytest.mark.parametrize("preset, length", GATE_CASES)
     def test_one_rounded_step_maps_the_ball_into_itself(self, preset, length):
+        # the ball with k steps to go lands in the one with k - 1 to go, inside itself
         system, step, mc = gate_case(preset, length)
-        Q, level = roa.retirement_ball(system, step, mc.mc_tol)
-        assert np.sqrt(level / np.linalg.eigvalsh(Q)[0]) <= mc.mc_tol / 2
-        Y = dynamics.sample_ball(np.random.default_rng(1), 4000, system.dim, np.sqrt(level))
-        Y[:2000] *= np.sqrt(level) / np.linalg.norm(Y[:2000], axis=1, keepdims=True)  # boundary
-        X = np.linalg.solve(np.linalg.cholesky(Q).T, Y.T).T        # x^T Q x = |y|^2
-        images = dynamics.rk4_step(system.f_batch, X, step)
-        assert np.all(np.sum((images @ Q) * images, axis=1) <= level)
+        Q, levels = gate_levels(system, step, mc)
+        assert np.sqrt(levels[0] / np.linalg.eigvalsh(Q)[0]) < mc.mc_tol
+        for k in (1, 2, 50, len(levels) - 1):
+            X = q_sphere_states(Q, levels[k], 4000, seed=k)
+            X[2000:] *= np.random.default_rng(k).random((2000, 1))   # half of them inside
+            images = dynamics.rk4_step(system.f_batch, X, step)
+            assert np.all(np.sum((images @ Q) * images, axis=1) <= levels[k - 1])
+
+    @pytest.mark.parametrize("preset, length", GATE_CASES)
+    def test_levels_grow_with_the_steps_to_go_from_the_ball(self, preset, length):
+        system, step, mc = gate_case(preset, length)
+        Q, levels = gate_levels(system, step, mc)
+        ball_Q, ball = reference_retirement_ball(system, step, mc.mc_tol)
+        np.testing.assert_array_equal(Q, ball_Q)
+        assert len(levels) == round(mc.mc_horizon / step) + 1
+        assert np.all(np.diff(levels) >= 0.0) and levels[0] >= ball
+        if length is not None:   # the stiff step's contraction region is smaller than its ball
+            assert np.all(levels == ball)
+
+    @pytest.mark.parametrize("preset, length", GATE_CASES)
+    def test_level_boundaries_end_below_tol_after_their_steps(self, preset, length):
+        system, step, mc = gate_case(preset, length)
+        Q, levels = gate_levels(system, step, mc)
+        for k in (0, 1, 10, 100, len(levels) - 1):
+            X = q_sphere_states(Q, levels[k], 200, seed=k)
+            for _ in range(k):
+                X = dynamics.rk4_step(system.f_batch, X, step)
+            assert np.all(np.linalg.norm(X, axis=1) < mc.mc_tol)
 
     @pytest.mark.parametrize("preset, length", GATE_CASES)
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
@@ -365,7 +398,7 @@ class TestRetirementBall:
                                                grid, (0, 1)), cand)]
         retiring = roa.monte_carlo_convergence(system, certificates, grid, 100, mc.mc_step,
                                                mc.mc_horizon, mc.mc_tol, seed=0)
-        monkeypatch.setattr(roa, "retirement_ball", lambda system, h, tol: None)
+        monkeypatch.setattr(roa, "retirement_region", lambda system, h, tol, n_steps: None)
         full = roa.monte_carlo_convergence(system, certificates, grid, 100, mc.mc_step,
                                            mc.mc_horizon, mc.mc_tol, seed=0)
         assert retiring == full and 0.0 < full[0].fraction
