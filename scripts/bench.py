@@ -29,8 +29,7 @@ The `gate` suite (default output `BENCH_gate.json`) measures, on the test
 systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid), one
 `dynamics.simulate_batch` case each (500 states drawn over the preset's region,
 500 steps of 0.01) with the retirement region `roa.monte_carlo_convergence`
-builds for that system, step and step count (a tree from before the region
-came gets its retirement ball):
+builds for that system, step and step count:
 
 - `rollout_ns_per_state_step`: nanoseconds per requested RK4 state-step
   (states x steps)
@@ -275,14 +274,11 @@ def gate_suite(tree: Tree) -> tuple[dict, dict]:
     horizon = ROLLOUT_STEPS * ROLLOUT_H
     for label, preset in (("pendulum", "ip_stochastic_l"), ("mg3_dc12", "mg3_dc12")):
         cfg = tree.config.PRESETS[preset]
-        system = tree.dynamics.build_system(cfg.system.test())
+        system = tree.dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
         X0 = tree.dynamics.sample_ball(np.random.default_rng(0), ROLLOUT_STATES, system.dim,
                                        cfg.verify.d0)
         # the gate keeps ROLLOUT_H (its mc_step) as its step for both systems
-        if hasattr(tree.roa, "retirement_region"):
-            region = tree.roa.retirement_region(system, ROLLOUT_H, cfg.roa.mc_tol, ROLLOUT_STEPS)
-        else:   # a tree from before the region retires rows in its ball
-            region = tree.roa.retirement_ball(system, ROLLOUT_H, cfg.roa.mc_tol)
+        region = tree.roa.retirement_region(system, ROLLOUT_H, cfg.roa.mc_tol, ROLLOUT_STEPS)
         timed["rollout_ns_per_state_step", label] = (
             functools.partial(tree.dynamics.simulate_batch, system, X0, ROLLOUT_H, horizon,
                               region),
@@ -374,7 +370,7 @@ def measure_writers(repeats: int) -> dict:
         theta, arch, extra = net.load_checkpoint(adapted)
 
     candidate = net.MlpLyapunov(theta, arch)
-    system = dynamics.build_system(cfg.system.test())
+    system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim)
     vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
     calls = {
@@ -431,7 +427,7 @@ def cert_case(name: str, tree: Tree = HERE):
     """(candidate, test system, preset config, radius, nodes per axis) of a cert grid."""
     preset, nodes = CERT_CASES[name]
     cfg = tree.config.PRESETS[preset]
-    system = tree.dynamics.build_system(cfg.system.test())
+    system = tree.dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     if preset == "ip_stochastic_l":
         theta, arch, extra = tree.net.load_checkpoint(CHECKPOINT)
         radius = extra["radius"]

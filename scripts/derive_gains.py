@@ -41,8 +41,7 @@ def main():
         for name, cfg in PRESETS.items():
             if cfg.system.system_id != system_id:
                 continue
-            test = cfg.system.test()
-            At, Bt = dynamics._open_loop_linearization(system_id, test.values)
+            At, Bt = dynamics._open_loop_linearization(system_id, cfg.system.theta_test)
             ok = is_hurwitz(At - Bt @ shipped)
             print(f"  {name}: test tuple closed loop Hurwitz = {ok}")
         print()

@@ -153,8 +153,8 @@ def task_family(cfg: ExperimentConfig, radius: float
     tasks' datasets on the ball of the given radius stacked on a leading task axis,
     (X_tr, Y_tr, X_te, Y_te) of shape (n_tasks, m_batches, rows, d)."""
     m, task_seed = cfg.meta, cfg.seeds.task_seed
-    systems = [build_system(params) for params in sample_tasks(
-        cfg.system.nominal(), cfg.system.sigma_diag, m.n_tasks, task_seed)]
+    systems = [build_system(cfg.system.system_id, values) for values in sample_tasks(
+        cfg.system.theta0, cfg.system.sigma_diag, m.n_tasks, task_seed)]
     datasets = [build_dataset(system, radius, m.k_train, m.j_test, m.m_batches,
                               task_seed + 7 * i) for i, system in enumerate(systems)]
     return systems, tuple(np.stack(column) for column in zip(*datasets))
@@ -182,8 +182,8 @@ def compare(cfg: ExperimentConfig) -> list[MethodResult]:
     ROA counts only if every rollout from inside it converges. The adaptive
     methods keep the test-time budget because the `meta` block cannot exceed it.
     """
-    system_nom = build_system(cfg.system.nominal())
-    system_test = build_system(cfg.system.test())
+    system_nom = build_system(cfg.system.system_id, cfg.system.theta0)
+    system_test = build_system(cfg.system.system_id, cfg.system.theta_test)
     grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, system_test.dim)
     seed, arch, radius = cfg.seeds.master, cfg.architecture(), grid.radius
     runners = {

@@ -3,7 +3,7 @@
 Subcommands:
 
     train-meta   region-selection loop (meta-train, task-check, shrink),
-                 writes the meta checkpoint + training report
+                 writes the region report, meta checkpoint + training report
     adapt        k-step test-time adaptation of a checkpoint under the
                  50-sample / 10-step budget, with a budget ledger
     verify       tightened-condition map of a checkpoint (CSV + SVG)
@@ -24,9 +24,9 @@ and seed reproduce all numeric artifacts bitwise at a fixed BLAS thread count
 `train-meta` and `compare`; `adapt`, `verify` and `roa` do not depend on it;
 timings are never written into artifacts). Settings are checked here and by the config blocks,
 once, before any work starts; the library trusts them. Exit codes: 0 ok,
-2 config error, 3 verification failure (train-meta: no valid region; roa: a
-Monte-Carlo rollout from the certified set fails, after the artifacts are
-written), 4 numeric failure.
+2 config error, 3 verification failure (train-meta: no valid region, after
+region.json records each round; roa: a Monte-Carlo rollout from the certified
+set fails, after the artifacts are written), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _interior_report(vmap: verify.ValidityMap, grid: verify.GridSpec
-                     ) -> tuple[float, int, int, int]:
-    """Off the boundary layer: green fraction, red counts by positivity and by decrease,
-    and the number of checked (non-exempt) nodes."""
+def _interior_report(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict:
+    """Off the boundary layer: the green fraction, the red nodes by condition and the
+    number of checked (non-exempt) nodes."""
     interior = ~grid.boundary
-    return (float(np.mean(vmap.green[interior])),
-            int(np.sum(~vmap.positivity_ok[interior])), int(np.sum(~vmap.decrease_ok[interior])),
-            int(np.sum(~vmap.exempt[interior])))
+    return {"green_fraction": float(np.mean(vmap.green[interior])),
+            "red_positivity": int(np.sum(~vmap.positivity_ok[interior])),
+            "red_decrease": int(np.sum(~vmap.decrease_ok[interior])),
+            "checked": int(np.sum(~vmap.exempt[interior]))}
 
 
 def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | None:
@@ -140,45 +140,54 @@ def _fit_region(cfg: ExperimentConfig, d: float):
     arch = cfg.architecture()
     report, systems, (X_tr, Y_tr, _, _) = baselines.meta_train_for(cfg, d)
     grid = verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim)
-    interiors = []
+    tasks = []
     for i, system in enumerate(systems):   # task i adapts on its first train batch
         adapted = meta.test_time_adapt(report.theta_mnlf, arch, (X_tr[i, 0], Y_tr[i, 0]),
                                        cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
         vmap = verify.check_validity(net.MlpLyapunov(adapted, arch), system, grid,
                                      exempt_radius=cfg.verify.exempt_radius)
-        interiors.append(_interior_report(vmap, grid))
+        tasks.append(_interior_report(vmap, grid))
     # a map that checks no interior node certifies nothing
-    accepted = all(checked and green >= cfg.verify.min_green_fraction
-                   for green, _, _, checked in interiors)
-    return (report, interiors), accepted
+    accepted = all(task["checked"] and task["green_fraction"] >= cfg.verify.min_green_fraction
+                   for task in tasks)
+    return (report, tasks), accepted
 
 
 def cmd_train_meta(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args, cfg)
-    try:
-        selection = verify.select_valid_region(lambda d: _fit_region(cfg, d), cfg.verify.d0,
-                                               cfg.verify.shrink_factor, cfg.verify.max_rounds)
-    except verify.RegionSelectionFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        _, interiors = exc.artifact
-        for i, (green, red_pos, red_dec, checked) in enumerate(interiors):
-            print(f"task {i}: interior green fraction {green:.4f}, red nodes: "
-                  f"positivity {red_pos}, decrease {red_dec}; {checked} interior nodes checked",
-                  file=sys.stderr)
+    history = []   # each round's radius, acceptance and task reports
+
+    def fit(d):
+        (report, tasks), accepted = _fit_region(cfg, d)
+        history.append({"radius": d, "accepted": accepted, "tasks": tasks})
+        return report, accepted
+
+    selection = verify.select_valid_region(fit, cfg.verify.d0, cfg.verify.shrink_factor,
+                                           cfg.verify.max_rounds)
+    atomic_write_json(out / "region.json",
+                      {**_stamp(cfg), "radius": selection.radius, "rounds": selection.rounds,
+                       "accepted": selection.accepted, "history": history})
+    if not selection.accepted:
+        print(f"verification failure: no valid region after {selection.rounds} rounds "
+              f"(last radius {selection.radius:g})", file=sys.stderr)
+        for i, task in enumerate(history[-1]["tasks"]):
+            print(f"task {i}: interior green fraction {task['green_fraction']:.4f}, red nodes: "
+                  f"positivity {task['red_positivity']}, decrease {task['red_decrease']}; "
+                  f"{task['checked']} interior nodes checked", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    report, _ = selection.artifact
+    report = selection.artifact
+    curve = report.loss_curve
     ckpt = out / "meta_checkpoint.json"
     atomic_write_json(ckpt, net.checkpoint_payload(
         report.theta_mnlf, cfg.architecture(),
         extra={**_stamp(cfg), "radius": selection.radius, "system_id": cfg.system.system_id,
                "rounds": selection.rounds}), indent=None)
     atomic_write_json(out / "train_report.json",
-                      {**_stamp(cfg), "loss_curve": report.loss_curve.tolist(),
-                       "checkpoint": ckpt.name})
-    atomic_write_json(out / "region.json",
-                      {**_stamp(cfg), "radius": selection.radius, "rounds": selection.rounds})
+                      {**_stamp(cfg), "loss_curve": curve.tolist(), "checkpoint": ckpt.name,
+                       "final_loss": float(curve[-1]), "least_loss": float(curve.min()),
+                       "max_abs_theta": float(np.max(np.abs(report.theta_mnlf)))})
     atomic_write_json(out / "config_echo.json", config_to_dict(cfg))
     print(f"meta checkpoint written to {ckpt} (radius {selection.radius:g}, "
           f"{selection.rounds} round(s))")
@@ -189,17 +198,21 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
     """Checkpoint parameters, architecture and region radius (the config's d0 when
     the checkpoint has none): a non-finite parameter or radius raises
     FloatingPointError (OverflowError for an integer beyond float range), any
-    other unusable content, a radius within the exemption radius included,
-    BadArtifact."""
+    other unusable content, another family's `system_id` and a radius within the
+    exemption radius included, BadArtifact."""
     try:
         theta, arch, extra = net.load_checkpoint(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise BadArtifact(f"checkpoint {path} is unreadable: {exc!r}") from exc
     if not isinstance(extra, dict):
         raise BadArtifact(f"checkpoint extra {extra!r} is not a JSON object")
-    if arch.input_dim != cfg.system.nominal().state_dim:
-        raise BadArtifact(f"checkpoint is {arch.input_dim}-d, system is "
-                          f"{cfg.system.nominal().state_dim}-d")
+    system_id = cfg.system.system_id
+    if extra.get("system_id", system_id) != system_id:
+        raise BadArtifact(f"checkpoint is for the {extra['system_id']!r} family, "
+                          f"the config's system is {system_id!r}")
+    dim = dynamics.state_dim(system_id, cfg.system.theta0)
+    if arch.input_dim != dim:
+        raise BadArtifact(f"checkpoint is {arch.input_dim}-d, system is {dim}-d")
     radius = extra.get("radius", cfg.verify.d0)
     if isinstance(radius, bool) or not isinstance(radius, (int, float)):
         raise BadArtifact(f"checkpoint radius {radius!r} is not a number")
@@ -218,7 +231,7 @@ def cmd_adapt(args) -> int:
     cfg = _resolve_config(args)
     theta, arch, radius = _load_checkpoint_for(cfg, args.checkpoint)
     m = cfg.meta
-    system_test = dynamics.build_system(cfg.system.test())
+    system_test = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     adapted = baselines.test_time_update(cfg, theta, arch, system_test, radius,
                                          cfg.seeds.adapt_seed)
     out = _out_dir(args, cfg)
@@ -235,7 +248,7 @@ def cmd_adapt(args) -> int:
 
 def _checkpoint_candidate(cfg: ExperimentConfig, checkpoint):
     theta, arch, radius = _load_checkpoint_for(cfg, checkpoint)
-    system_test = dynamics.build_system(cfg.system.test())
+    system_test = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, system_test.dim)
     return net.MlpLyapunov(theta, arch), system_test, grid
 
@@ -284,7 +297,7 @@ def cmd_roa(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    system_test = dynamics.build_system(cfg.system.test())
+    system_test = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     except ValueError as exc:

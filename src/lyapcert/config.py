@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .dynamics import NOMINAL_FAN, NOMINAL_PENDULUM, ParamVector, nominal_microgrid
+from .dynamics import NOMINAL_FAN, NOMINAL_PENDULUM, nominal_microgrid, state_dim
 from .loss import TightenedLossConfig
 from .net import INIT_POINTS, Architecture
 
@@ -83,12 +83,6 @@ class SystemBlock:
                  "every theta0 and theta_test entry must be finite and positive")
         _require(len(self.sigma_diag) == n and min(self.sigma_diag) >= 0,
                  "sigma_diag needs one nonnegative entry per parameter")
-
-    def nominal(self) -> ParamVector:
-        return ParamVector(self.system_id, tuple(map(float, self.theta0)))
-
-    def test(self) -> ParamVector:
-        return ParamVector(self.system_id, tuple(map(float, self.theta_test)))
 
 
 @dataclass(frozen=True)
@@ -217,13 +211,13 @@ class ExperimentConfig:
                  f"{MAX_GRID_NODES:,} nodes in {arch.input_dim} dimensions")
 
     def architecture(self) -> Architecture:
-        return Architecture(input_dim=self.system.nominal().state_dim, hidden=self.hidden)
+        return Architecture(state_dim(self.system.system_id, self.system.theta0), self.hidden)
 
     @property
     def plane(self) -> tuple[int, int]:
         """The state plane areas are measured and maps drawn on: `roa.plane` above two
         dimensions, (0, 1) in two."""
-        return self.roa.plane if self.system.nominal().state_dim > 2 else (0, 1)
+        return self.roa.plane if state_dim(self.system.system_id, self.system.theta0) > 2 else (0, 1)
 
 
 def _parse_value(kind, value, path: str):

@@ -10,12 +10,12 @@ closed:
 Parameter tuples follow the benchmark conventions: pendulum (l, m, g, b),
 microgrid (dc_1..dc_N), fan (m, J, r, g, d); the config's `SystemBlock` checks
 them once, when the config is parsed, and this module trusts them.
-`build_system` is the one way a system is built: the pendulum and fan get the
-LQR gain designed at their nominal parameters. The microgrid is its droop
-tuple alone: f(x) = (P(0) - P(x)) - dc o x, with P the line power of a fixed
-ring of unit lines at one admittance angle, so the origin is an exact
-equilibrium for any droops and the nominal closed loop is Hurwitz; the tests
-check both.
+`build_system(system_id, values)` is the one way a system is built: the
+pendulum and fan get the LQR gain designed at their nominal parameters. The
+microgrid is its droop tuple alone: f(x) = (P(0) - P(x)) - dc o x, with P the
+line power of a fixed ring of unit lines at one admittance angle, so the
+origin is an exact equilibrium for any droops and the nominal closed loop is
+Hurwitz; the tests check both.
 """
 
 from __future__ import annotations
@@ -51,20 +51,10 @@ FAN_RC_DIAG = (1.0, 1.0)
 DIVERGENCE_NORM = 1e6
 
 
-class DegenerateRange(Exception):
-    """Task resampling could not produce a positive parameter component."""
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """One task's physical parameter tuple, of finite positive floats."""
-
-    system_id: str
-    values: tuple[float, ...]
-
-    @property
-    def state_dim(self) -> int:
-        return {"pendulum": 2, "fan": 6}.get(self.system_id, len(self.values))
+def state_dim(system_id: str, values) -> int:
+    """The state dimension of a family at a parameter tuple: the microgrid has one
+    phase angle per droop coefficient."""
+    return {"pendulum": 2, "fan": 6}.get(system_id, len(values))
 
 
 RING_ANGLE = np.pi / 2 - 0.1   # the admittance angle of every microgrid line
@@ -97,29 +87,30 @@ def _ring_power(Wc: np.ndarray, Ws: np.ndarray, X: np.ndarray) -> np.ndarray:
 class ClosedLoopSystem:
     """A parameterized autonomous vector field x_dot = f(x).
 
-    `gain` is the (inputs, states) LQR feedback matrix for the pendulum/fan
-    (u = -K x), None for the microgrid, whose droop tuple on the fixed ring is
-    its whole field. Instances are immutable and freely shareable.
+    `values` is the family's parameter tuple, of finite positive floats; `gain`
+    is the (inputs, states) LQR feedback matrix for the pendulum/fan (u = -K x),
+    None for the microgrid, whose droop tuple on the fixed ring is its whole
+    field. Instances are immutable and freely shareable.
     """
 
-    params: ParamVector
+    system_id: str
+    values: tuple[float, ...]
     gain: np.ndarray | None
 
     @property
     def dim(self) -> int:
-        return self.params.state_dim
+        return state_dim(self.system_id, self.values)
 
     def f_batch(self, X: np.ndarray) -> np.ndarray:
         """x_dot for each row of the (n, dim) float array X."""
-        sid = self.params.system_id
-        if sid == "pendulum":
+        if self.system_id == "pendulum":
             return self._pendulum(X)
-        if sid == "microgrid":
+        if self.system_id == "microgrid":
             return self._microgrid(X)
         return self._fan(X)
 
     def _pendulum(self, X):
-        l, m, g, b = self.params.values
+        l, m, g, b = self.values
         theta, theta_dot = X[:, 0], X[:, 1]
         u = -(X @ self.gain.T)[:, 0]
         theta_ddot = (m * g * l * np.sin(theta) - b * theta_dot + u) / (m * l * l)
@@ -128,10 +119,10 @@ class ClosedLoopSystem:
     def _microgrid(self, X):
         # in this order f(0) is +0.0; -dc o x - (P - P(0)) would give -0.0
         Wc, Ws, P0 = _ring(self.dim)
-        return (P0 - _ring_power(Wc, Ws, X)) - np.asarray(self.params.values) * X
+        return (P0 - _ring_power(Wc, Ws, X)) - np.asarray(self.values) * X
 
     def _fan(self, X):
-        m, J, r, g, d = self.params.values
+        m, J, r, g, d = self.values
         xd, yd = X[:, 1], X[:, 3]
         th, thd = X[:, 4], X[:, 5]
         U = -(X @ self.gain.T)  # (batch, 2)
@@ -146,14 +137,14 @@ class ClosedLoopSystem:
         """The closed loop's Jacobian at the origin, in closed form: A - B K for the
         pendulum and fan; diag(-dc - Ws 1) + Ws for the microgrid, Ws = Y o sin(gamma).
         A non-finite entry raises NonFiniteDynamics."""
-        if self.params.system_id == "microgrid":
+        if self.system_id == "microgrid":
             _, Ws, _ = _ring(self.dim)
-            A = np.diag(-np.asarray(self.params.values) - Ws.sum(axis=1)) + Ws
+            A = np.diag(-np.asarray(self.values) - Ws.sum(axis=1)) + Ws
         else:
-            A_open, B = _open_loop_linearization(self.params.system_id, self.params.values)
+            A_open, B = _open_loop_linearization(self.system_id, self.values)
             A = A_open - B @ self.gain
         if not np.all(np.isfinite(A)):
-            raise NonFiniteDynamics(f"non-finite {self.params.system_id} linearization")
+            raise NonFiniteDynamics(f"non-finite {self.system_id} linearization")
         return A
 
     def remainder_bound(self) -> tuple[float, int]:
@@ -169,13 +160,12 @@ class ClosedLoopSystem:
         their tangents by (g / 6 + (k_1 / 2 + k_2) / m) |x|^2 and
         (g / 2 + (k_1 + k_2 / 2) / m) |x|^2.
         """
-        sid = self.params.system_id
-        if sid == "pendulum":
-            l, _, g, _ = self.params.values
+        if self.system_id == "pendulum":
+            l, _, g, _ = self.values
             return g / (6.0 * l), 3
-        if sid == "microgrid":
+        if self.system_id == "microgrid":
             return 4.0, 2
-        m, _, _, g, _ = self.params.values
+        m, _, _, g, _ = self.values
         k1, k2 = np.linalg.norm(self.gain, axis=1)
         return 2.0 * g / 3.0 + 1.5 * float(k1 + k2) / m, 2
 
@@ -215,37 +205,32 @@ def _open_loop_linearization(system_id: str, values) -> tuple[np.ndarray, np.nda
     return A, B
 
 
-def build_system(params: ParamVector) -> ClosedLoopSystem:
-    """Assemble a closed-loop system with the controller designed at the system's
-    nominal parameters (fixed across tasks); the microgrid has none."""
-    if params.system_id == "microgrid":
-        return ClosedLoopSystem(params, None)
-    return ClosedLoopSystem(params, _default_gain(params.system_id))
+def build_system(system_id: str, values) -> ClosedLoopSystem:
+    """The closed loop of a family at a parameter tuple, its values cast to floats,
+    with the controller designed at the family's nominal parameters (fixed across
+    tasks); the microgrid has none."""
+    gain = None if system_id == "microgrid" else _default_gain(system_id)
+    return ClosedLoopSystem(system_id, tuple(map(float, values)), gain)
 
 
-def sample_tasks(theta0: ParamVector, sigma_diag, n: int, seed: int) -> list[ParamVector]:
+def sample_tasks(theta0, sigma_diag, n: int, seed: int) -> list[tuple[float, ...]]:
     """Draw n task parameter tuples, componentwise N(theta0, sigma^2),
-    each component resampled until strictly positive.
+    each component redrawn until strictly positive.
 
-    A zero sigma entry freezes that component at its nominal value.
+    A zero sigma entry freezes that component at its nominal value. The config
+    requires theta0 > 0, so each draw is positive with probability above 1/2.
     """
     sigma = np.asarray(sigma_diag, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
     tasks = []
     for _ in range(n):
         values = []
-        for mean, sd in zip(theta0.values, sigma):
-            if sd == 0.0:
-                values.append(mean)
-                continue
-            for _attempt in range(1000):
+        for mean, sd in zip(theta0, sigma):
+            draw = float(mean) if sd == 0.0 else rng.normal(mean, sd)
+            while draw <= 0.0:
                 draw = rng.normal(mean, sd)
-                if draw > 0.0:
-                    values.append(draw)
-                    break
-            else:
-                raise DegenerateRange(f"no positive draw for component with mean {mean}, sd {sd}")
-        tasks.append(ParamVector(theta0.system_id, tuple(values)))
+            values.append(draw)
+        tasks.append(tuple(values))
     return tasks
 
 

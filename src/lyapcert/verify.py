@@ -32,14 +32,6 @@ SLAB = 1 << 16   # box nodes build_grid enumerates at a time
 BLOCK = 4096     # nodes the map's sweep, its constants and its writers take at a time
 
 
-class RegionSelectionFailure(Exception):
-    """No region radius was accepted within the round budget."""
-
-    def __init__(self, rounds: int, last_radius: float, artifact):
-        super().__init__(f"no valid region after {rounds} rounds (last radius {last_radius:g})")
-        self.artifact = artifact    # what the last round's fit returned
-
-
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Uniform lattice covering the ball, with its l1 covering radius."""
@@ -206,9 +198,10 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
 
 @dataclass(frozen=True, eq=False)
 class RegionSelection:
-    radius: float
-    artifact: object            # what fit returned for the final radius
+    radius: float               # the last round's
+    artifact: object            # what fit returned for that radius
     rounds: int
+    accepted: bool              # whether the last round was accepted
 
 
 def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -> RegionSelection:
@@ -216,8 +209,8 @@ def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -
 
     fit(d) trains on the ball of radius d, checks the result there and returns
     (artifact, accepted). The radius shrinks geometrically until a round is
-    accepted; running out of rounds raises RegionSelectionFailure with the last
-    round's radius and artifact.
+    accepted or the rounds run out; the selection holds the last round's radius
+    and artifact, and whether it was accepted.
     """
     d = float(d0)
     for round_idx in range(max_rounds):
@@ -225,8 +218,8 @@ def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -
             d *= shrink_factor
         artifact, accepted = fit(d)
         if accepted:
-            return RegionSelection(radius=d, artifact=artifact, rounds=round_idx + 1)
-    raise RegionSelectionFailure(max_rounds, d, artifact)
+            break
+    return RegionSelection(radius=d, artifact=artifact, rounds=round_idx + 1, accepted=accepted)
 
 
 def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> Iterator[str]:

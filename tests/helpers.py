@@ -45,12 +45,12 @@ def peak_kb(script, *args, timeout=120):
 def nominal_params(system_id, n_microgrids=3):
     """A system's nominal parameter tuple; the microgrid's has n_microgrids droops."""
     values = {"pendulum": dynamics.NOMINAL_PENDULUM, "fan": dynamics.NOMINAL_FAN}.get(system_id)
-    return dynamics.ParamVector(system_id, values or dynamics.nominal_microgrid(n_microgrids))
+    return values or dynamics.nominal_microgrid(n_microgrids)
 
 
 def nominal_system(system_id, n_microgrids=3):
     """The closed loop at the nominal parameters, as `build_system` makes it."""
-    return dynamics.build_system(nominal_params(system_id, n_microgrids))
+    return dynamics.build_system(system_id, nominal_params(system_id, n_microgrids))
 
 
 # every shipped system family at its preset's test tuple, and the stiff l = 0.254
@@ -63,10 +63,10 @@ def gate_case(preset, length=None):
     """(system, gate step, RoaBlock) of a preset's test tuple, as the Monte-Carlo gate
     integrates it; `length` swaps in another pendulum length."""
     cfg = PRESETS[preset]
-    params = cfg.system.test()
+    values = cfg.system.theta_test
     if length is not None:
-        params = dynamics.ParamVector("pendulum", (length, *params.values[1:]))
-    system = dynamics.build_system(params)
+        values = (length, *values[1:])
+    system = dynamics.build_system(cfg.system.system_id, values)
     return system, roa.gate_step(system, cfg.roa.mc_step), cfg.roa
 
 

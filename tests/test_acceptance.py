@@ -192,7 +192,7 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     cfg = PRESETS["ip_stochastic_l"]
     theta, arch, extra = net.load_checkpoint(stochastic_l_run["dir"] / "adapted_checkpoint.json")
     radius = extra["radius"]
-    system = dynamics.build_system(cfg.system.test())
+    system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
@@ -208,7 +208,7 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
 
     # a microgrid certificate for coverage of the second system family
     mg = PRESETS["mg3_dc12"]
-    mg_sys = dynamics.build_system(mg.system.test())
+    mg_sys = dynamics.build_system(mg.system.system_id, mg.system.theta_test)
     mg_grid = verify.build_grid(mg.verify.d0, mg.verify.nodes_per_axis, 3)
     mg_candidate, _, _ = baselines.qlf_ts(mg_sys)
     _, mg_roa = baselines.certify_candidate(mg_candidate, mg_sys, mg_grid, mg.verify, (0, 1))
@@ -232,7 +232,7 @@ def test_criterion_5_positive_definite_soundness(stochastic_l_run, ordering_run)
     cfg = PRESETS["ip_stochastic_l"]
     theta, arch, extra = net.load_checkpoint(stochastic_l_run["dir"] / "adapted_checkpoint.json")
     radius = extra["radius"]
-    system = dynamics.build_system(cfg.system.test())
+    system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
     candidate = net.MlpLyapunov(theta, arch)
     vmap, _ = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
@@ -240,7 +240,7 @@ def test_criterion_5_positive_definite_soundness(stochastic_l_run, ordering_run)
 
     # `compare` keeps no maps: each certified candidate is mapped again, to the same bits
     tcfg = ordering_run["cfg"]
-    tsystem = dynamics.build_system(tcfg.system.test())
+    tsystem = dynamics.build_system(tcfg.system.system_id, tcfg.system.theta_test)
     tgrid = verify.build_grid(tcfg.verify.d0, tcfg.verify.nodes_per_axis, 2)
     for method, result in ordering_run["results"].items():
         if result.candidate is not None:
@@ -291,7 +291,7 @@ def test_criterion_7_area_ordering(ordering_run):
     if not ok:
         # seed-sensitive by design: try the documented fallback seeds
         for fb in FALLBACK_NET_SEEDS:
-            system = dynamics.build_system(cfg.system.test())
+            system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
             grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2)
             candidate, _, _ = baselines.meta_nlf(
                 replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)), system, grid.radius)

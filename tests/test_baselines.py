@@ -111,10 +111,9 @@ class TestNlfTs:
 class TestTNlf:
     def test_same_system_transfer_and_budget(self):
         params = nominal_params("pendulum")
-        system = dynamics.build_system(params)
+        system = dynamics.build_system("pendulum", params)
         cfg = ExperimentConfig(name="t_nlf",
-                               system=SystemBlock("pendulum", params.values, params.values,
-                                                  (0.0,) * 4),
+                               system=SystemBlock("pendulum", params, params, (0.0,) * 4),
                                loss=TightenedLossConfig(1.0, 1.0),
                                nlf=NlfBlock(4000, 2000, 0.002, 128), hidden=(16, 16))
         settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1)
@@ -155,9 +154,9 @@ class TestTaskFamily:
         cfg = small_config()
         m = cfg.meta
         systems, family = baselines.task_family(cfg, 2.5)
-        params = dynamics.sample_tasks(cfg.system.nominal(), cfg.system.sigma_diag, m.n_tasks,
-                                       cfg.seeds.task_seed)
-        assert [s.params for s in systems] == params
+        tasks = dynamics.sample_tasks(cfg.system.theta0, cfg.system.sigma_diag, m.n_tasks,
+                                      cfg.seeds.task_seed)
+        assert [s.values for s in systems] == tasks
         assert [a.shape for a in family] == [(2, 3, 8, 2)] * 4
         for i, system in enumerate(systems):
             dataset = dynamics.build_dataset(system, 2.5, m.k_train, m.j_test, m.m_batches,

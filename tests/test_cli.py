@@ -33,6 +33,11 @@ PRESET_HASHES = {
 }
 
 
+# a verify block no mini run passes: the whole 41 x 41 map must be green, none exempt
+HARD_VERIFY = {"d0": 3.0, "nodes_per_axis": 41, "exempt_radius": 0.0, "max_rounds": 1,
+               "min_green_fraction": 1.0}
+
+
 def mini_config(tmp_path, **overrides):
     """A desk-second pendulum config for CLI round trips."""
     payload = {
@@ -347,11 +352,22 @@ class TestCliCommands:
         code = run(tmp_path, ["verify", "--config", str(cfg_path), "--checkpoint", str(bad)])
         assert code == cli.EXIT_CONFIG
 
+    def test_checkpoint_of_another_family_exits_2(self, tmp_path, capsys):
+        """A 2-droop microgrid checkpoint has the pendulum's input dimension, but the
+        family it names is not the config's: every checkpoint command exits 2 unwritten."""
+        cfg_path = mini_config(tmp_path)
+        ckpt = tmp_path / "mg2.json"
+        arch = net.Architecture(2, (8,))
+        save_checkpoint(ckpt, net.init_params(arch, 0), arch,
+                        extra={"radius": 3.0, "system_id": "microgrid"})
+        for command in ("adapt", "verify", "roa"):
+            argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]
+            assert run(tmp_path, argv) == cli.EXIT_CONFIG
+            assert "'microgrid' family" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_region_failure_exit_3(self, tmp_path, capsys):
-        cfg_path = mini_config(tmp_path, name="hard",
-                               verify={"d0": 3.0, "nodes_per_axis": 41,
-                                       "exempt_radius": 0.0, "max_rounds": 1,
-                                       "min_green_fraction": 1.0})
+        cfg_path = mini_config(tmp_path, name="hard", verify=HARD_VERIFY)
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
         # one line per task (n_tasks = 2): interior green fraction, red counts by condition
         lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("task ")]
@@ -359,6 +375,44 @@ class TestCliCommands:
         for i, line in enumerate(lines):
             assert line.startswith(f"task {i}: interior green fraction ")
             assert "positivity" in line and "decrease" in line
+
+    def test_region_failure_writes_region_json(self, tmp_path, capsys):
+        """A run with no valid region records its round in region.json before exiting 3:
+        the radius, the rejection and each task's interior report, as stderr prints it."""
+        cfg_path = mini_config(tmp_path, name="hard", verify=HARD_VERIFY)
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("task ")]
+        out = tmp_path / "out" / "hard"
+        region = json.loads((out / "region.json").read_text())
+        assert (region["radius"], region["rounds"], region["accepted"]) == (3.0, 1, False)
+        (only,) = region["history"]
+        assert only["radius"] == 3.0 and not only["accepted"] and len(only["tasks"]) == 2
+        for line, task in zip(lines, only["tasks"]):
+            assert set(task) == {"green_fraction", "red_positivity", "red_decrease", "checked"}
+            assert task["green_fraction"] < 1.0 and task["checked"] > 0
+            assert (f"green fraction {task['green_fraction']:.4f}, red nodes: positivity "
+                    f"{task['red_positivity']}, decrease {task['red_decrease']}; "
+                    f"{task['checked']} interior") in line
+        assert not (out / "meta_checkpoint.json").exists()
+
+    def test_region_json_records_every_round(self, tmp_path, monkeypatch):
+        """A run accepted after a rejected round records both rounds in region.json, and
+        its radius is the accepted round's."""
+        fit = cli._fit_region
+        monkeypatch.setattr(cli, "_fit_region",
+                            lambda cfg, d: (fit(cfg, d)[0], d < cfg.verify.d0))
+        cfg_path = mini_config(tmp_path, verify={"d0": 3.0, "nodes_per_axis": 41,
+                                                 "exempt_radius": 0.9, "max_rounds": 3,
+                                                 "min_green_fraction": 0.0})
+        assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
+        out = tmp_path / "out" / "mini"
+        region = json.loads((out / "region.json").read_text())
+        assert (region["radius"], region["rounds"], region["accepted"]) == (3.0 * 0.8, 2, True)
+        assert [(r["radius"], r["accepted"]) for r in region["history"]] == [
+            (3.0, False), (3.0 * 0.8, True)]
+        assert all(len(r["tasks"]) == 2 for r in region["history"])
+        _, _, extra = net.load_checkpoint(out / "meta_checkpoint.json")
+        assert (extra["radius"], extra["rounds"]) == (3.0 * 0.8, 2)
 
     def test_map_only_commands_extract_no_roa(self, tmp_path, monkeypatch):
         def no_roa(*args, **kwargs):
@@ -385,15 +439,21 @@ class TestCliCommands:
         assert (out / "meta_checkpoint.json").read_bytes() == first
 
     def test_train_report_keys(self, tmp_path):
-        """train_report.json holds the stamp, the loss curve and the checkpoint's name;
-        the settings are in config_echo.json alone."""
+        """train_report.json holds the stamp, the loss curve, the checkpoint's name and
+        how training ended: the final and least step loss and the largest |theta| of
+        the checkpoint; the settings are in config_echo.json alone."""
         cfg_path = mini_config(tmp_path)
         out = tmp_path / "out" / "mini"
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
         report = json.loads((out / "train_report.json").read_text())
-        assert set(report) == {"config_hash", "seed", "preset", "loss_curve", "checkpoint"}
+        assert set(report) == {"config_hash", "seed", "preset", "loss_curve", "checkpoint",
+                               "final_loss", "least_loss", "max_abs_theta"}
         assert report["checkpoint"] == "meta_checkpoint.json"
-        assert len(report["loss_curve"]) == 40
+        curve = report["loss_curve"]
+        assert len(curve) == 40
+        assert (report["final_loss"], report["least_loss"]) == (curve[-1], min(curve))
+        theta, _, _ = net.load_checkpoint(out / "meta_checkpoint.json")
+        assert report["max_abs_theta"] == np.max(np.abs(theta))
         assert json.loads((out / "config_echo.json").read_text())["meta"]["meta_steps"] == 40
 
     def test_compare_mini(self, tmp_path):

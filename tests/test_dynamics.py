@@ -44,10 +44,10 @@ def f_at(system, x):
     return system.f_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
-class TestParamVector:
+class TestStateDim:
     def test_microgrid_dim_follows_tuple(self):
-        p = dynamics.ParamVector("microgrid", (2.0, 2.0, 2.0, 2.0))
-        assert p.state_dim == 4
+        assert dynamics.state_dim("microgrid", (2.0, 2.0, 2.0, 2.0)) == 4
+        assert dynamics.build_system("microgrid", (2.0, 2.0, 2.0, 2.0)).dim == 4
 
 
 class TestEvalDynamics:
@@ -56,8 +56,7 @@ class TestEvalDynamics:
         np.testing.assert_array_equal(f_at(system, [0.0, 0.0]), [0.0, 0.0])
 
     def test_pendulum_open_loop_hand_value(self):
-        params = dynamics.ParamVector("pendulum", dynamics.NOMINAL_PENDULUM)
-        system = dynamics.ClosedLoopSystem(params, np.zeros((1, 2)))
+        system = dynamics.ClosedLoopSystem("pendulum", dynamics.NOMINAL_PENDULUM, np.zeros((1, 2)))
         out = f_at(system, [0.1, 0.0])
         assert out[0] == pytest.approx(0.0)
         # theta_ddot = (m g l sin(theta) - b theta_dot) / (m l^2) = g sin(0.1)/l
@@ -109,11 +108,11 @@ class TestLinearization:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_matches_central_difference_and_keeps_the_gate_step(self, name):
         cfg = PRESETS[name]
-        for params in (cfg.system.nominal(), cfg.system.test()):
-            system = dynamics.build_system(params)
+        for values in (cfg.system.theta0, cfg.system.theta_test):
+            system = dynamics.build_system(cfg.system.system_id, values)
             A, fd = system.linearization(), central_difference_jacobian(system)
             np.testing.assert_allclose(A, fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)),
-                                       err_msg=f"{name} {params.values}")
+                                       err_msg=f"{name} {values}")
             rho = np.max(np.abs(np.linalg.eigvals(fd)))
             h = cfg.roa.mc_step
             assert roa.gate_step(system, h) == h / max(1, math.ceil(h * rho / roa.RK4_STEP_LIMIT))
@@ -122,7 +121,8 @@ class TestLinearization:
     def test_remainder_bound_holds_on_the_unit_ball(self, name):
         cfg = PRESETS[name]
         rng = np.random.default_rng(0)
-        for system in map(dynamics.build_system, (cfg.system.nominal(), cfg.system.test())):
+        for values in (cfg.system.theta0, cfg.system.theta_test):
+            system = dynamics.build_system(cfg.system.system_id, values)
             A, (G, p) = system.linearization(), system.remainder_bound()
             X = np.concatenate([dynamics.sample_ball(rng, 4000, system.dim, 1.0),
                                 np.eye(system.dim), -np.eye(system.dim)])
@@ -140,7 +140,7 @@ class TestLinearization:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_raises(self):
-        system = dynamics.build_system(dynamics.ParamVector("pendulum", (0.6, 1e-320, 9.81, 0.1)))
+        system = dynamics.build_system("pendulum", (0.6, 1e-320, 9.81, 0.1))
         with pytest.raises(control.NonFiniteDynamics):
             system.linearization()
 
@@ -148,7 +148,7 @@ class TestLinearization:
 def random_microgrid(n, seed):
     """The microgrid at a random droop tuple."""
     rng = np.random.default_rng(seed)
-    return dynamics.build_system(dynamics.ParamVector("microgrid", tuple(rng.uniform(1.0, 4.0, n))))
+    return dynamics.build_system("microgrid", rng.uniform(1.0, 4.0, n))
 
 
 def pairwise_power(X):
@@ -164,7 +164,7 @@ class TestMicrogridField:
         system = random_microgrid(n, seed=n)
         rng = np.random.default_rng(10 + n)
         X = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, (400, n))   # angles well beyond +-pi
-        dc = np.asarray(system.params.values)
+        dc = np.asarray(system.values)
         dP = pairwise_power(X) - pairwise_power(np.zeros((1, n)))
         reference = -dc * X - dP
         # within a few ulps of the row's largest term (droop, coupling)
@@ -182,7 +182,7 @@ class TestMicrogridField:
         X[1::7, 0] = 0.0
         X[2::11, -1] = -0.0
         X[3] = -0.0
-        f_ref, A_ref = reference_microgrid(system.params.values, X)
+        f_ref, A_ref = reference_microgrid(system.values, X)
         f = system.f_batch(X)
         assert np.sum(f == 0.0) >= 60 * n
         assert f.tobytes() == f_ref.tobytes()
@@ -199,34 +199,24 @@ class TestSampleTasks:
     def test_zero_sigma_copies(self):
         p = nominal_params("pendulum")
         tasks = dynamics.sample_tasks(p, (0.0, 0.0, 0.0, 0.0), 5, seed=1)
-        assert all(t.values == p.values for t in tasks)
+        assert all(t == p for t in tasks)
 
     def test_frozen_components(self):
         p = nominal_params("pendulum")
         tasks = dynamics.sample_tasks(p, (0.3, 0.0, 0.0, 0.0), 10, seed=2)
-        assert all(t.values[1:] == p.values[1:] for t in tasks)
-        assert len({t.values[0] for t in tasks}) > 1
+        assert all(t[1:] == p[1:] for t in tasks)
+        assert len({t[0] for t in tasks}) > 1
 
     def test_determinism(self):
         p = nominal_params("microgrid")
         a = dynamics.sample_tasks(p, (0.5, 0.5, 0.5), 6, seed=7)
         b = dynamics.sample_tasks(p, (0.5, 0.5, 0.5), 6, seed=7)
-        assert [t.values for t in a] == [t.values for t in b]
+        assert a == b
 
     def test_all_positive(self):
         p = nominal_params("pendulum")
         tasks = dynamics.sample_tasks(p, (5.0, 0.0, 0.0, 0.0), 50, seed=3)
-        assert all(t.values[0] > 0 for t in tasks)
-
-    def test_degenerate_range(self, monkeypatch):
-        class NegativeRng:
-            def normal(self, mean, sd):
-                return -1.0
-
-        monkeypatch.setattr(dynamics.np.random, "default_rng", lambda seed: NegativeRng())
-        p = nominal_params("pendulum")
-        with pytest.raises(dynamics.DegenerateRange):
-            dynamics.sample_tasks(p, (0.1, 0.0, 0.0, 0.0), 1, seed=0)
+        assert all(t[0] > 0 for t in tasks)
 
 
 def all_samples(dataset):
@@ -307,8 +297,7 @@ class TestSimulate:
         assert peak_kb(SIMULATE_PEAK, 100_000) - peak_kb(SIMULATE_PEAK, 10_000) < 8 * 1024
 
     def test_pendulum_test_system_converges(self):
-        params = dynamics.ParamVector("pendulum", (1.2, 0.15, 9.81, 0.1))
-        system = dynamics.build_system(params)
+        system = dynamics.build_system("pendulum", (1.2, 0.15, 9.81, 0.1))
         traj = dynamics.simulate(system, [0.5, -0.5], h=0.01, horizon=20.0)
         assert not traj.diverged
         assert np.linalg.norm(traj.states[-1]) < 1e-2

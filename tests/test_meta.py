@@ -206,8 +206,9 @@ class TestMetaTrain:
         # seed-pinned run: the trailing loss mean must drop substantially
         theta0 = nominal_params("pendulum")
         tasks = dynamics.sample_tasks(theta0, (0.15, 0.0, 0.0, 0.0), 4, seed=11)
-        family = family_of(*[dynamics.build_dataset(dynamics.build_system(t), 4.0, 16, 16, 10,
-                                                    seed=i) for i, t in enumerate(tasks)])
+        family = family_of(*[dynamics.build_dataset(dynamics.build_system("pendulum", t), 4.0,
+                                                    16, 16, 10, seed=i)
+                             for i, t in enumerate(tasks)])
         arch = net.Architecture(2, (16, 16))
         cfg = TightenedLossConfig(1.0, 1.0)
         mc = MetaBlock(inner_lr=0.01, meta_lr=0.002, tasks_per_step=2, meta_steps=2000)
@@ -226,8 +227,8 @@ class TestStackedMetaStep:
     def setup_method(self):
         theta0 = nominal_params("pendulum")
         params = dynamics.sample_tasks(theta0, (0.1, 0.0, 0.0, 0.0), 2, seed=30)
-        self.tasks = [dynamics.build_dataset(dynamics.build_system(p), 3.2, 32, 32, 4, seed=i)
-                      for i, p in enumerate(params)]
+        self.tasks = [dynamics.build_dataset(dynamics.build_system("pendulum", p), 3.2, 32, 32, 4,
+                                             seed=i) for i, p in enumerate(params)]
         self.arch = net.Architecture(2, (16, 16))
         self.cfg = TightenedLossConfig(1.0, 1.0)
 

@@ -52,7 +52,7 @@ class CubicSystem:
 
 
 def short_pendulum(length):
-    return dynamics.build_system(dynamics.ParamVector("pendulum", (length, 0.15, 9.81, 0.1)))
+    return dynamics.build_system("pendulum", (length, 0.15, 9.81, 0.1))
 
 
 def with_flags(grid, vbar, green_mask, vbar_low=None):
@@ -340,7 +340,7 @@ class TestGateStep:
 
     def test_presets_keep_the_configured_step(self):
         for cfg in PRESETS.values():
-            system = dynamics.build_system(cfg.system.test())
+            system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
             assert roa.gate_step(system, cfg.roa.mc_step) == cfg.roa.mc_step
         assert roa.gate_step(short_pendulum(0.3), 0.01) == 0.01
 

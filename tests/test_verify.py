@@ -19,7 +19,7 @@ from lyapcert.config import PRESETS
 cfg = PRESETS["ip_stochastic_l"]
 theta, arch, extra = net.load_checkpoint(sys.argv[2])
 candidate = net.MlpLyapunov(theta, arch)
-system = dynamics.build_system(cfg.system.test())
+system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
 grid = verify.build_grid(extra["radius"], int(sys.argv[1]), 2)
 vmap = verify.check_validity(candidate, system, grid, exempt_radius=cfg.verify.exempt_radius)
 result = roa.largest_level_set(vmap, grid, (0, 1))
@@ -383,7 +383,7 @@ class TestSelectValidRegion:
                                      exempt_radius=0.3)
         sel = verify.select_valid_region(lambda d: ("artifact", good.fully_green),
                                          d0=2.0, shrink_factor=0.8, max_rounds=3)
-        assert sel.radius == 2.0 and sel.rounds == 1
+        assert sel.radius == 2.0 and sel.rounds == 1 and sel.accepted
 
     def test_geometric_schedule(self, monkeypatch):
         calls = []
@@ -398,17 +398,17 @@ class TestSelectValidRegion:
             return None, vmap.fully_green
 
         sel = verify.select_valid_region(fit, d0=2.0, shrink_factor=0.8, max_rounds=5)
-        assert sel.rounds == 3
+        assert sel.rounds == 3 and sel.accepted
         assert sel.radius == pytest.approx(0.64 * 2.0)
 
     def test_failure_after_max_rounds(self, monkeypatch):
         grid = verify.build_grid(1.0, 5, 1)
         force_constants(monkeypatch, 1e9, 1e9)
         bad = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid)
-        with pytest.raises(verify.RegionSelectionFailure) as failure:
-            verify.select_valid_region(lambda d: ([bad], bad.fully_green),
-                                       d0=1.0, shrink_factor=0.5, max_rounds=1)
-        assert failure.value.artifact == [bad]
+        sel = verify.select_valid_region(lambda d: ([bad], bad.fully_green),
+                                         d0=2.0, shrink_factor=0.5, max_rounds=2)
+        assert not sel.accepted and sel.rounds == 2
+        assert sel.radius == 1.0 and sel.artifact == [bad]
 
 
 class TestOneSweep:
@@ -447,7 +447,7 @@ class TestBlockSweep:
         # floats may move in their last bits, and the flags stay
         theta, arch, extra = net.load_checkpoint(ROOT / "perfbench" / "data" / "meta_checkpoint.json")
         candidate = net.MlpLyapunov(theta, arch)
-        system = dynamics.build_system(dynamics.ParamVector("pendulum", (1.2, 0.15, 9.81, 0.1)))
+        system = dynamics.build_system("pendulum", (1.2, 0.15, 9.81, 0.1))
         grid = verify.build_grid(extra["radius"], 201, 2)
         assert grid.n_nodes > 4 * verify.BLOCK
         vmap = verify.check_validity(candidate, system, grid, exempt_radius=1.1)

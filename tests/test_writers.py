@@ -45,7 +45,7 @@ def pendulum():
     cfg = PRESETS["ip_stochastic_l"]
     theta, arch, extra = net.load_checkpoint(CHECKPOINT)
     grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, 2)
-    system = dynamics.build_system(dynamics.ParamVector("pendulum", (0.4, 0.15, 9.81, 0.1)))
+    system = dynamics.build_system("pendulum", (0.4, 0.15, 9.81, 0.1))
     vmap, result = baselines.certify_candidate(net.MlpLyapunov(theta, arch), system, grid,
                                                cfg.verify, cfg.plane)
     return vmap, grid, result
@@ -60,7 +60,7 @@ class TestReferenceEquality:
 
     def test_microgrid_plane_slice(self):
         cfg = PRESETS["mg3_dc12"]
-        system = dynamics.build_system(cfg.system.test())
+        system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
         grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 3)
         candidate, _, _ = baselines.qlf_ts(system)
         vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, (0, 2))
@@ -114,7 +114,7 @@ class TestReferenceEquality:
 
 class TestPhasePolyline:
     def test_drops_points_that_repeat_the_previous_pixel_pair(self):
-        system = dynamics.build_system(PRESETS["ip_stochastic_l"].system.test())
+        system = dynamics.build_system("pendulum", PRESETS["ip_stochastic_l"].system.theta_test)
         traj = dynamics.simulate(system, [0.5, -0.5], h=0.001, horizon=10.0)
         text = svg.render_phase_svg(system, 4.0, traj.states)
         points = text.split('<polyline points="')[1].split('"')[0].split(" ")
