@@ -1,29 +1,38 @@
 #!/usr/bin/env python3
-"""Time the meta-training layers, the Monte-Carlo gate, the bowl init, the
-artifact writers or grid certification into a BENCH JSON file.
+"""Time the meta-training layers, the Monte-Carlo gate, the bowl init or grid
+certification into a BENCH JSON file, on this source tree alone or alternated
+with another one.
 
 Example, once per source tree to compare (runs under one label accumulate):
 
     PYTHONPATH=src python scripts/bench.py --suite meta_step --label change
     PYTHONPATH=src python scripts/bench.py --suite gate --label change
     PYTHONPATH=src python scripts/bench.py --suite init --label change
-    PYTHONPATH=src python scripts/bench.py --suite writers --label change
     PYTHONPATH=src python scripts/bench.py --suite cert --label change
+
+or both trees alternated in one process, which resolves changes smaller than
+the drift between separate runs (any suite):
+
+    PYTHONPATH=src python scripts/bench.py --suite gate --label change \
+        --against ../parent/src --against-label parent
 
 The `meta_step` suite (default output `BENCH_meta_step.json`) measures, with
 BLAS pinned to one thread, on the `meta_fit` family (the `ip_stochastic_l`
 preset at 1,000 meta-steps, region radius 3.2):
 
 - `loss_gradient_us`: microseconds per `net.loss_gradient` call on the
-  preset's 16x16 network at n = 50, 200 and 800 rows (median of repeats)
+  preset's 16x16 network at n = 50, 200 and 800 rows, over 200 calls
 - `hvps_us`: microseconds per `net.hvps` call at P = 4 tasks of n = 50 rows
-  (one finite-difference gradient call on 2P = 8 points)
-- `meta_step_ms`: milliseconds per meta-step of `meta.meta_train`, 1,000 steps
-- `minflt_per_step`: minor page faults (`ru_minflt`) per meta-step over the
-  first `meta.meta_train` run, right after the bowl init as `train-meta` runs it
+  (one finite-difference gradient call on 2P = 8 points), over 200 calls
+- `meta_step_ms`: milliseconds per meta-step of one `meta.meta_train` run,
+  1,000 steps
+- `minflt_per_step`: minor page faults (`ru_minflt`) per meta-step over a
+  `meta.meta_train` run right after the bowl init, as `train-meta` runs it, in
+  a fresh interpreter on the tree's `src` (fault counts follow the heap's
+  history, so a second tree in this process would not read its own)
 - `shaped_init_s`: seconds per `net.shaped_init` at that radius
 - `train_meta_s`: wall seconds of one `lyapcert train-meta --seed 101` on that
-  config, a fresh interpreter each time
+  config
 
 The `gate` suite (default output `BENCH_gate.json`) measures, on the test
 systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid), one
@@ -35,9 +44,17 @@ builds for that system, step and step count:
   (states x steps)
 - `row_steps`: the state-steps actually integrated, rows retired in the region
   or diverged no longer counting (rows handed to `f_batch`, over its 4 stages)
+
+and, on the benchmark's `fixed` task (the `ip_stochastic_l` preset with
+`perfbench/data/meta_checkpoint.json`, 31,877 grid nodes):
+
+- `mc_gate_ms`: milliseconds per `roa.monte_carlo_convergence` at the preset's
+  1,000 rollouts, on the certificate of the checkpoint adapted as `lyapcert
+  adapt` adapts it
+- `adapt_certify_s`: wall seconds of one adapt -> verify -> roa operation, as
+  the benchmark's `adapt_certify` workload runs it
 - `compare_mg3_s`: wall seconds of one `lyapcert compare --seed 101` on
-  `mg3_dc12` at 300 meta-steps, 800 NLF steps and 500 MC rollouts, a fresh
-  interpreter each time
+  `mg3_dc12` at 300 meta-steps, 800 NLF steps and 500 MC rollouts
 
 The `init` suite (default output `BENCH_init.json`) measures, with BLAS pinned
 to one thread, at the `meta_fit` setting (`ip_stochastic_l` network, 2-d input,
@@ -50,22 +67,7 @@ radius 3.0):
   the largest absolute weight it returns
 - `train_meta_s` and `compare_mg3_s`: wall seconds of one `lyapcert train-meta`
   on the `meta_fit` config and one `lyapcert compare` on the `compare_mg3`
-  config, `--seed 101`, a fresh interpreter each time
-
-The `writers` suite (default output `BENCH_writers.json`) measures, with BLAS
-pinned to one thread, on the benchmark's `fixed` task (the `ip_stochastic_l`
-preset; `perfbench/data/meta_checkpoint.json` adapted by `lyapcert adapt`,
-31,877 grid nodes):
-
-- `writer_ms`: milliseconds per call of each artifact writer on the adapted
-  candidate's validity map and certificate, its text made in full:
-  `validity_csv` (`verify.export_validity_csv`), `validity_svg` and
-  `overlay_svg` (`svg.render_validity_svg` without and with the ROA) and
-  `boundary_csv` (`roa.export_boundary_csv`)
-- `check_validity_ms` and `mc_gate_ms`: milliseconds per `verify.check_validity`
-  and per `roa.monte_carlo_convergence` at the preset's 1,000 rollouts
-- `operation_s`: wall seconds of one adapt -> verify -> roa operation, three
-  fresh interpreters, as the benchmark's `adapt_certify` workload runs it
+  config, `--seed 101`
 
 The `cert` suite (default output `BENCH_cert.json`) measures, with BLAS pinned
 to one thread, grid certification on five grids: `pendulum` and `pendulum_801`,
@@ -77,36 +79,33 @@ bowl init (`net.shaped_init`) at the preset's d0:
 
 - `nodes`: the grid's nodes (the ball and its collar)
 - `peak_rss_mb`: the peak resident set (`VmHWM`, the interpreter's own) of a
-  fresh interpreter that builds the grid, maps it (`verify.check_validity`),
-  extracts the level set and writes the validity CSV and SVG through
-  `cli.atomic_write_text`; `base_rss_mb` is that interpreter's peak before
-  the grid is built, with the candidate made
+  fresh interpreter on the tree's `src` that builds the grid, maps it
+  (`verify.check_validity`), extracts the level set and writes the validity
+  CSV and SVG through `cli.atomic_write_text`; `base_rss_mb` is that
+  interpreter's peak before the grid is built, with the candidate made
 - `ms_per_1e4_nodes`: milliseconds per 10^4 grid nodes of `build_grid`,
   `check_validity` (`sweep`), the `estimate_lipschitz` part of that sweep
   (`lipschitz`, fed the map's Lie values as both of its node arrays: its time
   follows the grid's neighbor table, not the values), `largest_level_set`
-  (`level_set`), `export_validity_csv` (`validity_csv`) and
-  `render_validity_svg` (`validity_svg`), each writer's text made in full
+  (`level_set`), `export_validity_csv` (`validity_csv`),
+  `render_validity_svg` without and with the level set (`validity_svg`,
+  `overlay_svg`) and `export_boundary_csv` (`boundary_csv`), each writer's
+  text made in full
 
-The script only calls functions both layouts of these writers have (a string,
-or blocks of text), so the same script can time an older source tree: run it
-with PYTHONPATH pointing at that tree's `src`.
-
-The `init`, `gate` and `cert` suites also run alternated in one process, which
-resolves stage changes smaller than the drift between separate runs:
-
-    PYTHONPATH=src python scripts/bench.py --suite gate --label change \
-        --against ../parent/src --against-label parent
-
-imports the other tree's package under another name and, `--repeats` times,
-times every metric once on each tree, in turn, the tree that goes first
-swapping each time (the `lyapcert` commands and the cert suite's peak-memory
-interpreters run on the tree's own `src`). Each pair adds one run to each
-label, so the labels' runs pair up in order; the printed `wins` count the
-pairs in which the `--label` tree was faster.
+A suite is built once on each tree (its setup and counted metrics); each timed
+metric is then one call. `--repeats` rounds each time every metric once on each
+tree in turn, the tree that goes first swapping each round, and each round adds
+one run to each label. `--against` imports the other tree's package under
+another name; the `lyapcert` commands and the fresh interpreters run on each
+tree's own `src`, a fresh interpreter each command. With two trees the labels'
+runs pair up in order, and the printed `wins` count the pairs in which the
+`--label` tree was faster. The writers' text is a string or blocks of text, so
+an older tree times the same.
 
 Each run is stored under its label with the machine's description; `median`
-holds each metric's median over the label's runs.
+holds each metric's median over the label's runs that hold it.
+`BENCH_writers.json` is the record of a retired `writers` suite, whose metrics
+the `cert` and `gate` suites now hold.
 """
 
 import os
@@ -116,6 +115,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import copy
 import functools
 import importlib
 import importlib.util
@@ -132,23 +132,23 @@ from pathlib import Path
 import numpy as np
 
 import lyapcert
-from lyapcert import baselines, dynamics, meta, net, roa, svg, verify
-from lyapcert.config import PRESETS, config_to_dict
 
 RADIUS = 3.2
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "meta_checkpoint.json"
 ROWS = (50, 200, 800)
 HVP_TASKS, HVP_ROWS = 4, 50
+CALLS = 200
 ROLLOUT_STATES, ROLLOUT_STEPS, ROLLOUT_H = 500, 500, 0.01
 
 
 class Tree:
-    """One source tree's lyapcert package: the modules the init, gate and cert suites
-    call, and the `src` directory its commands run from."""
+    """One source tree's lyapcert package: the modules the suites call, and the `src`
+    directory its commands and fresh interpreters run from."""
 
     def __init__(self, package):
-        self.src = Path(package.__file__).parents[1]
-        for name in ("config", "dynamics", "net", "roa", "svg", "verify"):
+        self.src = Path(package.__file__).resolve().parents[1]
+        for name in ("baselines", "cli", "config", "dynamics", "meta", "net", "roa", "svg",
+                     "verify"):
             setattr(self, name, importlib.import_module(f"{package.__name__}.{name}"))
 
 
@@ -172,7 +172,7 @@ def meta_fit_config(tree: Tree = HERE):
                    verify=replace(cfg.verify, d0=RADIUS))
 
 
-def compare_mg3_config(tree: Tree = HERE):
+def compare_mg3_config(tree: Tree):
     cfg = tree.config.PRESETS["mg3_dc12"]
     return replace(cfg, name="compare_mg3", meta=replace(cfg.meta, meta_steps=300),
                    nlf=replace(cfg.nlf, n_steps=800), roa=replace(cfg.roa, mc_samples=500))
@@ -187,69 +187,95 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def median_time(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
+def tree_env(tree: Tree) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree.src)}
 
 
-def cli_command(cfg, args: list[str], tree: Tree = HERE):
-    """A call that runs one lyapcert command on cfg, `--seed 101`, in a fresh
-    interpreter on the tree's `src`."""
-    env = {**os.environ, "PYTHONPATH": str(tree.src)}
-
+def cli_call(tree: Tree, cfg, *commands: list[str]):
+    """A call that runs lyapcert commands in turn on cfg, each `[command, *options]`
+    in a fresh interpreter on the tree's `src`, in one scratch directory that holds
+    the config (`config.json`) and the output root (`out`)."""
     def run():
         with tempfile.TemporaryDirectory() as tmp:
-            cfg_path = Path(tmp) / f"{cfg.name}.json"
-            cfg_path.write_text(json.dumps(tree.config.config_to_dict(cfg)))
-            subprocess.run([sys.executable, "-m", "lyapcert.cli", *args, "--config",
-                            str(cfg_path), "--seed", "101", "--out", str(Path(tmp) / "out")],
-                           env=env, check=True, stdout=subprocess.DEVNULL)
+            Path(tmp, "config.json").write_text(json.dumps(tree.config.config_to_dict(cfg)))
+            for command in commands:
+                subprocess.run([sys.executable, "-m", "lyapcert.cli", *command, "--config",
+                                "config.json", "--out", "out"], cwd=tmp, env=tree_env(tree),
+                               check=True, stdout=subprocess.DEVNULL)
     return run
 
 
-def cli_seconds(cfg, args: list[str], repeats: int) -> float:
-    """Median wall seconds of one lyapcert command on cfg, a fresh interpreter each time."""
-    return median_time(cli_command(cfg, args), repeats)
+FRESH = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
+         "print(json.dumps(getattr(bench, sys.argv[2])(*sys.argv[3:])))")
 
 
-def measure_meta_step(repeats: int) -> dict:
-    cfg = meta_fit_config()
-    m, arch = cfg.meta, cfg.architecture()
-    _, family = baselines.task_family(cfg, RADIUS)
-    theta0 = net.shaped_init(arch, cfg.seeds.net_seed, RADIUS)
+def fresh(tree: Tree, function: str, *args: str):
+    """This script's `function(*args)`, run in a fresh interpreter on the tree's `src`."""
+    proc = subprocess.run([sys.executable, "-c", FRESH, str(Path(__file__).parent), function,
+                           *args], env=tree_env(tree), check=True, capture_output=True,
+                          text=True)
+    return json.loads(proc.stdout)
+
+
+def seconds(s: float) -> float:
+    return round(s, 3)
+
+
+def repeated(fn, *args):
+    """A call that makes CALLS calls of fn(*args)."""
+    def run():
+        for _ in range(CALLS):
+            fn(*args)
+    return run
+
+
+def per_call_us(s: float) -> float:
+    return round(1e6 * s / CALLS, 1)
+
+
+def meta_fit_start(tree: Tree = HERE):
+    """The `meta_fit` config, its network, task family and bowl init, as `train-meta`
+    starts its first round."""
+    cfg = meta_fit_config(tree)
+    arch = cfg.architecture()
+    return (cfg, arch, tree.baselines.task_family(cfg, RADIUS)[1],
+            tree.net.shaped_init(arch, cfg.seeds.net_seed, RADIUS))
+
+
+def meta_step_faults() -> float:
+    """Minor page faults per meta-step over a `meta_train` run right after the bowl
+    init, as `train-meta` runs it; called through `fresh`."""
+    cfg, arch, family, theta0 = meta_fit_start()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    meta.meta_train(family, arch, m, cfg.loss, cfg.seeds.net_seed, theta0=theta0)
+    HERE.meta.meta_train(family, arch, cfg.meta, cfg.loss, cfg.seeds.net_seed, theta0=theta0)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    rng = np.random.default_rng(0)
-    calls = 200
+    return round(faults / cfg.meta.meta_steps, 3)
 
-    grad_us = {}
+
+def meta_step_suite(tree: Tree) -> tuple[dict, dict]:
+    """The meta_step suite on one tree: {(metric, key): (call, its seconds -> the
+    metric)} and the counted metrics."""
+    cfg, arch, family, theta0 = meta_fit_start(tree)
+    seed = cfg.seeds.net_seed
+    rng = np.random.default_rng(0)
+    timed = {}
     for n in ROWS:
         batch = (rng.uniform(-RADIUS, RADIUS, (n, arch.input_dim)),
                  rng.normal(size=(n, arch.input_dim)))
-        per_run = median_time(lambda: [net.loss_gradient(theta0, arch, batch, cfg.loss)
-                                       for _ in range(calls)], repeats)
-        grad_us[str(n)] = round(1e6 * per_run / calls, 1)
-
+        timed["loss_gradient_us", str(n)] = (
+            repeated(tree.net.loss_gradient, theta0, arch, batch, cfg.loss), per_call_us)
     batch = (rng.uniform(-RADIUS, RADIUS, (HVP_TASKS, HVP_ROWS, arch.input_dim)),
              rng.normal(size=(HVP_TASKS, HVP_ROWS, arch.input_dim)))
     v = rng.normal(size=(HVP_TASKS, arch.n_params))
-    hvp_s = median_time(lambda: [net.hvps(theta0, arch, batch, cfg.loss, v)
-                                 for _ in range(calls)], repeats)
-
-    step_s = median_time(lambda: meta.meta_train(family, arch, m, cfg.loss, cfg.seeds.net_seed,
-                                                 theta0=theta0), repeats)
-    init_s = median_time(lambda: net.shaped_init(arch, cfg.seeds.net_seed, RADIUS), repeats)
-    return {"loss_gradient_us": grad_us,
-            "hvps_us": round(1e6 * hvp_s / calls, 1),
-            "meta_step_ms": round(1e3 * step_s / m.meta_steps, 3),
-            "minflt_per_step": round(faults / m.meta_steps, 3),
-            "shaped_init_s": round(init_s, 3),
-            "train_meta_s": round(cli_seconds(cfg, ["train-meta"], repeats), 3)}
+    timed["hvps_us",] = (repeated(tree.net.hvps, theta0, arch, batch, cfg.loss, v), per_call_us)
+    timed["meta_step_ms",] = (
+        functools.partial(tree.meta.meta_train, family, arch, cfg.meta, cfg.loss, seed,
+                          theta0=theta0),
+        lambda s: round(1e3 * s / cfg.meta.meta_steps, 3))
+    timed["shaped_init_s",] = (functools.partial(tree.net.shaped_init, arch, seed, RADIUS),
+                               seconds)
+    timed["train_meta_s",] = (cli_call(tree, cfg, ["train-meta", "--seed", "101"]), seconds)
+    return timed, {"minflt_per_step": fresh(tree, "meta_step_faults")}
 
 
 class RowCounter:
@@ -263,13 +289,8 @@ class RowCounter:
         return self.system.f_batch(X)
 
 
-def seconds(s: float) -> float:
-    return round(s, 3)
-
-
 def gate_suite(tree: Tree) -> tuple[dict, dict]:
-    """The gate suite on one tree: {(metric, key): (call, its seconds -> the metric)}
-    and the counted metrics."""
+    """The gate suite on one tree, laid out as `meta_step_suite`'s."""
     timed, row_steps = {}, {}
     horizon = ROLLOUT_STEPS * ROLLOUT_H
     for label, preset in (("pendulum", "ip_stochastic_l"), ("mg3_dc12", "mg3_dc12")):
@@ -286,12 +307,34 @@ def gate_suite(tree: Tree) -> tuple[dict, dict]:
         counter = RowCounter(system)
         tree.dynamics.simulate_batch(counter, X0, ROLLOUT_H, horizon, region)
         row_steps[label] = counter.rows // 4
-    timed["compare_mg3_s",] = (cli_command(compare_mg3_config(tree), ["compare"], tree), seconds)
+
+    # the fixed task: the checkpoint adapted and certified as `adapt` and `roa` do
+    cfg = replace(tree.config.PRESETS["ip_stochastic_l"], name="fixed")
+    theta, arch, extra = tree.net.load_checkpoint(CHECKPOINT)
+    system = tree.dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
+    theta = tree.baselines.test_time_update(cfg, theta, arch, system, extra["radius"],
+                                            cfg.seeds.adapt_seed)
+    candidate = tree.net.MlpLyapunov(theta, arch)
+    grid = tree.verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim)
+    _, result = tree.baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
+    mc = cfg.roa
+    timed["mc_gate_ms",] = (
+        functools.partial(tree.roa.monte_carlo_convergence, system, [(result, candidate)],
+                          grid, mc.mc_samples, mc.mc_step, mc.mc_horizon, mc.mc_tol,
+                          cfg.seeds.master),
+        lambda s: round(1e3 * s, 1))
+    adapted = str(Path("out", cfg.name, "adapted_checkpoint.json"))
+    timed["adapt_certify_s",] = (
+        cli_call(tree, cfg, ["adapt", "--checkpoint", str(CHECKPOINT)],
+                 ["verify", "--checkpoint", adapted], ["roa", "--checkpoint", adapted]),
+        seconds)
+    timed["compare_mg3_s",] = (cli_call(tree, compare_mg3_config(tree),
+                                        ["compare", "--seed", "101"]), seconds)
     return timed, {"row_steps": row_steps}
 
 
 def init_suite(tree: Tree) -> tuple[dict, dict]:
-    """The init suite on one tree, laid out as `gate_suite`'s."""
+    """The init suite on one tree, laid out as `meta_step_suite`'s."""
     timed, fit_rms, max_abs_theta = {}, {}, {}
     for cfg in (meta_fit_config(tree), compare_mg3_config(tree)):
         arch, seed, radius = cfg.architecture(), cfg.seeds.net_seed, cfg.verify.d0
@@ -304,9 +347,100 @@ def init_suite(tree: Tree) -> tuple[dict, dict]:
             np.linalg.norm(X, axis=1) / radius) ** 2
         fit_rms[cfg.name] = round(float(np.sqrt(np.mean(residual ** 2))), 6)
         max_abs_theta[cfg.name] = round(float(np.max(np.abs(theta))), 4)
-    timed["train_meta_s",] = (cli_command(meta_fit_config(tree), ["train-meta"], tree), seconds)
-    timed["compare_mg3_s",] = (cli_command(compare_mg3_config(tree), ["compare"], tree), seconds)
+    timed["train_meta_s",] = (cli_call(tree, meta_fit_config(tree),
+                                       ["train-meta", "--seed", "101"]), seconds)
+    timed["compare_mg3_s",] = (cli_call(tree, compare_mg3_config(tree),
+                                        ["compare", "--seed", "101"]), seconds)
     return timed, {"fit_rms": fit_rms, "max_abs_theta": max_abs_theta}
+
+
+def full_text(text) -> int:
+    """Length of a writer's text, made in full: a string, or its blocks in turn."""
+    return len(text) if isinstance(text, str) else sum(map(len, text))
+
+
+CERT_CASES = {"pendulum": ("ip_stochastic_l", 201), "pendulum_801": ("ip_stochastic_l", 801),
+              "mg3": ("mg3_dc12", 41), "mg5": ("mg5_dc12", 15), "fan": ("cf_m", 9)}
+
+
+def cert_case(name: str, tree: Tree = HERE):
+    """(candidate, test system, preset config, radius, nodes per axis) of a cert grid."""
+    preset, nodes = CERT_CASES[name]
+    cfg = tree.config.PRESETS[preset]
+    system = tree.dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
+    if preset == "ip_stochastic_l":
+        theta, arch, extra = tree.net.load_checkpoint(CHECKPOINT)
+        radius = extra["radius"]
+    else:
+        arch, radius = cfg.architecture(), cfg.verify.d0
+        theta = tree.net.shaped_init(arch, cfg.seeds.net_seed, radius)
+    return tree.net.MlpLyapunov(theta, arch), system, cfg, radius, nodes
+
+
+def peak_kb() -> int:
+    # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def cert_peak(name: str) -> tuple[int, int]:
+    """Peak resident kB with a cert grid's candidate made, then after building the
+    grid, mapping it, extracting its level set and writing the validity CSV and SVG;
+    called through `fresh`."""
+    candidate, system, cfg, radius, nodes = cert_case(name)
+    base = peak_kb()
+    grid = HERE.verify.build_grid(radius, nodes, system.dim)
+    vmap = HERE.verify.check_validity(candidate, system, grid,
+                                      exempt_radius=cfg.verify.exempt_radius)
+    HERE.roa.largest_level_set(vmap, grid, cfg.plane)
+    with tempfile.TemporaryDirectory() as tmp:
+        HERE.cli.atomic_write_text(Path(tmp) / "validity_map.csv",
+                                   HERE.verify.export_validity_csv(vmap, grid))
+        HERE.cli.atomic_write_text(Path(tmp) / "validity_map.svg",
+                                   HERE.svg.render_validity_svg(vmap, grid, axes=cfg.plane))
+    return base, peak_kb()
+
+
+def cert_stages(tree: Tree, name: str) -> tuple[int, dict]:
+    """A cert grid's node count and the calls of its stages, on one tree."""
+    candidate, system, cfg, radius, per_axis = cert_case(name, tree)
+    exempt = cfg.verify.exempt_radius
+    grid = tree.verify.build_grid(radius, per_axis, system.dim)
+    vmap = tree.verify.check_validity(candidate, system, grid, exempt_radius=exempt)
+    result = tree.roa.largest_level_set(vmap, grid, cfg.plane)
+    return grid.n_nodes, {
+        "build_grid": lambda: tree.verify.build_grid(radius, per_axis, system.dim),
+        "sweep": lambda: tree.verify.check_validity(candidate, system, grid,
+                                                    exempt_radius=exempt),
+        "lipschitz": lambda: tree.verify.estimate_lipschitz(vmap.lie, vmap.lie, grid),
+        "level_set": lambda: tree.roa.largest_level_set(vmap, grid, cfg.plane),
+        "validity_csv": lambda: full_text(tree.verify.export_validity_csv(vmap, grid)),
+        "validity_svg": lambda: full_text(tree.svg.render_validity_svg(vmap, grid,
+                                                                       axes=cfg.plane)),
+        "overlay_svg": lambda: full_text(tree.svg.render_validity_svg(
+            vmap, grid, roa=result, axes=cfg.plane)),
+        "boundary_csv": lambda: full_text(tree.roa.export_boundary_csv(result, grid)),
+    }
+
+
+def cert_suite(tree: Tree) -> tuple[dict, dict]:
+    """The cert suite on one tree, laid out as `meta_step_suite`'s."""
+    timed, nodes, peak, base = {}, {}, {}, {}
+    for name in CERT_CASES:
+        base_kb, peak_kb = fresh(tree, "cert_peak", name)
+        base[name], peak[name] = round(base_kb / 1024, 2), round(peak_kb / 1024, 2)
+        nodes[name], stages = cert_stages(tree, name)
+        for stage, call in stages.items():
+            timed["ms_per_1e4_nodes", name, stage] = (
+                call, lambda s, n=nodes[name]: round(1e3 * s * 1e4 / n, 3))
+    return timed, {"nodes": nodes, "peak_rss_mb": peak, "base_rss_mb": base}
+
+
+SUITES = {"cert": cert_suite, "gate": gate_suite, "init": init_suite,
+          "meta_step": meta_step_suite}
 
 
 def suite_times(suites: list[tuple[dict, dict]], repeats: int) -> list[dict]:
@@ -325,176 +459,25 @@ def suite_times(suites: list[tuple[dict, dict]], repeats: int) -> list[dict]:
     return times
 
 
-def suite_run(suite: tuple[dict, dict], times: dict, pick) -> dict:
-    """One run's metrics: the counted ones and each timed one from pick(its seconds)."""
+def suite_run(suite: tuple[dict, dict], times: dict, r: int) -> dict:
+    """Round r's run: the counted metrics and each timed one from its seconds in that
+    round."""
     timed, counted = suite
-    run = {metric: dict(values) for metric, values in counted.items()}
+    run = copy.deepcopy(counted)
     for path, (_, unit) in timed.items():
         node = run
         for key in path[:-1]:
             node = node.setdefault(key, {})
-        node[path[-1]] = unit(pick(times[path]))
+        node[path[-1]] = unit(times[path][r])
     return run
 
 
-def this_tree(suite_of):
-    """A suite measured on this tree alone: each metric's median over the repeats."""
-    def measure(repeats: int) -> dict:
-        suite = suite_of(HERE)
-        return suite_run(suite, suite_times([suite], repeats)[0], np.median)
-    return measure
-
-
-def full_text(text) -> int:
-    """Length of a writer's text, made in full: a string, or its blocks in turn."""
-    return len(text) if isinstance(text, str) else sum(map(len, text))
-
-
-def measure_writers(repeats: int) -> dict:
-    cfg = replace(PRESETS["ip_stochastic_l"], name="fixed")
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "fixed.json"
-        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
-        env = {**os.environ, "PYTHONPATH": str(Path(net.__file__).parents[1])}
-        adapted = Path(tmp) / "out" / cfg.name / "adapted_checkpoint.json"
-
-        def operation():
-            for command, checkpoint in (("adapt", CHECKPOINT), ("verify", adapted),
-                                        ("roa", adapted)):
-                subprocess.run([sys.executable, "-m", "lyapcert.cli", command, "--config",
-                                str(cfg_path), "--checkpoint", str(checkpoint), "--out",
-                                str(Path(tmp) / "out")], env=env, check=True,
-                               stdout=subprocess.DEVNULL)
-
-        operation_s = median_time(operation, repeats)
-        theta, arch, extra = net.load_checkpoint(adapted)
-
-    candidate = net.MlpLyapunov(theta, arch)
-    system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-    grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim)
-    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
-    calls = {
-        "validity_csv": lambda: full_text(verify.export_validity_csv(vmap, grid)),
-        "validity_svg": lambda: full_text(svg.render_validity_svg(vmap, grid)),
-        "overlay_svg": lambda: full_text(svg.render_validity_svg(vmap, grid, roa=result)),
-        "boundary_csv": lambda: roa.export_boundary_csv(result, grid),
-    }
-    check_s = median_time(lambda: verify.check_validity(
-        candidate, system, grid, exempt_radius=cfg.verify.exempt_radius), repeats)
-    gate_s = median_time(lambda: roa.monte_carlo_convergence(
-        system, [(result, candidate)], grid, cfg.roa.mc_samples, cfg.roa.mc_step,
-        cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master), repeats)
-    return {"writer_ms": {name: round(1e3 * median_time(fn, repeats), 2)
-                          for name, fn in calls.items()},
-            "check_validity_ms": round(1e3 * check_s, 2),
-            "mc_gate_ms": round(1e3 * gate_s, 1),
-            "operation_s": round(operation_s, 3)}
-
-
-CERT_CASES = {"pendulum": ("ip_stochastic_l", 201), "pendulum_801": ("ip_stochastic_l", 801),
-              "mg3": ("mg3_dc12", 41), "mg5": ("mg5_dc12", 15), "fan": ("cf_m", 9)}
-
-CERT_PEAK = """
-import resource, sys
-from pathlib import Path
-sys.path.insert(0, sys.argv[1])
-from bench import cert_case
-from lyapcert import cli, roa, svg, verify
-
-
-def peak_kb():
-    # VmHWM, unlike ru_maxrss, does not count the resident set of the launching process
-    try:
-        return next(int(line.split()[1]) for line in open("/proc/self/status")
-                    if line.startswith("VmHWM:"))
-    except OSError:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-candidate, system, cfg, radius, nodes = cert_case(sys.argv[2])
-base = peak_kb()
-grid = verify.build_grid(radius, nodes, system.dim)
-vmap = verify.check_validity(candidate, system, grid, exempt_radius=cfg.verify.exempt_radius)
-roa.largest_level_set(vmap, grid, cfg.plane)
-cli.atomic_write_text(Path(sys.argv[3]) / "validity_map.csv", verify.export_validity_csv(vmap, grid))
-cli.atomic_write_text(Path(sys.argv[3]) / "validity_map.svg",
-                      svg.render_validity_svg(vmap, grid, axes=cfg.plane))
-print(base, peak_kb())
-"""
-
-
-def cert_case(name: str, tree: Tree = HERE):
-    """(candidate, test system, preset config, radius, nodes per axis) of a cert grid."""
-    preset, nodes = CERT_CASES[name]
-    cfg = tree.config.PRESETS[preset]
-    system = tree.dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-    if preset == "ip_stochastic_l":
-        theta, arch, extra = tree.net.load_checkpoint(CHECKPOINT)
-        radius = extra["radius"]
-    else:
-        arch, radius = cfg.architecture(), cfg.verify.d0
-        theta = tree.net.shaped_init(arch, cfg.seeds.net_seed, radius)
-    return tree.net.MlpLyapunov(theta, arch), system, cfg, radius, nodes
-
-
-def cert_stages(tree: Tree, name: str) -> tuple[int, dict]:
-    """A cert grid's node count and the calls of its stages, on one tree."""
-    candidate, system, cfg, radius, per_axis = cert_case(name, tree)
-    exempt = cfg.verify.exempt_radius
-    grid = tree.verify.build_grid(radius, per_axis, system.dim)
-    vmap = tree.verify.check_validity(candidate, system, grid, exempt_radius=exempt)
-    return grid.n_nodes, {
-        "build_grid": lambda: tree.verify.build_grid(radius, per_axis, system.dim),
-        "sweep": lambda: tree.verify.check_validity(candidate, system, grid,
-                                                    exempt_radius=exempt),
-        "lipschitz": lambda: tree.verify.estimate_lipschitz(vmap.lie, vmap.lie, grid),
-        "level_set": lambda: tree.roa.largest_level_set(vmap, grid, cfg.plane),
-        "validity_csv": lambda: full_text(tree.verify.export_validity_csv(vmap, grid)),
-        "validity_svg": lambda: full_text(tree.svg.render_validity_svg(vmap, grid,
-                                                                       axes=cfg.plane)),
-    }
-
-
-def cert_suite(tree: Tree) -> tuple[dict, dict]:
-    """The cert suite on one tree, laid out as `gate_suite`'s."""
-    timed, nodes, peak, base = {}, {}, {}, {}
-    env = {**os.environ, "PYTHONPATH": str(tree.src)}
-    for name in CERT_CASES:
-        with tempfile.TemporaryDirectory() as tmp:
-            proc = subprocess.run([sys.executable, "-c", CERT_PEAK, str(Path(__file__).parent),
-                                   name, tmp], env=env, check=True, capture_output=True,
-                                  text=True)
-        base_kb, peak_kb = map(int, proc.stdout.split())
-        base[name], peak[name] = round(base_kb / 1024, 2), round(peak_kb / 1024, 2)
-        nodes[name], stages = cert_stages(tree, name)
-        for stage, call in stages.items():
-            timed["ms_per_1e4_nodes", name, stage] = (
-                call, lambda s, n=nodes[name]: round(1e3 * s * 1e4 / n, 3))
-    return timed, {"nodes": nodes, "peak_rss_mb": peak, "base_rss_mb": base}
-
-
-PAIRED = {"cert": cert_suite, "gate": gate_suite, "init": init_suite}
-SUITES = {"meta_step": measure_meta_step, "writers": measure_writers,
-          **{name: this_tree(suite_of) for name, suite_of in PAIRED.items()}}
-
-
 def median_of(runs: list) -> dict:
-    """Each metric's median over the runs, nested dicts metric by metric."""
+    """Each metric's median over the runs that hold it, nested dicts metric by metric."""
     if isinstance(runs[0], dict):
-        return {key: median_of([r[key] for r in runs]) for key in runs[0]}
+        keys = dict.fromkeys(key for run in runs for key in run)
+        return {key: median_of([run[key] for run in runs if key in run]) for key in keys}
     return round(float(np.median(runs)), 6)
-
-
-def alternated_runs(suite_of, against: str, repeats: int) -> tuple[list, list, dict]:
-    """This tree's and the other tree's runs, one pair per repeat, and per timed metric
-    the pairs in which this tree was faster."""
-    suites = [suite_of(HERE), suite_of(load_tree(against, "lyapcert_against"))]
-    times = suite_times(suites, repeats)
-    runs = [[suite_run(suite, tree_times, lambda ts, r=r: ts[r]) for r in range(repeats)]
-            for suite, tree_times in zip(suites, times)]
-    wins = {"/".join(key): f"{sum(a < b for a, b in zip(times[0][key], times[1][key]))}"
-                           f"/{repeats}" for key in times[0]}
-    return runs[0], runs[1], wins
 
 
 def main() -> int:
@@ -506,18 +489,22 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--against", metavar="SRC",
                         help="another tree's src directory, timed alternated with this one "
-                             "in this process (init, gate and cert suites)")
+                             "in this process")
     parser.add_argument("--against-label", default="parent",
                         help="column name of the --against tree (default parent)")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if args.against and args.against_label == args.label:
+        parser.error("--against-label must differ from --label")
 
+    trees = {args.label: HERE}
     if args.against:
-        if args.suite not in PAIRED:
-            parser.error(f"--against runs only the {', '.join(sorted(PAIRED))} suites")
-        mine, theirs, wins = alternated_runs(PAIRED[args.suite], args.against, args.repeats)
-        new_runs = {args.label: mine, args.against_label: theirs}
-    else:
-        new_runs, wins = {args.label: [SUITES[args.suite](args.repeats)]}, None
+        trees[args.against_label] = load_tree(args.against, "lyapcert_against")
+    suites = [SUITES[args.suite](tree) for tree in trees.values()]
+    times = suite_times(suites, args.repeats)
+    new_runs = {label: [suite_run(suite, tree_times, r) for r in range(args.repeats)]
+                for label, suite, tree_times in zip(trees, suites, times)}
     path = Path(args.out or f"BENCH_{args.suite}.json")
     bench = json.loads(path.read_text()) if path.exists() else {
         "script": "scripts/bench.py",
@@ -532,8 +519,11 @@ def main() -> int:
         entry["median"] = median_of(entry["runs"])
     path.write_text(json.dumps(bench, indent=2) + "\n")
     print(json.dumps({label: median_of(runs) for label, runs in new_runs.items()}))
-    if wins is not None:
-        print(json.dumps({"wins": wins}))
+    if args.against:   # per timed metric, the pairs in which this tree was faster
+        mine, theirs = times
+        wins = {"/".join(key): sum(a < b for a, b in zip(mine[key], theirs[key]))
+                for key in mine}
+        print(json.dumps({"wins": {key: f"{n}/{args.repeats}" for key, n in wins.items()}}))
     return 0
 
 

@@ -5,7 +5,8 @@ take a single inner gradient step on each train half, evaluate the adapted
 parameters on the test half, and descend the mean meta-gradient. The
 second-order mode differentiates through the inner step via a Hessian-vector
 product; the first-order mode drops the inner Jacobian (cheaper, standard
-practice). Plain gradient descent throughout, no optimizer state. Each stage
+practice). Plain gradient descent throughout, no optimizer state; a run that
+ends far above the least loss on its curve raises DivergedLoss. Each stage
 of a meta-step (inner gradients at theta, outer gradients and losses at the P
 adapted vectors, HVPs at the 2P points theta +- eps_p g_p) is one stacked call.
 """
@@ -22,6 +23,10 @@ from .loss import TightenedLossConfig, mean_loss
 
 Batch = tuple[np.ndarray, np.ndarray]
 
+# a run whose last step loss exceeds this multiple of the least on its curve (or of
+# the loss of V = 0, if larger) has diverged
+DIVERGENCE_RATIO = 1000.0
+
 
 class NonFiniteLoss(Exception):
     """Training produced a non-finite loss, gradient or parameters; the message names the
@@ -30,6 +35,10 @@ class NonFiniteLoss(Exception):
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
+
+
+class DivergedLoss(NonFiniteLoss):
+    """Training ended at a finite loss far above the least on its loss curve."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +89,13 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
         if not (np.isfinite(mean_step_loss) and np.all(np.isfinite(theta))):
             raise NonFiniteLoss(f"non-finite loss or parameters at meta-step {step}", step)
         curve[step] = mean_step_loss
+    # floored at the loss of V = 0, eps1 + eps2: a hinge loss near 0 on some batch
+    # does not make a noisy last step a divergence
+    least = max(float(curve.min()), loss_cfg.eps1 + loss_cfg.eps2)
+    if curve[-1] > DIVERGENCE_RATIO * least:
+        raise DivergedLoss(f"diverged: loss {curve[-1]:.4g} at the last meta-step, "
+                           f"{len(curve) - 1}, is over {DIVERGENCE_RATIO:g} times {least:.4g}, "
+                           "the least loss or the loss of V = 0 if larger", len(curve) - 1)
     return MetaTrainReport(theta_mnlf=theta, loss_curve=curve)
 
 

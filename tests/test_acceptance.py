@@ -285,7 +285,10 @@ def test_criterion_6_stochastic_l_reproduction(stochastic_l_run):
 def test_criterion_7_area_ordering(ordering_run):
     cfg = ordering_run["cfg"]
     results = ordering_run["results"]
-    areas = {m: results[m].roa.area for m in ("NLF_TS", "META_NLF", "QLF_TS")}
+    # a method that failed certifies no area: META-NLF's meta-training at the shipped
+    # seed ends diverged at some BLAS thread counts
+    areas = {m: results[m].roa.area if results[m].roa is not None else 0.0
+             for m in ("NLF_TS", "META_NLF", "QLF_TS")}
     ok = areas["NLF_TS"] >= areas["META_NLF"] >= areas["QLF_TS"] > 0
     seed_note = f"shipped seed (fallbacks {FALLBACK_NET_SEEDS})"
     if not ok:
@@ -293,8 +296,11 @@ def test_criterion_7_area_ordering(ordering_run):
         for fb in FALLBACK_NET_SEEDS:
             system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
             grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2)
-            candidate, _, _ = baselines.meta_nlf(
-                replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)), system, grid.radius)
+            try:
+                candidate, _, _ = baselines.meta_nlf(
+                    replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)), system, grid.radius)
+            except meta.NonFiniteLoss:
+                continue
             _, result = baselines.certify_candidate(candidate, system, grid, cfg.verify,
                                                     cfg.plane)
             areas["META_NLF"] = result.area
@@ -314,11 +320,16 @@ def test_criterion_8_budget_enforcement(stochastic_l_run, ordering_run):
     ledger = json.loads((stochastic_l_run["dir"] / "adapt_ledger.json").read_text())
     results = ordering_run["results"]
     entries = [("cli adapt", ledger["samples_used"], ledger["steps_used"])]
+    failed = []
     for method in ("META_NLF", "T_NLF"):
-        entries.append((method, results[method].test_samples, results[method].test_steps))
+        result = results[method]
+        if result.candidate is None:   # a failed method's row carries its error, no counts
+            failed.append(f"{method} failed ({result.status.split(':')[0]})")
+        else:
+            entries.append((method, result.test_samples, result.test_steps))
     ok = all(s <= 50 and k <= 10 for _, s, k in entries)
     verdict("criterion-8 budget enforcement", ok,
-            "; ".join(f"{n}={s}/{k}" for n, s, k in entries))
+            "; ".join([f"{n}={s}/{k}" for n, s, k in entries] + failed))
 
 
 # ---------------------------------------------------------------------------

@@ -238,24 +238,34 @@ def test_script_references_resolve():
 
 BENCH_SUITES = """
 import bench
-for suite in (bench.gate_suite, bench.init_suite):
-    timed, counted = suite(bench.HERE)
-    print(sorted(bench.suite_run((timed, counted), {key: [1.0] for key in timed}, min)))
-print(sorted(bench.cert_stages(bench.HERE, "mg3")[1]))
+for name, suite_of in sorted(bench.SUITES.items()):
+    suite = suite_of(bench.HERE)
+    run = bench.suite_run(suite, {key: [1.0] for key in suite[0]}, 0)
+    print(name, sorted(run))
+    if name == "cert":
+        print(sorted(run["ms_per_1e4_nodes"]["mg3"]))
+    if name == "meta_step":
+        print(sorted(run["loss_gradient_us"]))
 """
 
 
 def test_bench_suites_build():
-    """`scripts/bench.py`'s init, gate and cert suites read the library as attributes
-    of a source-tree object, which the walk above does not follow: build them (every
-    library call but the timed ones and the `lyapcert` commands) in a fresh
-    interpreter."""
+    """`scripts/bench.py`'s suites read the library as attributes of a source-tree
+    object, which the walk above does not follow: build each (every library call but
+    the timed ones and the `lyapcert` commands, the fresh interpreters included) in a
+    fresh interpreter, and pin their metrics."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "scripts"),
                                                          str(ROOT / "src")])}
     proc = subprocess.run([sys.executable, "-c", BENCH_SUITES], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "['compare_mg3_s', 'rollout_ns_per_state_step', 'row_steps']",
-        "['compare_mg3_s', 'fit_rms', 'max_abs_theta', 'shaped_init_s', 'train_meta_s']",
-        "['build_grid', 'level_set', 'lipschitz', 'sweep', 'validity_csv', 'validity_svg']"]
+        "cert ['base_rss_mb', 'ms_per_1e4_nodes', 'nodes', 'peak_rss_mb']",
+        "['boundary_csv', 'build_grid', 'level_set', 'lipschitz', 'overlay_svg', 'sweep', "
+        "'validity_csv', 'validity_svg']",
+        "gate ['adapt_certify_s', 'compare_mg3_s', 'mc_gate_ms', 'rollout_ns_per_state_step', "
+        "'row_steps']",
+        "init ['compare_mg3_s', 'fit_rms', 'max_abs_theta', 'shaped_init_s', 'train_meta_s']",
+        "meta_step ['hvps_us', 'loss_gradient_us', 'meta_step_ms', 'minflt_per_step', "
+        "'shaped_init_s', 'train_meta_s']",
+        "['200', '50', '800']"]

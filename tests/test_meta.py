@@ -47,6 +47,26 @@ class TestClosedFormOracle:
         assert grads[0, -1] == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_array_equal(grads[0, :-1], 0.0)
 
+    def test_finite_divergence_is_reported(self):
+        # first order, meta step 3: b -> b - 3 * (b / 2) * 2 = -2b, so the step loss
+        # grows about fourfold a step while every value stays finite; 4 steps end 67
+        # times above the loss of V = 0, 0.5 (returned), 10 steps 294,529 times (diverged)
+        family = tuple(a[None, None] for a in self.batch * 2)
+
+        def train(steps):
+            mc = MetaBlock(inner_lr=0.25, meta_lr=3.0, tasks_per_step=1, meta_steps=steps,
+                           mode="first_order")
+            return meta.meta_train(family, self.arch, mc, self.cfg, 0, self.theta)
+
+        assert train(4).loss_curve[-1] == pytest.approx(33.3125)
+        with pytest.raises(meta.DivergedLoss) as info:
+            train(10)
+        assert isinstance(info.value, meta.NonFiniteLoss)
+        assert info.value.step == 9
+        assert str(info.value) == ("diverged: loss 1.473e+05 at the last meta-step, 9, is "
+                                   "over 1000 times 0.5, the least loss or the loss of V = 0 "
+                                   "if larger")
+
 
 class TestAdaptStep:
     """One test-time step is the inner step of the meta-gradient."""
