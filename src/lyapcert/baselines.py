@@ -9,8 +9,9 @@ Access regimes mirror the benchmark protocol:
 * the meta pipeline trains across sampled tasks and adapts under the same
   test-time budget.
 
-All network methods start from the same bowl-shaped initialization (a pure
-geometry fit, no dynamics data involved, so access regimes are unaffected).
+The network methods start from the bowl-shaped initialization, a pure geometry
+fit on no dynamics data (so access regimes are unaffected), fit at three seeds:
+META-NLF at `seeds.net_seed`, NLF(TS) and T-NLF at the master seed + 1 and + 2.
 Every method's result carries the sample/step counters of its test-time access so
 the budget contract is assertable, and every extracted ROA is re-validated by
 Monte-Carlo rollouts before its area enters a comparison.

@@ -11,12 +11,13 @@ Subcommands:
     simulate     RK4 rollout from a given initial state (CSV, SVG for 2-d)
     compare      all methods on one preset, one table (CSV + JSON)
 
-Each setting has one source. The config (`--config` or `--preset`) is the
-experiment: the test-time budget and the meta-gradient mode are its `meta`
-block. The command line holds what one run needs besides: `--checkpoint`,
-`simulate`'s `--x0/--h/--horizon`, the output root `--out` (default `out`)
-and `--seed`, which overrides `seeds.master`. The output root is not part of
-the config, so its hash, and every artifact, is the same under any `--out`.
+Each setting has one source. The config (exactly one of `--config` and
+`--preset`, resolved once by `main`) is the experiment: the test-time budget
+and the meta-gradient mode are its `meta` block. The command line holds what
+one run needs besides: `--checkpoint`, `simulate`'s `--x0/--h/--horizon`, the
+output root `--out` (default `out`) and `--seed`, which overrides
+`seeds.master`. The output root is not part of the config, so its hash, and
+every artifact, is the same under any `--out`.
 
 Every artifact embeds the config hash and seed; reruns with identical config
 and seed reproduce all numeric artifacts bitwise at a fixed BLAS thread count
@@ -83,12 +84,9 @@ def atomic_write_json(path: Path, payload: dict, indent: int | None = 2) -> None
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.preset:   # argparse's choices already rejected an unknown name
-        cfg = PRESETS[args.preset]
-    elif args.config:
-        cfg = load_config(args.config)
-    else:
-        raise ConfigError("either --preset or --config is required")
+    """The config of exactly one of --preset and --config (argparse enforces the choice
+    and the preset name), with --seed as its master seed when given."""
+    cfg = PRESETS[args.preset] if args.preset else load_config(args.config)
     if args.seed is not None:
         try:
             cfg = replace(cfg, seeds=replace(cfg.seeds, master=args.seed))
@@ -133,10 +131,11 @@ def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | Non
             for key, row in rows.items()}
 
 
-def _fit_region(cfg: ExperimentConfig, d: float):
+def _fit_region(cfg: ExperimentConfig, history: list, d: float):
     """One region-selection round on the ball of radius d: meta-train, adapt to each
     task of the trained family, map it (no ROA) and accept when every map passes.
-    Returns ((training report, each task's _interior_report), accepted)."""
+    Appends the round's radius, acceptance and each task's _interior_report to
+    history and returns (training report, accepted)."""
     arch = cfg.architecture()
     report, systems, (X_tr, Y_tr, _, _) = baselines.meta_train_for(cfg, d)
     grid = verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim)
@@ -150,20 +149,15 @@ def _fit_region(cfg: ExperimentConfig, d: float):
     # a map that checks no interior node certifies nothing
     accepted = all(task["checked"] and task["green_fraction"] >= cfg.verify.min_green_fraction
                    for task in tasks)
-    return (report, tasks), accepted
+    history.append({"radius": d, "accepted": accepted, "tasks": tasks})
+    return report, accepted
 
 
-def cmd_train_meta(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_train_meta(args, cfg: ExperimentConfig) -> int:
     out = _out_dir(args, cfg)
-    history = []   # each round's radius, acceptance and task reports
-
-    def fit(d):
-        (report, tasks), accepted = _fit_region(cfg, d)
-        history.append({"radius": d, "accepted": accepted, "tasks": tasks})
-        return report, accepted
-
-    selection = verify.select_valid_region(fit, cfg.verify.d0, cfg.verify.shrink_factor,
+    history = []
+    selection = verify.select_valid_region(lambda d: _fit_region(cfg, history, d),
+                                           cfg.verify.d0, cfg.verify.shrink_factor,
                                            cfg.verify.max_rounds)
     atomic_write_json(out / "region.json",
                       {**_stamp(cfg), "radius": selection.radius, "rounds": selection.rounds,
@@ -227,8 +221,7 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
     return theta, arch, radius
 
 
-def cmd_adapt(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_adapt(args, cfg: ExperimentConfig) -> int:
     theta, arch, radius = _load_checkpoint_for(cfg, args.checkpoint)
     m = cfg.meta
     system_test = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
@@ -253,8 +246,7 @@ def _checkpoint_candidate(cfg: ExperimentConfig, checkpoint):
     return net.MlpLyapunov(theta, arch), system_test, grid
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_verify(args, cfg: ExperimentConfig) -> int:
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
     out = _out_dir(args, cfg)
     vmap = verify.check_validity(candidate, system_test, grid,
@@ -272,8 +264,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_roa(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_roa(args, cfg: ExperimentConfig) -> int:
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
     out = _out_dir(args, cfg)
     vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
@@ -295,8 +286,7 @@ def cmd_roa(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     system_test = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
@@ -326,8 +316,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_compare(args, cfg: ExperimentConfig) -> int:
     out = _out_dir(args, cfg)
     rows = [result.row() for result in baselines.compare(cfg)]
     lines = [",".join(rows[0])] + [",".join(repr(v) if isinstance(v, float) else str(v)
@@ -340,53 +329,42 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+# name: (command, help line, whether it takes --checkpoint)
+COMMANDS = {
+    "train-meta": (cmd_train_meta, "meta-train with region selection", False),
+    "adapt": (cmd_adapt, "test-time adaptation of a checkpoint", True),
+    "verify": (cmd_verify, "tightened-condition map of a checkpoint", True),
+    "roa": (cmd_roa, "certified region of attraction of a checkpoint", True),
+    "simulate": (cmd_simulate, "RK4 rollout of the test-time system", False),
+    "compare": (cmd_compare, "all methods, one table", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lyapcert",
                                      description="meta-trained, grid-certified Lyapunov functions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="path to a config JSON file")
-        p.add_argument("--preset", help="named preset", choices=sorted(PRESETS))
+    for name, (func, help_line, takes_checkpoint) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a config JSON file")
+        source.add_argument("--preset", help="named preset", choices=sorted(PRESETS))
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", default="out", help="output directory root (default: out)")
-
-    p = sub.add_parser("train-meta", help="meta-train with region selection")
-    common(p)
-    p.set_defaults(func=cmd_train_meta)
-
-    p = sub.add_parser("adapt", help="test-time adaptation of a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_adapt)
-
-    p = sub.add_parser("verify", help="tightened-condition map of a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("roa", help="certified region of attraction of a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_roa)
-
-    p = sub.add_parser("simulate", help="RK4 rollout of the test-time system")
-    common(p)
-    p.add_argument("--x0", required=True, help="comma-separated initial state")
-    p.add_argument("--h", type=float, default=0.01)
-    p.add_argument("--horizon", type=float, default=20.0)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="all methods, one table")
-    common(p)
-    p.set_defaults(func=cmd_compare)
+        if takes_checkpoint:
+            p.add_argument("--checkpoint", required=True)
+        p.set_defaults(func=func)
+    simulate = sub.choices["simulate"]
+    simulate.add_argument("--x0", required=True, help="comma-separated initial state")
+    simulate.add_argument("--h", type=float, default=0.01)
+    simulate.add_argument("--horizon", type=float, default=20.0)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

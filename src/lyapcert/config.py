@@ -5,10 +5,10 @@ the settings the library runs on (the `loss` block is the loss module's own
 `TightenedLossConfig`); each one validates its values when it is built, so a
 bad value fails before any training starts. With `cli`'s checks of the
 command line and of checkpoints, they are the only place a setting is
-checked: the library trusts what it receives. Unknown keys are rejected
-anywhere in the tree so typos fail loudly, and every value must have its
-field's annotated type. A config is the whole experiment: where its
-artifacts go is the command line's `--out`, not a setting. The hash of the
+checked: the library trusts what it receives. Unknown and repeated keys are
+rejected anywhere in the tree so typos fail loudly, and every value must
+have its field's annotated type. A config is the whole experiment: where
+its artifacts go is the command line's `--out`, not a setting. The hash of the
 canonical JSON form is embedded in every artifact a run writes; reruns with the
 same hash and seed reproduce artifacts bitwise, into any output root.
 
@@ -48,6 +48,12 @@ MAX_GRID_NODES = 10_000_000
 # 500x the default run of 2,000 steps. The Monte-Carlo gate may still split each
 # asked step on a stiff loop (`roa.gate_step`), and it steps mc_samples rows per method.
 MAX_RK4_STEPS = 1_000_000
+# Samples (roa.mc_samples, nlf.n_samples) a config may ask for. A (16, 16) network peaks
+# at 2.2 kB per sample in `compare`'s Monte-Carlo gate of four certificates and at 2.1 kB
+# in one full-batch NLF step, in 2 to 6 dimensions: at most 1.1 GB at the cap.
+MAX_SAMPLES = 500_000
+# meta.meta_steps: train-meta's loss curve and its JSON report peak at 161 B a step.
+MAX_META_STEPS = 10_000_000
 
 
 class ConfigError(Exception):
@@ -108,6 +114,8 @@ class MetaBlock:
         _require(min(self.tasks_per_step, self.meta_steps, self.n_tasks, self.m_batches,
                      self.k_train, self.j_test, self.adapt_samples) >= 1 and self.k_test >= 0,
                  "task, batch, step and sample counts must be >= 1, k_test >= 0")
+        _require(self.meta_steps <= MAX_META_STEPS,
+                 f"meta_steps must be at most {MAX_META_STEPS:,}")
         _require(self.mode in ("first_order", "second_order"),
                  "mode must be 'first_order' or 'second_order'")
         _require(self.adapt_samples <= TEST_TIME_SAMPLES and self.k_test <= TEST_TIME_STEPS,
@@ -150,8 +158,8 @@ class RoaBlock:
     plane: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
-        _require(self.mc_samples >= 1 and self.mc_step > 0 and self.mc_tol > 0,
-                 "mc_samples, mc_step and mc_tol must be positive")
+        _require(1 <= self.mc_samples <= MAX_SAMPLES and self.mc_step > 0 and self.mc_tol > 0,
+                 f"mc_samples must lie in [1, {MAX_SAMPLES:,}], mc_step and mc_tol be positive")
         _require(self.mc_horizon >= self.mc_step, "mc_horizon must be >= mc_step")
         _require(self.mc_horizon / self.mc_step <= MAX_RK4_STEPS,
                  f"mc_horizon / mc_step asks for more than {MAX_RK4_STEPS:,} RK4 steps")
@@ -169,8 +177,8 @@ class NlfBlock:
     batch_size: int = 128
 
     def __post_init__(self):
-        _require(self.n_samples >= 1 and self.batch_size >= 1 and self.n_steps >= 0,
-                 "n_samples and batch_size must be >= 1, n_steps >= 0")
+        _require(1 <= self.n_samples <= MAX_SAMPLES and self.batch_size >= 1 and self.n_steps >= 0,
+                 f"n_samples must lie in [1, {MAX_SAMPLES:,}], batch_size be >= 1, n_steps >= 0")
         _require(self.lr > 0, "lr must be positive")
 
 
@@ -258,9 +266,19 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     return _build_block(ExperimentConfig, payload, "top level")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it repeats, at any level, raises ConfigError."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ConfigError(f"repeated key {key!r}")
+        payload[key] = value
+    return payload
+
+
 def load_config(path) -> ExperimentConfig:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

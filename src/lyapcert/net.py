@@ -348,7 +348,10 @@ def load_checkpoint(path) -> tuple[np.ndarray, Architecture, dict]:
         raise ValueError("only tanh hidden activations are supported")
     arch = Architecture(input_dim=payload["arch"]["input_dim"],
                         hidden=tuple(payload["arch"]["hidden"]))
-    theta = np.asarray(payload["theta"], dtype=float)
+    theta = payload["theta"]
+    if not (isinstance(theta, list) and all(type(t) in (int, float) for t in theta)):
+        raise ValueError("checkpoint theta must be a flat list of JSON numbers")
+    theta = np.array(theta, dtype=float)
     if theta.size != arch.n_params:
         raise ValueError("checkpoint parameter count does not match architecture")
     return theta, arch, payload.get("extra", {})

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import inspect
 import json
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
-from lyapcert.config import (MAX_GRID_NODES, ConfigError, MetaBlock, NlfBlock, PRESETS,
-                             config_from_dict, config_hash, config_to_dict, load_config)
+from lyapcert.config import (MAX_GRID_NODES, MAX_META_STEPS, MAX_SAMPLES, ConfigError,
+                             MetaBlock, NlfBlock, PRESETS, config_from_dict, config_hash,
+                             config_to_dict, load_config)
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.loss import TightenedLossConfig
 
@@ -273,6 +275,45 @@ class TestConfig:
             assert f"more than {MAX_GRID_NODES:,} nodes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block, key, cap", [("roa", "mc_samples", MAX_SAMPLES),
+                                                 ("nlf", "n_samples", MAX_SAMPLES),
+                                                 ("meta", "meta_steps", MAX_META_STEPS)])
+    def test_count_just_above_its_cap_exits_2(self, tmp_path, capsys, monkeypatch, block, key,
+                                              cap):
+        """A count that sizes an array parses at its cap; one above it exits 2 when the
+        config is parsed, before any training."""
+        def no_training(*args):
+            raise AssertionError("trained on a count above its cap")
+
+        monkeypatch.setattr(baselines, "meta_train_for", no_training)
+        payload = json.loads(mini_config(tmp_path).read_text())
+        for value in (cap, cap + 1):
+            payload[block][key] = value
+            path = tmp_path / "capped.json"
+            path.write_text(json.dumps(payload))
+            if value == cap:
+                assert getattr(getattr(load_config(path), block), key) == cap
+                continue
+            assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert key in err and f"{cap:,}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        pytest.param('"name": "mini"', '"name": "mini", "name": "other"', "name", id="top-level"),
+        pytest.param('"hidden"', '"meta": {"meta_steps": 5}, "hidden"', "meta", id="block"),
+        pytest.param('"meta": {', '"meta": {"meta_steps": 5, ', "meta_steps", id="in-a-block"),
+    ])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, old, new, key):
+        """A key repeated at any level of a config file exits 2 naming it, in place of
+        its last copy silently winning."""
+        path = mini_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        code = run(tmp_path, ["simulate", "--config", str(path), "--x0", "0.2,0.0"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: repeated key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_2(self, tmp_path):
         path = mini_config(tmp_path)
         code = run(tmp_path, ["train-meta", "--config", str(path), "--seed", "-1"])
@@ -397,10 +438,15 @@ class TestCliCommands:
 
     def test_region_json_records_every_round(self, tmp_path, monkeypatch):
         """A run accepted after a rejected round records both rounds in region.json, and
-        its radius is the accepted round's."""
-        fit = cli._fit_region
-        monkeypatch.setattr(cli, "_fit_region",
-                            lambda cfg, d: (fit(cfg, d)[0], d < cfg.verify.d0))
+        its radius is the accepted round's. The first round is rejected by reporting
+        its maps as checking no interior node."""
+        report = cli._interior_report
+
+        def first_round_checks_nothing(vmap, grid):
+            task = report(vmap, grid)
+            return {**task, "checked": 0} if grid.radius == 3.0 else task
+
+        monkeypatch.setattr(cli, "_interior_report", first_round_checks_nothing)
         cfg_path = mini_config(tmp_path, verify={"d0": 3.0, "nodes_per_axis": 41,
                                                  "exempt_radius": 0.9, "max_rounds": 3,
                                                  "min_green_fraction": 0.0})
@@ -753,12 +799,22 @@ def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad
 
 
 @pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
-@pytest.mark.parametrize("key, value", [("hidden", [16.7, 16]), ("input_dim", 2.0)])
+@pytest.mark.parametrize("key, value", [
+    ("hidden", [16.7, 16]), ("input_dim", 2.0),
+    # theta's 337 values as 337 rows of one, as numeric strings, as booleans
+    pytest.param("theta", lambda theta: [[t] for t in theta], id="theta-rows"),
+    pytest.param("theta", lambda theta: [repr(t) for t in theta], id="theta-strings"),
+    pytest.param("theta", lambda theta: [t > 0 for t in theta], id="theta-booleans"),
+])
 def test_checkpoint_shape_not_integer_exit_2(tmp_path, capsys, command, key, value):
-    """A layer width or input dimension that is not an integer exits 2 before any
-    artifact is written, in place of a width cut to an integer or a traceback."""
+    """A layer width or input dimension that is not an integer, or a theta that is not
+    a flat list of JSON numbers, exits 2 before any artifact is written, in place of a
+    width cut to an integer, a value cast to a number or a traceback."""
     payload = json.loads((ROOT / "perfbench" / "data" / "meta_checkpoint.json").read_text())
-    payload["arch"][key] = value
+    if key == "theta":
+        payload["theta"] = value(payload["theta"])
+    else:
+        payload["arch"][key] = value
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(payload))
     code = cli.main([command, "--preset", "ip_stochastic_l", "--checkpoint", str(ckpt),
@@ -899,3 +955,76 @@ def test_benchmark_inputs_parse(tmp_path, workload, seed):
     assert configs
     for path in configs:
         load_config(path)
+
+
+# each subcommand's option strings; the config source is one required choice on all
+SHARED_OPTIONS = {"-h", "--help", "--config", "--preset", "--seed", "--out"}
+COMMAND_OPTIONS = {
+    "train-meta": SHARED_OPTIONS,
+    "adapt": SHARED_OPTIONS | {"--checkpoint"},
+    "verify": SHARED_OPTIONS | {"--checkpoint"},
+    "roa": SHARED_OPTIONS | {"--checkpoint"},
+    "simulate": SHARED_OPTIONS | {"--x0", "--h", "--horizon"},
+    "compare": SHARED_OPTIONS,
+}
+
+
+def test_each_command_keeps_its_options():
+    sub, = (action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert {name: {flag for action in parser._actions for flag in action.option_strings}
+            for name, parser in sub.choices.items()} == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_config_source_is_one_required_choice(tmp_path, capsys, monkeypatch, mini_checkpoint,
+                                              command):
+    """--preset with --config, and neither of them, are usage errors on every command:
+    exit 2 before <--out>/<name> exists, in place of the preset silently winning."""
+    def no_work(*args):
+        raise AssertionError("a command ran on one of two config sources")
+
+    monkeypatch.setattr(baselines, "meta_train_for", no_work)
+    monkeypatch.setattr(baselines, "compare", no_work)
+    ckpt = ["--checkpoint", str(mini_checkpoint[0])]
+    needs = {"adapt": ckpt, "verify": ckpt, "roa": ckpt, "simulate": ["--x0", "0.2,0.0"]}
+    both = ["--preset", "ip_stochastic_l", "--config", str(mini_config(tmp_path))]
+    for source, message in ((both, "not allowed with argument"),
+                            ([], "one of the arguments --config --preset is required")):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, [command, *source, *needs.get(command, [])])
+        assert exc.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+META_CHAIN = ["train-meta", "adapt", "verify", "roa"]
+
+
+@pytest.mark.parametrize("codes, skip_compare, called, expected", [
+    pytest.param({"train-meta": 3}, False, ["train-meta", "compare"], 3, id="meta-fails"),
+    pytest.param({"train-meta": 3}, True, ["train-meta"], 3, id="meta-fails-skip-compare"),
+    pytest.param({"roa": 3, "compare": 4}, False, [*META_CHAIN, "compare"], 3, id="both-fail"),
+    pytest.param({"compare": 4}, False, [*META_CHAIN, "compare"], 4, id="compare-fails"),
+    pytest.param({}, False, [*META_CHAIN, "compare"], 0, id="all-pass"),
+])
+def test_run_preset_runs_compare_after_the_meta_chain_fails(tmp_path, monkeypatch, codes,
+                                                            skip_compare, called, expected):
+    """The meta chain stops at its first failing step; compare, which needs no meta
+    checkpoint, still runs unless --skip-compare; the exit code is the first nonzero."""
+    spec = importlib.util.spec_from_file_location("run_preset",
+                                                  ROOT / "scripts" / "run_preset.py")
+    run_preset = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_preset)
+    calls = []
+
+    def fake_main(argv):
+        calls.append(argv)
+        return codes.get(argv[0], 0)
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    argv = ["--preset", "ip_stochastic_l", "--out", str(tmp_path)]
+    assert run_preset.main(argv + ["--skip-compare"] * skip_compare) == expected
+    assert [call[0] for call in calls] == called
+    assert all(call[-4:] == argv for call in calls)
