@@ -100,7 +100,10 @@ another name; the `lyapcert` commands and the fresh interpreters run on each
 tree's own `src`, a fresh interpreter each command. With two trees the labels'
 runs pair up in order, and the printed `wins` count the pairs in which the
 `--label` tree was faster. The writers' text is a string or blocks of text, so
-an older tree times the same.
+an older tree times the same. The `cert` and `gate` suites pass the exemption
+radius and the plane to `build_grid` alone, so they take no tree whose grid
+does not carry them (`--against` such a tree fails in `build_grid`); the other
+suites take any tree.
 
 Each run is stored under its label with the machine's description; `median`
 holds each metric's median over the label's runs that hold it.
@@ -315,8 +318,9 @@ def gate_suite(tree: Tree) -> tuple[dict, dict]:
     theta = tree.baselines.test_time_update(cfg, theta, arch, system, extra["radius"],
                                             cfg.seeds.adapt_seed)
     candidate = tree.net.MlpLyapunov(theta, arch)
-    grid = tree.verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim)
-    _, result = tree.baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
+    grid = tree.verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, system.dim,
+                                  cfg.verify.exempt_radius, cfg.roa.plane)
+    _, result = tree.baselines.certify_candidate(candidate, system, grid)
     mc = cfg.roa
     timed["mc_gate_ms",] = (
         functools.partial(tree.roa.monte_carlo_convergence, system, [(result, candidate)],
@@ -392,36 +396,33 @@ def cert_peak(name: str) -> tuple[int, int]:
     called through `fresh`."""
     candidate, system, cfg, radius, nodes = cert_case(name)
     base = peak_kb()
-    grid = HERE.verify.build_grid(radius, nodes, system.dim)
-    vmap = HERE.verify.check_validity(candidate, system, grid,
-                                      exempt_radius=cfg.verify.exempt_radius)
-    HERE.roa.largest_level_set(vmap, grid, cfg.plane)
+    grid = HERE.verify.build_grid(radius, nodes, system.dim, cfg.verify.exempt_radius,
+                                  cfg.roa.plane)
+    vmap = HERE.verify.check_validity(candidate, system, grid)
+    HERE.roa.largest_level_set(vmap, grid)
     with tempfile.TemporaryDirectory() as tmp:
         HERE.cli.atomic_write_text(Path(tmp) / "validity_map.csv",
                                    HERE.verify.export_validity_csv(vmap, grid))
         HERE.cli.atomic_write_text(Path(tmp) / "validity_map.svg",
-                                   HERE.svg.render_validity_svg(vmap, grid, axes=cfg.plane))
+                                   HERE.svg.render_validity_svg(vmap, grid))
     return base, peak_kb()
 
 
 def cert_stages(tree: Tree, name: str) -> tuple[int, dict]:
     """A cert grid's node count and the calls of its stages, on one tree."""
     candidate, system, cfg, radius, per_axis = cert_case(name, tree)
-    exempt = cfg.verify.exempt_radius
-    grid = tree.verify.build_grid(radius, per_axis, system.dim)
-    vmap = tree.verify.check_validity(candidate, system, grid, exempt_radius=exempt)
-    result = tree.roa.largest_level_set(vmap, grid, cfg.plane)
+    settings = (radius, per_axis, system.dim, cfg.verify.exempt_radius, cfg.roa.plane)
+    grid = tree.verify.build_grid(*settings)
+    vmap = tree.verify.check_validity(candidate, system, grid)
+    result = tree.roa.largest_level_set(vmap, grid)
     return grid.n_nodes, {
-        "build_grid": lambda: tree.verify.build_grid(radius, per_axis, system.dim),
-        "sweep": lambda: tree.verify.check_validity(candidate, system, grid,
-                                                    exempt_radius=exempt),
+        "build_grid": lambda: tree.verify.build_grid(*settings),
+        "sweep": lambda: tree.verify.check_validity(candidate, system, grid),
         "lipschitz": lambda: tree.verify.estimate_lipschitz(vmap.lie, vmap.lie, grid),
-        "level_set": lambda: tree.roa.largest_level_set(vmap, grid, cfg.plane),
+        "level_set": lambda: tree.roa.largest_level_set(vmap, grid),
         "validity_csv": lambda: full_text(tree.verify.export_validity_csv(vmap, grid)),
-        "validity_svg": lambda: full_text(tree.svg.render_validity_svg(vmap, grid,
-                                                                       axes=cfg.plane)),
-        "overlay_svg": lambda: full_text(tree.svg.render_validity_svg(
-            vmap, grid, roa=result, axes=cfg.plane)),
+        "validity_svg": lambda: full_text(tree.svg.render_validity_svg(vmap, grid)),
+        "overlay_svg": lambda: full_text(tree.svg.render_validity_svg(vmap, grid, roa=result)),
         "boundary_csv": lambda: full_text(tree.roa.export_boundary_csv(result, grid)),
     }
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import meta, net, roa, verify
-from .config import ExperimentConfig, NlfBlock, VerifyBlock
-from .control import is_hurwitz, solve_lyapunov
+from .config import ExperimentConfig, NlfBlock
+from .control import SingularSystem, solve_lyapunov
 from .dynamics import ClosedLoopSystem, build_dataset, build_system, sample_labelled, sample_tasks
 from .loss import TightenedLossConfig
 
@@ -77,11 +77,10 @@ class MethodResult:
         return {key: "" if value is None else value for key, value in row.items()}
 
 
-def certify_candidate(candidate, system: ClosedLoopSystem, grid: verify.GridSpec,
-                      settings: VerifyBlock,
-                      plane: tuple[int, int]) -> tuple[verify.ValidityMap, roa.RoaResult]:
-    vmap = verify.check_validity(candidate, system, grid, exempt_radius=settings.exempt_radius)
-    return vmap, roa.largest_level_set(vmap, grid, plane=plane)
+def certify_candidate(candidate, system: ClosedLoopSystem,
+                      grid: verify.GridSpec) -> tuple[verify.ValidityMap, roa.RoaResult]:
+    vmap = verify.check_validity(candidate, system, grid)
+    return vmap, roa.largest_level_set(vmap, grid)
 
 
 def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
@@ -103,11 +102,14 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
 
 
 def qlf_ts(system_test: ClosedLoopSystem) -> tuple[QuadraticLyapunov, int, int]:
-    """Quadratic baseline from the closed-loop linearization at the origin."""
-    A = system_test.linearization()
-    if not is_hurwitz(A):
-        raise NotHurwitz("test-time closed loop linearization is not Hurwitz")
-    return QuadraticLyapunov(solve_lyapunov(A, np.eye(system_test.dim))), 0, 0
+    """Quadratic baseline from the closed-loop linearization A at the origin: P solves
+    A^T P + P A = -I, which has a positive definite solution iff A is Hurwitz."""
+    try:
+        P = solve_lyapunov(system_test.linearization(), np.eye(system_test.dim))
+        np.linalg.cholesky(P)
+    except (SingularSystem, np.linalg.LinAlgError) as exc:
+        raise NotHurwitz("test-time closed loop linearization is not Hurwitz") from exc
+    return QuadraticLyapunov(P), 0, 0
 
 
 def nlf_ts(system_test: ClosedLoopSystem, radius: float, arch: net.Architecture,
@@ -174,8 +176,7 @@ def meta_train_for(cfg: ExperimentConfig, radius: float) -> tuple[
 
 def compare(cfg: ExperimentConfig) -> list[MethodResult]:
     """Run every method under its access regime, then certify each candidate on
-    one grid, one `verify` block and one plane; one result per method in
-    METHODS order, then the SOS placeholder.
+    one grid; one result per method in METHODS order, then the SOS placeholder.
 
     Per-method failures are recorded without aborting the others. Each
     validity map is dropped once its ROA is extracted, so one map is held at a
@@ -185,7 +186,8 @@ def compare(cfg: ExperimentConfig) -> list[MethodResult]:
     """
     system_nom = build_system(cfg.system.system_id, cfg.system.theta0)
     system_test = build_system(cfg.system.system_id, cfg.system.theta_test)
-    grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, system_test.dim)
+    grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, system_test.dim,
+                             cfg.verify.exempt_radius, cfg.roa.plane)
     seed, arch, radius = cfg.seeds.master, cfg.architecture(), grid.radius
     runners = {
         "META_NLF": lambda: meta_nlf(cfg, system_test, radius),
@@ -201,7 +203,7 @@ def compare(cfg: ExperimentConfig) -> list[MethodResult]:
         except (NotHurwitz, meta.NonFiniteLoss) as exc:
             results.append(MethodResult(method, f"{type(exc).__name__}: {exc}"))
             continue
-        _, result = certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
+        _, result = certify_candidate(candidate, system_test, grid)
         results.append(MethodResult(method, "ok", candidate, result, samples, steps))
     certified = [i for i, result in enumerate(results) if result.roa is not None]
     mc = cfg.roa

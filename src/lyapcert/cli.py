@@ -138,13 +138,13 @@ def _fit_region(cfg: ExperimentConfig, history: list, d: float):
     history and returns (training report, accepted)."""
     arch = cfg.architecture()
     report, systems, (X_tr, Y_tr, _, _) = baselines.meta_train_for(cfg, d)
-    grid = verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim)
+    grid = verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim,
+                             cfg.verify.exempt_radius, cfg.roa.plane)
     tasks = []
     for i, system in enumerate(systems):   # task i adapts on its first train batch
         adapted = meta.test_time_adapt(report.theta_mnlf, arch, (X_tr[i, 0], Y_tr[i, 0]),
                                        cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
-        vmap = verify.check_validity(net.MlpLyapunov(adapted, arch), system, grid,
-                                     exempt_radius=cfg.verify.exempt_radius)
+        vmap = verify.check_validity(net.MlpLyapunov(adapted, arch), system, grid)
         tasks.append(_interior_report(vmap, grid))
     # a map that checks no interior node certifies nothing
     accepted = all(task["checked"] and task["green_fraction"] >= cfg.verify.min_green_fraction
@@ -242,15 +242,15 @@ def cmd_adapt(args, cfg: ExperimentConfig) -> int:
 def _checkpoint_candidate(cfg: ExperimentConfig, checkpoint):
     theta, arch, radius = _load_checkpoint_for(cfg, checkpoint)
     system_test = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-    grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, system_test.dim)
+    grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, system_test.dim,
+                             cfg.verify.exempt_radius, cfg.roa.plane)
     return net.MlpLyapunov(theta, arch), system_test, grid
 
 
 def cmd_verify(args, cfg: ExperimentConfig) -> int:
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
     out = _out_dir(args, cfg)
-    vmap = verify.check_validity(candidate, system_test, grid,
-                                 exempt_radius=cfg.verify.exempt_radius)
+    vmap = verify.check_validity(candidate, system_test, grid)
     green = float(np.mean(vmap.green))
     # the summary first: a worst bound JSON cannot hold (+inf) exits 4 before any map
     atomic_write_json(out / "validity_summary.json",
@@ -258,8 +258,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
                        "fully_green": vmap.fully_green,
                        "worst_bounds": _worst_bounds(vmap, grid)})
     atomic_write_text(out / "validity_map.csv", verify.export_validity_csv(vmap, grid))
-    atomic_write_text(out / "validity_map.svg",
-                      svg.render_validity_svg(vmap, grid, axes=cfg.plane))
+    atomic_write_text(out / "validity_map.svg", svg.render_validity_svg(vmap, grid))
     print(f"validity map written ({green:.4f} green)")
     return EXIT_OK
 
@@ -267,14 +266,13 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
 def cmd_roa(args, cfg: ExperimentConfig) -> int:
     candidate, system_test, grid = _checkpoint_candidate(cfg, args.checkpoint)
     out = _out_dir(args, cfg)
-    vmap, result = baselines.certify_candidate(candidate, system_test, grid, cfg.verify, cfg.plane)
+    vmap, result = baselines.certify_candidate(candidate, system_test, grid)
     check, = roa.monte_carlo_convergence(system_test, [(result, candidate)], grid,
                                          cfg.roa.mc_samples, cfg.roa.mc_step,
                                          cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master)
     atomic_write_json(out / "roa.json", {**_stamp(cfg), **roa.export_roa_json(result, grid)})
     atomic_write_text(out / "roa_boundary.csv", roa.export_boundary_csv(result, grid))
-    atomic_write_text(out / "roa_overlay.svg",
-                      svg.render_validity_svg(vmap, grid, roa=result, axes=cfg.plane))
+    atomic_write_text(out / "roa_overlay.svg", svg.render_validity_svg(vmap, grid, roa=result))
     atomic_write_json(out / "roa_mc.json",
                       {**_stamp(cfg), "fraction": check.fraction, "vacuous": check.vacuous,
                        "n_samples": check.n_samples, "step": check.step})

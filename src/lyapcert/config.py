@@ -48,10 +48,21 @@ MAX_GRID_NODES = 10_000_000
 # 500x the default run of 2,000 steps. The Monte-Carlo gate may still split each
 # asked step on a stiff loop (`roa.gate_step`), and it steps mc_samples rows per method.
 MAX_RK4_STEPS = 1_000_000
-# Samples (roa.mc_samples, nlf.n_samples) a config may ask for. A (16, 16) network peaks
-# at 2.2 kB per sample in `compare`'s Monte-Carlo gate of four certificates and at 2.1 kB
-# in one full-batch NLF step, in 2 to 6 dimensions: at most 1.1 GB at the cap.
+# Samples (roa.mc_samples, nlf.n_samples) a config may ask for, and the rows of one
+# meta-step's widest stacked call (`MetaBlock.step_rows`). A (16, 16) network peaks at
+# 2.2 kB per sample in `compare`'s Monte-Carlo gate of four certificates and at 2.1 kB
+# per row in one full-batch NLF step or one meta-step, in 2 to 6 dimensions: at most
+# 1.1 GB at the cap.
 MAX_SAMPLES = 500_000
+# Rows x hidden units (the sum of `hidden`) of one gradient call: an NLF batch or that
+# meta-step call. A row takes at most 80 B per unit (32 kB at hidden (400,), 60 B per
+# unit at (16, 16), 40 B at eight layers of 8) plus at most 0.8 kB of its own (14-d
+# states), so such a call stays under 1.7 GB.
+MAX_ROW_UNITS = 16_000_000
+# Rows of a task family's datasets, n_tasks x m_batches x (k_train + j_test): the family
+# and its per-task copies peak at 120 B per row in 2 dimensions and at 520 B in 14, the
+# most the grid cap allows: at most 1.04 GB at the cap.
+MAX_TASK_ROWS = 2_000_000
 # meta.meta_steps: train-meta's loss curve and its JSON report peak at 161 B a step.
 MAX_META_STEPS = 10_000_000
 
@@ -116,11 +127,21 @@ class MetaBlock:
                  "task, batch, step and sample counts must be >= 1, k_test >= 0")
         _require(self.meta_steps <= MAX_META_STEPS,
                  f"meta_steps must be at most {MAX_META_STEPS:,}")
+        _require(self.n_tasks * self.m_batches * (self.k_train + self.j_test) <= MAX_TASK_ROWS,
+                 f"n_tasks x m_batches x (k_train + j_test) must be at most {MAX_TASK_ROWS:,}")
+        _require(self.step_rows <= MAX_SAMPLES, f"tasks_per_step x max(2 k_train, j_test) "
+                 f"must be at most {MAX_SAMPLES:,}")
         _require(self.mode in ("first_order", "second_order"),
                  "mode must be 'first_order' or 'second_order'")
         _require(self.adapt_samples <= TEST_TIME_SAMPLES and self.k_test <= TEST_TIME_STEPS,
                  f"the test-time budget is at most {TEST_TIME_SAMPLES} adapt_samples and "
                  f"{TEST_TIME_STEPS} k_test steps")
+
+    @property
+    def step_rows(self) -> int:
+        """Rows of one meta-step's widest stacked gradient call: the HVP's 2P train
+        batches or the P test batches (the first-order mode makes no HVP call)."""
+        return self.tasks_per_step * max(2 * self.k_train, self.j_test)
 
 
 @dataclass(frozen=True)
@@ -212,6 +233,12 @@ class ExperimentConfig:
         arch = self.architecture()
         _require(arch.n_params <= INIT_POINTS, f"hidden {list(self.hidden)} gives a network of "
                  f"{arch.n_params} parameters, more than the {INIT_POINTS} points its bowl init fits")
+        units = sum(self.hidden)
+        _require(units * min(self.nlf.batch_size, self.nlf.n_samples) <= MAX_ROW_UNITS,
+                 f"sum(hidden) x min(nlf.batch_size, nlf.n_samples) must be at most "
+                 f"{MAX_ROW_UNITS:,}")
+        _require(units * self.meta.step_rows <= MAX_ROW_UNITS, f"sum(hidden) x meta "
+                 f"tasks_per_step x max(2 k_train, j_test) must be at most {MAX_ROW_UNITS:,}")
         _require(max(self.roa.plane) < arch.input_dim,
                  "roa.plane names an axis beyond the state dimension")
         _require(self.verify.nodes_per_axis ** arch.input_dim <= MAX_GRID_NODES,
@@ -220,12 +247,6 @@ class ExperimentConfig:
 
     def architecture(self) -> Architecture:
         return Architecture(state_dim(self.system.system_id, self.system.theta0), self.hidden)
-
-    @property
-    def plane(self) -> tuple[int, int]:
-        """The state plane areas are measured and maps drawn on: `roa.plane` above two
-        dimensions, (0, 1) in two."""
-        return self.roa.plane if state_dim(self.system.system_id, self.system.theta0) > 2 else (0, 1)
 
 
 def _parse_value(kind, value, path: str):

@@ -23,8 +23,7 @@ from .verify import GridSpec, ValidityMap
 class RoaResult:
     c: float                    # certified sublevel value
     member_rows: np.ndarray     # grid rows with Vbar <= c (origin component)
-    area: float                 # member cell count x cell volume (or plane shadow)
-    plane: tuple[int, int]      # the state plane the area and the drawings use
+    area: float                 # member cell count x cell volume (or the plane's shadow)
 
     @property
     def empty(self) -> bool:
@@ -54,7 +53,7 @@ def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.nonzero(reached)[0]
 
 
-def largest_level_set(vmap: ValidityMap, grid: GridSpec, plane: tuple[int, int]) -> RoaResult:
+def largest_level_set(vmap: ValidityMap, grid: GridSpec) -> RoaResult:
     """Extraction of the certified sublevel value.
 
     A node is blocked when it is not green or sits in the outer boundary
@@ -68,24 +67,24 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec, plane: tuple[int, int])
     eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
     c = float(np.max(eligible)) if eligible.size else 0.0
     if c <= 0.0:
-        return RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0, plane=plane)
+        return RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0)
 
     rows = _origin_component(np.nonzero(vmap.vbar <= c)[0], grid)
-    result = RoaResult(c=c, member_rows=rows, area=0.0, plane=plane)
+    result = RoaResult(c=c, member_rows=rows, area=0.0)
     return replace(result, area=roa_area(result, grid))
 
 
 def roa_area(result: RoaResult, grid: GridSpec) -> float:
-    """Nonempty member-cell area: full-dimensional for dim <= 2, plane shadow above."""
+    """Nonempty member-cell area: full-dimensional for dim <= 2, the plane's shadow above."""
     if grid.dim > 2:
-        shadow = _plane_image(result, grid, result.plane)
+        shadow = _plane_image(result, grid)
         return float(np.count_nonzero(shadow) * grid.spacing**2)
     return float(result.n_cells * grid.cell_volume)
 
 
-def _plane_image(result: RoaResult, grid: GridSpec, axes: tuple[int, int]) -> np.ndarray:
-    """(nodes_per_axis, nodes_per_axis) occupancy of the member cells' (i, j) index pairs."""
-    i, j = axes
+def _plane_image(result: RoaResult, grid: GridSpec) -> np.ndarray:
+    """(nodes_per_axis, nodes_per_axis) occupancy of the member cells' plane index pairs."""
+    i, j = grid.plane
     image = np.zeros((grid.nodes_per_axis,) * 2, dtype=bool)
     members = grid.index[result.member_rows]
     image[members[:, i], members[:, j]] = True
@@ -283,7 +282,7 @@ def export_roa_json(result: RoaResult, grid: GridSpec) -> dict:
         "area": result.area,
         "n_cells": result.n_cells,
         "empty": result.empty,
-        "plane": list(result.plane) if grid.dim > 2 else None,
+        "plane": list(grid.plane) if grid.dim > 2 else None,
         "grid": {"radius": grid.radius, "nodes_per_axis": grid.nodes_per_axis,
                  "dim": grid.dim, "tau": grid.tau},
     }
@@ -293,7 +292,7 @@ def export_boundary_csv(result: RoaResult, grid: GridSpec) -> str:
     """Member cells whose face neighborhood leaves the member set (2-D plane)."""
     rows = ["u,v"]
     if not result.empty:
-        cells = np.pad(_plane_image(result, grid, result.plane), 1)
+        cells = np.pad(_plane_image(result, grid), 1)
         inner = cells[:-2, 1:-1] & cells[2:, 1:-1] & cells[1:-1, :-2] & cells[1:-1, 2:]
         reprs = [repr(v) for v in grid.axis_coords.tolist()]
         rows += [f"{reprs[a]},{reprs[b]}"

@@ -1,11 +1,11 @@
 """Minimal native SVG rendering: validity heatmaps, ROA overlays, phase portraits.
 
 No plotting dependency; plain string assembly. Grids with more than two state
-dimensions are drawn as the 2-D slice through the origin along a chosen axis
-pair. A grid coordinate takes only nodes_per_axis values, so validity-map cells
-are drawn from per-axis string tables: each pixel position is computed and
-formatted once per axis value and picked by axis index. The validity map
-is made one block of grid nodes at a time, so its text is never held whole.
+dimensions are drawn as the 2-D slice through the origin along the grid's plane.
+A grid coordinate takes only nodes_per_axis values, so validity-map cells are
+drawn from per-axis string tables: each pixel position is computed and formatted
+once per axis value and picked by axis index. The validity map is made one block
+of grid nodes at a time, so its text is never held whole.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ class Blocks:
         return sum(map(len, self._make()))
 
 
-def render_validity_svg(vmap, grid, roa=None, axes: tuple[int, int] = (0, 1)) -> Blocks:
-    """Green/red cell map with an optional ROA member outline, BLOCK grid nodes
-    of cells at a time."""
-    return Blocks(lambda: _validity_svg(vmap, grid, roa, axes))
+def render_validity_svg(vmap, grid, roa=None) -> Blocks:
+    """Green/red cell map on the grid's plane with an optional ROA member outline,
+    BLOCK grid nodes of cells at a time."""
+    return Blocks(lambda: _validity_svg(vmap, grid, roa))
 
 
-def _validity_svg(vmap, grid, roa, axes: tuple[int, int]) -> Iterator[str]:
+def _validity_svg(vmap, grid, roa) -> Iterator[str]:
     to_px, scale = _scaler(grid.radius)
     cell = grid.spacing * scale
     # each rect is its x table entry + its y table entry + its style tail
@@ -72,7 +72,7 @@ def _validity_svg(vmap, grid, roa, axes: tuple[int, int]) -> Iterator[str]:
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" height="{CANVAS:.0f}" '
            f'viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">\n'
            f'<rect width="{CANVAS:.0f}" height="{CANVAS:.0f}" fill="white"/>\n')
-    rest = [k for k in range(grid.dim) if k not in axes]
+    rest = [k for k in range(grid.dim) if k not in grid.plane]
     half = grid.nodes_per_axis // 2
     green = vmap.green
 
@@ -86,7 +86,7 @@ def _validity_svg(vmap, grid, roa, axes: tuple[int, int]) -> Iterator[str]:
             if member is not None:
                 drawn &= member[block]
             at = np.nonzero(drawn)[0]
-            ix, iy = index[at][:, axes].T
+            ix, iy = index[at][:, grid.plane].T
             tails = (outline if member is not None else
                      fills[np.where(vmap.exempt[block][at], 0, np.where(green[block][at], 1, 2))])
             yield "".join((x_heads[ix] + y_texts[iy] + tails).tolist())

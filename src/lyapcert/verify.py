@@ -18,6 +18,8 @@ K_V-Lipschitz, so nodes with |u|_1 <= tau can never have vbar_low > 0, for
 any candidate. Nodes inside a configurable exemption radius are therefore marked
 exempt and excluded from the certified claim, which covers the annulus
 between the exemption radius and d; time-domain validation covers the hole.
+The exempt nodes, and the plane areas are measured and maps drawn on, are the
+grid's: `build_grid` fixes both, for every candidate checked on the grid.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class GridSpec:
     origin_row: int
     boundary: np.ndarray        # (n,) collar node or a missing face neighbor
     neighbors: np.ndarray       # (n, 2 dim) -axis k neighbor in column 2k, +axis k in 2k+1, or self
+    exempt: np.ndarray          # (n,) the origin and the nodes within the exemption radius
+    plane: tuple[int, int]      # the state plane areas are measured and maps drawn on
 
     @property
     def n_nodes(self) -> int:
@@ -66,9 +70,12 @@ class GridSpec:
         return self.axis_coords[self.index[rows]]
 
 
-def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
+def build_grid(radius: float, nodes_per_axis: int, dim: int, exempt_radius: float = 0.0,
+               plane: tuple[int, int] = (0, 1)) -> GridSpec:
     """Uniform odd-count lattice over [-d, d]^dim, clipped to the ball plus a
-    half-cell collar.
+    half-cell collar, with its exempt nodes (|p|_2 <= exempt_radius, and the
+    origin) and its plane: the given one above two dimensions, (0, 1) at two
+    and below.
 
     The collar (nodes with |p|_2 in (d, d + sqrt(dim) h/2]) is what makes the
     covering radius exactly tau = sum_i h_i/2: the componentwise-nearest node
@@ -90,8 +97,9 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
         index = np.stack(np.unravel_index(flat, box), axis=1)
         norms = np.linalg.norm((index - half) * spacing, axis=1)
         inside = norms <= collar + 1e-12
-        kept.append((flat[inside], index[inside], norms[inside] > radius + 1e-12))
-    flat, index, boundary = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
+        norms = norms[inside]
+        kept.append((flat[inside], index[inside], norms > radius + 1e-12, norms <= exempt_radius))
+    flat, index, boundary, exempt = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
     del kept
 
     strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
@@ -104,11 +112,13 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int) -> GridSpec:
         neighbors[src, 2 * axis + 1] = up[src]
         neighbors[up[src], 2 * axis] = src   # v is u's -axis neighbor when u is v's +axis one
     boundary |= (neighbors == rows).any(axis=1)
+    origin_row = int(np.searchsorted(flat, half * strides.sum()))
+    exempt[origin_row] = True
     return GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim,
         spacing=float(spacing), tau=float(dim * spacing / 2.0), index=index,
-        origin_row=int(np.searchsorted(flat, half * strides.sum())),
-        boundary=boundary, neighbors=neighbors,
+        origin_row=origin_row, boundary=boundary, neighbors=neighbors, exempt=exempt,
+        plane=plane if dim > 2 else (0, 1),
     )
 
 
@@ -144,7 +154,7 @@ class ValidityMap:
     lie: np.ndarray         # grad V(u)^T f(u)
     vbar_low: np.ndarray    # lower bound of Vbar on u's cell
     lie_high: np.ndarray    # upper bound of the Lie derivative on u's cell
-    exempt: np.ndarray      # origin + optional near-origin ball, not checked
+    exempt: np.ndarray      # the grid's exempt nodes, not checked
 
     @property
     def positivity_ok(self) -> np.ndarray:
@@ -163,7 +173,7 @@ class ValidityMap:
         return bool(np.all(self.green))
 
 
-def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0) -> ValidityMap:
+def check_validity(candidate, system, grid: GridSpec) -> ValidityMap:
     """Bound Vbar from below and the Lie derivative from above on every node's cell.
 
     The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau, with
@@ -171,14 +181,12 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
     at a time: each block evaluates V and its gradient in one sweep, and f,
     into preallocated per-node arrays, and keeps of the gradient only its
     l-infinity norm, from which (with the Lie derivatives) the constants are
-    estimated. The origin node (where both conditions are excluded by
-    definition) and any node within the exemption radius are marked exempt.
+    estimated. The map's exempt nodes are the grid's.
     A bound that comes out NaN (an infinite Lie value at the node or NaN near
     it) bounds nothing, so it is +inf: the node's decrease check fails.
     """
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
     vbar, lie, grad_inf = (np.empty(grid.n_nodes) for _ in range(3))
-    exempt = np.empty(grid.n_nodes, dtype=bool)
     for start in range(0, grid.n_nodes, BLOCK):
         block = slice(start, start + BLOCK)
         X = grid.coords(block)
@@ -186,14 +194,12 @@ def check_validity(candidate, system, grid: GridSpec, exempt_radius: float = 0.0
         np.subtract(values, v0, out=vbar[block])
         np.sum(grads * system.f_batch(X), axis=1, out=lie[block])
         np.max(np.abs(grads), axis=1, out=grad_inf[block])
-        exempt[block] = np.linalg.norm(X, axis=1) <= exempt_radius
-    exempt[grid.origin_row] = True
     k_v, k_lie = estimate_lipschitz(grad_inf, lie, grid)
     with np.errstate(invalid="ignore"):   # -inf + inf at a node whose Lie value is -inf
         lie_high = lie + k_lie * grid.tau
     lie_high[np.isnan(lie_high)] = np.inf
     return ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
-                       lie_high=lie_high, exempt=exempt)
+                       lie_high=lie_high, exempt=grid.exempt)
 
 
 @dataclass(frozen=True, eq=False)

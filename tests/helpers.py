@@ -99,10 +99,12 @@ def reference_gradient(candidate, X):
     return net._input_gradient(candidate._weights, net._tanh_primes(acts))[0]
 
 
-def reference_build_grid(radius, nodes_per_axis, dim):
+def reference_build_grid(radius, nodes_per_axis, dim, exempt_radius=0.0, plane=(0, 1)):
     """build_grid from the whole box: every box node is made, then clipped to the
     ball plus collar, and both face neighbors on each axis are looked up in a
-    box-sized row table; a node with no face neighbor on a side holds its own row."""
+    box-sized row table; a node with no face neighbor on a side holds its own row.
+    A node is exempt when its coordinates' norm is at most exempt_radius, and the
+    origin is."""
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
     mesh = np.meshgrid(*([np.arange(nodes_per_axis)] * dim), indexing="ij")
@@ -124,16 +126,18 @@ def reference_build_grid(radius, nodes_per_axis, dim):
     missing = neighbors < 0
     neighbors[missing] = np.nonzero(missing)[0]
     boundary = (norms > radius + 1e-12) | missing.any(axis=1)
+    origin_row = int(full_rows[np.full(dim, half) @ strides])
+    exempt = norms <= exempt_radius
+    exempt[origin_row] = True
     return verify.GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim, spacing=float(spacing),
-        tau=float(dim * spacing / 2.0), index=index,
-        origin_row=int(full_rows[np.full(dim, half) @ strides]), boundary=boundary,
-        neighbors=neighbors)
+        tau=float(dim * spacing / 2.0), index=index, origin_row=origin_row, boundary=boundary,
+        neighbors=neighbors, exempt=exempt, plane=plane if dim > 2 else (0, 1))
 
 
 def reference_check_validity(candidate, system, grid, exempt_radius=0.0):
     """check_validity in one pass over all nodes, with V and its gradient from two
-    separate sweeps."""
+    separate sweeps, and each node's exemption from its coordinates' norm."""
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
     X = node_coords(grid)
     vbar = candidate.value(X) - v0
@@ -208,7 +212,7 @@ def reference_project_plane(result, grid, axes) -> np.ndarray:
 
 def reference_boundary_csv(result, grid) -> str:
     """The boundary CSV from a set of plane cells and per-cell neighbor lookups."""
-    shadow = (reference_project_plane(result, grid, result.plane) if not result.empty
+    shadow = (reference_project_plane(result, grid, grid.plane) if not result.empty
               else np.empty((0, 2), dtype=int))
     cells = set(map(tuple, shadow))
     rows = ["u,v"]

@@ -193,9 +193,9 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     theta, arch, extra = net.load_checkpoint(stochastic_l_run["dir"] / "adapted_checkpoint.json")
     radius = extra["radius"]
     system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-    grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
+    grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2, cfg.verify.exempt_radius)
     candidate = net.MlpLyapunov(theta, arch)
-    vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
+    vmap, result = baselines.certify_candidate(candidate, system, grid)
     assert result.c > 0
     chk, = roa.monte_carlo_convergence(system, [(result, candidate)], grid, 1000, 0.01, 20.0,
                                        1e-2, seed=4242)
@@ -209,9 +209,10 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     # a microgrid certificate for coverage of the second system family
     mg = PRESETS["mg3_dc12"]
     mg_sys = dynamics.build_system(mg.system.system_id, mg.system.theta_test)
-    mg_grid = verify.build_grid(mg.verify.d0, mg.verify.nodes_per_axis, 3)
+    mg_grid = verify.build_grid(mg.verify.d0, mg.verify.nodes_per_axis, 3,
+                                mg.verify.exempt_radius, mg.roa.plane)
     mg_candidate, _, _ = baselines.qlf_ts(mg_sys)
-    _, mg_roa = baselines.certify_candidate(mg_candidate, mg_sys, mg_grid, mg.verify, (0, 1))
+    _, mg_roa = baselines.certify_candidate(mg_candidate, mg_sys, mg_grid)
     assert mg_roa.c > 0
     mg_chk, = roa.monte_carlo_convergence(mg_sys, [(mg_roa, mg_candidate)], mg_grid,
                                           1000, 0.01, 20.0, 1e-2, seed=4243)
@@ -233,19 +234,19 @@ def test_criterion_5_positive_definite_soundness(stochastic_l_run, ordering_run)
     theta, arch, extra = net.load_checkpoint(stochastic_l_run["dir"] / "adapted_checkpoint.json")
     radius = extra["radius"]
     system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-    grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2)
+    grid = verify.build_grid(radius, cfg.verify.nodes_per_axis, 2, cfg.verify.exempt_radius)
     candidate = net.MlpLyapunov(theta, arch)
-    vmap, _ = baselines.certify_candidate(candidate, system, grid, cfg.verify, cfg.plane)
+    vmap, _ = baselines.certify_candidate(candidate, system, grid)
     cases.append((candidate, vmap, grid, cfg.verify.exempt_radius, "ip_l/META"))
 
     # `compare` keeps no maps: each certified candidate is mapped again, to the same bits
     tcfg = ordering_run["cfg"]
     tsystem = dynamics.build_system(tcfg.system.system_id, tcfg.system.theta_test)
-    tgrid = verify.build_grid(tcfg.verify.d0, tcfg.verify.nodes_per_axis, 2)
+    tgrid = verify.build_grid(tcfg.verify.d0, tcfg.verify.nodes_per_axis, 2,
+                              tcfg.verify.exempt_radius)
     for method, result in ordering_run["results"].items():
         if result.candidate is not None:
-            tmap, _ = baselines.certify_candidate(result.candidate, tsystem, tgrid, tcfg.verify,
-                                                  tcfg.plane)
+            tmap, _ = baselines.certify_candidate(result.candidate, tsystem, tgrid)
             cases.append((result.candidate, tmap, tgrid, tcfg.verify.exempt_radius,
                           f"lmgb/{method}"))
 
@@ -295,14 +296,14 @@ def test_criterion_7_area_ordering(ordering_run):
         # seed-sensitive by design: try the documented fallback seeds
         for fb in FALLBACK_NET_SEEDS:
             system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-            grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2)
+            grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 2,
+                                     cfg.verify.exempt_radius)
             try:
                 candidate, _, _ = baselines.meta_nlf(
                     replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)), system, grid.radius)
             except meta.NonFiniteLoss:
                 continue
-            _, result = baselines.certify_candidate(candidate, system, grid, cfg.verify,
-                                                    cfg.plane)
+            _, result = baselines.certify_candidate(candidate, system, grid)
             areas["META_NLF"] = result.area
             ok = areas["NLF_TS"] >= areas["META_NLF"] >= areas["QLF_TS"] > 0
             if ok:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lyapcert import baselines, dynamics, meta, net, roa, verify
+from lyapcert import baselines, control, dynamics, meta, net, roa, verify
 from lyapcert.config import (TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfig, MetaBlock,
                              NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
@@ -24,16 +24,15 @@ class LinearSystem:
         return -np.eye(2)
 
 
-SETTINGS = VerifyBlock(d0=2.0, nodes_per_axis=41, exempt_radius=0.4)
-GRID = verify.build_grid(2.0, 41, 2)
+GRID = verify.build_grid(2.0, 41, 2, exempt_radius=0.4)
 ARCH = net.Architecture(2, (8,))
 LOSS = TightenedLossConfig(0.5, 0.5)
 
 
-def certified(built, system, grid, settings):
-    """A method's (candidate, samples, steps) with its validity map and ROA on (0, 1)."""
+def certified(built, system, grid):
+    """A method's (candidate, samples, steps) with its validity map and ROA."""
     candidate, samples, steps = built
-    vmap, result = baselines.certify_candidate(candidate, system, grid, settings, (0, 1))
+    vmap, result = baselines.certify_candidate(candidate, system, grid)
     return vmap, result, samples, steps
 
 
@@ -51,17 +50,15 @@ class TestQuadraticLyapunov:
 
 class TestQlfTs:
     def test_linear_system_interior_green(self):
-        vmap, result, _, _ = certified(baselines.qlf_ts(LinearSystem()), LinearSystem(), GRID,
-                                       SETTINGS)
+        vmap, result, _, _ = certified(baselines.qlf_ts(LinearSystem()), LinearSystem(), GRID)
         assert bool(np.all(vmap.green | GRID.boundary))
         # containment-limited level set: near the inscribed ball
         assert result.area == pytest.approx(np.pi * (2.0 - GRID.spacing) ** 2, rel=0.1)
 
     def test_nominal_pendulum_nonempty(self):
         system = nominal_system("pendulum")
-        settings = VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1)
-        grid = verify.build_grid(4.0, 201, 2)
-        _, result, _, _ = certified(baselines.qlf_ts(system), system, grid, settings)
+        grid = verify.build_grid(4.0, 201, 2, exempt_radius=1.1)
+        _, result, _, _ = certified(baselines.qlf_ts(system), system, grid)
         assert result.c > 0.0
         assert result.area > 0.0
 
@@ -78,18 +75,36 @@ class TestQlfTs:
             def linearization(self):
                 return np.eye(2)
 
-        with pytest.raises(baselines.NotHurwitz):
+        with pytest.raises(baselines.NotHurwitz):   # P = -I / 2 fails its Cholesky check
             baselines.qlf_ts(Unstable())
+
+    def test_singular_lyapunov_system_is_not_hurwitz(self):
+        class Centre(LinearSystem):   # eigenvalues +-i: the Lyapunov system is singular
+            def linearization(self):
+                return np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        with pytest.raises(baselines.NotHurwitz) as info:
+            baselines.qlf_ts(Centre())
+        assert isinstance(info.value.__cause__, control.SingularSystem)
+
+    @pytest.mark.parametrize("system_id", ["pendulum", "microgrid", "fan"])
+    def test_p_is_the_one_lyapunov_solve(self, system_id):
+        """One solve: P is solve_lyapunov(A, I) bit for bit, as a Hurwitz test and a
+        second solve gave it."""
+        system = nominal_system(system_id)
+        candidate, _, _ = baselines.qlf_ts(system)
+        P = control.solve_lyapunov(system.linearization(), np.eye(system.dim))
+        assert control.is_hurwitz(system.linearization())
+        assert candidate.P.tobytes() == baselines.QuadraticLyapunov(P).P.tobytes()
 
 
 class TestNlfTs:
     def test_zero_step_budget_yields_no_certificate(self):
         system = nominal_system("pendulum")
-        settings = VerifyBlock(d0=4.0, nodes_per_axis=61, exempt_radius=1.1)
-        grid = verify.build_grid(4.0, 61, 2)
+        grid = verify.build_grid(4.0, 61, 2, exempt_radius=1.1)
         _, result, _, _ = certified(
             baselines.nlf_ts(system, grid.radius, ARCH, LOSS, NlfBlock(n_samples=100, n_steps=0),
-                             seed=0), system, grid, settings)
+                             seed=0), system, grid)
         assert result.c == 0.0
 
     def test_budget_recorded(self):
@@ -116,10 +131,9 @@ class TestTNlf:
                                system=SystemBlock("pendulum", params, params, (0.0,) * 4),
                                loss=TightenedLossConfig(1.0, 1.0),
                                nlf=NlfBlock(4000, 2000, 0.002, 128), hidden=(16, 16))
-        settings = VerifyBlock(d0=4.0, nodes_per_axis=121, exempt_radius=1.1)
-        grid = verify.build_grid(4.0, 121, 2)
+        grid = verify.build_grid(4.0, 121, 2, exempt_radius=1.1)
         _, result, samples, steps = certified(
-            baselines.t_nlf(system, system, grid.radius, cfg, seed=7), system, grid, settings)
+            baselines.t_nlf(system, system, grid.radius, cfg, seed=7), system, grid)
         assert samples == 50
         assert steps == 10
         # no distribution shift: the fine-tuned NLF still certifies a region

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
-from lyapcert.config import (MAX_GRID_NODES, MAX_META_STEPS, MAX_SAMPLES, ConfigError,
-                             MetaBlock, NlfBlock, PRESETS, config_from_dict, config_hash,
-                             config_to_dict, load_config)
+from lyapcert.config import (MAX_GRID_NODES, MAX_META_STEPS, MAX_ROW_UNITS, MAX_SAMPLES,
+                             MAX_TASK_ROWS, ConfigError, MetaBlock, NlfBlock, PRESETS,
+                             config_from_dict, config_hash, config_to_dict, load_config)
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.loss import TightenedLossConfig
 
@@ -234,11 +234,28 @@ class TestConfig:
         assert err.startswith("config error") and err.count("\n") == 1 and key in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.json"]
 
-    def test_plane_above_two_dimensions(self):
+    def test_plane_above_two_dimensions(self, monkeypatch):
         """Above two dimensions the plane areas are measured and maps drawn on is
-        roa.plane (two dimensions: test_two_dim_system_ignores_configured_plane)."""
-        assert PRESETS["cf_m"].plane == PRESETS["cf_m"].roa.plane == (0, 2)
-        assert PRESETS["mg3_dc12"].plane == PRESETS["mg3_dc12"].roa.plane == (0, 1)
+        roa.plane (two dimensions: test_two_dim_system_ignores_configured_plane);
+        `compare`'s grid carries it, and the `verify` block's exempt ball."""
+        class Certified(Exception):
+            pass
+
+        def certify(candidate, system, grid):
+            raise Certified(grid)
+
+        monkeypatch.setattr(baselines, "meta_nlf", lambda cfg, system, radius:
+                            baselines.qlf_ts(system))   # no training before the grid is read
+        monkeypatch.setattr(baselines, "certify_candidate", certify)
+        for preset, plane in (("cf_m", (0, 2)), ("mg3_dc12", (0, 1)), ("ip_stochastic_l", (0, 1))):
+            cfg = PRESETS[preset]
+            assert cfg.roa.plane == plane
+            with pytest.raises(Certified) as info:
+                baselines.compare(cfg)
+            grid = info.value.args[0]
+            assert grid.plane == plane
+            norms = np.linalg.norm(grid.coords(np.arange(grid.n_nodes)), axis=1)
+            np.testing.assert_array_equal(grid.exempt, norms <= cfg.verify.exempt_radius)
 
     def test_float_fields_take_integers(self, tmp_path):
         """A JSON integer where a float belongs parses, and is hashed as written."""
@@ -297,6 +314,53 @@ class TestConfig:
             assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
             err = capsys.readouterr().err
             assert key in err and f"{cap:,}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, block, key, at_cap, cap", [
+        # the task family, n_tasks x m_batches x (k_train + j_test): 4 x 1 x 500,000
+        pytest.param({"meta": {"n_tasks": 4, "m_batches": 1, "tasks_per_step": 1}}, "meta",
+                     "j_test", 499_992, MAX_TASK_ROWS, id="family"),
+        # one meta-step's widest call, tasks_per_step x max(2 k_train, j_test)
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "k_train", 125_000, MAX_SAMPLES,
+                     id="step-hvp"),
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "j_test", 250_000, MAX_SAMPLES,
+                     id="step-test"),
+        # that call's rows x hidden units, and an NLF batch's: 40,000 rows x 400 units
+        pytest.param({"meta": {"tasks_per_step": 1}, "hidden": [400]}, "meta", "j_test",
+                     40_000, MAX_ROW_UNITS, id="step-units"),
+        pytest.param({"nlf": {"n_samples": 50_000}, "hidden": [400]}, "nlf", "batch_size",
+                     40_000, MAX_ROW_UNITS, id="nlf-units"),
+    ])
+    def test_product_at_its_cap_parses_one_above_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                         overrides, block, key, at_cap, cap):
+        """A product of counts that sizes an array parses at its cap; the count one
+        above exits 2 when the config is parsed, before any work, and writes nothing."""
+        def no_training(*args):
+            raise AssertionError("trained on a count above its cap")
+
+        monkeypatch.setattr(baselines, "meta_train_for", no_training)
+        payload = json.loads(mini_config(tmp_path).read_text())
+        for name, value in overrides.items():
+            payload[name] = {**payload[name], **value} if isinstance(value, dict) else value
+        for value in (at_cap, at_cap + 1):
+            payload[block][key] = value
+            path = tmp_path / "capped.json"
+            path.write_text(json.dumps(payload))
+            if value == at_cap:
+                assert getattr(getattr(load_config(path), block), key) == at_cap
+                continue
+            assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and key in err and f"{cap:,}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.json", "mini.json"]
+
+    def test_wide_network_at_the_sample_cap_exits_2(self, tmp_path, capsys):
+        """Hidden (400,) takes 32 kB per NLF row: a full batch at the sample cap (about
+        16 GB) exits 2 although every count is within its own cap."""
+        path = mini_config(tmp_path, hidden=[400], nlf={"n_samples": MAX_SAMPLES, "n_steps": 1,
+                                                        "lr": 0.01, "batch_size": MAX_SAMPLES})
+        assert run(tmp_path, ["compare", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"must be at most {MAX_ROW_UNITS:,}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, key", [
@@ -654,10 +718,10 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     for name in ("roa.json", "roa_mc.json"):
         (out / name).unlink()
 
-    def raised(vmap, grid, plane):
+    def raised(vmap, grid):
         rows = np.nonzero(~grid.boundary)[0]
         return roa.RoaResult(c=float(np.max(vmap.vbar[rows])), member_rows=rows,
-                             area=float(rows.size * grid.cell_volume), plane=plane)
+                             area=float(rows.size * grid.cell_volume))
 
     monkeypatch.setattr(roa, "largest_level_set", raised)
     capsys.readouterr()
@@ -735,9 +799,8 @@ def test_infinite_lie_values_give_infinite_bounds(tmp_path):
     """An infinite Lie value of either sign gives its node and its face neighbors a
     +inf lie_high, with no RuntimeWarning and no NaN bound; the worst bound is then
     +inf, which the JSON writer refuses, naming the file and writing nothing."""
-    grid = verify.build_grid(1.0, 11, 2)
-    vmap = verify.check_validity(QuadraticLyapunov(np.eye(2)), InfiniteLie(), grid,
-                                 exempt_radius=0.25)
+    grid = verify.build_grid(1.0, 11, 2, exempt_radius=0.25)
+    vmap = verify.check_validity(QuadraticLyapunov(np.eye(2)), InfiniteLie(), grid)
     rows = [row_of(grid, (2, 2)), row_of(grid, (2, -2))]
     assert vmap.lie[rows].tolist() == [np.inf, -np.inf]
     assert not np.isnan(vmap.lie_high).any() and not np.isnan(vmap.vbar_low).any()
@@ -870,7 +933,7 @@ def test_two_dim_system_ignores_configured_plane(tmp_path):
         payload["roa"].update(plane=plane, mc_samples=50)
         path = tmp_path / f"plane{plane[0]}.json"
         path.write_text(json.dumps(payload))
-        assert load_config(path).plane == (0, 1)
+        assert load_config(path).roa.plane == tuple(plane)
         for command in ("verify", "roa"):
             assert cli.main([command, "--config", str(path), "--out",
                              str(tmp_path / f"out{plane[0]}"), "--checkpoint",

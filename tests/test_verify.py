@@ -20,9 +20,9 @@ cfg = PRESETS["ip_stochastic_l"]
 theta, arch, extra = net.load_checkpoint(sys.argv[2])
 candidate = net.MlpLyapunov(theta, arch)
 system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-grid = verify.build_grid(extra["radius"], int(sys.argv[1]), 2)
-vmap = verify.check_validity(candidate, system, grid, exempt_radius=cfg.verify.exempt_radius)
-result = roa.largest_level_set(vmap, grid, (0, 1))
+grid = verify.build_grid(extra["radius"], int(sys.argv[1]), 2, cfg.verify.exempt_radius)
+vmap = verify.check_validity(candidate, system, grid)
+result = roa.largest_level_set(vmap, grid)
 assert not result.empty
 """
 
@@ -162,6 +162,30 @@ class TestBuildGrid:
             d = np.abs(chunk[:, None, :] - nodes[None, :, :]).sum(axis=2).min(axis=1)
             assert np.max(d) <= grid.tau + 1e-12
 
+    @pytest.mark.parametrize("dim, nodes", [(1, 201), (2, 201), (3, 41), (4, 21), (5, 15),
+                                            (6, 9)])
+    def test_exempt_nodes_follow_the_norm_rule(self, dim, nodes):
+        """A node is exempt exactly when the norm of its coordinates, taken BLOCK
+        nodes at a time as the map's sweep took it, is at most the exemption radius,
+        and the origin always is; radii on a node's norm test the rule's edge."""
+        probe = verify.build_grid(1.0, nodes, dim)
+        on_nodes = np.linalg.norm(probe.coords([probe.n_nodes // 3, probe.n_nodes // 5]), axis=1)
+        for exempt_radius in (0.0, 0.35, 1.0 / 3.0, *on_nodes.tolist()):
+            grid = verify.build_grid(1.0, nodes, dim, exempt_radius)
+            rule = np.concatenate([np.linalg.norm(grid.coords(slice(s, s + verify.BLOCK)),
+                                                  axis=1) <= exempt_radius
+                                   for s in range(0, grid.n_nodes, verify.BLOCK)])
+            rule[grid.origin_row] = True
+            assert grid.exempt.dtype == bool
+            np.testing.assert_array_equal(grid.exempt, rule)
+            assert grid.exempt.sum() > (exempt_radius > 0)   # the ball holds more than the origin
+
+    @pytest.mark.parametrize("dim, plane, kept", [(1, (0, 1), (0, 1)), (2, (1, 0), (0, 1)),
+                                                  (3, (0, 2), (0, 2)), (3, (2, 1), (2, 1)),
+                                                  (6, (3, 5), (3, 5))])
+    def test_plane_is_the_given_one_above_two_dimensions(self, dim, plane, kept):
+        assert verify.build_grid(1.0, 5, dim, plane=plane).plane == kept
+
     def test_row_of(self):
         grid = verify.build_grid(1.0, 5, 2)
         assert row_of(grid, [0, 0]) == grid.origin_row
@@ -175,12 +199,13 @@ class TestBuildGrid:
         # the largest sizes span several SLABs of box nodes
         for nodes in sizes:
             for radius in (1.0, 3.2):
-                grid = verify.build_grid(radius, nodes, dim)
-                ref = reference_build_grid(radius, nodes, dim)
-                for field in ("radius", "nodes_per_axis", "dim", "spacing", "tau", "origin_row"):
+                grid = verify.build_grid(radius, nodes, dim, radius / 3.0, (0, dim - 1))
+                ref = reference_build_grid(radius, nodes, dim, radius / 3.0, (0, dim - 1))
+                for field in ("radius", "nodes_per_axis", "dim", "spacing", "tau", "origin_row",
+                              "plane"):
                     assert type(getattr(grid, field)) is type(getattr(ref, field))
                     assert getattr(grid, field) == getattr(ref, field), field
-                for field in ("index", "boundary", "neighbors"):
+                for field in ("index", "boundary", "neighbors", "exempt"):
                     got, want = getattr(grid, field), getattr(ref, field)
                     assert got.dtype == want.dtype and got.shape == want.shape, field
                     assert got.tobytes() == want.tobytes(), field
@@ -236,9 +261,9 @@ class TestEstimateLipschitz:
         # check_validity estimates the constants from its own gradient and f
         # arrays: one gradient evaluation per node, in BLOCK-node blocks, and
         # the cell bounds of those constants
-        grid = verify.build_grid(1.0, 201, 2)
+        grid = verify.build_grid(1.0, 201, 2, exempt_radius=0.3)
         cand = CountingCandidate(np.array([[2.0, 0.3], [0.3, 0.5]]))
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.3)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid)
         full, last = divmod(grid.n_nodes, verify.BLOCK)
         assert full >= 2 and cand.gradient_rows == [verify.BLOCK] * full + [last]
         k_v, k_lie = star_constants(cand, LinearSystem(2), grid)
@@ -317,12 +342,13 @@ class TestCheckValidity:
         assert vmap.green[grid.origin_row]
 
     def test_exempt_radius(self, monkeypatch):
-        grid = verify.build_grid(1.0, 21, 2)
+        grid = verify.build_grid(1.0, 21, 2, exempt_radius=0.35)
         cand = QuadraticLyapunov(np.eye(2))
         force_constants(monkeypatch, k_v=100.0, k_lie=100.0)
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.35)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid)
         r = np.linalg.norm(node_coords(grid), axis=1)
         np.testing.assert_array_equal(vmap.exempt, r <= 0.35)
+        assert vmap.exempt is grid.exempt   # the grid's array, not a copy
 
     def test_bias_subtraction_exact(self, monkeypatch):
         grid = verify.build_grid(1.0, 11, 2)
@@ -366,9 +392,9 @@ class TestCertifyPositiveDefinite:
     def test_certified_implies_positive_samples(self):
         # quadratic candidate on a fine grid: certification implies vbar > 0
         # at random off-grid points of the checked annulus
-        grid = verify.build_grid(1.0, 41, 2)
+        grid = verify.build_grid(1.0, 41, 2, exempt_radius=0.3)
         cand = QuadraticLyapunov(np.eye(2))
-        vmap = verify.check_validity(cand, LinearSystem(2), grid, exempt_radius=0.3)
+        vmap = verify.check_validity(cand, LinearSystem(2), grid)
         assert vmap.positivity_ok.all()
         rng = np.random.default_rng(1)
         pts = sample_annulus(rng, 10000, 2, outer=1.0, inner=0.3)
@@ -377,10 +403,9 @@ class TestCertifyPositiveDefinite:
 
 class TestSelectValidRegion:
     def test_round_one_success(self, monkeypatch):
-        grid = verify.build_grid(1.0, 5, 1)
+        grid = verify.build_grid(1.0, 5, 1, exempt_radius=0.3)
         force_constants(monkeypatch, 0.0, 0.0)
-        good = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                     exempt_radius=0.3)
+        good = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid)
         sel = verify.select_valid_region(lambda d: ("artifact", good.fully_green),
                                          d0=2.0, shrink_factor=0.8, max_rounds=3)
         assert sel.radius == 2.0 and sel.rounds == 1 and sel.accepted
@@ -391,10 +416,9 @@ class TestSelectValidRegion:
         def fit(d):
             calls.append(d)
             ok = len(calls) >= 3
-            grid = verify.build_grid(1.0, 5, 1)
+            grid = verify.build_grid(1.0, 5, 1, exempt_radius=0.3 if ok else 0.0)
             force_constants(monkeypatch, 0.0 if ok else 1e9, 0.0 if ok else 1e9)
-            vmap = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid,
-                                         exempt_radius=0.3 if ok else 0.0)
+            vmap = verify.check_validity(QuadraticLyapunov(np.eye(1)), LinearSystem(1), grid)
             return None, vmap.fully_green
 
         sel = verify.select_valid_region(fit, d0=2.0, shrink_factor=0.8, max_rounds=5)
@@ -418,15 +442,15 @@ class TestOneSweep:
     @pytest.mark.parametrize("candidate, system, grid", [
         (net.MlpLyapunov(net.init_params(net.Architecture(2, (16, 16)), 3),
                          net.Architecture(2, (16, 16))),
-         nominal_system("pendulum"), verify.build_grid(3.0, 41, 2)),
+         nominal_system("pendulum"), verify.build_grid(3.0, 41, 2, exempt_radius=0.3)),
         (net.MlpLyapunov(net.init_params(net.Architecture(3, (8, 8, 8)), 4),
                          net.Architecture(3, (8, 8, 8))),
-         nominal_system("microgrid"), verify.build_grid(2.0, 15, 3)),
+         nominal_system("microgrid"), verify.build_grid(2.0, 15, 3, exempt_radius=0.3)),
         (QuadraticLyapunov(np.array([[2.0, 0.3], [0.3, 0.5]])), LinearSystem(2),
-         verify.build_grid(1.0, 21, 2)),
+         verify.build_grid(1.0, 21, 2, exempt_radius=0.3)),
     ])
     def test_map_equals_the_two_sweep_map(self, candidate, system, grid):
-        vmap = verify.check_validity(candidate, system, grid, exempt_radius=0.3)
+        vmap = verify.check_validity(candidate, system, grid)
         ref = reference_check_validity(candidate, system, grid, exempt_radius=0.3)
         for field in ("vbar", "lie", "vbar_low", "lie_high", "exempt"):
             np.testing.assert_array_equal(getattr(vmap, field), getattr(ref, field))
@@ -448,9 +472,9 @@ class TestBlockSweep:
         theta, arch, extra = net.load_checkpoint(ROOT / "perfbench" / "data" / "meta_checkpoint.json")
         candidate = net.MlpLyapunov(theta, arch)
         system = dynamics.build_system("pendulum", (1.2, 0.15, 9.81, 0.1))
-        grid = verify.build_grid(extra["radius"], 201, 2)
+        grid = verify.build_grid(extra["radius"], 201, 2, exempt_radius=1.1)
         assert grid.n_nodes > 4 * verify.BLOCK
-        vmap = verify.check_validity(candidate, system, grid, exempt_radius=1.1)
+        vmap = verify.check_validity(candidate, system, grid)
         ref = reference_check_validity(candidate, system, grid, exempt_radius=1.1)
         for field in ("vbar", "lie", "vbar_low", "lie_high"):
             np.testing.assert_allclose(getattr(vmap, field), getattr(ref, field),

@@ -28,13 +28,14 @@ def assert_same_text(text, expected):
                     f"({len(lines)} and {len(ref)} lines)")
 
 
-def assert_writers_match(vmap, grid, result, axes):
+def assert_writers_match(vmap, grid, result):
+    """The writers against the references, drawn on the grid's plane."""
     assert_same_text("".join(verify.export_validity_csv(vmap, grid)),
                      reference_validity_csv(vmap, grid))
-    assert_same_text("".join(svg.render_validity_svg(vmap, grid, axes=axes)),
-                     reference_validity_svg(vmap, grid, axes=axes))
-    assert_same_text("".join(svg.render_validity_svg(vmap, grid, roa=result, axes=axes)),
-                     reference_validity_svg(vmap, grid, roa=result, axes=axes))
+    assert_same_text("".join(svg.render_validity_svg(vmap, grid)),
+                     reference_validity_svg(vmap, grid, axes=grid.plane))
+    assert_same_text("".join(svg.render_validity_svg(vmap, grid, roa=result)),
+                     reference_validity_svg(vmap, grid, roa=result, axes=grid.plane))
     assert_same_text(roa.export_boundary_csv(result, grid), reference_boundary_csv(result, grid))
 
 
@@ -44,10 +45,10 @@ def pendulum():
     and exemption radius, on a pendulum of length 0.4, where it has red cells."""
     cfg = PRESETS["ip_stochastic_l"]
     theta, arch, extra = net.load_checkpoint(CHECKPOINT)
-    grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, 2)
+    grid = verify.build_grid(extra["radius"], cfg.verify.nodes_per_axis, 2,
+                             cfg.verify.exempt_radius)
     system = dynamics.build_system("pendulum", (0.4, 0.15, 9.81, 0.1))
-    vmap, result = baselines.certify_candidate(net.MlpLyapunov(theta, arch), system, grid,
-                                               cfg.verify, cfg.plane)
+    vmap, result = baselines.certify_candidate(net.MlpLyapunov(theta, arch), system, grid)
     return vmap, grid, result
 
 
@@ -56,30 +57,31 @@ class TestReferenceEquality:
         vmap, grid, result = pendulum
         assert not result.empty
         assert vmap.exempt.sum() > 1 and not vmap.fully_green   # pale and red cells
-        assert_writers_match(vmap, grid, result, (0, 1))
+        assert_writers_match(vmap, grid, result)
 
     def test_microgrid_plane_slice(self):
         cfg = PRESETS["mg3_dc12"]
         system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
-        grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 3)
+        grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, 3,
+                                 cfg.verify.exempt_radius, (0, 2))
         candidate, _, _ = baselines.qlf_ts(system)
-        vmap, result = baselines.certify_candidate(candidate, system, grid, cfg.verify, (0, 2))
+        vmap, result = baselines.certify_candidate(candidate, system, grid)
         assert not result.empty and vmap.exempt.sum() > 1
-        assert_writers_match(vmap, grid, result, (0, 2))
+        assert_writers_match(vmap, grid, result)
 
     def test_empty_roa(self, pendulum):
         vmap, grid, _ = pendulum
         red = verify.ValidityMap(vmap.vbar, vmap.lie, np.full(grid.n_nodes, -1.0),
                                  vmap.lie_high, vmap.exempt)
-        empty = roa.largest_level_set(red, grid, (0, 1))
+        empty = roa.largest_level_set(red, grid)
         assert empty.empty
         assert roa.export_boundary_csv(empty, grid) == "u,v\r\n"
-        assert_writers_match(red, grid, empty, (0, 1))
+        assert_writers_match(red, grid, empty)
 
     @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2), (2, 0)])
     def test_random_map_and_members(self, axes):
         # arbitrary flags, values at the float extremes and a scattered member set
-        grid = verify.build_grid(1.3, 9, 3)
+        grid = verify.build_grid(1.3, 9, 3, plane=axes)
         rng = np.random.default_rng(sum(axes))
         special = [-0.0, 5e-324, 1e300, -1.7976931348623157e308, 1 / 3, -2.5e-310]
         vbar = rng.normal(size=grid.n_nodes)
@@ -87,8 +89,8 @@ class TestReferenceEquality:
         vmap = verify.ValidityMap(vbar, -vbar[::-1], rng.uniform(-1, 1, grid.n_nodes),
                                   rng.uniform(-1, 1, grid.n_nodes), rng.random(grid.n_nodes) < 0.3)
         members = np.sort(rng.choice(grid.n_nodes, size=grid.n_nodes // 3, replace=False))
-        result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, plane=axes)
-        assert_writers_match(vmap, grid, result, axes)
+        result = roa.RoaResult(c=1.0, member_rows=members, area=0.0)
+        assert_writers_match(vmap, grid, result)
 
     def test_blocks_stream_through_the_atomic_writer(self, pendulum, tmp_path):
         # the pendulum map spans several blocks; written through atomic_write_text,
