@@ -17,8 +17,9 @@ the drift between separate runs (any suite):
         --against ../parent/src --against-label parent
 
 The `meta_step` suite (default output `BENCH_meta_step.json`) measures, with
-BLAS pinned to one thread, on the `meta_fit` family (the `ip_stochastic_l`
-preset at 1,000 meta-steps, region radius 3.2):
+BLAS pinned to one thread, on the `meta_fit` family (the benchmark's config from
+`perfbench/inputs.py`: the `ip_stochastic_l` preset at 1,000 meta-steps, region
+radius 3.2):
 
 - `loss_gradient_us`: microseconds per `net.loss_gradient` call on the
   preset's 16x16 network at n = 50, 200 and 800 rows, over 200 calls
@@ -129,15 +130,14 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import lyapcert
 
-RADIUS = 3.2
-CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "meta_checkpoint.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CHECKPOINT = PERFBENCH / "data" / "meta_checkpoint.json"
 ROWS = (50, 200, 800)
 HVP_TASKS, HVP_ROWS = 4, 50
 CALLS = 200
@@ -167,18 +167,23 @@ def load_tree(src: str, name: str) -> Tree:
 
 
 HERE = Tree(lyapcert)
+# the benchmark's workload configs, derived from this tree's presets
+_spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(inputs)
+
+
+def workload_config(tree: Tree, spec: dict, name: str):
+    """The config `perfbench/inputs.py` derives from `spec`, parsed by the tree."""
+    return tree.config.config_from_dict(inputs.derived_config(spec, name))
 
 
 def meta_fit_config(tree: Tree = HERE):
-    cfg = tree.config.PRESETS["ip_stochastic_l"]
-    return replace(cfg, name="meta_fit", meta=replace(cfg.meta, meta_steps=1000),
-                   verify=replace(cfg.verify, d0=RADIUS))
+    return workload_config(tree, inputs.META_FIT, "meta_fit")
 
 
 def compare_mg3_config(tree: Tree):
-    cfg = tree.config.PRESETS["mg3_dc12"]
-    return replace(cfg, name="compare_mg3", meta=replace(cfg.meta, meta_steps=300),
-                   nlf=replace(cfg.nlf, n_steps=800), roa=replace(cfg.roa, mc_samples=500))
+    return workload_config(tree, inputs.COMPARE_MG3, "compare_mg3")
 
 
 def cpu_model() -> str:
@@ -241,8 +246,8 @@ def meta_fit_start(tree: Tree = HERE):
     starts its first round."""
     cfg = meta_fit_config(tree)
     arch = cfg.architecture()
-    return (cfg, arch, tree.baselines.task_family(cfg, RADIUS)[1],
-            tree.net.shaped_init(arch, cfg.seeds.net_seed, RADIUS))
+    return (cfg, arch, tree.baselines.task_family(cfg, cfg.verify.d0)[1],
+            tree.net.shaped_init(arch, cfg.seeds.net_seed, cfg.verify.d0))
 
 
 def meta_step_faults() -> float:
@@ -259,15 +264,15 @@ def meta_step_suite(tree: Tree) -> tuple[dict, dict]:
     """The meta_step suite on one tree: {(metric, key): (call, its seconds -> the
     metric)} and the counted metrics."""
     cfg, arch, family, theta0 = meta_fit_start(tree)
-    seed = cfg.seeds.net_seed
+    seed, radius = cfg.seeds.net_seed, cfg.verify.d0
     rng = np.random.default_rng(0)
     timed = {}
     for n in ROWS:
-        batch = (rng.uniform(-RADIUS, RADIUS, (n, arch.input_dim)),
+        batch = (rng.uniform(-radius, radius, (n, arch.input_dim)),
                  rng.normal(size=(n, arch.input_dim)))
         timed["loss_gradient_us", str(n)] = (
             repeated(tree.net.loss_gradient, theta0, arch, batch, cfg.loss), per_call_us)
-    batch = (rng.uniform(-RADIUS, RADIUS, (HVP_TASKS, HVP_ROWS, arch.input_dim)),
+    batch = (rng.uniform(-radius, radius, (HVP_TASKS, HVP_ROWS, arch.input_dim)),
              rng.normal(size=(HVP_TASKS, HVP_ROWS, arch.input_dim)))
     v = rng.normal(size=(HVP_TASKS, arch.n_params))
     timed["hvps_us",] = (repeated(tree.net.hvps, theta0, arch, batch, cfg.loss, v), per_call_us)
@@ -275,7 +280,7 @@ def meta_step_suite(tree: Tree) -> tuple[dict, dict]:
         functools.partial(tree.meta.meta_train, family, arch, cfg.meta, cfg.loss, seed,
                           theta0=theta0),
         lambda s: round(1e3 * s / cfg.meta.meta_steps, 3))
-    timed["shaped_init_s",] = (functools.partial(tree.net.shaped_init, arch, seed, RADIUS),
+    timed["shaped_init_s",] = (functools.partial(tree.net.shaped_init, arch, seed, radius),
                                seconds)
     timed["train_meta_s",] = (cli_call(tree, cfg, ["train-meta", "--seed", "101"]), seconds)
     return timed, {"minflt_per_step": fresh(tree, "meta_step_faults")}
@@ -312,7 +317,7 @@ def gate_suite(tree: Tree) -> tuple[dict, dict]:
         row_steps[label] = counter.rows // 4
 
     # the fixed task: the checkpoint adapted and certified as `adapt` and `roa` do
-    cfg = replace(tree.config.PRESETS["ip_stochastic_l"], name="fixed")
+    cfg = workload_config(tree, {"preset": inputs.ADAPT_PRESET}, "fixed")
     theta, arch, extra = tree.net.load_checkpoint(CHECKPOINT)
     system = tree.dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
     theta = tree.baselines.test_time_update(cfg, theta, arch, system, extra["radius"],

@@ -25,9 +25,9 @@ and seed reproduce all numeric artifacts bitwise at a fixed BLAS thread count
 `train-meta` and `compare`; `adapt`, `verify` and `roa` do not depend on it;
 timings are never written into artifacts). Settings are checked here and by the config blocks,
 once, before any work starts; the library trusts them. Exit codes: 0 ok,
-2 config error, 3 verification failure (train-meta: no valid region, after
-region.json records each round; roa: a Monte-Carlo rollout from the certified
-set fails, after the artifacts are written), 4 numeric failure.
+2 config, artifact or file error, 3 verification failure (train-meta: no valid
+region, after region.json records each round; roa: a Monte-Carlo rollout from the
+certified set fails, after the artifacts are written), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, control, dynamics, meta, net, roa, svg, verify
-from .config import (MAX_RK4_STEPS, ConfigError, ExperimentConfig, PRESETS, config_hash,
-                     config_to_dict, load_config)
+from .config import (MAX_RADIUS, MAX_RK4_STEPS, ConfigError, ExperimentConfig, PRESETS,
+                     config_hash, config_to_dict, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,10 +102,7 @@ def _stamp(cfg: ExperimentConfig) -> dict:
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
     """`<--out>/<name>`, created; call it once the command's inputs are checked."""
     out = Path(args.out) / cfg.name
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -190,13 +187,13 @@ def cmd_train_meta(args, cfg: ExperimentConfig) -> int:
 
 def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.Architecture, float]:
     """Checkpoint parameters, architecture and region radius (the config's d0 when
-    the checkpoint has none): a non-finite parameter or radius raises
-    FloatingPointError (OverflowError for an integer beyond float range), any
-    other unusable content, another family's `system_id` and a radius within the
-    exemption radius included, BadArtifact."""
+    the checkpoint has none): a non-finite parameter or radius raises FloatingPointError
+    (OverflowError for an integer beyond float range), an unreadable file OSError, any
+    other unusable content (another family's `system_id`, a radius over MAX_RADIUS or
+    within the exemption radius included) BadArtifact."""
     try:
         theta, arch, extra = net.load_checkpoint(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise BadArtifact(f"checkpoint {path} is unreadable: {exc!r}") from exc
     if not isinstance(extra, dict):
         raise BadArtifact(f"checkpoint extra {extra!r} is not a JSON object")
@@ -212,8 +209,8 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
         raise BadArtifact(f"checkpoint radius {radius!r} is not a number")
     if not (np.all(np.isfinite(theta)) and math.isfinite(radius)):
         raise FloatingPointError(f"checkpoint {path} has a non-finite parameter or radius")
-    if radius <= 0:
-        raise BadArtifact(f"checkpoint radius {radius!r} is not positive")
+    if not 0 < radius <= MAX_RADIUS:
+        raise BadArtifact(f"checkpoint radius {radius!r} is not in (0, {MAX_RADIUS:g}]")
     if radius <= cfg.verify.exempt_radius:
         # the exempt ball then covers the whole region: its map would certify nothing
         raise BadArtifact(f"checkpoint radius {radius!r} does not exceed the exemption "
@@ -363,11 +360,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _resolve_config(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BadArtifact as exc:
-        print(f"artifact error: {exc}", file=sys.stderr)
+    except (ConfigError, BadArtifact, OSError) as exc:
+        # OSError: a config or checkpoint unreadable, --out or an artifact unwritable
+        kind = {ConfigError: "config", BadArtifact: "artifact"}.get(type(exc), "file")
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (meta.NonFiniteLoss, control.NonFiniteDynamics, FloatingPointError,
             OverflowError) as exc:

@@ -34,7 +34,8 @@ from typing import get_args, get_origin, get_type_hints
 
 from .dynamics import NOMINAL_FAN, NOMINAL_PENDULUM, nominal_microgrid, state_dim
 from .loss import TightenedLossConfig
-from .net import INIT_POINTS, Architecture
+from .net import INIT_POINTS, Architecture, read_json
+from .verify import region_radii
 
 
 TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
@@ -65,6 +66,13 @@ MAX_ROW_UNITS = 16_000_000
 MAX_TASK_ROWS = 2_000_000
 # meta.meta_steps: train-meta's loss curve and its JSON report peak at 161 B a step.
 MAX_META_STEPS = 10_000_000
+# verify.max_rounds: each round meta-trains in full, and the check of the last round's
+# radius walks the schedule round by round.
+MAX_ROUNDS = 1_000
+# A region radius (verify.d0, a checkpoint's radius): `verify.build_grid` sums the squares
+# of node coordinates of at most the radius over at most 14 axes (3 ** 15 nodes exceed
+# the grid cap). At 1e155 they overflow: a 2-d grid keeps 561 of its 31,877 nodes.
+MAX_RADIUS = 1e150
 
 
 class ConfigError(Exception):
@@ -156,17 +164,18 @@ class VerifyBlock:
     min_green_fraction: float = 1.0
 
     def __post_init__(self):
-        _require(self.d0 > 0 and self.exempt_radius >= 0,
-                 "d0 must be positive, exempt_radius nonnegative")
+        _require(0 < self.d0 <= MAX_RADIUS and self.exempt_radius >= 0,
+                 f"d0 must lie in (0, {MAX_RADIUS:g}], exempt_radius be nonnegative")
         _require(self.nodes_per_axis >= 3 and self.nodes_per_axis % 2 == 1,
                  "nodes_per_axis must be odd and >= 3 so the origin is a node")
         _require(0.0 < self.shrink_factor < 1.0, "shrink_factor must lie in (0, 1)")
-        _require(self.max_rounds >= 1, "max_rounds must be >= 1")
+        _require(1 <= self.max_rounds <= MAX_ROUNDS,
+                 f"max_rounds must lie in [1, {MAX_ROUNDS:,}]")
         _require(0.0 <= self.min_green_fraction <= 1.0,
                  "min_green_fraction must lie in [0, 1]")
-        last_radius = self.d0 * self.shrink_factor ** (self.max_rounds - 1)
+        *_, last_radius = region_radii(self.d0, self.shrink_factor, self.max_rounds)
         _require(self.exempt_radius < last_radius,
-                 f"exempt_radius must stay below the last round's radius {last_radius:g}, "
+                 f"exempt_radius must stay below the last round's radius {last_radius!r}, "
                  f"or every node of that region is exempt")
 
 
@@ -287,24 +296,11 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     return _build_block(ExperimentConfig, payload, "top level")
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's dict; a key it repeats, at any level, raises ConfigError."""
-    payload = {}
-    for key, value in pairs:
-        if key in payload:
-            raise ConfigError(f"repeated key {key!r}")
-        payload[key] = value
-    return payload
-
-
 def load_config(path) -> ExperimentConfig:
     try:
-        payload = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(payload)
+        return config_from_dict(read_json(path))
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

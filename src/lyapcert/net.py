@@ -342,8 +342,24 @@ def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> 
     return payload
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it repeats raises ValueError."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"repeated key {key!r}")
+        payload[key] = value
+    return payload
+
+
+def read_json(path):
+    """A config's or checkpoint's JSON, decoded from UTF-8: a repeated key, malformed
+    text or other bytes raise ValueError, nesting too deep RecursionError."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+
+
 def load_checkpoint(path) -> tuple[np.ndarray, Architecture, dict]:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if payload["arch"]["activation"] != "tanh":
         raise ValueError("only tanh hidden activations are supported")
     arch = Architecture(input_dim=payload["arch"]["input_dim"],

@@ -210,22 +210,27 @@ class RegionSelection:
     accepted: bool              # whether the last round was accepted
 
 
+def region_radii(d0: float, shrink_factor: float, max_rounds: int) -> Iterator[float]:
+    """The radius of each region-selection round: d0, then each one times shrink_factor."""
+    d = float(d0)
+    for _ in range(max_rounds):
+        yield d
+        d *= shrink_factor
+
+
 def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -> RegionSelection:
     """Shrinking-radius outer loop: refit and recheck until a round is accepted.
 
     fit(d) trains on the ball of radius d, checks the result there and returns
-    (artifact, accepted). The radius shrinks geometrically until a round is
+    (artifact, accepted). The radius follows region_radii until a round is
     accepted or the rounds run out; the selection holds the last round's radius
     and artifact, and whether it was accepted.
     """
-    d = float(d0)
-    for round_idx in range(max_rounds):
-        if round_idx:
-            d *= shrink_factor
+    for rounds, d in enumerate(region_radii(d0, shrink_factor, max_rounds), start=1):
         artifact, accepted = fit(d)
         if accepted:
             break
-    return RegionSelection(radius=d, artifact=artifact, rounds=round_idx + 1, accepted=accepted)
+    return RegionSelection(radius=d, artifact=artifact, rounds=rounds, accepted=accepted)
 
 
 def export_validity_csv(vmap: ValidityMap, grid: GridSpec) -> Iterator[str]:

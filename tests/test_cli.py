@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
-from lyapcert.config import (MAX_GRID_NODES, MAX_META_STEPS, MAX_ROW_UNITS, MAX_SAMPLES,
-                             MAX_TASK_ROWS, ConfigError, MetaBlock, NlfBlock, PRESETS,
-                             config_from_dict, config_hash, config_to_dict, load_config)
+from lyapcert.config import (MAX_GRID_NODES, MAX_META_STEPS, MAX_RADIUS, MAX_ROW_UNITS,
+                             MAX_SAMPLES, MAX_TASK_ROWS, ConfigError, MetaBlock, NlfBlock,
+                             PRESETS, config_from_dict, config_hash, config_to_dict, load_config)
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.loss import TightenedLossConfig
 
@@ -169,6 +169,9 @@ class TestConfig:
         (None, "out_dir", "elsewhere"),         # the output root is --out alone
         ("seeds", "fallback", [2, 3, 4]),       # no fallback list: criterion 7 keeps its own
         ("roa", "mc_horizon", 10000.01),        # 1,000,001 RK4 steps of 0.01, over the cap
+        ("verify", "d0", 1e155),                # the grid's coordinates square to infinity
+        ("verify", "d0", 1e300),
+        ("verify", "max_rounds", 1001),
     ])
     def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
         path = mini_config(tmp_path)
@@ -377,6 +380,31 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: repeated key {key!r}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_last_radius_is_the_schedules(self, tmp_path):
+        """The exemption check reads the last radius of the schedule `train-meta` runs,
+        round by round: 1.0 x 0.7 four times is 0.24009999999999992, a bit below
+        1.0 x 0.7 ** 4, so that exempt_radius exempts the whole last region."""
+        radii = []
+        verify.select_valid_region(lambda d: radii.append(d) or (None, False), 1.0, 0.7, 5)
+        assert radii == list(verify.region_radii(1.0, 0.7, 5))
+        assert radii[-1] == 0.24009999999999992 < 1.0 * 0.7 ** 4
+        block = {"d0": 1.0, "shrink_factor": 0.7, "max_rounds": 5,
+                 "exempt_radius": radii[-1], "nodes_per_axis": 41}
+        with pytest.raises(ConfigError, match="last round's radius 0.24009999999999992"):
+            load_config(mini_config(tmp_path, verify=block))
+        grid = verify.build_grid(radii[-1], 41, 2, radii[-1])
+        assert not np.any(~grid.exempt & ~grid.boundary)   # no interior node checked
+        assert load_config(mini_config(tmp_path, verify={**block, "exempt_radius": 0.24}))
+
+    @pytest.mark.parametrize("nodes_per_axis, dim", [(201, 2), (9, 6)])
+    def test_largest_radius_builds_its_full_ball(self, tmp_path, nodes_per_axis, dim):
+        """At MAX_RADIUS the grid keeps every node it keeps at radius 1, and a config
+        at the cap parses."""
+        assert verify.build_grid(MAX_RADIUS, nodes_per_axis, dim).n_nodes \
+            == verify.build_grid(1.0, nodes_per_axis, dim).n_nodes
+        assert load_config(mini_config(tmp_path, verify={"d0": MAX_RADIUS})).verify.d0 \
+            == MAX_RADIUS
 
     def test_negative_seed_override_exit_2(self, tmp_path):
         path = mini_config(tmp_path)
@@ -843,11 +871,13 @@ def test_infinite_lie_value_exits_4_naming_the_summary(tmp_path, mini_checkpoint
     (10**400, False, cli.EXIT_NUMERIC),
     (3.0, True, cli.EXIT_NUMERIC),
     pytest.param(None, False, cli.EXIT_CONFIG, id="extra-not-an-object"),
+    (1e155, False, cli.EXIT_CONFIG),              # over MAX_RADIUS
+    (1e300, False, cli.EXIT_CONFIG),
 ])
 def test_bad_checkpoint_content_exit_code(tmp_path, capsys, command, radius, bad_theta, expected):
-    """A checkpoint radius that is not a positive number, or an `extra` that is not a
-    JSON object (the None row: `extra` is 5), exits 2; a non-finite radius or
-    parameter exits 4; both before the output directory is made."""
+    """A checkpoint radius that is not a positive number at most MAX_RADIUS, or an
+    `extra` that is not a JSON object (the None row: `extra` is 5), exits 2; a
+    non-finite radius or parameter exits 4; both before the output directory is made."""
     arch = net.Architecture(2, (8,))
     theta = net.init_params(arch, 0)
     if bad_theta:
@@ -919,8 +949,57 @@ def test_out_through_a_file_exit_2(tmp_path, capsys, monkeypatch, mini_checkpoin
         argv += ["--checkpoint", str(mini_checkpoint[0])]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
+    assert err.startswith("file error") and err.count("\n") == 1
     assert blocker.read_text() == "x"
+
+
+# the artifact each command writes last (train-meta: first), and the input faults
+# each reaches: {fault: (commands, the start of the one stderr line)}
+SQUATTED = {"train-meta": "region.json", "adapt": "adapt_ledger.json",
+            "verify": "validity_map.svg", "roa": "roa_mc.json", "simulate": "trajectory.svg",
+            "compare": "comparison.json"}
+CHECKPOINT_COMMANDS = ["adapt", "verify", "roa"]
+FILE_FAULTS = {
+    "artifact-path-is-a-directory": (sorted(SQUATTED), "file error"),
+    "config-utf16": (sorted(SQUATTED), "config error"),
+    "config-nested-too-deep": (sorted(SQUATTED), "config error"),
+    "checkpoint-nested-too-deep": (CHECKPOINT_COMMANDS, "artifact error"),
+    "checkpoint-repeats-radius": (CHECKPOINT_COMMANDS, "artifact error"),
+}
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("fault, command", [(fault, command)
+                                            for fault, (commands, _) in FILE_FAULTS.items()
+                                            for command in commands])
+def test_file_fault_exits_2_in_one_line(tmp_path, capsys, fault, command):
+    """An artifact path a directory holds, a config that is not UTF-8 (UTF-16 with its
+    byte-order mark), a config or checkpoint nested deeper than the decoder goes and a
+    checkpoint that repeats a key exit 2 with one line on stderr, in place of a
+    traceback or the key's last copy winning, and leave no temp file behind."""
+    cfg_path = mini_config(tmp_path)
+    arch = net.Architecture(2, (8,))
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, net.init_params(arch, 0), arch, extra={"radius": 3.0})
+    if fault == "artifact-path-is-a-directory":
+        (tmp_path / "out" / "mini" / SQUATTED[command]).mkdir(parents=True)
+    elif fault == "config-utf16":
+        cfg_path.write_bytes(b"\xff\xfe" + cfg_path.read_text().encode("utf-16-le"))
+    elif fault == "config-nested-too-deep":
+        cfg_path.write_text(DEEP)
+    elif fault == "checkpoint-nested-too-deep":
+        ckpt.write_text(DEEP)
+    else:
+        ckpt.write_text(ckpt.read_text().replace('"radius": 3.0', '"radius": 3.0, "radius": 2.0'))
+    argv = [command, "--config", str(cfg_path)]
+    if command in CHECKPOINT_COMMANDS:
+        argv += ["--checkpoint", str(ckpt)]
+    if command == "simulate":
+        argv += ["--x0", "0.2,0.0"]
+    assert run(tmp_path, argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(FILE_FAULTS[fault][1]) and err.count("\n") == 1, err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_two_dim_system_ignores_configured_plane(tmp_path):

@@ -362,6 +362,27 @@ class TestCheckpoint:
             net.load_checkpoint(path)
 
 
+class TestReadJson:
+    """Configs and checkpoints are decoded by one reader: UTF-8 JSON with no key
+    repeated at any level (other bytes and deep nesting: test_cli's file faults)."""
+
+    def test_reads_utf8(self, tmp_path):
+        path = tmp_path / "name.json"
+        path.write_bytes('{"name": "pendule étendu"}'.encode("utf-8"))
+        assert net.read_json(path) == {"name": "pendule étendu"}
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"a": 1, "a": 2}', "a"),
+        ('{"extra": {"radius": 3.0, "radius": 1e300}}', "radius"),
+        ('[{"k": [{"k": 1, "k": 1}]}]', "k"),
+    ])
+    def test_rejects_a_repeated_key_at_any_level(self, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"repeated key {key!r}"):
+            net.read_json(path)
+
+
 def short_init(arch, seed, radius, iters):
     """`net.shaped_init` with `iters` Levenberg-Marquardt iterations in place of INIT_ITERS."""
     with pytest.MonkeyPatch.context() as patch:
