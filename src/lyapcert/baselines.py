@@ -154,13 +154,18 @@ def task_family(cfg: ExperimentConfig, radius: float
                 ) -> tuple[list[ClosedLoopSystem], tuple[np.ndarray, ...]]:
     """The task family around the nominal parameters: each task's system, and the
     tasks' datasets on the ball of the given radius stacked on a leading task axis,
-    (X_tr, Y_tr, X_te, Y_te) of shape (n_tasks, m_batches, rows, d)."""
+    (X_tr, Y_tr, X_te, Y_te) of shape (n_tasks, m_batches, rows, d), each task's
+    dataset written into them in turn, so only one task's is held beside them."""
     m, task_seed = cfg.meta, cfg.seeds.task_seed
     systems = [build_system(cfg.system.system_id, values) for values in sample_tasks(
         cfg.system.theta0, cfg.system.sigma_diag, m.n_tasks, task_seed)]
-    datasets = [build_dataset(system, radius, m.k_train, m.j_test, m.m_batches,
-                              task_seed + 7 * i) for i, system in enumerate(systems)]
-    return systems, tuple(np.stack(column) for column in zip(*datasets))
+    family = tuple(np.empty((m.n_tasks, m.m_batches, rows, systems[0].dim))
+                   for rows in (m.k_train, m.k_train, m.j_test, m.j_test))
+    for i, system in enumerate(systems):
+        for stacked, own in zip(family, build_dataset(system, radius, m.k_train, m.j_test,
+                                                      m.m_batches, task_seed + 7 * i)):
+            stacked[i] = own
+    return systems, family
 
 
 def meta_train_for(cfg: ExperimentConfig, radius: float) -> tuple[

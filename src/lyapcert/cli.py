@@ -107,13 +107,16 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
 
 
 def _interior_report(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict:
-    """Off the boundary layer: the green fraction, the red nodes by condition and the
-    number of checked (non-exempt) nodes."""
-    interior = ~grid.boundary
+    """Off the boundary layer: the green fraction, the red nodes by condition, those of
+    them whose node value already fails (Vbar(u) <= 0, Lie(u) >= 0; the others are red
+    through the cell bound alone) and the number of checked (non-exempt) nodes."""
+    interior, checked = ~grid.boundary, ~grid.boundary & ~vmap.exempt
     return {"green_fraction": float(np.mean(vmap.green[interior])),
             "red_positivity": int(np.sum(~vmap.positivity_ok[interior])),
+            "red_positivity_at_node": int(np.sum(~(vmap.vbar[checked] > 0.0))),
             "red_decrease": int(np.sum(~vmap.decrease_ok[interior])),
-            "checked": int(np.sum(~vmap.exempt[interior]))}
+            "red_decrease_at_node": int(np.sum(~(vmap.lie[checked] < 0.0))),
+            "checked": int(np.sum(checked))}
 
 
 def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | None:
@@ -165,7 +168,9 @@ def cmd_train_meta(args, cfg: ExperimentConfig) -> int:
         for i, task in enumerate(history[-1]["tasks"]):
             print(f"task {i}: interior green fraction {task['green_fraction']:.4f}, red nodes: "
                   f"positivity {task['red_positivity']}, decrease {task['red_decrease']}; "
-                  f"{task['checked']} interior nodes checked", file=sys.stderr)
+                  f"{task['checked']} interior nodes checked; red at the node itself: positivity "
+                  f"{task['red_positivity_at_node']}, decrease {task['red_decrease_at_node']}",
+                  file=sys.stderr)
         return EXIT_VERIFICATION
 
     report = selection.artifact

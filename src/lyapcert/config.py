@@ -40,38 +40,19 @@ from .verify import region_radii
 
 TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
 TEST_TIME_STEPS = 10     # and gradient steps
-# Grid nodes (nodes_per_axis ** state dim, the box the ball is cut from) a config may
-# ask for. Grid, map and level set of a (16, 16) network peak at 34-89 B per box
-# node in 1 to 6 dimensions, and `compare`, which holds one map at a time, at 106 B
-# in 2-d, so every command on a grid at the cap stays under 2 GB.
-MAX_GRID_NODES = 10_000_000
+# Bytes a run may hold: the sum of its stages' estimated peaks (`peak_bytes`), so
+# every command of a config that parses stays under about 2 GB.
+MEMORY_BUDGET = 2_000_000_000
 # RK4 steps of one rollout a config or `simulate` may ask for (horizon / step):
 # 500x the default run of 2,000 steps. The Monte-Carlo gate may still split each
 # asked step on a stiff loop (`roa.gate_step`), and it steps mc_samples rows per method.
 MAX_RK4_STEPS = 1_000_000
-# Samples (roa.mc_samples, nlf.n_samples) a config may ask for, and the rows of one
-# meta-step's widest stacked call (`MetaBlock.step_rows`). A (16, 16) network peaks at
-# 2.2 kB per sample in `compare`'s Monte-Carlo gate of four certificates and at 2.1 kB
-# per row in one full-batch NLF step or one meta-step, in 2 to 6 dimensions: at most
-# 1.1 GB at the cap.
-MAX_SAMPLES = 500_000
-# Rows x hidden units (the sum of `hidden`) of one gradient call: an NLF batch or that
-# meta-step call. A row takes at most 80 B per unit (32 kB at hidden (400,), 60 B per
-# unit at (16, 16), 40 B at eight layers of 8) plus at most 0.8 kB of its own (14-d
-# states), so such a call stays under 1.7 GB.
-MAX_ROW_UNITS = 16_000_000
-# Rows of a task family's datasets, n_tasks x m_batches x (k_train + j_test): the family
-# and its per-task copies peak at 120 B per row in 2 dimensions and at 520 B in 14, the
-# most the grid cap allows: at most 1.04 GB at the cap.
-MAX_TASK_ROWS = 2_000_000
-# meta.meta_steps: train-meta's loss curve and its JSON report peak at 161 B a step.
-MAX_META_STEPS = 10_000_000
 # verify.max_rounds: each round meta-trains in full, and the check of the last round's
 # radius walks the schedule round by round.
 MAX_ROUNDS = 1_000
 # A region radius (verify.d0, a checkpoint's radius): `verify.build_grid` sums the squares
-# of node coordinates of at most the radius over at most 14 axes (3 ** 15 nodes exceed
-# the grid cap). At 1e155 they overflow: a 2-d grid keeps 561 of its 31,877 nodes.
+# of node coordinates up to the radius plus its collar over at most 13 axes (3 ** 14 box
+# nodes are over the memory budget). At 1e155 they overflow: a 2-d grid keeps 561 of 31,877.
 MAX_RADIUS = 1e150
 
 
@@ -133,12 +114,6 @@ class MetaBlock:
         _require(min(self.tasks_per_step, self.meta_steps, self.n_tasks, self.m_batches,
                      self.k_train, self.j_test, self.adapt_samples) >= 1 and self.k_test >= 0,
                  "task, batch, step and sample counts must be >= 1, k_test >= 0")
-        _require(self.meta_steps <= MAX_META_STEPS,
-                 f"meta_steps must be at most {MAX_META_STEPS:,}")
-        _require(self.n_tasks * self.m_batches * (self.k_train + self.j_test) <= MAX_TASK_ROWS,
-                 f"n_tasks x m_batches x (k_train + j_test) must be at most {MAX_TASK_ROWS:,}")
-        _require(self.step_rows <= MAX_SAMPLES, f"tasks_per_step x max(2 k_train, j_test) "
-                 f"must be at most {MAX_SAMPLES:,}")
         _require(self.mode in ("first_order", "second_order"),
                  "mode must be 'first_order' or 'second_order'")
         _require(self.adapt_samples <= TEST_TIME_SAMPLES and self.k_test <= TEST_TIME_STEPS,
@@ -188,8 +163,8 @@ class RoaBlock:
     plane: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
-        _require(1 <= self.mc_samples <= MAX_SAMPLES and self.mc_step > 0 and self.mc_tol > 0,
-                 f"mc_samples must lie in [1, {MAX_SAMPLES:,}], mc_step and mc_tol be positive")
+        _require(self.mc_samples >= 1 and self.mc_step > 0 and self.mc_tol > 0,
+                 "mc_samples must be >= 1, mc_step and mc_tol be positive")
         _require(self.mc_horizon >= self.mc_step, "mc_horizon must be >= mc_step")
         _require(self.mc_horizon / self.mc_step <= MAX_RK4_STEPS,
                  f"mc_horizon / mc_step asks for more than {MAX_RK4_STEPS:,} RK4 steps")
@@ -207,8 +182,8 @@ class NlfBlock:
     batch_size: int = 128
 
     def __post_init__(self):
-        _require(1 <= self.n_samples <= MAX_SAMPLES and self.batch_size >= 1 and self.n_steps >= 0,
-                 f"n_samples must lie in [1, {MAX_SAMPLES:,}], batch_size be >= 1, n_steps >= 0")
+        _require(self.n_samples >= 1 and self.batch_size >= 1 and self.n_steps >= 0,
+                 "n_samples and batch_size must be >= 1, n_steps >= 0")
         _require(self.lr > 0, "lr must be positive")
 
 
@@ -242,20 +217,44 @@ class ExperimentConfig:
         arch = self.architecture()
         _require(arch.n_params <= INIT_POINTS, f"hidden {list(self.hidden)} gives a network of "
                  f"{arch.n_params} parameters, more than the {INIT_POINTS} points its bowl init fits")
-        units = sum(self.hidden)
-        _require(units * min(self.nlf.batch_size, self.nlf.n_samples) <= MAX_ROW_UNITS,
-                 f"sum(hidden) x min(nlf.batch_size, nlf.n_samples) must be at most "
-                 f"{MAX_ROW_UNITS:,}")
-        _require(units * self.meta.step_rows <= MAX_ROW_UNITS, f"sum(hidden) x meta "
-                 f"tasks_per_step x max(2 k_train, j_test) must be at most {MAX_ROW_UNITS:,}")
         _require(max(self.roa.plane) < arch.input_dim,
                  "roa.plane names an axis beyond the state dimension")
-        _require(self.verify.nodes_per_axis ** arch.input_dim <= MAX_GRID_NODES,
-                 f"verify.nodes_per_axis {self.verify.nodes_per_axis} gives a grid of more than "
-                 f"{MAX_GRID_NODES:,} nodes in {arch.input_dim} dimensions")
+        peaks = peak_bytes(self)
+        stage = max(peaks, key=peaks.get)
+        _require(sum(peaks.values()) <= MEMORY_BUDGET, f"the stages' estimated peaks sum to "
+                 f"{sum(peaks.values()):,} B, over the {MEMORY_BUDGET:,} B memory budget; the "
+                 f"largest is the {stage}: {peaks[stage]:,} B")
 
     def architecture(self) -> Architecture:
         return Architecture(state_dim(self.system.system_id, self.system.theta0), self.hidden)
+
+
+def peak_bytes(cfg: ExperimentConfig) -> dict[str, int]:
+    """Each stage's estimated peak bytes, in Python ints, keyed by the stage and the
+    settings that size it. A row d floats wide takes a + b d bytes; each slope is a peak
+    resident set between two sizes in fresh processes on one BLAS thread, rounded up."""
+    d, units, m, nlf = cfg.architecture().input_dim, sum(cfg.hidden), cfg.meta, cfg.nlf
+    return {
+        # per box node: 34-89 B in 1 to 6 dimensions, 106 B in 2-d for `compare`'s one map
+        # at a time; at 3 nodes per axis most are kept, each with 24 d B of tables
+        "grid, map and level set (verify.nodes_per_axis)":
+            cfg.verify.nodes_per_axis ** d * (112 + 24 * d),
+        # `compare` rolls out four certificates at once: 854 / 2,679 / 6,332 B per sample
+        # at (16, 16) in 2 / 6 / 14 dimensions, and 6.7 B more per hidden unit in 2-d
+        "Monte-Carlo gate (roa.mc_samples)": cfg.roa.mc_samples * (4 * (64 + 120 * d) + 8 * units),
+        # an NLF batch or a meta-step's widest call: 40-82 B per row and hidden unit, the
+        # most at (16, 16) in 14-d, where each axis adds 56 B
+        "gradient call (nlf.batch_size, nlf.n_samples, meta.tasks_per_step, meta.k_train, "
+        "meta.j_test, hidden)":
+            max(min(nlf.batch_size, nlf.n_samples), m.step_rows) * (82 * units + 128 + 48 * d),
+        # 48 / 304 / 664 B per sample in 2 / 6 / 14 dimensions
+        "NLF training set (nlf.n_samples)": nlf.n_samples * (16 + 64 * d),
+        # the family and one task's dataset, 16 d B a row each: 35 / 247 B per row in 2 / 14
+        # dimensions at 20 tasks
+        "task family (meta.n_tasks, meta.m_batches, meta.k_train, meta.j_test)":
+            (m.n_tasks + 1) * m.m_batches * (m.k_train + m.j_test) * (16 + 16 * d),
+        "loss curve (meta.meta_steps)": m.meta_steps * 176,   # with its report: 161 B a step
+    }
 
 
 def _parse_value(kind, value, path: str):

@@ -2,7 +2,7 @@
 
 Continuous- and discrete-time Lyapunov equation solves, an eigenvalue-free
 Hurwitz test and Kleinman iteration for LQR gains. Everything here is sized for
-the small (n <= 16, the most the config's grid cap admits) closed-loop systems
+the small (n <= 13, the most the config's memory budget admits) closed-loop systems
 this package ships; no attempt is made at large-scale Riccati machinery. The inputs are the package's
 own controller constants and finite closed-loop linearizations, trusted as given.
 """

@@ -245,12 +245,15 @@ def sample_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np
 def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test: int,
                   m_batches: int, seed: int) -> tuple[np.ndarray, ...]:
     """m_batches mini-batches of K train + J test pairs, states uniform over the ball of
-    the given radius, labels y = f(x), each batch drawing its train half first: (X_tr,
-    Y_tr, X_te, Y_te), train arrays (m_batches, K, d), test arrays (m_batches, J, d)."""
+    the given radius, labels y = f(x), each batch drawing its train half first and written
+    into (X_tr, Y_tr, X_te, Y_te): train arrays (m_batches, K, d), test (m_batches, J, d)."""
     rng = np.random.default_rng(seed)
-    batches = [(*sample_labelled(system, rng, k_train, radius),
-                *sample_labelled(system, rng, j_test, radius)) for _ in range(m_batches)]
-    return tuple(np.stack(column) for column in zip(*batches))
+    X_tr, Y_tr, X_te, Y_te = dataset = tuple(np.empty((m_batches, rows, system.dim))
+                                             for rows in (k_train, k_train, j_test, j_test))
+    for b in range(m_batches):
+        X_tr[b], Y_tr[b] = sample_labelled(system, rng, k_train, radius)
+        X_te[b], Y_te[b] = sample_labelled(system, rng, j_test, radius)
+    return dataset
 
 
 def sample_labelled(system: ClosedLoopSystem, rng: np.random.Generator, n: int,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from lyapcert import cli, control, dynamics, net, roa, svg, verify
-from lyapcert.config import PRESETS
+from lyapcert.config import PRESETS, peak_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +40,14 @@ def peak_kb(script, *args, timeout=120):
                           env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
+
+
+def estimated_growth(stage, small, large):
+    """How many bytes `config.peak_bytes`'s estimate of the stage whose name starts with
+    `stage` grows by from config `small` to config `large`."""
+    def estimate(cfg):
+        return next(peak for name, peak in peak_bytes(cfg).items() if name.startswith(stage))
+    return estimate(large) - estimate(small)
 
 
 def nominal_params(system_id, n_microgrids=3):

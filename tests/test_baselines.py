@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, control, dynamics, meta, net, roa, verify
-from lyapcert.config import (TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfig, MetaBlock,
-                             NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
+from lyapcert.config import (PRESETS, TEST_TIME_SAMPLES, TEST_TIME_STEPS, ExperimentConfig,
+                             MetaBlock, NlfBlock, RoaBlock, SeedBlock, SystemBlock, VerifyBlock)
 from lyapcert.loss import TightenedLossConfig
 
-from helpers import nominal_params, nominal_system, peak_kb
+from helpers import estimated_growth, nominal_params, nominal_system, peak_kb
 
 
 class LinearSystem:
@@ -140,6 +140,26 @@ class TestTNlf:
         assert result.c > 0.0
 
 
+# peak resident set (KB) of the task family of family_config(argv[1])
+FAMILY_PEAK = """
+import sys
+from dataclasses import replace
+from lyapcert import baselines
+from lyapcert.config import PRESETS
+cfg = PRESETS["ip_stochastic_l"]
+cfg = replace(cfg, meta=replace(cfg.meta, n_tasks=20, m_batches=int(sys.argv[1]), k_train=50,
+                                j_test=50))
+baselines.task_family(cfg, cfg.verify.d0)
+"""
+
+
+def family_config(m_batches):
+    """FAMILY_PEAK's config: 20 pendulum tasks of m_batches batches of 50 + 50 rows."""
+    cfg = PRESETS["ip_stochastic_l"]
+    return replace(cfg, meta=replace(cfg.meta, n_tasks=20, m_batches=m_batches, k_train=50,
+                                     j_test=50))
+
+
 def small_config():
     """Pendulum comparison at a tiny budget."""
     return ExperimentConfig(
@@ -177,6 +197,15 @@ class TestTaskFamily:
                                              cfg.seeds.task_seed + 7 * i)
             for stacked, own in zip(family, dataset):
                 np.testing.assert_array_equal(stacked[i], own)
+
+    def test_peak_memory_per_row(self):
+        """From 150 to 450 batches of 20 pendulum tasks, the family, written in place,
+        grows the peak resident set by less than the memory budget's family estimate
+        (`config.peak_bytes`, 50 B per row here): 36 B per row measured against 32 B of
+        data; stacking every task's dataset and then the family took 66 B."""
+        growth = (peak_kb(FAMILY_PEAK, 450) - peak_kb(FAMILY_PEAK, 150)) * 1024
+        estimate = estimated_growth("task family", family_config(150), family_config(450))
+        assert growth < estimate, f"{growth / (20 * 300 * 100):.1f} B per added row"
 
 
 class TestCompare:
@@ -289,9 +318,12 @@ baselines.compare(cfg)
 
 
 def test_compare_holds_one_validity_map_at_a_time():
-    """From 301^2 to 501^2 box nodes, `compare` grows the peak resident set by under
-    150 B per added box node: 134 B measured with one validity map held at a time
-    (106 B since grid nodes store no coordinates), while keeping all four methods'
-    maps to the end took 183 B."""
-    growth = (peak_kb(COMPARE_PEAK, 501) - peak_kb(COMPARE_PEAK, 301)) * 1024 / (501**2 - 301**2)
-    assert growth < 150, f"{growth:.0f} B per added box node"
+    """From 301^2 to 501^2 box nodes, `compare` grows the peak resident set by less
+    than the memory budget's grid estimate (`config.peak_bytes`, 160 B per box node in
+    2-d): 134 B measured with one validity map held at a time (106 B since grid nodes
+    store no coordinates), while keeping all four methods' maps to the end took 183 B."""
+    growth = (peak_kb(COMPARE_PEAK, 501) - peak_kb(COMPARE_PEAK, 301)) * 1024
+    cfg = small_config()
+    grids = [replace(cfg, verify=replace(cfg.verify, nodes_per_axis=n)) for n in (301, 501)]
+    assert growth < estimated_growth("grid", *grids), \
+        f"{growth / (501**2 - 301**2):.0f} B per added box node"

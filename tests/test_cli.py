@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
-from lyapcert.config import (MAX_GRID_NODES, MAX_META_STEPS, MAX_RADIUS, MAX_ROW_UNITS,
-                             MAX_SAMPLES, MAX_TASK_ROWS, ConfigError, MetaBlock, NlfBlock,
+from lyapcert.config import (MAX_RADIUS, MEMORY_BUDGET, ConfigError, MetaBlock, NlfBlock,
                              PRESETS, config_from_dict, config_hash, config_to_dict, load_config)
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.loss import TightenedLossConfig
@@ -34,6 +33,10 @@ PRESET_HASHES = {
     "cf_mrd": "864faaefe18f2f05",
 }
 
+
+# the keys of a task's report in region.json's history
+TASK_REPORT_KEYS = {"green_fraction", "red_positivity", "red_positivity_at_node", "red_decrease",
+                    "red_decrease_at_node", "checked"}
 
 # a verify block no mini run passes: the whole 41 x 41 map must be green, none exempt
 HARD_VERIFY = {"d0": 3.0, "nodes_per_axis": 41, "exempt_radius": 0.0, "max_rounds": 1,
@@ -68,6 +71,13 @@ def mini_config(tmp_path, **overrides):
 def run(tmp_path, argv) -> int:
     """`lyapcert <argv> --out <tmp_path>/out`: a test's runs write under its own tmp_path."""
     return cli.main([*argv, "--out", str(tmp_path / "out")])
+
+
+def microgrid_block(n):
+    """The config's system block of an n-droop microgrid at its nominal droops."""
+    droops = list(dynamics.nominal_microgrid(n))
+    return {"system_id": "microgrid", "theta0": droops, "theta_test": droops,
+            "sigma_diag": [0.0] * n}
 
 
 class TestConfig:
@@ -160,7 +170,10 @@ class TestConfig:
         ("meta", "j_test", 0),
         ("meta", "adapt_samples", 0),
         ("nlf", "batch_size", 0),
-        ("verify", "nodes_per_axis", 7073),     # 7073^2 nodes, over the grid cap
+        ("verify", "nodes_per_axis", 7073),     # 7073^2 box nodes, over the memory budget
+        # counts far past float range: the budget is checked in integers, so exit 2, not 4
+        pytest.param("verify", "nodes_per_axis", 10**100 + 1, id="verify-nodes_per_axis-1e100+1"),
+        pytest.param("meta", "meta_steps", 10**30, id="meta-meta_steps-1e30"),
         ("system", "system_id", "quadrotor"),
         ("system", "theta0", [0.5, 0.15, 9.81]),        # a pendulum has 4 parameters
         ("system", "theta_test", [0.6, 0.0, 9.81, 0.1]),
@@ -218,12 +231,12 @@ class TestConfig:
         (None, "name", ""),
         (None, "name", "."),
         (None, "name", ".."),
-        ("verify", "nodes_per_axis", 7073),     # 7073^2 nodes, over the grid cap
+        ("verify", "nodes_per_axis", 7073),     # 7073^2 box nodes, over the memory budget
     ])
     def test_bad_setting_exits_2_before_any_work(self, tmp_path, capsys, command, block, key,
                                                   value):
         """Every command rejects a mistyped value, a name that is not a plain directory
-        name and a grid over the node cap when the config is parsed: a one-line error,
+        name and a grid over the memory budget when the config is parsed: a one-line error,
         exit 2, before a checkpoint is read or anything is trained or written."""
         path = mini_config(tmp_path)
         payload = json.loads(path.read_text())
@@ -275,77 +288,43 @@ class TestConfig:
         assert "4417 parameters" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("preset, dim", [("ip_stochastic_l", 2), ("mg3_dc12", 3)])
-    def test_grid_just_above_the_cap_exits_2(self, tmp_path, capsys, preset, dim):
-        """The largest odd nodes_per_axis within the grid cap parses; the next one
-        exits 2 when the config is parsed, before any grid is built."""
-        within = int(round(MAX_GRID_NODES ** (1 / dim))) | 1
-        while within**dim > MAX_GRID_NODES:
-            within -= 2
-        payload = config_to_dict(PRESETS[preset])
-        for nodes in (within, within + 2):
-            payload["verify"]["nodes_per_axis"] = nodes
-            path = tmp_path / f"{preset}.json"
-            path.write_text(json.dumps(payload))
-            if nodes == within:
-                assert load_config(path).verify.nodes_per_axis == nodes
-                continue
-            assert nodes**dim - MAX_GRID_NODES < 0.03 * MAX_GRID_NODES   # just above
-            assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
-            assert f"more than {MAX_GRID_NODES:,} nodes" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("block, key, cap", [("roa", "mc_samples", MAX_SAMPLES),
-                                                 ("nlf", "n_samples", MAX_SAMPLES),
-                                                 ("meta", "meta_steps", MAX_META_STEPS)])
-    def test_count_just_above_its_cap_exits_2(self, tmp_path, capsys, monkeypatch, block, key,
-                                              cap):
-        """A count that sizes an array parses at its cap; one above it exits 2 when the
-        config is parsed, before any training."""
-        def no_training(*args):
-            raise AssertionError("trained on a count above its cap")
-
-        monkeypatch.setattr(baselines, "meta_train_for", no_training)
-        payload = json.loads(mini_config(tmp_path).read_text())
-        for value in (cap, cap + 1):
-            payload[block][key] = value
-            path = tmp_path / "capped.json"
-            path.write_text(json.dumps(payload))
-            if value == cap:
-                assert getattr(getattr(load_config(path), block), key) == cap
-                continue
-            assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
-            err = capsys.readouterr().err
-            assert key in err and f"{cap:,}" in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("overrides, block, key, at_cap, cap", [
-        # the task family, n_tasks x m_batches x (k_train + j_test): 4 x 1 x 500,000
-        pytest.param({"meta": {"n_tasks": 4, "m_batches": 1, "tasks_per_step": 1}}, "meta",
-                     "j_test", 499_992, MAX_TASK_ROWS, id="family"),
-        # one meta-step's widest call, tasks_per_step x max(2 k_train, j_test)
-        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "k_train", 125_000, MAX_SAMPLES,
-                     id="step-hvp"),
-        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "j_test", 250_000, MAX_SAMPLES,
-                     id="step-test"),
-        # that call's rows x hidden units, and an NLF batch's: 40,000 rows x 400 units
+    @pytest.mark.parametrize("overrides, block, key, at_cap, step, stage", [
+        # each stage of config.peak_bytes grown alone on the 2-d mini config
+        pytest.param({}, "verify", "nodes_per_axis", 3535, 2, "grid", id="grid-2d"),
+        pytest.param({"system": microgrid_block(3)}, "verify", "nodes_per_axis", 221, 2, "grid",
+                     id="grid-3d"),
+        pytest.param({}, "roa", "mc_samples", 1_562_236, 1, "Monte-Carlo gate", id="gate"),
+        pytest.param({}, "nlf", "n_samples", 13_886_566, 1, "NLF training set", id="nlf-set"),
+        pytest.param({}, "meta", "meta_steps", 11_361_612, 1, "loss curve", id="curve"),
+        # the task family, (n_tasks + 1) x m_batches x (k_train + j_test) rows
+        pytest.param({"meta": {"n_tasks": 20, "m_batches": 1, "tasks_per_step": 1}}, "meta",
+                     "j_test", 1_059_142, 1, "task family", id="family"),
+        # one meta-step's widest call, tasks_per_step x max(2 k_train, j_test) rows
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "k_train", 525_122, 1,
+                     "gradient call", id="step-hvp"),
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "j_test", 976_400, 1,
+                     "gradient call", id="step-test"),
+        # that call and an NLF batch at 400 hidden units, 33 kB a row
         pytest.param({"meta": {"tasks_per_step": 1}, "hidden": [400]}, "meta", "j_test",
-                     40_000, MAX_ROW_UNITS, id="step-units"),
-        pytest.param({"nlf": {"n_samples": 50_000}, "hidden": [400]}, "nlf", "batch_size",
-                     40_000, MAX_ROW_UNITS, id="nlf-units"),
+                     60_026, 1, "gradient call", id="step-units"),
+        pytest.param({"nlf": {"n_samples": 100_000}, "hidden": [400]}, "nlf", "batch_size",
+                     60_114, 1, "gradient call", id="nlf-units"),
     ])
     def test_product_at_its_cap_parses_one_above_exits_2(self, tmp_path, capsys, monkeypatch,
-                                                         overrides, block, key, at_cap, cap):
-        """A product of counts that sizes an array parses at its cap; the count one
-        above exits 2 when the config is parsed, before any work, and writes nothing."""
+                                                         overrides, block, key, at_cap, step,
+                                                         stage):
+        """The memory budget caps every count that sizes a stage: at the largest value
+        whose stages' estimated peaks sum to at most MEMORY_BUDGET the config parses;
+        one count more exits 2 when the config is parsed, before any work, with one
+        stderr line naming that stage, as the largest, and the key; nothing is written."""
         def no_training(*args):
-            raise AssertionError("trained on a count above its cap")
+            raise AssertionError("trained on a count over the budget")
 
         monkeypatch.setattr(baselines, "meta_train_for", no_training)
         payload = json.loads(mini_config(tmp_path).read_text())
         for name, value in overrides.items():
             payload[name] = {**payload[name], **value} if isinstance(value, dict) else value
-        for value in (at_cap, at_cap + 1):
+        for value in (at_cap, at_cap + step):
             payload[block][key] = value
             path = tmp_path / "capped.json"
             path.write_text(json.dumps(payload))
@@ -354,17 +333,24 @@ class TestConfig:
                 continue
             assert run(tmp_path, ["train-meta", "--config", str(path)]) == cli.EXIT_CONFIG
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and key in err and f"{cap:,}" in err
+            assert err.count("\n") == 1 and f"{MEMORY_BUDGET:,} B" in err
+            assert f"the largest is the {stage}" in err and f"{block}.{key}" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.json", "mini.json"]
 
-    def test_wide_network_at_the_sample_cap_exits_2(self, tmp_path, capsys):
-        """Hidden (400,) takes 32 kB per NLF row: a full batch at the sample cap (about
-        16 GB) exits 2 although every count is within its own cap."""
-        path = mini_config(tmp_path, hidden=[400], nlf={"n_samples": MAX_SAMPLES, "n_steps": 1,
-                                                        "lr": 0.01, "batch_size": MAX_SAMPLES})
-        assert run(tmp_path, ["compare", "--config", str(path)]) == cli.EXIT_CONFIG
-        assert f"must be at most {MAX_ROW_UNITS:,}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_most_axes_the_budget_admits(self, tmp_path):
+        """At 3 nodes per axis, the fewest, the budget admits a 13-d grid and not a 14-d
+        one; over 13 axes the squared coordinates `verify.build_grid` sums stay finite
+        up to MAX_RADIUS plus the collar (3 nodes per axis: spacing = radius). No grid
+        is built."""
+        def microgrid(n):
+            return mini_config(tmp_path, system=microgrid_block(n),
+                               verify={"d0": 3.0, "nodes_per_axis": 3, "exempt_radius": 0.9})
+        dim = 13
+        assert load_config(microgrid(dim)).architecture().input_dim == dim
+        with pytest.raises(ConfigError, match="verify.nodes_per_axis"):
+            load_config(microgrid(dim + 1))
+        collar = MAX_RADIUS + math.sqrt(dim) * MAX_RADIUS / 2.0
+        assert np.isfinite(np.sum(np.full(dim, collar) ** 2))
 
     @pytest.mark.parametrize("old, new, key", [
         pytest.param('"name": "mini"', '"name": "mini", "name": "other"', "name", id="top-level"),
@@ -521,11 +507,13 @@ class TestCliCommands:
         (only,) = region["history"]
         assert only["radius"] == 3.0 and not only["accepted"] and len(only["tasks"]) == 2
         for line, task in zip(lines, only["tasks"]):
-            assert set(task) == {"green_fraction", "red_positivity", "red_decrease", "checked"}
+            assert set(task) == TASK_REPORT_KEYS
             assert task["green_fraction"] < 1.0 and task["checked"] > 0
             assert (f"green fraction {task['green_fraction']:.4f}, red nodes: positivity "
                     f"{task['red_positivity']}, decrease {task['red_decrease']}; "
-                    f"{task['checked']} interior") in line
+                    f"{task['checked']} interior nodes checked; red at the node itself: "
+                    f"positivity {task['red_positivity_at_node']}, decrease "
+                    f"{task['red_decrease_at_node']}") in line
         assert not (out / "meta_checkpoint.json").exists()
 
     def test_region_json_records_every_round(self, tmp_path, monkeypatch):
@@ -549,8 +537,28 @@ class TestCliCommands:
         assert [(r["radius"], r["accepted"]) for r in region["history"]] == [
             (3.0, False), (3.0 * 0.8, True)]
         assert all(len(r["tasks"]) == 2 for r in region["history"])
+        for task in (task for r in region["history"] for task in r["tasks"]):
+            assert set(task) == TASK_REPORT_KEYS
+            assert task["red_positivity_at_node"] <= task["red_positivity"]
+            assert task["red_decrease_at_node"] <= task["red_decrease"]
         _, _, extra = net.load_checkpoint(out / "meta_checkpoint.json")
         assert (extra["radius"], extra["rounds"]) == (3.0 * 0.8, 2)
+
+    @pytest.mark.parametrize("node_sign, at_node", [(1.0, False), (-1.0, True)])
+    def test_red_nodes_by_cause(self, node_sign, at_node):
+        """A map whose cell bounds fail at every node counts every checked interior node
+        red by condition; of them, red at the node itself are none when every node
+        value passes (Vbar(u) > 0, Lie(u) < 0), and all when every one fails."""
+        grid = verify.build_grid(1.0, 9, 2, exempt_radius=0.3)
+        ones = np.ones(grid.n_nodes)
+        vmap = verify.ValidityMap(vbar=node_sign * ones, lie=-node_sign * ones,
+                                  vbar_low=-ones, lie_high=ones, exempt=grid.exempt)
+        checked = int(np.sum(~grid.boundary & ~grid.exempt))
+        red = checked if at_node else 0
+        assert checked > 0 and cli._interior_report(vmap, grid) == {
+            "green_fraction": float(np.mean(grid.exempt[~grid.boundary])),
+            "red_positivity": checked, "red_positivity_at_node": red,
+            "red_decrease": checked, "red_decrease_at_node": red, "checked": checked}
 
     def test_map_only_commands_extract_no_roa(self, tmp_path, monkeypatch):
         def no_roa(*args, **kwargs):

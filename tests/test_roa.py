@@ -1,6 +1,7 @@
 import csv
 import io
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,23 @@ from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.config import PRESETS
 
-from helpers import (GATE_CASES, gate_case, gate_levels, lattice_points, node_coords,
-                     nominal_system, reference_retirement_ball, row_of)
+from helpers import (GATE_CASES, estimated_growth, gate_case, gate_levels, lattice_points,
+                     node_coords, nominal_system, peak_kb, reference_retirement_ball, row_of)
+
+# peak resident set (KB) of one Monte-Carlo gate of four (16, 16) pendulum certificates
+# with argv[1] rollouts each, over every interior cell of a 9 x 9 grid
+GATE_PEAK = """
+import sys
+import numpy as np
+from lyapcert import dynamics, net, roa, verify
+arch = net.Architecture(2, (16, 16))
+system = dynamics.build_system("pendulum", dynamics.NOMINAL_PENDULUM)
+grid = verify.build_grid(1.0, 9, 2)
+result = roa.RoaResult(c=1e300, member_rows=np.nonzero(~grid.boundary)[0], area=1.0)
+certificate = (result, net.MlpLyapunov(net.init_params(arch, 0), arch))
+roa.monte_carlo_convergence(system, [certificate] * 4, grid, int(sys.argv[1]), 0.01, 0.05,
+                            1e-2, 0)
+"""
 
 
 class LinearSystem:
@@ -275,6 +291,17 @@ class TestMonteCarloConvergence:
 
 
 class TestStackedGate:
+    def test_peak_memory_per_sample(self):
+        """From 20,000 to 60,000 rollouts per certificate, a gate of four certificates,
+        as `compare` runs it, grows the peak resident set by less than the memory
+        budget's gate estimate (`config.peak_bytes`, 1,472 B per sample at (16, 16) in
+        2-d): 854 B measured."""
+        growth = (peak_kb(GATE_PEAK, 60_000) - peak_kb(GATE_PEAK, 20_000)) * 1024
+        cfg = PRESETS["ip_stochastic_l"]
+        gates = [replace(cfg, roa=replace(cfg.roa, mc_samples=n)) for n in (20_000, 60_000)]
+        assert growth < estimated_growth("Monte-Carlo gate", *gates), \
+            f"{growth / 40_000:.0f} B per added sample"
+
     @pytest.mark.parametrize("system, scale, some_diverge", [
         (CubicSystem(2), 1.5, True),              # rows outside the unit box diverge
         (short_pendulum(0.254), 1.0, True),       # RK4-unstable step: every moving row diverges

@@ -1,14 +1,17 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lyapcert import dynamics, net, verify
 from lyapcert.baselines import QuadraticLyapunov
+from lyapcert.config import PRESETS, SystemBlock
 from lyapcert.dynamics import sample_ball
 
-from helpers import (ROOT, lattice_points, node_coords, nominal_system, peak_kb,
-                     reference_build_grid, reference_check_validity, reference_gradient, row_of)
+from helpers import (ROOT, estimated_growth, lattice_points, node_coords, nominal_system,
+                     peak_kb, reference_build_grid, reference_check_validity, reference_gradient,
+                     row_of)
 
 
 CERTIFY_PEAK = """
@@ -24,6 +27,19 @@ grid = verify.build_grid(extra["radius"], int(sys.argv[1]), 2, cfg.verify.exempt
 vmap = verify.check_validity(candidate, system, grid)
 result = roa.largest_level_set(vmap, grid)
 assert not result.empty
+"""
+
+# peak resident set (KB) of grid, map and level set of a (16, 16) network on the
+# argv[1]-droop microgrid at 3 nodes per axis
+AXES_PEAK = """
+import sys
+from lyapcert import dynamics, net, roa, verify
+dim = int(sys.argv[1])
+arch = net.Architecture(dim, (16, 16))
+system = dynamics.build_system("microgrid", dynamics.nominal_microgrid(dim))
+grid = verify.build_grid(3.0, 3, dim, 0.8)
+vmap = verify.check_validity(net.MlpLyapunov(net.init_params(arch, 0), arch), system, grid)
+roa.largest_level_set(vmap, grid)
 """
 
 
@@ -503,16 +519,32 @@ class TestBlockSweep:
 
     def test_peak_memory_per_box_node(self):
         """From 401^2 to 1201^2 pendulum box nodes, grid + map + level set of the
-        committed (16, 16) checkpoint grow the peak resident set by under 170 B per
-        added box node: 114 B measured with the slab-built grid and the block sweep,
-        times a 1.5 margin; 99 B since the face-neighbor table replaced the face-pair
-        list (116 B); 85 B since a node stores its integer index alone, against 103 B
-        with stored coordinates in the same session. Building the whole box and
-        evaluating every node's (n, 16) activations at once took 466 B."""
+        committed (16, 16) checkpoint grow the peak resident set by less than the
+        memory budget's grid estimate (`config.peak_bytes`, 160 B per box node in 2-d):
+        114 B measured with the slab-built grid and the block sweep; 99 B since the
+        face-neighbor table replaced the face-pair list (116 B); 85 B since a node
+        stores its integer index alone, against 103 B with stored coordinates in the
+        same session. Building the whole box and evaluating every node's (n, 16)
+        activations at once took 466 B."""
         checkpoint = ROOT / "perfbench" / "data" / "meta_checkpoint.json"
         growth = (peak_kb(CERTIFY_PEAK, 1201, checkpoint, timeout=300)
-                  - peak_kb(CERTIFY_PEAK, 401, checkpoint, timeout=300)) * 1024 / (1201**2 - 401**2)
-        assert growth < 170, f"{growth:.0f} B per added box node"
+                  - peak_kb(CERTIFY_PEAK, 401, checkpoint, timeout=300)) * 1024
+        cfg = PRESETS["ip_stochastic_l"]
+        grids = [replace(cfg, verify=replace(cfg.verify, nodes_per_axis=n)) for n in (401, 1201)]
+        assert growth < estimated_growth("grid", *grids), \
+            f"{growth / (1201**2 - 401**2):.0f} B per added box node"
+
+    def test_peak_memory_per_axis(self):
+        """At 3 nodes per axis most box nodes are kept, and a kept node's index and
+        neighbor tables take 24 B per axis: from a 10-d to a 12-d microgrid grid, with
+        its (16, 16) map and level set, the peak resident set grows by less than the
+        grid estimate (143 B per added box node measured, 406 B estimated)."""
+        growth = (peak_kb(AXES_PEAK, 12) - peak_kb(AXES_PEAK, 10)) * 1024
+        cfg = PRESETS["mg3_dc12"]
+        grids = [replace(cfg, system=SystemBlock("microgrid", (2.0,) * d, (2.0,) * d, (0.0,) * d),
+                         verify=replace(cfg.verify, nodes_per_axis=3)) for d in (10, 12)]
+        assert growth < estimated_growth("grid", *grids), \
+            f"{growth / (3**12 - 3**10):.0f} B per added box node"
 
 
 class TestExport:
