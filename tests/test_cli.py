@@ -171,9 +171,6 @@ class TestConfig:
         ("meta", "adapt_samples", 0),
         ("nlf", "batch_size", 0),
         ("verify", "nodes_per_axis", 7073),     # 7073^2 box nodes, over the memory budget
-        # counts far past float range: the budget is checked in integers, so exit 2, not 4
-        pytest.param("verify", "nodes_per_axis", 10**100 + 1, id="verify-nodes_per_axis-1e100+1"),
-        pytest.param("meta", "meta_steps", 10**30, id="meta-meta_steps-1e30"),
         ("system", "system_id", "quadrotor"),
         ("system", "theta0", [0.5, 0.15, 9.81]),        # a pendulum has 4 parameters
         ("system", "theta_test", [0.6, 0.0, 9.81, 0.1]),
@@ -185,6 +182,9 @@ class TestConfig:
         ("verify", "d0", 1e155),                # the grid's coordinates square to infinity
         ("verify", "d0", 1e300),
         ("verify", "max_rounds", 1001),
+        # counts far past float range: the budget is checked in integers, so exit 2, not 4
+        pytest.param("verify", "nodes_per_axis", 10**100 + 1, id="verify-nodes_per_axis-1e100+1"),
+        pytest.param("meta", "meta_steps", 10**30, id="meta-meta_steps-1e30"),
     ])
     def test_bad_block_value_exits_2_before_training(self, tmp_path, capsys, block, key, value):
         path = mini_config(tmp_path)
@@ -336,6 +336,18 @@ class TestConfig:
             assert err.count("\n") == 1 and f"{MEMORY_BUDGET:,} B" in err
             assert f"the largest is the {stage}" in err and f"{block}.{key}" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.json", "mini.json"]
+
+    def test_wide_network_at_the_sample_cap_exits_2(self, tmp_path, capsys):
+        """Hidden (400,) takes 33 kB per NLF row: a full batch of 100,000 samples (about
+        3.3 GB) exits 2, naming the gradient call, although the same counts at hidden
+        (8,) parse and the training set itself takes 14 MB."""
+        nlf = {"n_samples": 100_000, "n_steps": 1, "lr": 0.01, "batch_size": 100_000}
+        assert load_config(mini_config(tmp_path, hidden=[8], nlf=nlf)).nlf == NlfBlock(**nlf)
+        path = mini_config(tmp_path, hidden=[400], nlf=nlf)
+        assert run(tmp_path, ["compare", "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{MEMORY_BUDGET:,} B memory budget" in err and "the largest is the gradient call" in err
+        assert not (tmp_path / "out").exists()
 
     def test_most_axes_the_budget_admits(self, tmp_path):
         """At 3 nodes per axis, the fewest, the budget admits a 13-d grid and not a 14-d
