@@ -23,8 +23,12 @@ radius 3.2):
 
 - `loss_gradient_us`: microseconds per `net.loss_gradient` call on the
   preset's 16x16 network at n = 50, 200 and 800 rows, over 200 calls
-- `hvps_us`: microseconds per `net.hvps` call at P = 4 tasks of n = 50 rows
-  (one finite-difference gradient call on 2P = 8 points), over 200 calls
+- `inner_us`, `outer_us` and `hvps_us`: microseconds per call of the three
+  stacked calls of a second-order meta-step at P = 4 tasks, over 200 calls each:
+  the inner gradients (`net.loss_gradients` on 4 tasks of n = 50 rows at one
+  theta), the outer gradients and losses (`net.loss_gradients` with `values` on
+  4 tasks of n = 32 rows at 4 distinct thetas) and `net.hvps` (one
+  finite-difference gradient call on 2P = 8 points of the inner batch)
 - `meta_step_ms`: milliseconds per meta-step of one `meta.meta_train` run,
   1,000 steps
 - `minflt_per_step`: minor page faults (`ru_minflt`) per meta-step over a
@@ -139,7 +143,7 @@ import lyapcert
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHECKPOINT = PERFBENCH / "data" / "meta_checkpoint.json"
 ROWS = (50, 200, 800)
-HVP_TASKS, HVP_ROWS = 4, 50
+HVP_TASKS, HVP_ROWS, OUTER_ROWS = 4, 50, 32
 CALLS = 200
 ROLLOUT_STATES, ROLLOUT_STEPS, ROLLOUT_H = 500, 500, 0.01
 
@@ -275,6 +279,12 @@ def meta_step_suite(tree: Tree) -> tuple[dict, dict]:
     batch = (rng.uniform(-radius, radius, (HVP_TASKS, HVP_ROWS, arch.input_dim)),
              rng.normal(size=(HVP_TASKS, HVP_ROWS, arch.input_dim)))
     v = rng.normal(size=(HVP_TASKS, arch.n_params))
+    outer = (rng.uniform(-radius, radius, (HVP_TASKS, OUTER_ROWS, arch.input_dim)),
+             rng.normal(size=(HVP_TASKS, OUTER_ROWS, arch.input_dim)))
+    timed["inner_us",] = (repeated(tree.net.loss_gradients, theta0, arch, batch, cfg.loss),
+                          per_call_us)
+    timed["outer_us",] = (repeated(functools.partial(tree.net.loss_gradients, values=True),
+                                   theta0 - 0.01 * v, arch, outer, cfg.loss), per_call_us)
     timed["hvps_us",] = (repeated(tree.net.hvps, theta0, arch, batch, cfg.loss, v), per_call_us)
     timed["meta_step_ms",] = (
         functools.partial(tree.meta.meta_train, family, arch, cfg.meta, cfg.loss, seed,

@@ -91,13 +91,13 @@ def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
     X, Y = sample_labelled(system, np.random.default_rng(seed), budget.n_samples, radius)
     rng = np.random.default_rng(seed + 1)
     theta = net.shaped_init(arch, seed, radius)
-    for step in range(budget.n_steps):
-        idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
-        with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+    with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+        for step in range(budget.n_steps):
+            idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
             theta = theta - budget.lr * net.loss_gradient(theta, arch, (X[idx], Y[idx]), loss_cfg)
-        if not np.all(np.isfinite(theta)):
-            raise meta.NonFiniteLoss(
-                f"non-finite gradient or parameters at NLF training step {step}", step)
+            if not np.all(np.isfinite(theta)):
+                raise meta.NonFiniteLoss(
+                    f"non-finite gradient or parameters at NLF training step {step}", step)
     return theta, budget.n_samples, budget.n_steps
 
 

@@ -71,12 +71,12 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
     n_tasks, m_batches = family[0].shape[:2]
 
     curve = np.empty(meta_cfg.meta_steps)
-    for step in range(meta_cfg.meta_steps):
-        # per pick: a task index, then one of its batches; gathered to (P, n, d) arrays
-        t, b = np.array([(rng.integers(n_tasks), rng.integers(m_batches))
-                         for _ in range(meta_cfg.tasks_per_step)]).T
-        X_tr, Y_tr, X_te, Y_te = (a[t, b] for a in family)
-        with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+    with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+        for step in range(meta_cfg.meta_steps):
+            # per pick a task index, then one of its batches (the stream of interleaved
+            # scalar draws); gathered to (P, n, d) arrays
+            t, b = rng.integers((n_tasks, m_batches), size=(meta_cfg.tasks_per_step, 2)).T
+            X_tr, Y_tr, X_te, Y_te = (a[t, b] for a in family)
             grads, losses = meta_gradients(theta, arch, (X_tr, Y_tr), (X_te, Y_te),
                                            meta_cfg.inner_lr, loss_cfg, meta_cfg.mode)
             grad_sum = np.zeros_like(theta)
@@ -85,10 +85,10 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
                 grad_sum += g
                 loss_sum += task_loss
             theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
-        mean_step_loss = loss_sum / meta_cfg.tasks_per_step
-        if not (np.isfinite(mean_step_loss) and np.all(np.isfinite(theta))):
-            raise NonFiniteLoss(f"non-finite loss or parameters at meta-step {step}", step)
-        curve[step] = mean_step_loss
+            mean_step_loss = loss_sum / meta_cfg.tasks_per_step
+            if not (np.isfinite(mean_step_loss) and np.all(np.isfinite(theta))):
+                raise NonFiniteLoss(f"non-finite loss or parameters at meta-step {step}", step)
+            curve[step] = mean_step_loss
     # floored at the loss of V = 0, eps1 + eps2: a hinge loss near 0 on some batch
     # does not make a noisy last step a divergence
     least = max(float(curve.min()), loss_cfg.eps1 + loss_cfg.eps2)
@@ -103,9 +103,10 @@ def test_time_adapt(theta_mnlf, arch, s_tr: Batch, alpha: float, k: int,
                     loss_cfg: TightenedLossConfig) -> np.ndarray:
     """k repeated full-batch inner steps from the meta-parameters; NonFiniteLoss if one diverges."""
     theta = np.asarray(theta_mnlf, dtype=float).copy()
-    for step in range(k):
-        with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+    with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
+        for step in range(k):
             theta = theta - alpha * net.loss_gradient(theta, arch, s_tr, loss_cfg)
-        if not np.all(np.isfinite(theta)):
-            raise NonFiniteLoss(f"non-finite gradient or parameters at test-time step {step}", step)
+            if not np.all(np.isfinite(theta)):
+                raise NonFiniteLoss(f"non-finite gradient or parameters at test-time step {step}",
+                                    step)
     return theta

@@ -227,22 +227,21 @@ def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
     centers = grid.coords(result.member_rows)
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
 
-    points = []
-    attempts = 0
-    while len(points) < n_samples and attempts < 60 * n_samples:
-        take = n_samples - len(points)
-        idx = rng.integers(centers.shape[0], size=take)
-        jitter = rng.uniform(-0.5, 0.5, size=(take, grid.dim)) * grid.spacing
-        batch = centers[idx] + jitter
+    parts = [np.empty((0, grid.dim))]   # the accepted rows of each draw
+    found = attempts = 0
+    while found < n_samples and attempts < 60 * n_samples:
+        take = n_samples - found
+        batch = centers[rng.integers(centers.shape[0], size=take)]
+        batch += rng.uniform(-0.5, 0.5, size=(take, grid.dim)) * grid.spacing
         ok = np.linalg.norm(batch, axis=1) <= grid.radius
         ok &= (candidate.value(batch) - v0) <= result.c
-        points.extend(batch[ok])
+        parts.append(batch[ok])
+        found += len(parts[-1])
         attempts += take
-    if len(points) < n_samples:
+    if found < n_samples:
         # jitter keeps landing above the level: fall back to the node centers
-        idx = rng.integers(centers.shape[0], size=n_samples - len(points))
-        points.extend(centers[idx])
-    return np.asarray(points[:n_samples])
+        parts.append(centers[rng.integers(centers.shape[0], size=n_samples - found)])
+    return np.concatenate(parts)
 
 
 def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSpec,

@@ -326,3 +326,154 @@ def per_row_jacobian(theta, arch, X):
             gb[...] = delta
             delta = (delta @ W) * (1.0 - a * a)   # the input layer's is never read
     return J
+
+
+# The derivative engine and bowl fit frozen as they stood before their hot paths were
+# rewritten in place: the library's `loss_gradients`, `hvps` and `shaped_init` must
+# keep these bits. They share only the parameter layout (`net.unpack`), the random init
+# and the ball sampler with the library.
+FROZEN_INIT = dict(scale=3.0, points=2048, iters=20, chunk=256, damping=1.0, up=4.0, down=3.0)
+
+
+def _frozen_forward(weights, X):
+    acts = [X]
+    for l, (W, b) in enumerate(weights):
+        Z = acts[l] @ W.transpose(0, 2, 1)
+        Z += b
+        if l == len(weights) - 1:
+            return Z[..., 0], acts
+        acts.append(np.tanh(Z, out=Z))
+
+
+def _frozen_tanh_primes(acts):
+    sps = [None]
+    for A in acts[1:]:
+        S = np.multiply(A, A)
+        sps.append(np.subtract(1.0, S, out=S))
+    return sps
+
+
+def _frozen_input_gradient(weights, sps):
+    delta = weights[-1][0] * sps[-1]
+    for l in range(len(weights) - 2, 0, -1):
+        delta = delta @ weights[l][0]
+        delta *= sps[l]
+    return delta @ weights[0][0]
+
+
+def _frozen_tangent(weights, sps, Y):
+    T, U = [Y], [None]
+    for l, (W, _b) in enumerate(weights[:-1], start=1):
+        u = T[l - 1] @ W.transpose(0, 2, 1)
+        U.append(u)
+        T.append(sps[l] * u)
+    return T, U
+
+
+def _frozen_backprop(weights, acts, sps, T, U, pos, dec, grads):
+    L = len(weights)
+    W_out = weights[-1][0]
+    gW_out, gb_out = grads[-1]
+    gW_out += pos[:, None, :] @ acts[L - 1] + dec[:, None, :] @ T[L - 1]
+    gb_out += pos.sum(axis=1)[:, None, None]
+    T_bar = dec[..., None] * W_out
+    A_bar = pos[..., None] * W_out
+    ones = np.ones((1, pos.shape[1]))
+    for l in range(L - 1, 0, -1):
+        sp = sps[l]
+        spp = -2.0 * acts[l] * sp
+        U_bar = sp * T_bar
+        Z_bar = spp * U[l] * T_bar
+        Z_bar += sp * A_bar
+        gW, gb = grads[l - 1]
+        gW += U_bar.transpose(0, 2, 1) @ T[l - 1] + Z_bar.transpose(0, 2, 1) @ acts[l - 1]
+        gb += ones @ Z_bar
+        if l > 1:
+            W_l = weights[l - 1][0]
+            T_bar = U_bar @ W_l
+            A_bar = Z_bar @ W_l
+
+
+def frozen_loss_gradients(thetas, arch, batch, cfg, values=False):
+    """`net.loss_gradients` as frozen: (B, n_params) gradients, and with `values` the
+    loss terms (V, grad_x V^T y, V(0))."""
+    X, Y = (np.concatenate([a, np.zeros_like(a[:, :1])], axis=1) for a in batch)
+    n = X.shape[1] - 1
+    weights = net.unpack(np.atleast_2d(thetas), arch)
+    V, acts = _frozen_forward(weights, X)
+    sps = _frozen_tanh_primes(acts)
+    T, U = _frozen_tangent(weights, sps, Y)
+    S = (T[-1] @ weights[-1][0].transpose(0, 2, 1))[..., 0]
+    pos = np.where((cfg.eps1 - V) > 0.0, -1.0 / n, 0.0)
+    pos[:, n] = 2.0 * V[:, n]
+    dec = np.where((cfg.eps2 + S) > 0.0, 1.0 / n, 0.0)
+    dec[:, n] = 0.0
+    grad = np.zeros((len(V), arch.n_params))
+    _frozen_backprop(weights, acts, sps, T, U, pos, dec, net.unpack(grad, arch))
+    if not values:
+        return grad
+    lie = np.sum(_frozen_input_gradient(weights, sps)[:, :n] * batch[1], axis=2)
+    return grad, (V[:, :n], lie, V[:, n])
+
+
+def frozen_hvps(theta, arch, batch, cfg, v):
+    """`net.hvps` as frozen: central differences of `frozen_loss_gradients` at the 2P
+    points theta +- eps_p v_p, eps_p = 1e-4 / max(1, |v_p|), 0 for a zero or non-finite v_p."""
+    twice = tuple(np.concatenate([a, a]) for a in batch)
+    theta = np.asarray(theta, dtype=float)
+    v = np.asarray(v, dtype=float)
+    rows = v.reshape(-1, theta.size)
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    usable = ((norms != 0.0) & np.isfinite(norms))[:, None]
+    eps = 1e-4 / np.maximum(1.0, np.where(usable[:, 0], norms, 1.0))[:, None]
+    step = np.where(usable, eps * rows, 0.0)
+    G = frozen_loss_gradients(np.concatenate([theta + step, theta - step]), arch, twice, cfg)
+    return np.where(usable, (G[:len(rows)] - G[len(rows):]) / (2.0 * eps), 0.0).reshape(v.shape)
+
+
+def _frozen_value_jacobian(theta, arch, X):
+    weights = net.unpack(theta[None], arch)
+    V, acts = _frozen_forward(weights, X[None])
+    sps = _frozen_tanh_primes(acts)
+    J = np.empty((len(X), arch.n_params))
+    delta = np.ones((len(X), 1))
+    for l, (gW, gb) in reversed(list(enumerate(net.unpack(J, arch)))):
+        np.multiply(delta[:, :, None], acts[l][0][:, None, :], out=gW)
+        gb[:, 0] = delta
+        if l > 0:
+            delta = delta @ weights[l][0][0]
+            delta *= sps[l][0]
+    return V[0], J
+
+
+def frozen_shaped_init(arch, seed, radius):
+    """`net.shaped_init` as frozen: the Levenberg-Marquardt bowl fit, normal equations
+    rebuilt after every kept step and the damping added as mu * I."""
+    k = FROZEN_INIT
+    theta = net.init_params(arch, seed)
+    X = dynamics.sample_ball(np.random.default_rng(seed), k["points"], arch.input_dim, radius)
+    target = k["scale"] * (np.linalg.norm(X, axis=1) / radius) ** 2
+
+    def cost(theta):
+        r = _frozen_forward(net.unpack(theta[None], arch), X[None])[0][0] - target
+        return r @ r
+
+    def normal_equations(theta):
+        JtJ, Jtr = np.zeros((arch.n_params, arch.n_params)), np.zeros(arch.n_params)
+        for start in range(0, k["points"], k["chunk"]):
+            V, J = _frozen_value_jacobian(theta, arch, X[start:start + k["chunk"]])
+            JtJ += J.T @ J
+            Jtr += J.T @ (V - target[start:start + k["chunk"]])
+        return JtJ / k["points"], Jtr / k["points"]
+
+    fit, damping = cost(theta), k["damping"]
+    JtJ, Jtr = normal_equations(theta)
+    for _ in range(k["iters"]):
+        trial = theta - np.linalg.solve(JtJ + damping * np.eye(arch.n_params), Jtr)
+        trial_fit = cost(trial)
+        if trial_fit < fit:
+            theta, fit, damping = trial, trial_fit, damping / k["down"]
+            JtJ, Jtr = normal_equations(theta)
+        else:
+            damping *= k["up"]
+    return theta

@@ -266,6 +266,6 @@ def test_bench_suites_build():
         "gate ['adapt_certify_s', 'compare_mg3_s', 'mc_gate_ms', 'rollout_ns_per_state_step', "
         "'row_steps']",
         "init ['compare_mg3_s', 'fit_rms', 'max_abs_theta', 'shaped_init_s', 'train_meta_s']",
-        "meta_step ['hvps_us', 'loss_gradient_us', 'meta_step_ms', 'minflt_per_step', "
-        "'shaped_init_s', 'train_meta_s']",
+        "meta_step ['hvps_us', 'inner_us', 'loss_gradient_us', 'meta_step_ms', "
+        "'minflt_per_step', 'outer_us', 'shaped_init_s', 'train_meta_s']",
         "['200', '50', '800']"]

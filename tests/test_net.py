@@ -10,7 +10,8 @@ from lyapcert import dynamics, net
 from lyapcert.config import PRESETS
 from lyapcert.loss import TightenedLossConfig, empirical_loss, mean_loss
 
-from helpers import per_row_jacobian, save_checkpoint
+from helpers import (frozen_hvps, frozen_loss_gradients, frozen_shaped_init,
+                     per_row_jacobian, save_checkpoint)
 
 
 def identity_1_1_1():
@@ -283,6 +284,46 @@ class TestStackedKernel:
         for l in range(len(weights) - 1, 0, -1):
             delta = (delta @ weights[l][0]) * (1.0 - acts[l] ** 2)
         np.testing.assert_array_equal(net._input_gradient(weights, sps), delta @ weights[0][0])
+
+
+class TestFrozenEngine:
+    """The engine against its frozen copy in `helpers`, bit for bit: the other tests
+    compare the engine with itself, so they miss a change of bits common to both paths."""
+
+    @pytest.mark.parametrize("hidden", [(16, 16), (8,)], ids=["16x16", "8"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("rows", [33, 51, 257])
+    @pytest.mark.parametrize("tasks", [1, 4, 8])
+    def test_gradients_and_hvps(self, tasks, rows, dim, hidden):
+        rng = np.random.default_rng(1000 * tasks + rows + dim)
+        arch = net.Architecture(dim, hidden)
+        cfg = TightenedLossConfig(0.5, 0.1)
+        thetas = np.stack([net.init_params(arch, s) * 2.0 for s in range(tasks)])
+        batch = (rng.uniform(-3.0, 3.0, (tasks, rows, dim)), rng.normal(size=(tasks, rows, dim)))
+        for theta in (thetas, thetas[0]):
+            np.testing.assert_array_equal(net.loss_gradients(theta, arch, batch, cfg),
+                                          frozen_loss_gradients(theta, arch, batch, cfg))
+            grad, terms = net.loss_gradients(theta, arch, batch, cfg, values=True)
+            ref_grad, ref_terms = frozen_loss_gradients(theta, arch, batch, cfg, values=True)
+            np.testing.assert_array_equal(grad, ref_grad)
+            for term, ref in zip(terms, ref_terms):
+                np.testing.assert_array_equal(term, ref)
+        assert np.any((cfg.eps1 - terms[0]) > 0.0) and np.any((cfg.eps2 + terms[1]) > 0.0)
+        v = rng.normal(scale=30.0, size=(tasks, arch.n_params))
+        zero, nonfinite = v.copy(), v.copy()
+        zero[0] = 0.0
+        nonfinite[-1, 3] = np.nan if tasks > 1 else np.inf
+        for direction in (v, zero, nonfinite):
+            H = net.hvps(thetas[0], arch, batch, cfg, direction)
+            np.testing.assert_array_equal(H, frozen_hvps(thetas[0], arch, batch, cfg, direction))
+        assert not np.any(H[-1]) and not np.any(net.hvps(thetas[0], arch, batch, cfg, zero)[0])
+
+    @pytest.mark.parametrize("hidden", [(16, 16), (8,)], ids=["16x16", "8"])
+    @pytest.mark.parametrize("dim, radius", [(2, 3.2), (3, 3.0)])
+    def test_shaped_init(self, dim, radius, hidden):
+        arch = net.Architecture(dim, hidden)
+        np.testing.assert_array_equal(net.shaped_init(arch, 0, radius),
+                                      frozen_shaped_init(arch, 0, radius))
 
 
 class TestInitParams:

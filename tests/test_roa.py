@@ -28,6 +28,41 @@ roa.monte_carlo_convergence(system, [certificate] * 4, grid, int(sys.argv[1]), 0
                             1e-2, 0)
 """
 
+# peak resident set (KB) of drawing argv[1] gate start states for one certificate of a
+# (4,) pendulum network, over every interior cell of a 9 x 9 grid
+START_PEAK = """
+import sys
+import numpy as np
+from lyapcert import net, roa, verify
+arch = net.Architecture(2, (4,))
+grid = verify.build_grid(1.0, 9, 2)
+result = roa.RoaResult(c=1e300, member_rows=np.nonzero(~grid.boundary)[0], area=1.0)
+roa._start_states(result, net.MlpLyapunov(net.init_params(arch, 0), arch), grid,
+                  int(sys.argv[1]), 0)
+"""
+
+
+def listed_start_states(result, candidate, grid, n_samples, seed):
+    """The gate's start-state draw as it gathered its accepted rows, one per-row array
+    at a time in a Python list."""
+    rng = np.random.default_rng(seed)
+    centers = grid.coords(result.member_rows)
+    v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
+    points, attempts = [], 0
+    while len(points) < n_samples and attempts < 60 * n_samples:
+        take = n_samples - len(points)
+        idx = rng.integers(centers.shape[0], size=take)
+        jitter = rng.uniform(-0.5, 0.5, size=(take, grid.dim)) * grid.spacing
+        batch = centers[idx] + jitter
+        ok = np.linalg.norm(batch, axis=1) <= grid.radius
+        ok &= (candidate.value(batch) - v0) <= result.c
+        points.extend(batch[ok])
+        attempts += take
+    if len(points) < n_samples:
+        idx = rng.integers(centers.shape[0], size=n_samples - len(points))
+        points.extend(centers[idx])
+    return np.asarray(points[:n_samples])
+
 
 class LinearSystem:
     def __init__(self, dim):
@@ -288,6 +323,29 @@ class TestMonteCarloConvergence:
         pts = centers[idx] + rng.uniform(-0.5, 0.5, size=(500, 2)) * grid.spacing
         keep = cand.value(pts) <= result.c
         assert keep.sum() > 0
+
+
+class TestStartStates:
+    @pytest.mark.parametrize("c, dim", [(1e300, 2), (0.3, 2), (0.05, 3), (-1.0, 2)],
+                             ids=["all-in", "rejecting", "rejecting-3d", "fallback"])
+    def test_same_states_as_the_listed_draw(self, c, dim):
+        """Every draw, with rejections at the ball and at the level and with the
+        fall-back to node centers, returns the listed draw's states bit for bit."""
+        grid = verify.build_grid(1.0, 9, dim)
+        result = roa.RoaResult(c=c, member_rows=np.nonzero(~grid.boundary)[0], area=1.0)
+        cand = QuadraticLyapunov(np.diag(np.arange(1.0, dim + 1.0)))
+        states = roa._start_states(result, cand, grid, 300, 4)
+        assert states.shape == (300, dim)
+        np.testing.assert_array_equal(states, listed_start_states(result, cand, grid, 300, 4))
+
+    def test_peak_memory_per_sample(self):
+        """From 20,000 to 60,000 start states of one (4,) network's certificate, the
+        draw grows the peak resident set by under 120 B per added sample: 55 B measured,
+        against 219 B when the accepted rows were gathered as a list of per-row arrays.
+        (On a (16, 16) network the value sweep over the whole draw sets the peak:
+        282 B, 300 B with the list.)"""
+        growth = (peak_kb(START_PEAK, 60_000) - peak_kb(START_PEAK, 20_000)) * 1024
+        assert growth < 120 * 40_000, f"{growth / 40_000:.0f} B per added sample"
 
 
 class TestStackedGate:
