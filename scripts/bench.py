@@ -39,16 +39,17 @@ radius 3.2):
 - `train_meta_s`: wall seconds of one `lyapcert train-meta --seed 101` on that
   config
 
-The `gate` suite (default output `BENCH_gate.json`) measures, on the test
-systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid), one
-`dynamics.simulate_batch` case each (500 states drawn over the preset's region,
-500 steps of 0.01) with the retirement region `roa.monte_carlo_convergence`
-builds for that system, step and step count:
+The `gate` suite (default output `BENCH_gate.json`) measures:
 
 - `rollout_ns_per_state_step`: nanoseconds per requested RK4 state-step
-  (states x steps)
-- `row_steps`: the state-steps actually integrated, rows retired in the region
-  or diverged no longer counting (rows handed to `f_batch`, over its 4 stages)
+  (states x steps) of one `dynamics.simulate_batch` case on each of the test
+  systems of `ip_stochastic_l` (pendulum) and `mg3_dc12` (3-d microgrid):
+  500 states drawn over the preset's region, 500 steps of 0.01, with the
+  basin `roa.monte_carlo_convergence` builds for that system and step
+- `row_steps`: per preset, the state-steps the gate integrates on the
+  preset's test system (rows handed to `f_batch`, over its 4 stages) when it
+  rolls 500 states drawn over the preset's region out at its gate step until
+  each enters the basin, diverges or reaches the step cap
 
 and, on the benchmark's `fixed` task (the `ip_stochastic_l` preset with
 `perfbench/data/meta_checkpoint.json`, 31,877 grid nodes):
@@ -107,7 +108,8 @@ runs pair up in order, and the printed `wins` count the pairs in which the
 `--label` tree was faster. The writers' text is a string or blocks of text, so
 an older tree times the same. The `cert` and `gate` suites pass the exemption
 radius and the plane to `build_grid` alone, so they take no tree whose grid
-does not carry them (`--against` such a tree fails in `build_grid`); the other
+does not carry them (`--against` such a tree fails in `build_grid`), and the
+`gate` suite takes no tree without the gate's basin (`roa.basin`); the other
 suites take any tree.
 
 Each run is stored under its label with the machine's description; `median`
@@ -146,6 +148,7 @@ ROWS = (50, 200, 800)
 HVP_TASKS, HVP_ROWS, OUTER_ROWS = 4, 50, 32
 CALLS = 200
 ROLLOUT_STATES, ROLLOUT_STEPS, ROLLOUT_H = 500, 500, 0.01
+ROLLOUT_LABELS = {"ip_stochastic_l": "pendulum", "mg3_dc12": "mg3_dc12"}   # timed presets
 
 
 class Tree:
@@ -310,21 +313,20 @@ class RowCounter:
 def gate_suite(tree: Tree) -> tuple[dict, dict]:
     """The gate suite on one tree, laid out as `meta_step_suite`'s."""
     timed, row_steps = {}, {}
-    horizon = ROLLOUT_STEPS * ROLLOUT_H
-    for label, preset in (("pendulum", "ip_stochastic_l"), ("mg3_dc12", "mg3_dc12")):
-        cfg = tree.config.PRESETS[preset]
+    for name, cfg in tree.config.PRESETS.items():
         system = tree.dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
         X0 = tree.dynamics.sample_ball(np.random.default_rng(0), ROLLOUT_STATES, system.dim,
                                        cfg.verify.d0)
-        # the gate keeps ROLLOUT_H (its mc_step) as its step for both systems
-        region = tree.roa.retirement_region(system, ROLLOUT_H, cfg.roa.mc_tol, ROLLOUT_STEPS)
-        timed["rollout_ns_per_state_step", label] = (
-            functools.partial(tree.dynamics.simulate_batch, system, X0, ROLLOUT_H, horizon,
-                              region),
-            lambda s: round(1e9 * s / (ROLLOUT_STATES * ROLLOUT_STEPS), 1))
+        step = tree.roa.gate_step(system, cfg.roa.mc_step)
         counter = RowCounter(system)
-        tree.dynamics.simulate_batch(counter, X0, ROLLOUT_H, horizon, region)
-        row_steps[label] = counter.rows // 4
+        tree.dynamics.simulate_batch(counter, X0, step, tree.dynamics.MAX_RK4_STEPS * step,
+                                     tree.roa.basin(system, step))
+        row_steps[name] = counter.rows // 4
+        if name in ROLLOUT_LABELS:   # the gate keeps ROLLOUT_H (its mc_step) as its step
+            timed["rollout_ns_per_state_step", ROLLOUT_LABELS[name]] = (
+                functools.partial(tree.dynamics.simulate_batch, system, X0, ROLLOUT_H,
+                                  ROLLOUT_STEPS * ROLLOUT_H, tree.roa.basin(system, ROLLOUT_H)),
+                lambda s: round(1e9 * s / (ROLLOUT_STATES * ROLLOUT_STEPS), 1))
 
     # the fixed task: the checkpoint adapted and certified as `adapt` and `roa` do
     cfg = workload_config(tree, {"preset": inputs.ADAPT_PRESET}, "fixed")
@@ -339,8 +341,7 @@ def gate_suite(tree: Tree) -> tuple[dict, dict]:
     mc = cfg.roa
     timed["mc_gate_ms",] = (
         functools.partial(tree.roa.monte_carlo_convergence, system, [(result, candidate)],
-                          grid, mc.mc_samples, mc.mc_step, mc.mc_horizon, mc.mc_tol,
-                          cfg.seeds.master),
+                          grid, mc.mc_samples, mc.mc_step, cfg.seeds.master),
         lambda s: round(1e3 * s, 1))
     adapted = str(Path("out", cfg.name, "adapted_checkpoint.json"))
     timed["adapt_certify_s",] = (

@@ -214,7 +214,7 @@ def compare(cfg: ExperimentConfig) -> list[MethodResult]:
     mc = cfg.roa
     checks = roa.monte_carlo_convergence(
         system_test, [(results[i].roa, results[i].candidate) for i in certified], grid,
-        mc.mc_samples, mc.mc_step, mc.mc_horizon, mc.mc_tol, seed + 1000)
+        mc.mc_samples, mc.mc_step, seed + 1000)
     for i, check in zip(certified, checks):
         if not check.vacuous:
             status = ("ok" if check.fraction >= 1.0

@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, control, dynamics, meta, net, roa, svg, verify
-from .config import (MAX_RADIUS, MAX_RK4_STEPS, ConfigError, ExperimentConfig, PRESETS,
-                     config_hash, config_to_dict, load_config)
+from .config import (MAX_RADIUS, ConfigError, ExperimentConfig, PRESETS, config_hash,
+                     config_to_dict, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -270,18 +270,21 @@ def cmd_roa(args, cfg: ExperimentConfig) -> int:
     out = _out_dir(args, cfg)
     vmap, result = baselines.certify_candidate(candidate, system_test, grid)
     check, = roa.monte_carlo_convergence(system_test, [(result, candidate)], grid,
-                                         cfg.roa.mc_samples, cfg.roa.mc_step,
-                                         cfg.roa.mc_horizon, cfg.roa.mc_tol, cfg.seeds.master)
+                                         cfg.roa.mc_samples, cfg.roa.mc_step, cfg.seeds.master)
     atomic_write_json(out / "roa.json", {**_stamp(cfg), **roa.export_roa_json(result, grid)})
     atomic_write_text(out / "roa_boundary.csv", roa.export_boundary_csv(result, grid))
     atomic_write_text(out / "roa_overlay.svg", svg.render_validity_svg(vmap, grid, roa=result))
     atomic_write_json(out / "roa_mc.json",
                       {**_stamp(cfg), "fraction": check.fraction, "vacuous": check.vacuous,
-                       "n_samples": check.n_samples, "step": check.step})
+                       "n_samples": check.n_samples, "step": check.step,
+                       "diverged": check.diverged, "capped": check.capped})
     print(f"roa: c={result.c:g} area={result.area:g} mc_fraction={check.fraction:g}")
     if check.fraction < 1.0:
         print(f"verification failure: {check.n_samples} rollouts from the certified set at "
-              f"step {check.step:g}, mc fraction {check.fraction:.4f}", file=sys.stderr)
+              f"step {check.step:g}, mc fraction {check.fraction:.4f}: " + (
+                  f"{check.diverged} diverged, {check.capped} outside the basin at the step cap"
+                  if check.diverged + check.capped else "no proven basin at this step"),
+              file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -299,8 +302,8 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
                                  f"{args.h}, {args.horizon}")
     if not (args.h > 0 and args.horizon >= args.h):
         raise ConfigError("need --h > 0 and --horizon >= --h")
-    if args.horizon / args.h > MAX_RK4_STEPS:
-        raise ConfigError(f"--horizon / --h asks for more than {MAX_RK4_STEPS:,} RK4 steps")
+    if args.horizon / args.h > dynamics.MAX_RK4_STEPS:
+        raise ConfigError(f"--horizon / --h asks for more than {dynamics.MAX_RK4_STEPS:,} steps")
     out = _out_dir(args, cfg)
     traj = dynamics.simulate(system_test, x0, args.h, args.horizon)
     rows = ["t," + ",".join(f"x{i + 1}" for i in range(system_test.dim))]

@@ -49,6 +49,8 @@ FAN_QC_DIAG = (1.0,) * 6
 FAN_RC_DIAG = (1.0, 1.0)
 
 DIVERGENCE_NORM = 1e6
+# RK4 steps `simulate` may take (500x its default run) and the Monte-Carlo gate per row
+MAX_RK4_STEPS = 1_000_000
 
 
 def state_dim(system_id: str, values) -> int:
@@ -296,7 +298,7 @@ def simulate(system: ClosedLoopSystem, x0, h: float, horizon: float) -> Trajecto
 
 
 def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: float,
-                   region: tuple[np.ndarray, np.ndarray] | None = None
+                   region: tuple[np.ndarray, float] | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized RK4 over many initial states; returns (final states, diverged mask,
     retired mask).
@@ -307,19 +309,17 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
     is computed only in a step whose largest entry exceeds half of
     DIVERGENCE_NORM / sqrt(d) (the half is slack for rounding) or is NaN.
 
-    `region` = (Q, levels) retires a row, which also stops, once a step that
-    leaves k steps to go leaves it with x^T Q x <= levels[k]: the caller
-    vouches that such a row ends below its tolerance at the horizon
-    (`roa.retirement_region`), so it is no longer integrated and its state
-    then is reported.
+    `region` = (Q, level) retires a row, which also stops, once a step leaves
+    it with x^T Q x <= level: the caller vouches that the set is one it cannot
+    leave (`roa.basin`), so the row is no longer integrated and its state then
+    is reported.
     """
     X = np.array(X0, dtype=float)
-    n_steps = int(round(horizon / h))
     safe = 0.5 * DIVERGENCE_NORM / math.sqrt(X.shape[1])
     diverged = np.zeros(X.shape[0], dtype=bool)
     alive, Xa = np.arange(X.shape[0]), X
     ones = np.ones(X.shape[1])   # row sums as one matrix-vector product
-    for to_go in range(n_steps - 1, -1, -1):
+    for _ in range(int(round(horizon / h))):
         if alive.size == 0:
             break
         Xa = rk4_step(system.f_batch, Xa, h)
@@ -328,9 +328,9 @@ def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: 
             stop = np.linalg.norm(Xa, axis=1) > DIVERGENCE_NORM
             diverged[alive[stop]] = True
         if region is not None:
-            Q, levels = region
+            Q, level = region
             with np.errstate(over="ignore", invalid="ignore"):   # rows at inf diverged above
-                inside = ((Xa @ Q) * Xa) @ ones <= levels[to_go]
+                inside = ((Xa @ Q) * Xa) @ ones <= level
             stop = inside if stop is None else stop | inside
         if stop is not None and stop.any():
             X[alive[stop]] = Xa[stop]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import SingularSystem, solve_discrete_lyapunov
-from .dynamics import ClosedLoopSystem, simulate_batch
+from .dynamics import MAX_RK4_STEPS, ClosedLoopSystem, simulate_batch
 from .verify import GridSpec, ValidityMap
 
 
@@ -96,13 +96,19 @@ RK4_STEP_LIMIT = 2.5   # largest h * rho(A) the gate integrates at; RK4's real-a
 
 @dataclass(frozen=True)
 class ConvergenceCheck:
-    fraction: float
     n_samples: int
     step: float                 # RK4 step the rollouts used
+    entered: int                # rollouts that entered the basin
+    diverged: int               # rollouts that diverged
+    capped: int                 # rollouts still outside the basin after MAX_RK4_STEPS steps
 
     @property
     def vacuous(self) -> bool:
         return self.n_samples == 0
+
+    @property
+    def fraction(self) -> float:
+        return self.entered / self.n_samples if self.n_samples else 1.0
 
 
 def gate_step(system: ClosedLoopSystem, h: float) -> float:
@@ -141,13 +147,9 @@ def _rk4_remainder(a: float, G: float, p: int, h: float, nu: float) -> float:
     return h / 6.0 * total
 
 
-REGION_RADII = 32   # Q-radii the retirement region tries, from the ball's to |x|_2 = 1
-
-
-def retirement_region(system: ClosedLoopSystem, h: float, tol: float,
-                      n_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(Q, levels) such that a row x with k of n_steps floating-point RK4 steps of
-    size h still to go and x^T Q x <= levels[k] ends below tol, or None.
+def basin(system: ClosedLoopSystem, h: float) -> tuple[np.ndarray, float] | None:
+    """(Q, level): a Q-ball {x^T Q x <= level} that one floating-point RK4 step of
+    size h maps into itself, contracting, or None.
 
     M is the RK4 matrix of hA (A the linearization) and Q solves
     M^T Q M - Q = -I, so |Mx|_Q <= sqrt(kappa) |x|_Q with kappa the largest
@@ -165,15 +167,11 @@ def retirement_region(system: ClosedLoopSystem, h: float, tol: float,
         |x+|_Q <= q |x|_Q + e,  q = sqrt(kappa) + high (E(rho / low) / rho
                                     + STEP_ROUNDING / low),  e = high STEP_ROUNDING.
 
-    Where q rho + e <= rho, the Q-ball of radius rho maps into itself, and with
-    f = e / (1 - q) and r_k = f + (low tol - f) / q^k one step maps
-    min(rho, r_k) into min(rho, r_(k-1)); r_0 = low tol lies inside
-    |x|_2 <= tol, so by induction a row inside min(rho, r_k) with k steps to go
-    ends below tol. levels[k] is the largest such radius, squared, over
-    REGION_RADII radii from low tol / 2 to low (|x|_2 <= 1), and never below
-    the ball that needs no step count: the largest of low tol / 2 halved j
-    times that one step maps into itself, inside |x|_2 <= tol / 2. levels is
-    nondecreasing in k. No region when rho(M) >= 1 or no ball radius passes.
+    Where q rho + e <= rho, one step maps the Q-ball of radius rho into itself,
+    and k steps bring a row in it within q^k rho + e / (1 - q) of the origin.
+    The basin is the largest such ball of radius low 2^(-j/8), j = 0, 1, ...
+    (|x|_2 <= 1 at j = 0), tried down to rho (1 - sqrt(kappa)) < e, where no
+    radius passes as q >= sqrt(kappa); none when rho(M) >= 1.
     """
     A = system.linearization()
     hA = h * A
@@ -193,30 +191,14 @@ def retirement_region(system: ClosedLoopSystem, h: float, tol: float,
     a = np.linalg.norm(A, 2) * (1.0 + SLACK)
     G, p = system.remainder_bound()
     e = high * STEP_ROUNDING
-
-    def gain(rho: float) -> float:
-        return contraction + high * (_rk4_remainder(a, G, p, h, rho / low) / rho
-                                     + STEP_ROUNDING / low)
-
-    rho = low * tol / 2.0
-    for _ in range(60):   # past 2^-60 the rounding allowance outweighs any contraction
-        if gain(rho) * rho + e <= rho:
-            break
-        rho /= 2.0
-    else:
-        return None
-    levels = np.full(n_steps + 1, rho * rho)
-    steps_to_go = np.arange(n_steps + 1)
-    for rho in np.geomspace(low * tol / 2.0, low, REGION_RADII):
-        q = gain(rho)
-        if not q * rho + e <= rho:   # an infinite q fails too
-            continue
-        f = e / (1.0 - q)
-        if f < low * tol:
-            with np.errstate(divide="ignore"):   # q^k underflows to 0: rho caps r_k
-                radius = np.minimum(rho, f + (low * tol - f) / q ** steps_to_go)
-            np.maximum(levels, radius * radius, out=levels)
-    return Q, levels * (1.0 - SLACK)
+    rho = low
+    while rho * (1.0 - contraction) >= e:
+        q = contraction + high * (_rk4_remainder(a, G, p, h, rho / low) / rho
+                                  + STEP_ROUNDING / low)
+        if q * rho + e <= rho:   # an infinite q fails
+            return Q, rho * rho * (1.0 - SLACK)
+        rho *= 2.0 ** -0.125
+    return None
 
 
 def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
@@ -245,8 +227,7 @@ def _start_states(result: RoaResult, candidate, grid: GridSpec, n_samples: int,
 
 
 def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSpec,
-                            n_samples: int, h: float, horizon: float, tol: float,
-                            seed: int) -> list[ConvergenceCheck]:
+                            n_samples: int, h: float, seed: int) -> list[ConvergenceCheck]:
     """Roll out RK4 trajectories from inside each certified set, in one sweep.
 
     `certificates` is a list of (RoaResult, candidate) pairs; one check is
@@ -254,24 +235,26 @@ def monte_carlo_convergence(system: ClosedLoopSystem, certificates, grid: GridSp
     its own default_rng(seed), uniform over its member cells and
     rejection-filtered to {Vbar <= c} (cell jitter can otherwise step just
     over the level). All draws are then integrated by one simulate_batch call
-    at gate_step(system, h) up to the horizon, each row retired once it enters
-    the step's retirement_region for the steps it has still to go, from where
-    it provably ends below tol. A check's fraction is the share of its
-    rollouts that retired or end with |x(horizon)|_2 < tol; an empty ROA is
-    vacuously 1.0.
+    at gate_step(system, h), each row until it enters the step's `basin`,
+    diverges or has taken MAX_RK4_STEPS steps. A check's fraction is the share
+    of its rollouts that entered the basin, from where they provably converge;
+    a step with no basin fails every rollout without integrating any. An
+    empty ROA is vacuously 1.0.
     """
     step = gate_step(system, h)
     starts = [_start_states(result, candidate, grid, n_samples, seed)
               for result, candidate in certificates if not result.empty]
-    fractions = iter(())
+    counts = iter(())
     if starts:
-        region = retirement_region(system, step, tol, int(round(horizon / step)))
-        finals, diverged, retired = simulate_batch(system, np.concatenate(starts), step,
-                                                   horizon, region)
-        converged = retired | (~diverged & (np.linalg.norm(finals, axis=1) < tol))
-        fractions = iter(converged.reshape(len(starts), n_samples).mean(axis=1).tolist())
-    return [ConvergenceCheck(fraction=1.0, n_samples=0, step=step) if result.empty
-            else ConvergenceCheck(fraction=next(fractions), n_samples=n_samples, step=step)
+        X0 = np.concatenate(starts)
+        region = basin(system, step)
+        outcomes = np.zeros((3, len(X0)), dtype=bool)   # entered the basin, diverged, capped
+        if region is not None:
+            _, diverged, entered = simulate_batch(system, X0, step, MAX_RK4_STEPS * step, region)
+            outcomes = np.stack([entered, diverged, ~(entered | diverged)])
+        counts = iter(outcomes.reshape(3, len(starts), n_samples).sum(axis=2).T.tolist())
+    return [ConvergenceCheck(0, step, 0, 0, 0) if result.empty
+            else ConvergenceCheck(n_samples, step, *next(counts))
             for result, _ in certificates]
 
 

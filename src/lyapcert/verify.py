@@ -90,15 +90,16 @@ def build_grid(radius: float, nodes_per_axis: int, dim: int, exempt_radius: floa
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
     collar = radius + np.sqrt(dim) * spacing / 2.0
+    slack = 1e-12 * radius   # rounding allowance on the norms, relative like them
     box = (nodes_per_axis,) * dim
     kept = []
     for start in range(0, nodes_per_axis**dim, SLAB):
         flat = np.arange(start, min(start + SLAB, nodes_per_axis**dim))
         index = np.stack(np.unravel_index(flat, box), axis=1)
         norms = np.linalg.norm((index - half) * spacing, axis=1)
-        inside = norms <= collar + 1e-12
+        inside = norms <= collar + slack
         norms = norms[inside]
-        kept.append((flat[inside], index[inside], norms > radius + 1e-12, norms <= exempt_radius))
+        kept.append((flat[inside], index[inside], norms > radius + slack, norms <= exempt_radius))
     flat, index, boundary, exempt = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
     del kept
 

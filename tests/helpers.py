@@ -278,16 +278,13 @@ def reference_simulate_batch(system, X0, h, horizon):
     return X, diverged
 
 
-def gate_levels(system, step, roa_block):
-    """`roa.retirement_region` of a gate case over the gate's horizon: (Q, levels)."""
-    return roa.retirement_region(system, step, roa_block.mc_tol,
-                                 int(round(roa_block.mc_horizon / step)))
-
-
-def reference_retirement_ball(system, h, tol):
-    """The invariant ball the gate retired rows in before its levels counted the steps
-    to go: (Q, level), the largest of sqrt(lambda_min(Q)) tol / 2 halved j times whose
-    Q-ball one rounded RK4 step maps into itself, or None."""
+def reference_horizon_level(system, h, tol=1e-2, horizon=20.0):
+    """(Q, level): the Q-ball the gate retired a row in with `horizon` still to go when it
+    asked |x(horizon)|_2 < tol, or None. The level is the largest of the squared radii
+    min(rho, f + (low tol - f) / q^k), k = round(horizon / h), f = e / (1 - q), over 32
+    radii rho from low tol / 2 to low with q rho + e <= rho, and never below the largest
+    of low tol / 2 halved j times with q rho + e <= rho (q, e and low as `roa.basin` has
+    them)."""
     hA = h * system.linearization()
     eye = np.eye(len(hA))
     M = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
@@ -301,14 +298,37 @@ def reference_retirement_ball(system, h, tol):
                           * (1.0 + roa.SLACK))
     a = np.linalg.norm(hA / h, 2) * (1.0 + roa.SLACK)
     G, p = system.remainder_bound()
-    rho = low * tol / 2.0
-    for _ in range(60):
-        nu = rho / low
-        step = roa._rk4_remainder(a, G, p, h, nu) + roa.STEP_ROUNDING * (1.0 + nu)
-        if contraction * rho + high * step <= rho:
-            return Q, rho * rho * (1.0 - roa.SLACK)
-        rho /= 2.0
-    return None
+    e = high * roa.STEP_ROUNDING
+
+    def gain(rho):
+        return contraction + high * (roa._rk4_remainder(a, G, p, h, rho / low) / rho
+                                     + roa.STEP_ROUNDING / low)
+
+    balls = [low * tol / 2.0 ** j for j in range(1, 61)]
+    best = next((rho for rho in balls if gain(rho) * rho + e <= rho), None)
+    if best is None:
+        return None
+    for rho in np.geomspace(low * tol / 2.0, low, 32):
+        q = gain(rho)
+        if q * rho + e <= rho and e / (1.0 - q) < low * tol:
+            f = e / (1.0 - q)
+            with np.errstate(divide="ignore"):
+                best = max(best, min(rho, f + (low * tol - f) / q ** round(horizon / h)))
+    return Q, best * best * (1.0 - roa.SLACK)
+
+
+class RowCounting:
+    """A system whose f_batch counts the rows it evaluates; all else is the system's."""
+
+    def __init__(self, system):
+        self.system, self.rows = system, 0
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+    def f_batch(self, X):
+        self.rows += len(X)
+        return self.system.f_batch(X)
 
 
 def per_row_jacobian(theta, arch, X):

@@ -197,8 +197,8 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     candidate = net.MlpLyapunov(theta, arch)
     vmap, result = baselines.certify_candidate(candidate, system, grid)
     assert result.c > 0
-    chk, = roa.monte_carlo_convergence(system, [(result, candidate)], grid, 1000, 0.01, 20.0,
-                                       1e-2, seed=4242)
+    chk, = roa.monte_carlo_convergence(system, [(result, candidate)], grid, 1000, 0.01,
+                                       seed=4242)
     checks.append(("ip_stochastic_l/META", chk.fraction))
 
     # every nonempty certificate in the comparison (gated at 1000 rollouts)
@@ -215,7 +215,7 @@ def test_criterion_4_certificate_soundness(stochastic_l_run, ordering_run, tmp_p
     _, mg_roa = baselines.certify_candidate(mg_candidate, mg_sys, mg_grid)
     assert mg_roa.c > 0
     mg_chk, = roa.monte_carlo_convergence(mg_sys, [(mg_roa, mg_candidate)], mg_grid,
-                                          1000, 0.01, 20.0, 1e-2, seed=4243)
+                                          1000, 0.01, seed=4243)
     checks.append(("mg3_dc12/QLF", mg_chk.fraction))
 
     bad = [(name, f) for name, f in checks if f != 1.0]

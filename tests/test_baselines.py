@@ -242,9 +242,9 @@ class TestCompare:
     def test_gate_failure_row_keeps_fraction_and_counts(self, monkeypatch):
         """A nonempty certificate that fails the Monte-Carlo gate loses its area and c
         in the row, and keeps its mc fraction, its test-time counts and the verdict."""
-        def half_converged(system, certificates, grid, n_samples, h, horizon, tol, seed):
-            return [roa.ConvergenceCheck(fraction=1.0, n_samples=0, step=h) if result.empty
-                    else roa.ConvergenceCheck(fraction=0.5, n_samples=n_samples, step=h)
+        def half_converged(system, certificates, grid, n_samples, h, seed):
+            return [roa.ConvergenceCheck(0, h, 0, 0, 0) if result.empty
+                    else roa.ConvergenceCheck(n_samples, h, n_samples // 2, 0, n_samples // 2)
                     for result, _ in certificates]
 
         monkeypatch.setattr(roa, "monte_carlo_convergence", half_converged)

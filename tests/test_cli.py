@@ -17,20 +17,20 @@ from lyapcert.config import (MAX_RADIUS, MEMORY_BUDGET, ConfigError, MetaBlock, 
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.loss import TightenedLossConfig
 
-from helpers import gate_case, nominal_system, row_of, save_checkpoint
+from helpers import nominal_system, row_of, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
 PRESET_HASHES = {
-    "ip_stochastic_l": "8c1ff8d758badd91",
-    "ip_stochastic_lb": "da4ae98f363fc48d",
-    "ip_stochastic_lmgb": "3858c0688629bd06",
-    "mg3_dc12": "6b6ebdde6f85f3ea",
-    "mg3_dc123": "839349b3da374182",
-    "mg5_dc12": "130750f58306e04f",
-    "mg5_dcall": "0a940afaade67675",
-    "cf_m": "765d08a2dac40ee9",
-    "cf_mrd": "864faaefe18f2f05",
+    "ip_stochastic_l": "9c707a822e2fc729",
+    "ip_stochastic_lb": "af22738b66de343d",
+    "ip_stochastic_lmgb": "c41d23e34ad8ee6c",
+    "mg3_dc12": "0874657dabe1f572",
+    "mg3_dc123": "352e4329df10d92b",
+    "mg5_dc12": "f6ca3604cef63c8b",
+    "mg5_dcall": "d075487174d5d7cb",
+    "cf_m": "4e3582fd1a9063e2",
+    "cf_mrd": "ab30ff7068c49d72",
 }
 
 
@@ -58,7 +58,7 @@ def mini_config(tmp_path, **overrides):
         "loss": {"eps1": 1.0, "eps2": 1.0},
         "verify": {"d0": 3.0, "nodes_per_axis": 41, "exempt_radius": 0.9,
                    "max_rounds": 1, "min_green_fraction": 0.0},
-        "roa": {"mc_samples": 20, "mc_horizon": 5.0, "mc_tol": 0.5},
+        "roa": {"mc_samples": 20},
         "nlf": {"n_samples": 200, "n_steps": 30, "lr": 0.01, "batch_size": 32},
         "hidden": [8],
     }
@@ -119,16 +119,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_mc_gate_cap_counts_the_asked_steps(self, tmp_path):
-        """The gate's cap is on mc_horizon / mc_step as asked: 1,000,000 steps of 0.01
-        parse. On a stiff loop the gate splits each asked step (`roa.gate_step`), so it
-        may integrate more steps than the cap counts."""
-        block = load_config(mini_config(tmp_path, roa={"mc_samples": 20,
-                                                        "mc_horizon": 10000.0})).roa
-        assert block.mc_horizon / block.mc_step == 1_000_000
-        _, step, stiff = gate_case("ip_stochastic_l", 0.254)
-        assert step < stiff.mc_step
-
     def test_preset_hashes_pinned(self):
         # the config schema feeds every artifact stamp: a changed hash means
         # a changed schema or preset
@@ -148,8 +138,8 @@ class TestConfig:
         ("verify", "d0", 0.0),
         ("roa", "mc_samples", 0),
         ("roa", "mc_step", 0.0),
-        ("roa", "mc_horizon", 0.001),
-        ("roa", "mc_tol", -1.0),
+        ("roa", "plane", [0, 1, 2]),
+        ("roa", "plane", [0, -1]),
         ("roa", "plane", [0, 0]),
         ("roa", "plane", [0, 2]),
         ("nlf", "n_samples", 0),
@@ -178,7 +168,6 @@ class TestConfig:
                           "sigma_diag": [0.0]}),        # one droop is no network
         (None, "out_dir", "elsewhere"),         # the output root is --out alone
         ("seeds", "fallback", [2, 3, 4]),       # no fallback list: criterion 7 keeps its own
-        ("roa", "mc_horizon", 10000.01),        # 1,000,001 RK4 steps of 0.01, over the cap
         ("verify", "d0", 1e155),                # the grid's coordinates square to infinity
         ("verify", "d0", 1e300),
         ("verify", "max_rounds", 1001),
@@ -775,10 +764,28 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     capsys.readouterr()
     code = run(tmp_path, ["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
     assert code == cli.EXIT_VERIFICATION
-    assert "verification failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "no proven basin at this step" in err
     assert not json.loads((out / "roa.json").read_text())["empty"]
     mc = json.loads((out / "roa_mc.json").read_text())
-    assert mc["fraction"] < 1.0 and mc["step"] == 0.01
+    assert mc["fraction"] == 0.0 and mc["step"] == 0.01
+    assert mc["diverged"] == mc["capped"] == 0      # no basin: no rollout was integrated
+
+
+def test_roa_gate_failure_names_its_rollouts(tmp_path, mini_checkpoint, monkeypatch, capsys):
+    """A refuted certificate's roa_mc.json and stderr line count the rollouts that
+    diverged and those still outside the basin at the step cap."""
+    def refuted(system, certificates, grid, n_samples, h, seed):
+        return [roa.ConvergenceCheck(n_samples, h, n_samples - 5, 3, 2) for _ in certificates]
+
+    monkeypatch.setattr(roa, "monte_carlo_convergence", refuted)
+    ckpt, _ = mini_checkpoint
+    cfg_path = mini_config(tmp_path)
+    code = run(tmp_path, ["roa", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_VERIFICATION
+    assert "3 diverged, 2 outside the basin at the step cap" in capsys.readouterr().err
+    mc = json.loads((tmp_path / "out" / "mini" / "roa_mc.json").read_text())
+    assert (mc["fraction"], mc["diverged"], mc["capped"]) == (0.75, 3, 2)
 
 
 @pytest.mark.parametrize("argv, expected", [

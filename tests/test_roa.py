@@ -10,11 +10,13 @@ from lyapcert import dynamics, roa, verify
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.config import PRESETS
 
-from helpers import (GATE_CASES, estimated_growth, gate_case, gate_levels, lattice_points,
-                     node_coords, nominal_system, peak_kb, reference_retirement_ball, row_of)
+from helpers import (GATE_CASES, RowCounting, estimated_growth, gate_case, lattice_points,
+                     node_coords, nominal_system, peak_kb, reference_horizon_level,
+                     reference_simulate_batch, row_of)
 
 # peak resident set (KB) of one Monte-Carlo gate of four (16, 16) pendulum certificates
-# with argv[1] rollouts each, over every interior cell of a 9 x 9 grid
+# with argv[1] rollouts each, over every interior cell of a 9 x 9 grid, capped at five
+# steps (the peak comes with the first)
 GATE_PEAK = """
 import sys
 import numpy as np
@@ -24,8 +26,8 @@ system = dynamics.build_system("pendulum", dynamics.NOMINAL_PENDULUM)
 grid = verify.build_grid(1.0, 9, 2)
 result = roa.RoaResult(c=1e300, member_rows=np.nonzero(~grid.boundary)[0], area=1.0)
 certificate = (result, net.MlpLyapunov(net.init_params(arch, 0), arch))
-roa.monte_carlo_convergence(system, [certificate] * 4, grid, int(sys.argv[1]), 0.01, 0.05,
-                            1e-2, 0)
+roa.MAX_RK4_STEPS = 5
+roa.monte_carlo_convergence(system, [certificate] * 4, grid, int(sys.argv[1]), 0.01, 0)
 """
 
 # peak resident set (KB) of drawing argv[1] gate start states for one certificate of a
@@ -289,15 +291,16 @@ class TestMonteCarloConvergence:
         result = roa.largest_level_set(all_green_map(grid, vbar), grid)
         cand = QuadraticLyapunov(np.eye(2))
         check, = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 200,
-                                             h=0.01, horizon=20.0, tol=1e-2, seed=0)
+                                             h=0.01, seed=0)
         assert check.fraction == 1.0 and not check.vacuous
+        assert (check.entered, check.diverged, check.capped) == (200, 0, 0)
 
     def test_empty_roa_vacuous(self):
         grid = verify.build_grid(1.0, 5, 2)
         empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0)
         cand = QuadraticLyapunov(np.eye(2))
         check, = roa.monte_carlo_convergence(LinearSystem(2), [(empty, cand)], grid, 100,
-                                             0.01, 1.0, 1e-2, seed=0)
+                                             0.01, seed=0)
         assert check.vacuous and check.fraction == 1.0
 
     def test_deterministic_given_seed(self):
@@ -305,10 +308,10 @@ class TestMonteCarloConvergence:
         vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(all_green_map(grid, vbar), grid)
         cand = QuadraticLyapunov(np.eye(2))
-        a = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05, 2.0,
-                                        1e-1, seed=3)
-        b = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05, 2.0,
-                                        1e-1, seed=3)
+        a = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05,
+                                        seed=3)
+        b = roa.monte_carlo_convergence(LinearSystem(2), [(result, cand)], grid, 50, 0.05,
+                                        seed=3)
         assert a == b
 
     def test_rejection_keeps_samples_in_level_set(self):
@@ -389,12 +392,13 @@ class TestStackedGate:
         flat = QuadraticLyapunov(np.diag([1.0, 0.5]))
         certificates = [(wide, cand), (empty, cand), (narrow, cand), (narrow, flat)]
         stacked = roa.monte_carlo_convergence(CubicSystem(2), certificates, grid, 100,
-                                              0.01, 3.0, 1e-1, seed=7)
+                                              0.01, seed=7)
         singles = [roa.monte_carlo_convergence(CubicSystem(2), [pair], grid, 100,
-                                               0.01, 3.0, 1e-1, seed=7)[0]
+                                               0.01, seed=7)[0]
                    for pair in certificates]
         assert stacked == singles
         assert 0.0 < stacked[0].fraction < 1.0             # the wide set has diverging rows
+        assert stacked[0].entered + stacked[0].diverged == 100 and stacked[0].capped == 0
         assert stacked[1].vacuous and stacked[1].fraction == 1.0
         assert stacked[2].fraction == 1.0
 
@@ -403,28 +407,81 @@ class TestGateStep:
     @pytest.mark.parametrize("length", [0.254, 0.275])
     def test_short_pendulum_gate_substeps(self, length, monkeypatch):
         # h * rho(A) is 3.31 at l = 0.254 and 2.82 at l = 0.275, beyond RK4's
-        # real-axis limit 2.785: at the fixed step every rollout diverges
-        system = short_pendulum(length)
+        # real-axis limit 2.785: the fixed step's RK4 matrix has spectral radius
+        # at least 1, so it has no basin and the gate fails every rollout unintegrated
+        system = RowCounting(short_pendulum(length))
         cfg = PRESETS["ip_stochastic_l"]
         grid = verify.build_grid(1.0, 21, 2)
         cand = QuadraticLyapunov(np.eye(2))
         certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(node_coords(grid))),
                                                grid), cand)]
         check, = roa.monte_carlo_convergence(system, certificates, grid, 200,
-                                             cfg.roa.mc_step, cfg.roa.mc_horizon,
-                                             cfg.roa.mc_tol, seed=0)
+                                             cfg.roa.mc_step, seed=0)
         assert check.step == 0.005 and check.fraction == 1.0
         monkeypatch.setattr(roa, "gate_step", lambda system, h: h)
+        system.rows = 0
         fixed, = roa.monte_carlo_convergence(system, certificates, grid, 200,
-                                             cfg.roa.mc_step, cfg.roa.mc_horizon,
-                                             cfg.roa.mc_tol, seed=0)
-        assert fixed.step == 0.01 and fixed.fraction == 0.0
+                                             cfg.roa.mc_step, seed=0)
+        assert fixed.step == 0.01 and fixed.fraction == 0.0 and system.rows == 0
+        assert roa.basin(system, 0.01) is None
 
     def test_presets_keep_the_configured_step(self):
         for cfg in PRESETS.values():
             system = dynamics.build_system(cfg.system.system_id, cfg.system.theta_test)
             assert roa.gate_step(system, cfg.roa.mc_step) == cfg.roa.mc_step
         assert roa.gate_step(short_pendulum(0.3), 0.01) == 0.01
+
+
+class TwoWells:
+    """x_dot = -x (x - 1)(x - 2) per axis: stable at 0 and at 2, unstable at 1."""
+
+    dim = 2
+
+    def f_batch(self, X):
+        return -X * (X - 1.0) * (X - 2.0)
+
+    def linearization(self):
+        return -2.0 * np.eye(2)
+
+    def remainder_bound(self):
+        return 4.0, 2          # |3 x^2 - x^3| <= 4 x^2 per axis where |x| <= 1
+
+
+def shell_certificate(grid, inner, outer):
+    """A certificate whose member cells are the grid nodes with inner <= |x|_2 <= outer,
+    at an unlimited level of a unit quadratic."""
+    norms = np.linalg.norm(node_coords(grid), axis=1)
+    rows = np.nonzero((norms >= inner) & (norms <= outer))[0]
+    return roa.RoaResult(c=1e300, member_rows=rows, area=1.0), QuadraticLyapunov(np.eye(grid.dim))
+
+
+class TestConvergenceRule:
+    """A rollout passes the gate when it enters the basin, however long that takes."""
+
+    def test_fan_shell_converges(self):
+        """Every start in the 0.4-0.64 shell of cf_m's test system enters the basin, after
+        about 4,400 steps of 0.01 on average; at a fixed 20 s horizon and a 0.01
+        tolerance about a fifth of them passed."""
+        system, step, mc = gate_case("cf_m")
+        counting = RowCounting(system)
+        grid = verify.build_grid(1.0, 9, 6)
+        check, = roa.monte_carlo_convergence(counting, [shell_certificate(grid, 0.4, 0.64)],
+                                             grid, 180, mc.mc_step, seed=0)
+        assert check.fraction == 1.0 and step == mc.mc_step
+        assert 1_000 < counting.rows / 4 / 180 < 20_000   # steps per row
+
+    def test_row_outside_the_basin_fails_at_the_cap(self, monkeypatch):
+        """Rows drawn around the second stable equilibrium x = (2, 2) never enter the
+        basin at the origin: they fail at the step cap, neither diverged nor passed."""
+        monkeypatch.setattr(roa, "MAX_RK4_STEPS", 1_000)
+        grid = verify.build_grid(2.5, 21, 2)
+        result, cand = shell_certificate(grid, 0.0, 2.5)
+        check, = roa.monte_carlo_convergence(TwoWells(), [(result, cand)], grid, 300, 0.01,
+                                             seed=0)
+        starts = roa._start_states(result, cand, grid, 300, 0)
+        far = np.any(starts > 1.0 + grid.spacing, axis=1)   # beyond the unstable x_i = 1
+        assert check.diverged == 0 and check.capped >= far.sum() > 0
+        assert check.entered + check.capped == 300 and check.fraction < 1.0
 
 
 def q_sphere_states(Q, level, n, seed):
@@ -434,56 +491,74 @@ def q_sphere_states(Q, level, n, seed):
     return np.linalg.solve(np.linalg.cholesky(Q).T, Y.T).T     # x^T Q x = |y|^2
 
 
+def q_norms(Q, X):
+    return np.sqrt(np.sum((X @ Q) * X, axis=1))
+
+
 class TestRetirementBall:
-    """The retirement region is one Q-ball per count of steps still to go."""
+    """The gate retires a row in one basin per system and step, which one rounded RK4
+    step maps into itself."""
 
     @pytest.mark.parametrize("preset, length", GATE_CASES)
     def test_one_rounded_step_maps_the_ball_into_itself(self, preset, length):
-        # the ball with k steps to go lands in the one with k - 1 to go, inside itself
-        system, step, mc = gate_case(preset, length)
-        Q, levels = gate_levels(system, step, mc)
-        assert np.sqrt(levels[0] / np.linalg.eigvalsh(Q)[0]) < mc.mc_tol
-        for k in (1, 2, 50, len(levels) - 1):
-            X = q_sphere_states(Q, levels[k], 4000, seed=k)
-            X[2000:] *= np.random.default_rng(k).random((2000, 1))   # half of them inside
-            images = dynamics.rk4_step(system.f_batch, X, step)
-            assert np.all(np.sum((images @ Q) * images, axis=1) <= levels[k - 1])
+        system, step, _ = gate_case(preset, length)
+        Q, level = roa.basin(system, step)
+        X = q_sphere_states(Q, level, 4000, seed=1)
+        X[2000:] *= np.random.default_rng(1).random((2000, 1))   # half of them inside
+        images = dynamics.rk4_step(system.f_batch, X, step)
+        assert np.all(np.sum((images @ Q) * images, axis=1) <= level)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_basin_covers_horizon_level(self, preset):
+        system_block = PRESETS[preset].system
+        for values in (system_block.theta0, system_block.theta_test):
+            self.check_basin(dynamics.build_system(system_block.system_id, values))
+
+    @pytest.mark.parametrize("length", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5])
+    def test_pendulum_basin_covers_horizon_level(self, length):
+        self.check_basin(short_pendulum(length))
+
+    @staticmethod
+    def check_basin(system):
+        """The system has a basin at its gate step that covers the ball of the same Q the
+        gate retired rows in with a full 20 s horizon still to go."""
+        step = roa.gate_step(system, PRESETS["ip_stochastic_l"].roa.mc_step)
+        Q, level = roa.basin(system, step)
+        horizon_Q, horizon_level = reference_horizon_level(system, step)
+        np.testing.assert_array_equal(Q, horizon_Q)
+        assert level >= horizon_level
 
     @pytest.mark.parametrize("preset, length", GATE_CASES)
-    def test_levels_grow_with_the_steps_to_go_from_the_ball(self, preset, length):
-        system, step, mc = gate_case(preset, length)
-        Q, levels = gate_levels(system, step, mc)
-        ball_Q, ball = reference_retirement_ball(system, step, mc.mc_tol)
-        np.testing.assert_array_equal(Q, ball_Q)
-        assert len(levels) == round(mc.mc_horizon / step) + 1
-        assert np.all(np.diff(levels) >= 0.0) and levels[0] >= ball
-        if length is not None:   # the stiff step's contraction region is smaller than its ball
-            assert np.all(levels == ball)
-
-    @pytest.mark.parametrize("preset, length", GATE_CASES)
-    def test_level_boundaries_end_below_tol_after_their_steps(self, preset, length):
-        system, step, mc = gate_case(preset, length)
-        Q, levels = gate_levels(system, step, mc)
-        for k in (0, 1, 10, 100, len(levels) - 1):
-            X = q_sphere_states(Q, levels[k], 200, seed=k)
-            for _ in range(k):
-                X = dynamics.rk4_step(system.f_batch, X, step)
-            assert np.all(np.linalg.norm(X, axis=1) < mc.mc_tol)
+    def test_basin_rows_contract_toward_the_origin(self, preset, length):
+        # rows on the basin's boundary stay in it, each step no farther out in Q-norm
+        system, step, _ = gate_case(preset, length)
+        Q, level = roa.basin(system, step)
+        X = q_sphere_states(Q, level, 200, seed=2)
+        norms = q_norms(Q, X)
+        for _ in range(300):
+            X = dynamics.rk4_step(system.f_batch, X, step)
+            assert np.all(q_norms(Q, X) <= norms)
+            norms = q_norms(Q, X)
+        assert np.all(norms < np.sqrt(level))
 
     @pytest.mark.parametrize("preset, length", GATE_CASES)
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_gate_fractions_match_full_rollouts(self, preset, length, monkeypatch):
-        system, _, mc = gate_case(preset, length)
+        # a row passes exactly when its full rollout ends in the basin at the step cap
+        system, step, mc = gate_case(preset, length)
+        monkeypatch.setattr(roa, "MAX_RK4_STEPS", 5_000)
         grid = verify.build_grid(PRESETS[preset].verify.d0, 5, system.dim)
         cand = QuadraticLyapunov(np.eye(system.dim))
-        certificates = [(roa.largest_level_set(all_green_map(grid, cand.value(node_coords(grid))),
-                                               grid), cand)]
-        retiring = roa.monte_carlo_convergence(system, certificates, grid, 100, mc.mc_step,
-                                               mc.mc_horizon, mc.mc_tol, seed=0)
-        monkeypatch.setattr(roa, "retirement_region", lambda system, h, tol, n_steps: None)
-        full = roa.monte_carlo_convergence(system, certificates, grid, 100, mc.mc_step,
-                                           mc.mc_horizon, mc.mc_tol, seed=0)
-        assert retiring == full and 0.0 < full[0].fraction
+        result = roa.largest_level_set(all_green_map(grid, cand.value(node_coords(grid))), grid)
+        check, = roa.monte_carlo_convergence(system, [(result, cand)], grid, 100, mc.mc_step,
+                                             seed=0)
+        Q, level = roa.basin(system, step)
+        finals, diverged = reference_simulate_batch(
+            system, roa._start_states(result, cand, grid, 100, 0), step, 5_000 * step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = ~diverged & (np.sum((finals @ Q) * finals, axis=1) <= level)
+        assert check.entered == inside.sum() and check.diverged == diverged.sum()
+        assert 0.0 < check.fraction
 
 
 class TestExports:

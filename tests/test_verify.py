@@ -117,6 +117,14 @@ class TestBuildGrid:
         # nodes beyond the ball proper are all boundary-layer
         assert np.all(grid.boundary[norms > 1.5 + 1e-12])
 
+    def test_tiny_radius_keeps_the_unit_grid_nodes(self):
+        """The rounding slack on the node norms scales with the radius: at d0 = 1e-13 an
+        absolute 1e-12 exceeded the radius and kept the whole 441-node box."""
+        tiny, unit = verify.build_grid(1e-13, 21, 2), verify.build_grid(1.0, 21, 2)
+        assert tiny.n_nodes == unit.n_nodes < 21 ** 2
+        for field in ("index", "boundary", "exempt"):
+            np.testing.assert_array_equal(getattr(tiny, field), getattr(unit, field))
+
     def test_neighbors_are_face_adjacent(self):
         grid = verify.build_grid(1.0, 11, 2)
         rows, cols = np.nonzero(grid.neighbors != np.arange(grid.n_nodes)[:, None])
