@@ -9,9 +9,9 @@ Access regimes mirror the benchmark protocol:
 * the meta pipeline trains across sampled tasks and adapts under the same
   test-time budget.
 
-The network methods start from the bowl-shaped initialization, a pure geometry
-fit on no dynamics data (so access regimes are unaffected), fit at three seeds:
-META-NLF at `seeds.net_seed`, NLF(TS) and T-NLF at the master seed + 1 and + 2.
+The network methods start from one bowl-shaped initialization at
+`seeds.net_seed`, a pure geometry fit on no dynamics data (so access regimes
+are unaffected); an area difference between them comes from the access regime.
 Every method's result carries the sample/step counters of its test-time access so
 the budget contract is assertable, and every extracted ROA is re-validated by
 Monte-Carlo rollouts before its area enters a comparison.
@@ -84,13 +84,13 @@ def certify_candidate(candidate, system: ClosedLoopSystem,
 
 
 def train_nlf(system: ClosedLoopSystem, radius: float, arch: net.Architecture,
-              loss_cfg: TightenedLossConfig, budget: NlfBlock,
-              seed: int) -> tuple[np.ndarray, int, int]:
-    """Plain minibatch gradient descent on one system's data (no meta-learning),
-    from the bowl-shaped init. Returns (theta, samples_used, steps_used)."""
+              loss_cfg: TightenedLossConfig, budget: NlfBlock, seed: int,
+              theta0: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Plain minibatch gradient descent from theta0 on one system's data, drawn from
+    default_rng(seed), minibatches from seed + 1. Returns (theta, samples_used, steps_used)."""
     X, Y = sample_labelled(system, np.random.default_rng(seed), budget.n_samples, radius)
     rng = np.random.default_rng(seed + 1)
-    theta = net.shaped_init(arch, seed, radius)
+    theta = theta0
     with np.errstate(over="ignore", invalid="ignore"):   # a diverged step raises below
         for step in range(budget.n_steps):
             idx = rng.integers(X.shape[0], size=min(budget.batch_size, X.shape[0]))
@@ -113,10 +113,10 @@ def qlf_ts(system_test: ClosedLoopSystem) -> tuple[QuadraticLyapunov, int, int]:
 
 
 def nlf_ts(system_test: ClosedLoopSystem, radius: float, arch: net.Architecture,
-           loss_cfg: TightenedLossConfig, budget: NlfBlock,
-           seed: int) -> tuple[net.MlpLyapunov, int, int]:
-    """Fully trained NLF with explicit access to the test-time system."""
-    theta, samples, steps = train_nlf(system_test, radius, arch, loss_cfg, budget, seed)
+           loss_cfg: TightenedLossConfig, budget: NlfBlock, seed: int,
+           theta0: np.ndarray) -> tuple[net.MlpLyapunov, int, int]:
+    """Fully trained NLF from theta0 with explicit access to the test-time system."""
+    theta, samples, steps = train_nlf(system_test, radius, arch, loss_cfg, budget, seed, theta0)
     return net.MlpLyapunov(theta, arch), samples, steps
 
 
@@ -131,21 +131,20 @@ def test_time_update(cfg: ExperimentConfig, theta: np.ndarray, arch: net.Archite
 
 
 def t_nlf(system_nominal: ClosedLoopSystem, system_test: ClosedLoopSystem, radius: float,
-          cfg: ExperimentConfig, seed: int) -> tuple[net.MlpLyapunov, int, int]:
-    """Transfer baseline: full nominal training under the `nlf` block, then the
-    test-time update META-NLF gets."""
+          cfg: ExperimentConfig, seed: int,
+          theta0: np.ndarray) -> tuple[net.MlpLyapunov, int, int]:
+    """T-NLF: nominal `nlf`-block training from theta0, then META-NLF's test-time update."""
     arch = cfg.architecture()
-    theta, _, _ = train_nlf(system_nominal, radius, arch, cfg.loss, cfg.nlf, seed)
+    theta, _, _ = train_nlf(system_nominal, radius, arch, cfg.loss, cfg.nlf, seed, theta0)
     theta = test_time_update(cfg, theta, arch, system_test, radius, seed + 101)
     return net.MlpLyapunov(theta, arch), cfg.meta.adapt_samples, cfg.meta.k_test
 
 
-def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem,
-             radius: float) -> tuple[net.MlpLyapunov, int, int]:
-    """Meta-train across sampled tasks, then adapt to the test-time system
-    under the 50/10 budget."""
+def meta_nlf(cfg: ExperimentConfig, system_test: ClosedLoopSystem, radius: float,
+             theta0: np.ndarray) -> tuple[net.MlpLyapunov, int, int]:
+    """Meta-training from theta0 across sampled tasks, then the 50/10 test-time update."""
     arch = cfg.architecture()
-    theta = test_time_update(cfg, meta_train_for(cfg, radius)[0].theta_mnlf, arch,
+    theta = test_time_update(cfg, meta_train_for(cfg, radius, theta0)[0].theta_mnlf, arch,
                              system_test, radius, cfg.seeds.adapt_seed)
     return net.MlpLyapunov(theta, arch), cfg.meta.adapt_samples, cfg.meta.k_test
 
@@ -168,14 +167,13 @@ def task_family(cfg: ExperimentConfig, radius: float
     return systems, family
 
 
-def meta_train_for(cfg: ExperimentConfig, radius: float) -> tuple[
+def meta_train_for(cfg: ExperimentConfig, radius: float, theta0: np.ndarray) -> tuple[
         meta.MetaTrainReport, list[ClosedLoopSystem], tuple[np.ndarray, ...]]:
-    """Meta-train on the task family on the ball of the given radius from the shaped
-    init. Returns the training report and the family's systems and datasets."""
+    """Meta-train on the task family on the ball of the given radius from theta0.
+    Returns the training report and the family's systems and datasets."""
     systems, family = task_family(cfg, radius)
-    arch, net_seed = cfg.architecture(), cfg.seeds.net_seed
-    report = meta.meta_train(family, arch, cfg.meta, cfg.loss, net_seed,
-                             theta0=net.shaped_init(arch, net_seed, radius))
+    report = meta.meta_train(family, cfg.architecture(), cfg.meta, cfg.loss,
+                             cfg.seeds.net_seed, theta0=theta0)
     return report, systems, family
 
 
@@ -194,10 +192,11 @@ def compare(cfg: ExperimentConfig) -> list[MethodResult]:
     grid = verify.build_grid(cfg.verify.d0, cfg.verify.nodes_per_axis, system_test.dim,
                              cfg.verify.exempt_radius, cfg.roa.plane)
     seed, arch, radius = cfg.seeds.master, cfg.architecture(), grid.radius
+    theta0 = net.shaped_init(arch, cfg.seeds.net_seed, radius)
     runners = {
-        "META_NLF": lambda: meta_nlf(cfg, system_test, radius),
-        "NLF_TS": lambda: nlf_ts(system_test, radius, arch, cfg.loss, cfg.nlf, seed + 1),
-        "T_NLF": lambda: t_nlf(system_nom, system_test, radius, cfg, seed + 2),
+        "META_NLF": lambda: meta_nlf(cfg, system_test, radius, theta0),
+        "NLF_TS": lambda: nlf_ts(system_test, radius, arch, cfg.loss, cfg.nlf, seed + 1, theta0),
+        "T_NLF": lambda: t_nlf(system_nom, system_test, radius, cfg, seed + 2, theta0),
         "QLF_TS": lambda: qlf_ts(system_test),
     }
 

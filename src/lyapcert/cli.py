@@ -137,7 +137,8 @@ def _fit_region(cfg: ExperimentConfig, history: list, d: float):
     Appends the round's radius, acceptance and each task's _interior_report to
     history and returns (training report, accepted)."""
     arch = cfg.architecture()
-    report, systems, (X_tr, Y_tr, _, _) = baselines.meta_train_for(cfg, d)
+    report, systems, (X_tr, Y_tr, _, _) = baselines.meta_train_for(
+        cfg, d, net.shaped_init(arch, cfg.seeds.net_seed, d))
     grid = verify.build_grid(d, cfg.verify.nodes_per_axis, arch.input_dim,
                              cfg.verify.exempt_radius, cfg.roa.plane)
     tasks = []

@@ -300,7 +300,8 @@ def test_criterion_7_area_ordering(ordering_run):
                                      cfg.verify.exempt_radius)
             try:
                 candidate, _, _ = baselines.meta_nlf(
-                    replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)), system, grid.radius)
+                    replace(cfg, seeds=replace(cfg.seeds, net_seed=fb)), system, grid.radius,
+                    net.shaped_init(cfg.architecture(), fb, grid.radius))
             except meta.NonFiniteLoss:
                 continue
             _, result = baselines.certify_candidate(candidate, system, grid)

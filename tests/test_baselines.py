@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -104,20 +105,22 @@ class TestNlfTs:
         grid = verify.build_grid(4.0, 61, 2, exempt_radius=1.1)
         _, result, _, _ = certified(
             baselines.nlf_ts(system, grid.radius, ARCH, LOSS, NlfBlock(n_samples=100, n_steps=0),
-                             seed=0), system, grid)
+                             seed=0, theta0=net.shaped_init(ARCH, 0, grid.radius)), system, grid)
         assert result.c == 0.0
 
     def test_budget_recorded(self):
         system = nominal_system("pendulum")
         _, samples, steps = baselines.train_nlf(system, 2.0, ARCH, LOSS,
-                                                NlfBlock(n_samples=500, n_steps=50), seed=0)
+                                                NlfBlock(n_samples=500, n_steps=50), seed=0,
+                                                theta0=net.shaped_init(ARCH, 0, 2.0))
         assert (samples, steps) == (500, 50)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_gradient_names_loop_and_step(self):
         with pytest.raises(meta.NonFiniteLoss) as info:
             baselines.train_nlf(nominal_system("pendulum"), 2.0, ARCH, LOSS,
-                                NlfBlock(50, 50, 1e200, 8), seed=0)
+                                NlfBlock(50, 50, 1e200, 8), seed=0,
+                                theta0=net.shaped_init(ARCH, 0, 2.0))
         step = info.value.step
         assert 0 < step < 50
         assert str(info.value) == f"non-finite gradient or parameters at NLF training step {step}"
@@ -133,7 +136,9 @@ class TestTNlf:
                                nlf=NlfBlock(4000, 2000, 0.002, 128), hidden=(16, 16))
         grid = verify.build_grid(4.0, 121, 2, exempt_radius=1.1)
         _, result, samples, steps = certified(
-            baselines.t_nlf(system, system, grid.radius, cfg, seed=7), system, grid)
+            baselines.t_nlf(system, system, grid.radius, cfg, seed=7,
+                            theta0=net.shaped_init(cfg.architecture(), 7, grid.radius)),
+            system, grid)
         assert samples == 50
         assert steps == 10
         # no distribution shift: the fine-tuned NLF still certifies a region
@@ -257,6 +262,35 @@ class TestCompare:
             assert row["mc_fraction"] == 0.5
             assert (row["test_samples"], row["test_steps"]) == counts
             assert row["status"] == "unsound certificate: mc fraction 0.5000"
+
+    def test_one_init_for_every_network_method(self, monkeypatch):
+        """`compare` fits the bowl init once, at seeds.net_seed, and META-NLF's
+        meta-training and both NLF trainings start from that one array; a comparison
+        at another master seed fits the same init."""
+        def spy(owner, name, seen, take):
+            real = getattr(owner, name)
+
+            def recorded(*args, **kwargs):
+                result = real(*args, **kwargs)
+                seen.append(take(inspect.signature(real).bind(*args, **kwargs).arguments,
+                                 result))
+                return result
+            monkeypatch.setattr(owner, name, recorded)
+
+        cfg = small_config()
+        inits = []
+        for master in (cfg.seeds.master, cfg.seeds.master + 1):
+            fits, starts = [], []
+            spy(net, "shaped_init", fits, lambda args, theta: (args, theta))
+            spy(baselines, "train_nlf", starts, lambda args, _: args["theta0"])
+            spy(meta, "meta_train", starts, lambda args, _: args["theta0"])
+            baselines.compare(replace(cfg, seeds=replace(cfg.seeds, master=master)))
+            monkeypatch.undo()
+            (args, theta0), = fits
+            assert (args["seed"], args["radius"]) == (cfg.seeds.net_seed, cfg.verify.d0)
+            assert len(starts) == 3 and all(start is theta0 for start in starts)
+            inits.append(theta0)
+        np.testing.assert_array_equal(*inits)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -249,8 +249,10 @@ class TestConfig:
         def certify(candidate, system, grid):
             raise Certified(grid)
 
-        monkeypatch.setattr(baselines, "meta_nlf", lambda cfg, system, radius:
-                            baselines.qlf_ts(system))   # no training before the grid is read
+        # no bowl fit or training before the grid is read
+        monkeypatch.setattr(net, "shaped_init", lambda arch, seed, radius: None)
+        monkeypatch.setattr(baselines, "meta_nlf", lambda cfg, system, radius, theta0:
+                            baselines.qlf_ts(system))
         monkeypatch.setattr(baselines, "certify_candidate", certify)
         for preset, plane in (("cf_m", (0, 2)), ("mg3_dc12", (0, 1)), ("ip_stochastic_l", (0, 1))):
             cfg = PRESETS[preset]
@@ -310,6 +312,7 @@ class TestConfig:
             raise AssertionError("trained on a count over the budget")
 
         monkeypatch.setattr(baselines, "meta_train_for", no_training)
+        monkeypatch.setattr(net, "shaped_init", no_training)   # a round's first work
         payload = json.loads(mini_config(tmp_path).read_text())
         for name, value in overrides.items():
             payload[name] = {**payload[name], **value} if isinstance(value, dict) else value
@@ -969,6 +972,7 @@ def test_out_through_a_file_exit_2(tmp_path, capsys, monkeypatch, mini_checkpoin
         raise AssertionError("trained before the output directory was made")
 
     monkeypatch.setattr(baselines, "meta_train_for", no_training)
+    monkeypatch.setattr(net, "shaped_init", no_training)   # a round's first work
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
     argv = [command, "--config", str(mini_config(tmp_path)), "--out", str(blocker / "out")]
@@ -1106,8 +1110,9 @@ def test_benchmark_wrapped_names_resolve():
     assert params(net.loss_gradient)[2] == "batch"
     assert params(dynamics.simulate_batch)[1:4] == ["X0", "h", "horizon"]
     arch = net.Architecture(2, (4,))
-    trained = baselines.train_nlf(nominal_system("pendulum"), 1.0, arch,
-                                  TightenedLossConfig(), NlfBlock(10, 3, 0.01, 4), seed=0)
+    trained = baselines.train_nlf(nominal_system("pendulum"), 1.0, arch, TightenedLossConfig(),
+                                  NlfBlock(10, 3, 0.01, 4), seed=0,
+                                  theta0=net.shaped_init(arch, 0, 1.0))
     assert trained[2] == 3
 
 
@@ -1154,6 +1159,7 @@ def test_config_source_is_one_required_choice(tmp_path, capsys, monkeypatch, min
         raise AssertionError("a command ran on one of two config sources")
 
     monkeypatch.setattr(baselines, "meta_train_for", no_work)
+    monkeypatch.setattr(net, "shaped_init", no_work)   # a round's first work
     monkeypatch.setattr(baselines, "compare", no_work)
     ckpt = ["--checkpoint", str(mini_checkpoint[0])]
     needs = {"adapt": ckpt, "verify": ckpt, "roa": ckpt, "simulate": ["--x0", "0.2,0.0"]}
