@@ -112,8 +112,12 @@ does not carry them (`--against` such a tree fails in `build_grid`), and the
 `gate` suite takes no tree without the gate's basin (`roa.basin`); the other
 suites take any tree.
 
-Each run is stored under its label with the machine's description; `median`
-holds each metric's median over the label's runs that hold it.
+Each run is stored under its label, in a file that describes the machine, with
+the identity of the tree it timed (`tree`, a short hash of the tree's
+`lyapcert/*.py`) beside its `metrics`; a label's `median` holds each metric's
+median over the runs of the label's newest tree that hold it, so runs of an
+older tree (or of a record made before runs carried their tree) stay in the
+file but leave the median.
 `BENCH_writers.json` is the record of a retired `writers` suite, whose metrics
 the `cert` and `gate` suites now hold.
 """
@@ -127,6 +131,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import copy
 import functools
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -160,6 +165,14 @@ class Tree:
         for name in ("baselines", "cli", "config", "dynamics", "meta", "net", "roa", "svg",
                      "verify"):
             setattr(self, name, importlib.import_module(f"{package.__name__}.{name}"))
+
+
+def tree_id(tree: Tree) -> str:
+    """A short hash of the tree's `lyapcert/*.py` sources, file by file in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((tree.src / "lyapcert").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:12]
 
 
 def load_tree(src: str, name: str) -> Tree:
@@ -532,8 +545,10 @@ def main() -> int:
     }
     for label, runs in new_runs.items():
         entry = bench["labels"].setdefault(label, {"runs": []})
-        entry["runs"].extend(runs)
-        entry["median"] = median_of(entry["runs"])
+        tree = tree_id(trees[label])
+        entry["runs"].extend({"tree": tree, "metrics": run} for run in runs)
+        entry["median"] = median_of([run["metrics"] for run in entry["runs"]
+                                     if run.get("tree") == tree])
     path.write_text(json.dumps(bench, indent=2) + "\n")
     print(json.dumps({label: median_of(runs) for label, runs in new_runs.items()}))
     if args.against:   # per timed metric, the pairs in which this tree was faster

@@ -1,13 +1,15 @@
 """Experiment configuration: typed blocks, JSON parsing, hashing, presets.
 
-A config file is a single JSON object with the blocks below. The blocks are
-the settings the library runs on (the `loss` block is the loss module's own
-`TightenedLossConfig`); each one validates its values when it is built, so a
-bad value fails before any training starts. With `cli`'s checks of the
-command line and of checkpoints, they are the only place a setting is
-checked: the library trusts what it receives. Unknown and repeated keys are
-rejected anywhere in the tree so typos fail loudly, and every value must
-have its field's annotated type. A config is the whole experiment: where
+A config file is a single JSON object with the blocks below. This module is the
+settings layer the engine imports, on the standard library alone: the blocks and
+what they are built from (nominal tuples, state dimensions, the network
+`Architecture`, the loss margins `TightenedLossConfig`, region radii, the JSON
+reader) live here, so building a config loads no numpy. Each block validates its
+values when it is built, so a bad value fails before any training starts. With
+`cli`'s checks of the command line and of checkpoints, they are the only place a
+setting is checked: the library trusts what it receives. Unknown and repeated
+keys are rejected anywhere in the tree so typos fail loudly, and every value
+must have its field's annotated type. A config is the whole experiment: where
 its artifacts go is the command line's `--out`, not a setting. The hash of the
 canonical JSON form is embedded in every artifact a run writes; reruns with the
 same hash and seed reproduce artifacts bitwise, into any output root.
@@ -28,14 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, is_dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
-
-from .dynamics import NOMINAL_FAN, NOMINAL_PENDULUM, nominal_microgrid, state_dim
-from .loss import TightenedLossConfig
-from .net import INIT_POINTS, Architecture, read_json
-from .verify import region_radii
 
 
 TEST_TIME_SAMPLES = 50   # the test-time adaptation budget: samples
@@ -50,6 +49,12 @@ MAX_ROUNDS = 1_000
 # of node coordinates up to the radius plus its collar over at most 13 axes (3 ** 14 box
 # nodes are over the memory budget). At 1e155 they overflow: a 2-d grid keeps 561 of 31,877.
 MAX_RADIUS = 1e150
+# The nominal tuples, pendulum (l, m, g, b) and fan (m, J, r, g, d), at which
+# `dynamics.build_system` designs their LQR gains
+NOMINAL_PENDULUM = (0.5, 0.15, 9.81, 0.1)
+NOMINAL_FAN = (11.2, 0.0462, 0.15, 0.28, 0.1)
+# The points the bowl init (`net.shaped_init`) fits
+INIT_POINTS = 2048
 
 
 class ConfigError(Exception):
@@ -59,6 +64,88 @@ class ConfigError(Exception):
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ValueError(message)
+
+
+def nominal_microgrid(n: int) -> tuple[float, ...]:
+    return (2.0,) * n
+
+
+def state_dim(system_id: str, values) -> int:
+    """The state dimension of a family at a parameter tuple: the microgrid has one
+    phase angle per droop coefficient."""
+    return {"pendulum": 2, "fan": 6}.get(system_id, len(values))
+
+
+def region_radii(d0: float, shrink_factor: float, max_rounds: int) -> Iterator[float]:
+    """The radius of each region-selection round: d0, then each one times shrink_factor."""
+    d = float(d0)
+    for _ in range(max_rounds):
+        yield d
+        d *= shrink_factor
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it repeats raises ValueError."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"repeated key {key!r}")
+        payload[key] = value
+    return payload
+
+
+def read_json(path):
+    """A config's or checkpoint's JSON, decoded from UTF-8: a repeated key, malformed
+    text or other bytes raise ValueError, nesting too deep RecursionError."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+
+
+@dataclass(frozen=True)
+class Architecture:
+    input_dim: int
+    hidden: tuple[int, ...] = (16, 16)
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        if not self.hidden or not all(type(n) is int and n >= 1
+                                      for n in (self.input_dim, *self.hidden)):
+            raise ValueError("need an integer input_dim >= 1 and at least one hidden layer "
+                             "of integer width >= 1")
+
+    # the parameter layout, computed once per architecture
+    @cached_property
+    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
+        dims = (self.input_dim, *self.hidden, 1)
+        return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
+
+    @cached_property
+    def n_params(self) -> int:
+        return sum(rows * cols + rows for rows, cols in self.layer_shapes)
+
+    @cached_property
+    def param_slices(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+        """Flat-offset map: per layer, the weight slice, its shape, and the bias slice."""
+        out = []
+        offset = 0
+        for rows, cols in self.layer_shapes:
+            w = slice(offset, offset + rows * cols)
+            offset += rows * cols
+            b = slice(offset, offset + rows)
+            offset += rows
+            out.append((w, (rows, cols), b))
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class TightenedLossConfig:
+    """The loss margins; also the `loss` block of an experiment config."""
+
+    eps1: float = 1.0
+    eps2: float = 1.0
+
+    def __post_init__(self):
+        if self.eps1 <= 0 or self.eps2 <= 0:
+            raise ValueError("margins eps1 and eps2 must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -78,7 +165,7 @@ class SystemBlock:
         if self.system_id == "microgrid":
             _require(n >= 2, "a microgrid needs at least 2 droop coefficients")
         else:
-            expected = 4 if self.system_id == "pendulum" else 5
+            expected = len(NOMINAL_PENDULUM if self.system_id == "pendulum" else NOMINAL_FAN)
             _require(n == expected, f"{self.system_id} expects {expected} parameters, got {n}")
         _require(len(self.theta_test) == n, "theta_test must have as many entries as theta0")
         _require(all(math.isfinite(v) and v > 0 for v in self.theta0 + self.theta_test),

@@ -26,14 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import NOMINAL_FAN, NOMINAL_PENDULUM, nominal_microgrid, state_dim
 from .control import NonFiniteDynamics, kleinman_lqr
-
-NOMINAL_PENDULUM = (0.5, 0.15, 9.81, 0.1)
-NOMINAL_FAN = (11.2, 0.0462, 0.15, 0.28, 0.1)
-
-
-def nominal_microgrid(n: int) -> tuple[float, ...]:
-    return (2.0,) * n
 
 # Seed gains for the Kleinman refinement, recorded once from an offline
 # Riccati solve (Qc = I, Rc below). They only need to be stabilizing.
@@ -51,13 +45,6 @@ FAN_RC_DIAG = (1.0, 1.0)
 DIVERGENCE_NORM = 1e6
 # RK4 steps `simulate` may take (500x its default run) and the Monte-Carlo gate per row
 MAX_RK4_STEPS = 1_000_000
-
-
-def state_dim(system_id: str, values) -> int:
-    """The state dimension of a family at a parameter tuple: the microgrid has one
-    phase angle per droop coefficient."""
-    return {"pendulum": 2, "fan": 6}.get(system_id, len(values))
-
 
 RING_ANGLE = np.pi / 2 - 0.1   # the admittance angle of every microgrid line
 

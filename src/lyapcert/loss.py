@@ -12,27 +12,14 @@ grid module checks cell bounds instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import net
+from .config import TightenedLossConfig
 
 
 class EmptyBatch(Exception):
     """The empirical loss is undefined on an empty sample list."""
-
-
-@dataclass(frozen=True)
-class TightenedLossConfig:
-    """The loss margins; also the `loss` block of an experiment config."""
-
-    eps1: float = 1.0
-    eps2: float = 1.0
-
-    def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("margins eps1 and eps2 must be strictly positive")
 
 
 def mean_loss(V, lie, v0, cfg: TightenedLossConfig):

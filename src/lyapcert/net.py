@@ -26,51 +26,12 @@ zero argument is taken as 0.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .config import INIT_POINTS, Architecture, _unique_keys, read_json
 from .dynamics import sample_ball
-
-
-@dataclass(frozen=True)
-class Architecture:
-    input_dim: int
-    hidden: tuple[int, ...] = (16, 16)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        if not self.hidden or not all(type(n) is int and n >= 1
-                                      for n in (self.input_dim, *self.hidden)):
-            raise ValueError("need an integer input_dim >= 1 and at least one hidden layer "
-                             "of integer width >= 1")
-
-    # the parameter layout, computed once per architecture
-    @cached_property
-    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
-        dims = (self.input_dim, *self.hidden, 1)
-        return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
-
-    @cached_property
-    def n_params(self) -> int:
-        return sum(rows * cols + rows for rows, cols in self.layer_shapes)
-
-    @cached_property
-    def param_slices(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
-        """Flat-offset map: per layer, the weight slice, its shape, and the bias slice."""
-        out = []
-        offset = 0
-        for rows, cols in self.layer_shapes:
-            w = slice(offset, offset + rows * cols)
-            offset += rows * cols
-            b = slice(offset, offset + rows)
-            offset += rows
-            out.append((w, (rows, cols), b))
-        return tuple(out)
 
 
 def unpack(theta: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -255,11 +216,11 @@ def hvp(theta, arch: Architecture, batch, cfg, v) -> np.ndarray:
     return hvps(theta, arch, _one_task(batch), cfg, v)
 
 
-# the bowl fit: height at the region radius, fit points, Levenberg-Marquardt iterations,
-# points per Jacobian chunk (384 or 512 lift a compare run's peak resident set by over
-# 1 MB and are no faster), and the damping's start, rise on a rejected and fall on an
-# accepted step
-INIT_SCALE, INIT_POINTS, INIT_ITERS, INIT_CHUNK = 3.0, 2048, 20, 256
+# the bowl fit over `config.INIT_POINTS` points: height at the region radius,
+# Levenberg-Marquardt iterations, points per Jacobian chunk (384 or 512 lift a compare
+# run's peak resident set by over 1 MB and are no faster), and the damping's start, rise
+# on a rejected and fall on an accepted step
+INIT_SCALE, INIT_ITERS, INIT_CHUNK = 3.0, 20, 256
 INIT_DAMPING, INIT_DAMPING_UP, INIT_DAMPING_DOWN = 1.0, 4.0, 3.0
 
 
@@ -364,22 +325,6 @@ def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> 
     if extra:
         payload["extra"] = extra
     return payload
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's dict; a key it repeats raises ValueError."""
-    payload = {}
-    for key, value in pairs:
-        if key in payload:
-            raise ValueError(f"repeated key {key!r}")
-        payload[key] = value
-    return payload
-
-
-def read_json(path):
-    """A config's or checkpoint's JSON, decoded from UTF-8: a repeated key, malformed
-    text or other bytes raise ValueError, nesting too deep RecursionError."""
-    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
 
 
 def load_checkpoint(path) -> tuple[np.ndarray, Architecture, dict]:

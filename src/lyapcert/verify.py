@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import region_radii
+
 SAFETY = 1.2   # inflation of the sampled maxima into the Lipschitz constants
 SLAB = 1 << 16   # box nodes build_grid enumerates at a time
 BLOCK = 4096     # nodes the map's sweep, its constants and its writers take at a time
@@ -209,14 +211,6 @@ class RegionSelection:
     artifact: object            # what fit returned for that radius
     rounds: int
     accepted: bool              # whether the last round was accepted
-
-
-def region_radii(d0: float, shrink_factor: float, max_rounds: int) -> Iterator[float]:
-    """The radius of each region-selection round: d0, then each one times shrink_factor."""
-    d = float(d0)
-    for _ in range(max_rounds):
-        yield d
-        d *= shrink_factor
 
 
 def select_valid_region(fit, d0: float, shrink_factor: float, max_rounds: int) -> RegionSelection:

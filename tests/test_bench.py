@@ -1,9 +1,11 @@
 """`scripts/bench.py`'s bookkeeping, each in a fresh interpreter (the script pins
 the BLAS thread count in its environment when imported): a label's medians over
-runs whose metrics differ, and the options it rejects before it builds a suite."""
+runs whose metrics differ and over its newest tree's runs, and the options it
+rejects before it builds a suite."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,38 @@ def test_median_over_runs_whose_metrics_differ():
     assert json.loads(proc.stdout) == {
         "writer_ms": {"validity_csv": 80.0, "project_plane": 0.5}, "operation_s": 1.5,
         "mc_gate_ms": 250.0}
+
+
+# one timed and one counted metric, each a constant, timed on the tree on PYTHONPATH
+CONSTANT_SUITE = """
+import sys, bench
+bench.SUITES = {{"constant": lambda tree: ({{("x_s",): (lambda: None, lambda s: {value})}},
+                                          {{"count": {value}}})}}
+sys.argv = ["bench.py", "--suite", "constant", "--label", "change", "--out", {out!r},
+            "--repeats", "{repeats}"]
+sys.exit(bench.main())
+"""
+
+
+def test_median_over_the_newest_trees_runs(tmp_path):
+    # three runs of one tree, then two of an edited copy, under one label: the
+    # median is the second tree's, and every run keeps the tree it timed
+    out = tmp_path / "BENCH_constant.json"
+    for tree, value, repeats in (("first", 1.0, 3), ("second", 3.0, 2)):
+        shutil.copytree(ROOT / "src" / "lyapcert", tmp_path / tree / "lyapcert")
+        with open(tmp_path / tree / "lyapcert" / "__init__.py", "a") as init:
+            init.write(f"# {tree}\n")
+        env = {**ENV, "PYTHONPATH": os.pathsep.join([str(ROOT / "scripts"),
+                                                     str(tmp_path / tree)])}
+        code = CONSTANT_SUITE.format(value=value, out=str(out), repeats=repeats)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    entry = json.loads(out.read_text())["labels"]["change"]
+    assert entry["median"] == {"x_s": 3.0, "count": 3.0}
+    first, second = entry["runs"][0]["tree"], entry["runs"][-1]["tree"]
+    assert first != second
+    assert [run["tree"] for run in entry["runs"]] == [first] * 3 + [second] * 2
 
 
 @pytest.mark.parametrize("options, message", [

@@ -8,6 +8,8 @@ and `cli` check every setting once, when the config is parsed. Every `lyapcert`
 name a script in `scripts/` imports or reads as `<module>.<attr>` exists, so a
 rename in `src/` fails here rather than when the script next runs; the bench
 suites that reach the library through a source-tree object are built once.
+`config` is the settings layer the engine imports: importing it loads neither
+numpy nor any other `lyapcert` module.
 
 A use is any read of the bare name (or attribute of that name) in `src/` outside
 the definition's own body, except that `self.<name>` inside a class C counts as
@@ -21,6 +23,7 @@ reaches its position, or splats `*args` or `**kwargs`.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -187,6 +190,14 @@ def test_parsed_settings_are_not_checked_again():
                and any(getattr(n, "id", None) == "ValueError" for n in ast.walk(node.exc))]
     assert not raising, f"ValueError raised on settings checked at parse: {raising}"
 
+
+def test_config_loads_no_engine():
+    code = ("import json, sys, lyapcert.config; print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'lyapcert'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["lyapcert", "lyapcert.config"]
 
 
 _ABSENT = object()
