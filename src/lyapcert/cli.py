@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    train-meta   region-selection loop (meta-train, task-check, shrink),
+    train-meta   region-selection loop (meta-train, certify each task, shrink),
                  writes the region report, meta checkpoint + training report
     adapt        k-step test-time adaptation of a checkpoint under the
                  50-sample / 10-step budget, with a budget ledger
@@ -106,19 +106,6 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _interior_report(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict:
-    """Off the boundary layer: the green fraction, the red nodes by condition, those of
-    them whose node value already fails (Vbar(u) <= 0, Lie(u) >= 0; the others are red
-    through the cell bound alone) and the number of checked (non-exempt) nodes."""
-    interior, checked = ~grid.boundary, ~grid.boundary & ~vmap.exempt
-    return {"green_fraction": float(np.mean(vmap.green[interior])),
-            "red_positivity": int(np.sum(~vmap.positivity_ok[interior])),
-            "red_positivity_at_node": int(np.sum(~(vmap.vbar[checked] > 0.0))),
-            "red_decrease": int(np.sum(~vmap.decrease_ok[interior])),
-            "red_decrease_at_node": int(np.sum(~(vmap.lie[checked] < 0.0))),
-            "checked": int(np.sum(checked))}
-
-
 def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | None:
     """The least vbar_low and the greatest lie_high over the checked (non-exempt)
     nodes, each with its node's coordinates; None when every node is exempt."""
@@ -131,11 +118,33 @@ def _worst_bounds(vmap: verify.ValidityMap, grid: verify.GridSpec) -> dict | Non
             for key, row in rows.items()}
 
 
+def _certify_task(candidate, system, grid: verify.GridSpec) -> dict:
+    """One adapted task certified as `roa` certifies, its map held only here: its c,
+    area and binding node (the blocked node whose vbar_low capped c: its coordinates,
+    the condition it fails, or the boundary layer if it is green, and that bound; None
+    when no node is blocked); then, off the boundary layer, the green fraction, the red
+    nodes by condition, those of them whose node value already fails (Vbar(u) <= 0,
+    Lie(u) >= 0; the others are red through the cell bound alone) and the number of
+    checked (non-exempt) nodes."""
+    vmap, result = baselines.certify_candidate(candidate, system, grid)
+    row, interior, checked = result.binding, ~grid.boundary, ~grid.boundary & ~vmap.exempt
+    binding = None if row is None else {
+        "node": grid.coords(row).tolist(), "vbar_low": float(vmap.vbar_low[row]),
+        "kind": "red positivity" if not vmap.positivity_ok[row] else
+                "red decrease" if not vmap.decrease_ok[row] else "boundary layer"}
+    return {"c": result.c, "area": result.area, "binding": binding,
+            "green_fraction": float(np.mean(vmap.green[interior])),
+            "red_positivity": int(np.sum(~vmap.positivity_ok[interior])),
+            "red_positivity_at_node": int(np.sum(~(vmap.vbar[checked] > 0.0))),
+            "red_decrease": int(np.sum(~vmap.decrease_ok[interior])),
+            "red_decrease_at_node": int(np.sum(~(vmap.lie[checked] < 0.0))),
+            "checked": int(np.sum(checked))}
+
+
 def _fit_region(cfg: ExperimentConfig, history: list, d: float):
     """One region-selection round on the ball of radius d: meta-train, adapt to each
-    task of the trained family, map it (no ROA) and accept when every map passes.
-    Appends the round's radius, acceptance and each task's _interior_report to
-    history and returns (training report, accepted)."""
+    task of the trained family and certify it; accept when every certificate is
+    non-empty (c > 0). Appends the round to history; returns (report, accepted)."""
     arch = cfg.architecture()
     report, systems, (X_tr, Y_tr, _, _) = baselines.meta_train_for(
         cfg, d, net.shaped_init(arch, cfg.seeds.net_seed, d))
@@ -145,11 +154,8 @@ def _fit_region(cfg: ExperimentConfig, history: list, d: float):
     for i, system in enumerate(systems):   # task i adapts on its first train batch
         adapted = meta.test_time_adapt(report.theta_mnlf, arch, (X_tr[i, 0], Y_tr[i, 0]),
                                        cfg.meta.adapt_alpha, cfg.meta.k_test, cfg.loss)
-        vmap = verify.check_validity(net.MlpLyapunov(adapted, arch), system, grid)
-        tasks.append(_interior_report(vmap, grid))
-    # a map that checks no interior node certifies nothing
-    accepted = all(task["checked"] and task["green_fraction"] >= cfg.verify.min_green_fraction
-                   for task in tasks)
+        tasks.append(_certify_task(net.MlpLyapunov(adapted, arch), system, grid))
+    accepted = all(task["c"] > 0.0 for task in tasks)
     history.append({"radius": d, "accepted": accepted, "tasks": tasks})
     return report, accepted
 
@@ -166,12 +172,8 @@ def cmd_train_meta(args, cfg: ExperimentConfig) -> int:
     if not selection.accepted:
         print(f"verification failure: no valid region after {selection.rounds} rounds "
               f"(last radius {selection.radius:g})", file=sys.stderr)
-        for i, task in enumerate(history[-1]["tasks"]):
-            print(f"task {i}: interior green fraction {task['green_fraction']:.4f}, red nodes: "
-                  f"positivity {task['red_positivity']}, decrease {task['red_decrease']}; "
-                  f"{task['checked']} interior nodes checked; red at the node itself: positivity "
-                  f"{task['red_positivity_at_node']}, decrease {task['red_decrease_at_node']}",
-                  file=sys.stderr)
+        for i, task in enumerate(history[-1]["tasks"]):   # as region.json records it
+            print(f"task {i}: {json.dumps(task)}", file=sys.stderr)
         return EXIT_VERIFICATION
 
     report = selection.artifact

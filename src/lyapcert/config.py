@@ -219,7 +219,6 @@ class VerifyBlock:
     shrink_factor: float = 0.8
     max_rounds: int = 3
     exempt_radius: float = 1.0
-    min_green_fraction: float = 1.0
 
     def __post_init__(self):
         _require(0 < self.d0 <= MAX_RADIUS and self.exempt_radius >= 0,
@@ -229,8 +228,6 @@ class VerifyBlock:
         _require(0.0 < self.shrink_factor < 1.0, "shrink_factor must lie in (0, 1)")
         _require(1 <= self.max_rounds <= MAX_ROUNDS,
                  f"max_rounds must lie in [1, {MAX_ROUNDS:,}]")
-        _require(0.0 <= self.min_green_fraction <= 1.0,
-                 "min_green_fraction must lie in [0, 1]")
         *_, last_radius = region_radii(self.d0, self.shrink_factor, self.max_rounds)
         _require(self.exempt_radius < last_radius,
                  f"exempt_radius must stay below the last round's radius {last_radius!r}, "
@@ -408,8 +405,7 @@ def _pendulum_preset(name, theta_test, sigma, task_seed, meta_steps=8000,
         system=SystemBlock("pendulum", NOMINAL_PENDULUM, theta_test, sigma),
         meta=MetaBlock(meta_steps=meta_steps, m_batches=m_batches, k_train=k_train),
         loss=TightenedLossConfig(1.0, 1.0),
-        verify=VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1,
-                           min_green_fraction=0.995),
+        verify=VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1),
         nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
         seeds=SeedBlock(master=0, task_seed=task_seed, net_seed=0, adapt_seed=123),
     )
@@ -424,8 +420,7 @@ def _microgrid_preset(name, n, theta_test, sigma) -> ExperimentConfig:
         loss=TightenedLossConfig(0.5, 0.5) if not big else TightenedLossConfig(0.3, 0.3),
         verify=VerifyBlock(d0=3.0 if not big else 2.0,
                            nodes_per_axis=41 if not big else 15,
-                           exempt_radius=0.8 if not big else 0.7,
-                           min_green_fraction=0.995),
+                           exempt_radius=0.8 if not big else 0.7),
         roa=RoaBlock(plane=(0, 1)),
         nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
         seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123),
@@ -438,8 +433,7 @@ def _fan_preset(name, theta_test, sigma) -> ExperimentConfig:
         system=SystemBlock("fan", NOMINAL_FAN, theta_test, sigma),
         meta=MetaBlock(meta_steps=3000, m_batches=20, k_train=32),
         loss=TightenedLossConfig(0.1, 0.1),
-        verify=VerifyBlock(d0=1.0, nodes_per_axis=9, exempt_radius=0.4,
-                           min_green_fraction=0.995),
+        verify=VerifyBlock(d0=1.0, nodes_per_axis=9, exempt_radius=0.4),
         roa=RoaBlock(plane=(0, 2)),
         nlf=NlfBlock(n_samples=20000, n_steps=5000, lr=0.002, batch_size=256),
         seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123),

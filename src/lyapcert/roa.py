@@ -24,6 +24,7 @@ class RoaResult:
     c: float                    # certified sublevel value
     member_rows: np.ndarray     # grid rows with Vbar <= c (origin component)
     area: float                 # member cell count x cell volume (or the plane's shadow)
+    binding: int | None         # the blocked row whose vbar_low is the cap; None if none
 
     @property
     def empty(self) -> bool:
@@ -59,18 +60,20 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec) -> RoaResult:
     A node is blocked when it is not green or sits in the outer boundary
     layer. Vbar is at least vbar_low(u) everywhere in a blocked node u's cell,
     so with c the largest non-exempt node value strictly below the least such
-    bound, the continuum set {Vbar <= c} enters no blocked cell. A level at
-    or below zero yields the empty result (c = 0, area 0).
+    bound, the continuum set {Vbar <= c} enters no blocked cell. The blocked
+    node of that least bound (the first, on a tie) is the result's binding row.
+    A level at or below zero yields the empty result (c = 0, area 0).
     """
-    blocked = (~vmap.green) | grid.boundary
-    cap = np.min(vmap.vbar_low[blocked], initial=np.inf)
+    blocked = np.nonzero(~vmap.green | grid.boundary)[0]
+    binding = int(blocked[np.argmin(vmap.vbar_low[blocked])]) if blocked.size else None
+    cap = np.inf if binding is None else vmap.vbar_low[binding]
     eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
     c = float(np.max(eligible)) if eligible.size else 0.0
     if c <= 0.0:
-        return RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0)
+        return RoaResult(0.0, np.array([grid.origin_row]), 0.0, binding)
 
     rows = _origin_component(np.nonzero(vmap.vbar <= c)[0], grid)
-    result = RoaResult(c=c, member_rows=rows, area=0.0)
+    result = RoaResult(c, rows, 0.0, binding)
     return replace(result, area=roa_area(result, grid))
 
 

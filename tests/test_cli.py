@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,29 +23,30 @@ from helpers import nominal_system, row_of, save_checkpoint
 ROOT = Path(__file__).resolve().parents[1]
 
 PRESET_HASHES = {
-    "ip_stochastic_l": "9c707a822e2fc729",
-    "ip_stochastic_lb": "af22738b66de343d",
-    "ip_stochastic_lmgb": "c41d23e34ad8ee6c",
-    "mg3_dc12": "0874657dabe1f572",
-    "mg3_dc123": "352e4329df10d92b",
-    "mg5_dc12": "f6ca3604cef63c8b",
-    "mg5_dcall": "d075487174d5d7cb",
-    "cf_m": "4e3582fd1a9063e2",
-    "cf_mrd": "ab30ff7068c49d72",
+    "ip_stochastic_l": "8deb8d33039ddc68",
+    "ip_stochastic_lb": "e20b35e0c2b68287",
+    "ip_stochastic_lmgb": "1b2eca58aab93d79",
+    "mg3_dc12": "758eb272e35bba7e",
+    "mg3_dc123": "92a0ce0201e509d6",
+    "mg5_dc12": "471f20ddb09d33cd",
+    "mg5_dcall": "c52c9eacc8ed0a23",
+    "cf_m": "15ef4630f1461f9e",
+    "cf_mrd": "90ef99e17f36311d",
 }
 
 
 # the keys of a task's report in region.json's history
 TASK_REPORT_KEYS = {"green_fraction", "red_positivity", "red_positivity_at_node", "red_decrease",
-                    "red_decrease_at_node", "checked"}
+                    "red_decrease_at_node", "checked", "c", "area", "binding"}
 
-# a verify block no mini run passes: the whole 41 x 41 map must be green, none exempt
-HARD_VERIFY = {"d0": 3.0, "nodes_per_axis": 41, "exempt_radius": 0.0, "max_rounds": 1,
-               "min_green_fraction": 1.0}
+# a verify block no mini run passes: with no node exempt, the nodes next to the origin
+# have vbar_low <= 0 and cap every certificate at c = 0
+HARD_VERIFY = {"d0": 3.0, "nodes_per_axis": 41, "exempt_radius": 0.0, "max_rounds": 1}
 
 
 def mini_config(tmp_path, **overrides):
-    """A desk-second pendulum config for CLI round trips."""
+    """A desk-second pendulum config for CLI round trips; `train-meta` certifies both
+    of its tasks (c > 0) at the first radius."""
     payload = {
         "name": "mini",
         "system": {
@@ -53,11 +55,10 @@ def mini_config(tmp_path, **overrides):
             "theta_test": [0.6, 0.15, 9.81, 0.1],
             "sigma_diag": [0.05, 0.0, 0.0, 0.0],
         },
-        "meta": {"meta_steps": 40, "tasks_per_step": 2, "n_tasks": 2,
+        "meta": {"meta_steps": 200, "tasks_per_step": 2, "n_tasks": 2,
                  "m_batches": 2, "k_train": 8, "j_test": 8},
         "loss": {"eps1": 1.0, "eps2": 1.0},
-        "verify": {"d0": 3.0, "nodes_per_axis": 41, "exempt_radius": 0.9,
-                   "max_rounds": 1, "min_green_fraction": 0.0},
+        "verify": {"d0": 2.0, "nodes_per_axis": 81, "exempt_radius": 0.9, "max_rounds": 1},
         "roa": {"mc_samples": 20},
         "nlf": {"n_samples": 200, "n_steps": 30, "lr": 0.01, "batch_size": 32},
         "hidden": [8],
@@ -66,6 +67,23 @@ def mini_config(tmp_path, **overrides):
     path = tmp_path / "mini.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def bowl_map(grid, red, vbar_low=None, lie_high=None):
+    """A map of Vbar = |x|^2 and Lie = -|x|^2, green at every non-exempt node, with
+    0.9 of each as its cell bounds; the `red` rows take the given vbar_low or lie_high."""
+    vbar = np.sum(grid.coords(np.arange(grid.n_nodes)) ** 2, axis=1)
+    bounds = {"vbar_low": 0.9 * vbar, "lie_high": -0.9 * vbar}
+    for key, value in (("vbar_low", vbar_low), ("lie_high", lie_high)):
+        if value is not None:
+            bounds[key][red] = value
+    return verify.ValidityMap(vbar=vbar, lie=-vbar, exempt=grid.exempt, **bounds)
+
+
+def stderr_tasks(err):
+    """The task records of a failing train-meta's stderr, one JSON object a line."""
+    return [json.loads(line.split(": ", 1)[1]) for line in err.splitlines()
+            if line.startswith("task ")]
 
 
 def run(tmp_path, argv) -> int:
@@ -133,8 +151,8 @@ class TestConfig:
         ("verify", "max_rounds", 0),
         ("verify", "d0", -1.0),
         ("verify", "exempt_radius", -0.1),
-        ("verify", "min_green_fraction", 1.5),
-        ("verify", "min_green_fraction", -0.1),
+        ("verify", "shrink_factor", 1.0),
+        ("verify", "exempt_radius", 2.0),      # the radius itself: every node exempt
         ("verify", "d0", 0.0),
         ("roa", "mc_samples", 0),
         ("roa", "mc_step", 0.0),
@@ -284,22 +302,22 @@ class TestConfig:
         pytest.param({}, "verify", "nodes_per_axis", 3535, 2, "grid", id="grid-2d"),
         pytest.param({"system": microgrid_block(3)}, "verify", "nodes_per_axis", 221, 2, "grid",
                      id="grid-3d"),
-        pytest.param({}, "roa", "mc_samples", 1_562_236, 1, "Monte-Carlo gate", id="gate"),
-        pytest.param({}, "nlf", "n_samples", 13_886_566, 1, "NLF training set", id="nlf-set"),
-        pytest.param({}, "meta", "meta_steps", 11_361_612, 1, "loss curve", id="curve"),
+        pytest.param({}, "roa", "mc_samples", 1_561_604, 1, "Monte-Carlo gate", id="gate"),
+        pytest.param({}, "nlf", "n_samples", 13_880_949, 1, "NLF training set", id="nlf-set"),
+        pytest.param({}, "meta", "meta_steps", 11_357_176, 1, "loss curve", id="curve"),
         # the task family, (n_tasks + 1) x m_batches x (k_train + j_test) rows
         pytest.param({"meta": {"n_tasks": 20, "m_batches": 1, "tasks_per_step": 1}}, "meta",
-                     "j_test", 1_059_142, 1, "task family", id="family"),
+                     "j_test", 1_058_714, 1, "task family", id="family"),
         # one meta-step's widest call, tasks_per_step x max(2 k_train, j_test) rows
-        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "k_train", 525_122, 1,
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "k_train", 524_910, 1,
                      "gradient call", id="step-hvp"),
-        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "j_test", 976_400, 1,
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "j_test", 976_005, 1,
                      "gradient call", id="step-test"),
         # that call and an NLF batch at 400 hidden units, 33 kB a row
         pytest.param({"meta": {"tasks_per_step": 1}, "hidden": [400]}, "meta", "j_test",
-                     60_026, 1, "gradient call", id="step-units"),
+                     60_002, 1, "gradient call", id="step-units"),
         pytest.param({"nlf": {"n_samples": 100_000}, "hidden": [400]}, "nlf", "batch_size",
-                     60_114, 1, "gradient call", id="nlf-units"),
+                     60_090, 1, "gradient call", id="nlf-units"),
     ])
     def test_product_at_its_cap_parses_one_above_exits_2(self, tmp_path, capsys, monkeypatch,
                                                          overrides, block, key, at_cap, step,
@@ -492,64 +510,65 @@ class TestCliCommands:
     def test_region_failure_exit_3(self, tmp_path, capsys):
         cfg_path = mini_config(tmp_path, name="hard", verify=HARD_VERIFY)
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
-        # one line per task (n_tasks = 2): interior green fraction, red counts by condition
-        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("task ")]
-        assert len(lines) == 2
-        for i, line in enumerate(lines):
-            assert line.startswith(f"task {i}: interior green fraction ")
-            assert "positivity" in line and "decrease" in line
+        # one line per task (n_tasks = 2): the empty certificate and what bound it, the
+        # interior green fraction, red counts by condition
+        tasks = stderr_tasks(capsys.readouterr().err)
+        assert len(tasks) == 2
+        for task in tasks:
+            assert set(task) == TASK_REPORT_KEYS and (task["c"], task["area"]) == (0.0, 0.0)
+            assert task["binding"]["kind"] in ("boundary layer", "red positivity",
+                                               "red decrease")
 
     def test_region_failure_writes_region_json(self, tmp_path, capsys):
         """A run with no valid region records its round in region.json before exiting 3:
-        the radius, the rejection and each task's interior report, as stderr prints it."""
+        the radius, the rejection and each task's report, as stderr prints it."""
         cfg_path = mini_config(tmp_path, name="hard", verify=HARD_VERIFY)
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
-        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("task ")]
+        printed = stderr_tasks(capsys.readouterr().err)
         out = tmp_path / "out" / "hard"
         region = json.loads((out / "region.json").read_text())
         assert (region["radius"], region["rounds"], region["accepted"]) == (3.0, 1, False)
         (only,) = region["history"]
         assert only["radius"] == 3.0 and not only["accepted"] and len(only["tasks"]) == 2
-        for line, task in zip(lines, only["tasks"]):
+        assert printed == only["tasks"]
+        for task in only["tasks"]:
             assert set(task) == TASK_REPORT_KEYS
             assert task["green_fraction"] < 1.0 and task["checked"] > 0
-            assert (f"green fraction {task['green_fraction']:.4f}, red nodes: positivity "
-                    f"{task['red_positivity']}, decrease {task['red_decrease']}; "
-                    f"{task['checked']} interior nodes checked; red at the node itself: "
-                    f"positivity {task['red_positivity_at_node']}, decrease "
-                    f"{task['red_decrease_at_node']}") in line
+            assert (task["c"], task["area"]) == (0.0, 0.0)
+            assert task["binding"]["kind"] in ("boundary layer", "red positivity",
+                                               "red decrease")
         assert not (out / "meta_checkpoint.json").exists()
 
     def test_region_json_records_every_round(self, tmp_path, monkeypatch):
         """A run accepted after a rejected round records both rounds in region.json, and
         its radius is the accepted round's. The first round is rejected by reporting
-        its maps as checking no interior node."""
-        report = cli._interior_report
+        its certificates as empty."""
+        extract = roa.largest_level_set
 
-        def first_round_checks_nothing(vmap, grid):
-            task = report(vmap, grid)
-            return {**task, "checked": 0} if grid.radius == 3.0 else task
+        def first_round_certifies_nothing(vmap, grid):
+            result = extract(vmap, grid)
+            return replace(result, c=0.0, area=0.0) if grid.radius == 2.5 else result
 
-        monkeypatch.setattr(cli, "_interior_report", first_round_checks_nothing)
-        cfg_path = mini_config(tmp_path, verify={"d0": 3.0, "nodes_per_axis": 41,
-                                                 "exempt_radius": 0.9, "max_rounds": 3,
-                                                 "min_green_fraction": 0.0})
+        monkeypatch.setattr(roa, "largest_level_set", first_round_certifies_nothing)
+        cfg_path = mini_config(tmp_path, verify={"d0": 2.5, "nodes_per_axis": 81,
+                                                 "exempt_radius": 0.9, "max_rounds": 3})
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
         out = tmp_path / "out" / "mini"
         region = json.loads((out / "region.json").read_text())
-        assert (region["radius"], region["rounds"], region["accepted"]) == (3.0 * 0.8, 2, True)
+        assert (region["radius"], region["rounds"], region["accepted"]) == (2.5 * 0.8, 2, True)
         assert [(r["radius"], r["accepted"]) for r in region["history"]] == [
-            (3.0, False), (3.0 * 0.8, True)]
+            (2.5, False), (2.5 * 0.8, True)]
         assert all(len(r["tasks"]) == 2 for r in region["history"])
         for task in (task for r in region["history"] for task in r["tasks"]):
             assert set(task) == TASK_REPORT_KEYS
             assert task["red_positivity_at_node"] <= task["red_positivity"]
             assert task["red_decrease_at_node"] <= task["red_decrease"]
+        assert all(task["c"] > 0.0 for task in region["history"][1]["tasks"])
         _, _, extra = net.load_checkpoint(out / "meta_checkpoint.json")
-        assert (extra["radius"], extra["rounds"]) == (3.0 * 0.8, 2)
+        assert (extra["radius"], extra["rounds"]) == (2.5 * 0.8, 2)
 
     @pytest.mark.parametrize("node_sign, at_node", [(1.0, False), (-1.0, True)])
-    def test_red_nodes_by_cause(self, node_sign, at_node):
+    def test_red_nodes_by_cause(self, monkeypatch, node_sign, at_node):
         """A map whose cell bounds fail at every node counts every checked interior node
         red by condition; of them, red at the node itself are none when every node
         value passes (Vbar(u) > 0, Lie(u) < 0), and all when every one fails."""
@@ -557,9 +576,12 @@ class TestCliCommands:
         ones = np.ones(grid.n_nodes)
         vmap = verify.ValidityMap(vbar=node_sign * ones, lie=-node_sign * ones,
                                   vbar_low=-ones, lie_high=ones, exempt=grid.exempt)
+        monkeypatch.setattr(verify, "check_validity", lambda *args: vmap)
+        task = cli._certify_task(None, None, grid)
         checked = int(np.sum(~grid.boundary & ~grid.exempt))
         red = checked if at_node else 0
-        assert checked > 0 and cli._interior_report(vmap, grid) == {
+        assert checked > 0 and {key: task[key] for key in TASK_REPORT_KEYS - {
+            "c", "area", "binding"}} == {
             "green_fraction": float(np.mean(grid.exempt[~grid.boundary])),
             "red_positivity": checked, "red_positivity_at_node": red,
             "red_decrease": checked, "red_decrease_at_node": red, "checked": checked}
@@ -568,10 +590,10 @@ class TestCliCommands:
         def no_roa(*args, **kwargs):
             raise AssertionError("roa.largest_level_set called by a map-only command")
 
-        monkeypatch.setattr(roa, "largest_level_set", no_roa)
         cfg_path = mini_config(tmp_path)
         out = tmp_path / "out" / "mini"
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_OK
+        monkeypatch.setattr(roa, "largest_level_set", no_roa)
         assert run(tmp_path, ["verify", "--config", str(cfg_path),
                               "--checkpoint", str(out / "meta_checkpoint.json")]) == cli.EXIT_OK
         summary = json.loads((out / "validity_summary.json").read_text())
@@ -600,11 +622,11 @@ class TestCliCommands:
                                "final_loss", "least_loss", "max_abs_theta"}
         assert report["checkpoint"] == "meta_checkpoint.json"
         curve = report["loss_curve"]
-        assert len(curve) == 40
+        assert len(curve) == 200
         assert (report["final_loss"], report["least_loss"]) == (curve[-1], min(curve))
         theta, _, _ = net.load_checkpoint(out / "meta_checkpoint.json")
         assert report["max_abs_theta"] == np.max(np.abs(theta))
-        assert json.loads((out / "config_echo.json").read_text())["meta"]["meta_steps"] == 40
+        assert json.loads((out / "config_echo.json").read_text())["meta"]["meta_steps"] == 200
 
     def test_compare_mini(self, tmp_path):
         cfg_path = mini_config(tmp_path)
@@ -630,7 +652,7 @@ class TestCliCommands:
     def test_vacuous_region_exits_2(self, tmp_path, capsys):
         # an exemption ball wider than the region leaves no node to check
         cfg_path = mini_config(tmp_path, verify={"d0": 1.0, "exempt_radius": 1.1,
-                                                 "max_rounds": 3, "min_green_fraction": 0.0})
+                                                 "max_rounds": 3})
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
         assert "exempt_radius" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -638,11 +660,84 @@ class TestCliCommands:
     def test_region_without_checked_interior_node_exits_3(self, tmp_path, capsys):
         # a 3 x 3 grid has only the origin off its boundary layer
         cfg_path = mini_config(tmp_path, verify={"d0": 3.0, "nodes_per_axis": 3,
-                                                 "exempt_radius": 0.9, "max_rounds": 1,
-                                                 "min_green_fraction": 0.0})
+                                                 "exempt_radius": 0.9, "max_rounds": 1})
         assert run(tmp_path, ["train-meta", "--config", str(cfg_path)]) == cli.EXIT_VERIFICATION
-        assert "0 interior nodes checked" in capsys.readouterr().err
+        assert [task["checked"] for task in stderr_tasks(capsys.readouterr().err)] == [0, 0]
         assert not (tmp_path / "out" / "mini" / "meta_checkpoint.json").exists()
+
+    def test_round_with_an_empty_certificate_is_rejected(self, tmp_path, capsys, monkeypatch):
+        """Every task's map is green but for one positivity-red node next to the exempt
+        ball, whose vbar_low < 0 caps every level set at c = 0: the round is rejected
+        though its greens are above 0.995, and each stderr line names that node."""
+        def one_red_node(candidate, system, grid):
+            red = row_of(grid, (19, 0))   # (0.95, 0) on the mini grid, spacing 0.05
+            return bowl_map(grid, red, vbar_low=-1.0)
+
+        monkeypatch.setattr(verify, "check_validity", one_red_node)
+        assert run(tmp_path, ["train-meta", "--config", str(mini_config(tmp_path))]) \
+            == cli.EXIT_VERIFICATION
+        region = json.loads((tmp_path / "out" / "mini" / "region.json").read_text())
+        (only,) = region["history"]
+        assert not only["accepted"] and len(only["tasks"]) == 2
+        for task in only["tasks"]:
+            assert task["green_fraction"] > 0.995 and (task["c"], task["area"]) == (0.0, 0.0)
+            assert task["binding"]["node"] == pytest.approx([0.95, 0.0], abs=1e-12)
+            assert (task["binding"]["kind"], task["binding"]["vbar_low"]) == ("red positivity",
+                                                                              -1.0)
+        assert stderr_tasks(capsys.readouterr().err) == only["tasks"]
+
+    def test_round_below_the_old_green_rule_is_accepted(self, tmp_path, monkeypatch):
+        """Every task's map is decrease-red at each node beyond |x| 1.5, so its green
+        fraction is far below 0.995, but its level set inside is non-empty: the round is
+        accepted."""
+        def red_rim(candidate, system, grid):
+            norms = np.linalg.norm(grid.coords(np.arange(grid.n_nodes)), axis=1)
+            return bowl_map(grid, norms > 1.5, lie_high=1.0)
+
+        monkeypatch.setattr(verify, "check_validity", red_rim)
+        assert run(tmp_path, ["train-meta", "--config", str(mini_config(tmp_path))]) == cli.EXIT_OK
+        region = json.loads((tmp_path / "out" / "mini" / "region.json").read_text())
+        assert (region["rounds"], region["accepted"]) == (1, True)
+        for task in region["history"][0]["tasks"]:
+            assert task["green_fraction"] < 0.995 and task["c"] > 0.0
+            assert task["binding"]["kind"] == "red decrease"
+
+    def test_region_json_holds_each_tasks_level_set(self, tmp_path, monkeypatch):
+        """Each task's c, area and binding node in region.json are those of
+        roa.largest_level_set on that task's map."""
+        extract, seen = roa.largest_level_set, []
+
+        def spy(vmap, grid):
+            seen.append((extract(vmap, grid), vmap, grid))
+            return seen[-1][0]
+
+        monkeypatch.setattr(roa, "largest_level_set", spy)
+        assert run(tmp_path, ["train-meta", "--config", str(mini_config(tmp_path))]) == cli.EXIT_OK
+        region = json.loads((tmp_path / "out" / "mini" / "region.json").read_text())
+        tasks = region["history"][0]["tasks"]
+        assert len(seen) == len(tasks) == 2
+        for task, (result, vmap, grid) in zip(tasks, seen):
+            assert (task["c"], task["area"]) == (result.c, result.area) and result.c > 0.0
+            assert task["binding"]["node"] == grid.coords(result.binding).tolist()
+            assert task["binding"]["vbar_low"] == vmap.vbar_low[result.binding]
+
+    @pytest.mark.parametrize("kind", ["red decrease", "red positivity", "boundary layer"])
+    def test_binding_node_names_its_kind(self, monkeypatch, kind):
+        """A doctored map with one blocked interior node at (1, 0) reports that node as
+        binding, with its kind and vbar_low; with none, a boundary-layer node binds."""
+        grid = verify.build_grid(2.0, 41, 2, exempt_radius=0.5)
+        red = row_of(grid, (10, 0))
+        vmap = {"red decrease": bowl_map(grid, red, lie_high=1.0),
+                "red positivity": bowl_map(grid, red, vbar_low=-0.5),
+                "boundary layer": bowl_map(grid, [])}[kind]
+        monkeypatch.setattr(verify, "check_validity", lambda *args: vmap)
+        task = cli._certify_task(None, None, grid)
+        result = roa.largest_level_set(vmap, grid)
+        assert (task["c"], task["area"]) == (result.c, result.area)
+        assert (result.c > 0.0) == (kind != "red positivity")   # there vbar_low < 0 caps
+        assert task["binding"] == {"node": grid.coords(result.binding).tolist(), "kind": kind,
+                                   "vbar_low": float(vmap.vbar_low[result.binding])}
+        assert (result.binding == red) == (kind != "boundary layer")
 
 
 @pytest.fixture
@@ -761,7 +856,7 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     def raised(vmap, grid):
         rows = np.nonzero(~grid.boundary)[0]
         return roa.RoaResult(c=float(np.max(vmap.vbar[rows])), member_rows=rows,
-                             area=float(rows.size * grid.cell_volume))
+                             area=float(rows.size * grid.cell_volume), binding=None)
 
     monkeypatch.setattr(roa, "largest_level_set", raised)
     capsys.readouterr()
@@ -879,7 +974,7 @@ def test_infinite_lie_value_exits_4_naming_the_summary(tmp_path, mini_checkpoint
 
     def infinite_rim(self, X):
         F = field(self, X)
-        F[X[:, 0] > 2.5, 1] = np.inf
+        F[X[:, 0] > 1.5, 1] = np.inf   # the rim of the mini config's ball of radius 2
         return F
 
     monkeypatch.setattr(dynamics.ClosedLoopSystem, "f_batch", infinite_rim)
@@ -1116,19 +1211,35 @@ def test_benchmark_wrapped_names_resolve():
     assert trained[2] == 3
 
 
-@pytest.mark.parametrize("workload", ["meta_fit", "adapt_certify", "compare_mg3"])
-@pytest.mark.parametrize("seed", [0, 101])
-def test_benchmark_inputs_parse(tmp_path, workload, seed):
-    """Every config the benchmark's set-up step writes loads under the parse rules."""
+def write_benchmark_inputs(workload, seed, out):
+    """The configs the benchmark's set-up step writes for one workload, into out."""
     spec = importlib.util.spec_from_file_location("perfbench_inputs",
                                                   ROOT / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    inputs.write_inputs(workload, seed, tmp_path)
+    inputs.write_inputs(workload, seed, out)
+
+
+@pytest.mark.parametrize("workload", ["meta_fit", "adapt_certify", "compare_mg3"])
+@pytest.mark.parametrize("seed", [0, 101])
+def test_benchmark_inputs_parse(tmp_path, workload, seed):
+    """Every config the benchmark's set-up step writes loads under the parse rules."""
+    write_benchmark_inputs(workload, seed, tmp_path)
     configs = [p for p in tmp_path.glob("*.json") if p.name != "inputs.json"]
     assert configs
     for path in configs:
         load_config(path)
+
+
+def test_benchmark_meta_fit_accepts_at_the_first_round(tmp_path):
+    """The benchmark's meta_fit operation is one train-meta run, and it times one
+    region round: its config is accepted at the first radius. A change that costs it
+    a second round doubles the work the workload measures."""
+    write_benchmark_inputs("meta_fit", 0, tmp_path)
+    assert run(tmp_path, ["train-meta", "--config", str(tmp_path / "meta_fit.json")]) \
+        == cli.EXIT_OK
+    region = json.loads((tmp_path / "out" / "meta_fit" / "region.json").read_text())
+    assert (region["rounds"], region["accepted"]) == (1, True)
 
 
 # each subcommand's option strings; the config source is one required choice on all

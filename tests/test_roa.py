@@ -24,7 +24,7 @@ from lyapcert import dynamics, net, roa, verify
 arch = net.Architecture(2, (16, 16))
 system = dynamics.build_system("pendulum", dynamics.NOMINAL_PENDULUM)
 grid = verify.build_grid(1.0, 9, 2)
-result = roa.RoaResult(c=1e300, member_rows=np.nonzero(~grid.boundary)[0], area=1.0)
+result = roa.RoaResult(c=1e300, member_rows=np.nonzero(~grid.boundary)[0], area=1.0, binding=None)
 certificate = (result, net.MlpLyapunov(net.init_params(arch, 0), arch))
 roa.MAX_RK4_STEPS = 5
 roa.monte_carlo_convergence(system, [certificate] * 4, grid, int(sys.argv[1]), 0.01, 0)
@@ -38,7 +38,7 @@ import numpy as np
 from lyapcert import net, roa, verify
 arch = net.Architecture(2, (4,))
 grid = verify.build_grid(1.0, 9, 2)
-result = roa.RoaResult(c=1e300, member_rows=np.nonzero(~grid.boundary)[0], area=1.0)
+result = roa.RoaResult(c=1e300, member_rows=np.nonzero(~grid.boundary)[0], area=1.0, binding=None)
 roa._start_states(result, net.MlpLyapunov(net.init_params(arch, 0), arch), grid,
                   int(sys.argv[1]), 0)
 """
@@ -197,6 +197,22 @@ class TestLargestLevelSet:
         result = roa.largest_level_set(vmap, grid)
         assert 0.0 < result.c < floor
 
+    def test_binding_row_set_the_cap(self):
+        """The binding row is the blocked node of the least cell bound: the red node of
+        a map whose other nodes are green, the boundary-layer node of the least Vbar on
+        an all-green map, and None when no node is blocked."""
+        grid = verify.build_grid(1.0, 21, 2)
+        vbar = np.sum(node_coords(grid)**2, axis=1)
+        green = np.ones(grid.n_nodes, dtype=bool)
+        bad = row_of(grid, [5, 0])
+        green[bad] = False
+        assert roa.largest_level_set(with_flags(grid, vbar, green), grid).binding == bad
+        binding = roa.largest_level_set(all_green_map(grid, vbar), grid).binding
+        assert grid.boundary[binding] and vbar[binding] == np.min(vbar[grid.boundary])
+        unbounded = replace(grid, boundary=np.zeros(grid.n_nodes, dtype=bool))
+        result = roa.largest_level_set(all_green_map(unbounded, vbar), unbounded)
+        assert result.binding is None and result.c == np.max(vbar)
+
     def test_cap_uses_local_constants(self):
         # only the red node's cell has a wide bound; it alone sets the cap
         grid = verify.build_grid(1.0, 21, 2)
@@ -273,14 +289,14 @@ class TestRoaArea:
     def test_cell_multiplication(self):
         grid = verify.build_grid(1.0, 101, 2)   # spacing 0.02
         rows = np.arange(100)
-        result = roa.RoaResult(c=1.0, member_rows=rows, area=0.0)
+        result = roa.RoaResult(c=1.0, member_rows=rows, area=0.0, binding=None)
         assert roa.roa_area(result, grid) == pytest.approx(100 * 0.02 * 0.02)
 
     def test_projection_counts_shadow_once(self):
         grid = verify.build_grid(1.0, 5, 3)
         # column of cells stacked along axis 2 over the same (i, j) cell
         rows = [row_of(grid, [0, 0, k]) for k in (-1, 0, 1)]
-        result = roa.RoaResult(c=1.0, member_rows=np.array(rows), area=0.0)
+        result = roa.RoaResult(c=1.0, member_rows=np.array(rows), area=0.0, binding=None)
         assert roa.roa_area(result, grid) == pytest.approx(grid.spacing**2)
 
 
@@ -297,7 +313,8 @@ class TestMonteCarloConvergence:
 
     def test_empty_roa_vacuous(self):
         grid = verify.build_grid(1.0, 5, 2)
-        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0)
+        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0,
+                              binding=None)
         cand = QuadraticLyapunov(np.eye(2))
         check, = roa.monte_carlo_convergence(LinearSystem(2), [(empty, cand)], grid, 100,
                                              0.01, seed=0)
@@ -335,7 +352,8 @@ class TestStartStates:
         """Every draw, with rejections at the ball and at the level and with the
         fall-back to node centers, returns the listed draw's states bit for bit."""
         grid = verify.build_grid(1.0, 9, dim)
-        result = roa.RoaResult(c=c, member_rows=np.nonzero(~grid.boundary)[0], area=1.0)
+        result = roa.RoaResult(c=c, member_rows=np.nonzero(~grid.boundary)[0], area=1.0,
+                               binding=None)
         cand = QuadraticLyapunov(np.diag(np.arange(1.0, dim + 1.0)))
         states = roa._start_states(result, cand, grid, 300, 4)
         assert states.shape == (300, dim)
@@ -388,7 +406,8 @@ class TestStackedGate:
         wide = roa.largest_level_set(all_green_map(grid, vbar), grid)
         narrow = roa.largest_level_set(
             with_flags(grid, vbar, np.linalg.norm(node_coords(grid), axis=1) < 0.8), grid)
-        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0)
+        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0,
+                              binding=None)
         flat = QuadraticLyapunov(np.diag([1.0, 0.5]))
         certificates = [(wide, cand), (empty, cand), (narrow, cand), (narrow, flat)]
         stacked = roa.monte_carlo_convergence(CubicSystem(2), certificates, grid, 100,
@@ -452,7 +471,8 @@ def shell_certificate(grid, inner, outer):
     at an unlimited level of a unit quadratic."""
     norms = np.linalg.norm(node_coords(grid), axis=1)
     rows = np.nonzero((norms >= inner) & (norms <= outer))[0]
-    return roa.RoaResult(c=1e300, member_rows=rows, area=1.0), QuadraticLyapunov(np.eye(grid.dim))
+    return (roa.RoaResult(c=1e300, member_rows=rows, area=1.0, binding=None),
+            QuadraticLyapunov(np.eye(grid.dim)))
 
 
 class TestConvergenceRule:

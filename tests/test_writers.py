@@ -89,7 +89,7 @@ class TestReferenceEquality:
         vmap = verify.ValidityMap(vbar, -vbar[::-1], rng.uniform(-1, 1, grid.n_nodes),
                                   rng.uniform(-1, 1, grid.n_nodes), rng.random(grid.n_nodes) < 0.3)
         members = np.sort(rng.choice(grid.n_nodes, size=grid.n_nodes // 3, replace=False))
-        result = roa.RoaResult(c=1.0, member_rows=members, area=0.0)
+        result = roa.RoaResult(c=1.0, member_rows=members, area=0.0, binding=None)
         assert_writers_match(vmap, grid, result)
 
     def test_blocks_stream_through_the_atomic_writer(self, pendulum, tmp_path):
