@@ -92,7 +92,7 @@ bowl init (`net.shaped_init`) at the preset's d0:
 - `ms_per_1e4_nodes`: milliseconds per 10^4 grid nodes of `build_grid`,
   `check_validity` (`sweep`), the `estimate_lipschitz` part of that sweep
   (`lipschitz`, fed the map's Lie values as both of its node arrays: its time
-  follows the grid's neighbor table, not the values), `largest_level_set`
+  follows the grid's face-neighbor lookup, not the values), `largest_level_set`
   (`level_set`), `export_validity_csv` (`validity_csv`),
   `render_validity_svg` without and with the level set (`validity_svg`,
   `overlay_svg`) and `export_boundary_csv` (`boundary_csv`), each writer's

@@ -46,7 +46,7 @@ MEMORY_BUDGET = 2_000_000_000
 # radius walks the schedule round by round.
 MAX_ROUNDS = 1_000
 # A region radius (verify.d0, a checkpoint's radius): `verify.build_grid` sums the squares
-# of node coordinates up to the radius plus its collar over at most 13 axes (3 ** 14 box
+# of node coordinates up to the radius plus its collar over at most 15 axes (3 ** 16 box
 # nodes are over the memory budget). At 1e155 they overflow: a 2-d grid keeps 561 of 31,877.
 MAX_RADIUS = 1e150
 # The nominal tuples, pendulum (l, m, g, b) and fan (m, J, r, g, d), at which
@@ -310,10 +310,10 @@ def peak_bytes(cfg: ExperimentConfig) -> dict[str, int]:
     resident set between two sizes in fresh processes on one BLAS thread, rounded up."""
     d, units, m, nlf = cfg.architecture().input_dim, sum(cfg.hidden), cfg.meta, cfg.nlf
     return {
-        # per box node: 34-89 B in 1 to 6 dimensions, 106 B in 2-d for `compare`'s one map
-        # at a time; at 3 nodes per axis most are kept, each with 24 d B of tables
+        # per box node: 13-72 B in 1 to 6 dimensions, 98 B in 2-d for `compare`'s one map
+        # at a time; a kept node's index takes 1 B per axis, and every box node 4 B of row
         "grid, map and level set (verify.nodes_per_axis)":
-            cfg.verify.nodes_per_axis ** d * (112 + 24 * d),
+            cfg.verify.nodes_per_axis ** d * (106 + d),
         # `compare` rolls out four certificates at once: 854 / 2,679 / 6,332 B per sample
         # at (16, 16) in 2 / 6 / 14 dimensions, and 6.7 B more per hidden unit in 2-d
         "Monte-Carlo gate (roa.mc_samples)": cfg.roa.mc_samples * (4 * (64 + 120 * d) + 8 * units),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .control import SingularSystem, solve_discrete_lyapunov
 from .dynamics import MAX_RK4_STEPS, ClosedLoopSystem, simulate_batch
-from .verify import GridSpec, ValidityMap
+from .verify import BLOCK, GridSpec, ValidityMap
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,22 +36,25 @@ class RoaResult:
 
 
 def _origin_component(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Restrict member rows to the origin's face-adjacent component, found breadth
-    first; a neighbor column maps distinct nodes to distinct neighbors, except that
-    an absent neighbor is the node itself, which is already reached."""
-    member = np.zeros(grid.n_nodes, dtype=bool)
-    member[rows] = True
-    reached = np.zeros(grid.n_nodes, dtype=bool)
-    reached[grid.origin_row] = True
+    """Member rows in the origin's face-adjacent component: all when each but the origin
+    has a member face neighbor nearer it (lattice l1), else breadth first by frontiers."""
+    tag = np.full(grid.n_nodes, -2, dtype=np.int8)   # -2 off the rows, -1 a row, 0 reached
+    tag[rows] = -1
+    tag[grid.origin_row] = 0
+    for block in np.split(rows, range(BLOCK, rows.size, BLOCK)):
+        index = grid.index.take(block, axis=0).T   # the -axis step nears the origin above half
+        nearer = np.stack((index > grid.nodes_per_axis // 2, index < grid.nodes_per_axis // 2))
+        if not np.all(((tag[grid.face_neighbors(block)] > -2) & nearer).any(axis=(0, 1))
+                      | (block == grid.origin_row)):
+            break
+    else:
+        return np.nonzero(tag > -2)[0]
     frontier = np.array([grid.origin_row])
-    while frontier.size:
-        found = []
-        for nb in grid.neighbors[frontier].T:
-            nb = nb[member[nb] & ~reached[nb]]
-            reached[nb] = True   # before the next column looks, so no frontier repeats a node
-            found.append(nb)
-        frontier = np.concatenate(found)
-    return np.nonzero(reached)[0]
+    while frontier.size:   # an absent neighbor is the node itself, already reached
+        nb = grid.face_neighbors(frontier).ravel()
+        frontier = np.unique(nb[tag[nb] == -1])
+        tag[frontier] = 0
+    return np.nonzero(tag == 0)[0]
 
 
 def largest_level_set(vmap: ValidityMap, grid: GridSpec) -> RoaResult:

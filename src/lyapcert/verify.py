@@ -45,10 +45,10 @@ class GridSpec:
     dim: int
     spacing: float
     tau: float
-    index: np.ndarray           # (n, dim) position of each node coordinate in axis_coords
+    index: np.ndarray           # (n, dim) position of each node coordinate in axis_coords, unsigned
     origin_row: int
     boundary: np.ndarray        # (n,) collar node or a missing face neighbor
-    neighbors: np.ndarray       # (n, 2 dim) -axis k neighbor in column 2k, +axis k in 2k+1, or self
+    box_rows: np.ndarray        # (nodes_per_axis ** dim,) int32 row of a box node, -1 off the grid
     exempt: np.ndarray          # (n,) the origin and the nodes within the exemption radius
     plane: tuple[int, int]      # the state plane areas are measured and maps drawn on
 
@@ -69,60 +69,58 @@ class GridSpec:
     def coords(self, rows) -> np.ndarray:
         """Coordinates of the given rows: node r's coordinate k is axis_coords[index[r, k]],
         the same bits as (index[r, k] - half) * spacing."""
-        return self.axis_coords[self.index[rows]]
+        return self.axis_coords.take(self.index[rows])
+
+    def face_neighbors(self, rows: np.ndarray) -> np.ndarray:
+        """(2, dim, len(rows)) rows of the rows' face neighbors, -axis k at [0, k] and +axis k
+        at [1, k]; an absent one, a step off the box included, is the node's own row."""
+        strides = self.nodes_per_axis ** np.arange(self.dim - 1, -1, -1)
+        index = self.index.take(rows, axis=0).T
+        keys = (strides.astype(float) @ index).astype(np.int64)   # exact: keys are below 2 ** 53
+        on_box = index != np.array([0, self.nodes_per_axis - 1], index.dtype)[:, None, None]
+        found = self.box_rows[np.where(on_box, keys + strides[:, None] * [[[-1]], [[1]]], keys)]
+        return np.where(found < 0, rows, found)
 
 
 def build_grid(radius: float, nodes_per_axis: int, dim: int, exempt_radius: float = 0.0,
                plane: tuple[int, int] = (0, 1)) -> GridSpec:
-    """Uniform odd-count lattice over [-d, d]^dim, clipped to the ball plus a
-    half-cell collar, with its exempt nodes (|p|_2 <= exempt_radius, and the
-    origin) and its plane: the given one above two dimensions, (0, 1) at two
-    and below.
+    """Uniform odd-count lattice over [-d, d]^dim, clipped to the ball plus a half-cell
+    collar, with its exempt nodes (|p|_2 <= exempt_radius, and the origin) and its plane:
+    the given one above two dimensions, (0, 1) at two and below.
 
     The collar (nodes with |p|_2 in (d, d + sqrt(dim) h/2]) is what makes the
     covering radius exactly tau = sum_i h_i/2: the componentwise-nearest node
     of any x in D is then always present. Collar nodes belong to the boundary
     layer, so they are checked but can never join a sublevel set.
 
-    The box is enumerated in row order (first axis slowest), SLAB consecutive
-    box nodes at a time, and only the ball and collar nodes are kept, so memory
-    follows the ball's node count and not the box's. The kept nodes' flat box
-    indices are sorted, so a face neighbor's row is found by binary search.
+    The box is enumerated in row order, SLAB nodes at a time, and only the ball and collar
+    nodes are kept, index in the narrowest unsigned type, rows in an int32 box table.
     """
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
     collar = radius + np.sqrt(dim) * spacing / 2.0
     slack = 1e-12 * radius   # rounding allowance on the norms, relative like them
-    box = (nodes_per_axis,) * dim
-    kept = []
-    for start in range(0, nodes_per_axis**dim, SLAB):
-        flat = np.arange(start, min(start + SLAB, nodes_per_axis**dim))
-        index = np.stack(np.unravel_index(flat, box), axis=1)
+    box_rows = np.full(nodes_per_axis**dim, -1, dtype=np.int32)
+    kept, n_kept = [], 0
+    for start in range(0, box_rows.size, SLAB):
+        flat = np.arange(start, min(start + SLAB, box_rows.size))
+        index = np.stack(np.unravel_index(flat, (nodes_per_axis,) * dim), axis=1)
         norms = np.linalg.norm((index - half) * spacing, axis=1)
         inside = norms <= collar + slack
+        box_rows[flat[inside]] = np.arange(n_kept, n_kept := n_kept + np.count_nonzero(inside))
         norms = norms[inside]
-        kept.append((flat[inside], index[inside], norms > radius + slack, norms <= exempt_radius))
-    flat, index, boundary, exempt = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
-    del kept
-
-    strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    rows = np.arange(flat.size)[:, None]   # an absent neighbor is the node itself
-    neighbors = np.array(np.broadcast_to(rows, (flat.size, 2 * dim)), order="F")   # by column
-    for axis in range(dim):
-        target = flat + strides[axis]
-        up = np.minimum(np.searchsorted(flat, target), flat.size - 1)
-        src = np.nonzero((flat[up] == target) & (index[:, axis] < 2 * half))[0]
-        neighbors[src, 2 * axis + 1] = up[src]
-        neighbors[up[src], 2 * axis] = src   # v is u's -axis neighbor when u is v's +axis one
-    boundary |= (neighbors == rows).any(axis=1)
-    origin_row = int(np.searchsorted(flat, half * strides.sum()))
+        kept.append((index[inside].astype(np.min_scalar_type(nodes_per_axis - 1)),
+                     norms > radius + slack, norms <= exempt_radius))
+    index, boundary, exempt = (np.concatenate(part) for part in zip(*kept))   # boundary: collar
+    origin_row = int(box_rows[box_rows.size // 2])   # the box's centre node
     exempt[origin_row] = True
-    return GridSpec(
-        radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim,
-        spacing=float(spacing), tau=float(dim * spacing / 2.0), index=index,
-        origin_row=origin_row, boundary=boundary, neighbors=neighbors, exempt=exempt,
-        plane=plane if dim > 2 else (0, 1),
-    )
+    grid = GridSpec(radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim,
+                    spacing=float(spacing), tau=float(dim * spacing / 2.0), index=index,
+                    origin_row=origin_row, boundary=boundary, box_rows=box_rows, exempt=exempt,
+                    plane=plane if dim > 2 else (0, 1))
+    for rows in np.split(np.arange(n_kept), range(BLOCK, n_kept, BLOCK)):   # absent: u itself
+        boundary[rows] |= (grid.face_neighbors(rows) == rows).any(axis=(0, 1))
+    return grid
 
 
 def estimate_lipschitz(grad_inf, lie, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -130,21 +128,21 @@ def estimate_lipschitz(grad_inf, lie, grid: GridSpec) -> tuple[np.ndarray, np.nd
 
     `grad_inf` and `lie` are the l-infinity norm of the candidate's gradient
     and its Lie derivative at every grid node. K_V(u) is the largest of
-    grad_inf at u and its face neighbors, K_Vdot(u) the largest
-    Lie-derivative difference quotient between u and a face neighbor, taken
-    BLOCK nodes and one neighbor column at a time. The covering argument only
-    needs the constant on a node's cell, so flat regions are not punished for
-    steep ones (a global constant fails an elongated quadratic all along its
-    flat axis). These are sample estimates, not bounds. An infinite Lie value
-    gives its node a NaN K_Vdot (inf - inf) and its neighbors an infinite one.
+    grad_inf at u and its face neighbors, K_Vdot(u) the largest Lie-derivative
+    difference quotient between u and a face neighbor, taken BLOCK nodes and their
+    neighbors at a time (an absent neighbor is u itself: no maximum moves). The
+    covering argument only needs the constant on a node's cell, so flat regions are
+    not punished for steep ones (a global constant fails an elongated quadratic all
+    along its flat axis). These are sample estimates, not bounds. An infinite Lie
+    value gives its node a NaN K_Vdot (inf - inf) and its neighbors an infinite one.
     """
-    k_v, k_lie = grad_inf.copy(), np.zeros(grid.n_nodes)
+    k_v, k_lie = np.empty(grid.n_nodes), np.empty(grid.n_nodes)
     with np.errstate(invalid="ignore"):   # inf - inf
         for start in range(0, grid.n_nodes, BLOCK):
             block = slice(start, start + BLOCK)
-            for nb in grid.neighbors[block].T:   # an absent neighbor is u itself: no maximum moves
-                np.maximum(k_v[block], grad_inf[nb], out=k_v[block])
-                np.maximum(k_lie[block], np.abs(lie[block] - lie[nb]), out=k_lie[block])
+            nb = grid.face_neighbors(np.arange(start, min(start + BLOCK, grid.n_nodes)))
+            np.maximum(grad_inf[block], grad_inf[nb].max(axis=(0, 1)), out=k_v[block])
+            np.abs(lie[block] - lie[nb]).max(axis=(0, 1), out=k_lie[block])
     # rounding is monotone, so scaling the largest difference gives the largest quotient
     return k_v * SAFETY, k_lie * (1.0 / grid.spacing) * SAFETY
 

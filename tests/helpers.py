@@ -80,7 +80,7 @@ def gate_case(preset, length=None):
 
 def lattice_points(grid):
     """(n, dim) integer lattice point of each node: its axis index less half the axis."""
-    return grid.index - grid.nodes_per_axis // 2
+    return grid.index.astype(np.int64) - grid.nodes_per_axis // 2
 
 
 def node_coords(grid):
@@ -109,38 +109,49 @@ def reference_gradient(candidate, X):
 
 def reference_build_grid(radius, nodes_per_axis, dim, exempt_radius=0.0, plane=(0, 1)):
     """build_grid from the whole box: every box node is made, then clipped to the
-    ball plus collar, and both face neighbors on each axis are looked up in a
-    box-sized row table; a node with no face neighbor on a side holds its own row.
-    A node is exempt when its coordinates' norm is at most exempt_radius, and the
-    origin is."""
+    ball plus collar, and the kept ones are numbered in a box-sized row table; a node
+    is in the boundary layer when it is in the collar or one of its face neighbors
+    (reference_face_neighbors) is missing. A node is exempt when its coordinates'
+    norm is at most exempt_radius, and the origin is."""
     half = (nodes_per_axis - 1) // 2
     spacing = radius / half
     mesh = np.meshgrid(*([np.arange(nodes_per_axis)] * dim), indexing="ij")
     index = np.stack([m.reshape(-1) for m in mesh], axis=1)
     norms = np.linalg.norm((index - half) * spacing, axis=1)
     inside = norms <= radius + np.sqrt(dim) * spacing / 2.0 + 1e-12
-    full_rows = np.full(nodes_per_axis**dim, -1, dtype=np.int64)
-    full_rows[inside] = np.arange(int(inside.sum()))
+    box_rows = np.full(nodes_per_axis**dim, -1, dtype=np.int32)
+    box_rows[inside] = np.arange(int(inside.sum()))
     index, norms = index[inside], norms[inside]
-    strides = np.array([nodes_per_axis**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    flat = index @ strides
-    neighbors = np.empty((index.shape[0], 2 * dim), dtype=np.int64)
-    for axis in range(dim):
-        neighbors[:, 2 * axis] = np.where(index[:, axis] == 0, -1,
-                                          full_rows[np.maximum(flat - strides[axis], 0)])
-        neighbors[:, 2 * axis + 1] = np.where(
-            index[:, axis] == 2 * half, -1,
-            full_rows[np.minimum(flat + strides[axis], full_rows.size - 1)])
-    missing = neighbors < 0
-    neighbors[missing] = np.nonzero(missing)[0]
-    boundary = (norms > radius + 1e-12) | missing.any(axis=1)
-    origin_row = int(full_rows[np.full(dim, half) @ strides])
+    origin_row = int(box_rows[np.ravel_multi_index((half,) * dim, (nodes_per_axis,) * dim)])
     exempt = norms <= exempt_radius
     exempt[origin_row] = True
-    return verify.GridSpec(
+    grid = verify.GridSpec(
         radius=float(radius), nodes_per_axis=nodes_per_axis, dim=dim, spacing=float(spacing),
-        tau=float(dim * spacing / 2.0), index=index, origin_row=origin_row, boundary=boundary,
-        neighbors=neighbors, exempt=exempt, plane=plane if dim > 2 else (0, 1))
+        tau=float(dim * spacing / 2.0), index=index.astype(np.min_scalar_type(nodes_per_axis - 1)),
+        origin_row=origin_row, boundary=norms > radius + 1e-12, box_rows=box_rows,
+        exempt=exempt, plane=plane if dim > 2 else (0, 1))
+    own = reference_face_neighbors(grid) == np.arange(grid.n_nodes)
+    grid.boundary[own.any(axis=(0, 1))] = True
+    return grid
+
+
+def reference_face_neighbors(grid):
+    """(2, dim, n) face neighbor rows, -axis k at [0, k] and +axis k at [1, k], from
+    the lattice point one step away, looked up in a box-sized row table made from the
+    grid's index alone; a node with no face neighbor on a side holds its own row."""
+    n, dim = grid.nodes_per_axis, grid.dim
+    index = grid.index.astype(np.int64)
+    strides = np.array([n**(dim - 1 - k) for k in range(dim)], dtype=np.int64)
+    flat = index @ strides
+    full_rows = np.full(n**dim, -1, dtype=np.int64)
+    full_rows[flat] = np.arange(grid.n_nodes)
+    neighbors = np.empty((2, dim, grid.n_nodes), dtype=np.int64)
+    for axis in range(dim):
+        neighbors[0, axis] = np.where(index[:, axis] == 0, -1,
+                                      full_rows[np.maximum(flat - strides[axis], 0)])
+        neighbors[1, axis] = np.where(index[:, axis] == n - 1, -1,
+                                      full_rows[np.minimum(flat + strides[axis], n**dim - 1)])
+    return np.where(neighbors < 0, np.arange(grid.n_nodes), neighbors)
 
 
 def reference_check_validity(candidate, system, grid, exempt_radius=0.0):

@@ -353,9 +353,10 @@ baselines.compare(cfg)
 
 def test_compare_holds_one_validity_map_at_a_time():
     """From 301^2 to 501^2 box nodes, `compare` grows the peak resident set by less
-    than the memory budget's grid estimate (`config.peak_bytes`, 160 B per box node in
+    than the memory budget's grid estimate (`config.peak_bytes`, 108 B per box node in
     2-d): 134 B measured with one validity map held at a time (106 B since grid nodes
-    store no coordinates), while keeping all four methods' maps to the end took 183 B."""
+    store no coordinates, 98-100 B since a box row table replaced the face-neighbor
+    table), while keeping all four methods' maps to the end took 183 B."""
     growth = (peak_kb(COMPARE_PEAK, 501) - peak_kb(COMPARE_PEAK, 301)) * 1024
     cfg = small_config()
     grids = [replace(cfg, verify=replace(cfg.verify, nodes_per_axis=n)) for n in (301, 501)]

@@ -299,25 +299,25 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides, block, key, at_cap, step, stage", [
         # each stage of config.peak_bytes grown alone on the 2-d mini config
-        pytest.param({}, "verify", "nodes_per_axis", 3535, 2, "grid", id="grid-2d"),
-        pytest.param({"system": microgrid_block(3)}, "verify", "nodes_per_axis", 221, 2, "grid",
+        pytest.param({}, "verify", "nodes_per_axis", 4303, 2, "grid", id="grid-2d"),
+        pytest.param({"system": microgrid_block(3)}, "verify", "nodes_per_axis", 263, 2, "grid",
                      id="grid-3d"),
-        pytest.param({}, "roa", "mc_samples", 1_561_604, 1, "Monte-Carlo gate", id="gate"),
-        pytest.param({}, "nlf", "n_samples", 13_880_949, 1, "NLF training set", id="nlf-set"),
-        pytest.param({}, "meta", "meta_steps", 11_357_176, 1, "loss curve", id="curve"),
+        pytest.param({}, "roa", "mc_samples", 1_561_870, 1, "Monte-Carlo gate", id="gate"),
+        pytest.param({}, "nlf", "n_samples", 13_883_318, 1, "NLF training set", id="nlf-set"),
+        pytest.param({}, "meta", "meta_steps", 11_359_115, 1, "loss curve", id="curve"),
         # the task family, (n_tasks + 1) x m_batches x (k_train + j_test) rows
         pytest.param({"meta": {"n_tasks": 20, "m_batches": 1, "tasks_per_step": 1}}, "meta",
-                     "j_test", 1_058_714, 1, "task family", id="family"),
+                     "j_test", 1_058_894, 1, "task family", id="family"),
         # one meta-step's widest call, tasks_per_step x max(2 k_train, j_test) rows
-        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "k_train", 524_910, 1,
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "k_train", 524_999, 1,
                      "gradient call", id="step-hvp"),
-        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "j_test", 976_005, 1,
+        pytest.param({"meta": {"tasks_per_step": 2}}, "meta", "j_test", 976_171, 1,
                      "gradient call", id="step-test"),
         # that call and an NLF batch at 400 hidden units, 33 kB a row
         pytest.param({"meta": {"tasks_per_step": 1}, "hidden": [400]}, "meta", "j_test",
-                     60_002, 1, "gradient call", id="step-units"),
+                     60_012, 1, "gradient call", id="step-units"),
         pytest.param({"nlf": {"n_samples": 100_000}, "hidden": [400]}, "nlf", "batch_size",
-                     60_090, 1, "gradient call", id="nlf-units"),
+                     60_100, 1, "gradient call", id="nlf-units"),
     ])
     def test_product_at_its_cap_parses_one_above_exits_2(self, tmp_path, capsys, monkeypatch,
                                                          overrides, block, key, at_cap, step,
@@ -360,14 +360,14 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_most_axes_the_budget_admits(self, tmp_path):
-        """At 3 nodes per axis, the fewest, the budget admits a 13-d grid and not a 14-d
-        one; over 13 axes the squared coordinates `verify.build_grid` sums stay finite
+        """At 3 nodes per axis, the fewest, the budget admits a 15-d grid and not a 16-d
+        one; over 15 axes the squared coordinates `verify.build_grid` sums stay finite
         up to MAX_RADIUS plus the collar (3 nodes per axis: spacing = radius). No grid
         is built."""
         def microgrid(n):
             return mini_config(tmp_path, system=microgrid_block(n),
                                verify={"d0": 3.0, "nodes_per_axis": 3, "exempt_radius": 0.9})
-        dim = 13
+        dim = 15
         assert load_config(microgrid(dim)).architecture().input_dim == dim
         with pytest.raises(ConfigError, match="verify.nodes_per_axis"):
             load_config(microgrid(dim + 1))
@@ -957,7 +957,7 @@ def test_infinite_lie_values_give_infinite_bounds(tmp_path):
     rows = [row_of(grid, (2, 2)), row_of(grid, (2, -2))]
     assert vmap.lie[rows].tolist() == [np.inf, -np.inf]
     assert not np.isnan(vmap.lie_high).any() and not np.isnan(vmap.vbar_low).any()
-    blocked = set(grid.neighbors[rows].ravel().tolist()) | set(rows)
+    blocked = set(grid.face_neighbors(np.array(rows)).ravel().tolist()) | set(rows)
     assert set(np.nonzero(vmap.lie_high == np.inf)[0].tolist()) == blocked
     worst = cli._worst_bounds(vmap, grid)["lie_high"]
     assert worst["bound"] == np.inf

@@ -284,6 +284,22 @@ class TestLargestLevelSet:
         np.testing.assert_array_equal(result.member_rows, expected)
         assert result.n_cells == len(path) and depth > 90   # face steps from the origin
 
+    @pytest.mark.parametrize("dim, nodes", [(2, 41), (3, 21)])
+    def test_tilted_bowl_and_a_stray_member_match_bfs(self, dim, nodes):
+        """Sublevel sets of a tilted bowl, where each member but the origin has a member
+        face neighbor nearer the origin, and the same sets with a stray member far out,
+        which has none, give the breadth-first reference's rows."""
+        grid = verify.build_grid(1.0, nodes, dim)
+        x = node_coords(grid)
+        vbar = np.sum(x**2, axis=1) + 1.5 * x[:, 0] * x[:, -1]
+        stray = row_of(grid, [nodes // 2 - 1] + [0] * (dim - 1))
+        for c in (0.05, 0.2):
+            assert vbar[stray] > c
+            for values in (vbar, np.where(np.arange(grid.n_nodes) == stray, 0.0, vbar)):
+                got = roa._origin_component(np.nonzero(values <= c)[0], grid)
+                np.testing.assert_array_equal(got, bfs_component(grid, values, c)[0])
+                assert stray not in got
+
 
 class TestRoaArea:
     def test_cell_multiplication(self):

@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from lyapcert.config import PRESETS, SystemBlock
 from lyapcert.dynamics import sample_ball
 
 from helpers import (ROOT, estimated_growth, lattice_points, node_coords, nominal_system,
-                     peak_kb, reference_build_grid, reference_check_validity, reference_gradient,
-                     row_of)
+                     peak_kb, reference_build_grid, reference_check_validity,
+                     reference_face_neighbors, reference_gradient, row_of)
 
 
 CERTIFY_PEAK = """
@@ -122,15 +122,20 @@ class TestBuildGrid:
         absolute 1e-12 exceeded the radius and kept the whole 441-node box."""
         tiny, unit = verify.build_grid(1e-13, 21, 2), verify.build_grid(1.0, 21, 2)
         assert tiny.n_nodes == unit.n_nodes < 21 ** 2
-        for field in ("index", "boundary", "exempt"):
+        for field in ("index", "boundary", "box_rows", "exempt"):
             np.testing.assert_array_equal(getattr(tiny, field), getattr(unit, field))
 
     def test_neighbors_are_face_adjacent(self):
+        """A present neighbor at [side, k] is the lattice point one step along axis k,
+        down for side 0 and up for side 1."""
         grid = verify.build_grid(1.0, 11, 2)
-        rows, cols = np.nonzero(grid.neighbors != np.arange(grid.n_nodes)[:, None])
+        rows = np.arange(grid.n_nodes)
+        side, axis, at = np.nonzero(grid.face_neighbors(rows) != rows)
         lattice = lattice_points(grid)
-        diff = np.abs(lattice[grid.neighbors[rows, cols]] - lattice[rows])
-        assert np.all(diff.sum(axis=1) == 1)
+        diff = lattice[grid.face_neighbors(rows)[side, axis, at]] - lattice[at]
+        step = np.zeros_like(diff)
+        step[np.arange(at.size), axis] = 2 * side - 1
+        np.testing.assert_array_equal(diff, step)
 
     @pytest.mark.parametrize("dim, nodes", [(1, 7), (2, 21), (3, 11), (4, 7)])
     def test_an_absent_neighbor_is_the_node_itself(self, dim, nodes):
@@ -140,40 +145,43 @@ class TestBuildGrid:
         grid = verify.build_grid(1.0, nodes, dim)
         rows = np.arange(grid.n_nodes)
         lattice = lattice_points(grid)
-        assert np.all(grid.neighbors >= 0)
-        own = grid.neighbors == rows[:, None]
-        for row, col in zip(*np.nonzero(own)):
+        neighbors = grid.face_neighbors(rows)
+        assert neighbors.dtype == np.intp and np.all(neighbors >= 0)
+        own = neighbors == rows
+        for side, axis, row in zip(*np.nonzero(own)):
             point = lattice[row].copy()
-            point[col // 2] += 1 if col % 2 else -1
+            point[axis] += 2 * side - 1
             assert row_of(grid, point) is None
         collar = np.linalg.norm(lattice * grid.spacing, axis=1) > 1.0 + 1e-12
-        np.testing.assert_array_equal(grid.boundary, collar | own.any(axis=1))
+        np.testing.assert_array_equal(grid.boundary, collar | own.any(axis=(0, 1)))
         some = np.random.default_rng(0).choice(rows, size=50)
         assert grid.coords(some).tobytes() == (lattice[some] * grid.spacing).tobytes()
 
     @pytest.mark.parametrize("dim, nodes", [(1, 7), (2, 21), (3, 11), (4, 7)])
     def test_neighbor_table_is_symmetric_and_complete(self, dim, nodes):
-        """Column 2k holds a node's -axis k neighbor and column 2k + 1 its +axis k
-        neighbor, each the lattice point one step away, and the one holds the other
-        in the opposite column; the node's own row is exactly where that point is off
-        the box or beyond the collar."""
+        """[0, k] holds a node's -axis k neighbor and [1, k] its +axis k neighbor, each
+        the lattice point one step away, and the one holds the other on the opposite
+        side; the node's own row is exactly where that point is off the box or beyond
+        the collar. Any subset of rows, in any order, gets its own rows' neighbors."""
         grid = verify.build_grid(1.0, nodes, dim)
         half = nodes // 2
         collar = 1.0 + np.sqrt(dim) * grid.spacing / 2.0
         rows = np.arange(grid.n_nodes)
         lattice = lattice_points(grid)
-        assert grid.neighbors.shape == (grid.n_nodes, 2 * dim)
+        neighbors = grid.face_neighbors(rows)
+        assert neighbors.shape == (2, dim, grid.n_nodes)
         for axis in range(dim):
-            for col, step in ((2 * axis, -1), (2 * axis + 1, 1)):
+            for side, step in ((0, -1), (1, 1)):
                 point = lattice.copy()
                 point[:, axis] += step
                 kept = ((np.abs(point[:, axis]) <= half)
                         & (np.linalg.norm(point * grid.spacing, axis=1) <= collar + 1e-12))
-                nb = grid.neighbors[:, col]
+                nb = neighbors[side, axis]
                 np.testing.assert_array_equal(nb != rows, kept)
                 np.testing.assert_array_equal(lattice[nb[kept]], point[kept])
-                partner = col + 1 if step < 0 else col - 1
-                np.testing.assert_array_equal(grid.neighbors[nb[kept], partner], rows[kept])
+                np.testing.assert_array_equal(neighbors[1 - side, axis, nb[kept]], rows[kept])
+        some = np.random.default_rng(1).permutation(grid.n_nodes)[:grid.n_nodes // 3]
+        np.testing.assert_array_equal(grid.face_neighbors(some), neighbors[:, :, some])
 
     @pytest.mark.parametrize("dim,nodes", [(1, 11), (2, 41), (3, 15)])
     def test_covering_property(self, dim, nodes):
@@ -229,11 +237,27 @@ class TestBuildGrid:
                               "plane"):
                     assert type(getattr(grid, field)) is type(getattr(ref, field))
                     assert getattr(grid, field) == getattr(ref, field), field
-                for field in ("index", "boundary", "neighbors", "exempt"):
+                for field in ("index", "boundary", "box_rows", "exempt"):
                     got, want = getattr(grid, field), getattr(ref, field)
                     assert got.dtype == want.dtype and got.shape == want.shape, field
                     assert got.tobytes() == want.tobytes(), field
+                rows = np.arange(grid.n_nodes)
+                assert grid.face_neighbors(rows).tobytes() == reference_face_neighbors(ref).tobytes()
         assert nodes**dim > verify.SLAB
+
+    @pytest.mark.parametrize("dim, nodes", [(1, 201), (1, 200_001), (2, 201), (3, 41), (4, 21),
+                                            (5, 15), (6, 9)])
+    def test_grid_arrays_take_a_narrow_index_and_an_int32_box_table(self, dim, nodes):
+        """The grid's arrays take, per kept node, one byte per axis of index (the
+        200,001-per-axis axis needs four) and one byte each of boundary and exempt
+        flags, and per box node the four bytes of its row; nothing else."""
+        grid = verify.build_grid(1.0, nodes, dim)
+        index_bytes = 1 if nodes <= 256 else 4
+        arrays = [getattr(grid, f.name) for f in fields(grid)
+                  if isinstance(getattr(grid, f.name), np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == (grid.n_nodes * (dim * index_bytes + 2)
+                                                  + nodes**dim * 4)
+        assert grid.index.dtype.kind == "u" and grid.box_rows.dtype == np.int32
 
 
 def star_constants(cand, system, grid):
@@ -516,7 +540,7 @@ class TestBlockSweep:
         rng = np.random.default_rng(5)
         grad_inf, lie = rng.random(grid.n_nodes), rng.normal(size=grid.n_nodes)
         blocked = verify.estimate_lipschitz(grad_inf, lie, grid)
-        nb = reference_build_grid(1.0, 101, 3).neighbors
+        nb = reference_face_neighbors(reference_build_grid(1.0, 101, 3)).reshape(6, -1).T
         present = nb != np.arange(grid.n_nodes)[:, None]
         star = np.where(present, grad_inf[nb], -np.inf).max(axis=1)
         quot = np.where(present, np.abs(lie[:, None] - lie[nb]) * (1.0 / grid.spacing), 0.0)
@@ -528,12 +552,14 @@ class TestBlockSweep:
     def test_peak_memory_per_box_node(self):
         """From 401^2 to 1201^2 pendulum box nodes, grid + map + level set of the
         committed (16, 16) checkpoint grow the peak resident set by less than the
-        memory budget's grid estimate (`config.peak_bytes`, 160 B per box node in 2-d):
+        memory budget's grid estimate (`config.peak_bytes`, 108 B per box node in 2-d):
         114 B measured with the slab-built grid and the block sweep; 99 B since the
         face-neighbor table replaced the face-pair list (116 B); 85 B since a node
         stores its integer index alone, against 103 B with stored coordinates in the
-        same session. Building the whole box and evaluating every node's (n, 16)
-        activations at once took 466 B."""
+        same session; 63 B since a box row table replaced the face-neighbor table and
+        the index takes a byte per axis, against 89 B with the table, measured alongside.
+        Building the whole box and evaluating every node's (n, 16) activations at once
+        took 466 B."""
         checkpoint = ROOT / "perfbench" / "data" / "meta_checkpoint.json"
         growth = (peak_kb(CERTIFY_PEAK, 1201, checkpoint, timeout=300)
                   - peak_kb(CERTIFY_PEAK, 401, checkpoint, timeout=300)) * 1024
@@ -543,10 +569,11 @@ class TestBlockSweep:
             f"{growth / (1201**2 - 401**2):.0f} B per added box node"
 
     def test_peak_memory_per_axis(self):
-        """At 3 nodes per axis most box nodes are kept, and a kept node's index and
-        neighbor tables take 24 B per axis: from a 10-d to a 12-d microgrid grid, with
-        its (16, 16) map and level set, the peak resident set grows by less than the
-        grid estimate (143 B per added box node measured, 406 B estimated)."""
+        """At 3 nodes per axis a kept node's index takes a byte per axis and every box
+        node four bytes of row: from a 10-d to a 12-d microgrid grid, with its (16, 16)
+        map and level set, the peak resident set grows by less than the grid estimate
+        (28 B per added box node measured, 118 B estimated; 148 B measured and 406 B
+        estimated when a kept node's index and face-neighbor table took 24 B per axis)."""
         growth = (peak_kb(AXES_PEAK, 12) - peak_kb(AXES_PEAK, 10)) * 1024
         cfg = PRESETS["mg3_dc12"]
         grids = [replace(cfg, system=SystemBlock("microgrid", (2.0,) * d, (2.0,) * d, (0.0,) * d),
