@@ -89,6 +89,10 @@ bowl init (`net.shaped_init`) at the preset's d0:
   (`verify.check_validity`), extracts the level set and writes the validity
   CSV and SVG through `cli.atomic_write_text`; `base_rss_mb` is that
   interpreter's peak before the grid is built, with the candidate made
+- `map_faults`: the minor page faults (`ru_minflt`) of a fresh interpreter's
+  second `check_validity` of the grid, after its first: what a later map of a
+  process (`train-meta`'s rounds, `compare`'s methods) pays for memory the
+  heap gave back
 - `ms_per_1e4_nodes`: milliseconds per 10^4 grid nodes of `build_grid`,
   `check_validity` (`sweep`), the `estimate_lipschitz` part of that sweep
   (`lipschitz`, fed the map's Lie values as both of its node arrays: its time
@@ -437,6 +441,18 @@ def cert_peak(name: str) -> tuple[int, int]:
     return base, peak_kb()
 
 
+def cert_map_faults(name: str) -> int:
+    """Minor page faults of a cert grid's second map, after its first, in one process;
+    called through `fresh`."""
+    candidate, system, cfg, radius, nodes = cert_case(name)
+    grid = HERE.verify.build_grid(radius, nodes, system.dim, cfg.verify.exempt_radius,
+                                  cfg.roa.plane)
+    HERE.verify.check_validity(candidate, system, grid)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    HERE.verify.check_validity(candidate, system, grid)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
 def cert_stages(tree: Tree, name: str) -> tuple[int, dict]:
     """A cert grid's node count and the calls of its stages, on one tree."""
     candidate, system, cfg, radius, per_axis = cert_case(name, tree)
@@ -458,15 +474,17 @@ def cert_stages(tree: Tree, name: str) -> tuple[int, dict]:
 
 def cert_suite(tree: Tree) -> tuple[dict, dict]:
     """The cert suite on one tree, laid out as `meta_step_suite`'s."""
-    timed, nodes, peak, base = {}, {}, {}, {}
+    timed, nodes, peak, base, faults = {}, {}, {}, {}, {}
     for name in CERT_CASES:
         base_kb, peak_kb = fresh(tree, "cert_peak", name)
         base[name], peak[name] = round(base_kb / 1024, 2), round(peak_kb / 1024, 2)
+        faults[name] = fresh(tree, "cert_map_faults", name)
         nodes[name], stages = cert_stages(tree, name)
         for stage, call in stages.items():
             timed["ms_per_1e4_nodes", name, stage] = (
                 call, lambda s, n=nodes[name]: round(1e3 * s * 1e4 / n, 3))
-    return timed, {"nodes": nodes, "peak_rss_mb": peak, "base_rss_mb": base}
+    return timed, {"nodes": nodes, "peak_rss_mb": peak, "base_rss_mb": base,
+                   "map_faults": faults}
 
 
 SUITES = {"cert": cert_suite, "gate": gate_suite, "init": init_suite,

@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -310,7 +310,7 @@ def peak_bytes(cfg: ExperimentConfig) -> dict[str, int]:
     resident set between two sizes in fresh processes on one BLAS thread, rounded up."""
     d, units, m, nlf = cfg.architecture().input_dim, sum(cfg.hidden), cfg.meta, cfg.nlf
     return {
-        # per box node: 13-72 B in 1 to 6 dimensions, 98 B in 2-d for `compare`'s one map
+        # per box node: 14-66 B in 1 to 6 dimensions, 72 B in 2-d for `compare`'s one map
         # at a time; a kept node's index takes 1 B per axis, and every box node 4 B of row
         "grid, map and level set (verify.nodes_per_axis)":
             cfg.verify.nodes_per_axis ** d * (106 + d),
@@ -322,7 +322,7 @@ def peak_bytes(cfg: ExperimentConfig) -> dict[str, int]:
         "gradient call (nlf.batch_size, nlf.n_samples, meta.tasks_per_step, meta.k_train, "
         "meta.j_test, hidden)":
             max(min(nlf.batch_size, nlf.n_samples), m.step_rows) * (82 * units + 128 + 48 * d),
-        # 48 / 304 / 664 B per sample in 2 / 6 / 14 dimensions
+        # 48 / 111 / 237 B per sample in 2 / 6 / 14 dimensions, its labels made in blocks
         "NLF training set (nlf.n_samples)": nlf.n_samples * (16 + 64 * d),
         # the family and one task's dataset, 16 d B a row each: 35 / 247 B per row in 2 / 14
         # dimensions at 20 tasks
@@ -377,17 +377,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    payload = asdict(cfg)
-
-    def listify(obj):
-        if isinstance(obj, tuple):
-            return [listify(v) for v in obj]
-        if isinstance(obj, dict):
-            return {k: listify(v) for k, v in obj.items()}
-        return obj
-
-    return listify(payload)
+def config_to_dict(value):
+    """A config as JSON data: a block as a dict of its fields in order, a tuple as a list."""
+    if hasattr(value, "__dataclass_fields__"):   # a block: it declares no ClassVar
+        return {name: config_to_dict(getattr(value, name)) for name in value.__dataclass_fields__}
+    return [config_to_dict(entry) for entry in value] if isinstance(value, tuple) else value
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -45,6 +45,7 @@ FAN_RC_DIAG = (1.0, 1.0)
 DIVERGENCE_NORM = 1e6
 # RK4 steps `simulate` may take (500x its default run) and the Monte-Carlo gate per row
 MAX_RK4_STEPS = 1_000_000
+LABEL_BLOCK = 2048   # rows `sample_labelled` labels at a time; it draws the states at once
 
 RING_ANGLE = np.pi / 2 - 0.1   # the admittance angle of every microgrid line
 
@@ -100,10 +101,10 @@ class ClosedLoopSystem:
 
     def _pendulum(self, X):
         l, m, g, b = self.values
-        theta, theta_dot = X[:, 0], X[:, 1]
-        u = -(X @ self.gain.T)[:, 0]
-        theta_ddot = (m * g * l * np.sin(theta) - b * theta_dot + u) / (m * l * l)
-        return np.stack([theta_dot, theta_ddot], axis=1)
+        x_dot = np.empty_like(X)   # one array, not a stack of columns; - K x is exactly + u
+        x_dot[:, 0] = theta_dot = X[:, 1]
+        x_dot[:, 1] = (m * g * l * np.sin(X[:, 0]) - b * theta_dot - (X @ self.gain.T)[:, 0]) / (m * l * l)
+        return x_dot
 
     def _microgrid(self, X):
         # in this order f(0) is +0.0; -dc o x - (P - P(0)) would give -0.0
@@ -112,15 +113,14 @@ class ClosedLoopSystem:
 
     def _fan(self, X):
         m, J, r, g, d = self.values
-        xd, yd = X[:, 1], X[:, 3]
-        th, thd = X[:, 4], X[:, 5]
-        U = -(X @ self.gain.T)  # (batch, 2)
-        u1, u2 = U[:, 0], U[:, 1]
-        sin_t, cos_t = np.sin(th), np.cos(th)
-        xdd = (-m * g * sin_t - d * xd + u1 * cos_t - u2 * sin_t) / m
-        ydd = (m * g * (cos_t - 1.0) - d * yd + u1 * sin_t + u2 * cos_t) / m
-        thdd = r * u1 / J
-        return np.stack([xd, xdd, yd, ydd, thd, thdd], axis=1)
+        u1, u2 = -(X @ self.gain.T).T
+        sin_t, cos_t = np.sin(X[:, 4]), np.cos(X[:, 4])
+        x_dot = np.empty_like(X)
+        x_dot[:, 0::2] = X[:, 1::2]   # xd, yd, thd
+        x_dot[:, 1] = (-m * g * sin_t - d * X[:, 1] + u1 * cos_t - u2 * sin_t) / m
+        x_dot[:, 3] = (m * g * (cos_t - 1.0) - d * X[:, 3] + u1 * sin_t + u2 * cos_t) / m
+        x_dot[:, 5] = r * u1 / J
+        return x_dot
 
     def linearization(self) -> np.ndarray:
         """The closed loop's Jacobian at the origin, in closed form: A - B K for the
@@ -228,7 +228,7 @@ def sample_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np
     direction = rng.normal(size=(n, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     r = radius * rng.random(n) ** (1.0 / dim)
-    return direction * r[:, None]
+    return np.multiply(direction, r[:, None], out=direction)
 
 
 def build_dataset(system: ClosedLoopSystem, radius: float, k_train: int, j_test: int,
@@ -249,7 +249,10 @@ def sample_labelled(system: ClosedLoopSystem, rng: np.random.Generator, n: int,
                     radius: float) -> tuple[np.ndarray, np.ndarray]:
     """n states uniform over the ball of the given radius, and their labels y = f(x)."""
     X = sample_ball(rng, n, system.dim, radius)
-    return X, system.f_batch(X)
+    Y = np.empty_like(X)
+    for start in range(0, n, LABEL_BLOCK):
+        Y[start:start + LABEL_BLOCK] = system.f_batch(X[start:start + LABEL_BLOCK])
+    return X, Y
 
 
 @dataclass(frozen=True, eq=False)

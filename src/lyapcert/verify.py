@@ -32,8 +32,8 @@ import numpy as np
 from .config import region_radii
 
 SAFETY = 1.2   # inflation of the sampled maxima into the Lipschitz constants
-SLAB = 1 << 16   # box nodes build_grid enumerates at a time
-BLOCK = 4096     # nodes the map's sweep, its constants and its writers take at a time
+SLAB = 1 << 13   # box nodes build_grid enumerates at a time
+BLOCK = 2048     # nodes the map's sweep, its constants and its writers take at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +77,10 @@ class GridSpec:
         strides = self.nodes_per_axis ** np.arange(self.dim - 1, -1, -1)
         index = self.index.take(rows, axis=0).T
         keys = (strides.astype(float) @ index).astype(np.int64)   # exact: keys are below 2 ** 53
-        on_box = index != np.array([0, self.nodes_per_axis - 1], index.dtype)[:, None, None]
-        found = self.box_rows[np.where(on_box, keys + strides[:, None] * [[[-1]], [[1]]], keys)]
+        steps, last = keys + strides[:, None] * [[[-1]], [[1]]], self.nodes_per_axis - 1
+        if index.size and not 0 < index.min() <= index.max() < last:   # a node on the box's edge
+            steps = np.where(index != np.array([0, last], index.dtype)[:, None, None], steps, keys)
+        found = self.box_rows[steps]
         return np.where(found < 0, rows, found)
 
 
@@ -144,7 +146,8 @@ def estimate_lipschitz(grad_inf, lie, grid: GridSpec) -> tuple[np.ndarray, np.nd
             np.maximum(grad_inf[block], grad_inf[nb].max(axis=(0, 1)), out=k_v[block])
             np.abs(lie[block] - lie[nb]).max(axis=(0, 1), out=k_lie[block])
     # rounding is monotone, so scaling the largest difference gives the largest quotient
-    return k_v * SAFETY, k_lie * (1.0 / grid.spacing) * SAFETY
+    k_v *= SAFETY
+    return k_v, np.multiply(np.multiply(k_lie, 1.0 / grid.spacing, out=k_lie), SAFETY, out=k_lie)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +185,7 @@ def check_validity(candidate, system, grid: GridSpec) -> ValidityMap:
     at a time: each block evaluates V and its gradient in one sweep, and f,
     into preallocated per-node arrays, and keeps of the gradient only its
     l-infinity norm, from which (with the Lie derivatives) the constants are
-    estimated. The map's exempt nodes are the grid's.
+    estimated; the bounds are made in the constants' arrays. The exempt nodes are the grid's.
     A bound that comes out NaN (an infinite Lie value at the node or NaN near
     it) bounds nothing, so it is +inf: the node's decrease check fails.
     """
@@ -195,12 +198,12 @@ def check_validity(candidate, system, grid: GridSpec) -> ValidityMap:
         np.subtract(values, v0, out=vbar[block])
         np.sum(grads * system.f_batch(X), axis=1, out=lie[block])
         np.max(np.abs(grads), axis=1, out=grad_inf[block])
-    k_v, k_lie = estimate_lipschitz(grad_inf, lie, grid)
+    vbar_low, lie_high = estimate_lipschitz(grad_inf, lie, grid)   # made the bounds in place
+    np.subtract(vbar, np.multiply(vbar_low, grid.tau, out=vbar_low), out=vbar_low)
     with np.errstate(invalid="ignore"):   # -inf + inf at a node whose Lie value is -inf
-        lie_high = lie + k_lie * grid.tau
+        np.add(lie, np.multiply(lie_high, grid.tau, out=lie_high), out=lie_high)
     lie_high[np.isnan(lie_high)] = np.inf
-    return ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
-                       lie_high=lie_high, exempt=grid.exempt)
+    return ValidityMap(vbar, lie, vbar_low, lie_high, grid.exempt)
 
 
 @dataclass(frozen=True, eq=False)

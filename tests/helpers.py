@@ -32,14 +32,20 @@ except OSError:
 """
 
 
-def peak_kb(script, *args, timeout=120):
-    """Peak resident set (KB) of a child Python process that runs `script` with
-    `args` as argv[1:], on one BLAS thread."""
+def child_int(script, *args, timeout=120):
+    """The integer a child Python process prints when it runs `script` with `args` as
+    argv[1:], on one BLAS thread."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", script + PEAK_PROBE, *map(str, args)],
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
+
+
+def peak_kb(script, *args, timeout=120):
+    """Peak resident set (KB) of a child Python process that runs `script` with
+    `args` as argv[1:], on one BLAS thread."""
+    return child_int(script + PEAK_PROBE, *args, timeout=timeout)
 
 
 def estimated_growth(stage, small, large):
@@ -167,6 +173,42 @@ def reference_check_validity(candidate, system, grid, exempt_radius=0.0):
     exempt[grid.origin_row] = True
     return verify.ValidityMap(vbar=vbar, lie=lie, vbar_low=vbar - k_v * grid.tau,
                               lie_high=lie + k_lie * grid.tau, exempt=exempt)
+
+
+def frozen_bounds(vbar, lie, grad_inf, grid):
+    """(vbar_low, lie_high) by the expressions of the map before its bounds were made in
+    place: the constants' star maxima over the whole-box neighbor table, then each
+    product and sum in a new array; a NaN upper bound is +inf."""
+    nb = reference_face_neighbors(grid)
+    with np.errstate(invalid="ignore"):   # inf - inf
+        k_v = np.maximum(grad_inf, grad_inf[nb].max(axis=(0, 1)))
+        k_lie = np.abs(lie - lie[nb]).max(axis=(0, 1))
+    k_v, k_lie = k_v * verify.SAFETY, k_lie * (1.0 / grid.spacing) * verify.SAFETY
+    with np.errstate(invalid="ignore"):   # -inf + inf
+        lie_high = lie + k_lie * grid.tau
+    lie_high[np.isnan(lie_high)] = np.inf
+    return vbar - k_v * grid.tau, lie_high
+
+
+def frozen_stacked_field(system, X):
+    """The pendulum's and the fan's x_dot as the columns' np.stack, before the fields
+    wrote one array; the microgrid's from the system."""
+    if system.system_id == "pendulum":
+        l, m, g, b = system.values
+        theta, theta_dot = X[:, 0], X[:, 1]
+        u = -(X @ system.gain.T)[:, 0]
+        theta_ddot = (m * g * l * np.sin(theta) - b * theta_dot + u) / (m * l * l)
+        return np.stack([theta_dot, theta_ddot], axis=1)
+    if system.system_id == "fan":
+        m, J, r, g, d = system.values
+        xd, yd, th, thd = X[:, 1], X[:, 3], X[:, 4], X[:, 5]
+        U = -(X @ system.gain.T)
+        u1, u2 = U[:, 0], U[:, 1]
+        sin_t, cos_t = np.sin(th), np.cos(th)
+        xdd = (-m * g * sin_t - d * xd + u1 * cos_t - u2 * sin_t) / m
+        ydd = (m * g * (cos_t - 1.0) - d * yd + u1 * sin_t + u2 * cos_t) / m
+        return np.stack([xd, xdd, yd, ydd, thd, r * u1 / J], axis=1)
+    return system.f_batch(X)
 
 
 def reference_validity_csv(vmap, grid) -> str:

@@ -271,7 +271,7 @@ def test_bench_suites_build():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "cert ['base_rss_mb', 'ms_per_1e4_nodes', 'nodes', 'peak_rss_mb']",
+        "cert ['base_rss_mb', 'map_faults', 'ms_per_1e4_nodes', 'nodes', 'peak_rss_mb']",
         "['boundary_csv', 'build_grid', 'level_set', 'lipschitz', 'overlay_svg', 'sweep', "
         "'validity_csv', 'validity_svg']",
         "gate ['adapt_certify_s', 'compare_mg3_s', 'mc_gate_ms', 'rollout_ns_per_state_step', "
