@@ -95,9 +95,7 @@ class ClosedLoopSystem:
         """x_dot for each row of the (n, dim) float array X."""
         if self.system_id == "pendulum":
             return self._pendulum(X)
-        if self.system_id == "microgrid":
-            return self._microgrid(X)
-        return self._fan(X)
+        return self._microgrid(X) if self.system_id == "microgrid" else self._fan(X)
 
     def _pendulum(self, X):
         l, m, g, b = self.values
@@ -180,16 +178,11 @@ def _open_loop_linearization(system_id: str, values) -> tuple[np.ndarray, np.nda
         B = np.array([[0.0], [1.0 / ml2]])
     else:
         m, J, r, g, d = values
-        A = np.zeros((6, 6))
-        A[0, 1] = 1.0
-        A[1, 1] = -d / m
+        A, B = np.zeros((6, 6)), np.zeros((6, 2))
+        A[0, 1] = A[2, 3] = A[4, 5] = 1.0
+        A[1, 1] = A[3, 3] = -d / m
         A[1, 4] = -g
-        A[2, 3] = 1.0
-        A[3, 3] = -d / m
-        A[4, 5] = 1.0
-        B = np.zeros((6, 2))
-        B[1, 0] = 1.0 / m
-        B[3, 1] = 1.0 / m
+        B[1, 0] = B[3, 1] = 1.0 / m
         B[5, 0] = r / J
     return A, B
 

@@ -59,12 +59,20 @@ def _one_task(batch) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.atleast_2d(np.asarray(a, dtype=float))[None] for a in batch)
 
 
-def _forward_sweep(weights, X: np.ndarray):
+def _kept(work: dict | None, key, shape: tuple) -> np.ndarray | None:
+    """work[key]'s leading rows as a `shape` array, made on first use and kept for a block
+    sweep's next blocks; None, a fresh result, without `work`."""
+    if work is not None and (key not in work or len(work[key][0]) < shape[1]):
+        work[key] = np.empty(shape)
+    return None if work is None else work[key][:, :shape[1]]
+
+
+def _forward_sweep(weights, X: np.ndarray, work: dict | None = None):
     """Primal pass; returns (V (B, n), activations [A_0..A_{L-1}]) with A_0 = X, each
-    layer's bias add and tanh in place."""
+    layer's bias add and tanh in place, into `work`'s kept arrays when given."""
     acts = [X]
     for l, (W, b) in enumerate(weights):
-        Z = acts[l] @ W.transpose(0, 2, 1)
+        Z = np.matmul(acts[l], W.transpose(0, 2, 1), out=_kept(work, l, X.shape[:2] + W.shape[1:2]))
         Z += b
         if l == len(weights) - 1:
             return Z[..., 0], acts
@@ -81,11 +89,11 @@ def _tanh_primes(acts, sp_out=None) -> list:
     return sps
 
 
-def _input_gradient(weights, sps) -> np.ndarray:
-    # ones (n, 1) @ W_out is W_out exactly, so the sweep starts from W_out itself
-    delta = weights[-1][0] * sps[-1]
+def _input_gradient(weights, sps, work: dict | None = None) -> np.ndarray:
+    # ones (n, 1) @ W_out is W_out exactly, so the sweep starts from W_out (in sps[-1] with work)
+    delta = np.multiply(weights[-1][0], sps[-1], out=None if work is None else sps[-1])
     for l in range(len(weights) - 2, 0, -1):
-        delta = delta @ weights[l][0]
+        delta = np.matmul(delta, weights[l][0], out=_kept(work, -l, sps[l].shape))
         delta *= sps[l]
     return delta @ weights[0][0]
 
@@ -305,11 +313,11 @@ class MlpLyapunov:
     def gradient(self, X: np.ndarray) -> np.ndarray:
         return self.value_and_gradient(X)[1]
 
-    def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """V and grad_x V from one forward sweep; V is bit for bit `value(X)`. Nothing
-        reads the hidden activations again, so tanh' overwrites them."""
-        V, acts = _forward_sweep(self._weights, np.atleast_2d(X)[None])
-        return V[0], _input_gradient(self._weights, _tanh_primes(acts, acts[1:]))[0]
+    def value_and_gradient(self, X: np.ndarray, work: dict | None = None):
+        """V and grad_x V from one forward sweep; V is bit for bit `value(X)`. tanh' overwrites
+        the activations; with `work` they are kept there for the next call, V a view of one."""
+        V, acts = _forward_sweep(self._weights, np.atleast_2d(X)[None], work)
+        return V[0], _input_gradient(self._weights, _tanh_primes(acts, acts[1:]), work)[0]
 
 
 def checkpoint_payload(theta, arch: Architecture, extra: dict | None = None) -> dict:

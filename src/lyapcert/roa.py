@@ -83,8 +83,7 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec) -> RoaResult:
 def roa_area(result: RoaResult, grid: GridSpec) -> float:
     """Nonempty member-cell area: full-dimensional for dim <= 2, the plane's shadow above."""
     if grid.dim > 2:
-        shadow = _plane_image(result, grid)
-        return float(np.count_nonzero(shadow) * grid.spacing**2)
+        return float(np.count_nonzero(_plane_image(result, grid)) * grid.spacing**2)
     return float(result.n_cells * grid.cell_volume)
 
 

@@ -9,9 +9,9 @@ value Vbar = V - V(0) and lie_high above the Lie derivative. Node u passes
 when vbar_low(u) > 0 and lie_high(u) < 0, so the conditions hold on its cell.
 The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau.
 
-Candidates are anything with batched `value(X)` and `value_and_gradient(X)`
-methods (the MLP wrapper and the quadratic baseline both qualify), so every
-method in the package is certified by this same code path.
+Candidates are anything with batched `value(X)` and `value_and_gradient(X, work)`
+methods (`work` a dict the blocks of one sweep share, for arrays a candidate keeps; the
+MLP wrapper and the quadratic baseline both qualify), so every method is certified alike.
 
 The checks near the origin are vacuous by construction: Vbar(0) = 0 and V is
 K_V-Lipschitz, so nodes with |u|_1 <= tau can never have vbar_low > 0, for
@@ -77,10 +77,8 @@ class GridSpec:
         strides = self.nodes_per_axis ** np.arange(self.dim - 1, -1, -1)
         index = self.index.take(rows, axis=0).T
         keys = (strides.astype(float) @ index).astype(np.int64)   # exact: keys are below 2 ** 53
-        steps, last = keys + strides[:, None] * [[[-1]], [[1]]], self.nodes_per_axis - 1
-        if index.size and not 0 < index.min() <= index.max() < last:   # a node on the box's edge
-            steps = np.where(index != np.array([0, last], index.dtype)[:, None, None], steps, keys)
-        found = self.box_rows[steps]
+        on_box = index != np.array([0, self.nodes_per_axis - 1], index.dtype)[:, None, None]
+        found = self.box_rows[np.where(on_box, keys + strides[:, None] * [[[-1]], [[1]]], keys)]
         return np.where(found < 0, rows, found)
 
 
@@ -180,24 +178,26 @@ class ValidityMap:
 def check_validity(candidate, system, grid: GridSpec) -> ValidityMap:
     """Bound Vbar from below and the Lie derivative from above on every node's cell.
 
-    The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau, with
-    the per-node constants of estimate_lipschitz. The nodes are swept BLOCK
-    at a time: each block evaluates V and its gradient in one sweep, and f,
-    into preallocated per-node arrays, and keeps of the gradient only its
-    l-infinity norm, from which (with the Lie derivatives) the constants are
-    estimated; the bounds are made in the constants' arrays. The exempt nodes are the grid's.
+    The bounds are Vbar(u) - K_V(u) * tau and Lie(u) + K_Vdot(u) * tau, with the per-node
+    constants of estimate_lipschitz. The nodes are swept BLOCK at a time: each block
+    evaluates V and its gradient in one sweep (in arrays the candidate keeps in `work` for
+    the next block), and f, into preallocated per-node arrays, and keeps of the gradient only
+    its l-infinity norm, from which (with the Lie derivatives) the constants are estimated;
+    the bounds are made in the constants' arrays. The exempt nodes are the grid's.
     A bound that comes out NaN (an infinite Lie value at the node or NaN near
     it) bounds nothing, so it is +inf: the node's decrease check fails.
     """
     v0 = float(candidate.value(np.zeros((1, grid.dim)))[0])
     vbar, lie, grad_inf = (np.empty(grid.n_nodes) for _ in range(3))
+    work = {}
     for start in range(0, grid.n_nodes, BLOCK):
         block = slice(start, start + BLOCK)
         X = grid.coords(block)
-        values, grads = candidate.value_and_gradient(X)
+        values, grads = candidate.value_and_gradient(X, work)
         np.subtract(values, v0, out=vbar[block])
         np.sum(grads * system.f_batch(X), axis=1, out=lie[block])
         np.max(np.abs(grads), axis=1, out=grad_inf[block])
+    del work   # freed before the constants, which may take its memory
     vbar_low, lie_high = estimate_lipschitz(grad_inf, lie, grid)   # made the bounds in place
     np.subtract(vbar, np.multiply(vbar_low, grid.tau, out=vbar_low), out=vbar_low)
     with np.errstate(invalid="ignore"):   # -inf + inf at a node whose Lie value is -inf

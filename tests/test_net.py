@@ -97,6 +97,25 @@ class TestInputGradient:
             ])
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("hidden", [(16, 16), (6, 5, 4)])
+    def test_kept_block_arrays_change_nothing(self, hidden):
+        """Blocks swept with one `work` dict, the last one short, give the bits of fresh
+        arrays, and every block after the first makes no new array in it."""
+        rng = np.random.default_rng(5)
+        arch = net.Architecture(3, hidden)
+        candidate = net.MlpLyapunov(net.init_params(arch, 2), arch)
+        X, work = rng.uniform(-2.0, 2.0, size=(700, 3)), {}
+        for start in range(0, len(X), 256):
+            V, grad = candidate.value_and_gradient(X[start:start + 256], work)
+            kept = {key: id(array) for key, array in work.items()}
+            V_fresh, grad_fresh = candidate.value_and_gradient(X[start:start + 256])
+            assert V.tobytes() == V_fresh.tobytes() and grad.tobytes() == grad_fresh.tobytes()
+            if start:
+                assert kept == first
+            else:
+                first = kept
+        assert len(first) == 2 * len(hidden)
+
 
 class TestLossGradient:
     def test_flat_region_zero_gradient(self):
