@@ -60,9 +60,9 @@ def _one_task(batch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kept(work: dict | None, key, shape: tuple) -> np.ndarray | None:
-    """work[key]'s leading rows as a `shape` array, made on first use and kept for a block
-    sweep's next blocks; None, a fresh result, without `work`."""
-    if work is not None and (key not in work or len(work[key][0]) < shape[1]):
+    """work[key]'s leading rows as a `shape` array, made on a block sweep's first (and
+    largest) block and kept for its next ones; None, a fresh result, without `work`."""
+    if work is not None and key not in work:
         work[key] = np.empty(shape)
     return None if work is None else work[key][:, :shape[1]]
 
