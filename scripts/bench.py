@@ -35,7 +35,6 @@ radius 3.2):
   `meta.meta_train` run right after the bowl init, as `train-meta` runs it, in
   a fresh interpreter on the tree's `src` (fault counts follow the heap's
   history, so a second tree in this process would not read its own)
-- `shaped_init_s`: seconds per `net.shaped_init` at that radius
 - `train_meta_s`: wall seconds of one `lyapcert train-meta --seed 101` on that
   config
 
@@ -71,9 +70,9 @@ radius 3.0):
   `net.INIT_POINTS` seeded points)
 - `fit_rms` and `max_abs_theta`: the RMS residual of that fit on its points and
   the largest absolute weight it returns
-- `train_meta_s` and `compare_mg3_s`: wall seconds of one `lyapcert train-meta`
-  on the `meta_fit` config and one `lyapcert compare` on the `compare_mg3`
-  config, `--seed 101`
+
+Each metric comes from one suite: the `train-meta` run is timed in `meta_step`,
+the `compare` and adapt -> verify -> roa runs in `gate`, the bowl fit in `init`.
 
 The `cert` suite (default output `BENCH_cert.json`) measures, with BLAS pinned
 to one thread, grid certification on five grids: `pendulum` and `pendulum_801`,
@@ -310,8 +309,6 @@ def meta_step_suite(tree: Tree) -> tuple[dict, dict]:
         functools.partial(tree.meta.meta_train, family, arch, cfg.meta, cfg.loss, seed,
                           theta0=theta0),
         lambda s: round(1e3 * s / cfg.meta.meta_steps, 3))
-    timed["shaped_init_s",] = (functools.partial(tree.net.shaped_init, arch, seed, radius),
-                               seconds)
     timed["train_meta_s",] = (cli_call(tree, cfg, ["train-meta", "--seed", "101"]), seconds)
     return timed, {"minflt_per_step": fresh(tree, "meta_step_faults")}
 
@@ -384,10 +381,6 @@ def init_suite(tree: Tree) -> tuple[dict, dict]:
             np.linalg.norm(X, axis=1) / radius) ** 2
         fit_rms[cfg.name] = round(float(np.sqrt(np.mean(residual ** 2))), 6)
         max_abs_theta[cfg.name] = round(float(np.max(np.abs(theta))), 4)
-    timed["train_meta_s",] = (cli_call(tree, meta_fit_config(tree),
-                                       ["train-meta", "--seed", "101"]), seconds)
-    timed["compare_mg3_s",] = (cli_call(tree, compare_mg3_config(tree),
-                                        ["compare", "--seed", "101"]), seconds)
     return timed, {"fit_rms": fit_rms, "max_abs_theta": max_abs_theta}
 
 

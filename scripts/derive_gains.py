@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the seed LQR gains recorded in lyapcert.dynamics.
+"""Check the LQR gains lyapcert.dynamics designs against a Riccati solve.
 
-The package ships stabilizing initial gains (PENDULUM_K0, FAN_K0) that were
-computed once with an external Riccati solver and are refined at runtime by
-the Kleinman iteration. This script re-derives them with scipy (not a package
-dependency) and checks they agree with the shipped constants and that the
+The package ships seed gains that the Kleinman iteration refines at runtime
+into the LQR gains: FAN_K0 was recorded once from an external Riccati solve,
+and PENDULUM_K0 = (1, 1) is only a stabilizing gain. This script solves the
+Riccati equation with scipy (not a package dependency) where it is installed,
+prints how far the refined gains are from its solution, and checks that the
 closed loop stays Hurwitz at every benchmark test tuple.
 """
 

@@ -197,8 +197,8 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
     """Checkpoint parameters, architecture and region radius (the config's d0 when
     the checkpoint has none): a non-finite parameter or radius raises FloatingPointError
     (OverflowError for an integer beyond float range), an unreadable file OSError, any
-    other unusable content (another family's `system_id`, a radius over MAX_RADIUS or
-    within the exemption radius included) BadArtifact."""
+    other unusable content (another family's `system_id`, a network other than the
+    config's, a radius over MAX_RADIUS or within the exemption radius included) BadArtifact."""
     try:
         theta, arch, extra = net.load_checkpoint(path)
     except (ValueError, RecursionError, KeyError, TypeError) as exc:
@@ -209,9 +209,8 @@ def _load_checkpoint_for(cfg: ExperimentConfig, path) -> tuple[np.ndarray, net.A
     if extra.get("system_id", system_id) != system_id:
         raise BadArtifact(f"checkpoint is for the {extra['system_id']!r} family, "
                           f"the config's system is {system_id!r}")
-    dim = dynamics.state_dim(system_id, cfg.system.theta0)
-    if arch.input_dim != dim:
-        raise BadArtifact(f"checkpoint is {arch.input_dim}-d, system is {dim}-d")
+    if arch != cfg.architecture():   # the memory budget bounds the config's network alone
+        raise BadArtifact(f"checkpoint network {arch} is not the config's {cfg.architecture()}")
     radius = extra.get("radius", cfg.verify.d0)
     if isinstance(radius, bool) or not isinstance(radius, (int, float)):
         raise BadArtifact(f"checkpoint radius {radius!r} is not a number")

@@ -55,6 +55,9 @@ NOMINAL_PENDULUM = (0.5, 0.15, 9.81, 0.1)
 NOMINAL_FAN = (11.2, 0.0462, 0.15, 0.28, 0.1)
 # The points the bowl init (`net.shaped_init`) fits
 INIT_POINTS = 2048
+# Rows a large pass takes at a time: the map's sweep, its constants, the level set, the
+# writers and `dynamics.sample_labelled`; at this size glibc reuses the blocks' temporaries
+BLOCK = 2048
 
 
 class ConfigError(Exception):
@@ -398,10 +401,9 @@ def _pendulum_preset(name, theta_test, sigma, task_seed, meta_steps=8000,
         name=name,
         system=SystemBlock("pendulum", NOMINAL_PENDULUM, theta_test, sigma),
         meta=MetaBlock(meta_steps=meta_steps, m_batches=m_batches, k_train=k_train),
-        loss=TightenedLossConfig(1.0, 1.0),
-        verify=VerifyBlock(d0=4.0, nodes_per_axis=201, exempt_radius=1.1),
-        nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
-        seeds=SeedBlock(master=0, task_seed=task_seed, net_seed=0, adapt_seed=123),
+        verify=VerifyBlock(exempt_radius=1.1),
+        nlf=NlfBlock(n_steps=8000, lr=0.002, batch_size=256),
+        seeds=SeedBlock(task_seed=task_seed),
     )
 
 
@@ -415,9 +417,7 @@ def _microgrid_preset(name, n, theta_test, sigma) -> ExperimentConfig:
         verify=VerifyBlock(d0=3.0 if not big else 2.0,
                            nodes_per_axis=41 if not big else 15,
                            exempt_radius=0.8 if not big else 0.7),
-        roa=RoaBlock(plane=(0, 1)),
-        nlf=NlfBlock(n_samples=20000, n_steps=8000, lr=0.002, batch_size=256),
-        seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123),
+        nlf=NlfBlock(n_steps=8000, lr=0.002, batch_size=256),
     )
 
 
@@ -425,12 +425,11 @@ def _fan_preset(name, theta_test, sigma) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
         system=SystemBlock("fan", NOMINAL_FAN, theta_test, sigma),
-        meta=MetaBlock(meta_steps=3000, m_batches=20, k_train=32),
+        meta=MetaBlock(meta_steps=3000, m_batches=20),
         loss=TightenedLossConfig(0.1, 0.1),
         verify=VerifyBlock(d0=1.0, nodes_per_axis=9, exempt_radius=0.4),
         roa=RoaBlock(plane=(0, 2)),
-        nlf=NlfBlock(n_samples=20000, n_steps=5000, lr=0.002, batch_size=256),
-        seeds=SeedBlock(master=0, task_seed=0, net_seed=0, adapt_seed=123),
+        nlf=NlfBlock(lr=0.002, batch_size=256),
     )
 
 

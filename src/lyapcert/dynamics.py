@@ -26,11 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import NOMINAL_FAN, NOMINAL_PENDULUM, nominal_microgrid, state_dim
+from .config import BLOCK, NOMINAL_FAN, NOMINAL_PENDULUM, state_dim
 from .control import NonFiniteDynamics, kleinman_lqr
 
-# Seed gains for the Kleinman refinement, recorded once from an offline
-# Riccati solve (Qc = I, Rc below). They only need to be stabilizing.
+# Seed gains for the Kleinman refinement; they only need to be stabilizing. The fan's were
+# recorded once from an offline Riccati solve (Qc = I, Rc below); the pendulum's is (1, 1).
 PENDULUM_K0 = ((1.0, 1.0),)
 PENDULUM_QC_DIAG = (1.0, 1.0)
 PENDULUM_RC_DIAG = (0.1,)
@@ -45,7 +45,6 @@ FAN_RC_DIAG = (1.0, 1.0)
 DIVERGENCE_NORM = 1e6
 # RK4 steps `simulate` may take (500x its default run) and the Monte-Carlo gate per row
 MAX_RK4_STEPS = 1_000_000
-LABEL_BLOCK = 2048   # rows `sample_labelled` labels at a time; it draws the states at once
 
 RING_ANGLE = np.pi / 2 - 0.1   # the admittance angle of every microgrid line
 
@@ -243,8 +242,8 @@ def sample_labelled(system: ClosedLoopSystem, rng: np.random.Generator, n: int,
     """n states uniform over the ball of the given radius, and their labels y = f(x)."""
     X = sample_ball(rng, n, system.dim, radius)
     Y = np.empty_like(X)
-    for start in range(0, n, LABEL_BLOCK):
-        Y[start:start + LABEL_BLOCK] = system.f_batch(X[start:start + LABEL_BLOCK])
+    for start in range(0, n, BLOCK):   # the states drawn at once, labelled in blocks
+        Y[start:start + BLOCK] = system.f_batch(X[start:start + BLOCK])
     return X, Y
 
 
@@ -277,7 +276,7 @@ def simulate(system: ClosedLoopSystem, x0, h: float, horizon: float) -> Trajecto
         states[k] = rk4_step(system.f_batch, states[k - 1:k], h)[0]
         if np.linalg.norm(states[k]) > DIVERGENCE_NORM:
             return Trajectory(times=h * np.arange(k + 1), states=states[:k + 1], diverged=True)
-    return Trajectory(times=h * np.arange(n_steps + 1), states=states, diverged=False)
+    return Trajectory(times=h * np.arange(n_steps + 1), states=states)
 
 
 def simulate_batch(system: ClosedLoopSystem, X0: np.ndarray, h: float, horizon: float,

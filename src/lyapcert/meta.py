@@ -79,13 +79,9 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
             X_tr, Y_tr, X_te, Y_te = (a[t, b] for a in family)
             grads, losses = meta_gradients(theta, arch, (X_tr, Y_tr), (X_te, Y_te),
                                            meta_cfg.inner_lr, loss_cfg, meta_cfg.mode)
-            grad_sum = np.zeros_like(theta)
-            loss_sum = 0.0
-            for g, task_loss in zip(grads, losses.tolist()):
-                grad_sum += g
-                loss_sum += task_loss
-            theta = theta - meta_cfg.meta_lr * (grad_sum / meta_cfg.tasks_per_step)
-            mean_step_loss = loss_sum / meta_cfg.tasks_per_step
+            # summed in task order: a pairwise sum, as losses.sum(), regroups 8 and more
+            theta = theta - meta_cfg.meta_lr * (grads.sum(axis=0) / meta_cfg.tasks_per_step)
+            mean_step_loss = float(np.cumsum(losses)[-1]) / meta_cfg.tasks_per_step
             if not (np.isfinite(mean_step_loss) and np.all(np.isfinite(theta))):
                 raise NonFiniteLoss(f"non-finite loss or parameters at meta-step {step}", step)
             curve[step] = mean_step_loss

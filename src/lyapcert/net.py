@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import INIT_POINTS, Architecture, _unique_keys, read_json
+from .config import INIT_POINTS, Architecture, read_json
 from .dynamics import sample_ball
 
 

@@ -10,20 +10,21 @@ value, capped below the cell lower bound vbar_low of every blocked node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BLOCK
 from .control import SingularSystem, solve_discrete_lyapunov
 from .dynamics import MAX_RK4_STEPS, ClosedLoopSystem, simulate_batch
-from .verify import BLOCK, GridSpec, ValidityMap
+from .verify import GridSpec, ValidityMap
 
 
 @dataclass(frozen=True, eq=False)
 class RoaResult:
     c: float                    # certified sublevel value
     member_rows: np.ndarray     # grid rows with Vbar <= c (origin component)
-    area: float                 # member cell count x cell volume (or the plane's shadow)
+    area: float                 # the member cells' shadow on the grid's plane
     binding: int | None         # the blocked row whose vbar_low is the cap; None if none
 
     @property
@@ -65,7 +66,7 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec) -> RoaResult:
     so with c the largest non-exempt node value strictly below the least such
     bound, the continuum set {Vbar <= c} enters no blocked cell. The blocked
     node of that least bound (the first, on a tie) is the result's binding row.
-    A level at or below zero yields the empty result (c = 0, area 0).
+    A level at or below zero yields the empty result (c = 0, no cells, area 0).
     """
     blocked = np.nonzero(~vmap.green | grid.boundary)[0]
     binding = int(blocked[np.argmin(vmap.vbar_low[blocked])]) if blocked.size else None
@@ -73,25 +74,23 @@ def largest_level_set(vmap: ValidityMap, grid: GridSpec) -> RoaResult:
     eligible = vmap.vbar[(vmap.vbar < cap) & ~vmap.exempt]
     c = float(np.max(eligible)) if eligible.size else 0.0
     if c <= 0.0:
-        return RoaResult(0.0, np.array([grid.origin_row]), 0.0, binding)
+        return RoaResult(0.0, np.empty(0, dtype=np.intp), 0.0, binding)
 
     rows = _origin_component(np.nonzero(vmap.vbar <= c)[0], grid)
-    result = RoaResult(c, rows, 0.0, binding)
-    return replace(result, area=roa_area(result, grid))
+    return RoaResult(c, rows, roa_area(rows, grid), binding)
 
 
-def roa_area(result: RoaResult, grid: GridSpec) -> float:
-    """Nonempty member-cell area: full-dimensional for dim <= 2, the plane's shadow above."""
-    if grid.dim > 2:
-        return float(np.count_nonzero(_plane_image(result, grid)) * grid.spacing**2)
-    return float(result.n_cells * grid.cell_volume)
+def roa_area(rows: np.ndarray, grid: GridSpec) -> float:
+    """The area of the cells' shadow on the grid's plane: in 2-d, their count times
+    the cell area."""
+    return float(np.count_nonzero(_plane_image(rows, grid)) * grid.spacing**2)
 
 
-def _plane_image(result: RoaResult, grid: GridSpec) -> np.ndarray:
-    """(nodes_per_axis, nodes_per_axis) occupancy of the member cells' plane index pairs."""
+def _plane_image(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(nodes_per_axis, nodes_per_axis) occupancy of the rows' plane index pairs."""
     i, j = grid.plane
     image = np.zeros((grid.nodes_per_axis,) * 2, dtype=bool)
-    members = grid.index[result.member_rows]
+    members = grid.index[rows]
     image[members[:, i], members[:, j]] = True
     return image
 
@@ -279,7 +278,7 @@ def export_boundary_csv(result: RoaResult, grid: GridSpec) -> str:
     """Member cells whose face neighborhood leaves the member set (2-D plane)."""
     rows = ["u,v"]
     if not result.empty:
-        cells = np.pad(_plane_image(result, grid), 1)
+        cells = np.pad(_plane_image(result.member_rows, grid), 1)
         inner = cells[:-2, 1:-1] & cells[2:, 1:-1] & cells[1:-1, :-2] & cells[1:-1, 2:]
         reprs = [repr(v) for v in grid.axis_coords.tolist()]
         rows += [f"{reprs[a]},{reprs[b]}"

@@ -15,7 +15,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .verify import BLOCK
+from .config import BLOCK
 
 GREEN = "#3fa34d"
 RED = "#d64545"

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import region_radii
+from .config import BLOCK, region_radii
 
 SAFETY = 1.2   # inflation of the sampled maxima into the Lipschitz constants
 SLAB = 1 << 13   # box nodes build_grid enumerates at a time
-BLOCK = 2048     # nodes the map's sweep, its constants and its writers take at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +54,6 @@ class GridSpec:
     @property
     def n_nodes(self) -> int:
         return self.index.shape[0]
-
-    @property
-    def cell_volume(self) -> float:
-        return float(self.spacing**self.dim)
 
     @property
     def axis_coords(self) -> np.ndarray:

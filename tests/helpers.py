@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from lyapcert import cli, control, dynamics, net, roa, svg, verify
-from lyapcert.config import PRESETS, peak_bytes
+from lyapcert.config import PRESETS, nominal_microgrid, peak_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,7 +59,7 @@ def estimated_growth(stage, small, large):
 def nominal_params(system_id, n_microgrids=3):
     """A system's nominal parameter tuple; the microgrid's has n_microgrids droops."""
     values = {"pendulum": dynamics.NOMINAL_PENDULUM, "fan": dynamics.NOMINAL_FAN}.get(system_id)
-    return values or dynamics.nominal_microgrid(n_microgrids)
+    return values or nominal_microgrid(n_microgrids)
 
 
 def nominal_system(system_id, n_microgrids=3):

@@ -14,7 +14,8 @@ import pytest
 
 from lyapcert import baselines, cli, dynamics, meta, net, roa, verify
 from lyapcert.config import (MAX_RADIUS, MEMORY_BUDGET, ConfigError, MetaBlock, NlfBlock,
-                             PRESETS, config_from_dict, config_hash, config_to_dict, load_config)
+                             PRESETS, config_from_dict, config_hash, config_to_dict, load_config,
+                             nominal_microgrid)
 from lyapcert.baselines import QuadraticLyapunov
 from lyapcert.loss import TightenedLossConfig
 
@@ -93,7 +94,7 @@ def run(tmp_path, argv) -> int:
 
 def microgrid_block(n):
     """The config's system block of an n-droop microgrid at its nominal droops."""
-    droops = list(dynamics.nominal_microgrid(n))
+    droops = list(nominal_microgrid(n))
     return {"system_id": "microgrid", "theta0": droops, "theta_test": droops,
             "sigma_diag": [0.0] * n}
 
@@ -856,7 +857,7 @@ def test_roa_gate_rejection_exit_3(tmp_path, mini_checkpoint, monkeypatch, capsy
     def raised(vmap, grid):
         rows = np.nonzero(~grid.boundary)[0]
         return roa.RoaResult(c=float(np.max(vmap.vbar[rows])), member_rows=rows,
-                             area=float(rows.size * grid.cell_volume), binding=None)
+                             area=float(rows.size * grid.spacing**2), binding=None)
 
     monkeypatch.setattr(roa, "largest_level_set", raised)
     capsys.readouterr()
@@ -1039,6 +1040,22 @@ def test_checkpoint_shape_not_integer_exit_2(tmp_path, capsys, command, key, val
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("artifact error")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["adapt", "verify", "roa"])
+def test_checkpoint_of_another_network_exit_2(tmp_path, capsys, command):
+    """A checkpoint whose hidden widths are not the config's exits 2 with one artifact
+    error line before any artifact is written: the memory budget bounds the config's
+    network alone, and a wider one's block arrays would go past it."""
+    arch = net.Architecture(2, (32,))
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, net.init_params(arch, 0), arch)
+    code = run(tmp_path, [command, "--config", str(mini_config(tmp_path)),
+                          "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("artifact error") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lyapcert import control, dynamics, roa
-from lyapcert.config import PRESETS
+from lyapcert.config import BLOCK, PRESETS
 
 from helpers import (GATE_CASES, frozen_stacked_field, gate_case, nominal_params,
                      nominal_system, peak_kb, reference_microgrid, reference_simulate_batch,
@@ -273,10 +273,10 @@ LABEL_SYSTEMS = [("pendulum", None), ("fan", None), ("microgrid", 3), ("microgri
 class TestLabelBlocks:
     @pytest.mark.parametrize("family, n", LABEL_SYSTEMS)
     def test_block_labels_equal_one_call_over_all_rows(self, family, n):
-        """sample_labelled labels LABEL_BLOCK rows at a time; its states are one
+        """sample_labelled labels BLOCK rows at a time; its states are one
         sample_ball draw and its labels one f_batch over all of them, bit for bit."""
         system = nominal_system(family, n or 3)
-        rows = 2 * dynamics.LABEL_BLOCK + 517
+        rows = 2 * BLOCK + 517
         X, Y = dynamics.sample_labelled(system, np.random.default_rng(3), rows, 1.5)
         X_ref = dynamics.sample_ball(np.random.default_rng(3), rows, system.dim, 1.5)
         assert X.tobytes() == X_ref.tobytes()
@@ -287,7 +287,7 @@ class TestLabelBlocks:
         """The pendulum's and the fan's x_dot written into one array are bit-equal to
         the np.stack of their columns, for one row and for many."""
         system = nominal_system(family)
-        for rows in (1, 2 * dynamics.LABEL_BLOCK):
+        for rows in (1, 2 * BLOCK):
             X = np.random.default_rng(rows).normal(size=(rows, system.dim))
             assert system.f_batch(X).tobytes() == frozen_stacked_field(system, X).tobytes()
 

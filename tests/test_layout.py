@@ -2,7 +2,9 @@
 library itself, so no entry point lives on for tests alone; every dataclass
 field is read by it, so no field is only written or checked; and every defaulted
 parameter of a function is passed by some call in it, so no parameter serves
-tests alone.
+tests alone. A module reads every name it imports, and no call passes a literal
+equal to the literal default of the `src/` field or parameter it fills, so a
+setting is stated once, where its default is.
 The modules that only receive settings raise no ValueError: the config blocks
 and `cli` check every setting once, when the config is parsed. Every `lyapcert`
 name a script in `scripts/` imports or reads as `<module>.<attr>` exists, so a
@@ -183,6 +185,87 @@ def test_every_defaulted_parameter_is_passed_in_src():
     assert not unpassed, f"defaulted parameters no call in src/ passes: {unpassed}"
 
 
+def test_every_imported_name_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "annotations" and name not in reads:
+                        unread.append(f"{path.stem}: {name}")
+    assert not unread, f"imported but never read: {unread}"
+
+
+def _literal(node):
+    """The value of a literal expression (a negative number and a tuple of literals
+    included), or _ABSENT."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _ABSENT
+
+
+def _parameters(fn: ast.FunctionDef) -> tuple:
+    """(bound, parameter names in positional order, {name: literal default}) of a
+    function; `bound` is 1 where a call's first positional argument fills the
+    parameter after `self` or `cls`."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    defaults = {a.arg: _literal(d) for a, d in zip(
+        positional[len(positional) - len(args.defaults):], args.defaults)}
+    defaults.update({a.arg: _literal(d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None})
+    return bound, [a.arg for a in positional], defaults
+
+
+def _literal_defaults() -> dict:
+    """{bare callable name: [_parameters-like triples]} of every src/ function, method
+    and class: a dataclass's fields are its parameters, another class's are its
+    `__init__`'s."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__":
+                found.setdefault(node.name, []).append(_parameters(node))
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                found.setdefault(node.name, []).append((0, [f.target.id for f in fields], {
+                    f.target.id: _literal(f.value) for f in fields if f.value is not None}))
+            elif isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).extend(
+                    _parameters(item) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__")
+    return found
+
+
+def test_no_call_restates_a_default():
+    defaults = _literal_defaults()
+    restated = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, calls in _calls(ast.parse(path.read_text())).items():
+            for call in calls:
+                given = [(i, None, a) for i, a in enumerate(call.args)
+                         if not isinstance(a, ast.Starred)]
+                given += [(None, kw.arg, kw.value) for kw in call.keywords if kw.arg]
+                for position, keyword, arg in given:
+                    value = _literal(arg)
+                    if value is _ABSENT:
+                        continue
+                    for bound, params, literal in defaults.get(name, []):
+                        param = keyword if position is None else (
+                            params[position + bound] if position + bound < len(params)
+                            else None)
+                        default = literal.get(param, _ABSENT)
+                        if type(default) is type(value) and default == value:
+                            restated.append(f"{path.stem}.py:{arg.lineno} {name}({param}=)")
+                            break
+    assert not restated, f"calls that pass a parameter's own default: {restated}"
+
+
 def test_parsed_settings_are_not_checked_again():
     raising = [f"{module}.py:{node.lineno}" for module in TRUSTING
                for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
@@ -276,7 +359,7 @@ def test_bench_suites_build():
         "'validity_csv', 'validity_svg']",
         "gate ['adapt_certify_s', 'compare_mg3_s', 'mc_gate_ms', 'rollout_ns_per_state_step', "
         "'row_steps']",
-        "init ['compare_mg3_s', 'fit_rms', 'max_abs_theta', 'shaped_init_s', 'train_meta_s']",
+        "init ['fit_rms', 'max_abs_theta', 'shaped_init_s']",
         "meta_step ['hvps_us', 'inner_us', 'loss_gradient_us', 'meta_step_ms', "
-        "'minflt_per_step', 'outer_us', 'shaped_init_s', 'train_meta_s']",
+        "'minflt_per_step', 'outer_us', 'train_meta_s']",
         "['200', '50', '800']"]

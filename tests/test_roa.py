@@ -158,7 +158,7 @@ class TestLargestLevelSet:
         vbar = np.sum(node_coords(grid)**2, axis=1)
         result = roa.largest_level_set(with_flags(grid, vbar, np.zeros(grid.n_nodes)), grid)
         assert result.empty and result.c == 0.0 and result.area == 0.0
-        assert grid.origin_row in result.member_rows
+        assert result.n_cells == 0 and roa.export_roa_json(result, grid)["n_cells"] == 0
 
     def test_single_red_caps_strictly(self):
         grid = verify.build_grid(1.0, 21, 2)
@@ -304,16 +304,13 @@ class TestLargestLevelSet:
 class TestRoaArea:
     def test_cell_multiplication(self):
         grid = verify.build_grid(1.0, 101, 2)   # spacing 0.02
-        rows = np.arange(100)
-        result = roa.RoaResult(c=1.0, member_rows=rows, area=0.0, binding=None)
-        assert roa.roa_area(result, grid) == pytest.approx(100 * 0.02 * 0.02)
+        assert roa.roa_area(np.arange(100), grid) == pytest.approx(100 * 0.02 * 0.02)
 
     def test_projection_counts_shadow_once(self):
         grid = verify.build_grid(1.0, 5, 3)
         # column of cells stacked along axis 2 over the same (i, j) cell
         rows = [row_of(grid, [0, 0, k]) for k in (-1, 0, 1)]
-        result = roa.RoaResult(c=1.0, member_rows=np.array(rows), area=0.0, binding=None)
-        assert roa.roa_area(result, grid) == pytest.approx(grid.spacing**2)
+        assert roa.roa_area(np.array(rows), grid) == pytest.approx(grid.spacing**2)
 
 
 class TestMonteCarloConvergence:
@@ -329,7 +326,7 @@ class TestMonteCarloConvergence:
 
     def test_empty_roa_vacuous(self):
         grid = verify.build_grid(1.0, 5, 2)
-        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0,
+        empty = roa.RoaResult(c=0.0, member_rows=np.empty(0, dtype=int), area=0.0,
                               binding=None)
         cand = QuadraticLyapunov(np.eye(2))
         check, = roa.monte_carlo_convergence(LinearSystem(2), [(empty, cand)], grid, 100,
@@ -422,7 +419,7 @@ class TestStackedGate:
         wide = roa.largest_level_set(all_green_map(grid, vbar), grid)
         narrow = roa.largest_level_set(
             with_flags(grid, vbar, np.linalg.norm(node_coords(grid), axis=1) < 0.8), grid)
-        empty = roa.RoaResult(c=0.0, member_rows=np.array([grid.origin_row]), area=0.0,
+        empty = roa.RoaResult(c=0.0, member_rows=np.empty(0, dtype=int), area=0.0,
                               binding=None)
         flat = QuadraticLyapunov(np.diag([1.0, 0.5]))
         certificates = [(wide, cand), (empty, cand), (narrow, cand), (narrow, flat)]

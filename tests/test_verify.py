@@ -35,9 +35,10 @@ assert not result.empty
 AXES_PEAK = """
 import sys
 from lyapcert import dynamics, net, roa, verify
+from lyapcert.config import nominal_microgrid
 dim = int(sys.argv[1])
 arch = net.Architecture(dim, (16, 16))
-system = dynamics.build_system("microgrid", dynamics.nominal_microgrid(dim))
+system = dynamics.build_system("microgrid", nominal_microgrid(dim))
 grid = verify.build_grid(3.0, 3, dim, 0.8)
 vmap = verify.check_validity(net.MlpLyapunov(net.init_params(arch, 0), arch), system, grid)
 roa.largest_level_set(vmap, grid)
