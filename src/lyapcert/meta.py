@@ -79,7 +79,7 @@ def meta_train(family: tuple[np.ndarray, ...], arch: net.Architecture, meta_cfg:
             X_tr, Y_tr, X_te, Y_te = (a[t, b] for a in family)
             grads, losses = meta_gradients(theta, arch, (X_tr, Y_tr), (X_te, Y_te),
                                            meta_cfg.inner_lr, loss_cfg, meta_cfg.mode)
-            # summed in task order: a pairwise sum, as losses.sum(), regroups 8 and more
+            # both sums in task order: losses.sum() adds 8 or more pairwise, rounding otherwise
             theta = theta - meta_cfg.meta_lr * (grads.sum(axis=0) / meta_cfg.tasks_per_step)
             mean_step_loss = float(np.cumsum(losses)[-1]) / meta_cfg.tasks_per_step
             if not (np.isfinite(mean_step_loss) and np.all(np.isfinite(theta))):
